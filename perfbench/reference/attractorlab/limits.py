@@ -1,0 +1,253 @@
+"""Finite estimators for omega-limit sets, attracting sets, and attractors.
+
+The limit-set definitions quantify over t -> infinity; the estimators here
+replace that with a discard-transient-then-cluster pass over a finite
+ensemble horizon. Late samples are clustered first, so the representatives
+come from the most converged part of the run. The horizon-doubling
+self-consistency check lives in the test suite, not here.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .errors import EmptySet, HorizonTooShort, InsufficientSamples, ModelMismatch
+from .metrics import METRIC_KINDS, _check_metric, cross_dist
+from .models import ModelSpec
+from .state import Ensemble, State, grid_index
+
+
+@dataclass(frozen=True, eq=False)
+class AttractionReport:
+    """Outcome of a uniform-attraction scan.
+
+    t_entry is the earliest sampled time after which every reachable slice
+    stayed within eps of the candidate set, or None when even the final slice
+    violated eps.
+    """
+
+    t_entry: float | None
+    eps: float
+    metric: str
+    worst_overall: float
+    worst_after_entry: float
+    n_times: int
+
+
+@dataclass(frozen=True, eq=False)
+class SetEstimate:
+    """Finite point cloud standing in for a limit set.
+
+    Carries the metric it was built in, the clustering tolerance, and the
+    sampling horizon, so downstream comparisons know what resolution to
+    trust. ``attraction`` is attached by global_attractor.
+    """
+
+    points: tuple[State, ...]
+    metric: str
+    tol: float
+    horizon: float
+    attraction: AttractionReport | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        if not self.points:
+            raise EmptySet("set estimate has no points")
+        _check_metric(self.metric)
+        if not (self.tol > 0):
+            raise ValueError(f"cluster tolerance must be positive, got {self.tol}")
+        key = self.points[0].model.key
+        for p in self.points[1:]:
+            if p.model.key != key:
+                raise ModelMismatch("set estimate mixes models")
+
+    @property
+    def n_points(self) -> int:
+        return len(self.points)
+
+    @property
+    def model(self) -> ModelSpec:
+        return self.points[0].model
+
+    @property
+    def coords(self) -> np.ndarray:
+        return np.stack([p.coords for p in self.points])
+
+
+@dataclass(frozen=True)
+class OmegaParams:
+    """Sampling window and clustering resolution for limit-set estimation."""
+
+    t_transient: float = 0.0
+    t_max: float = 1.0
+    sample_stride: int = 1
+    cluster_tol: float = 1e-3
+
+    def __post_init__(self):
+        if not (0 <= self.t_transient < self.t_max):
+            raise ValueError(
+                f"need 0 <= t_transient < t_max, got {self.t_transient}, {self.t_max}"
+            )
+        if self.sample_stride < 1:
+            raise ValueError("sample_stride must be >= 1")
+        if not (self.cluster_tol > 0):
+            raise ValueError("cluster_tol must be positive")
+
+
+def greedy_cluster(spec: ModelSpec, blocks, m: str, tol: float) -> list[np.ndarray]:
+    """Greedy metric dedupe over an iterable of coordinate blocks.
+
+    A row is accepted only if it is farther than tol (in metric m) from every
+    previously accepted row; order inside and across blocks is fixed, so the
+    result is deterministic. Returns the accepted rows.
+    """
+    accepted: list[np.ndarray] = []
+    for block in blocks:
+        if block.size == 0:
+            continue
+        if accepted:
+            near = cross_dist(spec, block, np.stack(accepted), m).min(axis=1) <= tol
+        else:
+            near = np.zeros(block.shape[0], dtype=bool)
+        for row, skip in zip(block, near):
+            if skip:
+                continue
+            if accepted and cross_dist(spec, row[None, :], np.stack(accepted), m).min() <= tol:
+                continue
+            accepted.append(row)
+    return accepted
+
+
+def omega_limit(ensemble: Ensemble, m: str, p: OmegaParams) -> SetEstimate:
+    """Cluster the post-transient reachable states into a limit-set estimate.
+
+    Samples every sample_stride-th grid time in [t_transient, t_max], newest
+    first, and keeps greedy cluster representatives at resolution cluster_tol.
+    """
+    _check_metric(m)
+    slack = 1e-9 * max(1.0, abs(p.t_max))
+    if ensemble.t_end + slack < p.t_max:
+        raise HorizonTooShort(
+            f"omega sampling needs the grid to reach t={p.t_max}, ends at {ensemble.t_end}"
+        )
+    i0 = grid_index(p.t_transient, ensemble.t0, ensemble.dt)
+    i1 = grid_index(p.t_max, ensemble.t0, ensemble.dt)
+    n = ensemble.trajectories[0].n_samples
+    if not (0 <= i0 <= i1 < n):
+        raise HorizonTooShort(
+            f"sampling window [{p.t_transient}, {p.t_max}] is not inside the ensemble grid"
+        )
+    order = range(i1, i0 - 1, -p.sample_stride)
+    stacks = np.stack([tr.samples for tr in ensemble.trajectories])  # (M, n, dim)
+    blocks = (stacks[:, k, :] for k in order)
+    accepted = greedy_cluster(ensemble.model, blocks, m, p.cluster_tol)
+    points = tuple(State(row, ensemble.model) for row in accepted)
+    return SetEstimate(points=points, metric=m, tol=p.cluster_tol, horizon=p.t_max)
+
+
+def is_attracting(
+    candidate: SetEstimate,
+    ensemble: Ensemble,
+    eps: float,
+    stride: int = 1,
+) -> AttractionReport:
+    """Scan reachable slices for uniform attraction to the candidate set.
+
+    Checks set_semidist(R(t) slice, candidate) < eps at every stride-th grid
+    time; reports the earliest entry time after which no violation occurs.
+    """
+    if not (eps > 0):
+        raise ValueError("eps must be positive")
+    if candidate.model.key != ensemble.model.key:
+        raise ModelMismatch("candidate set and ensemble belong to different models")
+    cloud = candidate.coords
+    spec = ensemble.model
+    stacks = np.stack([tr.samples for tr in ensemble.trajectories])
+    idx = np.arange(0, stacks.shape[1], stride)
+    times = ensemble.t0 + ensemble.dt * idx
+    semi = np.empty(idx.shape[0])
+    for j, k in enumerate(idx):
+        semi[j] = cross_dist(spec, stacks[:, k, :], cloud, candidate.metric).min(axis=1).max()
+    viol = np.flatnonzero(semi >= eps)
+    if viol.size == 0:
+        entry_j = 0
+    elif viol[-1] + 1 >= idx.shape[0]:
+        entry_j = None
+    else:
+        entry_j = int(viol[-1] + 1)
+    return AttractionReport(
+        t_entry=None if entry_j is None else float(times[entry_j]),
+        eps=eps,
+        metric=candidate.metric,
+        worst_overall=float(semi.max()),
+        worst_after_entry=float("inf") if entry_j is None else float(semi[entry_j:].max()),
+        n_times=int(idx.shape[0]),
+    )
+
+
+def global_attractor(
+    ensemble_of_x: Ensemble,
+    m: str,
+    p: OmegaParams,
+    eps: float | None = None,
+    stride: int = 1,
+) -> SetEstimate:
+    """Attractor estimate: omega limit of a phase-space-sampling ensemble.
+
+    The attractor, when it exists, equals the omega limit of the whole phase
+    space, and it exists exactly when that omega limit attracts; the scan
+    verdict is attached to the returned estimate. Default attraction eps is
+    twice the clustering tolerance (one cluster radius each for the estimate
+    and the scanned slice).
+    """
+    est = omega_limit(ensemble_of_x, m, p)
+    report = is_attracting(est, ensemble_of_x, 2.0 * p.cluster_tol if eps is None else eps, stride)
+    return replace(est, attraction=report)
+
+
+def asymptotic_compactness_defect(
+    ensemble: Ensemble,
+    times,
+    k: int,
+) -> float:
+    """Covering radius of diagonal late-time samples under greedy k-centers.
+
+    Draws x_j = (member j mod M)(t_j) for the increasing times t_j, then runs
+    farthest-first k-center selection in the strong metric and returns the
+    covering radius. Near-zero values witness relative compactness at
+    resolution k; values bounded away from zero flag escaping mass. The
+    radius is nonincreasing in k.
+    """
+    times = [float(t) for t in times]
+    if len(times) < 2:
+        raise InsufficientSamples("need at least two sample times")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("sample times must be strictly increasing")
+    if not (1 <= k <= len(times)):
+        raise InsufficientSamples(f"need 1 <= k <= {len(times)} centers, got {k}")
+    m_count = ensemble.n_members
+    rows = []
+    for j, t in enumerate(times):
+        tr = ensemble.trajectories[j % m_count]
+        rows.append(tr.samples[tr.index_of(t)])
+    samples = np.stack(rows)
+    # farthest-first traversal, first sample seeds the centers
+    d_near = np.linalg.norm(samples - samples[0], axis=1)
+    for _ in range(1, k):
+        nxt = int(np.argmax(d_near))
+        d_new = np.linalg.norm(samples - samples[nxt], axis=1)
+        d_near = np.minimum(d_near, d_new)
+    return float(d_near.max())
+
+
+__all__ = [
+    "AttractionReport",
+    "SetEstimate",
+    "OmegaParams",
+    "greedy_cluster",
+    "omega_limit",
+    "is_attracting",
+    "global_attractor",
+    "asymptotic_compactness_defect",
+]

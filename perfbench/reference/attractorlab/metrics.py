@@ -1,0 +1,239 @@
+"""Strong and weak metrics on states, trajectories, and point-cloud sets.
+
+The strong metric is the Euclidean distance on coordinates, which by the
+orthonormal-basis convention equals the L2 distance of the represented
+fields. The weak metric is the bounded weighted series
+
+    d_w(u, v) = sum_kappa 2^(-|kappa|_1) r_kappa / (1 + r_kappa),
+
+with r_kappa the modulus of the coefficient difference on mode kappa,
+evaluated over the finite retained mode set; shell models reuse the same
+formula with the shell index in place of |kappa|_1. On a fixed truncation the
+two metrics are equivalent, which is exactly what the estimator cross-checks
+exploit; the weak one stands in for the weak topology of the untruncated
+problem.
+
+Trajectory comparisons use the sup metric on a window [a, b] and the
+geometric tail series sum_T 2^(-T) s_T / (1 + s_T) with
+s_T = sup_{[a, a+T]} d(u, v), truncated at t_max_windows (the dropped tail is
+bounded by 2^-t_max_windows).
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Literal, Sequence
+
+import numpy as np
+from scipy.spatial.distance import cdist
+
+from .errors import (
+    EmptySet,
+    HorizonTooShort,
+    ModelMismatch,
+)
+from .models import ModelSpec, spec_dim, weak_weights
+from .state import State, Trajectory, common_grid_offsets, grid_index
+
+MetricKind = Literal["strong", "weak"]
+METRIC_KINDS = ("strong", "weak")
+
+
+@dataclass(frozen=True)
+class TrajMetricParams:
+    """Tail-metric truncation: windows [a, a+T] for T = 1..t_max_windows."""
+
+    t_max_windows: int = 8
+
+    def __post_init__(self):
+        if self.t_max_windows < 1:
+            raise ValueError("t_max_windows must be >= 1")
+
+
+def _check_metric(m: str) -> str:
+    if m not in METRIC_KINDS:
+        raise ValueError(f"unknown metric kind {m!r}; expected strong|weak")
+    return m
+
+
+def _same_model(x: State, y: State) -> ModelSpec:
+    if x.model.key != y.model.key:
+        raise ModelMismatch(
+            f"states belong to different models: {x.model.key} vs {y.model.key}"
+        )
+    return x.model
+
+
+# ---------------------------------------------------------------------------
+# array-level kernels (leading axes broadcast)
+
+
+def strong_dist_arrays(diff: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(diff, axis=-1)
+
+
+def weak_dist_arrays(spec: ModelSpec, diff: np.ndarray) -> np.ndarray:
+    weights, gs = weak_weights(spec)
+    shaped = diff.reshape(diff.shape[:-1] + (weights.shape[0], gs))
+    r = np.linalg.norm(shaped, axis=-1)
+    return (weights * (r / (1.0 + r))).sum(axis=-1)
+
+
+def dist_arrays(spec: ModelSpec, x: np.ndarray, y: np.ndarray, m: str) -> np.ndarray:
+    _check_metric(m)
+    diff = np.asarray(x, float) - np.asarray(y, float)
+    if diff.shape[-1] != spec_dim(spec):
+        raise ModelMismatch("coordinate dimension does not match the model")
+    if m == "strong":
+        return strong_dist_arrays(diff)
+    return weak_dist_arrays(spec, diff)
+
+
+def cross_dist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str) -> np.ndarray:
+    """Pairwise distance matrix (n, k) between two coordinate stacks."""
+    _check_metric(m)
+    a = np.atleast_2d(np.asarray(a, float))
+    b = np.atleast_2d(np.asarray(b, float))
+    if m == "strong":
+        return cdist(a, b)
+    rows = [weak_dist_arrays(spec, row[None, :] - b) for row in a]
+    return np.stack(rows)
+
+
+# ---------------------------------------------------------------------------
+# state-level metrics
+
+
+def strong_dist(x: State, y: State) -> float:
+    _same_model(x, y)
+    return float(np.linalg.norm(x.coords - y.coords))
+
+
+def weak_dist(x: State, y: State) -> float:
+    spec = _same_model(x, y)
+    return float(weak_dist_arrays(spec, x.coords - y.coords))
+
+
+def dist(x: State, y: State, m: str) -> float:
+    _check_metric(m)
+    return strong_dist(x, y) if m == "strong" else weak_dist(x, y)
+
+
+def weak_weight_total(spec: ModelSpec) -> float:
+    """Sum of the weak-metric weights: d_w <= W d_s holds with this W."""
+    weights, _ = weak_weights(spec)
+    return float(weights.sum())
+
+
+# ---------------------------------------------------------------------------
+# point-cloud set distances
+
+
+def coords_of_set(a) -> tuple[np.ndarray, ModelSpec]:
+    """Coordinate stack and model of a set operand.
+
+    Accepts a SetEstimate-like object (``points`` attribute), a sequence of
+    states, or a single state.
+    """
+    points = getattr(a, "points", a)
+    if isinstance(points, State):
+        points = [points]
+    points = list(points)
+    if not points:
+        raise EmptySet("set operand has no points")
+    model = points[0].model
+    for p in points[1:]:
+        if p.model.key != model.key:
+            raise ModelMismatch("set members belong to different models")
+    return np.stack([p.coords for p in points]), model
+
+
+def point_set_dist(x: State, a, m: str) -> float:
+    """Distance from a point to a finite set: min over members."""
+    coords, model = coords_of_set(a)
+    if model.key != x.model.key:
+        raise ModelMismatch("point and set belong to different models")
+    return float(dist_arrays(x.model, x.coords[None, :], coords, m).min())
+
+
+def set_semidist(a, b, m: str) -> float:
+    """One-sided Hausdorff semi-distance sup_{x in a} inf_{y in b} d(x, y)."""
+    ca, model_a = coords_of_set(a)
+    cb, model_b = coords_of_set(b)
+    if model_a.key != model_b.key:
+        raise ModelMismatch("sets belong to different models")
+    return float(cross_dist(model_a, ca, cb, m).min(axis=1).max())
+
+
+# ---------------------------------------------------------------------------
+# trajectory metrics
+
+
+def _same_traj_model(u: Trajectory, v: Trajectory) -> ModelSpec:
+    if u.model.key != v.model.key:
+        raise ModelMismatch("trajectories belong to different models")
+    return u.model
+
+
+def traj_dist_window(u: Trajectory, v: Trajectory, a: float, b: float, m: str) -> float:
+    """Sup over the shared grid window [a, b] of the pointwise metric."""
+    spec = _same_traj_model(u, v)
+    _check_metric(m)
+    iu, iv, count = common_grid_offsets(u, v, a, b)
+    diff = u.samples[iu : iu + count] - v.samples[iv : iv + count]
+    if m == "strong":
+        return float(strong_dist_arrays(diff).max())
+    return float(weak_dist_arrays(spec, diff).max())
+
+
+def traj_dist_tail(
+    u: Trajectory,
+    v: Trajectory,
+    a: float,
+    m: str,
+    p: TrajMetricParams | None = None,
+) -> float:
+    """Truncated tail metric sum_{T=1..Tmax} 2^-T s_T / (1 + s_T)."""
+    spec = _same_traj_model(u, v)
+    _check_metric(m)
+    p = p or TrajMetricParams()
+    t_last = a + p.t_max_windows
+    slack = 1e-9 * max(1.0, abs(t_last))
+    if t_last > min(u.t_end, v.t_end) + slack:
+        raise HorizonTooShort(
+            f"tail metric needs both grids to reach t={t_last}, "
+            f"spans end at {u.t_end} and {v.t_end}"
+        )
+    iu, iv, count = common_grid_offsets(u, v, a, t_last)
+    diff = u.samples[iu : iu + count] - v.samples[iv : iv + count]
+    if m == "strong":
+        d = strong_dist_arrays(diff)
+    else:
+        d = weak_dist_arrays(spec, diff)
+    running = np.maximum.accumulate(d)
+    total = 0.0
+    for t_win in range(1, p.t_max_windows + 1):
+        k = grid_index(a + t_win, u.t0 + iu * u.dt, u.dt)
+        s = running[k]
+        total += 2.0 ** (-t_win) * s / (1.0 + s)
+    return float(total)
+
+
+def tail_from_pointwise(d: np.ndarray, dt: float, t_max_windows: int) -> float:
+    """Truncated tail metric from pointwise distances sampled on [0, Tmax].
+
+    d[k] is the pointwise metric at relative time k*dt; the grid must reach
+    t_max_windows.
+    """
+    running = np.maximum.accumulate(d)
+    total = 0.0
+    for t_win in range(1, t_max_windows + 1):
+        s = running[int(round(t_win / dt))]
+        total += 2.0 ** (-t_win) * s / (1.0 + s)
+    return float(total)
+
+
+def pairwise_to_set(
+    spec: ModelSpec, stack: np.ndarray, cloud: np.ndarray, m: str
+) -> np.ndarray:
+    """Distance from each row of ``stack`` to the nearest point of ``cloud``."""
+    return cross_dist(spec, stack, cloud, m).min(axis=1)

@@ -1,0 +1,596 @@
+"""Model specifications and dynamics.
+
+Three families share one coordinate convention (real vectors whose Euclidean
+norm is the energy norm):
+
+* ``galerkin_nse_2d`` / ``galerkin_nse_3d``: spectral Galerkin truncations of
+  the incompressible Navier-Stokes equations on a periodic box, on the
+  zero-mean solenoidal trigonometric basis (see :mod:`.spectral`),
+  du/dt + nu A u + B(u, u) = g.
+* ``dyadic``: the dyadic shell cascade
+  da_n/dt = lam^n a_{n-1}^2 - lam^{n+1} a_n a_{n+1} - nu lam^{2n} a_n + g_n,
+  shells n = 0..N with a_{-1} = a_{N+1} = 0; the nonlinear energy flux
+  telescopes to zero.
+* ``toy_contraction``: du/dt = -u with the exact flow e^{-t} x, used as a
+  fully analyzable reference.
+"""
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
+from scipy.integrate import cumulative_simpson
+
+from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFinite
+from .spectral import ModeTable, advect, build_mode_table
+from .state import State
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .state import PhaseSpace, Trajectory
+
+KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
+NSE_KINDS = ("galerkin_nse_2d", "galerkin_nse_3d")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Immutable model description; the key string identifies it everywhere."""
+
+    kind: str
+    nu: float
+    L: float
+    truncation: int
+    lam: float
+    forcing: tuple[float, ...] | None
+    key: str
+
+
+def model_dim(kind: str, truncation: int) -> int:
+    if kind == "galerkin_nse_2d":
+        return 2 * (((2 * truncation + 1) ** 2 - 1) // 2)
+    if kind == "galerkin_nse_3d":
+        return 4 * (((2 * truncation + 1) ** 3 - 1) // 2)
+    if kind == "dyadic":
+        return truncation + 1
+    if kind == "toy_contraction":
+        return truncation
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
+def make_spec(
+    kind: str,
+    nu: float = 1.0,
+    L: float = 2.0 * np.pi,
+    truncation: int = 1,
+    lam: float = 2.0,
+    forcing: Sequence[float] | np.ndarray | None = None,
+) -> ModelSpec:
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {KINDS}")
+    if not (nu > 0 and np.isfinite(nu)):
+        raise ValueError(f"nu must be positive and finite, got {nu}")
+    if not (L > 0 and np.isfinite(L)):
+        raise ValueError(f"L must be positive and finite, got {L}")
+    if truncation < 1 or truncation != int(truncation):
+        raise ValueError(f"truncation must be an integer >= 1, got {truncation}")
+    if kind == "dyadic" and not (lam > 1 and np.isfinite(lam)):
+        raise ValueError(f"dyadic lam must exceed 1, got {lam}")
+    dim = model_dim(kind, int(truncation))
+    g_tuple: tuple[float, ...] | None = None
+    if forcing is not None:
+        g = np.asarray(forcing, dtype=float)
+        if g.shape != (dim,):
+            raise ValueError(f"forcing must have shape ({dim},), got {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise NonFinite("forcing contains non-finite entries")
+        if np.any(g != 0.0):
+            if kind == "toy_contraction":
+                raise ValueError("toy_contraction supports zero forcing only")
+            g_tuple = tuple(float(x) for x in g)
+    digest = (
+        hashlib.blake2s(np.asarray(g_tuple, dtype=float).tobytes()).hexdigest()[:12]
+        if g_tuple is not None
+        else "0"
+    )
+    key = (
+        f"{kind}|nu={nu:.17g}|L={L:.17g}|N={int(truncation)}"
+        f"|lam={lam:.17g}|g={digest}"
+    )
+    return ModelSpec(
+        kind=kind,
+        nu=float(nu),
+        L=float(L),
+        truncation=int(truncation),
+        lam=float(lam),
+        forcing=g_tuple,
+        key=key,
+    )
+
+
+# ---------------------------------------------------------------------------
+# cached per-spec arrays
+
+_TABLES: dict[tuple[int, float, int], ModeTable] = {}
+_SPEC_ARRAYS: dict[tuple[str, str], np.ndarray] = {}
+
+
+def mode_table(spec: ModelSpec) -> ModeTable:
+    if spec.kind not in NSE_KINDS:
+        raise ModelMismatch(f"{spec.kind} has no Fourier mode table")
+    d = 2 if spec.kind == "galerkin_nse_2d" else 3
+    cache_key = (d, spec.L, spec.truncation)
+    table = _TABLES.get(cache_key)
+    if table is None:
+        table = build_mode_table(d, spec.L, spec.truncation)
+        _TABLES[cache_key] = table
+    return table
+
+
+def _cached(spec: ModelSpec, name: str, build) -> np.ndarray:
+    key = (spec.key, name)
+    arr = _SPEC_ARRAYS.get(key)
+    if arr is None:
+        arr = build()
+        arr.setflags(write=False)
+        _SPEC_ARRAYS[key] = arr
+    return arr
+
+
+def spec_dim(spec: ModelSpec) -> int:
+    return model_dim(spec.kind, spec.truncation)
+
+
+def stokes_eigenvalues(spec: ModelSpec) -> np.ndarray:
+    """Per-coordinate eigenvalues of the dissipative operator A.
+
+    NSE: (2 pi |kappa|_2 / L)^2 repeated over each mode's coordinates;
+    dyadic: lam^{2n}; toy: 1.
+    """
+
+    def build() -> np.ndarray:
+        if spec.kind in NSE_KINDS:
+            table = mode_table(spec)
+            return np.repeat(table.stokes, table.group_size)
+        if spec.kind == "dyadic":
+            n = np.arange(spec.truncation + 1, dtype=float)
+            return spec.lam ** (2.0 * n)
+        return np.ones(spec.truncation)
+
+    return _cached(spec, "stokes", build)
+
+
+def weak_weights(spec: ModelSpec) -> tuple[np.ndarray, int]:
+    """Per-group weights 2^-|kappa|_1 (NSE) or 2^-n, and the group size."""
+    if spec.kind in NSE_KINDS:
+        table = mode_table(spec)
+        return _cached(spec, "wweights", lambda: 2.0 ** (-table.l1.astype(float))), table.group_size
+    dim = spec_dim(spec)
+    return _cached(spec, "wweights", lambda: 2.0 ** (-np.arange(dim, dtype=float))), 1
+
+
+def forcing_array(spec: ModelSpec) -> np.ndarray:
+    def build() -> np.ndarray:
+        if spec.forcing is None:
+            return np.zeros(spec_dim(spec))
+        return np.asarray(spec.forcing, dtype=float)
+
+    return _cached(spec, "forcing", build)
+
+
+def linear_rates(spec: ModelSpec) -> np.ndarray:
+    """Decay rates of the diagonal linear term (nu A; the toy uses rate 1)."""
+
+    def build() -> np.ndarray:
+        if spec.kind == "toy_contraction":
+            return np.ones(spec.truncation)
+        return spec.nu * stokes_eigenvalues(spec)
+
+    return _cached(spec, "rates", build)
+
+
+# ---------------------------------------------------------------------------
+# dynamics (array level; State-level wrappers below)
+
+
+def _check_operand(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1] != spec_dim(spec):
+        raise ModelMismatch(
+            f"coords dim {u.shape[-1]} does not match model dim {spec_dim(spec)}"
+        )
+    if not np.all(np.isfinite(u)):
+        raise NonFinite("operand contains non-finite entries")
+    return u
+
+
+def advection_array(spec: ModelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B(u, v) in coordinates; batches broadcast over leading axes."""
+    u = _check_operand(spec, u)
+    v = _check_operand(spec, v)
+    return advect(mode_table(spec), u, v)
+
+
+def dyadic_cascade(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
+    """Quadratic shell transfer lam^n a_{n-1}^2 - lam^{n+1} a_n a_{n+1}."""
+    a = _check_operand(spec, a)
+    n = np.arange(spec.truncation + 1, dtype=float)
+    lam_n = spec.lam ** n
+    prev = np.zeros_like(a)
+    prev[..., 1:] = a[..., :-1]
+    nxt = np.zeros_like(a)
+    nxt[..., :-1] = a[..., 1:]
+    return lam_n * prev**2 - spec.lam * lam_n * a * nxt
+
+
+def nonlinear_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
+    """Everything except the diagonal linear decay: forcing plus transfer."""
+    if spec.kind in NSE_KINDS:
+        return forcing_array(spec) - advection_array(spec, u, u)
+    if spec.kind == "dyadic":
+        return forcing_array(spec) + dyadic_cascade(spec, u)
+    return np.zeros_like(_check_operand(spec, u))
+
+
+def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
+    u = _check_operand(spec, u)
+    if spec.kind == "toy_contraction":
+        return -u
+    return nonlinear_array(spec, u) - linear_rates(spec) * u
+
+
+def _state_op(spec: ModelSpec, x: State) -> np.ndarray:
+    if x.model.key != spec.key:
+        raise ModelMismatch("state does not belong to this model")
+    return x.coords
+
+
+def nse_rhs(spec: ModelSpec, u: State) -> State:
+    if spec.kind not in NSE_KINDS:
+        raise ModelMismatch(f"nse_rhs does not apply to {spec.kind}")
+    return State(rhs_array(spec, _state_op(spec, u)), spec)
+
+
+def bilinear_b(spec: ModelSpec, u: State, v: State) -> State:
+    return State(advection_array(spec, _state_op(spec, u), _state_op(spec, v)), spec)
+
+
+def dyadic_rhs(spec: ModelSpec, a: State) -> State:
+    if spec.kind != "dyadic":
+        raise ModelMismatch(f"dyadic_rhs does not apply to {spec.kind}")
+    return State(rhs_array(spec, _state_op(spec, a)), spec)
+
+
+def toy_rhs(spec: ModelSpec, x: State) -> State:
+    if spec.kind != "toy_contraction":
+        raise ModelMismatch(f"toy_rhs does not apply to {spec.kind}")
+    return State(-_state_op(spec, x), spec)
+
+
+def energy_norm(u: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(u, axis=-1)
+
+
+def enstrophy(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
+    """Squared dissipation norm ||u||^2 = (A u, u)."""
+    u = _check_operand(spec, u)
+    return ((u * u) * stokes_eigenvalues(spec)).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# absorbing ball and forcing construction
+
+
+def absorbing_radius(spec: ModelSpec, margin: float = 0.1) -> float:
+    """Radius (1 + margin) |g| L / (2 pi nu) of the absorbing energy ball.
+
+    Zero forcing degenerates to radius 0 (the attractor is the origin);
+    callers pick an explicit ball in that case.
+    """
+    if spec.kind not in NSE_KINDS:
+        raise ModelMismatch(f"absorbing_radius applies to Galerkin NSE, not {spec.kind}")
+    g_norm = float(np.linalg.norm(forcing_array(spec)))
+    return (1.0 + margin) * g_norm * spec.L / (2.0 * np.pi * spec.nu)
+
+
+def default_radius(spec: ModelSpec, margin: float = 0.1) -> float:
+    """Phase-space radius used when a config leaves it unset."""
+    if spec.kind in NSE_KINDS:
+        r = absorbing_radius(spec, margin)
+        return r if r > 0 else 1.0
+    if spec.kind == "dyadic":
+        g_norm = float(np.linalg.norm(forcing_array(spec)))
+        r = (1.0 + margin) * g_norm / spec.nu
+        return r if r > 0 else 1.0
+    return 1.0
+
+
+def nse_forcing(
+    kind: str,
+    L: float,
+    truncation: int,
+    entries: Sequence[tuple[Sequence[int], float]] | Sequence[dict],
+) -> np.ndarray:
+    """Forcing coordinates from (mode, amplitude) entries.
+
+    Each entry places the amplitude on the cos coefficient of the first
+    tangent direction of its (lexicographically positive) mode; dict entries
+    may override ``component`` (tangent index) and ``part`` ("cos"/"sin").
+    """
+    if kind not in NSE_KINDS:
+        raise ValueError(f"nse_forcing applies to Galerkin NSE, not {kind}")
+    d = 2 if kind == "galerkin_nse_2d" else 3
+    cache_key = (d, float(L), int(truncation))
+    table = _TABLES.get(cache_key)
+    if table is None:
+        table = build_mode_table(d, float(L), int(truncation))
+        _TABLES[cache_key] = table
+    g = np.zeros(table.dim)
+    lookup = {tuple(k): i for i, k in enumerate(table.kappa_half)}
+    for entry in entries:
+        if isinstance(entry, dict):
+            mode = tuple(int(c) for c in entry["mode"])
+            amp = float(entry["amplitude"])
+            comp = int(entry.get("component", 0))
+            part = str(entry.get("part", "cos"))
+        else:
+            mode, amp = tuple(int(c) for c in entry[0]), float(entry[1])
+            comp, part = 0, "cos"
+        if mode not in lookup:
+            raise ValueError(
+                f"mode {mode} is not a retained lexicographically-positive mode"
+            )
+        if comp < 0 or comp >= table.n_tan:
+            raise ValueError(f"component {comp} out of range for {kind}")
+        if part not in ("cos", "sin"):
+            raise ValueError(f"part must be 'cos' or 'sin', got {part!r}")
+        idx = lookup[mode] * table.group_size + 2 * comp + (0 if part == "cos" else 1)
+        g[idx] += amp
+    return g
+
+
+def dyadic_forcing(truncation: int, entries: Sequence[tuple[int, float]] | Sequence[dict]) -> np.ndarray:
+    g = np.zeros(truncation + 1)
+    for entry in entries:
+        if isinstance(entry, dict):
+            shell, amp = int(entry["shell"]), float(entry["amplitude"])
+        else:
+            shell, amp = int(entry[0]), float(entry[1])
+        if shell < 0 or shell > truncation:
+            raise ValueError(f"shell {shell} outside 0..{truncation}")
+        g[shell] += amp
+    return g
+
+
+# ---------------------------------------------------------------------------
+# steady states (damped Newton, exact Jacobians)
+
+
+def rhs_jacobian(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of rhs_array at u."""
+    u = _check_operand(spec, u)
+    dim = spec_dim(spec)
+    if spec.kind == "toy_contraction":
+        return -np.eye(dim)
+    if spec.kind == "dyadic":
+        n = np.arange(dim, dtype=float)
+        lam_n = spec.lam ** n
+        jac = np.zeros((dim, dim))
+        diag = -spec.lam * lam_n * np.concatenate([u[1:], [0.0]])
+        jac[np.arange(dim), np.arange(dim)] = diag - linear_rates(spec)
+        rows = np.arange(1, dim)
+        jac[rows, rows - 1] += 2.0 * lam_n[1:] * u[:-1]
+        jac[rows - 1, rows] += -spec.lam * lam_n[:-1] * u[:-1]
+        return jac
+    table = mode_table(spec)
+    jac = -np.diag(linear_rates(spec))
+    eye = np.eye(dim)
+    chunk = 64
+    for lo in range(0, dim, chunk):
+        cols = eye[lo : lo + chunk]
+        u_rep = np.broadcast_to(u, cols.shape)
+        block = advect(table, u_rep, cols) + advect(table, cols, u_rep)
+        jac[:, lo : lo + chunk] -= block.T
+    return jac
+
+
+def steady_state(
+    spec: ModelSpec,
+    u0: np.ndarray | None = None,
+    tol: float = 1e-12,
+    max_iter: int = 80,
+) -> np.ndarray:
+    """Zero of the right-hand side via damped Newton from rest."""
+    u = np.zeros(spec_dim(spec)) if u0 is None else _check_operand(spec, u0).copy()
+    res = rhs_array(spec, u)
+    res_norm = float(np.linalg.norm(res))
+    for _ in range(max_iter):
+        if res_norm <= tol:
+            return u
+        step = np.linalg.solve(rhs_jacobian(spec, u), -res)
+        alpha = 1.0
+        while alpha >= 1e-4:
+            cand = u + alpha * step
+            cand_res = rhs_array(spec, cand)
+            cand_norm = float(np.linalg.norm(cand_res))
+            if cand_norm <= (1.0 - 1e-4 * alpha) * res_norm:
+                break
+            alpha *= 0.5
+        u, res, res_norm = cand, cand_res, cand_norm
+    if res_norm <= tol:
+        return u
+    raise AttractorLabError(
+        f"Newton stalled at residual {res_norm:.3e} (target {tol:.1e})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# phase-space sampling
+
+
+def sample_ball(
+    spec: ModelSpec,
+    n: int,
+    radius: float,
+    seed: int,
+    boundary: bool = False,
+    profile: np.ndarray | None = None,
+) -> np.ndarray:
+    """Seeded sample of n points: uniform sphere directions, power-rule radii.
+
+    ``boundary=True`` pins every radius to the sphere; ``profile`` rescales
+    direction components before normalization (used for smooth initial data).
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    dim = spec_dim(spec)
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n, dim))
+    if profile is not None:
+        dirs = dirs * profile
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    if boundary:
+        radii = np.full(n, float(radius))
+    else:
+        radii = radius * rng.random(n) ** (1.0 / dim)
+    return dirs * radii[:, None]
+
+
+def sample_phase_space(space: "PhaseSpace", n: int, seed: int) -> np.ndarray:
+    return sample_ball(space.model, n, space.radius, seed)
+
+
+def smooth_profile(spec: ModelSpec, power: float = 1.0) -> np.ndarray:
+    """Per-coordinate damping (1 + A-eigenvalue)^-power for smooth samples."""
+    return (1.0 + stokes_eigenvalues(spec)) ** (-power)
+
+
+# ---------------------------------------------------------------------------
+# energy ledger and hypothesis checks
+
+
+@dataclass(frozen=True, eq=False)
+class EnergyLedger:
+    """Grid samples of |u|^2, ||u||^2, and the forcing work (g, u)."""
+
+    times: np.ndarray
+    energy: np.ndarray
+    enstrophy: np.ndarray
+    work: np.ndarray
+
+
+@dataclass(frozen=True)
+class EnergyReport:
+    holds: bool
+    worst_delta: float
+    delta_used: float
+    eps: float
+
+
+@dataclass(frozen=True)
+class A3Report:
+    fraction_strong: float
+    l2_dists: tuple[float, ...]
+    decreasing: bool
+
+
+def energy_ledger(spec: ModelSpec, traj: "Trajectory") -> EnergyLedger:
+    if traj.model.key != spec.key:
+        raise ModelMismatch("trajectory does not belong to this model")
+    u = traj.samples
+    return EnergyLedger(
+        times=traj.times,
+        energy=(u * u).sum(axis=1),
+        enstrophy=enstrophy(spec, u),
+        work=u @ forcing_array(spec),
+    )
+
+
+def energy_identity_gap(spec: ModelSpec, ledger: EnergyLedger) -> float:
+    """Peak-to-peak defect of |u|^2 + 2 nu int ||u||^2 - 2 int (g, u).
+
+    The bracket is conserved exactly along Galerkin solutions, so its spread
+    measures the combined integrator and quadrature error.
+    """
+    dt = float(ledger.times[1] - ledger.times[0]) if len(ledger.times) > 1 else 1.0
+    diss = cumulative_simpson(ledger.enstrophy, dx=dt, initial=0.0)
+    work = cumulative_simpson(ledger.work, dx=dt, initial=0.0)
+    q = ledger.energy + 2.0 * spec.nu * diss - 2.0 * work
+    return float(q.max() - q.min())
+
+
+def check_energy_inequality(
+    traj: "Trajectory",
+    ledger: EnergyLedger,
+    eps: float,
+    radius: float | None = None,
+) -> EnergyReport:
+    """Pointwise energy estimate |u(t)|^2 <= |u(t0)|^2 + eps for a recent t0.
+
+    The look-back width delta = eps / (2 |g| R) bounds the energy gain
+    2 int (g, u) <= 2 |g| R delta inside the absorbing ball of radius R,
+    which is the inequality the width certifies (the plain-norm variant
+    fails for R < 1/2 with the same delta). Zero forcing admits the whole
+    past. Requires at least one interior grid point per window
+    (GridTooCoarse otherwise).
+    """
+    spec = traj.model
+    energy = ledger.energy
+    g_norm = float(np.linalg.norm(forcing_array(spec)))
+    r = default_radius(spec) if radius is None else float(radius)
+    if g_norm * r > 0:
+        delta = eps / (2.0 * g_norm * r)
+    else:
+        delta = float(traj.t_end - traj.t0) + traj.dt
+    lookback = int(np.ceil(delta / traj.dt - 1e-12)) - 1
+    if lookback < 1:
+        raise GridTooCoarse(
+            f"window delta={delta:.3e} holds no interior grid point at dt={traj.dt}"
+        )
+    worst = -np.inf
+    for k in range(1, traj.n_samples):
+        lo = max(0, k - lookback)
+        best_past = energy[lo:k].max()
+        worst = max(worst, float(energy[k] - best_past - eps))
+    return EnergyReport(
+        holds=bool(worst <= 0.0),
+        worst_delta=float(worst),
+        delta_used=float(delta),
+        eps=float(eps),
+    )
+
+
+def check_a3(
+    seq: Sequence["Trajectory"],
+    limit: "Trajectory",
+    T: float,
+    tol: float,
+) -> A3Report:
+    """Strong a.e.-convergence surrogate on [start, start + T].
+
+    Reports the fraction of grid times where the last member is strongly
+    within tol of the limit, and whether the L2-in-time distances decrease
+    along the sequence.
+    """
+    from .state import common_grid_offsets
+
+    if not seq:
+        raise ValueError("empty sequence")
+    a = limit.t0
+    b = a + T
+    l2 = []
+    frac = 0.0
+    for i, tr in enumerate(seq):
+        if tr.model.key != limit.model.key:
+            raise ModelMismatch("sequence and limit belong to different models")
+        iu, iv, count = common_grid_offsets(tr, limit, a, b)
+        diff = tr.samples[iu : iu + count] - limit.samples[iv : iv + count]
+        dists = np.linalg.norm(diff, axis=1)
+        l2.append(float(np.sqrt(np.trapezoid(dists**2, dx=tr.dt))))
+        if i == len(seq) - 1:
+            frac = float(np.mean(dists < tol))
+    decreasing = all(l2[i + 1] <= l2[i] + 1e-12 for i in range(len(l2) - 1))
+    return A3Report(
+        fraction_strong=frac, l2_dists=tuple(l2), decreasing=bool(decreasing)
+    )

@@ -1,0 +1,222 @@
+"""Solenoidal Fourier bookkeeping for the Galerkin Navier-Stokes models.
+
+Velocity fields live on the zero-mean, divergence-free trigonometric
+polynomials of degree |kappa|_inf <= N on the periodic box [0, L]^d. Each
+retained wave vector kappa (one representative per conjugate pair, chosen
+lexicographically positive) carries n_tan unit tangent vectors orthogonal to
+kappa (one in 2d, two in 3d); coordinates are the cos/sin coefficients in the
+L2-orthonormal real basis, so the Euclidean norm of the coordinate vector is
+the L2 norm of the field (Parseval).
+
+The advective bilinear form is evaluated as a direct truncated convolution:
+exact on the retained modes, no aliasing. Writing the complex coefficient of
+mode kappa as psi e(kappa) (tangent scalars), the Leray-projected pair
+interaction reduces to
+
+    omega_out += i (2 pi / L) L^{-d/2} * C * psi_{k1} psi_{k2},
+    C = (e(k1) . k2) (e(k2) . e(out)),
+
+so the geometry lives in one precomputed real coefficient per (pair, tangent
+combination) and evaluation is scalar complex multiply-adds over a table
+pre-sorted by output channel (fixed reduction order, identical for single and
+batched calls).
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class ModeTable:
+    """Precomputed mode set, tangent bases, and scalar convolution table."""
+
+    d: int
+    n_tan: int
+    L: float
+    trunc: int
+    kappa_half: np.ndarray   # (Mh, d) int, lexicographically positive reps
+    kappa_full: np.ndarray   # (2 Mh, d) int, [half; -half]
+    tangents: np.ndarray     # (Mh, n_tan, d) float, unit, orthogonal to kappa
+    l1: np.ndarray           # (Mh,) int, |kappa|_1
+    stokes: np.ndarray       # (Mh,) float, (2 pi |kappa|_2 / L)^2
+    # scalar convolution entries, sorted by output channel
+    ch_in1: np.ndarray       # (P,) int, full channel index of psi_{k1}
+    ch_in2: np.ndarray       # (P,) int, full channel index of psi_{k2}
+    ch_coeff: np.ndarray     # (P,) float, geometric coefficient C
+    ch_offsets: np.ndarray   # (U,) segment starts in the sorted entries
+    ch_unique: np.ndarray    # (U,) output channel of each segment
+    conv_factor: complex     # i (2 pi / L) L^{-d/2}
+
+    @property
+    def n_half(self) -> int:
+        return self.kappa_half.shape[0]
+
+    @property
+    def n_channels(self) -> int:
+        # one complex scalar per (half mode, tangent direction)
+        return self.n_half * self.n_tan
+
+    @property
+    def group_size(self) -> int:
+        # real coords per mode: (cos, sin) per tangent direction
+        return 2 * self.n_tan
+
+    @property
+    def dim(self) -> int:
+        return self.n_half * self.group_size
+
+
+def _lex_positive(kappa: np.ndarray) -> np.ndarray:
+    """Mask of wave vectors whose first nonzero component is positive."""
+    n, d = kappa.shape
+    undecided = np.ones(n, dtype=bool)
+    pos = np.zeros(n, dtype=bool)
+    for j in range(d):
+        col = kappa[:, j]
+        pos |= undecided & (col > 0)
+        undecided &= col == 0
+    return pos
+
+
+def _tangent_basis(kappa: np.ndarray, d: int) -> np.ndarray:
+    """Deterministic orthonormal tangent frame for each wave vector."""
+    m = kappa.shape[0]
+    k = kappa.astype(float)
+    if d == 2:
+        perp = np.stack([-k[:, 1], k[:, 0]], axis=1)
+        perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+        return perp[:, None, :]
+    # d == 3: helper axis = coordinate direction least aligned with kappa
+    helper_idx = np.argmin(np.abs(kappa), axis=1)
+    helper = np.zeros((m, 3))
+    helper[np.arange(m), helper_idx] = 1.0
+    e1 = np.cross(k, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(k, e1)
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    return np.stack([e1, e2], axis=1)
+
+
+def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
+    n = trunc
+    modes = np.array(
+        [k for k in product(range(-n, n + 1), repeat=d) if any(c != 0 for c in k)],
+        dtype=int,
+    )
+    half = modes[_lex_positive(modes)]
+    # low modes first; lexicographic within an l1 shell
+    order = np.lexsort(tuple(half[:, j] for j in reversed(range(d))) + (np.abs(half).sum(1),))
+    half = half[order]
+    mh = half.shape[0]
+    full = np.vstack([half, -half])
+    n_tan = d - 1
+    tangents = _tangent_basis(half, d)
+    # conjugate modes reuse the representative's tangent frame: the stored
+    # scalar of -kappa is the conjugate of the scalar of kappa on e(kappa)
+    tangents_full = np.vstack([tangents, tangents])
+
+    # dense lookup kappa -> half index (or -1)
+    lookup = -np.ones((2 * n + 1,) * d, dtype=int)
+    for i, kap in enumerate(half):
+        lookup[tuple(kap + n)] = i
+
+    sums = full[:, None, :] + full[None, :, :]
+    in_range = np.all(np.abs(sums) <= n, axis=-1)
+    nonzero = np.any(sums != 0, axis=-1)
+    flat = sums.reshape(-1, d)
+    lexpos = _lex_positive(flat).reshape(sums.shape[:2])
+    mask = in_range & nonzero & lexpos
+    i1, i2 = np.nonzero(mask)
+    out = lookup[tuple(sums[i1, i2].T + n)]
+
+    # geometric coefficients over tangent combinations
+    k2f = full[i2].astype(float)
+    dot1 = np.einsum("pad,pd->pa", tangents_full[i1], k2f)          # (P0, n_tan)
+    dot2 = np.einsum("pbd,pgd->pbg", tangents_full[i2], tangents[out])  # (P0, n_tan, n_tan)
+    coeff = dot1[:, :, None, None] * dot2[:, None, :, :]            # (P0, a, b, g)
+
+    p0 = i1.shape[0]
+    alpha, beta, gamma = np.meshgrid(
+        np.arange(n_tan), np.arange(n_tan), np.arange(n_tan), indexing="ij"
+    )
+    alpha = np.broadcast_to(alpha, (p0, n_tan, n_tan, n_tan))
+    beta = np.broadcast_to(beta, (p0, n_tan, n_tan, n_tan))
+    gamma = np.broadcast_to(gamma, (p0, n_tan, n_tan, n_tan))
+    ch1 = (i1[:, None, None, None] * n_tan + alpha).ravel()
+    ch2 = (i2[:, None, None, None] * n_tan + beta).ravel()
+    cho = (out[:, None, None, None] * n_tan + gamma).ravel()
+    cf = coeff.ravel()
+
+    keep = cf != 0.0
+    ch1, ch2, cho, cf = ch1[keep], ch2[keep], cho[keep], cf[keep]
+    sort = np.argsort(cho, kind="stable")
+    ch1, ch2, cho, cf = ch1[sort], ch2[sort], cho[sort], cf[sort]
+    starts = np.flatnonzero(np.r_[True, cho[1:] != cho[:-1]])
+
+    return ModeTable(
+        d=d,
+        n_tan=n_tan,
+        L=float(L),
+        trunc=n,
+        kappa_half=half,
+        kappa_full=full,
+        tangents=tangents,
+        l1=np.abs(half).sum(axis=1),
+        stokes=(2.0 * np.pi / L) ** 2 * (half.astype(float) ** 2).sum(axis=1),
+        ch_in1=ch1,
+        ch_in2=ch2,
+        ch_coeff=cf,
+        ch_offsets=starts,
+        ch_unique=cho[starts],
+        conv_factor=1j * (2.0 * np.pi / L) * L ** (-d / 2.0),
+    )
+
+
+def coords_to_scalars(table: ModeTable, coords: np.ndarray) -> np.ndarray:
+    """Real coords (..., dim) -> tangent scalars psi (..., n_channels)."""
+    shape = coords.shape[:-1]
+    z = coords.reshape(shape + (table.n_channels, 2))
+    return (z[..., 0] - 1j * z[..., 1]) / np.sqrt(2.0)
+
+
+def scalars_to_coords(table: ModeTable, psi: np.ndarray) -> np.ndarray:
+    """Tangent scalars (..., n_channels) -> real coords (..., dim)."""
+    out = np.empty(psi.shape[:-1] + (table.n_channels, 2))
+    out[..., 0] = np.sqrt(2.0) * psi.real
+    out[..., 1] = -np.sqrt(2.0) * psi.imag
+    return out.reshape(psi.shape[:-1] + (table.dim,))
+
+
+def coords_to_modes(table: ModeTable, coords: np.ndarray) -> np.ndarray:
+    """Real coordinates -> complex vector coefficients on the full mode set.
+
+    Coefficients are rescaled by L^{d/2} so that the summed squared moduli
+    over the full set equal the squared L2 norm of the field.
+    """
+    psi = coords_to_scalars(table, coords)
+    shaped = psi.reshape(psi.shape[:-1] + (table.n_half, table.n_tan))
+    c_half = np.einsum("...mt,mtd->...md", shaped, table.tangents)
+    return np.concatenate([c_half, np.conj(c_half)], axis=-2)
+
+
+def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.ndarray:
+    """Leray-projected advection B(u, v) = P_sigma(u . grad v) in coordinates.
+
+    Accepts (B, dim) batches or single (dim,) vectors.
+    """
+    single = u_coords.ndim == 1
+    u2 = np.atleast_2d(u_coords)
+    v2 = np.atleast_2d(v_coords)
+    psi_u = coords_to_scalars(table, u2).T  # (n_channels, B)
+    psi_v = coords_to_scalars(table, v2).T
+    full_u = np.concatenate([psi_u, np.conj(psi_u)], axis=0)
+    full_v = np.concatenate([psi_v, np.conj(psi_v)], axis=0)
+    contrib = (table.ch_coeff[:, None] * full_u[table.ch_in1]) * full_v[table.ch_in2]
+    seg = np.add.reduceat(contrib, table.ch_offsets, axis=0)  # (U, B)
+    omega = np.zeros((table.n_channels, contrib.shape[1]), dtype=complex)
+    omega[table.ch_unique] = seg
+    out = scalars_to_coords(table, (table.conv_factor * omega).T)
+    return out[0] if single else out

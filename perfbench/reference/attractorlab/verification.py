@@ -1,0 +1,510 @@
+"""Runnable checks for invariance, tracking, and strong-convergence facts.
+
+Each check is a falsification instrument over sampled trajectories: it
+either establishes its hypotheses numerically and reports a verdict, or it
+raises HypothesisFail so that a theorem is never blamed for an input that
+did not satisfy its assumptions. Quantifiers over all trajectories, shifts,
+and epsilons become finite searches with deterministic order: library
+members in stored order, grid shifts ascending, first match under eps wins.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import (
+    BoundaryPoint,
+    EmptyLibrary,
+    HypothesisFail,
+    NoMatch,
+)
+from .metrics import (
+    TrajMetricParams,
+    _check_metric,
+    cross_dist,
+    pairwise_to_set,
+    strong_dist_arrays,
+    tail_from_pointwise,
+    traj_dist_window,
+    weak_dist_arrays,
+)
+from .state import Ensemble, Trajectory, grid_index
+
+
+# ---------------------------------------------------------------------------
+# grid continuity witnesses
+
+
+def grid_modulus(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
+    """Largest adjacent-step strong distance over a grid window."""
+    ia = 0 if a is None else traj.index_of(a)
+    ib = traj.n_samples - 1 if b is None else traj.index_of(b)
+    if ib - ia < 1:
+        raise ValueError("window too short for a modulus")
+    steps = strong_dist_arrays(np.diff(traj.samples[ia : ib + 1], axis=0))
+    return float(steps.max())
+
+
+def is_grid_continuous(
+    traj: Trajectory,
+    a: float | None = None,
+    b: float | None = None,
+    factor: float = 10.0,
+    floor: float | None = None,
+) -> bool:
+    """Finite witness for strong continuity of a sampled trajectory.
+
+    A data-level jump shows up as one adjacent step that dwarfs its
+    neighboring steps; smooth flows (including exponentially decaying ones)
+    keep neighboring steps comparable. Steps below the floor are treated as
+    settled and never flagged.
+    """
+    ia = 0 if a is None else traj.index_of(a)
+    ib = traj.n_samples - 1 if b is None else traj.index_of(b)
+    if ib - ia < 1:
+        raise ValueError("window too short for a continuity check")
+    steps = strong_dist_arrays(np.diff(traj.samples[ia : ib + 1], axis=0))
+    if floor is None:
+        scale = float(np.linalg.norm(traj.samples[ia], axis=-1))
+        floor = 1e-8 * (1.0 + scale)
+    if steps.shape[0] == 1:
+        return bool(steps[0] <= floor)
+    prev = np.concatenate([steps[1:2], steps[:-1]])
+    nxt = np.concatenate([steps[1:], steps[-2:-1]])
+    neighbor = np.maximum(prev, nxt)
+    return bool(np.all(steps <= np.maximum(factor * neighbor, floor)))
+
+
+# ---------------------------------------------------------------------------
+# quasi-invariance and the maximal invariant set
+
+
+@dataclass(frozen=True, eq=False)
+class QuasiInvarianceReport:
+    covered_fraction: float
+    uncovered: tuple[int, ...]
+    eps: float
+    t_win: float
+
+
+def check_quasi_invariance(
+    est,
+    library: Ensemble,
+    eps: float,
+    t_win: float = 2.0,
+    shift_stride: int = 1,
+) -> QuasiInvarianceReport:
+    """Check that every estimate point rides a settled library trajectory.
+
+    A point a is covered when some library member v and grid shift s satisfy
+    strong_dist(v(s), a) < eps while v stays within eps of the estimate over
+    [s - t_win, s + t_win]; shifts keep that window inside the settled part
+    of the surrogate (relative times >= 0).
+    """
+    if library.n_members == 0:
+        raise EmptyLibrary("library has no members")
+    spec = library.model
+    cloud = est.coords
+    metric = est.metric
+    dt = library.dt
+    w = int(round(t_win / dt))
+    if w < 1:
+        raise ValueError("t_win shorter than one grid step")
+    i_settle = grid_index(0.0, library.t0, dt)
+    n = library.trajectories[0].n_samples
+    lo, hi = i_settle + w, n - 1 - w
+    if lo > hi:
+        raise ValueError("library horizon too short for the requested window")
+    uncovered = []
+    for a_idx in range(cloud.shape[0]):
+        a = cloud[a_idx]
+        hit = False
+        for tr in library.trajectories:
+            anchor = strong_dist_arrays(tr.samples[lo : hi + 1 : shift_stride] - a)
+            for j in np.flatnonzero(anchor < eps):
+                s = lo + int(j) * shift_stride
+                window = tr.samples[s - w : s + w + 1]
+                if pairwise_to_set(spec, window, cloud, metric).max() < eps:
+                    hit = True
+                    break
+            if hit:
+                break
+        if not hit:
+            uncovered.append(a_idx)
+    frac = 1.0 - len(uncovered) / cloud.shape[0]
+    return QuasiInvarianceReport(
+        covered_fraction=frac, uncovered=tuple(uncovered), eps=eps, t_win=t_win
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class MaximalInvariantReport:
+    i_subset_a: bool
+    a_subset_i: bool
+    d_i_to_a: float
+    d_a_to_i: float
+    eps: float
+
+
+def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> MaximalInvariantReport:
+    """Compare the attractor estimate with time-0 slices of settled surrogates.
+
+    The initial points of complete trajectories form the maximal invariant
+    set, which coincides with the weak attractor; both inclusions are checked
+    as eps-semidistances.
+    """
+    if library.n_members == 0:
+        raise EmptyLibrary("library has no members")
+    i_side = np.stack([tr.samples[tr.index_of(0.0)] for tr in library.trajectories])
+    cloud = attractor_est.coords
+    spec = library.model
+    m = attractor_est.metric
+    d_ia = float(cross_dist(spec, i_side, cloud, m).min(axis=1).max())
+    d_ai = float(cross_dist(spec, cloud, i_side, m).min(axis=1).max())
+    return MaximalInvariantReport(
+        i_subset_a=d_ia <= eps,
+        a_subset_i=d_ai <= eps,
+        d_i_to_a=d_ia,
+        d_a_to_i=d_ai,
+        eps=eps,
+    )
+
+
+# ---------------------------------------------------------------------------
+# uniform tracking
+
+
+@dataclass(frozen=True, eq=False)
+class TrackingReport:
+    t_star: float
+    window_T: float
+    metric: str
+    eps: float
+    worst_error: float
+    matched_pairs: tuple[tuple[int, int], ...]
+    shifts: tuple[float, ...]
+
+
+def check_tracking(
+    ensemble: Ensemble,
+    library: Ensemble,
+    m: str,
+    eps: float,
+    window_T: float,
+    t_star_stride: int | None = None,
+    shift_stride: int | None = None,
+    params: TrajMetricParams | None = None,
+) -> TrackingReport:
+    """Find when every member is eps-shadowed by some shifted library member.
+
+    Weak mode compares truncated tail metrics from each t*; strong mode
+    compares the sup of the strong metric over [t*, t* + window_T]. Scans
+    sampled t* ascending and reports the earliest one from which all later
+    sampled t* also match; raises NoMatch when even the final t* leaves some
+    member unmatched.
+    """
+    _check_metric(m)
+    spec = ensemble.model
+    if spec.key != library.model.key:
+        raise ValueError("ensemble and library belong to different models")
+    if ensemble.dt != library.dt:
+        raise ValueError("ensemble and library grids differ")
+    params = params or TrajMetricParams()
+    dt = ensemble.dt
+    span = window_T if m == "strong" else float(params.t_max_windows)
+    w = int(round(span / dt))
+    if w < 1:
+        raise ValueError("comparison window shorter than one grid step")
+    n_e = ensemble.trajectories[0].n_samples
+    if t_star_stride is None:
+        t_star_stride = max(1, (n_e - 1 - w) // 24)
+    if shift_stride is None:
+        shift_stride = max(1, int(round(0.25 / dt)))
+    i_settle = grid_index(0.0, library.t0, dt)
+    n_l = library.trajectories[0].n_samples
+    shift_last = n_l - 1 - w
+    if shift_last < i_settle:
+        raise ValueError("library horizon too short for the comparison window")
+    t_star_idx = list(range(0, n_e - w, t_star_stride))
+    if not t_star_idx:
+        raise ValueError("ensemble horizon too short for the comparison window")
+
+    lib_stacks = [tr.samples for tr in library.trajectories]
+    shift_idx = np.arange(i_settle, shift_last + 1, shift_stride)
+
+    def member_match(u_seg: np.ndarray, anchor: np.ndarray):
+        # anchor: u_seg[0]; returns (lib index, shift index, error) or None
+        for li, vs in enumerate(lib_stacks):
+            a_d = strong_dist_arrays(vs[shift_idx] - anchor)
+            for j in np.flatnonzero(a_d < eps):
+                s = int(shift_idx[j])
+                diff = u_seg - vs[s : s + w + 1]
+                d = strong_dist_arrays(diff) if m == "strong" else weak_dist_arrays(spec, diff)
+                err = d.max() if m == "strong" else tail_from_pointwise(d, dt, params.t_max_windows)
+                if err < eps:
+                    return li, s, float(err)
+        return None
+
+    per_t = []  # (all matched, worst error, pairs, shifts)
+    for k in t_star_idx:
+        pairs, shifts, worst = [], [], 0.0
+        ok = True
+        for mi, tr in enumerate(ensemble.trajectories):
+            seg = tr.samples[k : k + w + 1]
+            found = member_match(seg, seg[0])
+            if found is None:
+                ok = False
+                break
+            li, s, err = found
+            pairs.append((mi, li))
+            shifts.append(library.t0 + s * dt)
+            worst = max(worst, err)
+        per_t.append((ok, worst, tuple(pairs), tuple(shifts)))
+
+    if not per_t[-1][0]:
+        raise NoMatch(
+            f"some member exceeds eps={eps} against the library even at the final t*"
+        )
+    first_ok = len(per_t) - 1
+    while first_ok > 0 and per_t[first_ok - 1][0]:
+        first_ok -= 1
+    ok, worst, pairs, shifts = per_t[first_ok]
+    return TrackingReport(
+        t_star=ensemble.t0 + t_star_idx[first_ok] * dt,
+        window_T=window_T,
+        metric=m,
+        eps=eps,
+        worst_error=worst,
+        matched_pairs=pairs,
+        shifts=shifts,
+    )
+
+
+def tracking_ladder(
+    ensemble: Ensemble,
+    library: Ensemble,
+    m: str,
+    window_T: float,
+    eps_ladder=(1e-1, 1e-2, 1e-3),
+    **kwargs,
+) -> tuple[tuple[float, TrackingReport | None], ...]:
+    """Run check_tracking over an eps ladder; None marks a NoMatch rung."""
+    out = []
+    for eps in eps_ladder:
+        try:
+            out.append((float(eps), check_tracking(ensemble, library, m, eps, window_T, **kwargs)))
+        except NoMatch:
+            out.append((float(eps), None))
+    return tuple(out)
+
+
+def tracking_error_profile(
+    ensemble: Ensemble,
+    library: Ensemble,
+    m: str,
+    window_T: float,
+    t_star_stride: int | None = None,
+    shift_stride: int | None = None,
+    params: TrajMetricParams | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-match tracking error as a function of the window start t*.
+
+    For each sampled t* the error is the max over members of the window
+    error against each library member at its strong-anchor-nearest shift,
+    minimized over library members. No eps gate: this is the raw profile a
+    tracking claim has to drive down.
+    """
+    _check_metric(m)
+    spec = ensemble.model
+    if spec.key != library.model.key:
+        raise ValueError("ensemble and library belong to different models")
+    if ensemble.dt != library.dt:
+        raise ValueError("ensemble and library grids differ")
+    params = params or TrajMetricParams()
+    dt = ensemble.dt
+    span = window_T if m == "strong" else float(params.t_max_windows)
+    w = int(round(span / dt))
+    if w < 1:
+        raise ValueError("comparison window shorter than one grid step")
+    n_e = ensemble.trajectories[0].n_samples
+    if t_star_stride is None:
+        t_star_stride = max(1, (n_e - 1 - w) // 24)
+    if shift_stride is None:
+        shift_stride = max(1, int(round(0.25 / dt)))
+    i_settle = grid_index(0.0, library.t0, dt)
+    n_l = library.trajectories[0].n_samples
+    shift_last = n_l - 1 - w
+    if shift_last < i_settle:
+        raise ValueError("library horizon too short for the comparison window")
+    t_star_idx = np.arange(0, n_e - w, t_star_stride)
+    shift_idx = np.arange(i_settle, shift_last + 1, shift_stride)
+    lib_stacks = [tr.samples for tr in library.trajectories]
+    errors = np.empty(t_star_idx.shape[0])
+    for out_i, k in enumerate(t_star_idx):
+        worst = 0.0
+        for tr in ensemble.trajectories:
+            seg = tr.samples[k : k + w + 1]
+            best = np.inf
+            for vs in lib_stacks:
+                a_d = strong_dist_arrays(vs[shift_idx] - seg[0])
+                s = int(shift_idx[int(np.argmin(a_d))])
+                diff = seg - vs[s : s + w + 1]
+                d = strong_dist_arrays(diff) if m == "strong" else weak_dist_arrays(spec, diff)
+                err = (
+                    float(d.max())
+                    if m == "strong"
+                    else tail_from_pointwise(d, dt, params.t_max_windows)
+                )
+                best = min(best, err)
+            worst = max(worst, best)
+        errors[out_i] = worst
+    return ensemble.t0 + t_star_idx * dt, errors
+
+
+# ---------------------------------------------------------------------------
+# strong convergence checks
+
+
+@dataclass(frozen=True, eq=False)
+class PointConvergenceReport:
+    converged: bool
+    t_star: float
+    dists: tuple[float, ...]
+    weak_dists: tuple[float, ...]
+    ladder: tuple[tuple[float, int | None], ...]
+
+
+def _weak_gate(
+    seq,
+    limit: Trajectory,
+    a: float,
+    b: float,
+    weak_tol: float,
+) -> list[float]:
+    """Verify the sequence converges to the limit in the weak window metric.
+
+    Accepts either a final distance below weak_tol or a decisive monotone
+    decrease (final below a quarter of the first); anything else fails the
+    hypothesis.
+    """
+    w = [traj_dist_window(u, limit, a, b, "weak") for u in seq]
+    nonincreasing = all(w[i + 1] <= w[i] * 1.1 + 1e-15 for i in range(len(w) - 1))
+    decisive = len(w) >= 2 and nonincreasing and w[-1] <= 0.25 * w[0]
+    if w[-1] > weak_tol and not decisive:
+        raise HypothesisFail(
+            f"weak convergence not established: final weak window distance {w[-1]:.3e} "
+            f"> {weak_tol:.1e} and no decisive decrease"
+        )
+    return w
+
+
+def check_strong_convergence_at_point(
+    seq,
+    limit: Trajectory,
+    t_star: float,
+    eps_grid=None,
+    weak_tol: float = 1e-3,
+    gate_window: float = 1.0,
+    slack: float = 0.1,
+    decay: float = 0.2,
+    cont_factor: float = 10.0,
+) -> PointConvergenceReport:
+    """Check pointwise strong convergence at a strong-continuity point.
+
+    Hypotheses established first: the sequence must approach the limit in the
+    weak window metric around t_star, and the limit must pass the grid
+    continuity witness there; failures raise HypothesisFail. The verdict then
+    asks for the strong distances at t_star to decrease substantially.
+    """
+    seq = list(seq)
+    if not seq:
+        raise ValueError("empty trajectory sequence")
+    a = max(limit.t0, t_star - gate_window)
+    b = min(limit.t_end, t_star + gate_window)
+    weak_vals = _weak_gate(seq, limit, a, b, weak_tol)
+    if not is_grid_continuous(limit, a, b, factor=cont_factor):
+        raise HypothesisFail("limit trajectory fails the strong-continuity witness")
+    k = limit.index_of(t_star)
+    d = [float(np.linalg.norm(u.samples[u.index_of(t_star)] - limit.samples[k])) for u in seq]
+    scale = 1.0 + float(np.linalg.norm(limit.samples[k]))
+    monotone = all(d[i + 1] <= d[i] * (1.0 + slack) + 1e-15 * scale for i in range(len(d) - 1))
+    small = d[-1] <= max(decay * d[0], 1e-12 * scale)
+    if eps_grid is None:
+        eps_grid = (1e-1, 1e-2, 1e-3)
+    ladder = []
+    for eps in eps_grid:
+        below = [i for i, v in enumerate(d) if v < eps]
+        ladder.append((float(eps), below[0] if below else None))
+    return PointConvergenceReport(
+        converged=bool(monotone and small),
+        t_star=t_star,
+        dists=tuple(d),
+        weak_dists=tuple(weak_vals),
+        ladder=tuple(ladder),
+    )
+
+
+def check_left_continuity_implies_continuity(
+    traj: Trajectory, t_star: float, tol: float
+) -> bool:
+    """Compare one-sided grid continuity defects of the state and its norm.
+
+    For flows satisfying the energy inequality, a left-continuous strong norm
+    forces two-sided continuity; on sampled data the witness is that the
+    right defect does not exceed the left defect by more than tol.
+    """
+    k = traj.index_of(t_star)
+    if k == 0 or k == traj.n_samples - 1:
+        raise BoundaryPoint(f"t={t_star} is an endpoint of the trajectory grid")
+    left = float(np.linalg.norm(traj.samples[k] - traj.samples[k - 1]))
+    right = float(np.linalg.norm(traj.samples[k + 1] - traj.samples[k]))
+    norms = np.linalg.norm(traj.samples[k - 1 : k + 2], axis=1)
+    left_n = abs(norms[1] - norms[0])
+    right_n = abs(norms[2] - norms[1])
+    return bool(right <= left + tol and right_n <= left_n + tol)
+
+
+def check_uniform_strong_convergence(
+    seq,
+    limit: Trajectory,
+    window: tuple[float, float],
+    tol: float,
+    weak_tol: float = 1e-3,
+    cont_factor: float = 10.0,
+    slack: float = 0.1,
+) -> bool:
+    """Check sup-norm strong convergence on a window inside (0, horizon).
+
+    Weak convergence over the full shared span and grid continuity of the
+    limit are established first (HypothesisFail otherwise); the verdict asks
+    the windowed strong sup distances to decrease below tol.
+    """
+    seq = list(seq)
+    if not seq:
+        raise ValueError("empty trajectory sequence")
+    a, b = window
+    _weak_gate(seq, limit, limit.t0, limit.t_end, weak_tol)
+    if not is_grid_continuous(limit, factor=cont_factor):
+        raise HypothesisFail("limit trajectory fails the strong-continuity witness")
+    d = [traj_dist_window(u, limit, a, b, "strong") for u in seq]
+    monotone = all(d[i + 1] <= d[i] * (1.0 + slack) + 1e-15 for i in range(len(d) - 1))
+    return bool(monotone and d[-1] <= tol)
+
+
+__all__ = [
+    "QuasiInvarianceReport",
+    "MaximalInvariantReport",
+    "TrackingReport",
+    "PointConvergenceReport",
+    "grid_modulus",
+    "is_grid_continuous",
+    "check_quasi_invariance",
+    "check_maximal_invariant",
+    "check_tracking",
+    "tracking_ladder",
+    "tracking_error_profile",
+    "check_strong_convergence_at_point",
+    "check_left_continuity_implies_continuity",
+    "check_uniform_strong_convergence",
+]
