@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from . import errors
 from .core import (
     Ensemble,
-    PhaseSpace,
     State,
     Trajectory,
     build_ensemble,
@@ -56,7 +55,6 @@ from .models import (
     nse_forcing,
     nse_rhs,
     sample_ball,
-    sample_phase_space,
     smooth_profile,
     steady_state,
     toy_rhs,
@@ -81,13 +79,11 @@ from .verification import (
     tracking_ladder,
 )
 from .trajectory_space import (
-    TrajectorySet,
-    from_ensemble,
-    slice_at,
     traj_set_semidist,
     trajectory_attraction_report,
     trajectory_attractor,
     translate_semigroup,
+    translation_invariance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,10 +46,9 @@ from .models import (
 )
 from .state import Ensemble
 from .trajectory_space import (
-    from_ensemble,
-    slice_at,
     trajectory_attraction_report,
     trajectory_attractor,
+    translation_invariance,
 )
 from .verification import (
     check_maximal_invariant,
@@ -212,24 +213,29 @@ def _build_spec(mc: dict) -> ModelSpec:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays to plain python values."""
+    """Recursively convert numpy scalars/arrays to plain JSON values.
+
+    bool is tested before int (bool is an int subclass), and non-finite
+    floats become None, since JSON has no Infinity or NaN.
+    """
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj) if np.isfinite(obj) else None
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
     return obj
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -237,14 +243,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_trajectories(path: Path, ensemble: Ensemble, stride: int) -> None:
-    dim = ensemble.trajectories[0].dim
+    dim = ensemble.samples.shape[2]
     header = "time,member," + ",".join(f"c{j}" for j in range(dim))
     lines = [header]
-    for mi, tr in enumerate(ensemble.trajectories):
-        for k in range(0, tr.n_samples, stride):
-            t = tr.t0 + k * tr.dt
-            row = tr.samples[k]
-            lines.append(_fmt(t) + f",{mi}," + ",".join(_fmt(v) for v in row))
+    for mi, member in enumerate(ensemble.samples):
+        for k in range(0, ensemble.n_samples, stride):
+            t = ensemble.t0 + k * ensemble.dt
+            lines.append(_fmt(t) + f",{mi}," + ",".join(_fmt(v) for v in member[k]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -271,14 +276,7 @@ def _set_payload(est) -> dict:
         "points": [list(p.coords) for p in est.points],
     }
     if est.attraction is not None:
-        payload["attraction"] = {
-            "t_entry": est.attraction.t_entry,
-            "eps": est.attraction.eps,
-            "metric": est.attraction.metric,
-            "worst_overall": est.attraction.worst_overall,
-            "worst_after_entry": est.attraction.worst_after_entry,
-            "n_times": est.attraction.n_times,
-        }
+        payload["attraction"] = asdict(est.attraction)
     return payload
 
 
@@ -334,22 +332,23 @@ def _status_exit(reports: list[dict]) -> int:
     return 0
 
 
-# check runners; each returns a report record
+# check runners; each takes (cfg, check config, run context) and returns a
+# report record
 
 
-def _check_energy(cfg: dict, chk: dict, spec, radius, ensemble) -> dict:
+def _check_energy(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     eps_ladder = [float(e) for e in chk.get("eps_ladder", (1e-1, 1e-2, 1e-3))]
     gap_tol = float(chk.get("gap_tol", 1e-6))
     worst_ratio = 0.0
     rungs = {}
     holds = True
-    for tr in ensemble.trajectories:
-        led = energy_ledger(spec, tr)
+    for tr in ctx.ensemble.trajectories:
+        led = energy_ledger(ctx.spec, tr)
         e0 = float(led.energy[0])
-        gap = energy_identity_gap(spec, led)
+        gap = energy_identity_gap(ctx.spec, led)
         worst_ratio = max(worst_ratio, gap / e0 if e0 > 0 else gap)
         for eps in eps_ladder:
-            rep = check_energy_inequality(tr, led, eps, radius=radius)
+            rep = check_energy_inequality(tr, led, eps, radius=ctx.radius)
             rec = rungs.setdefault(repr(eps), {"holds": True, "worst_delta": -np.inf})
             rec["holds"] = rec["holds"] and rep.holds
             rec["worst_delta"] = max(rec["worst_delta"], rep.worst_delta)
@@ -364,7 +363,8 @@ def _check_energy(cfg: dict, chk: dict, spec, radius, ensemble) -> dict:
     }
 
 
-def _check_absorbing(cfg: dict, chk: dict, spec, radius, ensemble) -> dict:
+def _check_absorbing(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+    spec = ctx.spec
     n = int(chk.get("n_samples", 64))
     horizon = float(chk.get("horizon", cfg["horizon"]))
     r_abs = absorbing_radius(spec)
@@ -393,13 +393,13 @@ def _check_absorbing(cfg: dict, chk: dict, spec, radius, ensemble) -> dict:
     }
 
 
-def _check_tracking(cfg: dict, chk: dict, spec, radius, ensemble, library) -> dict:
+def _check_tracking(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     metric = chk.get("metric", cfg["metric"])
     if metric not in METRIC_KINDS:
         raise ConfigInvalid(f"checks.tracking.metric must be one of {METRIC_KINDS}")
     ladder = [float(e) for e in chk.get("eps_ladder", (1e-1, 1e-2, 1e-3))]
     window = float(chk.get("window_T", 2.0))
-    rungs = tracking_ladder(ensemble, library, metric, window, eps_ladder=ladder)
+    rungs = tracking_ladder(ctx.ensemble, ctx.library, metric, window, eps_ladder=ladder)
     out = {}
     ok = True
     for eps, rep in rungs:
@@ -416,11 +416,10 @@ def _check_tracking(cfg: dict, chk: dict, spec, radius, ensemble, library) -> di
     }
 
 
-def _check_quasi_invariance(cfg: dict, chk: dict, spec, radius, ensemble, library) -> dict:
+def _check_quasi_invariance(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     eps = float(chk.get("eps", 1e-3))
     t_win = float(chk.get("t_win", 2.0))
-    est = global_attractor(ensemble, cfg["metric"], _omega_params(cfg))
-    rep = check_quasi_invariance(est, library, eps=eps, t_win=t_win)
+    rep = check_quasi_invariance(ctx.attractor, ctx.library, eps=eps, t_win=t_win)
     return {
         "name": "quasi_invariance",
         "status": "pass" if rep.covered_fraction == 1.0 else "fail",
@@ -429,10 +428,9 @@ def _check_quasi_invariance(cfg: dict, chk: dict, spec, radius, ensemble, librar
     }
 
 
-def _check_maximal_invariant(cfg: dict, chk: dict, spec, radius, ensemble, library) -> dict:
+def _check_maximal_invariant(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     eps = float(chk.get("eps", 1e-3))
-    est = global_attractor(ensemble, cfg["metric"], _omega_params(cfg))
-    rep = check_maximal_invariant(est, library, eps=eps)
+    rep = check_maximal_invariant(ctx.attractor, ctx.library, eps=eps)
     ok = rep.i_subset_a and rep.a_subset_i
     return {
         "name": "maximal_invariant",
@@ -443,17 +441,17 @@ def _check_maximal_invariant(cfg: dict, chk: dict, spec, radius, ensemble, libra
     }
 
 
-def _check_compactness(cfg: dict, chk: dict, spec, radius, ensemble) -> dict:
+def _check_compactness(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     k = int(chk.get("k", 8))
     n_times = int(chk.get("n_times", 16))
     t_from = float(chk.get("t_from", cfg["horizon"] / 2.0))
     threshold = float(chk.get("threshold", 1e-2))
-    tr = ensemble.trajectories[0]
-    k_from = tr.index_of(t_from)
-    avail = tr.n_samples - k_from
-    stride = max(1, (avail - 1) // max(1, n_times - 1))
-    idx = [k_from + j * stride for j in range(n_times) if k_from + j * stride < tr.n_samples]
-    times = [tr.t0 + i * tr.dt for i in idx]
+    ensemble = ctx.ensemble
+    k_from = ensemble.index_of(t_from)
+    n = ensemble.n_samples
+    stride = max(1, (n - k_from - 1) // max(1, n_times - 1))
+    idx = [k_from + j * stride for j in range(n_times) if k_from + j * stride < n]
+    times = [ensemble.t0 + i * ensemble.dt for i in idx]
     defect = asymptotic_compactness_defect(ensemble, times, min(k, len(times)))
     return {
         "name": "compactness",
@@ -464,18 +462,14 @@ def _check_compactness(cfg: dict, chk: dict, spec, radius, ensemble) -> dict:
     }
 
 
-def _check_point_convergence(cfg: dict, chk: dict, spec, radius, ensemble) -> dict:
+def _check_point_convergence(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     t_star = float(chk.get("t_star", cfg["horizon"] / 2.0))
     n_seq = int(chk.get("n_seq", 6))
-    base = ensemble.trajectories[0]
-    bump = np.zeros(spec_dim(spec))
+    base = ctx.ensemble.trajectories[0]
+    bump = np.zeros(spec_dim(ctx.spec))
     bump[0] = 1.0
-    seq = []
-    for n in range(1, n_seq + 1):
-        start = base.samples[0] + 2.0 ** (-n) * bump
-        seq.append(
-            build_ensemble(spec, start[None, :], 0.0, cfg["horizon"], cfg["dt"]).trajectories[0]
-        )
+    starts = [base.samples[0] + 2.0 ** (-n) * bump for n in range(1, n_seq + 1)]
+    seq = build_ensemble(ctx.spec, np.array(starts), 0.0, cfg["horizon"], cfg["dt"]).trajectories
     try:
         rep = check_strong_convergence_at_point(seq, base, t_star)
     except HypothesisFail as exc:
@@ -492,31 +486,28 @@ def _check_point_convergence(cfg: dict, chk: dict, spec, radius, ensemble) -> di
     }
 
 
+_CHECKS = {
+    "energy": _check_energy,
+    "absorbing": _check_absorbing,
+    "tracking": _check_tracking,
+    "quasi_invariance": _check_quasi_invariance,
+    "maximal_invariant": _check_maximal_invariant,
+    "compactness": _check_compactness,
+    "point_convergence": _check_point_convergence,
+}
 _NEEDS_LIBRARY = {"tracking", "quasi_invariance", "maximal_invariant"}
+_NEEDS_ATTRACTOR = {"quasi_invariance", "maximal_invariant"}
 
 
 def _run_checks(cfg: dict, spec, radius, ensemble) -> list[dict]:
-    reports = []
-    library = None
-    if any(chk["name"] in _NEEDS_LIBRARY for chk in cfg["checks"]):
-        library = _build_library(cfg, spec, radius)
-    for chk in cfg["checks"]:
-        name = chk["name"]
-        if name == "energy":
-            reports.append(_check_energy(cfg, chk, spec, radius, ensemble))
-        elif name == "absorbing":
-            reports.append(_check_absorbing(cfg, chk, spec, radius, ensemble))
-        elif name == "tracking":
-            reports.append(_check_tracking(cfg, chk, spec, radius, ensemble, library))
-        elif name == "quasi_invariance":
-            reports.append(_check_quasi_invariance(cfg, chk, spec, radius, ensemble, library))
-        elif name == "maximal_invariant":
-            reports.append(_check_maximal_invariant(cfg, chk, spec, radius, ensemble, library))
-        elif name == "compactness":
-            reports.append(_check_compactness(cfg, chk, spec, radius, ensemble))
-        elif name == "point_convergence":
-            reports.append(_check_point_convergence(cfg, chk, spec, radius, ensemble))
-    return reports
+    """Run the configured checks; the library and the attractor are built once."""
+    names = {chk["name"] for chk in cfg["checks"]}
+    ctx = SimpleNamespace(spec=spec, radius=radius, ensemble=ensemble, library=None, attractor=None)
+    if names & _NEEDS_LIBRARY:
+        ctx.library = _build_library(cfg, spec, radius)
+    if names & _NEEDS_ATTRACTOR:
+        ctx.attractor = global_attractor(ensemble, cfg["metric"], _omega_params(cfg))
+    return [_CHECKS[chk["name"]](cfg, chk, ctx) for chk in cfg["checks"]]
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +541,22 @@ def run(subcommand: str, cfg: dict) -> int:
             )
         elif subcommand == "trajectory-attractor":
             library = _build_library(cfg, spec, radius)
-            k_space = from_ensemble(ensemble)
+            params = TrajMetricParams()
             cluster_tol = cfg["omega"]["cluster_tol"]
-            att = trajectory_attractor(k_space, library, cluster_tol=cluster_tol)
-            rep = trajectory_attraction_report(k_space, att, eps=2.0 * cluster_tol)
-            zero_slice = slice_at(att, 0.0)
+            att = trajectory_attractor(ensemble, library, params, cluster_tol=cluster_tol)
+            invariance = translation_invariance(att, params, tol=cluster_tol)
+            rep = trajectory_attraction_report(ensemble, att, params, eps=2.0 * cluster_tol)
             sets["trajectory_attractor_slice0"] = {
                 "metric": "weak",
                 "tol": cluster_tol,
                 "horizon": att.t_end,
-                "points": [list(p.coords) for p in zero_slice],
+                "points": att.samples[:, 0],
             }
             reports.append(
                 {
                     "name": "trajectory_attraction",
-                    "status": "pass"
-                    if att.invariance.ok and rep.t_entry is not None
-                    else "fail",
-                    "invariance_defects": list(att.invariance.defects),
+                    "status": "pass" if invariance.ok and rep.t_entry is not None else "fail",
+                    "invariance_defects": list(invariance.defects),
                     "t_entry": rep.t_entry,
                     "strong_mode": rep.strong_mode,
                     "t_entry_strong": rep.t_entry_strong,

@@ -16,10 +16,9 @@ from .errors import NonFiniteState, StepMismatch
 from .models import ModelSpec, linear_rates, nonlinear_array, spec_dim
 from .state import (
     Ensemble,
-    PhaseSpace,
     State,
     Trajectory,
-    grid_index,
+    frozen_view,
     span_steps,
     window_indices,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "State",
     "Trajectory",
     "Ensemble",
-    "PhaseSpace",
     "integrate",
     "integrate_batch",
     "build_ensemble",
@@ -91,8 +89,7 @@ def integrate(
 ) -> Trajectory:
     """Integrate one initial state over [t0, t1] on the uniform grid."""
     coords = initial.coords if isinstance(initial, State) else np.asarray(initial, float)
-    path = integrate_batch(model, coords[None, :], t0, t1, dt)
-    return Trajectory(t0=t0, dt=dt, samples=path[0], model=model)
+    return build_ensemble(model, coords[None, :], t0, t1, dt).trajectories[0]
 
 
 def build_ensemble(
@@ -103,12 +100,14 @@ def build_ensemble(
     dt: float,
     label: str = "",
 ) -> Ensemble:
-    """Integrate a stack of initial coordinates into one shared-grid ensemble."""
+    """Integrate a stack of initial coordinates into one shared-grid ensemble.
+
+    The integrator's (B, n+1, dim) output becomes the ensemble's array as it
+    is, frozen in place rather than copied.
+    """
     paths = integrate_batch(model, initials, t0, t1, dt)
-    members = tuple(
-        Trajectory(t0=t0, dt=dt, samples=p, model=model) for p in paths
-    )
-    return Ensemble(trajectories=members, label=label)
+    paths.setflags(write=False)
+    return frozen_view(Ensemble, samples=paths, t0=t0, dt=dt, model=model, label=label)
 
 
 def complete_surrogates(
@@ -146,13 +145,16 @@ def r_map(ensemble: Ensemble, t: float) -> list[State]:
 
 def translate(traj: Trajectory, s: float) -> Trajectory:
     """Shift the time labels by s (the translation group on trajectories)."""
-    return Trajectory(t0=traj.t0 + s, dt=traj.dt, samples=traj.samples, model=traj.model)
+    return frozen_view(
+        Trajectory, t0=traj.t0 + s, dt=traj.dt, samples=traj.samples, model=traj.model
+    )
 
 
 def restrict(traj: Trajectory, a: float, b: float) -> Trajectory:
     """Restriction to the grid window [a, b] (no resampling)."""
     ia, ib = window_indices(traj, a, b)
-    return Trajectory(
+    return frozen_view(
+        Trajectory,
         t0=traj.t0 + ia * traj.dt,
         dt=traj.dt,
         samples=traj.samples[ia : ib + 1],
@@ -168,9 +170,12 @@ def rebase_to_zero(traj: Trajectory) -> Trajectory:
 def forward_ensemble(library: Ensemble, horizon: float | None = None) -> Ensemble:
     """Forward parts [0, horizon] of a surrogate library, rebased to t0 = 0."""
     end = library.t_end if horizon is None else horizon
-    members = tuple(rebase_to_zero(restrict(tr, 0.0, end)) for tr in library.trajectories)
-    return Ensemble(trajectories=members, label=library.label + ":forward")
-
-
-def grid_times(t0: float, dt: float, n: int) -> np.ndarray:
-    return t0 + dt * np.arange(n)
+    ia, ib = window_indices(library.trajectories[0], 0.0, end)
+    return frozen_view(
+        Ensemble,
+        samples=library.samples[:, ia : ib + 1],
+        t0=0.0,
+        dt=library.dt,
+        model=library.model,
+        label=library.label + ":forward",
+    )

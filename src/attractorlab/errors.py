@@ -37,10 +37,6 @@ class EmptyEnsemble(AttractorLabError):
     """An ensemble with no member trajectories."""
 
 
-class EmptyLibrary(AttractorLabError):
-    """A surrogate library with no members."""
-
-
 class HorizonTooShort(AttractorLabError):
     """A trajectory grid does not extend far enough for the requested windows."""
 
@@ -75,7 +71,3 @@ class BoundaryPoint(AttractorLabError):
 
 class ConfigInvalid(AttractorLabError):
     """An experiment config failed fail-closed validation."""
-
-
-# Alias used by model-level numerics (rhs evaluations on bad input).
-NonFinite = NonFiniteState

@@ -133,14 +133,12 @@ def omega_limit(ensemble: Ensemble, m: str, p: OmegaParams) -> SetEstimate:
         )
     i0 = grid_index(p.t_transient, ensemble.t0, ensemble.dt)
     i1 = grid_index(p.t_max, ensemble.t0, ensemble.dt)
-    n = ensemble.trajectories[0].n_samples
-    if not (0 <= i0 <= i1 < n):
+    if not (0 <= i0 <= i1 < ensemble.n_samples):
         raise HorizonTooShort(
             f"sampling window [{p.t_transient}, {p.t_max}] is not inside the ensemble grid"
         )
     order = range(i1, i0 - 1, -p.sample_stride)
-    stacks = np.stack([tr.samples for tr in ensemble.trajectories])  # (M, n, dim)
-    blocks = (stacks[:, k, :] for k in order)
+    blocks = (ensemble.samples[:, k, :] for k in order)
     accepted = greedy_cluster(ensemble.model, blocks, m, p.cluster_tol)
     points = tuple(State(row, ensemble.model) for row in accepted)
     return SetEstimate(points=points, metric=m, tol=p.cluster_tol, horizon=p.t_max)
@@ -163,12 +161,12 @@ def is_attracting(
         raise ModelMismatch("candidate set and ensemble belong to different models")
     cloud = candidate.coords
     spec = ensemble.model
-    stacks = np.stack([tr.samples for tr in ensemble.trajectories])
-    idx = np.arange(0, stacks.shape[1], stride)
+    idx = np.arange(0, ensemble.n_samples, stride)
     times = ensemble.t0 + ensemble.dt * idx
     semi = np.empty(idx.shape[0])
     for j, k in enumerate(idx):
-        semi[j] = cross_dist(spec, stacks[:, k, :], cloud, candidate.metric).min(axis=1).max()
+        slice_k = ensemble.samples[:, k, :]
+        semi[j] = cross_dist(spec, slice_k, cloud, candidate.metric).min(axis=1).max()
     viol = np.flatnonzero(semi >= eps)
     if viol.size == 0:
         entry_j = 0
@@ -226,12 +224,8 @@ def asymptotic_compactness_defect(
         raise ValueError("sample times must be strictly increasing")
     if not (1 <= k <= len(times)):
         raise InsufficientSamples(f"need 1 <= k <= {len(times)} centers, got {k}")
-    m_count = ensemble.n_members
-    rows = []
-    for j, t in enumerate(times):
-        tr = ensemble.trajectories[j % m_count]
-        rows.append(tr.samples[tr.index_of(t)])
-    samples = np.stack(rows)
+    members = np.arange(len(times)) % ensemble.n_members
+    samples = ensemble.samples[members, [ensemble.index_of(t) for t in times]]
     # farthest-first traversal, first sample seeds the centers
     d_near = np.linalg.norm(samples - samples[0], axis=1)
     for _ in range(1, k):

@@ -16,12 +16,13 @@ problem.
 Trajectory comparisons use the sup metric on a window [a, b] and the
 geometric tail series sum_T 2^(-T) s_T / (1 + s_T) with
 s_T = sup_{[a, a+T]} d(u, v), truncated at t_max_windows (the dropped tail is
-bounded by 2^-t_max_windows).
+bounded by 2^-t_max_windows). Both reductions come from one kernel,
+window_dist, which every window-matching search in the package calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -32,7 +33,7 @@ from .errors import (
     ModelMismatch,
 )
 from .models import ModelSpec, spec_dim, weak_weights
-from .state import State, Trajectory, common_grid_offsets, grid_index
+from .state import State, Trajectory, common_grid_offsets, span_steps
 
 MetricKind = Literal["strong", "weak"]
 METRIC_KINDS = ("strong", "weak")
@@ -68,13 +69,13 @@ def _same_model(x: State, y: State) -> ModelSpec:
 
 
 def strong_dist_arrays(diff: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(diff, axis=-1)
+    # np.linalg.norm(diff, axis=-1) evaluates this same expression
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def weak_dist_arrays(spec: ModelSpec, diff: np.ndarray) -> np.ndarray:
     weights, gs = weak_weights(spec)
-    shaped = diff.reshape(diff.shape[:-1] + (weights.shape[0], gs))
-    r = np.linalg.norm(shaped, axis=-1)
+    r = strong_dist_arrays(diff.reshape(diff.shape[:-1] + (weights.shape[0], gs)))
     return (weights * (r / (1.0 + r))).sum(axis=-1)
 
 
@@ -83,9 +84,11 @@ def dist_arrays(spec: ModelSpec, x: np.ndarray, y: np.ndarray, m: str) -> np.nda
     diff = np.asarray(x, float) - np.asarray(y, float)
     if diff.shape[-1] != spec_dim(spec):
         raise ModelMismatch("coordinate dimension does not match the model")
-    if m == "strong":
-        return strong_dist_arrays(diff)
-    return weak_dist_arrays(spec, diff)
+    return _pointwise(spec, diff, m)
+
+
+def _pointwise(spec: ModelSpec, diff: np.ndarray, m: str) -> np.ndarray:
+    return strong_dist_arrays(diff) if m == "strong" else weak_dist_arrays(spec, diff)
 
 
 def cross_dist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str) -> np.ndarray:
@@ -168,6 +171,43 @@ def set_semidist(a, b, m: str) -> float:
 # trajectory metrics
 
 
+def tail_steps(p: TrajMetricParams, dt: float) -> np.ndarray:
+    """Grid offsets of the tail-window ends T = 1..t_max_windows at step dt."""
+    return np.array([span_steps(0.0, t, dt) for t in range(1, p.t_max_windows + 1)])
+
+
+def window_dist(spec: ModelSpec, u: np.ndarray, v: np.ndarray, m: str, steps=None):
+    """Distance between sample windows u, v of shape (..., n, dim).
+
+    The pointwise metric m is reduced over the window axis: the sup when
+    ``steps`` is None, else the truncated tail series
+    sum_T 2^-T s_T / (1 + s_T) with s_T the running sup up to offset
+    steps[T - 1] (see tail_steps). The series is summed in T order, which
+    fixes its rounding.
+    """
+    d = _pointwise(spec, u - v, m)
+    if steps is None:
+        return d.max(axis=-1)
+    running = np.maximum.accumulate(d, axis=-1)
+    total = 0.0
+    for t_win, k in enumerate(steps, start=1):
+        s = running[..., k]
+        total = total + 2.0 ** (-t_win) * s / (1.0 + s)
+    return total
+
+
+def window_semidist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps=None) -> float:
+    """sup over windows u in a of min over windows v in b of window_dist(u, v).
+
+    a and b stack equal-length windows, (members, n, dim); one window pair
+    is compared at a time, so temporaries stay one (n, dim) block.
+    """
+    worst = 0.0
+    for u in a:
+        worst = max(worst, min(float(window_dist(spec, u, v, m, steps)) for v in b))
+    return worst
+
+
 def _same_traj_model(u: Trajectory, v: Trajectory) -> ModelSpec:
     if u.model.key != v.model.key:
         raise ModelMismatch("trajectories belong to different models")
@@ -179,10 +219,7 @@ def traj_dist_window(u: Trajectory, v: Trajectory, a: float, b: float, m: str) -
     spec = _same_traj_model(u, v)
     _check_metric(m)
     iu, iv, count = common_grid_offsets(u, v, a, b)
-    diff = u.samples[iu : iu + count] - v.samples[iv : iv + count]
-    if m == "strong":
-        return float(strong_dist_arrays(diff).max())
-    return float(weak_dist_arrays(spec, diff).max())
+    return float(window_dist(spec, u.samples[iu : iu + count], v.samples[iv : iv + count], m))
 
 
 def traj_dist_tail(
@@ -204,32 +241,10 @@ def traj_dist_tail(
             f"spans end at {u.t_end} and {v.t_end}"
         )
     iu, iv, count = common_grid_offsets(u, v, a, t_last)
-    diff = u.samples[iu : iu + count] - v.samples[iv : iv + count]
-    if m == "strong":
-        d = strong_dist_arrays(diff)
-    else:
-        d = weak_dist_arrays(spec, diff)
-    running = np.maximum.accumulate(d)
-    total = 0.0
-    for t_win in range(1, p.t_max_windows + 1):
-        k = grid_index(a + t_win, u.t0 + iu * u.dt, u.dt)
-        s = running[k]
-        total += 2.0 ** (-t_win) * s / (1.0 + s)
-    return float(total)
-
-
-def tail_from_pointwise(d: np.ndarray, dt: float, t_max_windows: int) -> float:
-    """Truncated tail metric from pointwise distances sampled on [0, Tmax].
-
-    d[k] is the pointwise metric at relative time k*dt; the grid must reach
-    t_max_windows.
-    """
-    running = np.maximum.accumulate(d)
-    total = 0.0
-    for t_win in range(1, t_max_windows + 1):
-        s = running[int(round(t_win / dt))]
-        total += 2.0 ** (-t_win) * s / (1.0 + s)
-    return float(total)
+    steps = tail_steps(p, u.dt)
+    return float(
+        window_dist(spec, u.samples[iu : iu + count], v.samples[iv : iv + count], m, steps)
+    )
 
 
 def pairwise_to_set(

@@ -23,12 +23,12 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFinite
+from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
 from .spectral import ModeTable, advect, build_mode_table
 from .state import State
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .state import PhaseSpace, Trajectory
+    from .state import Trajectory
 
 KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
 NSE_KINDS = ("galerkin_nse_2d", "galerkin_nse_3d")
@@ -84,7 +84,7 @@ def make_spec(
         if g.shape != (dim,):
             raise ValueError(f"forcing must have shape ({dim},), got {g.shape}")
         if not np.all(np.isfinite(g)):
-            raise NonFinite("forcing contains non-finite entries")
+            raise NonFiniteState("forcing contains non-finite entries")
         if np.any(g != 0.0):
             if kind == "toy_contraction":
                 raise ValueError("toy_contraction supports zero forcing only")
@@ -116,16 +116,20 @@ _TABLES: dict[tuple[int, float, int], ModeTable] = {}
 _SPEC_ARRAYS: dict[tuple[str, str], np.ndarray] = {}
 
 
+def _cached_table(kind: str, L: float, truncation: int) -> ModeTable:
+    d = 2 if kind == "galerkin_nse_2d" else 3
+    cache_key = (d, float(L), int(truncation))
+    table = _TABLES.get(cache_key)
+    if table is None:
+        table = build_mode_table(*cache_key)
+        _TABLES[cache_key] = table
+    return table
+
+
 def mode_table(spec: ModelSpec) -> ModeTable:
     if spec.kind not in NSE_KINDS:
         raise ModelMismatch(f"{spec.kind} has no Fourier mode table")
-    d = 2 if spec.kind == "galerkin_nse_2d" else 3
-    cache_key = (d, spec.L, spec.truncation)
-    table = _TABLES.get(cache_key)
-    if table is None:
-        table = build_mode_table(d, spec.L, spec.truncation)
-        _TABLES[cache_key] = table
-    return table
+    return _cached_table(spec.kind, spec.L, spec.truncation)
 
 
 def _cached(spec: ModelSpec, name: str, build) -> np.ndarray:
@@ -201,7 +205,7 @@ def _check_operand(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
             f"coords dim {u.shape[-1]} does not match model dim {spec_dim(spec)}"
         )
     if not np.all(np.isfinite(u)):
-        raise NonFinite("operand contains non-finite entries")
+        raise NonFiniteState("operand contains non-finite entries")
     return u
 
 
@@ -268,10 +272,6 @@ def toy_rhs(spec: ModelSpec, x: State) -> State:
     return State(-_state_op(spec, x), spec)
 
 
-def energy_norm(u: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(u, axis=-1)
-
-
 def enstrophy(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     """Squared dissipation norm ||u||^2 = (A u, u)."""
     u = _check_operand(spec, u)
@@ -320,12 +320,7 @@ def nse_forcing(
     """
     if kind not in NSE_KINDS:
         raise ValueError(f"nse_forcing applies to Galerkin NSE, not {kind}")
-    d = 2 if kind == "galerkin_nse_2d" else 3
-    cache_key = (d, float(L), int(truncation))
-    table = _TABLES.get(cache_key)
-    if table is None:
-        table = build_mode_table(d, float(L), int(truncation))
-        _TABLES[cache_key] = table
+    table = _cached_table(kind, L, truncation)
     g = np.zeros(table.dim)
     lookup = {tuple(k): i for i, k in enumerate(table.kappa_half)}
     for entry in entries:
@@ -455,10 +450,6 @@ def sample_ball(
     else:
         radii = radius * rng.random(n) ** (1.0 / dim)
     return dirs * radii[:, None]
-
-
-def sample_phase_space(space: "PhaseSpace", n: int, seed: int) -> np.ndarray:
-    return sample_ball(space.model, n, space.radius, seed)
 
 
 def smooth_profile(spec: ModelSpec, power: float = 1.0) -> np.ndarray:

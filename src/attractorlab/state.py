@@ -1,14 +1,16 @@
 """Phase-space and trajectory data types.
 
 States are finite coordinate vectors tied to a model; trajectories are
-uniform-grid samplings of a single state curve; ensembles bundle trajectories
-that share a grid. All containers are frozen and hold read-only arrays, so
-they can be shared freely between estimators.
+uniform-grid samplings of a single state curve; an ensemble holds the
+samples of trajectories that share a grid in one array. All containers are
+frozen and hold read-only arrays, so they can be shared freely between
+estimators and views of them need no copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -24,11 +26,12 @@ from .errors import (
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ModelSpec
 
-# Relative slack used when snapping a time to a grid index.
-GRID_RTOL = 1e-6
+# Slack, in grid steps, used when snapping a time to a grid index.
+GRID_TOL = 1e-6
 
 
 def _frozen_array(values, ndim: int) -> np.ndarray:
+    """Read-only finite copy of external input."""
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
@@ -38,11 +41,23 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
     return arr
 
 
+def frozen_view(cls, **fields):
+    """A frozen container over arrays that are already read-only and finite.
+
+    Views of an ensemble's or trajectory's own array take this path: no copy
+    and no re-check, where the public constructors copy external input.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def grid_index(t: float, t0: float, dt: float) -> int:
     """Snap t to an index on the grid {t0 + k dt}; OffGrid if it misses."""
     x = (t - t0) / dt
     k = int(round(x))
-    if abs(x - k) > GRID_RTOL * max(1.0, abs(x)):
+    if abs(x - k) > GRID_TOL:
         raise OffGrid(f"t={t} is not on the grid t0={t0}, dt={dt}")
     return k
 
@@ -53,7 +68,7 @@ def span_steps(t0: float, t1: float, dt: float) -> int:
         raise StepMismatch(f"dt must be positive and finite, got {dt}")
     x = (t1 - t0) / dt
     n = int(round(x))
-    if n < 0 or abs(x - n) > GRID_RTOL * max(1.0, abs(x)):
+    if n < 0 or abs(x - n) > GRID_TOL:
         raise StepMismatch(f"[{t0}, {t1}] is not an integer number of steps of {dt}")
     return n
 
@@ -67,10 +82,6 @@ class State:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _frozen_array(self.coords, 1))
-
-    @property
-    def model_id(self) -> str:
-        return self.model.key
 
     @property
     def dim(self) -> int:
@@ -117,10 +128,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_samples)
 
-    @property
-    def states(self) -> list[State]:
-        return [State(row, self.model) for row in self.samples]
-
     def index_of(self, t: float) -> int:
         k = grid_index(t, self.t0, self.dt)
         if k < 0 or k >= self.n_samples:
@@ -139,17 +146,35 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Trajectories sharing model, grid origin, step, and length."""
+    """Trajectories sharing model, grid origin, step, and length.
 
-    trajectories: tuple[Trajectory, ...]
+    samples[i, k] holds member i at time t0 + k dt, in one read-only
+    (n_members, n_samples, dim) array; ``trajectories`` are views into it.
+    """
+
+    samples: np.ndarray
+    t0: float
+    dt: float
+    model: "ModelSpec"
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if not self.trajectories:
+        if self.dt <= 0 or not np.isfinite(self.dt):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        object.__setattr__(self, "samples", _frozen_array(self.samples, 3))
+        if self.samples.shape[0] < 1:
             raise EmptyEnsemble("ensemble has no members")
-        head = self.trajectories[0]
-        for tr in self.trajectories[1:]:
+        if self.samples.shape[1] < 1:
+            raise ValueError("ensemble members need at least one sample")
+
+    @classmethod
+    def from_trajectories(cls, trajectories: Iterable[Trajectory], label: str = "") -> "Ensemble":
+        """Copy trajectories that share model and grid into one ensemble."""
+        trajectories = tuple(trajectories)
+        if not trajectories:
+            raise EmptyEnsemble("ensemble has no members")
+        head = trajectories[0]
+        for tr in trajectories[1:]:
             if (
                 tr.model.key != head.model.key
                 or tr.dt != head.dt
@@ -157,52 +182,36 @@ class Ensemble:
                 or tr.n_samples != head.n_samples
             ):
                 raise GridMismatch("ensemble members must share model and grid")
+        return cls([tr.samples for tr in trajectories], head.t0, head.dt, head.model, label)
 
     @property
     def n_members(self) -> int:
-        return len(self.trajectories)
+        return self.samples.shape[0]
 
     @property
-    def model(self) -> "ModelSpec":
-        return self.trajectories[0].model
-
-    @property
-    def t0(self) -> float:
-        return self.trajectories[0].t0
-
-    @property
-    def dt(self) -> float:
-        return self.trajectories[0].dt
+    def n_samples(self) -> int:
+        return self.samples.shape[1]
 
     @property
     def t_end(self) -> float:
-        return self.trajectories[0].t_end
+        return self.t0 + (self.n_samples - 1) * self.dt
+
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        return tuple(
+            frozen_view(Trajectory, t0=self.t0, dt=self.dt, samples=row, model=self.model)
+            for row in self.samples
+        )
+
+    def index_of(self, t: float) -> int:
+        return self.trajectories[0].index_of(t)
 
     def samples_at(self, t: float) -> np.ndarray:
-        """Member coordinates at grid time t, stacked (n_members, dim)."""
-        k = self.trajectories[0].index_of(t)
-        return np.stack([tr.samples[k] for tr in self.trajectories])
+        """Member coordinates at grid time t, (n_members, dim)."""
+        return self.samples[:, self.index_of(t)]
 
     def states_at(self, t: float) -> list[State]:
-        return [tr.state_at(t) for tr in self.trajectories]
-
-    def initial_states(self) -> list[State]:
-        return [State(tr.samples[0], tr.model) for tr in self.trajectories]
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseSpace:
-    """Closed absorbing ball {|u| <= radius} used as the bounded phase space."""
-
-    radius: float
-    model: "ModelSpec"
-
-    def __post_init__(self):
-        if not (self.radius > 0 and np.isfinite(self.radius)):
-            raise ValueError(f"phase-space radius must be positive, got {self.radius}")
-
-    def contains(self, x: State, slack: float = 0.0) -> bool:
-        return x.norm() <= self.radius + slack
+        return [State(row, self.model) for row in self.samples_at(t)]
 
 
 def window_indices(traj: Trajectory, a: float, b: float) -> tuple[int, int]:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     BoundaryPoint,
-    EmptyLibrary,
     HypothesisFail,
     NoMatch,
 )
@@ -25,9 +24,9 @@ from .metrics import (
     cross_dist,
     pairwise_to_set,
     strong_dist_arrays,
-    tail_from_pointwise,
+    tail_steps,
     traj_dist_window,
-    weak_dist_arrays,
+    window_dist,
 )
 from .state import Ensemble, Trajectory, grid_index
 
@@ -102,8 +101,6 @@ def check_quasi_invariance(
     [s - t_win, s + t_win]; shifts keep that window inside the settled part
     of the surrogate (relative times >= 0).
     """
-    if library.n_members == 0:
-        raise EmptyLibrary("library has no members")
     spec = library.model
     cloud = est.coords
     metric = est.metric
@@ -112,19 +109,18 @@ def check_quasi_invariance(
     if w < 1:
         raise ValueError("t_win shorter than one grid step")
     i_settle = grid_index(0.0, library.t0, dt)
-    n = library.trajectories[0].n_samples
-    lo, hi = i_settle + w, n - 1 - w
+    lo, hi = i_settle + w, library.n_samples - 1 - w
     if lo > hi:
         raise ValueError("library horizon too short for the requested window")
     uncovered = []
     for a_idx in range(cloud.shape[0]):
         a = cloud[a_idx]
         hit = False
-        for tr in library.trajectories:
-            anchor = strong_dist_arrays(tr.samples[lo : hi + 1 : shift_stride] - a)
+        for vs in library.samples:
+            anchor = strong_dist_arrays(vs[lo : hi + 1 : shift_stride] - a)
             for j in np.flatnonzero(anchor < eps):
                 s = lo + int(j) * shift_stride
-                window = tr.samples[s - w : s + w + 1]
+                window = vs[s - w : s + w + 1]
                 if pairwise_to_set(spec, window, cloud, metric).max() < eps:
                     hit = True
                     break
@@ -154,9 +150,7 @@ def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> Max
     set, which coincides with the weak attractor; both inclusions are checked
     as eps-semidistances.
     """
-    if library.n_members == 0:
-        raise EmptyLibrary("library has no members")
-    i_side = np.stack([tr.samples[tr.index_of(0.0)] for tr in library.trajectories])
+    i_side = library.samples_at(0.0)
     cloud = attractor_est.coords
     spec = library.model
     m = attractor_est.metric
@@ -186,6 +180,41 @@ class TrackingReport:
     shifts: tuple[float, ...]
 
 
+def _tracking_grid(ensemble, library, m, window_T, t_star_stride, shift_stride, params):
+    """Comparison window and scan grids shared by the tracking searches.
+
+    Returns the window length w in steps, the tail offsets (None in strong
+    mode, which takes the sup over [t*, t* + window_T]), the sampled t*
+    indices into the ensemble, and the settled library shift indices.
+    """
+    _check_metric(m)
+    if ensemble.model.key != library.model.key:
+        raise ValueError("ensemble and library belong to different models")
+    if ensemble.dt != library.dt:
+        raise ValueError("ensemble and library grids differ")
+    dt = ensemble.dt
+    if m == "strong":
+        steps, w = None, int(round(window_T / dt))
+    else:
+        steps = tail_steps(params or TrajMetricParams(), dt)
+        w = int(steps[-1])
+    if w < 1:
+        raise ValueError("comparison window shorter than one grid step")
+    n_e = ensemble.n_samples
+    if t_star_stride is None:
+        t_star_stride = max(1, (n_e - 1 - w) // 24)
+    if shift_stride is None:
+        shift_stride = max(1, int(round(0.25 / dt)))
+    i_settle = grid_index(0.0, library.t0, dt)
+    shift_last = library.n_samples - 1 - w
+    if shift_last < i_settle:
+        raise ValueError("library horizon too short for the comparison window")
+    t_star_idx = np.arange(0, n_e - w, t_star_stride)
+    if t_star_idx.size == 0:
+        raise ValueError("ensemble horizon too short for the comparison window")
+    return w, steps, t_star_idx, np.arange(i_settle, shift_last + 1, shift_stride)
+
+
 def check_tracking(
     ensemble: Ensemble,
     library: Ensemble,
@@ -204,61 +233,34 @@ def check_tracking(
     sampled t* also match; raises NoMatch when even the final t* leaves some
     member unmatched.
     """
-    _check_metric(m)
+    w, steps, t_star_idx, shift_idx = _tracking_grid(
+        ensemble, library, m, window_T, t_star_stride, shift_stride, params
+    )
     spec = ensemble.model
-    if spec.key != library.model.key:
-        raise ValueError("ensemble and library belong to different models")
-    if ensemble.dt != library.dt:
-        raise ValueError("ensemble and library grids differ")
-    params = params or TrajMetricParams()
-    dt = ensemble.dt
-    span = window_T if m == "strong" else float(params.t_max_windows)
-    w = int(round(span / dt))
-    if w < 1:
-        raise ValueError("comparison window shorter than one grid step")
-    n_e = ensemble.trajectories[0].n_samples
-    if t_star_stride is None:
-        t_star_stride = max(1, (n_e - 1 - w) // 24)
-    if shift_stride is None:
-        shift_stride = max(1, int(round(0.25 / dt)))
-    i_settle = grid_index(0.0, library.t0, dt)
-    n_l = library.trajectories[0].n_samples
-    shift_last = n_l - 1 - w
-    if shift_last < i_settle:
-        raise ValueError("library horizon too short for the comparison window")
-    t_star_idx = list(range(0, n_e - w, t_star_stride))
-    if not t_star_idx:
-        raise ValueError("ensemble horizon too short for the comparison window")
 
-    lib_stacks = [tr.samples for tr in library.trajectories]
-    shift_idx = np.arange(i_settle, shift_last + 1, shift_stride)
-
-    def member_match(u_seg: np.ndarray, anchor: np.ndarray):
-        # anchor: u_seg[0]; returns (lib index, shift index, error) or None
-        for li, vs in enumerate(lib_stacks):
-            a_d = strong_dist_arrays(vs[shift_idx] - anchor)
+    def member_match(u_seg: np.ndarray):
+        # first (lib index, shift index, error) under eps, anchored at u_seg[0]
+        for li, vs in enumerate(library.samples):
+            a_d = strong_dist_arrays(vs[shift_idx] - u_seg[0])
             for j in np.flatnonzero(a_d < eps):
                 s = int(shift_idx[j])
-                diff = u_seg - vs[s : s + w + 1]
-                d = strong_dist_arrays(diff) if m == "strong" else weak_dist_arrays(spec, diff)
-                err = d.max() if m == "strong" else tail_from_pointwise(d, dt, params.t_max_windows)
+                err = float(window_dist(spec, u_seg, vs[s : s + w + 1], m, steps))
                 if err < eps:
-                    return li, s, float(err)
+                    return li, s, err
         return None
 
     per_t = []  # (all matched, worst error, pairs, shifts)
     for k in t_star_idx:
         pairs, shifts, worst = [], [], 0.0
         ok = True
-        for mi, tr in enumerate(ensemble.trajectories):
-            seg = tr.samples[k : k + w + 1]
-            found = member_match(seg, seg[0])
+        for mi, us in enumerate(ensemble.samples):
+            found = member_match(us[k : k + w + 1])
             if found is None:
                 ok = False
                 break
             li, s, err = found
             pairs.append((mi, li))
-            shifts.append(library.t0 + s * dt)
+            shifts.append(library.t0 + s * library.dt)
             worst = max(worst, err)
         per_t.append((ok, worst, tuple(pairs), tuple(shifts)))
 
@@ -271,7 +273,7 @@ def check_tracking(
         first_ok -= 1
     ok, worst, pairs, shifts = per_t[first_ok]
     return TrackingReport(
-        t_star=ensemble.t0 + t_star_idx[first_ok] * dt,
+        t_star=ensemble.t0 + int(t_star_idx[first_ok]) * ensemble.dt,
         window_T=window_T,
         metric=m,
         eps=eps,
@@ -315,51 +317,22 @@ def tracking_error_profile(
     minimized over library members. No eps gate: this is the raw profile a
     tracking claim has to drive down.
     """
-    _check_metric(m)
+    w, steps, t_star_idx, shift_idx = _tracking_grid(
+        ensemble, library, m, window_T, t_star_stride, shift_stride, params
+    )
     spec = ensemble.model
-    if spec.key != library.model.key:
-        raise ValueError("ensemble and library belong to different models")
-    if ensemble.dt != library.dt:
-        raise ValueError("ensemble and library grids differ")
-    params = params or TrajMetricParams()
-    dt = ensemble.dt
-    span = window_T if m == "strong" else float(params.t_max_windows)
-    w = int(round(span / dt))
-    if w < 1:
-        raise ValueError("comparison window shorter than one grid step")
-    n_e = ensemble.trajectories[0].n_samples
-    if t_star_stride is None:
-        t_star_stride = max(1, (n_e - 1 - w) // 24)
-    if shift_stride is None:
-        shift_stride = max(1, int(round(0.25 / dt)))
-    i_settle = grid_index(0.0, library.t0, dt)
-    n_l = library.trajectories[0].n_samples
-    shift_last = n_l - 1 - w
-    if shift_last < i_settle:
-        raise ValueError("library horizon too short for the comparison window")
-    t_star_idx = np.arange(0, n_e - w, t_star_stride)
-    shift_idx = np.arange(i_settle, shift_last + 1, shift_stride)
-    lib_stacks = [tr.samples for tr in library.trajectories]
     errors = np.empty(t_star_idx.shape[0])
     for out_i, k in enumerate(t_star_idx):
         worst = 0.0
-        for tr in ensemble.trajectories:
-            seg = tr.samples[k : k + w + 1]
+        for us in ensemble.samples:
+            seg = us[k : k + w + 1]
             best = np.inf
-            for vs in lib_stacks:
-                a_d = strong_dist_arrays(vs[shift_idx] - seg[0])
-                s = int(shift_idx[int(np.argmin(a_d))])
-                diff = seg - vs[s : s + w + 1]
-                d = strong_dist_arrays(diff) if m == "strong" else weak_dist_arrays(spec, diff)
-                err = (
-                    float(d.max())
-                    if m == "strong"
-                    else tail_from_pointwise(d, dt, params.t_max_windows)
-                )
-                best = min(best, err)
+            for vs in library.samples:
+                s = int(shift_idx[int(np.argmin(strong_dist_arrays(vs[shift_idx] - seg[0])))])
+                best = min(best, float(window_dist(spec, seg, vs[s : s + w + 1], m, steps)))
             worst = max(worst, best)
         errors[out_i] = worst
-    return ensemble.t0 + t_star_idx * dt, errors
+    return ensemble.t0 + t_star_idx * ensemble.dt, errors
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,12 @@ from attractorlab.models import (
 )
 from attractorlab.spectral import advect, build_mode_table
 from attractorlab.state import Ensemble, State, Trajectory
+from attractorlab.metrics import TrajMetricParams
 from attractorlab.trajectory_space import (
-    from_ensemble,
-    slice_at,
     trajectory_attraction_report,
     trajectory_attractor,
     translate_semigroup,
+    translation_invariance,
 )
 from attractorlab.verification import (
     check_maximal_invariant,
@@ -273,24 +273,25 @@ def test_criterion_09_tracking(toy_bundle, nse4_bundle):
 
 def test_criterion_10_trajectory_attractor(toy_bundle, dyadic_bundle, nse4_bundle):
     # translation semigroup law, exact on the shared grid
-    p = from_ensemble(toy_bundle["ensemble"])
+    p = toy_bundle["ensemble"]
     lhs = translate_semigroup(translate_semigroup(p, 1.25), 2.75)
     rhs = translate_semigroup(p, 4.0)
-    for u, v in zip(lhs.members, rhs.members):
+    for u, v in zip(lhs.trajectories, rhs.trajectories):
         assert np.array_equal(u.samples, v.samples)
     # weak attraction with finite entry on every library-backed model
+    params = TrajMetricParams()
     for bundle in (toy_bundle, dyadic_bundle, nse4_bundle):
-        k_space = from_ensemble(bundle["ensemble"])
-        att = trajectory_attractor(k_space, bundle["library"], cluster_tol=1e-3)
-        assert att.invariance is not None and att.invariance.ok
-        rep = trajectory_attraction_report(k_space, att, eps=2e-3, window_T=2.0)
+        k_space = bundle["ensemble"]
+        att = trajectory_attractor(k_space, bundle["library"], params, cluster_tol=1e-3)
+        assert translation_invariance(att, params, tol=1e-3).ok
+        rep = trajectory_attraction_report(k_space, att, params, eps=2e-3, window_T=2.0)
         assert rep.t_entry is not None
         if bundle is nse4_bundle:
             assert rep.strong_mode and rep.t_entry_strong is not None
             # slices of the trajectory attractor against the weak attractor
             a_w = global_attractor(bundle["ensemble"], "weak", bundle["omega"])
             for t in (0.0, 1.0, 2.0, 3.0, 4.0):
-                sl = slice_at(att, t)
+                sl = att.states_at(t)
                 assert set_semidist(sl, a_w, "strong") <= 1e-3
                 assert set_semidist(a_w, sl, "strong") <= 1e-3
 
@@ -321,7 +322,7 @@ def test_criterion_11_negative_controls(
     samples[np.arange(41), np.arange(41) % 41] = 1.0
     walker = Trajectory(t0=0.0, dt=1.0, samples=samples, model=espec)
     esc = asymptotic_compactness_defect(
-        Ensemble((walker,)), times=list(range(10, 41)), k=5
+        Ensemble.from_trajectories((walker,)), times=list(range(10, 41)), k=5
     )
     assert esc > 0.1
     # every shipped dissipative regime keeps the defect small

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import attractorlab.cli as cli
 from attractorlab.cli import load_config, main
 from attractorlab.errors import ConfigInvalid
 
@@ -186,3 +187,50 @@ def test_load_config_requires_core_fields(tmp_path):
     p.write_text(json.dumps({"model": {"kind": "sand", "truncation": 2}, "horizon": 1.0, "dt": 0.1}))
     with pytest.raises(ConfigInvalid, match="model.kind"):
         load_config(p)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_booleans_written_as_json_booleans(tmp_path):
+    payload = dict(TOY, library=dict(TOY["library"], horizon=10.0))
+    _, out = _run(tmp_path, "trajectory-attractor", payload)
+    rep = json.loads((out / "reports.json").read_text())["checks"][0]
+    assert rep["strong_mode"] is True
+    payload = dict(TOY, checks=[{"name": "energy"}])
+    code, out = _run(tmp_path, "verify", payload)
+    assert code == 0
+    ladder = json.loads((out / "reports.json").read_text())["checks"][0]["ladder"]
+    assert ladder and all(rung["holds"] is True for rung in ladder.values())
+
+
+def test_non_finite_values_written_as_null(tmp_path):
+    # estimate taken from the early transient: the decaying slices leave it
+    # behind, so the attraction scan never enters and its worst value is inf
+    payload = dict(TOY, omega=dict(TOY["omega"], t_transient=1.0, t_max=2.0))
+    code, out = _run(tmp_path, "attractor", payload)
+    assert code == 2
+    sets = json.loads((out / "sets.json").read_text(), parse_constant=_reject_constant)
+    attraction = sets["attractor"]["attraction"]
+    assert attraction["t_entry"] is None
+    assert attraction["worst_after_entry"] is None
+    for name in FIVE[2:]:
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
+
+
+def test_verify_computes_the_attractor_once(tmp_path, monkeypatch):
+    calls = []
+    original = cli.global_attractor
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "global_attractor", counting)
+    payload = dict(TOY, checks=[{"name": "quasi_invariance"}, {"name": "maximal_invariant"}])
+    code, out = _run(tmp_path, "verify", payload)
+    assert code == 0
+    assert len(calls) == 1
+    names = [c["name"] for c in json.loads((out / "reports.json").read_text())["checks"]]
+    assert names == ["quasi_invariance", "maximal_invariant"]

@@ -62,7 +62,7 @@ def test_omega_limit_newest_first():
     mk = lambda vals: Trajectory(
         t0=0.0, dt=1.0, samples=np.array(vals, float)[:, None], model=spec
     )
-    ens = Ensemble((mk([4.0, 2.0, 1.0]), mk([-4.0, -2.0, -1.0])))
+    ens = Ensemble.from_trajectories((mk([4.0, 2.0, 1.0]), mk([-4.0, -2.0, -1.0])))
     est = omega_limit(ens, "strong", OmegaParams(0.0, 2.0, 1, 1e-3))
     assert est.n_points == 6
     np.testing.assert_array_equal(est.coords.ravel(), [1, -1, 2, -2, 4, -4])

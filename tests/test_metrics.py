@@ -11,14 +11,15 @@ from attractorlab.metrics import (
     pairwise_to_set,
     point_set_dist,
     set_semidist,
-    tail_from_pointwise,
+    tail_steps,
     traj_dist_tail,
     traj_dist_window,
     weak_dist,
     weak_dist_arrays,
     weak_weight_total,
+    window_dist,
 )
-from attractorlab.models import make_spec, spec_dim
+from attractorlab.models import make_spec, spec_dim, weak_weights
 from attractorlab.state import State, Trajectory
 
 SPECS = [
@@ -156,10 +157,27 @@ def test_traj_window_sup():
     assert abs(traj_dist_window(u, v, 0.0, 2.0, "weak") - 1.0 * r / (1 + r)) < 1e-15
 
 
+def _tail_series(d, dt, t_max):
+    """Hand-written tail series: s_T is the max of d over [0, T]."""
+    total = 0.0
+    for T in range(1, t_max + 1):
+        s = d[: int(round(T / dt)) + 1].max()
+        total += 2.0 ** (-T) * s / (1.0 + s)
+    return total
+
+
+def _tail_kernel(d, dt, t_max):
+    """window_dist tail value for windows whose pointwise strong distance is d."""
+    u = np.zeros((d.shape[0], 2))
+    u[:, 0] = d
+    steps = tail_steps(TrajMetricParams(t_max_windows=t_max), dt)
+    return float(window_dist(SPECS[2], u, np.zeros_like(u), "strong", steps))
+
+
 def test_tail_hand_value_constant():
     c = 0.4
     d = np.full(41, c)
-    got = tail_from_pointwise(d, 0.1, 4)
+    got = _tail_kernel(d, 0.1, 4)
     want = (1.0 - 2.0 ** (-4)) * c / (1.0 + c)
     assert abs(got - want) < 1e-15
 
@@ -167,7 +185,7 @@ def test_tail_hand_value_constant():
 def test_tail_hand_value_growing():
     # d(t) = t on [0, 3] with dt = 0.5: s_T = T
     d = np.arange(7) * 0.5
-    got = tail_from_pointwise(d, 0.5, 3)
+    got = _tail_kernel(d, 0.5, 3)
     want = sum(2.0 ** (-T) * T / (1.0 + T) for T in (1, 2, 3))
     assert abs(got - want) < 1e-15
 
@@ -180,8 +198,27 @@ def test_traj_tail_matches_pointwise_reduction():
     for m in ("strong", "weak"):
         got = traj_dist_tail(u, v, 0.0, m, p)
         d = dist_arrays(u.model, u.samples, v.samples, m)
-        assert abs(got - tail_from_pointwise(d, 0.1, 4)) < 1e-15
+        assert abs(got - _tail_series(d, 0.1, 4)) < 1e-15
     assert traj_dist_tail(u, u, 0.0, "strong", p) == 0.0
+
+
+def test_window_dist_matches_norm_formulas_bitwise():
+    # the kernel reproduces, to the bit, the pointwise metrics written with
+    # np.linalg.norm and the tail series summed in T order
+    rng = np.random.default_rng(4)
+    spec = SPECS[0]
+    u = rng.standard_normal((41, spec_dim(spec)))
+    v = rng.standard_normal((41, spec_dim(spec)))
+    weights, gs = weak_weights(spec)
+    r = np.linalg.norm((u - v).reshape(41, weights.shape[0], gs), axis=-1)
+    pointwise = {
+        "strong": np.linalg.norm(u - v, axis=-1),
+        "weak": (weights * (r / (1.0 + r))).sum(axis=-1),
+    }
+    steps = tail_steps(TrajMetricParams(t_max_windows=4), 0.1)
+    for m, d in pointwise.items():
+        assert window_dist(spec, u, v, m) == d.max()
+        assert window_dist(spec, u, v, m, steps) == _tail_series(d, 0.1, 4)
 
 
 def test_traj_tail_horizon_guard():

@@ -43,6 +43,16 @@ def test_grid_index_snaps_and_rejects():
         grid_index(0.35, 0.0, 0.1)
 
 
+def test_grid_snapping_is_absolute_on_long_grids():
+    # 0.4 steps off the grid, half a million steps out: still rejected
+    with pytest.raises(OffGrid):
+        grid_index(500.0004, 0.0, 0.001)
+    with pytest.raises(StepMismatch):
+        span_steps(0.0, 500.0004, 0.001)
+    assert grid_index(0.001 * 500000, 0.0, 0.001) == 500000
+    assert span_steps(0.0, 500.0, 0.001) == 500000
+
+
 def test_span_steps():
     assert span_steps(0.0, 1.0, 0.25) == 4
     assert span_steps(2.0, 2.0, 0.1) == 0
@@ -82,12 +92,30 @@ def test_ensemble_grid_checks():
     a = Trajectory(t0=0.0, dt=0.1, samples=np.zeros((3, 2)), model=TOY)
     b = Trajectory(t0=0.0, dt=0.2, samples=np.zeros((3, 2)), model=TOY)
     with pytest.raises(GridMismatch):
-        Ensemble(trajectories=(a, b))
+        Ensemble.from_trajectories((a, b))
     with pytest.raises(EmptyEnsemble):
-        Ensemble(trajectories=())
-    ens = Ensemble(trajectories=(a, a))
+        Ensemble.from_trajectories(())
+    with pytest.raises(EmptyEnsemble):
+        Ensemble(np.zeros((0, 3, 2)), 0.0, 0.1, TOY)
+    ens = Ensemble.from_trajectories((a, a))
     assert ens.n_members == 2 and ens.dt == 0.1
     assert ens.samples_at(0.1).shape == (2, 2)
+
+
+def test_ensemble_is_one_array_with_views():
+    initials = np.eye(4)
+    ens = build_ensemble(TOY, initials, 0.0, 1.0, 0.1)
+    assert ens.samples.shape == (4, 11, 4) and not ens.samples.flags.writeable
+    assert np.shares_memory(ens.samples, ens.trajectories[0].samples)
+    assert np.shares_memory(ens.samples, forward_ensemble(ens).samples)
+    assert ens.trajectories[2].n_samples == 11 and ens.trajectories[2].t0 == 0.0
+    # external input is copied and finite-checked
+    raw = np.zeros((2, 3, 4))
+    own = Ensemble(raw, 0.0, 0.1, TOY)
+    assert not np.shares_memory(raw, own.samples)
+    raw[0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteState):
+        Ensemble(raw, 0.0, 0.1, TOY)
 
 
 def test_window_indices():
@@ -177,7 +205,7 @@ def test_r_map_contract():
     ens = build_ensemble(TOY, np.eye(4), 0.0, 1.0, 0.1)
     states = r_map(ens, 0.5)
     assert len(states) == 4
-    shifted = Ensemble(trajectories=tuple(translate(tr, 1.0) for tr in ens.trajectories))
+    shifted = Ensemble.from_trajectories(translate(tr, 1.0) for tr in ens.trajectories)
     with pytest.raises(ValueError):
         r_map(shifted, 0.5)
     with pytest.raises(ValueError):

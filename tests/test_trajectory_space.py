@@ -2,48 +2,63 @@
 import numpy as np
 import pytest
 
-from attractorlab.errors import EmptyLibrary, HorizonTooShort, OffGrid
-from attractorlab.metrics import TrajMetricParams, tail_from_pointwise
+from attractorlab.errors import EmptyEnsemble, GridMismatch, HorizonTooShort, OffGrid
+from attractorlab.metrics import TrajMetricParams
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble, Trajectory
 from attractorlab.trajectory_space import (
-    TrajectorySet,
-    from_ensemble,
-    slice_at,
     traj_set_semidist,
     trajectory_attraction_report,
     trajectory_attractor,
     translate_semigroup,
+    translation_invariance,
 )
+
+PARAMS = TrajMetricParams()
 
 
 def _set_from(arrs, dt=0.1):
     arrs = [np.atleast_2d(np.asarray(a, float)) for a in arrs]
     spec = make_spec("toy_contraction", truncation=arrs[0].shape[1])
-    members = tuple(Trajectory(t0=0.0, dt=dt, samples=a, model=spec) for a in arrs)
-    return TrajectorySet(members=members)
+    return Ensemble.from_trajectories(
+        Trajectory(t0=0.0, dt=dt, samples=a, model=spec) for a in arrs
+    )
+
+
+def _first_samples(ens, n):
+    return Ensemble.from_trajectories(
+        Trajectory(t0=0.0, dt=ens.dt, samples=tr.samples[:n], model=tr.model)
+        for tr in ens.trajectories
+    )
 
 
 def test_trajectory_set_validation():
-    with pytest.raises(EmptyLibrary):
-        TrajectorySet(members=())
+    with pytest.raises(EmptyEnsemble):
+        Ensemble.from_trajectories(())
     spec = make_spec("toy_contraction", truncation=2)
-    shifted = Trajectory(t0=1.0, dt=0.1, samples=np.zeros((3, 2)), model=spec)
+    shifted = Ensemble.from_trajectories(
+        (Trajectory(t0=1.0, dt=0.1, samples=np.zeros((3, 2)), model=spec),)
+    )
+    # trajectory-space operations need families that start at t = 0
     with pytest.raises(ValueError):
-        TrajectorySet(members=(shifted,))
+        translate_semigroup(shifted, 0.1)
+    with pytest.raises(ValueError):
+        traj_set_semidist(shifted, shifted, "strong", TrajMetricParams(t_max_windows=1))
     a = Trajectory(t0=0.0, dt=0.1, samples=np.zeros((3, 2)), model=spec)
     b = Trajectory(t0=0.0, dt=0.2, samples=np.zeros((3, 2)), model=spec)
-    with pytest.raises(ValueError):
-        TrajectorySet(members=(a, b))
+    with pytest.raises(GridMismatch):
+        Ensemble.from_trajectories((a, b))
 
 
 def test_translation_semigroup_law(toy_bundle):
-    p = from_ensemble(toy_bundle["ensemble"])
+    p = toy_bundle["ensemble"]
     one = translate_semigroup(translate_semigroup(p, 1.5), 2.5)
     two = translate_semigroup(p, 4.0)
-    for u, v in zip(one.members, two.members):
+    for u, v in zip(one.trajectories, two.trajectories):
         assert u.t0 == v.t0 == 0.0
         assert np.array_equal(u.samples, v.samples)
+    # T(s) is a view of the family's own array
+    assert np.shares_memory(two.samples, p.samples)
     with pytest.raises(ValueError):
         translate_semigroup(p, -1.0)
     with pytest.raises(HorizonTooShort):
@@ -51,12 +66,12 @@ def test_translation_semigroup_law(toy_bundle):
 
 
 def test_slice_matches_states(toy_bundle):
-    p = from_ensemble(toy_bundle["ensemble"])
-    got = slice_at(p, 2.0)
-    for st, tr in zip(got, toy_bundle["ensemble"].trajectories):
+    p = toy_bundle["ensemble"]
+    got = p.states_at(2.0)
+    for st, tr in zip(got, p.trajectories):
         assert np.array_equal(st.coords, tr.state_at(2.0).coords)
     with pytest.raises(OffGrid):
-        slice_at(p, -0.5)
+        p.states_at(-0.5)
 
 
 def test_traj_set_semidist_hand_values():
@@ -83,20 +98,23 @@ def test_pair_tail_consistent_with_pointwise():
     b = _set_from([y])
     p = TrajMetricParams(t_max_windows=4)
     d = np.linalg.norm(x - y, axis=1)
-    want = tail_from_pointwise(d[:41], 0.1, 4)
+    # hand-written series: s_T is the sup of d over [0, T], 10 samples per unit
+    want = sum(2.0 ** (-T) * d[: 10 * T + 1].max() / (1.0 + d[: 10 * T + 1].max()) for T in range(1, 5))
     assert abs(traj_set_semidist(a, b, "strong", p) - want) < 1e-15
 
 
 def test_trajectory_attractor_toy(toy_bundle):
-    k_space = from_ensemble(toy_bundle["ensemble"], TrajMetricParams(t_max_windows=8))
+    k_space = toy_bundle["ensemble"]
+    params = TrajMetricParams(t_max_windows=8)
     att = trajectory_attractor(
-        k_space, toy_bundle["library"], cluster_tol=1e-3, metric="weak"
+        k_space, toy_bundle["library"], params, cluster_tol=1e-3, metric="weak"
     )
     # all settled surrogates collapse to the origin: one representative
     assert att.n_members == 1
-    assert np.linalg.norm(att.members[0].samples) < 1e-3
-    assert att.invariance is not None and att.invariance.ok
-    rep = trajectory_attraction_report(k_space, att, eps=2e-3, window_T=2.0)
+    assert np.linalg.norm(att.samples[0]) < 1e-3
+    inv = translation_invariance(att, params, tol=1e-3, metric="weak")
+    assert inv.ok and inv.t_values == (1.0, 2.0)
+    rep = trajectory_attraction_report(k_space, att, params, eps=2e-3, window_T=2.0)
     assert rep.t_entry is not None
     # weak tail entry happens once e^-t decay falls under eps
     assert rep.t_entry <= np.log(1.0 / 2e-3) + 1.0
@@ -104,29 +122,25 @@ def test_trajectory_attractor_toy(toy_bundle):
 
 
 def test_trajectory_attractor_guards(toy_bundle):
-    k_space = from_ensemble(toy_bundle["ensemble"])
+    k_space = toy_bundle["ensemble"]
     lib = toy_bundle["library"]
     other = make_spec("toy_contraction", truncation=5)
-    bad = Ensemble(
+    bad = Ensemble.from_trajectories(
         (Trajectory(t0=-2.0, dt=0.01, samples=np.zeros((301, 5)), model=other),),
         label="surrogate-library",
     )
     with pytest.raises(ValueError):
-        trajectory_attractor(k_space, bad)
-    short = from_ensemble(
-        Ensemble(
-            tuple(
-                Trajectory(t0=0.0, dt=0.01, samples=tr.samples[:51], model=tr.model)
-                for tr in toy_bundle["ensemble"].trajectories
-            )
-        )
-    )
+        trajectory_attractor(k_space, bad, PARAMS)
     with pytest.raises(HorizonTooShort):
-        trajectory_attractor(short, lib)
+        trajectory_attractor(_first_samples(k_space, 51), lib, PARAMS)
+    # horizon 9 carries the tail windows but not the invariance shifts by 2
+    att = trajectory_attractor(_first_samples(k_space, 901), lib, PARAMS)
+    with pytest.raises(HorizonTooShort):
+        translation_invariance(att, PARAMS, tol=1e-3)
 
 
 def test_attraction_report_eps_guard(toy_bundle):
-    k_space = from_ensemble(toy_bundle["ensemble"])
-    att = trajectory_attractor(k_space, toy_bundle["library"])
+    k_space = toy_bundle["ensemble"]
+    att = trajectory_attractor(k_space, toy_bundle["library"], PARAMS)
     with pytest.raises(ValueError):
-        trajectory_attraction_report(k_space, att, eps=0.0)
+        trajectory_attraction_report(k_space, att, PARAMS, eps=0.0)

@@ -98,7 +98,7 @@ def test_tracking_no_match_raises(toy_bundle):
     spec = toy_bundle["spec"]
     # library pinned far away: nothing tracks the decaying ensemble
     far = np.full((2, 6), 5.0)
-    lib = Ensemble(
+    lib = Ensemble.from_trajectories(
         tuple(
             Trajectory(t0=-5.0, dt=0.01, samples=np.tile(row, (2401, 1)), model=spec)
             for row in far
