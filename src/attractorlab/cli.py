@@ -76,14 +76,15 @@ _TOP_KEYS = {
     "output_dir",
     "save_stride",
 }
+# check name -> {key: type}; numeric keys are validated by load_config
 _CHECK_KEYS = {
-    "energy": {"name", "eps_ladder", "gap_tol"},
-    "absorbing": {"name", "n_samples", "horizon"},
-    "tracking": {"name", "metric", "eps_ladder", "window_T"},
-    "quasi_invariance": {"name", "eps", "t_win"},
-    "maximal_invariant": {"name", "eps"},
-    "compactness": {"name", "k", "n_times", "t_from", "threshold"},
-    "point_convergence": {"name", "t_star", "n_seq"},
+    "energy": {"name": str, "eps_ladder": list, "gap_tol": float},
+    "absorbing": {"name": str, "n_samples": int, "horizon": float},
+    "tracking": {"name": str, "metric": str, "eps_ladder": list, "window_T": float},
+    "quasi_invariance": {"name": str, "eps": float, "t_win": float},
+    "maximal_invariant": {"name": str, "eps": float},
+    "compactness": {"name": str, "k": int, "n_times": int, "t_from": float, "threshold": float},
+    "point_convergence": {"name": str, "t_star": float, "n_seq": int},
 }
 _NSE_FORCING_KEYS = {"mode", "amplitude", "component", "part"}
 _DYADIC_FORCING_KEYS = {"shell", "amplitude"}
@@ -99,6 +100,21 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigInvalid(f"missing config key {where}.{key}")
     return section[key]
+
+
+def _number(value, where: str, kind: type):
+    """value as a finite int or float; ConfigInvalid for anything else.
+
+    Booleans, non-finite values and, for kind int, non-integral values are
+    rejected too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
+    if not np.isfinite(value):
+        raise ConfigInvalid(f"{where} must be finite, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def load_config(path: str | Path) -> dict:
@@ -122,51 +138,71 @@ def load_config(path: str | Path) -> dict:
     cfg = {
         "model": {
             "kind": kind,
-            "nu": float(model.get("nu", 1.0)),
-            "L": float(model.get("L", 2.0 * np.pi)),
-            "truncation": int(_require(model, "truncation", "model")),
-            "lambda": float(model.get("lambda", 2.0)),
+            "nu": _number(model.get("nu", 1.0), "model.nu", float),
+            "L": _number(model.get("L", 2.0 * np.pi), "model.L", float),
+            "truncation": _number(
+                _require(model, "truncation", "model"), "model.truncation", int
+            ),
+            "lambda": _number(model.get("lambda", 2.0), "model.lambda", float),
             "forcing": model.get("forcing", []),
         },
-        "seed": int(raw.get("seed", 0)),
-        "ensemble_size": int(raw.get("ensemble_size", 8)),
-        "horizon": float(_require(raw, "horizon", "config")),
-        "dt": float(_require(raw, "dt", "config")),
-        "radius": None if raw.get("radius") is None else float(raw["radius"]),
+        "seed": _number(raw.get("seed", 0), "config.seed", int),
+        "ensemble_size": _number(raw.get("ensemble_size", 8), "config.ensemble_size", int),
+        "horizon": _number(_require(raw, "horizon", "config"), "config.horizon", float),
+        "dt": _number(_require(raw, "dt", "config"), "config.dt", float),
+        "radius": (
+            None if raw.get("radius") is None else _number(raw["radius"], "config.radius", float)
+        ),
         "metric": raw.get("metric", "strong"),
-        "save_stride": int(raw.get("save_stride", 1)),
+        "save_stride": _number(raw.get("save_stride", 1), "config.save_stride", int),
         "output_dir": raw.get("output_dir", "out"),
     }
     if cfg["metric"] not in METRIC_KINDS:
         raise ConfigInvalid(f"config.metric must be one of {METRIC_KINDS}")
     if cfg["save_stride"] < 1:
         raise ConfigInvalid("config.save_stride must be >= 1")
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigInvalid("config.output_dir must be a string")
     if not isinstance(cfg["model"]["forcing"], list):
         raise ConfigInvalid("model.forcing must be a list of entries")
     for i, entry in enumerate(cfg["model"]["forcing"]):
+        where = f"model.forcing[{i}]"
         if not isinstance(entry, dict):
-            raise ConfigInvalid(f"model.forcing[{i}] must be an object")
+            raise ConfigInvalid(f"{where} must be an object")
         allowed = _NSE_FORCING_KEYS if kind in NSE_KINDS else _DYADIC_FORCING_KEYS
-        _reject_unknown(entry, allowed, f"model.forcing[{i}]")
+        _reject_unknown(entry, allowed, where)
+        _number(_require(entry, "amplitude", where), f"{where}.amplitude", float)
+        if kind not in NSE_KINDS:
+            _number(_require(entry, "shell", where), f"{where}.shell", int)
+            continue
+        mode = _require(entry, "mode", where)
+        if not isinstance(mode, list):
+            raise ConfigInvalid(f"{where}.mode must be a list of integers")
+        for j, c in enumerate(mode):
+            _number(c, f"{where}.mode[{j}]", int)
+        _number(entry.get("component", 0), f"{where}.component", int)
+        if entry.get("part", "cos") not in ("cos", "sin"):
+            raise ConfigInvalid(f"{where}.part must be 'cos' or 'sin'")
 
     omega = raw.get("omega", {})
     if not isinstance(omega, dict):
         raise ConfigInvalid("config.omega must be an object")
     _reject_unknown(omega, _OMEGA_KEYS, "omega")
+    horizon = cfg["horizon"]
     cfg["omega"] = {
-        "t_transient": float(omega.get("t_transient", cfg["horizon"] / 2.0)),
-        "t_max": float(omega.get("t_max", cfg["horizon"])),
-        "sample_stride": int(omega.get("sample_stride", 1)),
-        "cluster_tol": float(omega.get("cluster_tol", 1e-3)),
+        "t_transient": _number(omega.get("t_transient", horizon / 2.0), "omega.t_transient", float),
+        "t_max": _number(omega.get("t_max", horizon), "omega.t_max", float),
+        "sample_stride": _number(omega.get("sample_stride", 1), "omega.sample_stride", int),
+        "cluster_tol": _number(omega.get("cluster_tol", 1e-3), "omega.cluster_tol", float),
     }
     library = raw.get("library", {})
     if not isinstance(library, dict):
         raise ConfigInvalid("config.library must be an object")
     _reject_unknown(library, _LIBRARY_KEYS, "library")
     cfg["library"] = {
-        "size": int(library.get("size", 8)),
-        "t_back": float(library.get("t_back", 50.0)),
-        "horizon": float(library.get("horizon", cfg["horizon"])),
+        "size": _number(library.get("size", 8), "library.size", int),
+        "t_back": _number(library.get("t_back", 50.0), "library.t_back", float),
+        "horizon": _number(library.get("horizon", horizon), "library.horizon", float),
     }
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
@@ -176,11 +212,24 @@ def load_config(path: str | Path) -> dict:
         if not isinstance(chk, dict):
             raise ConfigInvalid(f"checks[{i}] must be an object")
         name = _require(chk, "name", f"checks[{i}]")
-        if name not in _CHECK_KEYS:
+        if not isinstance(name, str) or name not in _CHECK_KEYS:
             raise ConfigInvalid(
                 f"checks[{i}].name must be one of {sorted(_CHECK_KEYS)}, got {name!r}"
             )
         _reject_unknown(chk, _CHECK_KEYS[name], f"checks[{i}]")
+        for key, kind in _CHECK_KEYS[name].items():
+            where = f"checks[{i}].{key}"
+            if key not in chk or kind is str:
+                continue
+            if kind is not list:
+                _number(chk[key], where, kind)
+            elif not isinstance(chk[key], list):
+                raise ConfigInvalid(f"{where} must be a list of numbers")
+            else:
+                for j, value in enumerate(chk[key]):
+                    _number(value, f"{where}[{j}]", float)
+        if chk.get("metric", cfg["metric"]) not in METRIC_KINDS:
+            raise ConfigInvalid(f"checks[{i}].metric must be one of {METRIC_KINDS}")
         cfg["checks"].append(dict(chk))
     return cfg
 
@@ -238,18 +287,14 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(text + "\n")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_trajectories(path: Path, ensemble: Ensemble, stride: int) -> None:
     dim = ensemble.samples.shape[2]
     header = "time,member," + ",".join(f"c{j}" for j in range(dim))
     lines = [header]
     for mi, member in enumerate(ensemble.samples):
         for k in range(0, ensemble.n_samples, stride):
-            t = ensemble.t0 + k * ensemble.dt
-            lines.append(_fmt(t) + f",{mi}," + ",".join(_fmt(v) for v in member[k]))
+            t = float(ensemble.t0 + k * ensemble.dt)
+            lines.append(f"{t!r},{mi}," + ",".join(map(repr, member[k].tolist())))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -257,14 +302,9 @@ def _write_ledger(path: Path, spec: ModelSpec, ensemble: Ensemble, stride: int) 
     lines = ["member,time,energy,enstrophy,work"]
     for mi, tr in enumerate(ensemble.trajectories):
         led = energy_ledger(spec, tr)
-        for k in range(0, tr.n_samples, stride):
-            lines.append(
-                f"{mi},"
-                + ",".join(
-                    _fmt(v)
-                    for v in (led.times[k], led.energy[k], led.enstrophy[k], led.work[k])
-                )
-            )
+        table = np.stack([led.times, led.energy, led.enstrophy, led.work], axis=1)
+        for row in table[::stride].tolist():
+            lines.append(f"{mi}," + ",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -395,8 +435,6 @@ def _check_absorbing(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
 
 def _check_tracking(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     metric = chk.get("metric", cfg["metric"])
-    if metric not in METRIC_KINDS:
-        raise ConfigInvalid(f"checks.tracking.metric must be one of {METRIC_KINDS}")
     ladder = [float(e) for e in chk.get("eps_ladder", (1e-1, 1e-2, 1e-3))]
     window = float(chk.get("window_T", 2.0))
     rungs = tracking_ladder(ctx.ensemble, ctx.library, metric, window, eps_ladder=ladder)

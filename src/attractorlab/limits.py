@@ -102,21 +102,29 @@ def greedy_cluster(spec: ModelSpec, blocks, m: str, tol: float) -> list[np.ndarr
     previously accepted row; order inside and across blocks is fixed, so the
     result is deterministic. Returns the accepted rows.
     """
-    accepted: list[np.ndarray] = []
+    buf = None  # accepted rows in buf[:n_acc]; doubles when full
+    n_acc = 0
     for block in blocks:
         if block.size == 0:
             continue
-        if accepted:
-            near = cross_dist(spec, block, np.stack(accepted), m).min(axis=1) <= tol
+        if buf is None:
+            buf = np.empty((16, block.shape[1]))
+        if n_acc:
+            near = cross_dist(spec, block, buf[:n_acc], m).min(axis=1) <= tol
         else:
             near = np.zeros(block.shape[0], dtype=bool)
+        # rows kept before this block are already ruled out by `near`
+        start = n_acc
         for row, skip in zip(block, near):
             if skip:
                 continue
-            if accepted and cross_dist(spec, row[None, :], np.stack(accepted), m).min() <= tol:
+            if n_acc > start and cross_dist(spec, row[None, :], buf[start:n_acc], m).min() <= tol:
                 continue
-            accepted.append(row)
-    return accepted
+            if n_acc == buf.shape[0]:
+                buf = np.concatenate([buf, np.empty_like(buf)])
+            buf[n_acc] = row
+            n_acc += 1
+    return [] if buf is None else list(buf[:n_acc])
 
 
 def omega_limit(ensemble: Ensemble, m: str, p: OmegaParams) -> SetEstimate:

@@ -37,6 +37,7 @@ from .state import State, Trajectory, common_grid_offsets, span_steps
 
 MetricKind = Literal["strong", "weak"]
 METRIC_KINDS = ("strong", "weak")
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,20 @@ def strong_dist_arrays(diff: np.ndarray) -> np.ndarray:
 
 
 def weak_dist_arrays(spec: ModelSpec, diff: np.ndarray) -> np.ndarray:
+    # The group moduli r are sums of strided slices of the squared
+    # difference, added in group order: the same arithmetic, in the same
+    # order, as the Euclidean norm over each size-gs group, without a
+    # reduction over a short last axis.
     weights, gs = weak_weights(spec)
-    r = strong_dist_arrays(diff.reshape(diff.shape[:-1] + (weights.shape[0], gs)))
-    return (weights * (r / (1.0 + r))).sum(axis=-1)
+    sq = diff * diff
+    r = sq if gs == 1 else sq[..., 0::gs] + sq[..., 1::gs]
+    for j in range(2, gs):
+        r += sq[..., j::gs]
+    np.sqrt(r, out=r)
+    q = r + 1.0
+    np.divide(r, q, out=q)
+    q *= weights
+    return q.sum(axis=-1)
 
 
 def dist_arrays(spec: ModelSpec, x: np.ndarray, y: np.ndarray, m: str) -> np.ndarray:
@@ -98,8 +110,13 @@ def cross_dist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str) -> np.ndar
     b = np.atleast_2d(np.asarray(b, float))
     if m == "strong":
         return cdist(a, b)
-    rows = [weak_dist_arrays(spec, row[None, :] - b) for row in a]
-    return np.stack(rows)
+    # Rows of a in chunks small enough that each temporary stays under
+    # _CHUNK elements (below glibc's mmap threshold, so no page faults).
+    out = np.empty((a.shape[0], b.shape[0]))
+    per = max(1, _CHUNK // max(1, b.size))
+    for i in range(0, a.shape[0], per):
+        out[i : i + per] = weak_dist_arrays(spec, a[i : i + per, None, :] - b)
+    return out
 
 
 # ---------------------------------------------------------------------------

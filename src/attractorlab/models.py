@@ -412,6 +412,11 @@ def steady_state(
             if cand_norm <= (1.0 - 1e-4 * alpha) * res_norm:
                 break
             alpha *= 0.5
+        else:
+            raise AttractorLabError(
+                f"Newton line search found no decrease below step 1e-4 "
+                f"at residual {res_norm:.3e} (target {tol:.1e})"
+            )
         u, res, res_norm = cand, cand_res, cand_norm
     if res_norm <= tol:
         return u

@@ -1,8 +1,13 @@
 """Command-line entry point: config validation, outputs, exit codes."""
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import attractorlab.cli as cli
 from attractorlab.cli import load_config, main
@@ -174,6 +179,89 @@ def test_config_error_messages(tmp_path, capsys):
     assert "checks[0].name" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_config_type_errors_are_config_errors(tmp_path, capsys):
+    # each must give a config error naming the field, not a raw Python exception
+    nse = {"kind": "galerkin_nse_2d", "truncation": 2}
+    cases = [
+        ("truncation", {"model": dict(TOY["model"], truncation="abc")}),
+        ("truncation", {"model": dict(TOY["model"], truncation=None)}),
+        ("amplitude", {"model": dict(nse, forcing=[{"mode": [1, 0]}])}),
+        ("mode", {"model": dict(nse, forcing=[{"mode": "ab", "amplitude": 0.1}])}),
+        ("metric", {"checks": [{"name": "tracking", "metric": "euclid"}]}),
+    ]
+    for i, (field, change) in enumerate(cases):
+        cfg = dict(TOY, output_dir=str(tmp_path / "out"), **change)
+        path = _write_cfg(tmp_path, cfg, f"t{i}.json")
+        assert main(["verify", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not (tmp_path / "out").exists()
+
+
+_NOT_A_NUMBER = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=5),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+
+# path into the fuzz config -> whether the field must be an integer
+_NUMERIC_FIELDS = {
+    ("model", "truncation"): True,
+    ("model", "nu"): False,
+    ("model", "forcing", 0, "amplitude"): False,
+    ("model", "forcing", 0, "mode", 1): True,
+    ("model", "forcing", 0, "component"): True,
+    ("horizon",): False,
+    ("dt",): False,
+    ("seed",): True,
+    ("ensemble_size",): True,
+    ("radius",): False,
+    ("omega", "cluster_tol"): False,
+    ("omega", "sample_stride"): True,
+    ("library", "size"): True,
+    ("checks", 0, "gap_tol"): False,
+    ("checks", 0, "eps_ladder", 0): False,
+    ("checks", 1, "n_samples"): True,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    field=st.sampled_from(sorted(_NUMERIC_FIELDS, key=str)),
+    value=st.one_of(_NOT_A_NUMBER, st.just(2.5)),
+)
+def test_malformed_numeric_fields_fuzz(field, value):
+    # 2.5 is malformed only where an integer is required; None means
+    # "use the default" for radius only
+    assume(value != 2.5 or _NUMERIC_FIELDS[field])
+    assume(not (value is None and field == ("radius",)))
+    cfg = dict(
+        TOY,
+        model={"kind": "galerkin_nse_2d", "truncation": 2,
+               "forcing": [{"mode": [1, 0], "amplitude": 0.1}]},
+        omega=dict(TOY["omega"]),
+        library=dict(TOY["library"]),
+        checks=[{"name": "energy", "gap_tol": 1e-3, "eps_ladder": [0.1]},
+                {"name": "absorbing", "n_samples": 4}],
+    )
+    node = cfg
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["verify", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code == 1
+        assert err.getvalue().startswith("config error:")
+        assert not (Path(tmp) / "out").exists()
 
 
 def test_load_config_requires_core_fields(tmp_path):

@@ -13,7 +13,8 @@ from attractorlab.limits import (
     is_attracting,
     omega_limit,
 )
-from attractorlab.models import make_spec, sample_ball, steady_state
+from attractorlab.metrics import cross_dist
+from attractorlab.models import make_spec, sample_ball, spec_dim, steady_state
 from attractorlab.state import Ensemble, State, Trajectory
 
 
@@ -46,6 +47,28 @@ def test_greedy_cluster_dedupes_constant_blocks():
     kept = greedy_cluster(spec, [a], "strong", tol=1e-3)
     assert len(kept) == 3
     np.testing.assert_array_equal(np.stack(kept), [[0, 0], [1, 0], [0.5, 0]])
+
+
+@pytest.mark.parametrize("m", ["strong", "weak"])
+def test_greedy_cluster_matches_row_by_row_reference(m):
+    # reference: every row checked against the stack of all rows kept so far
+    spec = make_spec("galerkin_nse_2d", truncation=2)
+    rng = np.random.default_rng(11)
+    centers = rng.standard_normal((40, spec_dim(spec)))
+    blocks = [
+        centers[rng.integers(0, 40, 9)] + 1e-4 * rng.standard_normal((9, spec_dim(spec)))
+        for _ in range(12)
+    ]
+    tol = 1e-3 if m == "strong" else 1e-4
+    kept_ref: list[np.ndarray] = []
+    for block in blocks:
+        for row in block:
+            if kept_ref and cross_dist(spec, row[None, :], np.stack(kept_ref), m).min() <= tol:
+                continue
+            kept_ref.append(row)
+    kept = greedy_cluster(spec, blocks, m, tol)
+    assert len(kept_ref) > 16  # the accepted buffer grows at least once
+    np.testing.assert_array_equal(np.stack(kept), np.stack(kept_ref))
 
 
 def test_omega_limit_toy_is_origin(toy_bundle):

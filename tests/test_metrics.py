@@ -127,6 +127,44 @@ def test_cross_dist_matches_cdist_and_loops():
     np.testing.assert_allclose(
         pairwise_to_set(spec, a, b, "strong"), cs.min(axis=1), atol=0
     )
+    # weak rows are computed in chunks: bitwise equal to one row at a time,
+    # including several chunks with a short last one
+    nse4 = make_spec("galerkin_nse_2d", truncation=4)
+    for spec, n, k in [(SPECS[0], 5, 3), (SPECS[0], 301, 40), (nse4, 97, 150)]:
+        a = rng.standard_normal((n, spec_dim(spec)))
+        b = rng.standard_normal((k, spec_dim(spec)))
+        rows = np.stack([weak_dist_arrays(spec, row[None, :] - b) for row in a])
+        np.testing.assert_array_equal(cross_dist(spec, a, b, "weak"), rows)
+
+
+def _group_norm_weak(spec, diff):
+    # the weak metric through the Euclidean norm over each mode group
+    weights, gs = weak_weights(spec)
+    g = diff.reshape(diff.shape[:-1] + (weights.shape[0], gs))
+    r = np.sqrt(np.add.reduce(g * g, axis=-1))
+    return (weights * (r / (1.0 + r))).sum(axis=-1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_spec("galerkin_nse_2d", truncation=4),
+        make_spec("galerkin_nse_2d", truncation=8),
+        make_spec("galerkin_nse_3d", truncation=2),
+        make_spec("galerkin_nse_3d", truncation=3),
+        make_spec("dyadic", nu=0.5, truncation=5, lam=2.0),
+        make_spec("toy_contraction", truncation=4),
+    ],
+    ids=lambda s: f"{s.kind}-{s.truncation}",
+)
+def test_weak_kernel_matches_group_norm_bitwise(spec):
+    rng = np.random.default_rng(3)
+    for lead in [(), (7,), (3, 5)]:
+        for mag in [1e-8, 1e-4, 1.0, 1e2]:
+            diff = rng.standard_normal(lead + (spec_dim(spec),)) * mag
+            got = weak_dist_arrays(spec, diff)
+            assert got.shape == lead
+            np.testing.assert_array_equal(got, _group_norm_weak(spec, diff))
 
 
 def test_set_semidist_hand_example():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from attractorlab.core import build_ensemble, integrate
-from attractorlab.errors import GridTooCoarse, ModelMismatch
+from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch
 from attractorlab.models import (
     absorbing_radius,
     check_a3,
@@ -225,6 +225,20 @@ def test_steady_state_newton():
     # independent confirmation: the flow converges to the Newton root
     end = integrate(dspec, sample_ball(dspec, 1, radius=default_radius(dspec), seed=4)[0], 0.0, 30.0, 0.005).samples[-1]
     assert np.linalg.norm(end - a) <= 1e-9
+
+
+def test_steady_state_rejects_failed_line_search(monkeypatch):
+    # The first Newton direction only increases the residual u - c; the
+    # second is exact. A failed line search must raise, not step on.
+    import attractorlab.models as models
+
+    spec = make_spec("toy_contraction", truncation=3)
+    c = np.array([1.0, -2.0, 0.5])
+    jacobians = [-np.eye(3), np.eye(3)]
+    monkeypatch.setattr(models, "rhs_array", lambda s, u: u - c)
+    monkeypatch.setattr(models, "rhs_jacobian", lambda s, u: jacobians.pop(0))
+    with pytest.raises(AttractorLabError, match="line search"):
+        steady_state(spec)
 
 
 def test_check_a3_constant_sequence():
