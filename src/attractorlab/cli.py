@@ -6,7 +6,8 @@ sets.json, reports.json, ledger.csv, and manifest.json. Identical configs
 produce byte-identical files; the manifest carries the effective config and
 seed instead of a timestamp. Unknown config keys are rejected with the
 offending field named, and numeric failures abort with a structured error
-record in reports.json.
+record in reports.json; in verify, a check that raises gets its own error
+record and the other checks still run.
 
 Exit codes: 0 all checks passed, 1 config or runtime error, 2 at least one
 check returned false, 3 at least one check could not establish its
@@ -19,13 +20,12 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .core import build_ensemble, complete_surrogates
-from .errors import AttractorLabError, ConfigInvalid, HypothesisFail
+from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteState
 from .limits import OmegaParams, asymptotic_compactness_defect, global_attractor, omega_limit
 from .metrics import METRIC_KINDS, TrajMetricParams
 from .models import (
@@ -235,16 +235,17 @@ def load_config(path: str | Path) -> dict:
 
 
 def _build_spec(mc: dict) -> ModelSpec:
+    """The model of a validated config; ConfigInvalid for one the model rejects."""
     kind = mc["kind"]
-    forcing = None
-    if mc["forcing"]:
-        if kind in NSE_KINDS:
-            forcing = nse_forcing(kind, mc["L"], mc["truncation"], mc["forcing"])
-        elif kind == "dyadic":
-            forcing = dyadic_forcing(mc["truncation"], mc["forcing"])
-        else:
-            raise ConfigInvalid("model.forcing must be empty for the toy model")
+    if mc["forcing"] and kind == "toy_contraction":
+        raise ConfigInvalid("model.forcing must be empty for the toy model")
     try:
+        forcing = None
+        if mc["forcing"]:
+            if kind in NSE_KINDS:
+                forcing = nse_forcing(kind, mc["L"], mc["truncation"], mc["forcing"])
+            else:
+                forcing = dyadic_forcing(mc["truncation"], mc["forcing"])
         return make_spec(
             kind,
             nu=mc["nu"],
@@ -253,7 +254,7 @@ def _build_spec(mc: dict) -> ModelSpec:
             lam=mc["lambda"],
             forcing=forcing,
         )
-    except ValueError as exc:
+    except (ValueError, NonFiniteState) as exc:
         raise ConfigInvalid(f"model: {exc}")
 
 
@@ -329,14 +330,13 @@ def _initials(spec: ModelSpec, n: int, radius: float, seed: int) -> np.ndarray:
     return sample_ball(spec, n, radius=radius, seed=seed, profile=profile)
 
 
-def _setup(cfg: dict):
-    spec = _build_spec(cfg["model"])
+def _setup(cfg: dict, spec: ModelSpec):
     radius = cfg["radius"]
     if radius is None:
         radius = default_radius(spec)
     initials = _initials(spec, cfg["ensemble_size"], radius, cfg["seed"])
     ensemble = build_ensemble(spec, initials, 0.0, cfg["horizon"], cfg["dt"], label="run")
-    return spec, radius, ensemble
+    return radius, ensemble
 
 
 def _build_library(cfg: dict, spec: ModelSpec, radius: float) -> Ensemble:
@@ -372,11 +372,45 @@ def _status_exit(reports: list[dict]) -> int:
     return 0
 
 
+class _RunContext:
+    """What the checks of one verify run share; the costly parts are lazy.
+
+    Each costly part is built once, on first use; if building it raises,
+    later uses raise the same exception without building it again.
+    """
+
+    def __init__(self, cfg: dict, spec: ModelSpec, radius: float, ensemble: Ensemble):
+        self.cfg, self.spec, self.radius, self.ensemble = cfg, spec, radius, ensemble
+        self._built: dict = {}  # part name -> (value, exception)
+
+    def _once(self, name: str, build):
+        if name not in self._built:
+            try:
+                self._built[name] = (build(), None)
+            except Exception as exc:
+                self._built[name] = (None, exc)
+        value, exc = self._built[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    @property
+    def library(self) -> Ensemble:
+        return self._once("library", lambda: _build_library(self.cfg, self.spec, self.radius))
+
+    @property
+    def attractor(self):
+        return self._once(
+            "attractor",
+            lambda: global_attractor(self.ensemble, self.cfg["metric"], _omega_params(self.cfg)),
+        )
+
+
 # check runners; each takes (cfg, check config, run context) and returns a
 # report record
 
 
-def _check_energy(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     eps_ladder = [float(e) for e in chk.get("eps_ladder", (1e-1, 1e-2, 1e-3))]
     gap_tol = float(chk.get("gap_tol", 1e-6))
     worst_ratio = 0.0
@@ -403,7 +437,7 @@ def _check_energy(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     }
 
 
-def _check_absorbing(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     spec = ctx.spec
     n = int(chk.get("n_samples", 64))
     horizon = float(chk.get("horizon", cfg["horizon"]))
@@ -433,7 +467,7 @@ def _check_absorbing(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     }
 
 
-def _check_tracking(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+def _check_tracking(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     metric = chk.get("metric", cfg["metric"])
     ladder = [float(e) for e in chk.get("eps_ladder", (1e-1, 1e-2, 1e-3))]
     window = float(chk.get("window_T", 2.0))
@@ -454,7 +488,7 @@ def _check_tracking(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     }
 
 
-def _check_quasi_invariance(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+def _check_quasi_invariance(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     eps = float(chk.get("eps", 1e-3))
     t_win = float(chk.get("t_win", 2.0))
     rep = check_quasi_invariance(ctx.attractor, ctx.library, eps=eps, t_win=t_win)
@@ -466,7 +500,7 @@ def _check_quasi_invariance(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     }
 
 
-def _check_maximal_invariant(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+def _check_maximal_invariant(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     eps = float(chk.get("eps", 1e-3))
     rep = check_maximal_invariant(ctx.attractor, ctx.library, eps=eps)
     ok = rep.i_subset_a and rep.a_subset_i
@@ -479,7 +513,7 @@ def _check_maximal_invariant(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict
     }
 
 
-def _check_compactness(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     k = int(chk.get("k", 8))
     n_times = int(chk.get("n_times", 16))
     t_from = float(chk.get("t_from", cfg["horizon"] / 2.0))
@@ -500,7 +534,7 @@ def _check_compactness(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
     }
 
 
-def _check_point_convergence(cfg: dict, chk: dict, ctx: SimpleNamespace) -> dict:
+def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     t_star = float(chk.get("t_star", cfg["horizon"] / 2.0))
     n_seq = int(chk.get("n_seq", 6))
     base = ctx.ensemble.trajectories[0]
@@ -533,19 +567,31 @@ _CHECKS = {
     "compactness": _check_compactness,
     "point_convergence": _check_point_convergence,
 }
-_NEEDS_LIBRARY = {"tracking", "quasi_invariance", "maximal_invariant"}
-_NEEDS_ATTRACTOR = {"quasi_invariance", "maximal_invariant"}
 
 
 def _run_checks(cfg: dict, spec, radius, ensemble) -> list[dict]:
-    """Run the configured checks; the library and the attractor are built once."""
-    names = {chk["name"] for chk in cfg["checks"]}
-    ctx = SimpleNamespace(spec=spec, radius=radius, ensemble=ensemble, library=None, attractor=None)
-    if names & _NEEDS_LIBRARY:
-        ctx.library = _build_library(cfg, spec, radius)
-    if names & _NEEDS_ATTRACTOR:
-        ctx.attractor = global_attractor(ensemble, cfg["metric"], _omega_params(cfg))
-    return [_CHECKS[chk["name"]](cfg, chk, ctx) for chk in cfg["checks"]]
+    """Run the configured checks, each on its own.
+
+    A check that raises leaves an error record naming it, and the next check
+    still runs. The library and the attractor are built on first use, once.
+    """
+    ctx = _RunContext(cfg, spec, radius, ensemble)
+    reports = []
+    for chk in cfg["checks"]:
+        name = chk["name"]
+        try:
+            reports.append(_CHECKS[name](cfg, chk, ctx))
+        except (AttractorLabError, ValueError) as exc:
+            reports.append(
+                {
+                    "name": name,
+                    "status": "error",
+                    "type": type(exc).__name__,
+                    "message": str(exc),
+                    "stage": name,
+                }
+            )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +599,20 @@ def _run_checks(cfg: dict, spec, radius, ensemble) -> list[dict]:
 
 
 def run(subcommand: str, cfg: dict) -> int:
+    # A model that the config describes but the model code rejects (a mode,
+    # component or shell it does not retain) raises ConfigInvalid here,
+    # before any artifact is written.
+    spec = _build_spec(cfg["model"])
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     sets: dict = {}
     reports: list[dict] = []
     error_record = None
     exit_code = 0
-    spec, radius, ensemble = None, None, None
+    radius, ensemble = None, None
     stride = cfg["save_stride"]
     try:
-        spec, radius, ensemble = _setup(cfg)
+        radius, ensemble = _setup(cfg, spec)
         if subcommand == "omega":
             est = omega_limit(ensemble, cfg["metric"], _omega_params(cfg))
             sets["omega"] = _set_payload(est)

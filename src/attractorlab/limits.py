@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptySet, HorizonTooShort, InsufficientSamples, ModelMismatch
-from .metrics import METRIC_KINDS, _check_metric, cross_dist
+from .metrics import METRIC_KINDS, _check_metric, pairwise_to_set
 from .models import ModelSpec
 from .state import Ensemble, State, grid_index
 
@@ -110,7 +110,7 @@ def greedy_cluster(spec: ModelSpec, blocks, m: str, tol: float) -> list[np.ndarr
         if buf is None:
             buf = np.empty((16, block.shape[1]))
         if n_acc:
-            near = cross_dist(spec, block, buf[:n_acc], m).min(axis=1) <= tol
+            near = pairwise_to_set(spec, block, buf[:n_acc], m) <= tol
         else:
             near = np.zeros(block.shape[0], dtype=bool)
         # rows kept before this block are already ruled out by `near`
@@ -118,7 +118,7 @@ def greedy_cluster(spec: ModelSpec, blocks, m: str, tol: float) -> list[np.ndarr
         for row, skip in zip(block, near):
             if skip:
                 continue
-            if n_acc > start and cross_dist(spec, row[None, :], buf[start:n_acc], m).min() <= tol:
+            if n_acc > start and pairwise_to_set(spec, row, buf[start:n_acc], m)[0] <= tol:
                 continue
             if n_acc == buf.shape[0]:
                 buf = np.concatenate([buf, np.empty_like(buf)])
@@ -174,7 +174,7 @@ def is_attracting(
     semi = np.empty(idx.shape[0])
     for j, k in enumerate(idx):
         slice_k = ensemble.samples[:, k, :]
-        semi[j] = cross_dist(spec, slice_k, cloud, candidate.metric).min(axis=1).max()
+        semi[j] = pairwise_to_set(spec, slice_k, cloud, candidate.metric).max()
     viol = np.flatnonzero(semi >= eps)
     if viol.size == 0:
         entry_j = 0

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     EmptySet,
@@ -108,14 +107,82 @@ def cross_dist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str) -> np.ndar
     _check_metric(m)
     a = np.atleast_2d(np.asarray(a, float))
     b = np.atleast_2d(np.asarray(b, float))
-    if m == "strong":
-        return cdist(a, b)
     # Rows of a in chunks small enough that each temporary stays under
     # _CHUNK elements (below glibc's mmap threshold, so no page faults).
     out = np.empty((a.shape[0], b.shape[0]))
     per = max(1, _CHUNK // max(1, b.size))
     for i in range(0, a.shape[0], per):
-        out[i : i + per] = weak_dist_arrays(spec, a[i : i + per, None, :] - b)
+        out[i : i + per] = _pointwise(spec, a[i : i + per, None, :] - b, m)
+    return out
+
+
+def pairwise_to_set(
+    spec: ModelSpec, stack: np.ndarray, cloud: np.ndarray, m: str
+) -> np.ndarray:
+    """Distance from each row of ``stack`` to the nearest point of ``cloud``.
+
+    Bitwise the row minimum of cross_dist. Strong inputs of more than
+    _SCREEN_MIN pair-coordinates screen the pairs through the Gram expansion
+    first (see _strong_nearest).
+    """
+    if m == "strong":
+        a = np.atleast_2d(np.asarray(stack, float))
+        b = np.atleast_2d(np.asarray(cloud, float))
+        if a.shape[0] * b.size > _SCREEN_MIN:
+            near = _strong_nearest(a, b)
+            if near is not None:
+                return near
+    return cross_dist(spec, stack, cloud, m).min(axis=1)
+
+
+# Rounding bound of the Gram screen per unit of |a|^2 + |b|^2 and per
+# coordinate. An inner product of length dim errs by at most
+# dim u / (1 - dim u) times |a| |b|, u = eps / 2 (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2002, sec. 3.1); the screened value and
+# the direct squared distance together err by about (2 dim + 3) eps
+# (|a|^2 + |b|^2), and 4 (dim + 4) eps leaves a factor of two to spare.
+_GRAM_SLACK = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# Below this many pair-coordinates (rows x cloud points x dim) the screen's
+# fixed cost (about 45 us) loses to brute force; measured, the two cross
+# between 8e3 and 3e4 for dims 8, 80 and 240 and 1 to 128 rows.
+_SCREEN_MIN = 1 << 14
+
+
+def _strong_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Row minima of the strong metric from a to b, bitwise as brute force.
+
+    |x - y|^2 = |x|^2 + |y|^2 - 2 x.y; within one row |x|^2 is common to all
+    pairs, so e = |y|^2 - 2 x.y (one BLAS product per chunk) ranks them. A
+    pair survives when its e is within twice the row's margin
+    _GRAM_SLACK (dim + 4) (|x|^2 + max |y|^2) of the row minimum, which
+    keeps every pair whose direct distance can be the row minimum. The
+    survivors are measured with strong_dist_arrays, the formula of
+    cross_dist, and sqrt is monotone, so the minimum is the same bits.
+    Returns None unless 4 (max |x|^2 + max |y|^2) is finite: past that, e,
+    its row bound or the margin could overflow and bound nothing (NaN and
+    inf inputs land here too), and brute force takes the input.
+    """
+    na = np.einsum("ij,ij->i", a, a)
+    nb = np.einsum("ij,ij->i", b, b)
+    if not np.isfinite(4.0 * (na.max() + nb.max())):
+        return None
+    k = b.shape[0]
+    # 2 x margin; the tiny term absorbs rounding in the subnormal range
+    width = 2.0 * (_GRAM_SLACK * (a.shape[1] + 4) * (na + nb.max()) + _TINY)
+    out = np.empty(a.shape[0])
+    per = max(1, _CHUNK // k)
+    for i in range(0, a.shape[0], per):
+        ac = a[i : i + per]
+        e = (ac * -2.0) @ b.T  # exact: scaling by a power of two
+        e += nb
+        bound = e.min(axis=1)
+        bound += width[i : i + per]
+        flat = np.flatnonzero(e <= bound[:, None])
+        rows, cols = np.divmod(flat, k)
+        d = strong_dist_arrays(ac[rows] - b[cols])
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[i : i + per] = np.minimum.reduceat(d, starts)
     return out
 
 
@@ -181,7 +248,7 @@ def set_semidist(a, b, m: str) -> float:
     cb, model_b = coords_of_set(b)
     if model_a.key != model_b.key:
         raise ModelMismatch("sets belong to different models")
-    return float(cross_dist(model_a, ca, cb, m).min(axis=1).max())
+    return float(pairwise_to_set(model_a, ca, cb, m).max())
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +329,3 @@ def traj_dist_tail(
     return float(
         window_dist(spec, u.samples[iu : iu + count], v.samples[iv : iv + count], m, steps)
     )
-
-
-def pairwise_to_set(
-    spec: ModelSpec, stack: np.ndarray, cloud: np.ndarray, m: str
-) -> np.ndarray:
-    """Distance from each row of ``stack`` to the nearest point of ``cloud``."""
-    return cross_dist(spec, stack, cloud, m).min(axis=1)

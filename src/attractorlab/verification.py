@@ -21,7 +21,6 @@ from .errors import (
 from .metrics import (
     TrajMetricParams,
     _check_metric,
-    cross_dist,
     pairwise_to_set,
     strong_dist_arrays,
     tail_steps,
@@ -154,8 +153,8 @@ def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> Max
     cloud = attractor_est.coords
     spec = library.model
     m = attractor_est.metric
-    d_ia = float(cross_dist(spec, i_side, cloud, m).min(axis=1).max())
-    d_ai = float(cross_dist(spec, cloud, i_side, m).min(axis=1).max())
+    d_ia = float(pairwise_to_set(spec, i_side, cloud, m).max())
+    d_ai = float(pairwise_to_set(spec, cloud, i_side, m).max())
     return MaximalInvariantReport(
         i_subset_a=d_ia <= eps,
         a_subset_i=d_ai <= eps,

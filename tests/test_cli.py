@@ -2,6 +2,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -190,6 +193,15 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
         ("amplitude", {"model": dict(nse, forcing=[{"mode": [1, 0]}])}),
         ("mode", {"model": dict(nse, forcing=[{"mode": "ab", "amplitude": 0.1}])}),
         ("metric", {"checks": [{"name": "tracking", "metric": "euclid"}]}),
+        # well-typed, but rejected by the model itself
+        ("mode", {"model": dict(nse, forcing=[{"mode": [9, 9], "amplitude": 0.1}])}),
+        ("mode", {"model": dict(nse, forcing=[{"mode": [0, 0], "amplitude": 0.1}])}),
+        ("mode", {"model": dict(nse, forcing=[{"mode": [-1, 0], "amplitude": 0.1}])}),
+        ("mode", {"model": dict(nse, forcing=[{"mode": [1, 0, 0], "amplitude": 0.1}])}),
+        ("component", {"model": dict(nse, forcing=[{"mode": [1, 0], "amplitude": 0.1,
+                                                     "component": 1}])}),
+        ("shell", {"model": {"kind": "dyadic", "truncation": 4,
+                             "forcing": [{"shell": 5, "amplitude": 0.1}]}}),
     ]
     for i, (field, change) in enumerate(cases):
         cfg = dict(TOY, output_dir=str(tmp_path / "out"), **change)
@@ -322,3 +334,86 @@ def test_verify_computes_the_attractor_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     names = [c["name"] for c in json.loads((out / "reports.json").read_text())["checks"]]
     assert names == ["quasi_invariance", "maximal_invariant"]
+
+
+def test_failed_attractor_is_built_once(tmp_path, monkeypatch):
+    # both checks need the attractor; its failed build is not repeated, and
+    # each check records the same error
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("no attractor")
+
+    monkeypatch.setattr(cli, "global_attractor", failing)
+    payload = dict(TOY, checks=[{"name": "quasi_invariance"}, {"name": "maximal_invariant"}])
+    code, out = _run(tmp_path, "verify", payload)
+    assert code == 1
+    assert len(calls) == 1
+    reports = json.loads((out / "reports.json").read_text())["checks"]
+    assert [(r["name"], r["status"], r["type"], r["message"]) for r in reports] == [
+        ("quasi_invariance", "error", "ValueError", "no attractor"),
+        ("maximal_invariant", "error", "ValueError", "no attractor"),
+    ]
+
+
+def test_failing_check_keeps_the_others(tmp_path):
+    # quasi_invariance raises (its window does not fit the library horizon);
+    # the checks before and after it still report
+    payload = dict(
+        TOY,
+        checks=[
+            {"name": "energy"},
+            {"name": "quasi_invariance", "t_win": 50.0},
+            {"name": "compactness"},
+        ],
+    )
+    code, out = _run(tmp_path, "verify", payload)
+    assert code == 1
+    reports = json.loads((out / "reports.json").read_text())
+    assert "error" not in reports
+    energy, quasi, compact = reports["checks"]
+    assert energy["name"] == "energy" and energy["status"] == "pass"
+    assert quasi == {
+        "name": "quasi_invariance",
+        "status": "error",
+        "type": "ValueError",
+        "message": "library horizon too short for the requested window",
+        "stage": "quasi_invariance",
+    }
+    assert compact["name"] == "compactness" and compact["status"] in ("pass", "fail")
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    cfg = {
+        "model": {"kind": "galerkin_nse_2d", "truncation": 2,
+                  "forcing": [{"mode": [1, 0], "amplitude": 0.1}]},
+        "ensemble_size": 2,
+        "horizon": 4.0,
+        "dt": 0.02,
+        "metric": "strong",
+        "output_dir": str(tmp_path / "out"),
+        "omega": {"t_transient": 2.0, "t_max": 4.0, "sample_stride": 2, "cluster_tol": 1e-3},
+        "library": {"size": 2, "t_back": 4.0, "horizon": 4.0},
+        "checks": [
+            {"name": "energy", "eps_ladder": [0.1]},
+            {"name": "maximal_invariant"},
+            {"name": "compactness"},
+        ],
+    }
+    path = _write_cfg(tmp_path, cfg)
+    script = (
+        "import sys\n"
+        "import attractorlab.cli as cli\n"
+        f"code = cli.main(['verify', '--config', {path!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(code, loaded)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    code, loaded = done.stdout.split(" ", 1)
+    assert code in ("0", "2", "3")
+    assert loaded.strip() == "[]"
+    assert (tmp_path / "out" / "reports.json").exists()

@@ -1,6 +1,7 @@
 """Metric axioms, hand values, and the strong/weak comparison."""
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from attractorlab.errors import EmptySet, HorizonTooShort, ModelMismatch
 from attractorlab.metrics import (
@@ -11,6 +12,7 @@ from attractorlab.metrics import (
     pairwise_to_set,
     point_set_dist,
     set_semidist,
+    strong_dist_arrays,
     tail_steps,
     traj_dist_tail,
     traj_dist_window,
@@ -120,6 +122,7 @@ def test_cross_dist_matches_cdist_and_loops():
     cs = cross_dist(spec, a, b, "strong")
     cw = cross_dist(spec, a, b, "weak")
     assert cs.shape == (5, 3) and cw.shape == (5, 3)
+    np.testing.assert_allclose(cs, cdist(a, b), rtol=1e-14, atol=0)
     for i in range(5):
         for j in range(3):
             assert abs(cs[i, j] - np.linalg.norm(a[i] - b[j])) < 1e-12
@@ -127,7 +130,7 @@ def test_cross_dist_matches_cdist_and_loops():
     np.testing.assert_allclose(
         pairwise_to_set(spec, a, b, "strong"), cs.min(axis=1), atol=0
     )
-    # weak rows are computed in chunks: bitwise equal to one row at a time,
+    # rows are computed in chunks: bitwise equal to one row at a time,
     # including several chunks with a short last one
     nse4 = make_spec("galerkin_nse_2d", truncation=4)
     for spec, n, k in [(SPECS[0], 5, 3), (SPECS[0], 301, 40), (nse4, 97, 150)]:
@@ -135,6 +138,59 @@ def test_cross_dist_matches_cdist_and_loops():
         b = rng.standard_normal((k, spec_dim(spec)))
         rows = np.stack([weak_dist_arrays(spec, row[None, :] - b) for row in a])
         np.testing.assert_array_equal(cross_dist(spec, a, b, "weak"), rows)
+        cs = cross_dist(spec, a, b, "strong")
+        np.testing.assert_array_equal(cs, np.stack([strong_dist_arrays(row - b) for row in a]))
+        np.testing.assert_allclose(cs, cdist(a, b), rtol=1e-14, atol=0)
+
+
+def _near_duplicate_cloud(rng, dim, k, scale):
+    # points of a few centres, each moved by a relative offset 1e-14..1
+    centres = rng.standard_normal((max(1, k // 4), dim)) * scale
+    pts = centres[rng.integers(0, centres.shape[0], k)]
+    rel = 10.0 ** rng.uniform(-14, 0, size=(k, 1))
+    return pts + rng.standard_normal((k, dim)) * scale * rel
+
+
+def test_strong_nearest_is_bitwise_brute_force():
+    # the Gram screen must keep every pair that can be a row minimum; every
+    # shape has more than 2^14 pair-coordinates, so the screen runs
+    rng = np.random.default_rng(2024)
+    for dim in (2, 8, 80, 240):
+        spec = make_spec("toy_contraction", truncation=dim)
+        big = 2**14 // dim + 1
+        for scale in (1e-8, 1e-3, 1.0, 1e3):
+            for n, k in [(big, 1), (1, big), (37, 300), (300, 60)]:
+                b = _near_duplicate_cloud(rng, dim, k, scale)
+                picks = b[rng.integers(0, k, n)]
+                rel = 10.0 ** rng.uniform(-14, 0, size=(n, 1))
+                a = picks + rng.standard_normal((n, dim)) * scale * rel
+                brute = strong_dist_arrays(a[:, None, :] - b).min(axis=1)
+                np.testing.assert_array_equal(pairwise_to_set(spec, a, b, "strong"), brute)
+
+
+def test_strong_nearest_edge_inputs():
+    spec = make_spec("toy_contraction", truncation=8)
+    zeros = np.zeros((50, 8))
+    np.testing.assert_array_equal(pairwise_to_set(spec, zeros, zeros, "strong"), np.zeros(50))
+    # squares in the subnormal range
+    rng = np.random.default_rng(5)
+    tiny = _near_duplicate_cloud(rng, 8, 60, 1e-160)
+    a = tiny[::-1] + rng.standard_normal((60, 8)) * 1e-162
+    want = strong_dist_arrays(a[:, None, :] - tiny).min(axis=1)
+    np.testing.assert_array_equal(pairwise_to_set(spec, a, tiny, "strong"), want)
+    huge = np.full((50, 8), 1e200)  # squared norms overflow: brute force
+    huge[0, 0] = np.nan
+    got = pairwise_to_set(spec, huge, huge[1:], "strong")
+    assert np.isnan(got[0]) and (got[1:] == 0.0).all()
+    # finite squared norms whose sum overflows: for the first row, -2 x.y
+    # overflows against y = 1.85 x and the margin is inf
+    x = np.full(8, np.sqrt(5e307 / 8))
+    stack = np.vstack([x, rng.standard_normal((49, 8))])
+    cloud = np.vstack([x, 1.85 * x, rng.standard_normal((60, 8))])
+    assert np.isfinite(np.einsum("ij,ij->i", cloud, cloud)).all()
+    want = strong_dist_arrays(stack[:, None, :] - cloud).min(axis=1)
+    assert want[0] == 0.0
+    np.testing.assert_array_equal(pairwise_to_set(spec, stack, cloud, "strong"), want)
 
 
 def _group_norm_weak(spec, diff):

@@ -5,6 +5,7 @@ import pytest
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch
 from attractorlab.models import (
+    _cumulative_simpson,
     absorbing_radius,
     check_a3,
     check_energy_inequality,
@@ -164,6 +165,20 @@ def test_unforced_galerkin_norm_decays_at_poincare_rate():
     k8, k11 = tr.index_of(8.0), tr.index_of(11.0)
     rate = -np.log(norms[k11] / norms[k8]) / 3.0
     assert abs(rate - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [601, 1101])
+def test_cumulative_simpson_matches_scipy_bitwise(n):
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(n)
+    for dx in (1e-3, 0.02, 0.1, 1.0, 7.5):
+        for y in (rng.standard_normal(n), -rng.random(n) * 1e-9, np.full(n, -0.0)):
+            got = _cumulative_simpson(y, dx)
+            want = cumulative_simpson(y, dx=dx, initial=0.0)
+            assert got.shape == want.shape == (n,)
+            # int view: equal bits, the sign of zero included
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_energy_identity_gap_settled_is_tiny():
