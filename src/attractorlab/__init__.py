@@ -43,21 +43,17 @@ from .models import (
     EnergyLedger,
     ModelSpec,
     absorbing_radius,
-    bilinear_b,
     check_a3,
     check_energy_inequality,
     default_radius,
     dyadic_forcing,
-    dyadic_rhs,
     energy_identity_gap,
     energy_ledger,
     make_spec,
     nse_forcing,
-    nse_rhs,
     sample_ball,
     smooth_profile,
     steady_state,
-    toy_rhs,
 )
 from .limits import (
     AttractionReport,

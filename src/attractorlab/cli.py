@@ -59,178 +59,152 @@ from .verification import (
 
 SUBCOMMANDS = ("simulate", "omega", "attractor", "trajectory-attractor", "verify")
 
-_MODEL_KEYS = {"kind", "nu", "L", "truncation", "lambda", "forcing"}
-_OMEGA_KEYS = {"t_transient", "t_max", "sample_stride", "cluster_tol"}
-_LIBRARY_KEYS = {"size", "t_back", "horizon"}
-_TOP_KEYS = {
-    "model",
-    "seed",
-    "ensemble_size",
-    "horizon",
-    "dt",
-    "radius",
-    "metric",
-    "omega",
-    "library",
-    "checks",
-    "output_dir",
-    "save_stride",
+# Config tables: each section maps its keys to (kind, default, bound). A kind
+# is int, float or str, a tuple of allowed strings, [int] or [float] for a
+# list of numbers, a nested table, or list for a list of entries that
+# load_config checks itself. A default is a value, _REQUIRED, or a function
+# of the top-level config walked so far. A bound ("> 0", ">= 1") applies to a
+# number or to each number of a list.
+_REQUIRED = object()
+
+
+def _horizon(cfg: dict) -> float:
+    return cfg["horizon"]
+
+
+def _half_horizon(cfg: dict) -> float:
+    return cfg["horizon"] / 2.0
+
+
+_MODEL = {
+    "kind": (KINDS, _REQUIRED, None),
+    "nu": (float, 1.0, "> 0"),
+    "L": (float, 2.0 * np.pi, "> 0"),
+    "truncation": (int, _REQUIRED, ">= 1"),
+    "lambda": (float, 2.0, None),
+    "forcing": (list, [], None),
 }
-# check name -> {key: type}; numeric keys are validated by load_config
-_CHECK_KEYS = {
-    "energy": {"name": str, "eps_ladder": list, "gap_tol": float},
-    "absorbing": {"name": str, "n_samples": int, "horizon": float},
-    "tracking": {"name": str, "metric": str, "eps_ladder": list, "window_T": float},
-    "quasi_invariance": {"name": str, "eps": float, "t_win": float},
-    "maximal_invariant": {"name": str, "eps": float},
-    "compactness": {"name": str, "k": int, "n_times": int, "t_from": float, "threshold": float},
-    "point_convergence": {"name": str, "t_star": float, "n_seq": int},
+_FORCING = {
+    "nse": {
+        "mode": ([int], _REQUIRED, None),
+        "amplitude": (float, _REQUIRED, None),
+        "component": (int, 0, None),
+        "part": (("cos", "sin"), "cos", None),
+    },
+    "dyadic": {"shell": (int, _REQUIRED, None), "amplitude": (float, _REQUIRED, None)},
 }
-_NSE_FORCING_KEYS = {"mode", "amplitude", "component", "part"}
-_DYADIC_FORCING_KEYS = {"shell", "amplitude"}
+_CONFIG = {
+    "model": (_MODEL, _REQUIRED, None),
+    "seed": (int, 0, ">= 0"),
+    "ensemble_size": (int, 8, ">= 1"),
+    "horizon": (float, _REQUIRED, "> 0"),
+    "dt": (float, _REQUIRED, "> 0"),
+    "radius": (float, None, "> 0"),  # None: the model's default radius
+    "metric": (METRIC_KINDS, "strong", None),
+    "save_stride": (int, 1, ">= 1"),
+    "output_dir": (str, "out", None),
+    "omega": (
+        {
+            "t_transient": (float, _half_horizon, None),
+            "t_max": (float, _horizon, None),
+            "sample_stride": (int, 1, ">= 1"),
+            "cluster_tol": (float, 1e-3, "> 0"),
+        },
+        {},
+        None,
+    ),
+    "library": (
+        {
+            "size": (int, 8, ">= 1"),
+            "t_back": (float, 50.0, ">= 0"),
+            "horizon": (float, _horizon, "> 0"),
+        },
+        {},
+        None,
+    ),
+    "checks": (list, [], None),
+}
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigInvalid(f"unknown config key {where}.{key}")
+def _value(value, kind, bound, where: str, root: dict):
+    """value checked against its kind and bound; ConfigInvalid otherwise.
 
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigInvalid(f"missing config key {where}.{key}")
-    return section[key]
-
-
-def _number(value, where: str, kind: type):
-    """value as a finite int or float; ConfigInvalid for anything else.
-
-    Booleans, non-finite values and, for kind int, non-integral values are
-    rejected too.
+    A number must be finite and not a boolean, and an int must be integral.
     """
+    if isinstance(kind, dict):
+        return _section(value, kind, where, root)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigInvalid(f"{where} must be one of {kind}, got {value!r}")
+        return value
+    if kind in (str, list):
+        if not isinstance(value, kind):
+            raise ConfigInvalid(f"{where} must be a {kind.__name__}, got {value!r}")
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigInvalid(f"{where} must be a list of numbers, got {value!r}")
+        return [_value(v, kind[0], bound, f"{where}[{j}]", root) for j, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{where} must be a number, got {value!r}")
     if not np.isfinite(value):
         raise ConfigInvalid(f"{where} must be finite, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
+    if bound is not None:
+        op, least = bound.split()
+        if not (value > float(least) if op == ">" else value >= float(least)):
+            raise ConfigInvalid(f"{where} must be {bound}, got {value!r}")
     return kind(value)
 
 
+def _section(raw, table: dict, where: str, root: dict | None = None) -> dict:
+    """A config object walked against its table, every field filled."""
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"{where} must be an object")
+    out: dict = {}
+    root = out if root is None else root
+    for key, (kind, default, bound) in table.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigInvalid(f"missing config key {where}.{key}")
+        if callable(value):
+            value = value(root)
+        if value is not None or default is not None:
+            value = _value(value, kind, bound, f"{where}.{key}", root)
+        out[key] = value
+    for key in raw:
+        if key not in table:
+            raise ConfigInvalid(f"unknown config key {where}.{key}")
+    return out
+
+
 def load_config(path: str | Path) -> dict:
-    """Parse and validate a JSON experiment config, filling defaults."""
+    """Parse and validate a JSON experiment config, filling every default."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigInvalid(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config root must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    model = _require(raw, "model", "config")
-    if not isinstance(model, dict):
-        raise ConfigInvalid("config.model must be an object")
-    _reject_unknown(model, _MODEL_KEYS, "model")
-    kind = _require(model, "kind", "model")
-    if kind not in KINDS:
-        raise ConfigInvalid(f"model.kind must be one of {KINDS}, got {kind!r}")
-    cfg = {
-        "model": {
-            "kind": kind,
-            "nu": _number(model.get("nu", 1.0), "model.nu", float),
-            "L": _number(model.get("L", 2.0 * np.pi), "model.L", float),
-            "truncation": _number(
-                _require(model, "truncation", "model"), "model.truncation", int
-            ),
-            "lambda": _number(model.get("lambda", 2.0), "model.lambda", float),
-            "forcing": model.get("forcing", []),
-        },
-        "seed": _number(raw.get("seed", 0), "config.seed", int),
-        "ensemble_size": _number(raw.get("ensemble_size", 8), "config.ensemble_size", int),
-        "horizon": _number(_require(raw, "horizon", "config"), "config.horizon", float),
-        "dt": _number(_require(raw, "dt", "config"), "config.dt", float),
-        "radius": (
-            None if raw.get("radius") is None else _number(raw["radius"], "config.radius", float)
-        ),
-        "metric": raw.get("metric", "strong"),
-        "save_stride": _number(raw.get("save_stride", 1), "config.save_stride", int),
-        "output_dir": raw.get("output_dir", "out"),
-    }
-    if cfg["metric"] not in METRIC_KINDS:
-        raise ConfigInvalid(f"config.metric must be one of {METRIC_KINDS}")
-    if cfg["save_stride"] < 1:
-        raise ConfigInvalid("config.save_stride must be >= 1")
-    if not isinstance(cfg["output_dir"], str):
-        raise ConfigInvalid("config.output_dir must be a string")
-    if not isinstance(cfg["model"]["forcing"], list):
-        raise ConfigInvalid("model.forcing must be a list of entries")
-    for i, entry in enumerate(cfg["model"]["forcing"]):
-        where = f"model.forcing[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigInvalid(f"{where} must be an object")
-        allowed = _NSE_FORCING_KEYS if kind in NSE_KINDS else _DYADIC_FORCING_KEYS
-        _reject_unknown(entry, allowed, where)
-        _number(_require(entry, "amplitude", where), f"{where}.amplitude", float)
-        if kind not in NSE_KINDS:
-            _number(_require(entry, "shell", where), f"{where}.shell", int)
-            continue
-        mode = _require(entry, "mode", where)
-        if not isinstance(mode, list):
-            raise ConfigInvalid(f"{where}.mode must be a list of integers")
-        for j, c in enumerate(mode):
-            _number(c, f"{where}.mode[{j}]", int)
-        _number(entry.get("component", 0), f"{where}.component", int)
-        if entry.get("part", "cos") not in ("cos", "sin"):
-            raise ConfigInvalid(f"{where}.part must be 'cos' or 'sin'")
-
-    omega = raw.get("omega", {})
-    if not isinstance(omega, dict):
-        raise ConfigInvalid("config.omega must be an object")
-    _reject_unknown(omega, _OMEGA_KEYS, "omega")
-    horizon = cfg["horizon"]
-    cfg["omega"] = {
-        "t_transient": _number(omega.get("t_transient", horizon / 2.0), "omega.t_transient", float),
-        "t_max": _number(omega.get("t_max", horizon), "omega.t_max", float),
-        "sample_stride": _number(omega.get("sample_stride", 1), "omega.sample_stride", int),
-        "cluster_tol": _number(omega.get("cluster_tol", 1e-3), "omega.cluster_tol", float),
-    }
-    library = raw.get("library", {})
-    if not isinstance(library, dict):
-        raise ConfigInvalid("config.library must be an object")
-    _reject_unknown(library, _LIBRARY_KEYS, "library")
-    cfg["library"] = {
-        "size": _number(library.get("size", 8), "library.size", int),
-        "t_back": _number(library.get("t_back", 50.0), "library.t_back", float),
-        "horizon": _number(library.get("horizon", horizon), "library.horizon", float),
-    }
-    checks = raw.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigInvalid("config.checks must be a list")
-    cfg["checks"] = []
-    for i, chk in enumerate(checks):
-        if not isinstance(chk, dict):
-            raise ConfigInvalid(f"checks[{i}] must be an object")
-        name = _require(chk, "name", f"checks[{i}]")
-        if not isinstance(name, str) or name not in _CHECK_KEYS:
-            raise ConfigInvalid(
-                f"checks[{i}].name must be one of {sorted(_CHECK_KEYS)}, got {name!r}"
-            )
-        _reject_unknown(chk, _CHECK_KEYS[name], f"checks[{i}]")
-        for key, kind in _CHECK_KEYS[name].items():
-            where = f"checks[{i}].{key}"
-            if key not in chk or kind is str:
-                continue
-            if kind is not list:
-                _number(chk[key], where, kind)
-            elif not isinstance(chk[key], list):
-                raise ConfigInvalid(f"{where} must be a list of numbers")
-            else:
-                for j, value in enumerate(chk[key]):
-                    _number(value, f"{where}[{j}]", float)
-        if chk.get("metric", cfg["metric"]) not in METRIC_KINDS:
-            raise ConfigInvalid(f"checks[{i}].metric must be one of {METRIC_KINDS}")
-        cfg["checks"].append(dict(chk))
+    cfg = _section(raw, _CONFIG, "config")
+    model = cfg["model"]
+    forcing = _FORCING["nse" if model["kind"] in NSE_KINDS else "dyadic"]
+    model["forcing"] = [
+        _section(entry, forcing, f"config.model.forcing[{i}]", cfg)
+        for i, entry in enumerate(model["forcing"])
+    ]
+    checks = []
+    for i, chk in enumerate(cfg["checks"]):
+        name = chk.get("name") if isinstance(chk, dict) else None
+        fields = _CHECKS[name][1] if isinstance(name, str) and name in _CHECKS else {}
+        table = {"name": (tuple(_CHECKS), _REQUIRED, None), **fields}
+        checks.append(_section(chk, table, f"config.checks[{i}]", cfg))
+    cfg["checks"] = checks
+    try:
+        OmegaParams(**cfg["omega"])
+    except ValueError as exc:
+        raise ConfigInvalid(f"config.omega: {exc}")
     return cfg
 
 
@@ -351,16 +325,6 @@ def _build_library(cfg: dict, spec: ModelSpec, radius: float) -> Ensemble:
     )
 
 
-def _omega_params(cfg: dict) -> OmegaParams:
-    o = cfg["omega"]
-    return OmegaParams(
-        t_transient=o["t_transient"],
-        t_max=o["t_max"],
-        sample_stride=o["sample_stride"],
-        cluster_tol=o["cluster_tol"],
-    )
-
-
 def _status_exit(reports: list[dict]) -> int:
     statuses = {r["status"] for r in reports}
     if "error" in statuses:
@@ -400,9 +364,10 @@ class _RunContext:
 
     @property
     def attractor(self):
+        cfg = self.cfg
         return self._once(
             "attractor",
-            lambda: global_attractor(self.ensemble, self.cfg["metric"], _omega_params(self.cfg)),
+            lambda: global_attractor(self.ensemble, cfg["metric"], OmegaParams(**cfg["omega"])),
         )
 
 
@@ -411,8 +376,6 @@ class _RunContext:
 
 
 def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    eps_ladder = [float(e) for e in chk.get("eps_ladder", (1e-1, 1e-2, 1e-3))]
-    gap_tol = float(chk.get("gap_tol", 1e-6))
     worst_ratio = 0.0
     rungs = {}
     holds = True
@@ -421,32 +384,30 @@ def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
         e0 = float(led.energy[0])
         gap = energy_identity_gap(ctx.spec, led)
         worst_ratio = max(worst_ratio, gap / e0 if e0 > 0 else gap)
-        for eps in eps_ladder:
+        for eps in chk["eps_ladder"]:
             rep = check_energy_inequality(tr, led, eps, radius=ctx.radius)
             rec = rungs.setdefault(repr(eps), {"holds": True, "worst_delta": -np.inf})
             rec["holds"] = rec["holds"] and rep.holds
             rec["worst_delta"] = max(rec["worst_delta"], rep.worst_delta)
             holds = holds and rep.holds
-    ok = holds and worst_ratio <= gap_tol
+    ok = holds and worst_ratio <= chk["gap_tol"]
     return {
         "name": "energy",
         "status": "pass" if ok else "fail",
         "gap_ratio": worst_ratio,
-        "gap_tol": gap_tol,
+        "gap_tol": chk["gap_tol"],
         "ladder": rungs,
     }
 
 
 def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     spec = ctx.spec
-    n = int(chk.get("n_samples", 64))
-    horizon = float(chk.get("horizon", cfg["horizon"]))
     r_abs = absorbing_radius(spec)
     profile = smooth_profile(spec) if spec.kind in NSE_KINDS else None
     boundary = sample_ball(
-        spec, n, radius=2.0 * r_abs, seed=cfg["seed"] + 2, boundary=True, profile=profile
+        spec, chk["n_samples"], 2.0 * r_abs, cfg["seed"] + 2, boundary=True, profile=profile
     )
-    ens = build_ensemble(spec, boundary, 0.0, horizon, cfg["dt"], label="absorbing")
+    ens = build_ensemble(spec, boundary, 0.0, chk["horizon"], cfg["dt"], label="absorbing")
     ok = True
     worst_entry = 0.0
     slack = 1e-9 * r_abs
@@ -463,15 +424,14 @@ def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
         "status": "pass" if ok else "fail",
         "radius": r_abs,
         "worst_entry_time": worst_entry,
-        "n_samples": n,
+        "n_samples": chk["n_samples"],
     }
 
 
 def _check_tracking(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    metric = chk.get("metric", cfg["metric"])
-    ladder = [float(e) for e in chk.get("eps_ladder", (1e-1, 1e-2, 1e-3))]
-    window = float(chk.get("window_T", 2.0))
-    rungs = tracking_ladder(ctx.ensemble, ctx.library, metric, window, eps_ladder=ladder)
+    rungs = tracking_ladder(
+        ctx.ensemble, ctx.library, chk["metric"], chk["window_T"], eps_ladder=chk["eps_ladder"]
+    )
     out = {}
     ok = True
     for eps, rep in rungs:
@@ -483,67 +443,60 @@ def _check_tracking(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     return {
         "name": "tracking",
         "status": "pass" if ok else "fail",
-        "metric": metric,
+        "metric": chk["metric"],
         "ladder": out,
     }
 
 
 def _check_quasi_invariance(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    eps = float(chk.get("eps", 1e-3))
-    t_win = float(chk.get("t_win", 2.0))
-    rep = check_quasi_invariance(ctx.attractor, ctx.library, eps=eps, t_win=t_win)
+    rep = check_quasi_invariance(ctx.attractor, ctx.library, eps=chk["eps"], t_win=chk["t_win"])
     return {
         "name": "quasi_invariance",
         "status": "pass" if rep.covered_fraction == 1.0 else "fail",
         "covered_fraction": rep.covered_fraction,
-        "eps": eps,
+        "eps": chk["eps"],
     }
 
 
 def _check_maximal_invariant(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    eps = float(chk.get("eps", 1e-3))
-    rep = check_maximal_invariant(ctx.attractor, ctx.library, eps=eps)
+    rep = check_maximal_invariant(ctx.attractor, ctx.library, eps=chk["eps"])
     ok = rep.i_subset_a and rep.a_subset_i
     return {
         "name": "maximal_invariant",
         "status": "pass" if ok else "fail",
         "d_i_to_a": rep.d_i_to_a,
         "d_a_to_i": rep.d_a_to_i,
-        "eps": eps,
+        "eps": chk["eps"],
     }
 
 
 def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    k = int(chk.get("k", 8))
-    n_times = int(chk.get("n_times", 16))
-    t_from = float(chk.get("t_from", cfg["horizon"] / 2.0))
-    threshold = float(chk.get("threshold", 1e-2))
+    n_times = chk["n_times"]
     ensemble = ctx.ensemble
-    k_from = ensemble.index_of(t_from)
+    k_from = ensemble.index_of(chk["t_from"])
     n = ensemble.n_samples
     stride = max(1, (n - k_from - 1) // max(1, n_times - 1))
     idx = [k_from + j * stride for j in range(n_times) if k_from + j * stride < n]
     times = [ensemble.t0 + i * ensemble.dt for i in idx]
-    defect = asymptotic_compactness_defect(ensemble, times, min(k, len(times)))
+    k = min(chk["k"], len(times))
+    defect = asymptotic_compactness_defect(ensemble, times, k)
     return {
         "name": "compactness",
-        "status": "pass" if defect <= threshold else "fail",
+        "status": "pass" if defect <= chk["threshold"] else "fail",
         "defect": defect,
-        "k": min(k, len(times)),
-        "threshold": threshold,
+        "k": k,
+        "threshold": chk["threshold"],
     }
 
 
 def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    t_star = float(chk.get("t_star", cfg["horizon"] / 2.0))
-    n_seq = int(chk.get("n_seq", 6))
     base = ctx.ensemble.trajectories[0]
     bump = np.zeros(spec_dim(ctx.spec))
     bump[0] = 1.0
-    starts = [base.samples[0] + 2.0 ** (-n) * bump for n in range(1, n_seq + 1)]
+    starts = [base.samples[0] + 2.0 ** (-n) * bump for n in range(1, chk["n_seq"] + 1)]
     seq = build_ensemble(ctx.spec, np.array(starts), 0.0, cfg["horizon"], cfg["dt"]).trajectories
     try:
-        rep = check_strong_convergence_at_point(seq, base, t_star)
+        rep = check_strong_convergence_at_point(seq, base, chk["t_star"])
     except HypothesisFail as exc:
         return {
             "name": "point_convergence",
@@ -554,18 +507,45 @@ def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
         "name": "point_convergence",
         "status": "pass" if rep.converged else "fail",
         "dists": list(rep.dists),
-        "t_star": t_star,
+        "t_star": chk["t_star"],
     }
 
 
+_EPS_LADDER = ([float], [1e-1, 1e-2, 1e-3], "> 0")
+
+# check name -> (runner, config table of its fields besides "name")
 _CHECKS = {
-    "energy": _check_energy,
-    "absorbing": _check_absorbing,
-    "tracking": _check_tracking,
-    "quasi_invariance": _check_quasi_invariance,
-    "maximal_invariant": _check_maximal_invariant,
-    "compactness": _check_compactness,
-    "point_convergence": _check_point_convergence,
+    "energy": (_check_energy, {"eps_ladder": _EPS_LADDER, "gap_tol": (float, 1e-6, ">= 0")}),
+    "absorbing": (
+        _check_absorbing,
+        {"n_samples": (int, 64, ">= 1"), "horizon": (float, _horizon, "> 0")},
+    ),
+    "tracking": (
+        _check_tracking,
+        {
+            "metric": (METRIC_KINDS, lambda cfg: cfg["metric"], None),
+            "eps_ladder": _EPS_LADDER,
+            "window_T": (float, 2.0, "> 0"),
+        },
+    ),
+    "quasi_invariance": (
+        _check_quasi_invariance,
+        {"eps": (float, 1e-3, "> 0"), "t_win": (float, 2.0, "> 0")},
+    ),
+    "maximal_invariant": (_check_maximal_invariant, {"eps": (float, 1e-3, "> 0")}),
+    "compactness": (
+        _check_compactness,
+        {
+            "k": (int, 8, ">= 1"),
+            "n_times": (int, 16, ">= 2"),
+            "t_from": (float, _half_horizon, None),
+            "threshold": (float, 1e-2, ">= 0"),
+        },
+    ),
+    "point_convergence": (
+        _check_point_convergence,
+        {"t_star": (float, _half_horizon, None), "n_seq": (int, 6, ">= 1")},
+    ),
 }
 
 
@@ -580,7 +560,7 @@ def _run_checks(cfg: dict, spec, radius, ensemble) -> list[dict]:
     for chk in cfg["checks"]:
         name = chk["name"]
         try:
-            reports.append(_CHECKS[name](cfg, chk, ctx))
+            reports.append(_CHECKS[name][0](cfg, chk, ctx))
         except (AttractorLabError, ValueError) as exc:
             reports.append(
                 {
@@ -614,10 +594,10 @@ def run(subcommand: str, cfg: dict) -> int:
     try:
         radius, ensemble = _setup(cfg, spec)
         if subcommand == "omega":
-            est = omega_limit(ensemble, cfg["metric"], _omega_params(cfg))
+            est = omega_limit(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
             sets["omega"] = _set_payload(est)
         elif subcommand == "attractor":
-            est = global_attractor(ensemble, cfg["metric"], _omega_params(cfg))
+            est = global_attractor(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
             sets["attractor"] = _set_payload(est)
             reports.append(
                 {
@@ -698,7 +678,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = _value(args.seed, int, ">= 0", "--seed", cfg)
         if args.out is not None:
             cfg["output_dir"] = args.out
         return run(args.subcommand, cfg)

@@ -116,7 +116,6 @@ def complete_surrogates(
     t_back: float,
     horizon: float,
     dt: float,
-    label: str = "surrogate-library",
 ) -> Ensemble:
     """Far-past surrogate library for complete trajectories.
 
@@ -127,7 +126,7 @@ def complete_surrogates(
     if t_back < 0:
         raise ValueError("t_back must be nonnegative")
     span_steps(-t_back, 0.0, dt)  # library grid must contain t = 0
-    return build_ensemble(model, initials, -t_back, horizon, dt, label=label)
+    return build_ensemble(model, initials, -t_back, horizon, dt, label="surrogate-library")
 
 
 def r_map(ensemble: Ensemble, t: float) -> list[State]:

@@ -152,16 +152,11 @@ def omega_limit(ensemble: Ensemble, m: str, p: OmegaParams) -> SetEstimate:
     return SetEstimate(points=points, metric=m, tol=p.cluster_tol, horizon=p.t_max)
 
 
-def is_attracting(
-    candidate: SetEstimate,
-    ensemble: Ensemble,
-    eps: float,
-    stride: int = 1,
-) -> AttractionReport:
+def is_attracting(candidate: SetEstimate, ensemble: Ensemble, eps: float) -> AttractionReport:
     """Scan reachable slices for uniform attraction to the candidate set.
 
-    Checks set_semidist(R(t) slice, candidate) < eps at every stride-th grid
-    time; reports the earliest entry time after which no violation occurs.
+    Checks set_semidist(R(t) slice, candidate) < eps at every grid time;
+    reports the earliest entry time after which no violation occurs.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
@@ -169,7 +164,7 @@ def is_attracting(
         raise ModelMismatch("candidate set and ensemble belong to different models")
     cloud = candidate.coords
     spec = ensemble.model
-    idx = np.arange(0, ensemble.n_samples, stride)
+    idx = np.arange(ensemble.n_samples)
     times = ensemble.t0 + ensemble.dt * idx
     semi = np.empty(idx.shape[0])
     for j, k in enumerate(idx):
@@ -193,11 +188,7 @@ def is_attracting(
 
 
 def global_attractor(
-    ensemble_of_x: Ensemble,
-    m: str,
-    p: OmegaParams,
-    eps: float | None = None,
-    stride: int = 1,
+    ensemble_of_x: Ensemble, m: str, p: OmegaParams, eps: float | None = None
 ) -> SetEstimate:
     """Attractor estimate: omega limit of a phase-space-sampling ensemble.
 
@@ -208,7 +199,7 @@ def global_attractor(
     and the scanned slice).
     """
     est = omega_limit(ensemble_of_x, m, p)
-    report = is_attracting(est, ensemble_of_x, 2.0 * p.cluster_tol if eps is None else eps, stride)
+    report = is_attracting(est, ensemble_of_x, 2.0 * p.cluster_tol if eps is None else eps)
     return replace(est, attraction=report)
 
 

@@ -165,8 +165,9 @@ def _strong_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """
     na = np.einsum("ij,ij->i", a, a)
     nb = np.einsum("ij,ij->i", b, b)
-    if not np.isfinite(4.0 * (na.max() + nb.max())):
-        return None
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 * (na.max() + nb.max())):
+            return None
     k = b.shape[0]
     # 2 x margin; the tiny term absorbs rounding in the subnormal range
     width = 2.0 * (_GRAM_SLACK * (a.shape[1] + 4) * (na + nb.max()) + _TINY)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
 from .spectral import ModeTable, advect, build_mode_table
-from .state import State
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import Trajectory
@@ -111,18 +110,20 @@ def make_spec(
 # ---------------------------------------------------------------------------
 # cached per-spec arrays
 
-_TABLES: dict[tuple[int, float, int], ModeTable] = {}
-_SPEC_ARRAYS: dict[tuple[str, str], np.ndarray] = {}
+# (d, L, N) -> mode table, and (spec key, name) -> read-only array
+_MEMO: dict[tuple, ModeTable | np.ndarray] = {}
+
+
+def _memo(key: tuple, build):
+    value = _MEMO.get(key)
+    if value is None:
+        value = _MEMO[key] = build()
+    return value
 
 
 def _cached_table(kind: str, L: float, truncation: int) -> ModeTable:
-    d = 2 if kind == "galerkin_nse_2d" else 3
-    cache_key = (d, float(L), int(truncation))
-    table = _TABLES.get(cache_key)
-    if table is None:
-        table = build_mode_table(*cache_key)
-        _TABLES[cache_key] = table
-    return table
+    key = (2 if kind == "galerkin_nse_2d" else 3, float(L), int(truncation))
+    return _memo(key, lambda: build_mode_table(*key))
 
 
 def mode_table(spec: ModelSpec) -> ModeTable:
@@ -132,13 +133,12 @@ def mode_table(spec: ModelSpec) -> ModeTable:
 
 
 def _cached(spec: ModelSpec, name: str, build) -> np.ndarray:
-    key = (spec.key, name)
-    arr = _SPEC_ARRAYS.get(key)
-    if arr is None:
+    def frozen() -> np.ndarray:
         arr = build()
         arr.setflags(write=False)
-        _SPEC_ARRAYS[key] = arr
-    return arr
+        return arr
+
+    return _memo((spec.key, name), frozen)
 
 
 def spec_dim(spec: ModelSpec) -> int:
@@ -194,7 +194,7 @@ def linear_rates(spec: ModelSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dynamics (array level; State-level wrappers below)
+# dynamics (array level)
 
 
 def _check_operand(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
@@ -243,34 +243,6 @@ def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     return nonlinear_array(spec, u) - linear_rates(spec) * u
 
 
-def _state_op(spec: ModelSpec, x: State) -> np.ndarray:
-    if x.model.key != spec.key:
-        raise ModelMismatch("state does not belong to this model")
-    return x.coords
-
-
-def nse_rhs(spec: ModelSpec, u: State) -> State:
-    if spec.kind not in NSE_KINDS:
-        raise ModelMismatch(f"nse_rhs does not apply to {spec.kind}")
-    return State(rhs_array(spec, _state_op(spec, u)), spec)
-
-
-def bilinear_b(spec: ModelSpec, u: State, v: State) -> State:
-    return State(advection_array(spec, _state_op(spec, u), _state_op(spec, v)), spec)
-
-
-def dyadic_rhs(spec: ModelSpec, a: State) -> State:
-    if spec.kind != "dyadic":
-        raise ModelMismatch(f"dyadic_rhs does not apply to {spec.kind}")
-    return State(rhs_array(spec, _state_op(spec, a)), spec)
-
-
-def toy_rhs(spec: ModelSpec, x: State) -> State:
-    if spec.kind != "toy_contraction":
-        raise ModelMismatch(f"toy_rhs does not apply to {spec.kind}")
-    return State(-_state_op(spec, x), spec)
-
-
 def enstrophy(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     """Squared dissipation norm ||u||^2 = (A u, u)."""
     u = _check_operand(spec, u)
@@ -281,8 +253,12 @@ def enstrophy(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
 # absorbing ball and forcing construction
 
 
-def absorbing_radius(spec: ModelSpec, margin: float = 0.1) -> float:
-    """Radius (1 + margin) |g| L / (2 pi nu) of the absorbing energy ball.
+# relative margin of the absorbing and default radii over their bounds
+_RADIUS_MARGIN = 0.1
+
+
+def absorbing_radius(spec: ModelSpec) -> float:
+    """Radius 1.1 |g| L / (2 pi nu) of the absorbing energy ball.
 
     Zero forcing degenerates to radius 0 (the attractor is the origin);
     callers pick an explicit ball in that case.
@@ -290,17 +266,17 @@ def absorbing_radius(spec: ModelSpec, margin: float = 0.1) -> float:
     if spec.kind not in NSE_KINDS:
         raise ModelMismatch(f"absorbing_radius applies to Galerkin NSE, not {spec.kind}")
     g_norm = float(np.linalg.norm(forcing_array(spec)))
-    return (1.0 + margin) * g_norm * spec.L / (2.0 * np.pi * spec.nu)
+    return (1.0 + _RADIUS_MARGIN) * g_norm * spec.L / (2.0 * np.pi * spec.nu)
 
 
-def default_radius(spec: ModelSpec, margin: float = 0.1) -> float:
+def default_radius(spec: ModelSpec) -> float:
     """Phase-space radius used when a config leaves it unset."""
     if spec.kind in NSE_KINDS:
-        r = absorbing_radius(spec, margin)
+        r = absorbing_radius(spec)
         return r if r > 0 else 1.0
     if spec.kind == "dyadic":
         g_norm = float(np.linalg.norm(forcing_array(spec)))
-        r = (1.0 + margin) * g_norm / spec.nu
+        r = (1.0 + _RADIUS_MARGIN) * g_norm / spec.nu
         return r if r > 0 else 1.0
     return 1.0
 
@@ -389,17 +365,16 @@ def rhs_jacobian(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     return jac
 
 
-def steady_state(
-    spec: ModelSpec,
-    u0: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-) -> np.ndarray:
-    """Zero of the right-hand side via damped Newton from rest."""
-    u = np.zeros(spec_dim(spec)) if u0 is None else _check_operand(spec, u0).copy()
+def steady_state(spec: ModelSpec) -> np.ndarray:
+    """Zero of the right-hand side via damped Newton from rest.
+
+    At most 80 Newton steps, to a residual norm of at most 1e-12.
+    """
+    tol = 1e-12
+    u = np.zeros(spec_dim(spec))
     res = rhs_array(spec, u)
     res_norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
+    for _ in range(80):
         if res_norm <= tol:
             return u
         step = np.linalg.solve(rhs_jacobian(spec, u), -res)
@@ -456,9 +431,9 @@ def sample_ball(
     return dirs * radii[:, None]
 
 
-def smooth_profile(spec: ModelSpec, power: float = 1.0) -> np.ndarray:
-    """Per-coordinate damping (1 + A-eigenvalue)^-power for smooth samples."""
-    return (1.0 + stokes_eigenvalues(spec)) ** (-power)
+def smooth_profile(spec: ModelSpec) -> np.ndarray:
+    """Per-coordinate damping (1 + A-eigenvalue)^-1 for smooth samples."""
+    return (1.0 + stokes_eigenvalues(spec)) ** -1.0
 
 
 # ---------------------------------------------------------------------------

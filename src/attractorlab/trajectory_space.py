@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import forward_ensemble
-from .errors import HorizonTooShort
+from .errors import GridMismatch, HorizonTooShort, ModelMismatch
 from .metrics import TrajMetricParams, _check_metric, tail_steps, window_semidist
 from .state import Ensemble, frozen_view, span_steps
 from .verification import is_grid_continuous
@@ -30,6 +30,10 @@ class TranslationInvarianceRecord:
     defects: tuple[float, ...]
     tol: float
     ok: bool
+
+
+# the translation times at which translation_invariance measures its defects
+_SHIFT_TIMES = (1.0, 2.0)
 
 
 def _check_time_zero(*families: Ensemble) -> None:
@@ -79,9 +83,9 @@ def trajectory_attractor(
     _check_metric(metric)
     _check_time_zero(k_space)
     if library.model.key != k_space.model.key:
-        raise ValueError("library and trajectory space belong to different models")
+        raise ModelMismatch("library and trajectory space belong to different models")
     if library.dt != k_space.dt:
-        raise ValueError("library and trajectory space grids differ")
+        raise GridMismatch("library and trajectory space grids differ")
     horizon = min(k_space.t_end, library.t_end)
     if horizon < params.t_max_windows:
         raise HorizonTooShort(
@@ -105,17 +109,16 @@ def translation_invariance(
     params: TrajMetricParams,
     tol: float,
     metric: str = "weak",
-    times=(1.0, 2.0),
 ) -> TranslationInvarianceRecord:
-    """Tail-metric defects max(d(T(t)A, A), d(A, T(t)A)) at the sampled t."""
+    """Tail-metric defects max(d(T(t)A, A), d(A, T(t)A)) at t = 1 and t = 2."""
     _check_time_zero(attractor)
-    need = float(params.t_max_windows) + max(times)
+    need = float(params.t_max_windows) + max(_SHIFT_TIMES)
     if attractor.t_end < need:
         raise HorizonTooShort(
             f"attractor construction needs forward horizon {need}, got {attractor.t_end}"
         )
     defects = []
-    for t in times:
+    for t in _SHIFT_TIMES:
         shifted = translate_semigroup(attractor, t)
         defects.append(
             max(
@@ -124,7 +127,7 @@ def translation_invariance(
             )
         )
     return TranslationInvarianceRecord(
-        t_values=tuple(float(t) for t in times),
+        t_values=_SHIFT_TIMES,
         defects=tuple(defects),
         tol=tol,
         ok=all(d <= tol for d in defects),
@@ -149,12 +152,12 @@ def trajectory_attraction_report(
     params: TrajMetricParams,
     eps: float,
     window_T: float = 2.0,
-    stride: int | None = None,
 ) -> TrajectoryAttractionReport:
     """Scan translations T(t) of the family for attraction to the attractor.
 
-    Weak mode measures the tail metric of each translated member to its
-    nearest attractor member; strong mode (enabled when every attractor
+    The scan takes about 32 translation times. Weak mode measures the tail
+    metric of each translated member to its nearest attractor member; strong
+    mode (enabled when every attractor
     member passes the grid continuity witness) measures the sup of the
     strong metric over [0, window_T] after translation.
     """
@@ -163,7 +166,7 @@ def trajectory_attraction_report(
     _check_time_zero(k_space, attractor)
     dt = k_space.dt
     if dt != attractor.dt:
-        raise ValueError("trajectory space and attractor grids differ")
+        raise GridMismatch("trajectory space and attractor grids differ")
     steps = tail_steps(params, dt)
     w_tail = int(steps[-1])
     w_strong = int(round(window_T / dt))
@@ -173,8 +176,7 @@ def trajectory_attraction_report(
     w_need = max(w_tail, w_strong)
     if n <= w_need or attractor.n_samples <= w_need:
         raise HorizonTooShort("trajectory-space horizon too short for the windows")
-    if stride is None:
-        stride = max(1, (n - 1 - w_need) // 32)
+    stride = max(1, (n - 1 - w_need) // 32)
     shifts = np.arange(0, n - w_need, stride)
     strong_mode = all(is_grid_continuous(v) for v in attractor.trajectories)
 

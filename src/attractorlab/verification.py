@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryPoint,
-    HypothesisFail,
-    NoMatch,
-)
+from .errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from .metrics import (
     TrajMetricParams,
     _check_metric,
@@ -29,6 +25,12 @@ from .metrics import (
 )
 from .state import Ensemble, Trajectory, grid_index
 
+# A grid step larger than this many times both neighbouring steps is a jump.
+_JUMP_FACTOR = 10.0
+# Weak-convergence gate of the strong-convergence checks: the final weak
+# window distance, and the relative rise allowed between sequence members.
+_WEAK_TOL = 1e-3
+_SLACK = 0.1
 
 # ---------------------------------------------------------------------------
 # grid continuity witnesses
@@ -44,34 +46,26 @@ def grid_modulus(traj: Trajectory, a: float | None = None, b: float | None = Non
     return float(steps.max())
 
 
-def is_grid_continuous(
-    traj: Trajectory,
-    a: float | None = None,
-    b: float | None = None,
-    factor: float = 10.0,
-    floor: float | None = None,
-) -> bool:
+def is_grid_continuous(traj: Trajectory, a: float | None = None, b: float | None = None) -> bool:
     """Finite witness for strong continuity of a sampled trajectory.
 
     A data-level jump shows up as one adjacent step that dwarfs its
     neighboring steps; smooth flows (including exponentially decaying ones)
-    keep neighboring steps comparable. Steps below the floor are treated as
-    settled and never flagged.
+    keep neighboring steps comparable. Steps below the floor
+    1e-8 (1 + |x(a)|) are treated as settled and never flagged.
     """
     ia = 0 if a is None else traj.index_of(a)
     ib = traj.n_samples - 1 if b is None else traj.index_of(b)
     if ib - ia < 1:
         raise ValueError("window too short for a continuity check")
     steps = strong_dist_arrays(np.diff(traj.samples[ia : ib + 1], axis=0))
-    if floor is None:
-        scale = float(np.linalg.norm(traj.samples[ia], axis=-1))
-        floor = 1e-8 * (1.0 + scale)
+    floor = 1e-8 * (1.0 + float(np.linalg.norm(traj.samples[ia], axis=-1)))
     if steps.shape[0] == 1:
         return bool(steps[0] <= floor)
     prev = np.concatenate([steps[1:2], steps[:-1]])
     nxt = np.concatenate([steps[1:], steps[-2:-1]])
     neighbor = np.maximum(prev, nxt)
-    return bool(np.all(steps <= np.maximum(factor * neighbor, floor)))
+    return bool(np.all(steps <= np.maximum(_JUMP_FACTOR * neighbor, floor)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +85,6 @@ def check_quasi_invariance(
     library: Ensemble,
     eps: float,
     t_win: float = 2.0,
-    shift_stride: int = 1,
 ) -> QuasiInvarianceReport:
     """Check that every estimate point rides a settled library trajectory.
 
@@ -116,9 +109,9 @@ def check_quasi_invariance(
         a = cloud[a_idx]
         hit = False
         for vs in library.samples:
-            anchor = strong_dist_arrays(vs[lo : hi + 1 : shift_stride] - a)
+            anchor = strong_dist_arrays(vs[lo : hi + 1] - a)
             for j in np.flatnonzero(anchor < eps):
-                s = lo + int(j) * shift_stride
+                s = lo + int(j)
                 window = vs[s - w : s + w + 1]
                 if pairwise_to_set(spec, window, cloud, metric).max() < eps:
                     hit = True
@@ -179,31 +172,31 @@ class TrackingReport:
     shifts: tuple[float, ...]
 
 
-def _tracking_grid(ensemble, library, m, window_T, t_star_stride, shift_stride, params):
+def _tracking_grid(ensemble, library, m, window_T, t_star_stride=None):
     """Comparison window and scan grids shared by the tracking searches.
 
     Returns the window length w in steps, the tail offsets (None in strong
     mode, which takes the sup over [t*, t* + window_T]), the sampled t*
-    indices into the ensemble, and the settled library shift indices.
+    indices into the ensemble (about 24 unless t_star_stride is given), and
+    the settled library shift indices, one per 0.25 time units.
     """
     _check_metric(m)
     if ensemble.model.key != library.model.key:
-        raise ValueError("ensemble and library belong to different models")
+        raise ModelMismatch("ensemble and library belong to different models")
     if ensemble.dt != library.dt:
-        raise ValueError("ensemble and library grids differ")
+        raise GridMismatch("ensemble and library grids differ")
     dt = ensemble.dt
     if m == "strong":
         steps, w = None, int(round(window_T / dt))
     else:
-        steps = tail_steps(params or TrajMetricParams(), dt)
+        steps = tail_steps(TrajMetricParams(), dt)
         w = int(steps[-1])
     if w < 1:
         raise ValueError("comparison window shorter than one grid step")
     n_e = ensemble.n_samples
     if t_star_stride is None:
         t_star_stride = max(1, (n_e - 1 - w) // 24)
-    if shift_stride is None:
-        shift_stride = max(1, int(round(0.25 / dt)))
+    shift_stride = max(1, int(round(0.25 / dt)))
     i_settle = grid_index(0.0, library.t0, dt)
     shift_last = library.n_samples - 1 - w
     if shift_last < i_settle:
@@ -215,14 +208,7 @@ def _tracking_grid(ensemble, library, m, window_T, t_star_stride, shift_stride, 
 
 
 def check_tracking(
-    ensemble: Ensemble,
-    library: Ensemble,
-    m: str,
-    eps: float,
-    window_T: float,
-    t_star_stride: int | None = None,
-    shift_stride: int | None = None,
-    params: TrajMetricParams | None = None,
+    ensemble: Ensemble, library: Ensemble, m: str, eps: float, window_T: float
 ) -> TrackingReport:
     """Find when every member is eps-shadowed by some shifted library member.
 
@@ -232,9 +218,7 @@ def check_tracking(
     sampled t* also match; raises NoMatch when even the final t* leaves some
     member unmatched.
     """
-    w, steps, t_star_idx, shift_idx = _tracking_grid(
-        ensemble, library, m, window_T, t_star_stride, shift_stride, params
-    )
+    w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T)
     spec = ensemble.model
 
     def member_match(u_seg: np.ndarray):
@@ -288,13 +272,12 @@ def tracking_ladder(
     m: str,
     window_T: float,
     eps_ladder=(1e-1, 1e-2, 1e-3),
-    **kwargs,
 ) -> tuple[tuple[float, TrackingReport | None], ...]:
     """Run check_tracking over an eps ladder; None marks a NoMatch rung."""
     out = []
     for eps in eps_ladder:
         try:
-            out.append((float(eps), check_tracking(ensemble, library, m, eps, window_T, **kwargs)))
+            out.append((float(eps), check_tracking(ensemble, library, m, eps, window_T)))
         except NoMatch:
             out.append((float(eps), None))
     return tuple(out)
@@ -306,8 +289,6 @@ def tracking_error_profile(
     m: str,
     window_T: float,
     t_star_stride: int | None = None,
-    shift_stride: int | None = None,
-    params: TrajMetricParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-match tracking error as a function of the window start t*.
 
@@ -316,9 +297,7 @@ def tracking_error_profile(
     minimized over library members. No eps gate: this is the raw profile a
     tracking claim has to drive down.
     """
-    w, steps, t_star_idx, shift_idx = _tracking_grid(
-        ensemble, library, m, window_T, t_star_stride, shift_stride, params
-    )
+    w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T, t_star_stride)
     spec = ensemble.model
     errors = np.empty(t_star_idx.shape[0])
     for out_i, k in enumerate(t_star_idx):
@@ -347,65 +326,50 @@ class PointConvergenceReport:
     ladder: tuple[tuple[float, int | None], ...]
 
 
-def _weak_gate(
-    seq,
-    limit: Trajectory,
-    a: float,
-    b: float,
-    weak_tol: float,
-) -> list[float]:
+def _weak_gate(seq, limit: Trajectory, a: float, b: float) -> list[float]:
     """Verify the sequence converges to the limit in the weak window metric.
 
-    Accepts either a final distance below weak_tol or a decisive monotone
+    Accepts either a final distance below _WEAK_TOL or a decisive monotone
     decrease (final below a quarter of the first); anything else fails the
     hypothesis.
     """
     w = [traj_dist_window(u, limit, a, b, "weak") for u in seq]
     nonincreasing = all(w[i + 1] <= w[i] * 1.1 + 1e-15 for i in range(len(w) - 1))
     decisive = len(w) >= 2 and nonincreasing and w[-1] <= 0.25 * w[0]
-    if w[-1] > weak_tol and not decisive:
+    if w[-1] > _WEAK_TOL and not decisive:
         raise HypothesisFail(
             f"weak convergence not established: final weak window distance {w[-1]:.3e} "
-            f"> {weak_tol:.1e} and no decisive decrease"
+            f"> {_WEAK_TOL:.1e} and no decisive decrease"
         )
     return w
 
 
 def check_strong_convergence_at_point(
-    seq,
-    limit: Trajectory,
-    t_star: float,
-    eps_grid=None,
-    weak_tol: float = 1e-3,
-    gate_window: float = 1.0,
-    slack: float = 0.1,
-    decay: float = 0.2,
-    cont_factor: float = 10.0,
+    seq, limit: Trajectory, t_star: float
 ) -> PointConvergenceReport:
     """Check pointwise strong convergence at a strong-continuity point.
 
     Hypotheses established first: the sequence must approach the limit in the
-    weak window metric around t_star, and the limit must pass the grid
+    weak window metric over t_star +- 1, and the limit must pass the grid
     continuity witness there; failures raise HypothesisFail. The verdict then
-    asks for the strong distances at t_star to decrease substantially.
+    asks for the strong distances at t_star to decrease to a fifth of the
+    first; the ladder gives the first member below each of 1e-1, 1e-2, 1e-3.
     """
     seq = list(seq)
     if not seq:
         raise ValueError("empty trajectory sequence")
-    a = max(limit.t0, t_star - gate_window)
-    b = min(limit.t_end, t_star + gate_window)
-    weak_vals = _weak_gate(seq, limit, a, b, weak_tol)
-    if not is_grid_continuous(limit, a, b, factor=cont_factor):
+    a = max(limit.t0, t_star - 1.0)
+    b = min(limit.t_end, t_star + 1.0)
+    weak_vals = _weak_gate(seq, limit, a, b)
+    if not is_grid_continuous(limit, a, b):
         raise HypothesisFail("limit trajectory fails the strong-continuity witness")
     k = limit.index_of(t_star)
     d = [float(np.linalg.norm(u.samples[u.index_of(t_star)] - limit.samples[k])) for u in seq]
     scale = 1.0 + float(np.linalg.norm(limit.samples[k]))
-    monotone = all(d[i + 1] <= d[i] * (1.0 + slack) + 1e-15 * scale for i in range(len(d) - 1))
-    small = d[-1] <= max(decay * d[0], 1e-12 * scale)
-    if eps_grid is None:
-        eps_grid = (1e-1, 1e-2, 1e-3)
+    monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 * scale for i in range(len(d) - 1))
+    small = d[-1] <= max(0.2 * d[0], 1e-12 * scale)
     ladder = []
-    for eps in eps_grid:
+    for eps in (1e-1, 1e-2, 1e-3):
         below = [i for i, v in enumerate(d) if v < eps]
         ladder.append((float(eps), below[0] if below else None))
     return PointConvergenceReport(
@@ -438,13 +402,7 @@ def check_left_continuity_implies_continuity(
 
 
 def check_uniform_strong_convergence(
-    seq,
-    limit: Trajectory,
-    window: tuple[float, float],
-    tol: float,
-    weak_tol: float = 1e-3,
-    cont_factor: float = 10.0,
-    slack: float = 0.1,
+    seq, limit: Trajectory, window: tuple[float, float], tol: float
 ) -> bool:
     """Check sup-norm strong convergence on a window inside (0, horizon).
 
@@ -456,11 +414,11 @@ def check_uniform_strong_convergence(
     if not seq:
         raise ValueError("empty trajectory sequence")
     a, b = window
-    _weak_gate(seq, limit, limit.t0, limit.t_end, weak_tol)
-    if not is_grid_continuous(limit, factor=cont_factor):
+    _weak_gate(seq, limit, limit.t0, limit.t_end)
+    if not is_grid_continuous(limit):
         raise HypothesisFail("limit trajectory fails the strong-continuity witness")
     d = [traj_dist_window(u, limit, a, b, "strong") for u in seq]
-    monotone = all(d[i + 1] <= d[i] * (1.0 + slack) + 1e-15 for i in range(len(d) - 1))
+    monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 for i in range(len(d) - 1))
     return bool(monotone and d[-1] <= tol)
 
 

@@ -202,6 +202,26 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
                                                      "component": 1}])}),
         ("shell", {"model": {"kind": "dyadic", "truncation": 4,
                              "forcing": [{"shell": 5, "amplitude": 0.1}]}}),
+        # well-typed, but out of the field's range
+        ("radius", {"radius": -1}),
+        ("dt", {"dt": 0}),
+        ("horizon", {"horizon": -1}),
+        ("ensemble_size", {"ensemble_size": 0}),
+        ("seed", {"seed": -1}),
+        ("library.size", {"library": dict(TOY["library"], size=0)}),
+        ("library.t_back", {"library": dict(TOY["library"], t_back=-1)}),
+        ("library.horizon", {"library": dict(TOY["library"], horizon=0)}),
+        ("t_transient", {"omega": dict(TOY["omega"], t_transient=10.0)}),
+        ("omega.sample_stride", {"omega": dict(TOY["omega"], sample_stride=0)}),
+        ("omega.cluster_tol", {"omega": dict(TOY["omega"], cluster_tol=0)}),
+        ("n_samples", {"checks": [{"name": "absorbing", "n_samples": 0}]}),
+        ("checks[0].horizon", {"checks": [{"name": "absorbing", "horizon": 0}]}),
+        ("checks[0].k", {"checks": [{"name": "compactness", "k": 0}]}),
+        ("n_seq", {"checks": [{"name": "point_convergence", "n_seq": 0}]}),
+        ("n_times", {"checks": [{"name": "compactness", "n_times": 1}]}),
+        ("window_T", {"checks": [{"name": "tracking", "window_T": 0}]}),
+        ("eps_ladder[1]", {"checks": [{"name": "tracking", "eps_ladder": [0.1, -0.1]}]}),
+        ("checks[0].eps", {"checks": [{"name": "quasi_invariance", "eps": -1}]}),
     ]
     for i, (field, change) in enumerate(cases):
         cfg = dict(TOY, output_dir=str(tmp_path / "out"), **change)
@@ -210,6 +230,12 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "out").exists()
+    # the command-line seed override is held to the seed field's bound
+    path = _write_cfg(tmp_path, dict(TOY, output_dir=str(tmp_path / "out")), "seed.json")
+    assert main(["verify", "--config", path, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err
+    assert not (tmp_path / "out").exists()
 
 
 _NOT_A_NUMBER = st.one_of(

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from attractorlab.errors import EmptyEnsemble, GridMismatch, HorizonTooShort, OffGrid
+from attractorlab.errors import EmptyEnsemble, GridMismatch, HorizonTooShort, ModelMismatch, OffGrid
 from attractorlab.metrics import TrajMetricParams
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble, Trajectory
@@ -129,7 +129,7 @@ def test_trajectory_attractor_guards(toy_bundle):
         (Trajectory(t0=-2.0, dt=0.01, samples=np.zeros((301, 5)), model=other),),
         label="surrogate-library",
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelMismatch):
         trajectory_attractor(k_space, bad, PARAMS)
     with pytest.raises(HorizonTooShort):
         trajectory_attractor(_first_samples(k_space, 51), lib, PARAMS)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from attractorlab.core import build_ensemble, integrate
-from attractorlab.errors import BoundaryPoint, HypothesisFail, NoMatch
+from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
 from attractorlab.models import make_spec, sample_ball, smooth_profile
 from attractorlab.state import Ensemble, State, Trajectory
@@ -111,6 +111,17 @@ def test_tracking_no_match_raises(toy_bundle):
         toy_bundle["ensemble"], lib, "strong", window_T=2.0, eps_ladder=(0.1, 1e-3)
     )
     assert ladder[0][1] is None and ladder[1][1] is None
+
+
+def test_tracking_rejects_mismatched_library(toy_bundle):
+    ens = toy_bundle["ensemble"]
+    other = make_spec("toy_contraction", truncation=5)
+    foreign = build_ensemble(other, np.eye(5)[:2], 0.0, 4.0, ens.dt)
+    with pytest.raises(ModelMismatch):
+        check_tracking(ens, foreign, "strong", eps=1e-3, window_T=2.0)
+    coarse = build_ensemble(ens.model, ens.samples[:2, 0], 0.0, 4.0, 2.0 * ens.dt)
+    with pytest.raises(GridMismatch):
+        check_tracking(ens, coarse, "strong", eps=1e-3, window_T=2.0)
 
 
 def test_tracking_ladder_passes_on_real_library(nse4_bundle):
