@@ -2,8 +2,8 @@
 
 Public surface re-exported from the submodules:
 
-* :mod:`.core` — states, trajectories, ensembles, integration, reachability
-* :mod:`.metrics` — strong/weak metrics on points, sets, and trajectories
+* :mod:`.core` — trajectories, ensembles, integration, reachability
+* :mod:`.metrics` — strong/weak metrics on point clouds and trajectories
 * :mod:`.models` — Galerkin Navier-Stokes, dyadic shell, toy contraction
 * :mod:`.limits` — omega-limit sets, global attractors, compactness defects
 * :mod:`.verification` — invariance, tracking, and convergence checks
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from . import errors
 from .core import (
     Ensemble,
-    State,
     Trajectory,
     build_ensemble,
     complete_surrogates,
@@ -30,13 +29,8 @@ from .core import (
 from .metrics import (
     MetricKind,
     TrajMetricParams,
-    dist,
-    point_set_dist,
-    set_semidist,
-    strong_dist,
     traj_dist_tail,
     traj_dist_window,
-    weak_dist,
     weak_weight_total,
 )
 from .models import (

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import build_ensemble, complete_surrogates
-from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteState
+from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteState, OffGrid
 from .limits import OmegaParams, asymptotic_compactness_defect, global_attractor, omega_limit
 from .metrics import METRIC_KINDS, TrajMetricParams
 from .models import (
@@ -44,7 +44,7 @@ from .models import (
     smooth_profile,
     spec_dim,
 )
-from .state import Ensemble
+from .state import Ensemble, grid_index
 from .trajectory_space import (
     trajectory_attraction_report,
     trajectory_attractor,
@@ -64,7 +64,8 @@ SUBCOMMANDS = ("simulate", "omega", "attractor", "trajectory-attractor", "verify
 # list of numbers, a nested table, or list for a list of entries that
 # load_config checks itself. A default is a value, _REQUIRED, or a function
 # of the top-level config walked so far. A bound ("> 0", ">= 1") applies to a
-# number or to each number of a list.
+# number or to each number of a list; "in [0, horizon]" and "in [0, horizon)"
+# bound a time on the run's dt grid.
 _REQUIRED = object()
 
 
@@ -151,7 +152,15 @@ def _value(value, kind, bound, where: str, root: dict):
         raise ConfigInvalid(f"{where} must be finite, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
-    if bound is not None:
+    if bound is not None and bound.startswith("in"):
+        last = round(root["horizon"] / root["dt"]) - bound.endswith(")")
+        try:
+            ok = 0 <= grid_index(value, 0.0, root["dt"]) <= last
+        except OffGrid:
+            ok = False
+        if not ok:
+            raise ConfigInvalid(f"{where} must be a dt-grid time {bound}, got {value!r}")
+    elif bound is not None:
         op, least = bound.split()
         if not (value > float(least) if op == ">" else value >= float(least)):
             raise ConfigInvalid(f"{where} must be {bound}, got {value!r}")
@@ -288,7 +297,7 @@ def _set_payload(est) -> dict:
         "metric": est.metric,
         "tol": est.tol,
         "horizon": est.horizon,
-        "points": [list(p.coords) for p in est.points],
+        "points": est.points,
     }
     if est.attraction is not None:
         payload["attraction"] = asdict(est.attraction)
@@ -538,13 +547,13 @@ _CHECKS = {
         {
             "k": (int, 8, ">= 1"),
             "n_times": (int, 16, ">= 2"),
-            "t_from": (float, _half_horizon, None),
+            "t_from": (float, _half_horizon, "in [0, horizon)"),
             "threshold": (float, 1e-2, ">= 0"),
         },
     ),
     "point_convergence": (
         _check_point_convergence,
-        {"t_star": (float, _half_horizon, None), "n_seq": (int, 6, ">= 1")},
+        {"t_star": (float, _half_horizon, "in [0, horizon]"), "n_seq": (int, 6, ">= 1")},
     ),
 }
 

@@ -14,17 +14,9 @@ import numpy as np
 
 from .errors import NonFiniteState, StepMismatch
 from .models import ModelSpec, linear_rates, nonlinear_array, spec_dim
-from .state import (
-    Ensemble,
-    State,
-    Trajectory,
-    frozen_view,
-    span_steps,
-    window_indices,
-)
+from .state import Ensemble, Trajectory, frozen_view, span_steps, window_indices
 
 __all__ = [
-    "State",
     "Trajectory",
     "Ensemble",
     "integrate",
@@ -82,14 +74,13 @@ def integrate_batch(
 
 def integrate(
     model: ModelSpec,
-    initial: State | np.ndarray,
+    initial: np.ndarray,
     t0: float,
     t1: float,
     dt: float,
 ) -> Trajectory:
-    """Integrate one initial state over [t0, t1] on the uniform grid."""
-    coords = initial.coords if isinstance(initial, State) else np.asarray(initial, float)
-    return build_ensemble(model, coords[None, :], t0, t1, dt).trajectories[0]
+    """Integrate one initial coordinate row over [t0, t1] on the uniform grid."""
+    return build_ensemble(model, np.asarray(initial, float)[None, :], t0, t1, dt).trajectories[0]
 
 
 def build_ensemble(
@@ -129,17 +120,17 @@ def complete_surrogates(
     return build_ensemble(model, initials, -t_back, horizon, dt, label="surrogate-library")
 
 
-def r_map(ensemble: Ensemble, t: float) -> list[State]:
-    """Reachability slice: member states at grid time t >= 0.
+def r_map(ensemble: Ensemble, t: float) -> np.ndarray:
+    """Reachability slice: member coordinates at grid time t >= 0.
 
     The ensemble stands for the trajectory family out of its initial set; the
-    returned states sample R(t) of that set.
+    returned (n_members, dim) rows sample R(t) of that set.
     """
     if ensemble.t0 != 0.0:
         raise ValueError("r_map expects an ensemble rebased to start at t = 0")
     if t < 0:
         raise ValueError(f"r_map needs t >= 0, got {t}")
-    return ensemble.states_at(t)
+    return ensemble.samples_at(t)
 
 
 def translate(traj: Trajectory, s: float) -> Trajectory:

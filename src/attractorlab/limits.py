@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptySet, HorizonTooShort, InsufficientSamples, ModelMismatch
-from .metrics import METRIC_KINDS, _check_metric, pairwise_to_set
-from .models import ModelSpec
-from .state import Ensemble, State, grid_index
+from .metrics import _check_metric, pairwise_to_set
+from .models import ModelSpec, spec_dim
+from .state import Ensemble, _frozen_array, grid_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,40 +39,32 @@ class AttractionReport:
 class SetEstimate:
     """Finite point cloud standing in for a limit set.
 
+    ``points`` is one read-only (n, dim) array of the model's coordinates.
     Carries the metric it was built in, the clustering tolerance, and the
     sampling horizon, so downstream comparisons know what resolution to
     trust. ``attraction`` is attached by global_attractor.
     """
 
-    points: tuple[State, ...]
+    points: np.ndarray
+    model: ModelSpec
     metric: str
     tol: float
     horizon: float
     attraction: AttractionReport | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
+        if len(self.points) == 0:
             raise EmptySet("set estimate has no points")
+        object.__setattr__(self, "points", _frozen_array(self.points, 2))
+        if self.points.shape[1] != spec_dim(self.model):
+            raise ModelMismatch("set estimate points do not match the model dimension")
         _check_metric(self.metric)
         if not (self.tol > 0):
             raise ValueError(f"cluster tolerance must be positive, got {self.tol}")
-        key = self.points[0].model.key
-        for p in self.points[1:]:
-            if p.model.key != key:
-                raise ModelMismatch("set estimate mixes models")
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
-
-    @property
-    def model(self) -> ModelSpec:
-        return self.points[0].model
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.stack([p.coords for p in self.points])
+        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -148,21 +140,21 @@ def omega_limit(ensemble: Ensemble, m: str, p: OmegaParams) -> SetEstimate:
     order = range(i1, i0 - 1, -p.sample_stride)
     blocks = (ensemble.samples[:, k, :] for k in order)
     accepted = greedy_cluster(ensemble.model, blocks, m, p.cluster_tol)
-    points = tuple(State(row, ensemble.model) for row in accepted)
-    return SetEstimate(points=points, metric=m, tol=p.cluster_tol, horizon=p.t_max)
+    return SetEstimate(accepted, ensemble.model, m, tol=p.cluster_tol, horizon=p.t_max)
 
 
 def is_attracting(candidate: SetEstimate, ensemble: Ensemble, eps: float) -> AttractionReport:
     """Scan reachable slices for uniform attraction to the candidate set.
 
-    Checks set_semidist(R(t) slice, candidate) < eps at every grid time;
-    reports the earliest entry time after which no violation occurs.
+    Checks the semidistance sup_{x in R(t)} inf_{a in candidate} d(x, a) < eps
+    at every grid time; reports the earliest entry time after which no
+    violation occurs.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
     if candidate.model.key != ensemble.model.key:
         raise ModelMismatch("candidate set and ensemble belong to different models")
-    cloud = candidate.coords
+    cloud = candidate.points
     spec = ensemble.model
     idx = np.arange(ensemble.n_samples)
     times = ensemble.t0 + ensemble.dt * idx

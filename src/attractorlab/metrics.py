@@ -1,4 +1,4 @@
-"""Strong and weak metrics on states, trajectories, and point-cloud sets.
+"""Strong and weak metrics on coordinate arrays, point clouds and trajectories.
 
 The strong metric is the Euclidean distance on coordinates, which by the
 orthonormal-basis convention equals the L2 distance of the represented
@@ -26,13 +26,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    EmptySet,
-    HorizonTooShort,
-    ModelMismatch,
-)
+from .errors import HorizonTooShort, ModelMismatch
 from .models import ModelSpec, spec_dim, weak_weights
-from .state import State, Trajectory, common_grid_offsets, span_steps
+from .state import Trajectory, common_grid_offsets, span_steps
 
 MetricKind = Literal["strong", "weak"]
 METRIC_KINDS = ("strong", "weak")
@@ -54,14 +50,6 @@ def _check_metric(m: str) -> str:
     if m not in METRIC_KINDS:
         raise ValueError(f"unknown metric kind {m!r}; expected strong|weak")
     return m
-
-
-def _same_model(x: State, y: State) -> ModelSpec:
-    if x.model.key != y.model.key:
-        raise ModelMismatch(
-            f"states belong to different models: {x.model.key} vs {y.model.key}"
-        )
-    return x.model
 
 
 # ---------------------------------------------------------------------------
@@ -187,69 +175,10 @@ def _strong_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return out
 
 
-# ---------------------------------------------------------------------------
-# state-level metrics
-
-
-def strong_dist(x: State, y: State) -> float:
-    _same_model(x, y)
-    return float(np.linalg.norm(x.coords - y.coords))
-
-
-def weak_dist(x: State, y: State) -> float:
-    spec = _same_model(x, y)
-    return float(weak_dist_arrays(spec, x.coords - y.coords))
-
-
-def dist(x: State, y: State, m: str) -> float:
-    _check_metric(m)
-    return strong_dist(x, y) if m == "strong" else weak_dist(x, y)
-
-
 def weak_weight_total(spec: ModelSpec) -> float:
     """Sum of the weak-metric weights: d_w <= W d_s holds with this W."""
     weights, _ = weak_weights(spec)
     return float(weights.sum())
-
-
-# ---------------------------------------------------------------------------
-# point-cloud set distances
-
-
-def coords_of_set(a) -> tuple[np.ndarray, ModelSpec]:
-    """Coordinate stack and model of a set operand.
-
-    Accepts a SetEstimate-like object (``points`` attribute), a sequence of
-    states, or a single state.
-    """
-    points = getattr(a, "points", a)
-    if isinstance(points, State):
-        points = [points]
-    points = list(points)
-    if not points:
-        raise EmptySet("set operand has no points")
-    model = points[0].model
-    for p in points[1:]:
-        if p.model.key != model.key:
-            raise ModelMismatch("set members belong to different models")
-    return np.stack([p.coords for p in points]), model
-
-
-def point_set_dist(x: State, a, m: str) -> float:
-    """Distance from a point to a finite set: min over members."""
-    coords, model = coords_of_set(a)
-    if model.key != x.model.key:
-        raise ModelMismatch("point and set belong to different models")
-    return float(dist_arrays(x.model, x.coords[None, :], coords, m).min())
-
-
-def set_semidist(a, b, m: str) -> float:
-    """One-sided Hausdorff semi-distance sup_{x in a} inf_{y in b} d(x, y)."""
-    ca, model_a = coords_of_set(a)
-    cb, model_b = coords_of_set(b)
-    if model_a.key != model_b.key:
-        raise ModelMismatch("sets belong to different models")
-    return float(pairwise_to_set(model_a, ca, cb, m).max())
 
 
 # ---------------------------------------------------------------------------

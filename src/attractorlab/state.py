@@ -1,10 +1,10 @@
-"""Phase-space and trajectory data types.
+"""Trajectory and ensemble data types on uniform time grids.
 
-States are finite coordinate vectors tied to a model; trajectories are
-uniform-grid samplings of a single state curve; an ensemble holds the
-samples of trajectories that share a grid in one array. All containers are
-frozen and hold read-only arrays, so they can be shared freely between
-estimators and views of them need no copy.
+A phase-space point is a finite coordinate row of its model's dimension;
+trajectories are uniform-grid samplings of a single solution curve; an
+ensemble holds the samples of trajectories that share a grid in one array.
+All containers are frozen and hold read-only arrays, so they can be shared
+freely between estimators and views of them need no copy.
 """
 from __future__ import annotations
 
@@ -74,25 +74,6 @@ def span_steps(t0: float, t1: float, dt: float) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class State:
-    """A point of the truncated phase space: coords plus the owning model."""
-
-    coords: np.ndarray
-    model: "ModelSpec"
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen_array(self.coords, 1))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    def norm(self) -> float:
-        """Strong (L2 / Parseval) norm."""
-        return float(np.linalg.norm(self.coords))
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniform-grid samples of one solution curve.
 
@@ -135,9 +116,6 @@ class Trajectory:
                 f"t={t} outside trajectory span [{self.t0}, {self.t_end}]"
             )
         return k
-
-    def state_at(self, t: float) -> State:
-        return State(self.samples[self.index_of(t)], self.model)
 
     def norms(self) -> np.ndarray:
         """Strong norm at every grid time."""
@@ -209,9 +187,6 @@ class Ensemble:
     def samples_at(self, t: float) -> np.ndarray:
         """Member coordinates at grid time t, (n_members, dim)."""
         return self.samples[:, self.index_of(t)]
-
-    def states_at(self, t: float) -> list[State]:
-        return [State(row, self.model) for row in self.samples_at(t)]
 
 
 def window_indices(traj: Trajectory, a: float, b: float) -> tuple[int, int]:

@@ -72,6 +72,11 @@ def is_grid_continuous(traj: Trajectory, a: float | None = None, b: float | None
 # quasi-invariance and the maximal invariant set
 
 
+def _same_set_model(est, library: Ensemble) -> None:
+    if est.model.key != library.model.key:
+        raise ModelMismatch("set estimate and library belong to different models")
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiInvarianceReport:
     covered_fraction: float
@@ -89,12 +94,13 @@ def check_quasi_invariance(
     """Check that every estimate point rides a settled library trajectory.
 
     A point a is covered when some library member v and grid shift s satisfy
-    strong_dist(v(s), a) < eps while v stays within eps of the estimate over
-    [s - t_win, s + t_win]; shifts keep that window inside the settled part
-    of the surrogate (relative times >= 0).
+    |v(s) - a| < eps in the strong metric while v stays within eps of the
+    estimate over [s - t_win, s + t_win]; shifts keep that window inside the
+    settled part of the surrogate (relative times >= 0).
     """
+    _same_set_model(est, library)
     spec = library.model
-    cloud = est.coords
+    cloud = est.points
     metric = est.metric
     dt = library.dt
     w = int(round(t_win / dt))
@@ -142,8 +148,9 @@ def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> Max
     set, which coincides with the weak attractor; both inclusions are checked
     as eps-semidistances.
     """
+    _same_set_model(attractor_est, library)
     i_side = library.samples_at(0.0)
-    cloud = attractor_est.coords
+    cloud = attractor_est.points
     spec = library.model
     m = attractor_est.metric
     d_ia = float(pairwise_to_set(spec, i_side, cloud, m).max())

@@ -24,7 +24,7 @@ from attractorlab.limits import (
 )
 from attractorlab.metrics import (
     dist_arrays,
-    set_semidist,
+    pairwise_to_set,
     weak_dist_arrays,
     weak_weight_total,
 )
@@ -40,7 +40,7 @@ from attractorlab.models import (
     spec_dim,
 )
 from attractorlab.spectral import advect, build_mode_table
-from attractorlab.state import Ensemble, State, Trajectory
+from attractorlab.state import Ensemble, Trajectory
 from attractorlab.metrics import TrajMetricParams
 from attractorlab.trajectory_space import (
     trajectory_attraction_report,
@@ -174,19 +174,19 @@ def test_criterion_06_attractor_identities(toy_bundle, nse4_free_bundle, nse8_bu
             est = global_attractor(bundle["ensemble"], m, bundle["omega"])
             assert est.attraction.t_entry is not None
             for p in est.points:
-                assert float(dist_arrays(spec, p.coords, 0.0 * p.coords, m)) <= 1e-3
+                assert float(dist_arrays(spec, p, 0.0 * p, m)) <= 1e-3
     # forced steady regime: estimate matches the Newton root
     spec = nse8_bundle["spec"]
     target = nse8_bundle["steady"]
     est_s = global_attractor(nse8_bundle["ensemble"], "strong", nse8_bundle["omega"])
     est_w = global_attractor(nse8_bundle["ensemble"], "weak", nse8_bundle["omega"])
     for p in est_s.points:
-        assert np.linalg.norm(p.coords - target) <= 1e-4
+        assert np.linalg.norm(p - target) <= 1e-4
     for p in est_w.points:
-        assert float(weak_dist_arrays(spec, p.coords - target)) <= 1e-4
+        assert float(weak_dist_arrays(spec, p - target)) <= 1e-4
     tol2 = 2.0 * nse8_bundle["omega"].cluster_tol
-    assert set_semidist(est_s, est_w, "strong") <= tol2
-    assert set_semidist(est_w, est_s, "strong") <= tol2
+    assert pairwise_to_set(spec, est_s.points, est_w.points, "strong").max() <= tol2
+    assert pairwise_to_set(spec, est_w.points, est_s.points, "strong").max() <= tol2
 
 
 # -- 7 ----------------------------------------------------------------------
@@ -200,7 +200,8 @@ def test_criterion_07_omega_inclusion_and_minimality(
         p = bundle["omega"]
         omega_s = omega_limit(bundle["ensemble"], "strong", p)
         omega_w = omega_limit(bundle["ensemble"], "weak", p)
-        assert set_semidist(omega_s, omega_w, "weak") <= p.cluster_tol
+        semi = pairwise_to_set(bundle["spec"], omega_s.points, omega_w.points, "weak").max()
+        assert semi <= p.cluster_tol
     # minimality evidence: the estimate sits inside every attracting candidate
     rng = np.random.default_rng(7)
     for bundle in (toy_bundle, nse4_bundle):
@@ -208,7 +209,7 @@ def test_criterion_07_omega_inclusion_and_minimality(
         p = bundle["omega"]
         ens = bundle["ensemble"]
         omega_est = omega_limit(ens, "strong", p)
-        base = omega_est.coords
+        base = omega_est.points
         for trial in range(3):
             jitter = rng.standard_normal(base.shape)
             jitter *= p.cluster_tol / 3.0 / np.linalg.norm(jitter, axis=1, keepdims=True)
@@ -216,14 +217,16 @@ def test_criterion_07_omega_inclusion_and_minimality(
             far *= 1.0 / np.linalg.norm(far, axis=1, keepdims=True)
             pts = np.vstack([base + jitter, far])
             candidate = SetEstimate(
-                points=tuple(State(row, spec) for row in pts),
+                points=pts,
+                model=spec,
                 metric="strong",
                 tol=p.cluster_tol,
                 horizon=p.t_max,
             )
             rep = is_attracting(candidate, ens, eps=3.0 * p.cluster_tol)
             assert rep.t_entry is not None, "inflated candidate must still attract"
-            assert set_semidist(omega_est, candidate, "strong") <= p.cluster_tol
+            semi = pairwise_to_set(spec, omega_est.points, candidate.points, "strong").max()
+            assert semi <= p.cluster_tol
 
 
 # -- 8 ----------------------------------------------------------------------
@@ -289,11 +292,12 @@ def test_criterion_10_trajectory_attractor(toy_bundle, dyadic_bundle, nse4_bundl
         if bundle is nse4_bundle:
             assert rep.strong_mode and rep.t_entry_strong is not None
             # slices of the trajectory attractor against the weak attractor
-            a_w = global_attractor(bundle["ensemble"], "weak", bundle["omega"])
+            a_w = global_attractor(bundle["ensemble"], "weak", bundle["omega"]).points
+            spec = bundle["spec"]
             for t in (0.0, 1.0, 2.0, 3.0, 4.0):
-                sl = att.states_at(t)
-                assert set_semidist(sl, a_w, "strong") <= 1e-3
-                assert set_semidist(a_w, sl, "strong") <= 1e-3
+                sl = att.samples_at(t)
+                assert pairwise_to_set(spec, sl, a_w, "strong").max() <= 1e-3
+                assert pairwise_to_set(spec, a_w, sl, "strong").max() <= 1e-3
 
 
 # -- 11 ---------------------------------------------------------------------

@@ -222,6 +222,13 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
         ("window_T", {"checks": [{"name": "tracking", "window_T": 0}]}),
         ("eps_ladder[1]", {"checks": [{"name": "tracking", "eps_ladder": [0.1, -0.1]}]}),
         ("checks[0].eps", {"checks": [{"name": "quasi_invariance", "eps": -1}]}),
+        # times outside the run's grid [0, horizon] (t_from keeps two samples)
+        ("t_star", {"checks": [{"name": "point_convergence", "t_star": 100}]}),
+        ("t_star", {"checks": [{"name": "point_convergence", "t_star": -0.5}]}),
+        ("t_star", {"checks": [{"name": "point_convergence", "t_star": 5.001}]}),
+        ("t_from", {"checks": [{"name": "compactness", "t_from": -3}]}),
+        ("t_from", {"checks": [{"name": "compactness", "t_from": 10.0}]}),
+        ("t_from", {"checks": [{"name": "compactness", "t_from": 5.005}]}),
     ]
     for i, (field, change) in enumerate(cases):
         cfg = dict(TOY, output_dir=str(tmp_path / "out"), **change)
@@ -236,6 +243,10 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "seed" in err
     assert not (tmp_path / "out").exists()
+    # the grid-time bounds hold their endpoints
+    ends = [{"name": "point_convergence", "t_star": 10.0}, {"name": "compactness", "t_from": 0}]
+    cfg = load_config(_write_cfg(tmp_path, dict(TOY, checks=ends), "ends.json"))
+    assert [chk.get("t_star", chk.get("t_from")) for chk in cfg["checks"]] == [10.0, 0.0]
 
 
 _NOT_A_NUMBER = st.one_of(

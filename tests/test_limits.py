@@ -3,7 +3,13 @@ import numpy as np
 import pytest
 
 from attractorlab.core import build_ensemble
-from attractorlab.errors import EmptySet, HorizonTooShort, InsufficientSamples
+from attractorlab.errors import (
+    EmptySet,
+    HorizonTooShort,
+    InsufficientSamples,
+    ModelMismatch,
+    NonFiniteState,
+)
 from attractorlab.limits import (
     OmegaParams,
     SetEstimate,
@@ -15,7 +21,7 @@ from attractorlab.limits import (
 )
 from attractorlab.metrics import cross_dist
 from attractorlab.models import make_spec, sample_ball, spec_dim, steady_state
-from attractorlab.state import Ensemble, State, Trajectory
+from attractorlab.state import Ensemble, Trajectory
 
 
 def test_omega_params_validation():
@@ -29,16 +35,28 @@ def test_omega_params_validation():
 
 def test_set_estimate_validation():
     spec = make_spec("toy_contraction", truncation=2)
+    mk = lambda points, **kw: SetEstimate(
+        points, spec, **{"metric": "strong", "tol": 1e-3, "horizon": 1.0, **kw}
+    )
+    src = np.array([[1.0, 2.0], [3.0, 4.0]])
+    est = mk(src)
+    assert est.n_points == 2 and est.model is spec
+    src[0, 0] = 9.0  # the estimate holds its own copy
+    np.testing.assert_array_equal(est.points, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError):
+        est.points[0, 0] = 5.0  # frozen
     with pytest.raises(EmptySet):
-        SetEstimate(points=(), metric="strong", tol=1e-3, horizon=1.0)
+        mk(())
+    with pytest.raises(EmptySet):
+        mk(np.empty((0, 2)))
+    with pytest.raises(NonFiniteState):
+        mk([[1.0, np.nan]])
+    with pytest.raises(ModelMismatch):
+        mk(np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        SetEstimate(
-            points=(State(np.zeros(2), spec),), metric="strong", tol=0.0, horizon=1.0
-        )
+        mk(np.zeros((1, 2)), tol=0.0)
     with pytest.raises(ValueError):
-        SetEstimate(
-            points=(State(np.zeros(2), spec),), metric="flat", tol=1e-3, horizon=1.0
-        )
+        mk(np.zeros((1, 2)), metric="flat")
 
 
 def test_greedy_cluster_dedupes_constant_blocks():
@@ -74,7 +92,7 @@ def test_greedy_cluster_matches_row_by_row_reference(m):
 def test_omega_limit_toy_is_origin(toy_bundle):
     omega = omega_limit(toy_bundle["ensemble"], "strong", toy_bundle["omega"])
     assert omega.n_points == 1
-    assert np.linalg.norm(omega.points[0].coords) < 1e-4
+    assert np.linalg.norm(omega.points[0]) < 1e-4
     assert omega.metric == "strong"
 
 
@@ -88,7 +106,7 @@ def test_omega_limit_newest_first():
     ens = Ensemble.from_trajectories((mk([4.0, 2.0, 1.0]), mk([-4.0, -2.0, -1.0])))
     est = omega_limit(ens, "strong", OmegaParams(0.0, 2.0, 1, 1e-3))
     assert est.n_points == 6
-    np.testing.assert_array_equal(est.coords.ravel(), [1, -1, 2, -2, 4, -4])
+    np.testing.assert_array_equal(est.points.ravel(), [1, -1, 2, -2, 4, -4])
 
 
 def test_omega_limit_horizon_guard(toy_bundle):
@@ -112,7 +130,7 @@ def test_is_attracting_entry_time_toy(toy_bundle):
 def test_is_attracting_wrong_candidate(toy_bundle):
     spec = toy_bundle["spec"]
     far = SetEstimate(
-        points=(State(np.full(6, 2.0), spec),), metric="strong", tol=1e-3, horizon=18.0
+        points=np.full((1, 6), 2.0), model=spec, metric="strong", tol=1e-3, horizon=18.0
     )
     rep = is_attracting(far, toy_bundle["ensemble"], eps=1e-3)
     assert rep.t_entry is None
@@ -131,7 +149,7 @@ def test_global_attractor_attaches_attraction(toy_bundle):
 def test_global_attractor_forced_matches_steady(nse4_bundle):
     est = omega_limit(nse4_bundle["ensemble"], "strong", nse4_bundle["omega"])
     target = nse4_bundle["steady"]
-    dmax = max(np.linalg.norm(p.coords - target) for p in est.points)
+    dmax = max(np.linalg.norm(p - target) for p in est.points)
     assert dmax < 5e-4
 
 

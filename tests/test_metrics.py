@@ -3,26 +3,22 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from attractorlab.errors import EmptySet, HorizonTooShort, ModelMismatch
+from attractorlab.errors import HorizonTooShort, ModelMismatch
 from attractorlab.metrics import (
     TrajMetricParams,
     cross_dist,
-    dist,
     dist_arrays,
     pairwise_to_set,
-    point_set_dist,
-    set_semidist,
     strong_dist_arrays,
     tail_steps,
     traj_dist_tail,
     traj_dist_window,
-    weak_dist,
     weak_dist_arrays,
     weak_weight_total,
     window_dist,
 )
 from attractorlab.models import make_spec, spec_dim, weak_weights
-from attractorlab.state import State, Trajectory
+from attractorlab.state import Trajectory
 
 SPECS = [
     make_spec("galerkin_nse_2d", truncation=2),
@@ -101,17 +97,17 @@ def test_weight_total_values():
     assert abs(weak_weight_total(dy) - (2.0 - 2.0 ** (-4))) < 1e-15
 
 
-def test_state_level_wrappers_and_mismatch():
+def test_point_dist_arrays_and_mismatch():
     spec = SPECS[2]
-    x = State(np.array([1.0, 0.0, 0.0, 0.0]), spec)
-    y = State(np.zeros(4), spec)
-    assert dist(x, y, "strong") == 1.0
-    assert weak_dist(x, y) == 0.5
-    other = State(np.zeros(5), make_spec("toy_contraction", truncation=5))
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    y = np.zeros(4)
+    assert dist_arrays(spec, x, y, "strong") == 1.0
+    assert dist_arrays(spec, x, y, "weak") == 0.5
+    other = make_spec("toy_contraction", truncation=5)
     with pytest.raises(ModelMismatch):
-        dist(x, other, "strong")
+        dist_arrays(other, x, y, "strong")
     with pytest.raises(ValueError):
-        dist(x, y, "euclid")
+        dist_arrays(spec, x, y, "euclid")
 
 
 def test_cross_dist_matches_cdist_and_loops():
@@ -225,14 +221,11 @@ def test_weak_kernel_matches_group_norm_bitwise(spec):
 
 def test_set_semidist_hand_example():
     spec = SPECS[2]
-    mk = lambda v: State(np.array(v, float), spec)
-    a = [mk([0.0, 0, 0, 0]), mk([2.0, 0, 0, 0])]
-    b = [mk([0.0, 0, 0, 0])]
-    assert set_semidist(a, b, "strong") == 2.0
-    assert set_semidist(b, a, "strong") == 0.0
-    assert point_set_dist(mk([1.0, 0, 0, 0]), a, "strong") == 1.0
-    with pytest.raises(EmptySet):
-        set_semidist([], a, "strong")
+    a = np.array([[0.0, 0, 0, 0], [2.0, 0, 0, 0]])
+    b = np.zeros((1, 4))
+    assert pairwise_to_set(spec, a, b, "strong").max() == 2.0
+    assert pairwise_to_set(spec, b, a, "strong").max() == 0.0
+    assert dist_arrays(spec, np.array([1.0, 0, 0, 0]), a, "strong").min() == 1.0
 
 
 def _toy_traj(samples, dt=0.5, t0=0.0, trunc=None):

@@ -24,7 +24,6 @@ from attractorlab.errors import (
 from attractorlab.models import make_spec, rhs_array, sample_ball
 from attractorlab.state import (
     Ensemble,
-    State,
     Trajectory,
     grid_index,
     span_steps,
@@ -65,12 +64,21 @@ def test_span_steps():
 
 
 def test_state_validation():
-    x = State(np.ones(4), TOY)
-    assert x.dim == 4 and x.norm() == 2.0
+    # A state is a finite coordinate row; containers hold read-only copies.
+    row = np.ones(4)
+    tr = integrate(TOY, row, 0.0, 0.1, 0.1)
+    assert tr.dim == 4 and np.linalg.norm(tr.samples[0]) == 2.0
     with pytest.raises(NonFiniteState):
-        State([1.0, np.nan, 0.0, 0.0], TOY)
+        integrate(TOY, [1.0, np.nan, 0.0, 0.0], 0.0, 0.1, 0.1)
+    with pytest.raises(NonFiniteState):
+        Trajectory(t0=0.0, dt=0.1, samples=[[1.0, np.nan, 0.0, 0.0]], model=TOY)
+    own = Trajectory(t0=0.0, dt=0.1, samples=row[None, :], model=TOY)
+    row[0] = 9.0  # the trajectory holds its own copy
+    assert own.samples[0, 0] == 1.0
     with pytest.raises(ValueError):
-        x.coords[0] = 5.0  # frozen
+        own.samples[0, 0] = 5.0  # frozen
+    with pytest.raises(ValueError):
+        tr.samples[0, 0] = 5.0  # frozen
 
 
 def test_trajectory_indexing():
@@ -78,7 +86,7 @@ def test_trajectory_indexing():
     tr = Trajectory(t0=1.0, dt=0.5, samples=samples, model=TOY)
     assert tr.t_end == 3.0
     assert tr.index_of(2.0) == 2
-    assert np.array_equal(tr.state_at(3.0).coords, [8.0, 9.0])
+    assert np.array_equal(tr.samples[tr.index_of(3.0)], [8.0, 9.0])
     np.testing.assert_allclose(tr.times, [1.0, 1.5, 2.0, 2.5, 3.0])
     with pytest.raises(OffGrid):
         tr.index_of(3.5)
@@ -204,7 +212,8 @@ def test_restart_composition_matches_continuation():
 def test_r_map_contract():
     ens = build_ensemble(TOY, np.eye(4), 0.0, 1.0, 0.1)
     states = r_map(ens, 0.5)
-    assert len(states) == 4
+    assert states.shape == (4, 4)
+    np.testing.assert_array_equal(states, ens.samples[:, 5])
     shifted = Ensemble.from_trajectories(translate(tr, 1.0) for tr in ens.trajectories)
     with pytest.raises(ValueError):
         r_map(shifted, 0.5)

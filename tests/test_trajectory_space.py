@@ -67,11 +67,11 @@ def test_translation_semigroup_law(toy_bundle):
 
 def test_slice_matches_states(toy_bundle):
     p = toy_bundle["ensemble"]
-    got = p.states_at(2.0)
-    for st, tr in zip(got, p.trajectories):
-        assert np.array_equal(st.coords, tr.state_at(2.0).coords)
+    got = p.samples_at(2.0)
+    for row, tr in zip(got, p.trajectories):
+        assert np.array_equal(row, tr.samples[tr.index_of(2.0)])
     with pytest.raises(OffGrid):
-        p.states_at(-0.5)
+        p.samples_at(-0.5)
 
 
 def test_traj_set_semidist_hand_values():

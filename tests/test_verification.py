@@ -6,7 +6,7 @@ from attractorlab.core import build_ensemble, integrate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
 from attractorlab.models import make_spec, sample_ball, smooth_profile
-from attractorlab.state import Ensemble, State, Trajectory
+from attractorlab.state import Ensemble, Trajectory
 from attractorlab.verification import (
     check_left_continuity_implies_continuity,
     check_maximal_invariant,
@@ -71,8 +71,7 @@ def test_quasi_invariance_toy(toy_bundle):
 
 def test_quasi_invariance_rejects_far_point(toy_bundle):
     spec = toy_bundle["spec"]
-    far = State(np.full(6, 3.0), spec)
-    est = SetEstimate(points=(far,), metric="strong", tol=1e-3, horizon=18.0)
+    est = SetEstimate(np.full((1, 6), 3.0), spec, metric="strong", tol=1e-3, horizon=18.0)
     rep = check_quasi_invariance(est, toy_bundle["library"], eps=1e-2, t_win=2.0)
     assert rep.covered_fraction == 0.0
     assert rep.uncovered == (0,)
@@ -122,6 +121,15 @@ def test_tracking_rejects_mismatched_library(toy_bundle):
     coarse = build_ensemble(ens.model, ens.samples[:2, 0], 0.0, 4.0, 2.0 * ens.dt)
     with pytest.raises(GridMismatch):
         check_tracking(ens, coarse, "strong", eps=1e-3, window_T=2.0)
+    # the set checks compare models too, also when the dimensions agree
+    est = omega_limit(ens, "strong", toy_bundle["omega"])
+    lib = toy_bundle["library"]
+    twin = Ensemble(lib.samples, lib.t0, lib.dt, make_spec("toy_contraction", nu=2.0, truncation=6))
+    for library in (foreign, twin):
+        with pytest.raises(ModelMismatch):
+            check_quasi_invariance(est, library, eps=1e-2)
+        with pytest.raises(ModelMismatch):
+            check_maximal_invariant(est, library, eps=1e-3)
 
 
 def test_tracking_ladder_passes_on_real_library(nse4_bundle):
