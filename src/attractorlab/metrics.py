@@ -222,6 +222,19 @@ def window_semidist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps
     return worst
 
 
+def window_escapes(
+    spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, eps: float, steps=None
+) -> bool:
+    """Whether some window of a is >= eps from every window of b.
+
+    The same answer as window_semidist(spec, a, b, m, steps) >= eps for
+    eps > 0, from the same window_dist values, but it stops at the first
+    window of a that escapes, and for each window of a at the first window
+    of b closer than eps.
+    """
+    return any(all(float(window_dist(spec, u, v, m, steps)) >= eps for v in b) for u in a)
+
+
 def _same_traj_model(u: Trajectory, v: Trajectory) -> ModelSpec:
     if u.model.key != v.model.key:
         raise ModelMismatch("trajectories belong to different models")

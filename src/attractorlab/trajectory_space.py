@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import forward_ensemble
 from .errors import GridMismatch, HorizonTooShort, ModelMismatch
-from .metrics import TrajMetricParams, _check_metric, tail_steps, window_semidist
+from .metrics import TrajMetricParams, _check_metric, tail_steps, window_escapes, window_semidist
 from .state import Ensemble, frozen_view, span_steps
 from .verification import is_grid_continuous
 
@@ -155,11 +155,14 @@ def trajectory_attraction_report(
 ) -> TrajectoryAttractionReport:
     """Scan translations T(t) of the family for attraction to the attractor.
 
-    The scan takes about 32 translation times. Weak mode measures the tail
-    metric of each translated member to its nearest attractor member; strong
-    mode (enabled when every attractor
-    member passes the grid continuity witness) measures the sup of the
-    strong metric over [0, window_T] after translation.
+    The entry time is the first translation after the last one at which some
+    member is eps-far from every attractor member. The grid has about 32
+    translations (n_times); the scan goes backward from the last one and
+    stops at the deciding violation, so an entry that is None costs one
+    translation. Weak mode measures the tail metric of each translated member
+    to its nearest attractor member; strong mode (enabled when every
+    attractor member passes the grid continuity witness) measures the sup of
+    the strong metric over [0, window_T] after translation.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
@@ -181,19 +184,14 @@ def trajectory_attraction_report(
     strong_mode = all(is_grid_continuous(v) for v in attractor.trajectories)
 
     def entry(w: int, m: str, tail=None) -> float | None:
-        # worst window distance to the attractor at each shift, then the
-        # first shift after the last violation of eps
+        # the first shift after the last violation of eps, searched from the
+        # last shift backward
         ref = attractor.samples[:, : w + 1]
-        worst = [
-            window_semidist(k_space.model, k_space.samples[:, k : k + w + 1], ref, m, tail)
-            for k in shifts
-        ]
-        viol = np.flatnonzero(np.array(worst) >= eps)
-        if viol.size == 0:
-            return float(shifts[0] * dt)
-        if viol[-1] + 1 >= shifts.shape[0]:
-            return None
-        return float(shifts[viol[-1] + 1] * dt)
+        for j in reversed(range(shifts.shape[0])):
+            k = shifts[j]
+            if window_escapes(k_space.model, k_space.samples[:, k : k + w + 1], ref, m, eps, tail):
+                return float(shifts[j + 1] * dt) if j + 1 < shifts.shape[0] else None
+        return float(shifts[0] * dt)
 
     return TrajectoryAttractionReport(
         t_entry=entry(w_tail, "weak", steps),

@@ -6,6 +6,9 @@ raises HypothesisFail so that a theorem is never blamed for an input that
 did not satisfy its assumptions. Quantifiers over all trajectories, shifts,
 and epsilons become finite searches with deterministic order: library
 members in stored order, grid shifts ascending, first match under eps wins.
+Searches whose verdict is decided by the last violation scan backward: the
+tracking search takes sampled t* from the last one down and stops at the
+first t* with an unmatched member.
 """
 from __future__ import annotations
 
@@ -220,10 +223,11 @@ def check_tracking(
     """Find when every member is eps-shadowed by some shifted library member.
 
     Weak mode compares truncated tail metrics from each t*; strong mode
-    compares the sup of the strong metric over [t*, t* + window_T]. Scans
-    sampled t* ascending and reports the earliest one from which all later
-    sampled t* also match; raises NoMatch when even the final t* leaves some
-    member unmatched.
+    compares the sup of the strong metric over [t*, t* + window_T]. Reports
+    the earliest sampled t* from which all later sampled t* also match. The
+    scan starts at the final t* and raises NoMatch when some member is
+    unmatched there; otherwise it goes backward and stops at the first t*
+    with an unmatched member, reporting the t* after it.
     """
     w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T)
     spec = ensemble.model
@@ -239,29 +243,28 @@ def check_tracking(
                     return li, s, err
         return None
 
-    per_t = []  # (all matched, worst error, pairs, shifts)
-    for k in t_star_idx:
+    def matched_at(k: int):
+        # (worst error, pairs, shifts) when every member matches at t* index
+        # k, else None as soon as one member does not
         pairs, shifts, worst = [], [], 0.0
-        ok = True
         for mi, us in enumerate(ensemble.samples):
             found = member_match(us[k : k + w + 1])
             if found is None:
-                ok = False
-                break
+                return None
             li, s, err = found
             pairs.append((mi, li))
             shifts.append(library.t0 + s * library.dt)
             worst = max(worst, err)
-        per_t.append((ok, worst, tuple(pairs), tuple(shifts)))
+        return worst, tuple(pairs), tuple(shifts)
 
-    if not per_t[-1][0]:
+    first_ok, record = t_star_idx.shape[0], None
+    while first_ok > 0 and (earlier := matched_at(t_star_idx[first_ok - 1])) is not None:
+        first_ok, record = first_ok - 1, earlier
+    if record is None:
         raise NoMatch(
             f"some member exceeds eps={eps} against the library even at the final t*"
         )
-    first_ok = len(per_t) - 1
-    while first_ok > 0 and per_t[first_ok - 1][0]:
-        first_ok -= 1
-    ok, worst, pairs, shifts = per_t[first_ok]
+    worst, pairs, shifts = record
     return TrackingReport(
         t_star=ensemble.t0 + int(t_star_idx[first_ok]) * ensemble.dt,
         window_T=window_T,
@@ -357,7 +360,8 @@ def check_strong_convergence_at_point(
     """Check pointwise strong convergence at a strong-continuity point.
 
     Hypotheses established first: the sequence must approach the limit in the
-    weak window metric over t_star +- 1, and the limit must pass the grid
+    weak window metric over t_star +- 1 (rounded to whole grid steps, at
+    least one, and clipped to the span), and the limit must pass the grid
     continuity witness there; failures raise HypothesisFail. The verdict then
     asks for the strong distances at t_star to decrease to a fifth of the
     first; the ladder gives the first member below each of 1e-1, 1e-2, 1e-3.
@@ -365,12 +369,13 @@ def check_strong_convergence_at_point(
     seq = list(seq)
     if not seq:
         raise ValueError("empty trajectory sequence")
-    a = max(limit.t0, t_star - 1.0)
-    b = min(limit.t_end, t_star + 1.0)
+    k = limit.index_of(t_star)
+    h = max(1, round(1.0 / limit.dt))
+    a = limit.t0 + max(0, k - h) * limit.dt
+    b = limit.t0 + min(limit.n_samples - 1, k + h) * limit.dt
     weak_vals = _weak_gate(seq, limit, a, b)
     if not is_grid_continuous(limit, a, b):
         raise HypothesisFail("limit trajectory fails the strong-continuity witness")
-    k = limit.index_of(t_star)
     d = [float(np.linalg.norm(u.samples[u.index_of(t_star)] - limit.samples[k])) for u in seq]
     scale = 1.0 + float(np.linalg.norm(limit.samples[k]))
     monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 * scale for i in range(len(d) - 1))

@@ -1,0 +1,110 @@
+"""Full forward scans that the verdict-first searches must agree with.
+
+Each oracle evaluates every sampled time, front to back, and then reads the
+verdict off the complete record: the definition of the report, with no
+early exit. The package scans backward and stops at the deciding violation;
+these scans stay slow on purpose and live only in the tests.
+"""
+import numpy as np
+
+from attractorlab.errors import GridMismatch, HorizonTooShort, NoMatch
+from attractorlab.metrics import strong_dist_arrays, tail_steps, window_dist, window_semidist
+from attractorlab.trajectory_space import TrajectoryAttractionReport
+from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
+
+
+def attraction_report_oracle(k_space, attractor, params, eps, window_T=2.0):
+    """trajectory_attraction_report by a full forward scan of every shift."""
+    if not (eps > 0):
+        raise ValueError("eps must be positive")
+    dt = k_space.dt
+    if dt != attractor.dt:
+        raise GridMismatch("trajectory space and attractor grids differ")
+    steps = tail_steps(params, dt)
+    w_tail = int(steps[-1])
+    w_strong = int(round(window_T / dt))
+    n = k_space.n_samples
+    w_need = max(w_tail, w_strong)
+    if n <= w_need or attractor.n_samples <= w_need:
+        raise HorizonTooShort("trajectory-space horizon too short for the windows")
+    stride = max(1, (n - 1 - w_need) // 32)
+    shifts = np.arange(0, n - w_need, stride)
+    strong_mode = all(is_grid_continuous(v) for v in attractor.trajectories)
+
+    def entry(w, m, tail=None):
+        ref = attractor.samples[:, : w + 1]
+        worst = [
+            window_semidist(k_space.model, k_space.samples[:, k : k + w + 1], ref, m, tail)
+            for k in shifts
+        ]
+        viol = np.flatnonzero(np.array(worst) >= eps)
+        if viol.size == 0:
+            return float(shifts[0] * dt)
+        if viol[-1] + 1 >= shifts.shape[0]:
+            return None
+        return float(shifts[viol[-1] + 1] * dt)
+
+    return TrajectoryAttractionReport(
+        t_entry=entry(w_tail, "weak", steps),
+        strong_mode=strong_mode,
+        t_entry_strong=entry(w_strong, "strong") if strong_mode else None,
+        eps=eps,
+        window_T=window_T,
+        n_times=int(shifts.shape[0]),
+    )
+
+
+def tracking_oracle(ensemble, library, m, eps, window_T):
+    """check_tracking by matching every member at every sampled t*, ascending."""
+    w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T)
+    spec = ensemble.model
+
+    def member_match(u_seg):
+        for li, vs in enumerate(library.samples):
+            a_d = strong_dist_arrays(vs[shift_idx] - u_seg[0])
+            for j in np.flatnonzero(a_d < eps):
+                s = int(shift_idx[j])
+                err = float(window_dist(spec, u_seg, vs[s : s + w + 1], m, steps))
+                if err < eps:
+                    return li, s, err
+        return None
+
+    per_t = []
+    for k in t_star_idx:
+        pairs, shifts, worst = [], [], 0.0
+        ok = True
+        for mi, us in enumerate(ensemble.samples):
+            found = member_match(us[k : k + w + 1])
+            if found is None:
+                ok = False
+                break
+            li, s, err = found
+            pairs.append((mi, li))
+            shifts.append(library.t0 + s * library.dt)
+            worst = max(worst, err)
+        per_t.append((ok, worst, tuple(pairs), tuple(shifts)))
+    if not per_t[-1][0]:
+        raise NoMatch(f"some member exceeds eps={eps} against the library even at the final t*")
+    first_ok = len(per_t) - 1
+    while first_ok > 0 and per_t[first_ok - 1][0]:
+        first_ok -= 1
+    ok, worst, pairs, shifts = per_t[first_ok]
+    return TrackingReport(
+        t_star=ensemble.t0 + int(t_star_idx[first_ok]) * ensemble.dt,
+        window_T=window_T,
+        metric=m,
+        eps=eps,
+        worst_error=worst,
+        matched_pairs=pairs,
+        shifts=shifts,
+    )
+
+
+def tracking_ladder_oracle(ensemble, library, m, window_T, eps_ladder):
+    out = []
+    for eps in eps_ladder:
+        try:
+            out.append((float(eps), tracking_oracle(ensemble, library, m, eps, window_T)))
+        except NoMatch:
+            out.append((float(eps), None))
+    return tuple(out)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import attraction_report_oracle
 
 import attractorlab.cli as cli
 from attractorlab.cli import load_config, main
@@ -371,6 +372,27 @@ def test_verify_computes_the_attractor_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     names = [c["name"] for c in json.loads((out / "reports.json").read_text())["checks"]]
     assert names == ["quasi_invariance", "maximal_invariant"]
+
+
+def test_trajectory_attractor_artifacts_match_full_scan(tmp_path, monkeypatch):
+    # the backward attraction scan writes the bytes the full forward scan wrote
+    payload = dict(
+        TOY,
+        horizon=16.0,
+        library={"size": 3, "t_back": 10.0, "horizon": 16.0},
+        omega={"cluster_tol": 1e-3},
+    )
+    written = {}
+    for name in ("shipped", "oracle"):
+        if name == "oracle":
+            monkeypatch.setattr(cli, "trajectory_attraction_report", attraction_report_oracle)
+        (tmp_path / name).mkdir()
+        code, out = _run(tmp_path / name, "trajectory-attractor", payload)
+        assert code == 0
+        written[name] = [(out / f).read_bytes() for f in ("reports.json", "sets.json")]
+    assert written["shipped"] == written["oracle"]
+    check = json.loads(written["shipped"][0])["checks"][0]
+    assert check["t_entry"] > 0.0 and check["t_entry_strong"] > 0.0
 
 
 def test_failed_attractor_is_built_once(tmp_path, monkeypatch):

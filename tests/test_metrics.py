@@ -1,6 +1,8 @@
 """Metric axioms, hand values, and the strong/weak comparison."""
 import numpy as np
 import pytest
+
+import attractorlab.metrics as metrics
 from scipy.spatial.distance import cdist
 
 from attractorlab.errors import HorizonTooShort, ModelMismatch
@@ -16,6 +18,8 @@ from attractorlab.metrics import (
     weak_dist_arrays,
     weak_weight_total,
     window_dist,
+    window_escapes,
+    window_semidist,
 )
 from attractorlab.models import make_spec, spec_dim, weak_weights
 from attractorlab.state import Trajectory
@@ -306,6 +310,63 @@ def test_window_dist_matches_norm_formulas_bitwise():
     for m, d in pointwise.items():
         assert window_dist(spec, u, v, m) == d.max()
         assert window_dist(spec, u, v, m, steps) == _tail_series(d, 0.1, 4)
+
+
+def _const_windows(offsets, n=5, dim=4):
+    # windows constant in time, offset along the first coordinate
+    out = np.zeros((len(offsets), n, dim))
+    out[:, :, 0] = np.asarray(offsets, float)[:, None]
+    return out
+
+
+def test_window_escapes_hand_values_and_ties():
+    spec = SPECS[2]
+    a = _const_windows([0.0, 0.5, 2.0])
+    b = _const_windows([0.0, 1.0])
+    # nearest distances 0, 0.5 and 1: the semidistance is 1.0
+    assert window_semidist(spec, a, b, "strong") == 1.0
+    for eps, want in [(0.25, True), (0.5, True), (1.0, True), (np.nextafter(1.0, 2.0), False)]:
+        assert window_escapes(spec, a, b, "strong", eps) is want
+        assert (window_semidist(spec, a, b, "strong") >= eps) == want
+
+
+@pytest.mark.parametrize("m", ["strong", "weak"])
+@pytest.mark.parametrize("tail", [False, True])
+def test_window_escapes_equals_semidist_threshold(m, tail):
+    rng = np.random.default_rng(31)
+    spec = SPECS[0]
+    dim = spec_dim(spec)
+    steps = tail_steps(TrajMetricParams(t_max_windows=3), 0.1) if tail else None
+    a = rng.standard_normal((4, 31, dim))
+    b = a[:3] + 0.05 * rng.standard_normal((3, 31, dim))
+    d = window_semidist(spec, a, b, m, steps)
+    # ties at exactly the semidistance and at every pair value, and the
+    # neighbouring floats on both sides
+    pair = [float(window_dist(spec, u, v, m, steps)) for u in a for v in b]
+    for x in [d] + pair:
+        for eps in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
+            if eps > 0:
+                assert window_escapes(spec, a, b, m, eps, steps) == (d >= eps)
+
+
+def test_window_escapes_stops_at_the_deciding_pair(monkeypatch):
+    spec = SPECS[2]
+    calls = []
+    kernel = metrics.window_dist
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "window_dist", counted)
+    b = _const_windows([0.0, 1.0, 2.0])
+    # the first window of a escapes: one pass over b settles the answer
+    assert window_escapes(spec, _const_windows([9.0, 0.0]), b, "strong", 0.5)
+    assert len(calls) == 3
+    # every window of a has a near window first in b: one call each
+    calls.clear()
+    assert not window_escapes(spec, _const_windows([0.0, 0.1]), b, "strong", 0.5)
+    assert len(calls) == 2
 
 
 def test_traj_tail_horizon_guard():

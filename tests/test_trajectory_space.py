@@ -1,12 +1,16 @@
 """Translation semigroup, tail-metric set distances, and the trajectory view."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from oracles import attraction_report_oracle
 
 from attractorlab.errors import EmptyEnsemble, GridMismatch, HorizonTooShort, ModelMismatch, OffGrid
 from attractorlab.metrics import TrajMetricParams
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble, Trajectory
 from attractorlab.trajectory_space import (
+    TrajectoryAttractionReport,
     traj_set_semidist,
     trajectory_attraction_report,
     trajectory_attractor,
@@ -144,3 +148,59 @@ def test_attraction_report_eps_guard(toy_bundle):
     att = trajectory_attractor(k_space, toy_bundle["library"], PARAMS)
     with pytest.raises(ValueError):
         trajectory_attraction_report(k_space, att, PARAMS, eps=0.0)
+
+
+def _same_report(got, want):
+    for f in fields(TrajectoryAttractionReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.fixture(scope="module")
+def toy_attractor(toy_bundle):
+    return trajectory_attractor(toy_bundle["ensemble"], toy_bundle["library"], PARAMS)
+
+
+def _moved(ens, offset, n_early=None):
+    # the family with `offset` added to the first coordinate, on every sample
+    # or only on the first n_early
+    samples = np.array(ens.samples)
+    samples[:, :n_early, 0] += offset
+    return Ensemble(samples, 0.0, ens.dt, ens.model)
+
+
+def test_attraction_report_matches_full_scan(toy_bundle, toy_attractor):
+    ens = toy_bundle["ensemble"]
+    settled = translate_semigroup(ens, 8.0)  # within about e^-8 of the origin
+    cases = {
+        "shift 0": (settled, 0.0),
+        "interior": (_moved(settled, 0.5, n_early=100), "interior"),
+        "decay": (ens, "interior"),
+        "none": (_moved(ens, 0.5), None),
+    }
+    for name, (k_space, want) in cases.items():
+        got = trajectory_attraction_report(k_space, toy_attractor, PARAMS, eps=2e-3)
+        _same_report(got, attraction_report_oracle(k_space, toy_attractor, PARAMS, eps=2e-3))
+        assert got.strong_mode, name
+        for t in (got.t_entry, got.t_entry_strong):
+            if want == "interior":
+                assert t is not None and t > 0.0, name
+            else:
+                assert t == want, name
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0])
+def test_attraction_report_matches_full_scan_over_eps(toy_bundle, toy_attractor, eps):
+    k_space = toy_bundle["ensemble"]
+    got = trajectory_attraction_report(k_space, toy_attractor, PARAMS, eps=eps)
+    _same_report(got, attraction_report_oracle(k_space, toy_attractor, PARAMS, eps=eps))
+
+
+def test_attraction_report_without_strong_mode(toy_bundle, toy_attractor):
+    # a one-step jump in the attractor member switches strong mode off
+    samples = np.array(toy_attractor.samples)
+    samples[:, 500:, 0] += 0.5
+    jumped = Ensemble(samples, 0.0, toy_attractor.dt, toy_attractor.model)
+    k_space = toy_bundle["ensemble"]
+    got = trajectory_attraction_report(k_space, jumped, PARAMS, eps=2e-3)
+    assert not got.strong_mode and got.t_entry_strong is None
+    _same_report(got, attraction_report_oracle(k_space, jumped, PARAMS, eps=2e-3))

@@ -1,13 +1,19 @@
 """Continuity witnesses, invariance checks, and tracking verdicts."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from oracles import tracking_ladder_oracle
 
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
+from attractorlab.metrics import traj_dist_window
 from attractorlab.models import make_spec, sample_ball, smooth_profile
 from attractorlab.state import Ensemble, Trajectory
 from attractorlab.verification import (
+    TrackingReport,
+    _tracking_grid,
     check_left_continuity_implies_continuity,
     check_maximal_invariant,
     check_quasi_invariance,
@@ -145,6 +151,34 @@ def test_tracking_ladder_passes_on_real_library(nse4_bundle):
         assert rep.worst_error < eps
 
 
+def _same_ladder(ensemble, library, m, eps_ladder):
+    """Check tracking_ladder against the forward-scan oracle; return its rungs."""
+    got = tracking_ladder(ensemble, library, m, window_T=2.0, eps_ladder=eps_ladder)
+    want = tracking_ladder_oracle(ensemble, library, m, 2.0, eps_ladder)
+    assert [eps for eps, _ in got] == [eps for eps, _ in want]
+    for (eps, rep), (_, ref) in zip(got, want):
+        assert (rep is None) == (ref is None), eps
+        if rep is not None:
+            for f in fields(TrackingReport):
+                assert getattr(rep, f.name) == getattr(ref, f.name), (eps, f.name)
+    return got
+
+
+@pytest.mark.parametrize("bundle", ["toy_bundle", "nse4_bundle"])
+@pytest.mark.parametrize("m", ["strong", "weak"])
+def test_tracking_matches_forward_scan(request, bundle, m):
+    b = request.getfixturevalue(bundle)
+    ens, lib = b["ensemble"], b["library"]
+    rungs = _same_ladder(ens, lib, m, (10.0, 0.3, 1e-2, 1e-3, 1e-12))
+    _, _, t_star_idx, _ = _tracking_grid(ens, lib, m, 2.0)
+    second = ens.t0 + int(t_star_idx[1]) * ens.dt
+    t_stars = [rep.t_star for _, rep in rungs if rep is not None]
+    # a rung settled at the first t*, rungs deep inside the scan, a NoMatch rung
+    assert t_stars[0] == ens.t0
+    assert len([t for t in t_stars if t > second]) >= 2
+    assert rungs[-1][1] is None
+
+
 def test_tracking_error_profile_monotone(nse4_bundle):
     t_stars, errs = tracking_error_profile(
         nse4_bundle["ensemble"], nse4_bundle["library"], "strong", window_T=2.0
@@ -187,6 +221,19 @@ def test_point_convergence_rejects_weak_only_gate():
         assert not rep.converged
     except HypothesisFail:
         pass
+
+
+def test_point_convergence_window_on_a_grid_that_misses_whole_times():
+    # dt = 0.3 does not divide 1.0: the window t_star +- 1 rounds to three
+    # grid steps on each side, [2.1, 3.9], instead of raising OffGrid at 2.0
+    limit = _traj(np.zeros((21, 3)), dt=0.3)
+    seq = [_traj(np.full((21, 3), 2.0 ** (-n)), dt=0.3) for n in range(1, 7)]
+    rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
+    assert rep.converged
+    assert rep.weak_dists == tuple(traj_dist_window(u, limit, 2.1, 3.9, "weak") for u in seq)
+    # near the ends the window is clipped to the span
+    early = check_strong_convergence_at_point(seq, limit, t_star=0.3)
+    assert early.weak_dists == tuple(traj_dist_window(u, limit, 0.0, 1.2, "weak") for u in seq)
 
 
 def test_uniform_convergence_window(nse4_free_bundle):
