@@ -2,8 +2,8 @@
 
 Public surface re-exported from the submodules:
 
-* :mod:`.core` — trajectories, ensembles, integration, reachability
-* :mod:`.metrics` — strong/weak metrics on point clouds and trajectories
+* :mod:`.core` — ensembles (a trajectory is a one-member one), integration, reachability
+* :mod:`.metrics` — strong/weak metrics on point clouds and sample windows
 * :mod:`.models` — Galerkin Navier-Stokes, dyadic shell, toy contraction
 * :mod:`.limits` — omega-limit sets, global attractors, compactness defects
 * :mod:`.verification` — invariance, tracking, and convergence checks
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from . import errors
 from .core import (
     Ensemble,
-    Trajectory,
     build_ensemble,
     complete_surrogates,
     forward_ensemble,
@@ -29,8 +28,6 @@ from .core import (
 from .metrics import (
     MetricKind,
     TrajMetricParams,
-    traj_dist_tail,
-    traj_dist_window,
     weak_weight_total,
 )
 from .models import (

@@ -271,25 +271,27 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(text + "\n")
 
 
+# The CSV writers stream one member at a time: the text of a whole ensemble
+# is never held in memory at once.
 def _write_trajectories(path: Path, ensemble: Ensemble, stride: int) -> None:
     dim = ensemble.samples.shape[2]
-    header = "time,member," + ",".join(f"c{j}" for j in range(dim))
-    lines = [header]
-    for mi, member in enumerate(ensemble.samples):
-        for k in range(0, ensemble.n_samples, stride):
-            t = float(ensemble.t0 + k * ensemble.dt)
-            lines.append(f"{t!r},{mi}," + ",".join(map(repr, member[k].tolist())))
-    path.write_text("\n".join(lines) + "\n")
+    ks = range(0, ensemble.n_samples, stride)
+    times = [repr(float(ensemble.t0 + k * ensemble.dt)) for k in ks]
+    with path.open("w") as fh:
+        fh.write("time,member," + ",".join(f"c{j}" for j in range(dim)) + "\n")
+        for mi, member in enumerate(ensemble.samples[:, ::stride]):
+            rows = zip(times, member.tolist())
+            fh.writelines(f"{t},{mi}," + ",".join(map(repr, row)) + "\n" for t, row in rows)
 
 
 def _write_ledger(path: Path, spec: ModelSpec, ensemble: Ensemble, stride: int) -> None:
-    lines = ["member,time,energy,enstrophy,work"]
-    for mi, tr in enumerate(ensemble.trajectories):
-        led = energy_ledger(spec, tr)
-        table = np.stack([led.times, led.energy, led.enstrophy, led.work], axis=1)
-        for row in table[::stride].tolist():
-            lines.append(f"{mi}," + ",".join(map(repr, row)))
-    path.write_text("\n".join(lines) + "\n")
+    led = energy_ledger(spec, ensemble)
+    times = np.broadcast_to(led.times, led.energy.shape)
+    table = np.stack([times, led.energy, led.enstrophy, led.work], axis=-1)
+    with path.open("w") as fh:
+        fh.write("member,time,energy,enstrophy,work\n")
+        for mi, member in enumerate(table[:, ::stride]):
+            fh.writelines(f"{mi}," + ",".join(map(repr, row)) + "\n" for row in member.tolist())
 
 
 def _set_payload(est) -> dict:
@@ -318,7 +320,7 @@ def _setup(cfg: dict, spec: ModelSpec):
     if radius is None:
         radius = default_radius(spec)
     initials = _initials(spec, cfg["ensemble_size"], radius, cfg["seed"])
-    ensemble = build_ensemble(spec, initials, 0.0, cfg["horizon"], cfg["dt"], label="run")
+    ensemble = build_ensemble(spec, initials, 0.0, cfg["horizon"], cfg["dt"])
     return radius, ensemble
 
 
@@ -385,20 +387,15 @@ class _RunContext:
 
 
 def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    worst_ratio = 0.0
+    led = energy_ledger(ctx.spec, ctx.ensemble)
+    e0 = led.energy[:, 0]
+    gaps = energy_identity_gap(ctx.spec, led)
+    worst_ratio = max(0.0, float(np.divide(gaps, e0, out=gaps, where=e0 > 0).max()))
     rungs = {}
-    holds = True
-    for tr in ctx.ensemble.trajectories:
-        led = energy_ledger(ctx.spec, tr)
-        e0 = float(led.energy[0])
-        gap = energy_identity_gap(ctx.spec, led)
-        worst_ratio = max(worst_ratio, gap / e0 if e0 > 0 else gap)
-        for eps in chk["eps_ladder"]:
-            rep = check_energy_inequality(tr, led, eps, radius=ctx.radius)
-            rec = rungs.setdefault(repr(eps), {"holds": True, "worst_delta": -np.inf})
-            rec["holds"] = rec["holds"] and rep.holds
-            rec["worst_delta"] = max(rec["worst_delta"], rep.worst_delta)
-            holds = holds and rep.holds
+    for eps in chk["eps_ladder"]:
+        rep = check_energy_inequality(ctx.ensemble, led, eps, radius=ctx.radius)
+        rungs[repr(eps)] = {"holds": rep.holds, "worst_delta": rep.worst_delta}
+    holds = all(rec["holds"] for rec in rungs.values())
     ok = holds and worst_ratio <= chk["gap_tol"]
     return {
         "name": "energy",
@@ -416,18 +413,18 @@ def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     boundary = sample_ball(
         spec, chk["n_samples"], 2.0 * r_abs, cfg["seed"] + 2, boundary=True, profile=profile
     )
-    ens = build_ensemble(spec, boundary, 0.0, chk["horizon"], cfg["dt"], label="absorbing")
+    ens = build_ensemble(spec, boundary, 0.0, chk["horizon"], cfg["dt"])
     ok = True
     worst_entry = 0.0
     slack = 1e-9 * r_abs
-    for tr in ens.trajectories:
-        norms = np.linalg.norm(tr.samples, axis=1)
+    for member in ens.samples:
+        norms = np.linalg.norm(member, axis=1)
         inside = norms <= r_abs + slack
         entered = np.flatnonzero(inside)
         if entered.size == 0 or not inside[entered[0] :].all():
             ok = False
             break
-        worst_entry = max(worst_entry, float(entered[0] * tr.dt))
+        worst_entry = max(worst_entry, float(entered[0] * ens.dt))
     return {
         "name": "absorbing",
         "status": "pass" if ok else "fail",
@@ -499,11 +496,12 @@ def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
 
 
 def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    base = ctx.ensemble.trajectories[0]
+    ens = ctx.ensemble
+    base = Ensemble(ens.samples[:1], ens.t0, ens.dt, ens.model)
     bump = np.zeros(spec_dim(ctx.spec))
     bump[0] = 1.0
-    starts = [base.samples[0] + 2.0 ** (-n) * bump for n in range(1, chk["n_seq"] + 1)]
-    seq = build_ensemble(ctx.spec, np.array(starts), 0.0, cfg["horizon"], cfg["dt"]).trajectories
+    starts = [base.samples[0, 0] + 2.0 ** (-n) * bump for n in range(1, chk["n_seq"] + 1)]
+    seq = build_ensemble(ctx.spec, np.array(starts), 0.0, cfg["horizon"], cfg["dt"])
     try:
         rep = check_strong_convergence_at_point(seq, base, chk["t_star"])
     except HypothesisFail as exc:

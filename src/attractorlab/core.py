@@ -6,18 +6,19 @@ linear decay is applied through exact exponentials, so pure-decay dynamics
 (the toy model, or unforced high modes) are integrated exactly and the step
 limit comes only from the nonlinear transfer. All evaluation is vectorized
 over ensemble members with a fixed reduction order, so single and batched
-integration produce bit-identical trajectories.
+integration produce bit-identical trajectories. A single trajectory is a
+one-member Ensemble; translation, restriction and rebasing act on all
+members at once and return views of the same array.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteState, StepMismatch
+from .errors import EmptyWindow, NonFiniteState, StepMismatch
 from .models import ModelSpec, linear_rates, nonlinear_array, spec_dim
-from .state import Ensemble, Trajectory, frozen_view, span_steps, window_indices
+from .state import Ensemble, frozen_view, span_steps
 
 __all__ = [
-    "Trajectory",
     "Ensemble",
     "integrate",
     "integrate_batch",
@@ -78,9 +79,9 @@ def integrate(
     t0: float,
     t1: float,
     dt: float,
-) -> Trajectory:
-    """Integrate one initial coordinate row over [t0, t1] on the uniform grid."""
-    return build_ensemble(model, np.asarray(initial, float)[None, :], t0, t1, dt).trajectories[0]
+) -> Ensemble:
+    """Integrate one initial coordinate row over [t0, t1]: a one-member ensemble."""
+    return build_ensemble(model, np.asarray(initial, float)[None, :], t0, t1, dt)
 
 
 def build_ensemble(
@@ -89,7 +90,6 @@ def build_ensemble(
     t0: float,
     t1: float,
     dt: float,
-    label: str = "",
 ) -> Ensemble:
     """Integrate a stack of initial coordinates into one shared-grid ensemble.
 
@@ -98,7 +98,7 @@ def build_ensemble(
     """
     paths = integrate_batch(model, initials, t0, t1, dt)
     paths.setflags(write=False)
-    return frozen_view(Ensemble, samples=paths, t0=t0, dt=dt, model=model, label=label)
+    return frozen_view(Ensemble, samples=paths, t0=t0, dt=dt, model=model)
 
 
 def complete_surrogates(
@@ -117,7 +117,7 @@ def complete_surrogates(
     if t_back < 0:
         raise ValueError("t_back must be nonnegative")
     span_steps(-t_back, 0.0, dt)  # library grid must contain t = 0
-    return build_ensemble(model, initials, -t_back, horizon, dt, label="surrogate-library")
+    return build_ensemble(model, initials, -t_back, horizon, dt)
 
 
 def r_map(ensemble: Ensemble, t: float) -> np.ndarray:
@@ -133,39 +133,31 @@ def r_map(ensemble: Ensemble, t: float) -> np.ndarray:
     return ensemble.samples_at(t)
 
 
-def translate(traj: Trajectory, s: float) -> Trajectory:
+def translate(ens: Ensemble, s: float) -> Ensemble:
     """Shift the time labels by s (the translation group on trajectories)."""
+    return frozen_view(Ensemble, samples=ens.samples, t0=ens.t0 + s, dt=ens.dt, model=ens.model)
+
+
+def restrict(ens: Ensemble, a: float, b: float) -> Ensemble:
+    """Restriction of every member to the grid window [a, b] (no resampling)."""
+    if b < a:
+        raise EmptyWindow(f"window [{a}, {b}] is empty")
+    ia = ens.index_of(a)
+    ib = ens.index_of(b)
     return frozen_view(
-        Trajectory, t0=traj.t0 + s, dt=traj.dt, samples=traj.samples, model=traj.model
+        Ensemble,
+        samples=ens.samples[:, ia : ib + 1],
+        t0=ens.t0 + ia * ens.dt,
+        dt=ens.dt,
+        model=ens.model,
     )
 
 
-def restrict(traj: Trajectory, a: float, b: float) -> Trajectory:
-    """Restriction to the grid window [a, b] (no resampling)."""
-    ia, ib = window_indices(traj, a, b)
-    return frozen_view(
-        Trajectory,
-        t0=traj.t0 + ia * traj.dt,
-        dt=traj.dt,
-        samples=traj.samples[ia : ib + 1],
-        model=traj.model,
-    )
-
-
-def rebase_to_zero(traj: Trajectory) -> Trajectory:
+def rebase_to_zero(ens: Ensemble) -> Ensemble:
     """Translate so the first sample sits at t = 0."""
-    return translate(traj, -traj.t0)
+    return translate(ens, -ens.t0)
 
 
 def forward_ensemble(library: Ensemble, horizon: float | None = None) -> Ensemble:
     """Forward parts [0, horizon] of a surrogate library, rebased to t0 = 0."""
-    end = library.t_end if horizon is None else horizon
-    ia, ib = window_indices(library.trajectories[0], 0.0, end)
-    return frozen_view(
-        Ensemble,
-        samples=library.samples[:, ia : ib + 1],
-        t0=0.0,
-        dt=library.dt,
-        model=library.model,
-        label=library.label + ":forward",
-    )
+    return rebase_to_zero(restrict(library, 0.0, library.t_end if horizon is None else horizon))

@@ -17,7 +17,9 @@ Trajectory comparisons use the sup metric on a window [a, b] and the
 geometric tail series sum_T 2^(-T) s_T / (1 + s_T) with
 s_T = sup_{[a, a+T]} d(u, v), truncated at t_max_windows (the dropped tail is
 bounded by 2^-t_max_windows). Both reductions come from one kernel,
-window_dist, which every window-matching search in the package calls.
+window_dist, which every window-matching search in the package calls; its
+leading axes broadcast, so the windows of all members of an ensemble
+against one reference window take one call.
 """
 from __future__ import annotations
 
@@ -26,9 +28,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import HorizonTooShort, ModelMismatch
+from .errors import ModelMismatch
 from .models import ModelSpec, spec_dim, weak_weights
-from .state import Trajectory, common_grid_offsets, span_steps
+from .state import span_steps
 
 MetricKind = Literal["strong", "weak"]
 METRIC_KINDS = ("strong", "weak")
@@ -233,42 +235,3 @@ def window_escapes(
     of b closer than eps.
     """
     return any(all(float(window_dist(spec, u, v, m, steps)) >= eps for v in b) for u in a)
-
-
-def _same_traj_model(u: Trajectory, v: Trajectory) -> ModelSpec:
-    if u.model.key != v.model.key:
-        raise ModelMismatch("trajectories belong to different models")
-    return u.model
-
-
-def traj_dist_window(u: Trajectory, v: Trajectory, a: float, b: float, m: str) -> float:
-    """Sup over the shared grid window [a, b] of the pointwise metric."""
-    spec = _same_traj_model(u, v)
-    _check_metric(m)
-    iu, iv, count = common_grid_offsets(u, v, a, b)
-    return float(window_dist(spec, u.samples[iu : iu + count], v.samples[iv : iv + count], m))
-
-
-def traj_dist_tail(
-    u: Trajectory,
-    v: Trajectory,
-    a: float,
-    m: str,
-    p: TrajMetricParams | None = None,
-) -> float:
-    """Truncated tail metric sum_{T=1..Tmax} 2^-T s_T / (1 + s_T)."""
-    spec = _same_traj_model(u, v)
-    _check_metric(m)
-    p = p or TrajMetricParams()
-    t_last = a + p.t_max_windows
-    slack = 1e-9 * max(1.0, abs(t_last))
-    if t_last > min(u.t_end, v.t_end) + slack:
-        raise HorizonTooShort(
-            f"tail metric needs both grids to reach t={t_last}, "
-            f"spans end at {u.t_end} and {v.t_end}"
-        )
-    iu, iv, count = common_grid_offsets(u, v, a, t_last)
-    steps = tail_steps(p, u.dt)
-    return float(
-        window_dist(spec, u.samples[iu : iu + count], v.samples[iv : iv + count], m, steps)
-    )

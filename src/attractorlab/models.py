@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
 from .spectral import ModeTable, advect, build_mode_table
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .state import Trajectory
+from .state import Ensemble, common_window
 
 KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
 NSE_KINDS = ("galerkin_nse_2d", "galerkin_nse_3d")
@@ -246,7 +244,10 @@ def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
 def enstrophy(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     """Squared dissipation norm ||u||^2 = (A u, u)."""
     u = _check_operand(spec, u)
-    return ((u * u) * stokes_eigenvalues(spec)).sum(axis=-1)
+    # one temporary the size of u: a whole ensemble's samples come through here
+    sq = u * u
+    sq *= stokes_eigenvalues(spec)
+    return sq.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +466,14 @@ class A3Report:
     decreasing: bool
 
 
-def energy_ledger(spec: ModelSpec, traj: "Trajectory") -> EnergyLedger:
-    if traj.model.key != spec.key:
+def energy_ledger(spec: ModelSpec, ens: Ensemble) -> EnergyLedger:
+    """Ledger of every member: energy, enstrophy and work are (n_members, n_samples)."""
+    if ens.model.key != spec.key:
         raise ModelMismatch("trajectory does not belong to this model")
-    u = traj.samples
+    u = ens.samples
     return EnergyLedger(
-        times=traj.times,
-        energy=(u * u).sum(axis=1),
+        times=ens.times,
+        energy=(u * u).sum(axis=-1),
         enstrophy=enstrophy(spec, u),
         work=u @ forcing_array(spec),
     )
@@ -485,27 +487,28 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     each step's integral comes from the quadratic through three samples,
     taken forward for even steps and on the reversed samples for odd steps
     and the last one, then summed in order. Fewer than three samples fall
-    back to the trapezoid rule.
+    back to the trapezoid rule. Integrates along the last axis.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape[0] < 3:
-        steps = dx * (y[1:] + y[:-1]) / 2.0
+    if y.shape[-1] < 3:
+        steps = dx * (y[..., 1:] + y[..., :-1]) / 2.0
     else:
 
         def sub(f):
-            return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+            return dx / 3 * (5 * f[..., :-2] / 4 + 2 * f[..., 1:-1] - f[..., 2:] / 4)
 
-        fwd, bwd = sub(y), sub(y[::-1])[::-1]
-        steps = np.empty(y.shape[0] - 1)
-        steps[:-1:2] = fwd[::2]
-        steps[1::2] = bwd[::2]
-        steps[-1] = bwd[-1]
+        fwd, bwd = sub(y), sub(y[..., ::-1])[..., ::-1]
+        steps = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+        steps[..., :-1:2] = fwd[..., ::2]
+        steps[..., 1::2] = bwd[..., ::2]
+        steps[..., -1] = bwd[..., -1]
     # + 0.0 as scipy adds `initial`, which turns -0.0 into 0.0
-    return np.concatenate(([0.0], np.cumsum(steps) + 0.0))
+    zero = np.zeros(y.shape[:-1] + (1,))
+    return np.concatenate((zero, np.cumsum(steps, axis=-1) + 0.0), axis=-1)
 
 
-def energy_identity_gap(spec: ModelSpec, ledger: EnergyLedger) -> float:
-    """Peak-to-peak defect of |u|^2 + 2 nu int ||u||^2 - 2 int (g, u).
+def energy_identity_gap(spec: ModelSpec, ledger: EnergyLedger) -> np.ndarray:
+    """Peak-to-peak defect of |u|^2 + 2 nu int ||u||^2 - 2 int (g, u), per member.
 
     The bracket is conserved exactly along Galerkin solutions, so its spread
     measures the combined integrator and quadrature error.
@@ -514,11 +517,11 @@ def energy_identity_gap(spec: ModelSpec, ledger: EnergyLedger) -> float:
     diss = _cumulative_simpson(ledger.enstrophy, dt)
     work = _cumulative_simpson(ledger.work, dt)
     q = ledger.energy + 2.0 * spec.nu * diss - 2.0 * work
-    return float(q.max() - q.min())
+    return q.max(axis=-1) - q.min(axis=-1)
 
 
 def check_energy_inequality(
-    traj: "Trajectory",
+    ens: Ensemble,
     ledger: EnergyLedger,
     eps: float,
     radius: float | None = None,
@@ -530,64 +533,61 @@ def check_energy_inequality(
     which is the inequality the width certifies (the plain-norm variant
     fails for R < 1/2 with the same delta). Zero forcing admits the whole
     past. Requires at least one interior grid point per window
-    (GridTooCoarse otherwise).
+    (GridTooCoarse otherwise). The report holds when every member holds;
+    worst_delta is the worst over members.
     """
-    spec = traj.model
+    spec = ens.model
     energy = ledger.energy
     g_norm = float(np.linalg.norm(forcing_array(spec)))
     r = default_radius(spec) if radius is None else float(radius)
     if g_norm * r > 0:
         delta = eps / (2.0 * g_norm * r)
     else:
-        delta = float(traj.t_end - traj.t0) + traj.dt
-    lookback = int(np.ceil(delta / traj.dt - 1e-12)) - 1
+        delta = float(ens.t_end - ens.t0) + ens.dt
+    lookback = int(np.ceil(delta / ens.dt - 1e-12)) - 1
     if lookback < 1:
         raise GridTooCoarse(
-            f"window delta={delta:.3e} holds no interior grid point at dt={traj.dt}"
+            f"window delta={delta:.3e} holds no interior grid point at dt={ens.dt}"
         )
-    worst = -np.inf
-    for k in range(1, traj.n_samples):
-        lo = max(0, k - lookback)
-        best_past = energy[lo:k].max()
-        worst = max(worst, float(energy[k] - best_past - eps))
+    # window k holds energy[..., max(0, k - lookback) : k], padded with -inf
+    pad = np.full(energy.shape[:-1] + (lookback,), -np.inf)
+    past = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((pad, energy[..., :-1]), axis=-1), lookback, axis=-1
+    )[..., 1:, :]
+    worst = float((energy[..., 1:] - past.max(axis=-1) - eps).max(initial=-np.inf))
     return EnergyReport(
         holds=bool(worst <= 0.0),
-        worst_delta=float(worst),
+        worst_delta=worst,
         delta_used=float(delta),
         eps=float(eps),
     )
 
 
 def check_a3(
-    seq: Sequence["Trajectory"],
-    limit: "Trajectory",
+    seq: Ensemble,
+    limit: Ensemble,
     T: float,
     tol: float,
 ) -> A3Report:
     """Strong a.e.-convergence surrogate on [start, start + T].
 
+    seq is the sequence as an ensemble and limit a one-member ensemble.
     Reports the fraction of grid times where the last member is strongly
     within tol of the limit, and whether the L2-in-time distances decrease
     along the sequence.
     """
-    from .state import common_grid_offsets
-
-    if not seq:
-        raise ValueError("empty sequence")
-    a = limit.t0
-    b = a + T
-    l2 = []
-    frac = 0.0
-    for i, tr in enumerate(seq):
-        if tr.model.key != limit.model.key:
-            raise ModelMismatch("sequence and limit belong to different models")
-        iu, iv, count = common_grid_offsets(tr, limit, a, b)
-        diff = tr.samples[iu : iu + count] - limit.samples[iv : iv + count]
-        dists = np.linalg.norm(diff, axis=1)
-        l2.append(float(np.sqrt(np.trapezoid(dists**2, dx=tr.dt))))
-        if i == len(seq) - 1:
-            frac = float(np.mean(dists < tol))
+    if seq.model.key != limit.model.key:
+        raise ModelMismatch("sequence and limit belong to different models")
+    if limit.n_members != 1:
+        raise ValueError("limit must be a one-member ensemble")
+    u, v = common_window(seq, limit, limit.t0, limit.t0 + T)
+    dists = np.linalg.norm(u - v, axis=-1)
+    # the trapezoid rule as numpy writes it (np.trapezoid needs numpy >= 2)
+    y = dists**2
+    l2 = np.sqrt((seq.dt * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)).tolist()
     decreasing = all(l2[i + 1] <= l2[i] + 1e-12 for i in range(len(l2) - 1))
     return A3Report(
-        fraction_strong=frac, l2_dists=tuple(l2), decreasing=bool(decreasing)
+        fraction_strong=float(np.mean(dists[-1] < tol)),
+        l2_dists=tuple(l2),
+        decreasing=bool(decreasing),
     )

@@ -1,16 +1,16 @@
-"""Trajectory and ensemble data types on uniform time grids.
+"""Ensembles of trajectories on uniform time grids.
 
-A phase-space point is a finite coordinate row of its model's dimension;
-trajectories are uniform-grid samplings of a single solution curve; an
-ensemble holds the samples of trajectories that share a grid in one array.
-All containers are frozen and hold read-only arrays, so they can be shared
-freely between estimators and views of them need no copy.
+A phase-space point is a finite coordinate row of its model's dimension. An
+ensemble holds uniform-grid samplings of solution curves that share a grid
+in one array; a single trajectory is a one-member ensemble. Ensembles are
+frozen and hold read-only arrays, so they can be shared freely between
+estimators and views of them need no copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +44,7 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
 def frozen_view(cls, **fields):
     """A frozen container over arrays that are already read-only and finite.
 
-    Views of an ensemble's or trajectory's own array take this path: no copy
+    Views of an ensemble's own array take this path: no copy
     and no re-check, where the public constructors copy external input.
     """
     obj = object.__new__(cls)
@@ -74,67 +74,18 @@ def span_steps(t0: float, t1: float, dt: float) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Uniform-grid samples of one solution curve.
-
-    samples[k] holds the coordinates at time t0 + k dt. No interpolation is
-    ever performed: off-grid time queries raise OffGrid.
-    """
-
-    t0: float
-    dt: float
-    samples: np.ndarray
-    model: "ModelSpec"
-
-    def __post_init__(self):
-        if self.dt <= 0 or not np.isfinite(self.dt):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        object.__setattr__(self, "samples", _frozen_array(self.samples, 2))
-        if self.samples.shape[0] < 1:
-            raise ValueError("trajectory needs at least one sample")
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + (self.n_samples - 1) * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
-
-    def index_of(self, t: float) -> int:
-        k = grid_index(t, self.t0, self.dt)
-        if k < 0 or k >= self.n_samples:
-            raise OffGrid(
-                f"t={t} outside trajectory span [{self.t0}, {self.t_end}]"
-            )
-        return k
-
-    def norms(self) -> np.ndarray:
-        """Strong norm at every grid time."""
-        return np.linalg.norm(self.samples, axis=1)
-
-
-@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Trajectories sharing model, grid origin, step, and length.
 
     samples[i, k] holds member i at time t0 + k dt, in one read-only
-    (n_members, n_samples, dim) array; ``trajectories`` are views into it.
+    (n_members, n_samples, dim) array. No interpolation is ever performed:
+    off-grid time queries raise OffGrid.
     """
 
     samples: np.ndarray
     t0: float
     dt: float
     model: "ModelSpec"
-    label: str = ""
 
     def __post_init__(self):
         if self.dt <= 0 or not np.isfinite(self.dt):
@@ -144,23 +95,6 @@ class Ensemble:
             raise EmptyEnsemble("ensemble has no members")
         if self.samples.shape[1] < 1:
             raise ValueError("ensemble members need at least one sample")
-
-    @classmethod
-    def from_trajectories(cls, trajectories: Iterable[Trajectory], label: str = "") -> "Ensemble":
-        """Copy trajectories that share model and grid into one ensemble."""
-        trajectories = tuple(trajectories)
-        if not trajectories:
-            raise EmptyEnsemble("ensemble has no members")
-        head = trajectories[0]
-        for tr in trajectories[1:]:
-            if (
-                tr.model.key != head.model.key
-                or tr.dt != head.dt
-                or tr.t0 != head.t0
-                or tr.n_samples != head.n_samples
-            ):
-                raise GridMismatch("ensemble members must share model and grid")
-        return cls([tr.samples for tr in trajectories], head.t0, head.dt, head.model, label)
 
     @property
     def n_members(self) -> int:
@@ -174,36 +108,33 @@ class Ensemble:
     def t_end(self) -> float:
         return self.t0 + (self.n_samples - 1) * self.dt
 
+    @property
+    def times(self) -> np.ndarray:
+        return self.t0 + self.dt * np.arange(self.n_samples)
+
     @cached_property
-    def trajectories(self) -> tuple[Trajectory, ...]:
+    def trajectories(self) -> tuple["Ensemble", ...]:
+        """One-member views, one per member."""
         return tuple(
-            frozen_view(Trajectory, t0=self.t0, dt=self.dt, samples=row, model=self.model)
+            frozen_view(Ensemble, samples=row[None], t0=self.t0, dt=self.dt, model=self.model)
             for row in self.samples
         )
 
     def index_of(self, t: float) -> int:
-        return self.trajectories[0].index_of(t)
+        k = grid_index(t, self.t0, self.dt)
+        if k < 0 or k >= self.n_samples:
+            raise OffGrid(f"t={t} outside trajectory span [{self.t0}, {self.t_end}]")
+        return k
 
     def samples_at(self, t: float) -> np.ndarray:
         """Member coordinates at grid time t, (n_members, dim)."""
         return self.samples[:, self.index_of(t)]
 
 
-def window_indices(traj: Trajectory, a: float, b: float) -> tuple[int, int]:
-    """Grid index range [ia, ib] covering the window [a, b] of a trajectory."""
-    if b < a:
-        raise EmptyWindow(f"window [{a}, {b}] is empty")
-    ia = traj.index_of(a)
-    ib = traj.index_of(b)
-    return ia, ib
+def common_window(u: Ensemble, v: Ensemble, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of u and of v over the grid window [a, b], (members, count, dim).
 
-
-def common_grid_offsets(
-    u: Trajectory, v: Trajectory, a: float, b: float
-) -> tuple[int, int, int]:
-    """Start indices of [a, b] in u and v plus the shared sample count.
-
-    Requires identical steps; each trajectory must carry the window on its own
+    Requires identical steps; each ensemble must carry the window on its own
     grid (phase alignment follows from both containing a).
     """
     if u.dt != v.dt:
@@ -215,4 +146,4 @@ def common_grid_offsets(
     count = span_steps(a, b, u.dt) + 1
     if iu + count > u.n_samples or iv + count > v.n_samples:
         raise OffGrid(f"window [{a}, {b}] exceeds a trajectory span")
-    return iu, iv, count
+    return u.samples[:, iu : iu + count], v.samples[:, iv : iv + count]

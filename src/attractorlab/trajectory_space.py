@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import forward_ensemble
+from .core import forward_ensemble, rebase_to_zero, restrict
 from .errors import GridMismatch, HorizonTooShort, ModelMismatch
 from .metrics import TrajMetricParams, _check_metric, tail_steps, window_escapes, window_semidist
-from .state import Ensemble, frozen_view, span_steps
+from .state import Ensemble, span_steps
 from .verification import is_grid_continuous
 
 
@@ -46,12 +46,9 @@ def translate_semigroup(p: Ensemble, s: float) -> Ensemble:
     _check_time_zero(p)
     if s < 0:
         raise ValueError(f"translation time must be nonnegative, got {s}")
-    k = span_steps(0.0, s, p.dt)
-    if k >= p.n_samples:
+    if span_steps(0.0, s, p.dt) >= p.n_samples:
         raise HorizonTooShort(f"translation by {s} exhausts the grid of {p.n_samples} samples")
-    return frozen_view(
-        Ensemble, samples=p.samples[:, k:], t0=0.0, dt=p.dt, model=p.model, label=p.label
-    )
+    return rebase_to_zero(restrict(p, s, p.t_end))
 
 
 def traj_set_semidist(a: Ensemble, b: Ensemble, m: str, params: TrajMetricParams) -> float:
@@ -99,9 +96,7 @@ def trajectory_attractor(
         d = window_semidist(forward.model, window[i : i + 1], window[accepted], metric, steps)
         if d > cluster_tol:
             accepted.append(i)
-    return Ensemble(
-        forward.samples[accepted], 0.0, forward.dt, forward.model, label="trajectory-attractor"
-    )
+    return Ensemble(forward.samples[accepted], 0.0, forward.dt, forward.model)
 
 
 def translation_invariance(
@@ -181,7 +176,7 @@ def trajectory_attraction_report(
         raise HorizonTooShort("trajectory-space horizon too short for the windows")
     stride = max(1, (n - 1 - w_need) // 32)
     shifts = np.arange(0, n - w_need, stride)
-    strong_mode = all(is_grid_continuous(v) for v in attractor.trajectories)
+    strong_mode = bool(is_grid_continuous(attractor).all())
 
     def entry(w: int, m: str, tail=None) -> float | None:
         # the first shift after the last violation of eps, searched from the

@@ -8,7 +8,10 @@ and epsilons become finite searches with deterministic order: library
 members in stored order, grid shifts ascending, first match under eps wins.
 Searches whose verdict is decided by the last violation scan backward: the
 tracking search takes sampled t* from the last one down and stops at the
-first t* with an unmatched member.
+first t* with an unmatched member. Every check acts on whole ensembles: the
+continuity witnesses give one verdict per member, and the strong-convergence
+checks take the sequence as an Ensemble and its limit as a one-member
+Ensemble, measured against all members in one array pass.
 """
 from __future__ import annotations
 
@@ -23,10 +26,9 @@ from .metrics import (
     pairwise_to_set,
     strong_dist_arrays,
     tail_steps,
-    traj_dist_window,
     window_dist,
 )
-from .state import Ensemble, Trajectory, grid_index
+from .state import Ensemble, common_window, grid_index
 
 # A grid step larger than this many times both neighbouring steps is a jump.
 _JUMP_FACTOR = 10.0
@@ -39,36 +41,38 @@ _SLACK = 0.1
 # grid continuity witnesses
 
 
-def grid_modulus(traj: Trajectory, a: float | None = None, b: float | None = None) -> float:
-    """Largest adjacent-step strong distance over a grid window."""
-    ia = 0 if a is None else traj.index_of(a)
-    ib = traj.n_samples - 1 if b is None else traj.index_of(b)
+def _grid_steps(ens: Ensemble, a: float | None, b: float | None, what: str):
+    """Window start index and adjacent-step strong distances, (n_members, steps)."""
+    ia = 0 if a is None else ens.index_of(a)
+    ib = ens.n_samples - 1 if b is None else ens.index_of(b)
     if ib - ia < 1:
-        raise ValueError("window too short for a modulus")
-    steps = strong_dist_arrays(np.diff(traj.samples[ia : ib + 1], axis=0))
-    return float(steps.max())
+        raise ValueError(f"window too short for {what}")
+    return ia, strong_dist_arrays(np.diff(ens.samples[:, ia : ib + 1], axis=1))
 
 
-def is_grid_continuous(traj: Trajectory, a: float | None = None, b: float | None = None) -> bool:
-    """Finite witness for strong continuity of a sampled trajectory.
+def grid_modulus(ens: Ensemble, a: float | None = None, b: float | None = None) -> np.ndarray:
+    """Largest adjacent-step strong distance over a grid window, per member."""
+    return _grid_steps(ens, a, b, "a modulus")[1].max(axis=-1)
+
+
+def is_grid_continuous(
+    ens: Ensemble, a: float | None = None, b: float | None = None
+) -> np.ndarray:
+    """Finite witness for strong continuity of each sampled member, (n_members,) bools.
 
     A data-level jump shows up as one adjacent step that dwarfs its
     neighboring steps; smooth flows (including exponentially decaying ones)
     keep neighboring steps comparable. Steps below the floor
     1e-8 (1 + |x(a)|) are treated as settled and never flagged.
     """
-    ia = 0 if a is None else traj.index_of(a)
-    ib = traj.n_samples - 1 if b is None else traj.index_of(b)
-    if ib - ia < 1:
-        raise ValueError("window too short for a continuity check")
-    steps = strong_dist_arrays(np.diff(traj.samples[ia : ib + 1], axis=0))
-    floor = 1e-8 * (1.0 + float(np.linalg.norm(traj.samples[ia], axis=-1)))
-    if steps.shape[0] == 1:
-        return bool(steps[0] <= floor)
-    prev = np.concatenate([steps[1:2], steps[:-1]])
-    nxt = np.concatenate([steps[1:], steps[-2:-1]])
+    ia, steps = _grid_steps(ens, a, b, "a continuity check")
+    floor = 1e-8 * (1.0 + np.linalg.norm(ens.samples[:, ia], axis=-1))
+    if steps.shape[1] == 1:
+        return steps[:, 0] <= floor
+    prev = np.concatenate([steps[:, 1:2], steps[:, :-1]], axis=1)
+    nxt = np.concatenate([steps[:, 1:], steps[:, -2:-1]], axis=1)
     neighbor = np.maximum(prev, nxt)
-    return bool(np.all(steps <= np.maximum(_JUMP_FACTOR * neighbor, floor)))
+    return np.all(steps <= np.maximum(_JUMP_FACTOR * neighbor, floor[:, None]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +340,18 @@ class PointConvergenceReport:
     ladder: tuple[tuple[float, int | None], ...]
 
 
-def _weak_gate(seq, limit: Trajectory, a: float, b: float) -> list[float]:
+def _weak_gate(seq: Ensemble, limit: Ensemble, a: float, b: float) -> list[float]:
     """Verify the sequence converges to the limit in the weak window metric.
 
     Accepts either a final distance below _WEAK_TOL or a decisive monotone
     decrease (final below a quarter of the first); anything else fails the
     hypothesis.
     """
-    w = [traj_dist_window(u, limit, a, b, "weak") for u in seq]
+    if seq.model.key != limit.model.key:
+        raise ModelMismatch("trajectories belong to different models")
+    if limit.n_members != 1:
+        raise ValueError("limit must be a one-member ensemble")
+    w = window_dist(seq.model, *common_window(seq, limit, a, b), "weak").tolist()
     nonincreasing = all(w[i + 1] <= w[i] * 1.1 + 1e-15 for i in range(len(w) - 1))
     decisive = len(w) >= 2 and nonincreasing and w[-1] <= 0.25 * w[0]
     if w[-1] > _WEAK_TOL and not decisive:
@@ -355,10 +363,11 @@ def _weak_gate(seq, limit: Trajectory, a: float, b: float) -> list[float]:
 
 
 def check_strong_convergence_at_point(
-    seq, limit: Trajectory, t_star: float
+    seq: Ensemble, limit: Ensemble, t_star: float
 ) -> PointConvergenceReport:
     """Check pointwise strong convergence at a strong-continuity point.
 
+    seq is the sequence as an ensemble, limit a one-member ensemble.
     Hypotheses established first: the sequence must approach the limit in the
     weak window metric over t_star +- 1 (rounded to whole grid steps, at
     least one, and clipped to the span), and the limit must pass the grid
@@ -366,18 +375,17 @@ def check_strong_convergence_at_point(
     asks for the strong distances at t_star to decrease to a fifth of the
     first; the ladder gives the first member below each of 1e-1, 1e-2, 1e-3.
     """
-    seq = list(seq)
-    if not seq:
-        raise ValueError("empty trajectory sequence")
     k = limit.index_of(t_star)
     h = max(1, round(1.0 / limit.dt))
     a = limit.t0 + max(0, k - h) * limit.dt
     b = limit.t0 + min(limit.n_samples - 1, k + h) * limit.dt
     weak_vals = _weak_gate(seq, limit, a, b)
-    if not is_grid_continuous(limit, a, b):
+    if not is_grid_continuous(limit, a, b).all():
         raise HypothesisFail("limit trajectory fails the strong-continuity witness")
-    d = [float(np.linalg.norm(u.samples[u.index_of(t_star)] - limit.samples[k])) for u in seq]
-    scale = 1.0 + float(np.linalg.norm(limit.samples[k]))
+    x = limit.samples[0, k]
+    # a 1-D norm (a dot product) per member: it rounds unlike norm(axis=-1)
+    d = [float(np.linalg.norm(row - x)) for row in seq.samples_at(t_star)]
+    scale = 1.0 + float(np.linalg.norm(x))
     monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 * scale for i in range(len(d) - 1))
     small = d[-1] <= max(0.2 * d[0], 1e-12 * scale)
     ladder = []
@@ -394,42 +402,40 @@ def check_strong_convergence_at_point(
 
 
 def check_left_continuity_implies_continuity(
-    traj: Trajectory, t_star: float, tol: float
-) -> bool:
+    ens: Ensemble, t_star: float, tol: float
+) -> np.ndarray:
     """Compare one-sided grid continuity defects of the state and its norm.
 
     For flows satisfying the energy inequality, a left-continuous strong norm
     forces two-sided continuity; on sampled data the witness is that the
-    right defect does not exceed the left defect by more than tol.
+    right defect does not exceed the left defect by more than tol. One
+    verdict per member, (n_members,) bools.
     """
-    k = traj.index_of(t_star)
-    if k == 0 or k == traj.n_samples - 1:
+    k = ens.index_of(t_star)
+    if k == 0 or k == ens.n_samples - 1:
         raise BoundaryPoint(f"t={t_star} is an endpoint of the trajectory grid")
-    left = float(np.linalg.norm(traj.samples[k] - traj.samples[k - 1]))
-    right = float(np.linalg.norm(traj.samples[k + 1] - traj.samples[k]))
-    norms = np.linalg.norm(traj.samples[k - 1 : k + 2], axis=1)
-    left_n = abs(norms[1] - norms[0])
-    right_n = abs(norms[2] - norms[1])
-    return bool(right <= left + tol and right_n <= left_n + tol)
+    u = ens.samples[:, k - 1 : k + 2]
+    # left and right defects, columns 0 and 1
+    d = strong_dist_arrays(np.diff(u, axis=1))
+    d_norm = abs(np.diff(np.linalg.norm(u, axis=-1), axis=1))
+    return (d[:, 1] <= d[:, 0] + tol) & (d_norm[:, 1] <= d_norm[:, 0] + tol)
 
 
 def check_uniform_strong_convergence(
-    seq, limit: Trajectory, window: tuple[float, float], tol: float
+    seq: Ensemble, limit: Ensemble, window: tuple[float, float], tol: float
 ) -> bool:
     """Check sup-norm strong convergence on a window inside (0, horizon).
 
-    Weak convergence over the full shared span and grid continuity of the
-    limit are established first (HypothesisFail otherwise); the verdict asks
-    the windowed strong sup distances to decrease below tol.
+    seq is the sequence as an ensemble, limit a one-member ensemble. Weak
+    convergence over the full shared span and grid continuity of the limit
+    are established first (HypothesisFail otherwise); the verdict asks the
+    windowed strong sup distances to decrease below tol.
     """
-    seq = list(seq)
-    if not seq:
-        raise ValueError("empty trajectory sequence")
     a, b = window
     _weak_gate(seq, limit, limit.t0, limit.t_end)
-    if not is_grid_continuous(limit):
+    if not is_grid_continuous(limit).all():
         raise HypothesisFail("limit trajectory fails the strong-continuity witness")
-    d = [traj_dist_window(u, limit, a, b, "strong") for u in seq]
+    d = window_dist(seq.model, *common_window(seq, limit, a, b), "strong").tolist()
     monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 for i in range(len(d) - 1))
     return bool(monotone and d[-1] <= tol)
 

@@ -98,7 +98,7 @@ def nse4_free_bundle():
         "radius": radius,
         "ensemble": ens,
         "omega": OmegaParams(t_transient=14.0, t_max=18.0, sample_stride=10, cluster_tol=1e-3),
-        "steady": np.zeros(ens.trajectories[0].dim),
+        "steady": np.zeros(ens.samples.shape[2]),
     }
 
 
@@ -186,5 +186,5 @@ def nse3d_bundle():
         "radius": radius,
         "ensemble": ens,
         "omega": OmegaParams(t_transient=7.0, t_max=10.0, sample_stride=10, cluster_tol=1e-3),
-        "steady": np.zeros(ens.trajectories[0].dim),
+        "steady": np.zeros(ens.samples.shape[2]),
     }

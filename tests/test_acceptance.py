@@ -40,7 +40,7 @@ from attractorlab.models import (
     spec_dim,
 )
 from attractorlab.spectral import advect, build_mode_table
-from attractorlab.state import Ensemble, Trajectory
+from attractorlab.state import Ensemble
 from attractorlab.metrics import TrajMetricParams
 from attractorlab.trajectory_space import (
     trajectory_attraction_report,
@@ -128,19 +128,17 @@ def test_criterion_04_energy_inequality(nse4_bundle, nse8_bundle, dyadic_bundle)
     for bundle, t_run in ((nse4_bundle, 4.0), (nse8_bundle, 4.0), (dyadic_bundle, 4.0)):
         spec = bundle["spec"]
         ens = bundle["ensemble"]
-        settled = np.stack([tr.samples[-1] for tr in ens.trajectories])
-        restart = build_ensemble(spec, settled, 0.0, t_run, ens.dt)
-        for tr in restart.trajectories:
-            led = energy_ledger(spec, tr)
-            assert energy_identity_gap(spec, led) <= 1e-6 * led.energy[0]
-    # pointwise look-back inequality with delta = eps / (2 |g| R)
+        restart = build_ensemble(spec, ens.samples[:, -1], 0.0, t_run, ens.dt)
+        led = energy_ledger(spec, restart)
+        assert np.all(energy_identity_gap(spec, led) <= 1e-6 * led.energy[:, 0])
+    # pointwise look-back inequality with delta = eps / (2 |g| R), on every
+    # member
     for bundle in (nse4_bundle, dyadic_bundle):
-        spec = bundle["spec"]
-        for tr in bundle["ensemble"].trajectories:
-            led = energy_ledger(spec, tr)
-            for eps in (1e-1, 1e-2, 1e-3):
-                rep = check_energy_inequality(tr, led, eps, radius=bundle["radius"])
-                assert rep.holds
+        ens = bundle["ensemble"]
+        led = energy_ledger(bundle["spec"], ens)
+        for eps in (1e-1, 1e-2, 1e-3):
+            rep = check_energy_inequality(ens, led, eps, radius=bundle["radius"])
+            assert rep.holds
 
 
 # -- 5 ----------------------------------------------------------------------
@@ -156,8 +154,8 @@ def test_criterion_05_absorbing_ball(nse8_bundle):
     )
     ens = build_ensemble(spec, starts, 0.0, 6.0, 0.02)
     slack = 1e-9 * r_abs
-    for tr in ens.trajectories:
-        inside = np.linalg.norm(tr.samples, axis=1) <= r_abs + slack
+    for member in ens.samples:
+        inside = np.linalg.norm(member, axis=1) <= r_abs + slack
         entered = np.flatnonzero(inside)
         assert entered.size > 0, "state never entered the absorbing ball"
         assert inside[entered[0] :].all(), "state left the ball after entering"
@@ -279,8 +277,7 @@ def test_criterion_10_trajectory_attractor(toy_bundle, dyadic_bundle, nse4_bundl
     p = toy_bundle["ensemble"]
     lhs = translate_semigroup(translate_semigroup(p, 1.25), 2.75)
     rhs = translate_semigroup(p, 4.0)
-    for u, v in zip(lhs.trajectories, rhs.trajectories):
-        assert np.array_equal(u.samples, v.samples)
+    assert np.array_equal(lhs.samples, rhs.samples)
     # weak attraction with finite entry on every library-backed model
     params = TrajMetricParams()
     for bundle in (toy_bundle, dyadic_bundle, nse4_bundle):
@@ -309,12 +306,10 @@ def test_criterion_11_negative_controls(
     # high-mode oscillation: weakly invisible, strongly persistent
     spec = make_spec("toy_contraction", truncation=12)
     t = np.arange(301) * 0.02
-    limit = Trajectory(t0=0.0, dt=0.02, samples=np.zeros((301, 12)), model=spec)
-    seq = []
-    for n in range(1, 6):
-        s = np.zeros((301, 12))
-        s[:, -1] = 0.5 * np.cos(TWO_PI * (n + 1) * t)
-        seq.append(Trajectory(t0=0.0, dt=0.02, samples=s, model=spec))
+    limit = Ensemble(np.zeros((1, 301, 12)), 0.0, 0.02, spec)
+    s = np.zeros((5, 301, 12))
+    s[:, :, -1] = 0.5 * np.cos(TWO_PI * np.arange(2, 7)[:, None] * t)
+    seq = Ensemble(s, 0.0, 0.02, spec)
     try:
         rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
         assert not rep.converged, "oscillation construction must not pass"
@@ -324,10 +319,8 @@ def test_criterion_11_negative_controls(
     espec = make_spec("dyadic", nu=0.5, truncation=40, lam=2.0)
     samples = np.zeros((41, 41))
     samples[np.arange(41), np.arange(41) % 41] = 1.0
-    walker = Trajectory(t0=0.0, dt=1.0, samples=samples, model=espec)
-    esc = asymptotic_compactness_defect(
-        Ensemble.from_trajectories((walker,)), times=list(range(10, 41)), k=5
-    )
+    walker = Ensemble(samples[None], 0.0, 1.0, espec)
+    esc = asymptotic_compactness_defect(walker, times=list(range(10, 41)), k=5)
     assert esc > 0.1
     # every shipped dissipative regime keeps the defect small
     for bundle in (toy_bundle, dyadic_bundle, nse4_bundle, nse8_bundle, nse3d_bundle):

@@ -21,7 +21,7 @@ from attractorlab.limits import (
 )
 from attractorlab.metrics import cross_dist
 from attractorlab.models import make_spec, sample_ball, spec_dim, steady_state
-from attractorlab.state import Ensemble, Trajectory
+from attractorlab.state import Ensemble
 
 
 def test_omega_params_validation():
@@ -100,10 +100,7 @@ def test_omega_limit_newest_first():
     # hand-built contracting family: samples march toward two fixed points,
     # so the newest-first scan must report the final states first
     spec = make_spec("toy_contraction", truncation=1)
-    mk = lambda vals: Trajectory(
-        t0=0.0, dt=1.0, samples=np.array(vals, float)[:, None], model=spec
-    )
-    ens = Ensemble.from_trajectories((mk([4.0, 2.0, 1.0]), mk([-4.0, -2.0, -1.0])))
+    ens = Ensemble(np.array([[4.0, 2.0, 1.0], [-4.0, -2.0, -1.0]])[:, :, None], 0.0, 1.0, spec)
     est = omega_limit(ens, "strong", OmegaParams(0.0, 2.0, 1, 1e-3))
     assert est.n_points == 6
     np.testing.assert_array_equal(est.points.ravel(), [1, -1, 2, -2, 4, -4])

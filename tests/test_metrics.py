@@ -13,8 +13,6 @@ from attractorlab.metrics import (
     pairwise_to_set,
     strong_dist_arrays,
     tail_steps,
-    traj_dist_tail,
-    traj_dist_window,
     weak_dist_arrays,
     weak_weight_total,
     window_dist,
@@ -22,7 +20,8 @@ from attractorlab.metrics import (
     window_semidist,
 )
 from attractorlab.models import make_spec, spec_dim, weak_weights
-from attractorlab.state import Trajectory
+from attractorlab.state import Ensemble
+from attractorlab.trajectory_space import traj_set_semidist
 
 SPECS = [
     make_spec("galerkin_nse_2d", truncation=2),
@@ -232,20 +231,16 @@ def test_set_semidist_hand_example():
     assert dist_arrays(spec, np.array([1.0, 0, 0, 0]), a, "strong").min() == 1.0
 
 
-def _toy_traj(samples, dt=0.5, t0=0.0, trunc=None):
-    arr = np.atleast_2d(np.asarray(samples, float))
-    spec = make_spec("toy_contraction", truncation=trunc or arr.shape[1])
-    return Trajectory(t0=t0, dt=dt, samples=arr, model=spec)
-
-
 def test_traj_window_sup():
-    u = _toy_traj([[0.0, 0], [1.0, 0], [3.0, 0], [2.0, 0], [0.5, 0]])
-    v = _toy_traj(np.zeros((5, 2)))
-    assert traj_dist_window(u, v, 0.0, 2.0, "strong") == 3.0
-    assert traj_dist_window(u, v, 1.5, 2.0, "strong") == 2.0
+    # samples at t = 0, 0.5, ..., 2.0; the windows [0, 2] and [1.5, 2]
+    spec = make_spec("toy_contraction", truncation=2)
+    u = np.array([[0.0, 0], [1.0, 0], [3.0, 0], [2.0, 0], [0.5, 0]])
+    v = np.zeros((5, 2))
+    assert window_dist(spec, u, v, "strong") == 3.0
+    assert window_dist(spec, u[3:], v[3:], "strong") == 2.0
     # weak sup picks the same maximizing sample here
     r = 3.0
-    assert abs(traj_dist_window(u, v, 0.0, 2.0, "weak") - 1.0 * r / (1 + r)) < 1e-15
+    assert abs(window_dist(spec, u, v, "weak") - 1.0 * r / (1 + r)) < 1e-15
 
 
 def _tail_series(d, dt, t_max):
@@ -283,14 +278,15 @@ def test_tail_hand_value_growing():
 
 def test_traj_tail_matches_pointwise_reduction():
     rng = np.random.default_rng(9)
-    u = _toy_traj(rng.standard_normal((41, 3)), dt=0.1)
-    v = _toy_traj(rng.standard_normal((41, 3)), dt=0.1)
-    p = TrajMetricParams(t_max_windows=4)
+    spec = make_spec("toy_contraction", truncation=3)
+    u = rng.standard_normal((41, 3))
+    v = rng.standard_normal((41, 3))
+    steps = tail_steps(TrajMetricParams(t_max_windows=4), 0.1)
     for m in ("strong", "weak"):
-        got = traj_dist_tail(u, v, 0.0, m, p)
-        d = dist_arrays(u.model, u.samples, v.samples, m)
+        got = float(window_dist(spec, u, v, m, steps))
+        d = dist_arrays(spec, u, v, m)
         assert abs(got - _tail_series(d, 0.1, 4)) < 1e-15
-    assert traj_dist_tail(u, u, 0.0, "strong", p) == 0.0
+    assert window_dist(spec, u, u, "strong", steps) == 0.0
 
 
 def test_window_dist_matches_norm_formulas_bitwise():
@@ -370,16 +366,10 @@ def test_window_escapes_stops_at_the_deciding_pair(monkeypatch):
 
 
 def test_traj_tail_horizon_guard():
-    u = _toy_traj(np.zeros((11, 2)), dt=0.1)
+    # the tail metric up to T = 2 needs 21 samples at dt = 0.1
+    u = Ensemble(np.zeros((1, 11, 2)), 0.0, 0.1, make_spec("toy_contraction", truncation=2))
     with pytest.raises(HorizonTooShort):
-        traj_dist_tail(u, u, 0.0, "strong", TrajMetricParams(t_max_windows=2))
-
-
-def test_traj_model_mismatch():
-    u = _toy_traj(np.zeros((3, 2)))
-    w = _toy_traj(np.zeros((3, 3)))
-    with pytest.raises(ModelMismatch):
-        traj_dist_window(u, w, 0.0, 1.0, "strong")
+        traj_set_semidist(u, u, "strong", TrajMetricParams(t_max_windows=2))
 
 
 def test_dist_arrays_guards():

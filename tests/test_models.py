@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from attractorlab.core import build_ensemble, integrate
+from attractorlab.state import Ensemble
 from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch
 from attractorlab.models import (
     _cumulative_simpson,
@@ -146,10 +147,11 @@ def test_energy_ledger_columns():
     tr = integrate(spec, sample_ball(spec, 1, radius=0.3, seed=1)[0], 0.0, 1.0, 0.02)
     led = energy_ledger(spec, tr)
     k = 17
-    u = tr.samples[k]
-    assert abs(led.energy[k] - u @ u) < 1e-14
-    assert abs(led.enstrophy[k] - (stokes_eigenvalues(spec) * u * u).sum()) < 1e-13
-    assert abs(led.work[k] - u @ forcing_array(spec)) < 1e-14
+    u = tr.samples[0, k]
+    assert led.energy.shape == led.enstrophy.shape == led.work.shape == (1, 51)
+    assert abs(led.energy[0, k] - u @ u) < 1e-14
+    assert abs(led.enstrophy[0, k] - (stokes_eigenvalues(spec) * u * u).sum()) < 1e-13
+    assert abs(led.work[0, k] - u @ forcing_array(spec)) < 1e-14
     other = make_spec("galerkin_nse_2d", nu=2.0, truncation=2)
     with pytest.raises(ModelMismatch):
         energy_ledger(other, tr)
@@ -159,7 +161,7 @@ def test_unforced_galerkin_norm_decays_at_poincare_rate():
     spec = make_spec("galerkin_nse_2d", nu=1.0, L=TWO_PI, truncation=3)
     u0 = sample_ball(spec, 1, radius=0.8, seed=13, profile=smooth_profile(spec))[0]
     tr = integrate(spec, u0, 0.0, 12.0, 0.02)
-    norms = tr.norms()
+    norms = np.linalg.norm(tr.samples[0], axis=1)
     assert np.all(np.diff(norms) <= 1e-14)
     # late-time decay is governed by the lowest eigenvalue, here exactly 1
     k8, k11 = tr.index_of(8.0), tr.index_of(11.0)
@@ -194,11 +196,9 @@ def test_energy_identity_gap_settled_is_tiny():
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=4, forcing=g)
     ini = sample_ball(spec, 2, radius=absorbing_radius(spec), seed=31, profile=smooth_profile(spec))
     warm = build_ensemble(spec, ini, 0.0, 10.0, 0.02)
-    settled = np.stack([tr.samples[-1] for tr in warm.trajectories])
-    ens = build_ensemble(spec, settled, 0.0, 4.0, 0.02)
-    for tr in ens.trajectories:
-        led = energy_ledger(spec, tr)
-        assert energy_identity_gap(spec, led) <= 1e-6 * led.energy[0]
+    ens = build_ensemble(spec, warm.samples[:, -1], 0.0, 4.0, 0.02)
+    led = energy_ledger(spec, ens)
+    assert np.all(energy_identity_gap(spec, led) <= 1e-6 * led.energy[:, 0])
 
 
 def test_energy_inequality_toy_holds_for_every_eps():
@@ -238,7 +238,7 @@ def test_steady_state_newton():
     a = steady_state(dspec)
     assert np.linalg.norm(rhs_array(dspec, a)) <= 1e-10
     # independent confirmation: the flow converges to the Newton root
-    end = integrate(dspec, sample_ball(dspec, 1, radius=default_radius(dspec), seed=4)[0], 0.0, 30.0, 0.005).samples[-1]
+    end = integrate(dspec, sample_ball(dspec, 1, radius=default_radius(dspec), seed=4)[0], 0.0, 30.0, 0.005).samples[0, -1]
     assert np.linalg.norm(end - a) <= 1e-9
 
 
@@ -258,21 +258,97 @@ def test_steady_state_rejects_failed_line_search(monkeypatch):
 
 def test_check_a3_constant_sequence():
     spec = make_spec("toy_contraction", truncation=3)
-    tr = integrate(spec, np.array([0.5, 0.2, -0.1]), 0.0, 2.0, 0.1)
-    rep = check_a3([tr, tr], tr, T=2.0, tol=1e-9)
-    assert rep.fraction_strong == 1.0
+    x = np.array([0.5, 0.2, -0.1])
+    tr = integrate(spec, x, 0.0, 2.0, 0.1)
+    rep = check_a3(build_ensemble(spec, np.stack([x, x]), 0.0, 2.0, 0.1), tr, T=2.0, tol=1e-9)
+    assert rep.fraction_strong == 1.0 and rep.l2_dists == (0.0, 0.0)
+
+
+def _a3_family():
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
+    base = sample_ball(spec, 1, radius=0.5, seed=6)[0]
+    starts = np.tile(base, (8, 1))
+    starts[:, 0] += 2.0 ** -np.arange(1.0, 9.0)
+    seq = build_ensemble(spec, starts, 0.0, 3.0, 0.02)
+    return seq, integrate(spec, base, 0.0, 3.0, 0.02)
 
 
 def test_check_a3_perturbation_family():
-    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
-    base = sample_ball(spec, 1, radius=0.5, seed=6)[0]
-    limit = integrate(spec, base, 0.0, 3.0, 0.02)
-    seq = []
-    for n in range(1, 9):
-        u0 = base.copy()
-        u0[0] += 2.0 ** (-n)
-        seq.append(integrate(spec, u0, 0.0, 3.0, 0.02))
+    seq, limit = _a3_family()
     rep = check_a3(seq, limit, T=3.0, tol=1e-2)
     assert rep.fraction_strong == 1.0
     assert rep.decreasing
     assert rep.l2_dists[-1] < rep.l2_dists[0] / 4
+
+
+def test_check_a3_runs_without_np_trapezoid(monkeypatch):
+    # numpy < 2 has no np.trapezoid; the L2 distances are its sum, to the bit
+    seq, limit = _a3_family()
+    diff = seq.samples - limit.samples
+    want = [float(np.sqrt(np.trapezoid(np.linalg.norm(d, axis=1) ** 2, dx=0.02))) for d in diff]
+    monkeypatch.delattr(np, "trapezoid")
+    assert check_a3(seq, limit, T=3.0, tol=1e-2).l2_dists == tuple(want)
+
+
+def _forced_ensemble():
+    g = nse_forcing("galerkin_nse_2d", TWO_PI, 3, [{"mode": [1, 0], "amplitude": 0.05}])
+    spec = make_spec("galerkin_nse_2d", nu=0.2, truncation=3, forcing=g)
+    ini = sample_ball(spec, 5, radius=0.05, seed=8, profile=smooth_profile(spec))
+    return build_ensemble(spec, ini, 0.0, 3.0, 0.02)
+
+
+def _inequality_oracle(energy, lookback, eps):
+    # the per-member, per-time loop the ensemble check replaces
+    worst = -np.inf
+    for k in range(1, energy.shape[0]):
+        best_past = energy[max(0, k - lookback) : k].max()
+        worst = max(worst, float(energy[k] - best_past - eps))
+    return worst
+
+
+def test_energy_checks_on_ensembles_equal_one_member_views_bitwise():
+    ens = _forced_ensemble()
+    spec = ens.model
+    led = energy_ledger(spec, ens)
+    gaps = energy_identity_gap(spec, led)
+    assert led.energy.shape == (5, 151) and gaps.shape == (5,)
+    for i, view in enumerate(ens.trajectories):
+        one = energy_ledger(spec, view)
+        for name in ("energy", "enstrophy", "work"):
+            assert np.array_equal(getattr(led, name)[i], getattr(one, name)[0])
+        u = ens.samples[i]
+        assert np.array_equal(led.energy[i], (u * u).sum(axis=1))
+        assert np.array_equal(led.work[i], u @ forcing_array(spec))
+        assert gaps[i] == energy_identity_gap(spec, one)[0]
+        # the 1-D quadrature of the per-member ledger
+        q = (
+            led.energy[i]
+            + 2.0 * spec.nu * _cumulative_simpson(led.enstrophy[i], 0.02)
+            - 2.0 * _cumulative_simpson(led.work[i], 0.02)
+        )
+        assert gaps[i] == q.max() - q.min()
+    # random toy data (no forcing: the whole past counts) breaks the
+    # inequality on some members and not on others
+    toy = make_spec("toy_contraction", truncation=3)
+    noisy = Ensemble(np.random.default_rng(3).standard_normal((6, 40, 3)), 0.0, 0.1, toy)
+    cases = [(ens, 1.0, eps) for eps in (1e-1, 1e-2, 3e-3)]
+    cases += [(noisy, None, eps) for eps in (0.5, 2.0, 4.0, 8.0)]
+    seen = set()
+    for e, radius, eps in cases:
+        led = energy_ledger(e.model, e)
+        rep = check_energy_inequality(e, led, eps, radius=radius)
+        lookback = int(np.ceil(rep.delta_used / e.dt - 1e-12)) - 1
+        per_member = [_inequality_oracle(row, lookback, eps) for row in led.energy]
+        views = [
+            check_energy_inequality(v, energy_ledger(e.model, v), eps, radius=radius)
+            for v in e.trajectories
+        ]
+        assert rep.worst_delta == max(per_member) == max(r.worst_delta for r in views)
+        assert rep.holds == all(w <= 0.0 for w in per_member) == all(r.holds for r in views)
+        seen.add(tuple(r.holds for r in views))
+    assert any(all(h) for h in seen) and any(len(set(h)) == 2 for h in seen)
+    # a one-sample ledger has no past: nothing to violate
+    one = energy_ledger(spec, ens.trajectories[0])
+    short = type(one)(one.times[:1], one.energy[:, :1], one.enstrophy[:, :1], one.work[:, :1])
+    rep = check_energy_inequality(ens, short, 1e-1, radius=1.0)
+    assert rep.holds and rep.worst_delta == -np.inf

@@ -16,19 +16,13 @@ from attractorlab.core import (
 )
 from attractorlab.errors import (
     EmptyEnsemble,
-    GridMismatch,
+    EmptyWindow,
     NonFiniteState,
     OffGrid,
     StepMismatch,
 )
 from attractorlab.models import make_spec, rhs_array, sample_ball
-from attractorlab.state import (
-    Ensemble,
-    Trajectory,
-    grid_index,
-    span_steps,
-    window_indices,
-)
+from attractorlab.state import Ensemble, grid_index, span_steps
 
 TOY = make_spec("toy_contraction", truncation=4)
 
@@ -67,45 +61,44 @@ def test_state_validation():
     # A state is a finite coordinate row; containers hold read-only copies.
     row = np.ones(4)
     tr = integrate(TOY, row, 0.0, 0.1, 0.1)
-    assert tr.dim == 4 and np.linalg.norm(tr.samples[0]) == 2.0
+    assert tr.samples.shape == (1, 2, 4) and np.linalg.norm(tr.samples[0, 0]) == 2.0
     with pytest.raises(NonFiniteState):
         integrate(TOY, [1.0, np.nan, 0.0, 0.0], 0.0, 0.1, 0.1)
     with pytest.raises(NonFiniteState):
-        Trajectory(t0=0.0, dt=0.1, samples=[[1.0, np.nan, 0.0, 0.0]], model=TOY)
-    own = Trajectory(t0=0.0, dt=0.1, samples=row[None, :], model=TOY)
-    row[0] = 9.0  # the trajectory holds its own copy
-    assert own.samples[0, 0] == 1.0
+        Ensemble([[[1.0, np.nan, 0.0, 0.0]]], 0.0, 0.1, TOY)
+    own = Ensemble(row[None, None, :], 0.0, 0.1, TOY)
+    row[0] = 9.0  # the ensemble holds its own copy
+    assert own.samples[0, 0, 0] == 1.0
     with pytest.raises(ValueError):
-        own.samples[0, 0] = 5.0  # frozen
+        own.samples[0, 0, 0] = 5.0  # frozen
     with pytest.raises(ValueError):
-        tr.samples[0, 0] = 5.0  # frozen
+        tr.samples[0, 0, 0] = 5.0  # frozen
 
 
 def test_trajectory_indexing():
-    samples = np.arange(10, dtype=float).reshape(5, 2)
-    tr = Trajectory(t0=1.0, dt=0.5, samples=samples, model=TOY)
+    # a single trajectory is a one-member ensemble
+    samples = np.arange(10, dtype=float).reshape(1, 5, 2)
+    tr = Ensemble(samples, 1.0, 0.5, TOY)
     assert tr.t_end == 3.0
     assert tr.index_of(2.0) == 2
-    assert np.array_equal(tr.samples[tr.index_of(3.0)], [8.0, 9.0])
+    assert np.array_equal(tr.samples_at(3.0), [[8.0, 9.0]])
     np.testing.assert_allclose(tr.times, [1.0, 1.5, 2.0, 2.5, 3.0])
-    with pytest.raises(OffGrid):
+    with pytest.raises(OffGrid, match=r"t=3.5 outside trajectory span \[1.0, 3.0\]"):
         tr.index_of(3.5)
     with pytest.raises(OffGrid):
         tr.index_of(1.3)
     with pytest.raises(ValueError):
-        Trajectory(t0=0.0, dt=-0.1, samples=samples, model=TOY)
+        Ensemble(samples, 0.0, -0.1, TOY)
+    with pytest.raises(ValueError):
+        Ensemble(np.zeros((1, 0, 2)), 0.0, 0.1, TOY)
 
 
 def test_ensemble_grid_checks():
-    a = Trajectory(t0=0.0, dt=0.1, samples=np.zeros((3, 2)), model=TOY)
-    b = Trajectory(t0=0.0, dt=0.2, samples=np.zeros((3, 2)), model=TOY)
-    with pytest.raises(GridMismatch):
-        Ensemble.from_trajectories((a, b))
-    with pytest.raises(EmptyEnsemble):
-        Ensemble.from_trajectories(())
     with pytest.raises(EmptyEnsemble):
         Ensemble(np.zeros((0, 3, 2)), 0.0, 0.1, TOY)
-    ens = Ensemble.from_trajectories((a, a))
+    with pytest.raises(ValueError):
+        Ensemble(np.zeros((3, 2)), 0.0, 0.1, TOY)  # members share one grid axis
+    ens = Ensemble(np.zeros((2, 3, 2)), 0.0, 0.1, TOY)
     assert ens.n_members == 2 and ens.dt == 0.1
     assert ens.samples_at(0.1).shape == (2, 2)
 
@@ -116,7 +109,9 @@ def test_ensemble_is_one_array_with_views():
     assert ens.samples.shape == (4, 11, 4) and not ens.samples.flags.writeable
     assert np.shares_memory(ens.samples, ens.trajectories[0].samples)
     assert np.shares_memory(ens.samples, forward_ensemble(ens).samples)
-    assert ens.trajectories[2].n_samples == 11 and ens.trajectories[2].t0 == 0.0
+    third = ens.trajectories[2]
+    assert third.samples.shape == (1, 11, 4) and third.t0 == 0.0
+    assert np.array_equal(third.samples[0], ens.samples[2])
     # external input is copied and finite-checked
     raw = np.zeros((2, 3, 4))
     own = Ensemble(raw, 0.0, 0.1, TOY)
@@ -127,12 +122,15 @@ def test_ensemble_is_one_array_with_views():
 
 
 def test_window_indices():
-    tr = Trajectory(t0=0.0, dt=0.5, samples=np.zeros((9, 1)), model=TOY)
-    assert window_indices(tr, 1.0, 3.0) == (2, 6)
-    from attractorlab.errors import EmptyWindow
-
+    # restrict keeps grid indices 2..6 of [1.0, 3.0] on every member
+    samples = np.arange(18, dtype=float).reshape(2, 9, 1)
+    ens = Ensemble(samples, 0.0, 0.5, TOY)
+    win = restrict(ens, 1.0, 3.0)
+    assert win.t0 == 1.0 and np.array_equal(win.samples, samples[:, 2:7])
     with pytest.raises(EmptyWindow):
-        window_indices(tr, 3.0, 1.0)
+        restrict(ens, 3.0, 1.0)
+    with pytest.raises(OffGrid):
+        restrict(ens, 1.0, 4.5)
 
 
 def test_toy_decay_is_exact():
@@ -141,7 +139,7 @@ def test_toy_decay_is_exact():
     x0 = np.array([1.0, -2.0, 0.5, 3.0])
     tr = integrate(TOY, x0, 0.0, 5.0, 0.25)
     expected = x0[None, :] * np.exp(-tr.times)[:, None]
-    np.testing.assert_allclose(tr.samples, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(tr.samples[0], expected, rtol=0, atol=1e-14)
 
 
 def test_stepper_is_fourth_order():
@@ -159,7 +157,7 @@ def test_stepper_is_fourth_order():
     ).y[:, -1]
     errs = []
     for dt in (0.05, 0.025, 0.0125):
-        end = integrate(spec, u0, 0.0, 1.0, dt).samples[-1]
+        end = integrate(spec, u0, 0.0, 1.0, dt).samples[0, -1]
         errs.append(np.linalg.norm(end - ref))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
@@ -172,7 +170,7 @@ def test_batch_matches_single_bitwise():
     batch = integrate_batch(spec, initials, 0.0, 1.0, 0.02)
     for i in range(5):
         single = integrate(spec, initials[i], 0.0, 1.0, 0.02)
-        assert np.array_equal(batch[i], single.samples)
+        assert np.array_equal(batch[i], single.samples[0])
 
 
 def test_integration_rejects_bad_input():
@@ -204,9 +202,8 @@ def test_restart_composition_matches_continuation():
         ens = build_ensemble(spec, initials, 0.0, 2.0, dt)
         mid = ens.samples_at(0.8)
         ens2 = build_ensemble(spec, mid, 0.0, 1.2, dt)
-        k = ens.trajectories[0].index_of(0.8)
-        for i, tr in enumerate(ens.trajectories):
-            assert np.array_equal(tr.samples[k:], ens2.trajectories[i].samples)
+        k = ens.index_of(0.8)
+        assert np.array_equal(ens.samples[:, k:], ens2.samples)
 
 
 def test_r_map_contract():
@@ -214,7 +211,7 @@ def test_r_map_contract():
     states = r_map(ens, 0.5)
     assert states.shape == (4, 4)
     np.testing.assert_array_equal(states, ens.samples[:, 5])
-    shifted = Ensemble.from_trajectories(translate(tr, 1.0) for tr in ens.trajectories)
+    shifted = translate(ens, 1.0)
     with pytest.raises(ValueError):
         r_map(shifted, 0.5)
     with pytest.raises(ValueError):
@@ -222,20 +219,21 @@ def test_r_map_contract():
 
 
 def test_translate_restrict_rebase():
-    tr = integrate(TOY, np.ones(4), 0.0, 2.0, 0.1)
-    t5 = translate(tr, 5.0)
-    assert t5.t0 == 5.0 and np.array_equal(t5.samples, tr.samples)
-    win = restrict(tr, 0.5, 1.5)
-    assert win.t0 == 0.5 and win.n_samples == 11
-    assert np.array_equal(win.samples, tr.samples[5:16])
-    z = rebase_to_zero(t5)
-    assert z.t0 == 0.0
+    one = integrate(TOY, np.ones(4), 0.0, 2.0, 0.1)
+    for tr in (one, build_ensemble(TOY, np.eye(4), 0.0, 2.0, 0.1)):
+        t5 = translate(tr, 5.0)
+        assert t5.t0 == 5.0 and np.array_equal(t5.samples, tr.samples)
+        win = restrict(tr, 0.5, 1.5)
+        assert win.t0 == 0.5 and win.n_samples == 11
+        assert np.array_equal(win.samples, tr.samples[:, 5:16])
+        z = rebase_to_zero(t5)
+        assert z.t0 == 0.0 and np.shares_memory(z.samples, tr.samples)
 
 
 def test_complete_surrogates_contains_zero():
     lib = complete_surrogates(TOY, np.eye(4), t_back=2.0, horizon=1.0, dt=0.1)
     assert lib.t0 == -2.0
-    assert lib.trajectories[0].index_of(0.0) == 20
+    assert lib.index_of(0.0) == 20
     fwd = forward_ensemble(lib)
     assert fwd.t0 == 0.0 and fwd.t_end == 1.0
     with pytest.raises(StepMismatch):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from oracles import attraction_report_oracle
 
-from attractorlab.errors import EmptyEnsemble, GridMismatch, HorizonTooShort, ModelMismatch, OffGrid
+from attractorlab.errors import EmptyEnsemble, HorizonTooShort, ModelMismatch, OffGrid
 from attractorlab.metrics import TrajMetricParams
 from attractorlab.models import make_spec
-from attractorlab.state import Ensemble, Trajectory
+from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import (
     TrajectoryAttractionReport,
     traj_set_semidist,
@@ -22,45 +22,33 @@ PARAMS = TrajMetricParams()
 
 
 def _set_from(arrs, dt=0.1):
-    arrs = [np.atleast_2d(np.asarray(a, float)) for a in arrs]
-    spec = make_spec("toy_contraction", truncation=arrs[0].shape[1])
-    return Ensemble.from_trajectories(
-        Trajectory(t0=0.0, dt=dt, samples=a, model=spec) for a in arrs
-    )
+    arrs = np.stack([np.atleast_2d(np.asarray(a, float)) for a in arrs])
+    spec = make_spec("toy_contraction", truncation=arrs.shape[2])
+    return Ensemble(arrs, 0.0, dt, spec)
 
 
 def _first_samples(ens, n):
-    return Ensemble.from_trajectories(
-        Trajectory(t0=0.0, dt=ens.dt, samples=tr.samples[:n], model=tr.model)
-        for tr in ens.trajectories
-    )
+    return Ensemble(ens.samples[:, :n], 0.0, ens.dt, ens.model)
 
 
 def test_trajectory_set_validation():
-    with pytest.raises(EmptyEnsemble):
-        Ensemble.from_trajectories(())
     spec = make_spec("toy_contraction", truncation=2)
-    shifted = Ensemble.from_trajectories(
-        (Trajectory(t0=1.0, dt=0.1, samples=np.zeros((3, 2)), model=spec),)
-    )
+    with pytest.raises(EmptyEnsemble):
+        Ensemble(np.zeros((0, 3, 2)), 0.0, 0.1, spec)
+    shifted = Ensemble(np.zeros((1, 3, 2)), 1.0, 0.1, spec)
     # trajectory-space operations need families that start at t = 0
     with pytest.raises(ValueError):
         translate_semigroup(shifted, 0.1)
     with pytest.raises(ValueError):
         traj_set_semidist(shifted, shifted, "strong", TrajMetricParams(t_max_windows=1))
-    a = Trajectory(t0=0.0, dt=0.1, samples=np.zeros((3, 2)), model=spec)
-    b = Trajectory(t0=0.0, dt=0.2, samples=np.zeros((3, 2)), model=spec)
-    with pytest.raises(GridMismatch):
-        Ensemble.from_trajectories((a, b))
 
 
 def test_translation_semigroup_law(toy_bundle):
     p = toy_bundle["ensemble"]
     one = translate_semigroup(translate_semigroup(p, 1.5), 2.5)
     two = translate_semigroup(p, 4.0)
-    for u, v in zip(one.trajectories, two.trajectories):
-        assert u.t0 == v.t0 == 0.0
-        assert np.array_equal(u.samples, v.samples)
+    assert one.t0 == two.t0 == 0.0
+    assert np.array_equal(one.samples, two.samples)
     # T(s) is a view of the family's own array
     assert np.shares_memory(two.samples, p.samples)
     with pytest.raises(ValueError):
@@ -73,7 +61,7 @@ def test_slice_matches_states(toy_bundle):
     p = toy_bundle["ensemble"]
     got = p.samples_at(2.0)
     for row, tr in zip(got, p.trajectories):
-        assert np.array_equal(row, tr.samples[tr.index_of(2.0)])
+        assert np.array_equal(row, tr.samples_at(2.0)[0])
     with pytest.raises(OffGrid):
         p.samples_at(-0.5)
 
@@ -129,10 +117,7 @@ def test_trajectory_attractor_guards(toy_bundle):
     k_space = toy_bundle["ensemble"]
     lib = toy_bundle["library"]
     other = make_spec("toy_contraction", truncation=5)
-    bad = Ensemble.from_trajectories(
-        (Trajectory(t0=-2.0, dt=0.01, samples=np.zeros((301, 5)), model=other),),
-        label="surrogate-library",
-    )
+    bad = Ensemble(np.zeros((1, 301, 5)), -2.0, 0.01, other)
     with pytest.raises(ModelMismatch):
         trajectory_attractor(k_space, bad, PARAMS)
     with pytest.raises(HorizonTooShort):

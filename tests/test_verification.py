@@ -8,9 +8,9 @@ from oracles import tracking_ladder_oracle
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
-from attractorlab.metrics import traj_dist_window
-from attractorlab.models import make_spec, sample_ball, smooth_profile
-from attractorlab.state import Ensemble, Trajectory
+from attractorlab.metrics import strong_dist_arrays, window_dist
+from attractorlab.models import check_a3, make_spec, sample_ball, smooth_profile
+from attractorlab.state import Ensemble
 from attractorlab.verification import (
     TrackingReport,
     _tracking_grid,
@@ -27,18 +27,17 @@ from attractorlab.verification import (
 )
 
 
-def _traj(vals, dt=0.1, t0=0.0):
-    arr = np.atleast_2d(np.asarray(vals, float))
-    if arr.shape[0] == 1:
-        arr = arr.T
-    spec = make_spec("toy_contraction", truncation=arr.shape[1])
-    return Trajectory(t0=t0, dt=dt, samples=arr, model=spec)
+def _traj(*members, dt=0.1, t0=0.0):
+    """Toy-model ensemble of the given members; a 1-d member is one coordinate."""
+    arr = np.stack([np.asarray(m, float).reshape(len(m), -1) for m in members])
+    spec = make_spec("toy_contraction", truncation=arr.shape[2])
+    return Ensemble(arr, t0, dt, spec)
 
 
 def test_grid_modulus_hand_value():
-    tr = _traj([0.0, 1.0, 1.5, 1.5])
-    assert grid_modulus(tr) == 1.0
-    assert grid_modulus(tr, 0.1, 0.3) == 0.5
+    tr = _traj([0.0, 1.0, 1.5, 1.5], [0.0, 0.5, 0.5, 2.5])
+    assert grid_modulus(tr).tolist() == [1.0, 2.0]
+    assert grid_modulus(tr, 0.1, 0.3).tolist() == [0.5, 2.0]
     with pytest.raises(ValueError):
         grid_modulus(tr, 0.1, 0.1)
 
@@ -46,24 +45,57 @@ def test_grid_modulus_hand_value():
 def test_grid_continuity_smooth_vs_jump():
     t = np.arange(201) * 0.01
     smooth = _traj(np.exp(-t), dt=0.01)
-    assert is_grid_continuous(smooth)
+    assert is_grid_continuous(smooth).tolist() == [True]
     jumped = np.exp(-t)
     jumped[100:] += 0.5  # one-step jump of 0.5 against ~0.01 neighbors
-    assert not is_grid_continuous(_traj(jumped, dt=0.01))
+    assert is_grid_continuous(_traj(jumped, dt=0.01)).tolist() == [False]
+    # one verdict per member
+    assert is_grid_continuous(_traj(np.exp(-t), jumped, dt=0.01)).tolist() == [True, False]
 
 
 def test_grid_continuity_settled_floor():
     # fully settled trajectory: zero steps everywhere must pass
-    assert is_grid_continuous(_traj(np.ones(50), dt=0.1))
+    assert is_grid_continuous(_traj(np.ones(50), dt=0.1)).all()
+
+
+def _grid_continuous_oracle(samples: np.ndarray, ia: int, ib: int) -> bool:
+    # the one-trajectory form of the witness, (n, dim) samples
+    steps = strong_dist_arrays(np.diff(samples[ia : ib + 1], axis=0))
+    floor = 1e-8 * (1.0 + float(np.linalg.norm(samples[ia], axis=-1)))
+    if steps.shape[0] == 1:
+        return bool(steps[0] <= floor)
+    prev = np.concatenate([steps[1:2], steps[:-1]])
+    nxt = np.concatenate([steps[1:], steps[-2:-1]])
+    return bool(np.all(steps <= np.maximum(10.0 * np.maximum(prev, nxt), floor)))
+
+
+def test_grid_continuity_of_ensembles_equals_one_member_views(nse4_free_bundle):
+    ens = nse4_free_bundle["ensemble"]
+    rows = ens.samples.copy()
+    rows[1, 150:] += 0.3  # one member with a jump
+    rows[2, 40:] = rows[2, 40]  # one member that settles at t = 0.8
+    ens = Ensemble(rows, ens.t0, ens.dt, ens.model)
+    for a, b in ((None, None), (0.5, 4.0), (0.8, 0.82), (0.9, 1.0)):
+        got = is_grid_continuous(ens, a, b)
+        ia = 0 if a is None else ens.index_of(a)
+        ib = ens.n_samples - 1 if b is None else ens.index_of(b)
+        want = [_grid_continuous_oracle(r, ia, ib) for r in ens.samples]
+        assert got.tolist() == want
+        assert got.tolist() == [bool(is_grid_continuous(v, a, b)[0]) for v in ens.trajectories]
+        assert np.array_equal(
+            grid_modulus(ens, a, b), [grid_modulus(v, a, b)[0] for v in ens.trajectories]
+        )
+    assert is_grid_continuous(ens).tolist() == [True, False] + [True] * (ens.n_members - 2)
 
 
 def test_left_continuity_witness():
     t = np.arange(201) * 0.01
     smooth = _traj(np.sin(t), dt=0.01)
-    assert check_left_continuity_implies_continuity(smooth, 1.0, tol=1e-3)
+    assert check_left_continuity_implies_continuity(smooth, 1.0, tol=1e-3).tolist() == [True]
     jumped = np.sin(t).copy()
     jumped[101:] += 0.3  # left limit still matches the value at t=1.0
-    assert not check_left_continuity_implies_continuity(_traj(jumped, dt=0.01), 1.0, tol=1e-3)
+    both = _traj(np.sin(t), jumped, dt=0.01)
+    assert check_left_continuity_implies_continuity(both, 1.0, tol=1e-3).tolist() == [True, False]
     with pytest.raises(BoundaryPoint):
         check_left_continuity_implies_continuity(smooth, 0.0, tol=1e-3)
 
@@ -102,14 +134,7 @@ def test_tracking_self_library_is_exact(nse4_bundle):
 def test_tracking_no_match_raises(toy_bundle):
     spec = toy_bundle["spec"]
     # library pinned far away: nothing tracks the decaying ensemble
-    far = np.full((2, 6), 5.0)
-    lib = Ensemble.from_trajectories(
-        tuple(
-            Trajectory(t0=-5.0, dt=0.01, samples=np.tile(row, (2401, 1)), model=spec)
-            for row in far
-        ),
-        label="surrogate-library",
-    )
+    lib = Ensemble(np.full((2, 2401, 6), 5.0), -5.0, 0.01, spec)
     with pytest.raises(NoMatch):
         check_tracking(toy_bundle["ensemble"], lib, "strong", eps=1e-3, window_T=2.0)
     ladder = tracking_ladder(
@@ -189,19 +214,27 @@ def test_tracking_error_profile_monotone(nse4_bundle):
     assert errs[-1] < errs[0] * 1e-2
 
 
+def _perturbed(bundle, coord):
+    """Sequence started 2^-n off the first member along coord, and its limit."""
+    spec = bundle["spec"]
+    u0 = bundle["ensemble"].samples[0, 0]
+    starts = np.tile(u0, (6, 1))
+    starts[:, coord] += 2.0 ** -np.arange(1.0, 7.0)
+    return build_ensemble(spec, starts, 0.0, 6.0, 0.02), integrate(spec, u0, 0.0, 6.0, 0.02)
+
+
 def test_point_convergence_positive(nse4_free_bundle):
-    spec = nse4_free_bundle["spec"]
-    base = nse4_free_bundle["ensemble"].trajectories[0]
-    u0 = base.samples[0]
-    seq = []
-    for n in range(1, 7):
-        pert = u0.copy()
-        pert[0] += 2.0 ** (-n)
-        seq.append(integrate(spec, pert, 0.0, 6.0, 0.02))
-    limit = integrate(spec, u0, 0.0, 6.0, 0.02)
+    seq, limit = _perturbed(nse4_free_bundle, 0)
     rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
     assert rep.converged
     assert rep.dists[-1] < rep.dists[0]
+    # weak gate over [2, 4] (grid 100..200) and the distances at t* = 3
+    # (grid 150), member by member from one-member views
+    x = limit.samples[0]
+    views = [v.samples[0] for v in seq.trajectories]
+    weak = [window_dist(seq.model, u[100:201], x[100:201], "weak") for u in views]
+    assert rep.weak_dists == tuple(weak)
+    assert rep.dists == tuple(float(np.linalg.norm(u[150] - x[150])) for u in views)
 
 
 def test_point_convergence_rejects_weak_only_gate():
@@ -209,13 +242,11 @@ def test_point_convergence_rejects_weak_only_gate():
     # strong metric does not, so the check must not report convergence
     spec = make_spec("toy_contraction", truncation=8)
     t = np.arange(0, 301) * 0.02
-    base = np.zeros((301, 8))
-    limit = Trajectory(t0=0.0, dt=0.02, samples=base, model=spec)
-    seq = []
-    for n in range(1, 6):
-        s = base.copy()
-        s[:, -1] = 0.5  # constant strong-size offset on the last coordinate
-        seq.append(Trajectory(t0=0.0, dt=0.02, samples=s, model=spec))
+    base = np.zeros((1, 301, 8))
+    limit = Ensemble(base, 0.0, 0.02, spec)
+    s = np.zeros((5, 301, 8))
+    s[:, :, -1] = 0.5  # constant strong-size offset on the last coordinate
+    seq = Ensemble(s, 0.0, 0.02, spec)
     try:
         rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
         assert not rep.converged
@@ -227,28 +258,23 @@ def test_point_convergence_window_on_a_grid_that_misses_whole_times():
     # dt = 0.3 does not divide 1.0: the window t_star +- 1 rounds to three
     # grid steps on each side, [2.1, 3.9], instead of raising OffGrid at 2.0
     limit = _traj(np.zeros((21, 3)), dt=0.3)
-    seq = [_traj(np.full((21, 3), 2.0 ** (-n)), dt=0.3) for n in range(1, 7)]
+    seq = _traj(*(np.full((21, 3), 2.0 ** (-n)) for n in range(1, 7)), dt=0.3)
+    spec, x = seq.model, limit.samples[0]
     rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
     assert rep.converged
-    assert rep.weak_dists == tuple(traj_dist_window(u, limit, 2.1, 3.9, "weak") for u in seq)
-    # near the ends the window is clipped to the span
+    # [2.1, 3.9] is grid 7..13
+    assert rep.weak_dists == tuple(window_dist(spec, u[7:14], x[7:14], "weak") for u in seq.samples)
+    # near the ends the window is clipped to the span: [0.0, 1.2], grid 0..4
     early = check_strong_convergence_at_point(seq, limit, t_star=0.3)
-    assert early.weak_dists == tuple(traj_dist_window(u, limit, 0.0, 1.2, "weak") for u in seq)
+    assert early.weak_dists == tuple(window_dist(spec, u[:5], x[:5], "weak") for u in seq.samples)
 
 
 def test_uniform_convergence_window(nse4_free_bundle):
-    spec = nse4_free_bundle["spec"]
-    u0 = nse4_free_bundle["ensemble"].trajectories[0].samples[0]
-    seq = []
-    for n in range(1, 7):
-        pert = u0.copy()
-        pert[1] += 2.0 ** (-n)
-        seq.append(integrate(spec, pert, 0.0, 6.0, 0.02))
-    limit = integrate(spec, u0, 0.0, 6.0, 0.02)
+    seq, limit = _perturbed(nse4_free_bundle, 1)
     assert check_uniform_strong_convergence(seq, limit, window=(1.0, 5.0), tol=0.05)
     # a limit the sequence does not even weakly approach is a hypothesis
     # failure, not a negative verdict
-    wrong = integrate(spec, u0 * 0.2, 0.0, 6.0, 0.02)
+    wrong = integrate(seq.model, limit.samples[0, 0] * 0.2, 0.0, 6.0, 0.02)
     with pytest.raises(HypothesisFail):
         check_uniform_strong_convergence(seq, wrong, window=(1.0, 5.0), tol=0.05)
 
@@ -257,9 +283,25 @@ def test_uniform_convergence_false_on_high_mode_offset():
     # weakly negligible but strongly visible offset: the weak gate passes,
     # the strong sup does not, and the verdict is False rather than a raise
     spec = make_spec("toy_contraction", truncation=12)
-    base = np.zeros((61, 12))
-    limit = Trajectory(t0=0.0, dt=0.1, samples=base, model=spec)
-    off = base.copy()
-    off[:, -1] = 0.5
-    seq = [Trajectory(t0=0.0, dt=0.1, samples=off, model=spec) for _ in range(5)]
+    limit = Ensemble(np.zeros((1, 61, 12)), 0.0, 0.1, spec)
+    off = np.zeros((5, 61, 12))
+    off[:, :, -1] = 0.5
+    seq = Ensemble(off, 0.0, 0.1, spec)
     assert not check_uniform_strong_convergence(seq, limit, window=(1.0, 5.0), tol=0.05)
+
+
+def test_sequence_checks_reject_another_model_and_a_wide_limit():
+    spec = make_spec("toy_contraction", truncation=3)
+    seq = Ensemble(np.zeros((3, 31, 3)), 0.0, 0.1, spec)
+    other = Ensemble(np.zeros((1, 31, 4)), 0.0, 0.1, make_spec("toy_contraction", truncation=4))
+    wide = Ensemble(np.zeros((2, 31, 3)), 0.0, 0.1, spec)
+    checks = (
+        lambda lim: check_strong_convergence_at_point(seq, lim, t_star=1.0),
+        lambda lim: check_uniform_strong_convergence(seq, lim, window=(1.0, 2.0), tol=0.1),
+        lambda lim: check_a3(seq, lim, T=2.0, tol=0.1),
+    )
+    for check in checks:
+        with pytest.raises(ModelMismatch):
+            check(other)
+        with pytest.raises(ValueError, match="one-member"):
+            check(wide)
