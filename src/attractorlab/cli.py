@@ -1,10 +1,15 @@
 """Experiment runner: config in, deterministic data products out.
 
-A run builds one model and one seeded ensemble, executes the requested
-pipeline, and writes five files under the output directory: trajectories.csv,
-sets.json, reports.json, ledger.csv, and manifest.json. Identical configs
-produce byte-identical files; the manifest carries the effective config and
-seed instead of a timestamp. Unknown config keys are rejected with the
+A run builds one model, integrates every ensemble it needs in one pass,
+executes the requested pipeline, and writes five files under the output
+directory: trajectories.csv, sets.json, reports.json, ledger.csv, and
+manifest.json. The ensembles of the pass are the seeded run ensemble and,
+where the subcommand or a configured check reads them, the surrogate library
+and each check's own ensemble; they step as one batch that shrinks as each
+reaches its last step. Fused, batched and single integration give the same
+bits, so no artifact depends on which ensembles share the pass. Identical
+configs produce byte-identical files; the manifest carries the effective
+config and seed instead of a timestamp. Unknown config keys are rejected with the
 offending field named, and numeric failures abort with a structured error
 record in reports.json; in verify, a check that raises gets its own error
 record and the other checks still run.
@@ -24,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import build_ensemble, complete_surrogates
+from .core import Group, integrate_groups, make_group, surrogate_group
 from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteState, OffGrid
 from .limits import OmegaParams, asymptotic_compactness_defect, global_attractor, omega_limit
 from .metrics import METRIC_KINDS, TrajMetricParams
@@ -315,20 +320,12 @@ def _initials(spec: ModelSpec, n: int, radius: float, seed: int) -> np.ndarray:
     return sample_ball(spec, n, radius=radius, seed=seed, profile=profile)
 
 
-def _setup(cfg: dict, spec: ModelSpec):
-    radius = cfg["radius"]
-    if radius is None:
-        radius = default_radius(spec)
-    initials = _initials(spec, cfg["ensemble_size"], radius, cfg["seed"])
-    ensemble = build_ensemble(spec, initials, 0.0, cfg["horizon"], cfg["dt"])
-    return radius, ensemble
-
-
-def _build_library(cfg: dict, spec: ModelSpec, radius: float) -> Ensemble:
+def _library_group(ctx: _RunContext) -> Group:
+    cfg = ctx.cfg
     lib_cfg = cfg["library"]
-    initials = _initials(spec, lib_cfg["size"], radius, cfg["seed"] + 1)
-    return complete_surrogates(
-        spec,
+    initials = _initials(ctx.spec, lib_cfg["size"], ctx.radius, cfg["seed"] + 1)
+    return surrogate_group(
+        ctx.spec,
         initials,
         t_back=lib_cfg["t_back"],
         horizon=lib_cfg["horizon"],
@@ -348,17 +345,33 @@ def _status_exit(reports: list[dict]) -> int:
 
 
 class _RunContext:
-    """What the checks of one verify run share; the costly parts are lazy.
+    """What the parts of one run share; the costly ones are built once.
 
+    The run's ensemble, the surrogate library and each check's own ensemble
+    are groups of one integration, keyed "run", "library" and by the id of
+    the check's config entry. integrate() steps the groups a run needs in
+    one pass; a group it did not produce is integrated alone on first use.
     Each costly part is built once, on first use; if building it raises,
     later uses raise the same exception without building it again.
     """
 
-    def __init__(self, cfg: dict, spec: ModelSpec, radius: float, ensemble: Ensemble):
-        self.cfg, self.spec, self.radius, self.ensemble = cfg, spec, radius, ensemble
+    def __init__(self, cfg: dict, spec: ModelSpec):
+        self.cfg, self.spec = cfg, spec
+        self.radius = default_radius(spec) if cfg["radius"] is None else cfg["radius"]
+        self.initials = _initials(spec, cfg["ensemble_size"], self.radius, cfg["seed"])
+        self._checks = {id(chk): chk for chk in cfg["checks"]}
         self._built: dict = {}  # part name -> (value, exception)
 
-    def _once(self, name: str, build):
+    def _group(self, key) -> Group:
+        cfg = self.cfg
+        if key == "run":
+            return make_group(self.spec, self.initials, 0.0, cfg["horizon"], cfg["dt"])
+        if key == "library":
+            return _library_group(self)
+        chk = self._checks[key]
+        return _OWN_GROUP[chk["name"]](cfg, chk, self)
+
+    def _once(self, name, build):
         if name not in self._built:
             try:
                 self._built[name] = (build(), None)
@@ -369,9 +382,42 @@ class _RunContext:
             raise exc
         return value
 
+    def integrate(self, keys) -> None:
+        """Integrate the named groups in one pass and keep what it yields.
+
+        The run's group must form: its error is the run's. Another group
+        that cannot be formed stays out of the pass and raises at its first
+        use. If the pass blows up, nothing of it is kept: each group is then
+        integrated alone, in the order of first use, and records its own
+        error.
+        """
+        formed = {"run": self._group("run")}
+        for key in keys:
+            try:
+                formed[key] = self._group(key)
+            except Exception as exc:
+                self._built[key] = (None, exc)
+        try:
+            paths = integrate_groups(self.spec, list(formed.values()))
+        except NonFiniteState:
+            return
+        self._built.update((key, (value, None)) for key, value in zip(formed, paths))
+
+    def paths(self, key):
+        """The integrated group key: from the shared pass, or integrated alone."""
+        return self._once(key, lambda: integrate_groups(self.spec, [self._group(key)])[0])
+
+    @property
+    def ensemble(self) -> Ensemble:
+        return self.paths("run")
+
     @property
     def library(self) -> Ensemble:
-        return self._once("library", lambda: _build_library(self.cfg, self.spec, self.radius))
+        return self.paths("library")
+
+    def own(self, chk: dict):
+        """The check's own integrated group."""
+        return self.paths(id(chk))
 
     @property
     def attractor(self):
@@ -406,25 +452,29 @@ def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     }
 
 
-def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
+def _absorbing_group(cfg: dict, chk: dict, ctx: _RunContext) -> Group:
     spec = ctx.spec
     r_abs = absorbing_radius(spec)
     profile = smooth_profile(spec) if spec.kind in NSE_KINDS else None
     boundary = sample_ball(
         spec, chk["n_samples"], 2.0 * r_abs, cfg["seed"] + 2, boundary=True, profile=profile
     )
-    ens = build_ensemble(spec, boundary, 0.0, chk["horizon"], cfg["dt"])
+    # the check reads only the norms of the samples
+    return make_group(spec, boundary, 0.0, chk["horizon"], cfg["dt"], norms=True)
+
+
+def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
+    r_abs = absorbing_radius(ctx.spec)
     ok = True
     worst_entry = 0.0
     slack = 1e-9 * r_abs
-    for member in ens.samples:
-        norms = np.linalg.norm(member, axis=1)
+    for norms in ctx.own(chk):
         inside = norms <= r_abs + slack
         entered = np.flatnonzero(inside)
         if entered.size == 0 or not inside[entered[0] :].all():
             ok = False
             break
-        worst_entry = max(worst_entry, float(entered[0] * ens.dt))
+        worst_entry = max(worst_entry, float(entered[0] * cfg["dt"]))
     return {
         "name": "absorbing",
         "status": "pass" if ok else "fail",
@@ -495,15 +545,20 @@ def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     }
 
 
+def _point_group(cfg: dict, chk: dict, ctx: _RunContext) -> Group:
+    # starts x0 + 2^-n e_0 around the run's first initial state x0
+    bump = np.zeros(spec_dim(ctx.spec))
+    bump[0] = 1.0
+    x0 = ctx.initials[0]
+    starts = [x0 + 2.0 ** (-n) * bump for n in range(1, chk["n_seq"] + 1)]
+    return make_group(ctx.spec, np.array(starts), 0.0, cfg["horizon"], cfg["dt"])
+
+
 def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     ens = ctx.ensemble
     base = Ensemble(ens.samples[:1], ens.t0, ens.dt, ens.model)
-    bump = np.zeros(spec_dim(ctx.spec))
-    bump[0] = 1.0
-    starts = [base.samples[0, 0] + 2.0 ** (-n) * bump for n in range(1, chk["n_seq"] + 1)]
-    seq = build_ensemble(ctx.spec, np.array(starts), 0.0, cfg["horizon"], cfg["dt"])
     try:
-        rep = check_strong_convergence_at_point(seq, base, chk["t_star"])
+        rep = check_strong_convergence_at_point(ctx.own(chk), base, chk["t_star"])
     except HypothesisFail as exc:
         return {
             "name": "point_convergence",
@@ -554,20 +609,23 @@ _CHECKS = {
         {"t_star": (float, _half_horizon, "in [0, horizon]"), "n_seq": (int, 6, ">= 1")},
     ),
 }
+# what checks integrate besides the run's ensemble: the surrogate library, or
+# a group of their own, (cfg, check config, run context) -> Group
+_READS_LIBRARY = ("tracking", "quasi_invariance", "maximal_invariant")
+_OWN_GROUP = {"absorbing": _absorbing_group, "point_convergence": _point_group}
 
 
-def _run_checks(cfg: dict, spec, radius, ensemble) -> list[dict]:
+def _run_checks(ctx: _RunContext) -> list[dict]:
     """Run the configured checks, each on its own.
 
     A check that raises leaves an error record naming it, and the next check
-    still runs. The library and the attractor are built on first use, once.
+    still runs. The attractor is built on first use, once.
     """
-    ctx = _RunContext(cfg, spec, radius, ensemble)
     reports = []
-    for chk in cfg["checks"]:
+    for chk in ctx.cfg["checks"]:
         name = chk["name"]
         try:
-            reports.append(_CHECKS[name][0](cfg, chk, ctx))
+            reports.append(_CHECKS[name][0](ctx.cfg, chk, ctx))
         except (AttractorLabError, ValueError) as exc:
             reports.append(
                 {
@@ -579,6 +637,42 @@ def _run_checks(cfg: dict, spec, radius, ensemble) -> list[dict]:
                 }
             )
     return reports
+
+
+def _groups(subcommand: str, cfg: dict) -> list:
+    """Keys of the groups besides the run's that a subcommand integrates."""
+    if subcommand == "trajectory-attractor":
+        return ["library"]
+    if subcommand != "verify":
+        return []
+    checks = cfg["checks"]
+    library = ["library"] if any(chk["name"] in _READS_LIBRARY for chk in checks) else []
+    return library + [id(chk) for chk in checks if chk["name"] in _OWN_GROUP]
+
+
+def _trajectory_attraction(ctx: _RunContext, sets: dict) -> dict:
+    """The trajectory-attractor record; its slice at t = 0 goes into sets."""
+    params = TrajMetricParams()
+    cluster_tol = ctx.cfg["omega"]["cluster_tol"]
+    ensemble = ctx.ensemble
+    att = trajectory_attractor(ensemble, ctx.library, params, cluster_tol=cluster_tol)
+    invariance = translation_invariance(att, params, tol=cluster_tol)
+    rep = trajectory_attraction_report(ensemble, att, params, eps=2.0 * cluster_tol)
+    sets["trajectory_attractor_slice0"] = {
+        "metric": "weak",
+        "tol": cluster_tol,
+        "horizon": att.t_end,
+        "points": att.samples[:, 0].copy(),  # a copy: the attractor is freed on return
+    }
+    return {
+        "name": "trajectory_attraction",
+        "status": "pass" if invariance.ok and rep.t_entry is not None else "fail",
+        "invariance_defects": list(invariance.defects),
+        "t_entry": rep.t_entry,
+        "strong_mode": rep.strong_mode,
+        "t_entry_strong": rep.t_entry_strong,
+        "n_members": att.n_members,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +690,12 @@ def run(subcommand: str, cfg: dict) -> int:
     reports: list[dict] = []
     error_record = None
     exit_code = 0
-    radius, ensemble = None, None
+    ensemble = None
     stride = cfg["save_stride"]
     try:
-        radius, ensemble = _setup(cfg, spec)
+        ctx = _RunContext(cfg, spec)
+        ctx.integrate(_groups(subcommand, cfg))
+        ensemble = ctx.ensemble
         if subcommand == "omega":
             est = omega_limit(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
             sets["omega"] = _set_payload(est)
@@ -615,35 +711,14 @@ def run(subcommand: str, cfg: dict) -> int:
                 }
             )
         elif subcommand == "trajectory-attractor":
-            library = _build_library(cfg, spec, radius)
-            params = TrajMetricParams()
-            cluster_tol = cfg["omega"]["cluster_tol"]
-            att = trajectory_attractor(ensemble, library, params, cluster_tol=cluster_tol)
-            invariance = translation_invariance(att, params, tol=cluster_tol)
-            rep = trajectory_attraction_report(ensemble, att, params, eps=2.0 * cluster_tol)
-            sets["trajectory_attractor_slice0"] = {
-                "metric": "weak",
-                "tol": cluster_tol,
-                "horizon": att.t_end,
-                "points": att.samples[:, 0],
-            }
-            reports.append(
-                {
-                    "name": "trajectory_attraction",
-                    "status": "pass" if invariance.ok and rep.t_entry is not None else "fail",
-                    "invariance_defects": list(invariance.defects),
-                    "t_entry": rep.t_entry,
-                    "strong_mode": rep.strong_mode,
-                    "t_entry_strong": rep.t_entry_strong,
-                    "n_members": att.n_members,
-                }
-            )
+            reports.append(_trajectory_attraction(ctx, sets))
         elif subcommand == "verify":
-            reports = _run_checks(cfg, spec, radius, ensemble)
+            reports = _run_checks(ctx)
         exit_code = _status_exit(reports)
     except (AttractorLabError, ValueError) as exc:
         error_record = {"type": type(exc).__name__, "message": str(exc)}
         exit_code = 1
+    ctx = None  # the writers need only the run's ensemble: free the rest first
 
     if ensemble is not None:
         _write_trajectories(out / "trajectories.csv", ensemble, stride)

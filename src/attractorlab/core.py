@@ -5,21 +5,33 @@ integrating-factor treatment of the diagonal dissipative term: the stiff
 linear decay is applied through exact exponentials, so pure-decay dynamics
 (the toy model, or unforced high modes) are integrated exactly and the step
 limit comes only from the nonlinear transfer. All evaluation is vectorized
-over ensemble members with a fixed reduction order, so single and batched
-integration produce bit-identical trajectories. A single trajectory is a
-one-member Ensemble; translation, restriction and rebasing act on all
-members at once and return views of the same array.
+over ensemble members with a fixed reduction order and never mixes rows.
+
+There is one stepping loop. integrate_groups takes every group of initial
+states a run needs (each with its own start time and step count; the model
+is autonomous, so a start time only labels the grid), stacks them by
+descending step count and steps them in one pass over a batch that shrinks
+as groups reach their last step. build_ensemble is its one-group case.
+Fused, batched and single integration give bit-identical members. A single
+trajectory is a one-member Ensemble; translation, restriction and rebasing
+act on all members at once and return views of the same array.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import EmptyWindow, NonFiniteState, StepMismatch
+from .errors import EmptyWindow, GridMismatch, NonFiniteState, StepMismatch
 from .models import ModelSpec, linear_rates, nonlinear_array, spec_dim
 from .state import Ensemble, frozen_view, span_steps
 
 __all__ = [
     "Ensemble",
+    "Group",
+    "make_group",
+    "surrogate_group",
+    "integrate_groups",
     "integrate",
     "integrate_batch",
     "build_ensemble",
@@ -30,16 +42,66 @@ __all__ = [
 ]
 
 
-def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
-    """All grid samples for a batch of initial states (B, dim)."""
+class Group(NamedTuple):
+    """A stack of initial states (B, dim) to integrate from t0 over n_steps steps of dt.
+
+    With norms set, the pass keeps only the strong norm of each sample,
+    (B, n_steps + 1), instead of the samples themselves.
+    """
+
+    initials: np.ndarray
+    t0: float
+    dt: float
+    n_steps: int
+    norms: bool = False
+
+
+def make_group(
+    model: ModelSpec,
+    initials: np.ndarray,
+    t0: float,
+    t1: float,
+    dt: float,
+    norms: bool = False,
+) -> Group:
+    """A Group of finite (B, dim) initials over the grid span [t0, t1]."""
+    initials = np.asarray(initials, dtype=float)
+    if initials.ndim != 2 or initials.shape[1] != spec_dim(model):
+        raise ValueError(f"initials must be (B, {spec_dim(model)})")
+    if not np.all(np.isfinite(initials)):
+        raise NonFiniteState("initial coordinates contain non-finite entries")
+    if t1 < t0:
+        raise StepMismatch(f"t1={t1} precedes t0={t0}")
+    return Group(initials, t0, dt, span_steps(t0, t1, dt), norms)
+
+
+def _store(out: np.ndarray, k: int, rows: np.ndarray) -> None:
+    if out.ndim == 3:
+        out[:, k] = rows
+    else:
+        out[:, k] = np.linalg.norm(rows, axis=1)
+
+
+def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float, sinks) -> None:
+    """Step initial states (B, dim) whose step counts n_steps descend.
+
+    Row i takes n_steps[i] steps. Each step advances only the prefix of rows
+    that still step, so the batch shrinks as rows finish. sinks lists
+    (start, stop, out) for consecutive row ranges of one step count; out
+    receives sample k of its rows at out[:, k] (see _store).
+    """
     rates = linear_rates(spec)
     e_half = np.exp(-rates * (dt / 2.0))
     e_full = e_half * e_half
-    out = np.empty((u0.shape[0], n_steps + 1, u0.shape[1]))
-    out[:, 0] = u0
-    u = u0
     sixth = dt / 6.0
-    for k in range(n_steps):
+    for start, stop, out in sinks:
+        _store(out, 0, u0[start:stop])
+    u = u0
+    live = u0.shape[0]
+    for k in range(int(n_steps[0]) if live else 0):
+        while n_steps[live - 1] <= k:
+            live -= 1
+        u = u[:live]
         n1 = nonlinear_array(spec, u)
         ua = e_half * (u + (dt / 2.0) * n1)
         n2 = nonlinear_array(spec, ua)
@@ -50,8 +112,42 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: int, dt: float) -> np.
         u = e_full * u + sixth * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
         if not np.all(np.isfinite(u)):
             raise NonFiniteState(f"integration blew up at step {k + 1}")
-        out[:, k + 1] = u
-    return out
+        for start, stop, out in sinks:
+            if stop <= live:
+                _store(out, k + 1, u[start:stop])
+
+
+def integrate_groups(model: ModelSpec, groups) -> list:
+    """Integrate every group in one pass; each group's Ensemble, or its norms.
+
+    The groups' initials are stacked by descending step count and stepped as
+    one batch that shrinks as groups reach their last step. Each group's
+    samples go into its own read-only array, which becomes its Ensemble as
+    it is; a norms group gets its read-only (B, n_steps + 1) norms instead.
+    Rows never mix, so every member has the same bits as in its own pass.
+    """
+    if not groups:
+        return []
+    dt = groups[0].dt
+    if any(g.dt != dt for g in groups):
+        raise GridMismatch("the groups of one pass need one dt")
+    outs = [
+        np.empty((len(g.initials), g.n_steps + 1) + (() if g.norms else g.initials.shape[1:]))
+        for g in groups
+    ]
+    order = sorted(range(len(groups)), key=lambda i: -groups[i].n_steps)
+    sizes = [len(groups[i].initials) for i in order]
+    ends = np.cumsum(sizes)
+    sinks = [(end - size, end, outs[i]) for i, size, end in zip(order, sizes, ends)]
+    u0 = np.concatenate([groups[i].initials for i in order])
+    n_steps = np.repeat([groups[i].n_steps for i in order], sizes)
+    _ifrk4_path(model, u0, n_steps, dt, sinks)
+    for out in outs:
+        out.setflags(write=False)
+    return [
+        out if g.norms else frozen_view(Ensemble, samples=out, t0=g.t0, dt=dt, model=model)
+        for g, out in zip(groups, outs)
+    ]
 
 
 def integrate_batch(
@@ -61,16 +157,8 @@ def integrate_batch(
     t1: float,
     dt: float,
 ) -> np.ndarray:
-    """Grid samples (B, n+1, dim) for a stack of initial coordinates."""
-    initials = np.asarray(initials, dtype=float)
-    if initials.ndim != 2 or initials.shape[1] != spec_dim(model):
-        raise ValueError(f"initials must be (B, {spec_dim(model)})")
-    if not np.all(np.isfinite(initials)):
-        raise NonFiniteState("initial coordinates contain non-finite entries")
-    if t1 < t0:
-        raise StepMismatch(f"t1={t1} precedes t0={t0}")
-    n_steps = span_steps(t0, t1, dt)
-    return _ifrk4_path(model, initials, n_steps, dt)
+    """Read-only grid samples (B, n+1, dim) for a stack of initial coordinates."""
+    return build_ensemble(model, initials, t0, t1, dt).samples
 
 
 def integrate(
@@ -93,12 +181,25 @@ def build_ensemble(
 ) -> Ensemble:
     """Integrate a stack of initial coordinates into one shared-grid ensemble.
 
-    The integrator's (B, n+1, dim) output becomes the ensemble's array as it
-    is, frozen in place rather than copied.
+    The one-group case of integrate_groups: the integrator's (B, n+1, dim)
+    output becomes the ensemble's array as it is, frozen in place rather
+    than copied.
     """
-    paths = integrate_batch(model, initials, t0, t1, dt)
-    paths.setflags(write=False)
-    return frozen_view(Ensemble, samples=paths, t0=t0, dt=dt, model=model)
+    return integrate_groups(model, [make_group(model, initials, t0, t1, dt)])[0]
+
+
+def surrogate_group(
+    model: ModelSpec,
+    initials: np.ndarray,
+    t_back: float,
+    horizon: float,
+    dt: float,
+) -> Group:
+    """The Group of a far-past surrogate library (see complete_surrogates)."""
+    if t_back < 0:
+        raise ValueError("t_back must be nonnegative")
+    span_steps(-t_back, 0.0, dt)  # library grid must contain t = 0
+    return make_group(model, initials, -t_back, horizon, dt)
 
 
 def complete_surrogates(
@@ -114,10 +215,7 @@ def complete_surrogates(
     seeded initial data has decayed; their restrictions to [0, horizon]
     stand in for restrictions of complete trajectories.
     """
-    if t_back < 0:
-        raise ValueError("t_back must be nonnegative")
-    span_steps(-t_back, 0.0, dt)  # library grid must contain t = 0
-    return build_ensemble(model, initials, -t_back, horizon, dt)
+    return integrate_groups(model, [surrogate_group(model, initials, t_back, horizon, dt)])[0]
 
 
 def r_map(ensemble: Ensemble, t: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptySet, HorizonTooShort, InsufficientSamples, ModelMismatch
-from .metrics import _check_metric, pairwise_to_set
+from .metrics import _check_metric, _nearest_in, pairwise_to_set
 from .models import ModelSpec, spec_dim
 from .state import Ensemble, _frozen_array, grid_index
 
@@ -154,14 +154,12 @@ def is_attracting(candidate: SetEstimate, ensemble: Ensemble, eps: float) -> Att
         raise ValueError("eps must be positive")
     if candidate.model.key != ensemble.model.key:
         raise ModelMismatch("candidate set and ensemble belong to different models")
-    cloud = candidate.points
-    spec = ensemble.model
+    nearest = _nearest_in(ensemble.model, candidate.points, candidate.metric)
     idx = np.arange(ensemble.n_samples)
     times = ensemble.t0 + ensemble.dt * idx
     semi = np.empty(idx.shape[0])
     for j, k in enumerate(idx):
-        slice_k = ensemble.samples[:, k, :]
-        semi[j] = pairwise_to_set(spec, slice_k, cloud, candidate.metric).max()
+        semi[j] = nearest(ensemble.samples[:, k, :]).max()
     viol = np.flatnonzero(semi >= eps)
     if viol.size == 0:
         entry_j = 0

@@ -24,6 +24,7 @@ against one reference window take one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Literal
 
 import numpy as np
@@ -61,6 +62,16 @@ def _check_metric(m: str) -> str:
 def strong_dist_arrays(diff: np.ndarray) -> np.ndarray:
     # np.linalg.norm(diff, axis=-1) evaluates this same expression
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
+def _strong_dist_owned(diff: np.ndarray) -> np.ndarray:
+    """strong_dist_arrays(diff), bitwise, squaring diff in place.
+
+    For a difference the caller owns and no longer needs: it saves a
+    temporary the size of diff.
+    """
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.add.reduce(diff, axis=-1))
 
 
 def weak_dist_arrays(spec: ModelSpec, diff: np.ndarray) -> np.ndarray:
@@ -115,14 +126,31 @@ def pairwise_to_set(
     _SCREEN_MIN pair-coordinates screen the pairs through the Gram expansion
     first (see _strong_nearest).
     """
-    if m == "strong":
+    return _nearest_in(spec, cloud, m)(stack)
+
+
+def _nearest_in(spec: ModelSpec, cloud: np.ndarray, m: str):
+    """pairwise_to_set(spec, ., cloud, m) for one cloud and many stacks.
+
+    The strong screen's squared norms of the cloud, and their max, are
+    computed once, when the first stack needs them.
+    """
+    b = np.atleast_2d(np.asarray(cloud, float))
+
+    @cache
+    def cloud_norms():
+        nb = np.einsum("ij,ij->i", b, b)
+        return nb, nb.max()
+
+    def nearest(stack: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(stack, float))
-        b = np.atleast_2d(np.asarray(cloud, float))
-        if a.shape[0] * b.size > _SCREEN_MIN:
-            near = _strong_nearest(a, b)
+        if m == "strong" and a.shape[0] * b.size > _SCREEN_MIN:
+            near = _strong_nearest(a, b, *cloud_norms())
             if near is not None:
                 return near
-    return cross_dist(spec, stack, cloud, m).min(axis=1)
+        return cross_dist(spec, a, b, m).min(axis=1)
+
+    return nearest
 
 
 # Rounding bound of the Gram screen per unit of |a|^2 + |b|^2 and per
@@ -139,7 +167,9 @@ _TINY = np.finfo(float).tiny
 _SCREEN_MIN = 1 << 14
 
 
-def _strong_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def _strong_nearest(
+    a: np.ndarray, b: np.ndarray, nb: np.ndarray, nb_max: float
+) -> np.ndarray | None:
     """Row minima of the strong metric from a to b, bitwise as brute force.
 
     |x - y|^2 = |x|^2 + |y|^2 - 2 x.y; within one row |x|^2 is common to all
@@ -151,16 +181,16 @@ def _strong_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     cross_dist, and sqrt is monotone, so the minimum is the same bits.
     Returns None unless 4 (max |x|^2 + max |y|^2) is finite: past that, e,
     its row bound or the margin could overflow and bound nothing (NaN and
-    inf inputs land here too), and brute force takes the input.
+    inf inputs land here too), and brute force takes the input. nb holds the
+    squared norms |y|^2 of the rows of b, and nb_max their max.
     """
     na = np.einsum("ij,ij->i", a, a)
-    nb = np.einsum("ij,ij->i", b, b)
     with np.errstate(over="ignore"):
-        if not np.isfinite(4.0 * (na.max() + nb.max())):
+        if not np.isfinite(4.0 * (na.max() + nb_max)):
             return None
     k = b.shape[0]
     # 2 x margin; the tiny term absorbs rounding in the subnormal range
-    width = 2.0 * (_GRAM_SLACK * (a.shape[1] + 4) * (na + nb.max()) + _TINY)
+    width = 2.0 * (_GRAM_SLACK * (a.shape[1] + 4) * (na + nb_max) + _TINY)
     out = np.empty(a.shape[0])
     per = max(1, _CHUNK // k)
     for i in range(0, a.shape[0], per):

@@ -23,6 +23,8 @@ from .errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, 
 from .metrics import (
     TrajMetricParams,
     _check_metric,
+    _nearest_in,
+    _strong_dist_owned,
     pairwise_to_set,
     strong_dist_arrays,
     tail_steps,
@@ -47,7 +49,7 @@ def _grid_steps(ens: Ensemble, a: float | None, b: float | None, what: str):
     ib = ens.n_samples - 1 if b is None else ens.index_of(b)
     if ib - ia < 1:
         raise ValueError(f"window too short for {what}")
-    return ia, strong_dist_arrays(np.diff(ens.samples[:, ia : ib + 1], axis=1))
+    return ia, _strong_dist_owned(np.diff(ens.samples[:, ia : ib + 1], axis=1))
 
 
 def grid_modulus(ens: Ensemble, a: float | None = None, b: float | None = None) -> np.ndarray:
@@ -117,6 +119,7 @@ def check_quasi_invariance(
     lo, hi = i_settle + w, library.n_samples - 1 - w
     if lo > hi:
         raise ValueError("library horizon too short for the requested window")
+    nearest = _nearest_in(spec, cloud, metric)
     uncovered = []
     for a_idx in range(cloud.shape[0]):
         a = cloud[a_idx]
@@ -126,7 +129,7 @@ def check_quasi_invariance(
             for j in np.flatnonzero(anchor < eps):
                 s = lo + int(j)
                 window = vs[s - w : s + w + 1]
-                if pairwise_to_set(spec, window, cloud, metric).max() < eps:
+                if nearest(window).max() < eps:
                     hit = True
                     break
             if hit:

@@ -15,7 +15,7 @@ from oracles import attraction_report_oracle
 
 import attractorlab.cli as cli
 from attractorlab.cli import load_config, main
-from attractorlab.errors import ConfigInvalid
+from attractorlab.errors import ConfigInvalid, NonFiniteState
 
 TOY = {
     "model": {"kind": "toy_contraction", "truncation": 4},
@@ -476,3 +476,169 @@ def test_cli_run_imports_no_scipy(tmp_path):
     assert code in ("0", "2", "3")
     assert loaded.strip() == "[]"
     assert (tmp_path / "out" / "reports.json").exists()
+
+
+NSE2 = {
+    "model": {
+        "kind": "galerkin_nse_2d",
+        "truncation": 2,
+        "forcing": [{"mode": [1, 0], "amplitude": 0.1}],
+    },
+    "seed": 3,
+    "ensemble_size": 3,
+    "horizon": 4.0,
+    "dt": 0.02,
+    "library": {"size": 2, "t_back": 2.0, "horizon": 4.0},
+}
+LIBRARY_CHECKS = ("tracking", "quasi_invariance", "maximal_invariant")
+
+
+def _passes(monkeypatch):
+    # record the member count of every group of every integration pass
+    passes = []
+    original = cli.integrate_groups
+
+    def counting(spec, groups):
+        passes.append([g.initials.shape[0] for g in groups])
+        return original(spec, groups)
+
+    monkeypatch.setattr(cli, "integrate_groups", counting)
+    return passes
+
+
+def _fused_and_separate(tmp_path, monkeypatch, payload):
+    """The four run artifacts of a verify run, fused and on the separate path.
+
+    The separate path is forced by a fused pass that raises NonFiniteState;
+    each group is then integrated alone on first use.
+    """
+    written = {}
+    for side in ("fused", "separate"):
+        if side == "separate":
+            original = cli.integrate_groups
+
+            def refusing(spec, groups):
+                if len(groups) > 1:
+                    raise NonFiniteState("forced blow-up of the fused pass")
+                return original(spec, groups)
+
+            monkeypatch.setattr(cli, "integrate_groups", refusing)
+        (tmp_path / side).mkdir()
+        code, out = _run(tmp_path / side, "verify", payload)
+        written[side] = (code, [(out / f).read_bytes() for f in FIVE[:4]])
+    assert written["fused"] == written["separate"]
+    code, files = written["fused"]
+    return code, json.loads(files[3])
+
+
+def test_off_grid_library_fails_only_the_library_checks(tmp_path, monkeypatch):
+    payload = dict(
+        NSE2,
+        library={"size": 2, "t_back": 1.01, "horizon": 4.0},
+        checks=[
+            {"name": "energy", "gap_tol": 5e-3},
+            {"name": "absorbing", "n_samples": 4},
+            *({"name": name} for name in LIBRARY_CHECKS),
+            {"name": "point_convergence", "n_seq": 3},
+        ],
+    )
+    code, reports = _fused_and_separate(tmp_path, monkeypatch, payload)
+    assert code == 1 and "error" not in reports
+    by_name = {r["name"]: r for r in reports["checks"]}
+    for name in LIBRARY_CHECKS:
+        assert by_name[name]["status"] == "error"
+        assert by_name[name]["type"] == "StepMismatch"
+    assert by_name["energy"]["status"] == "pass"
+    assert by_name["absorbing"]["status"] == "pass"
+    assert by_name["point_convergence"]["status"] in ("pass", "fail", "hypothesis_fail")
+
+
+def test_absorbing_on_a_dyadic_model_fails_that_check_alone(tmp_path, monkeypatch):
+    payload = dict(
+        NSE2,
+        model={"kind": "dyadic", "truncation": 6, "forcing": [{"shell": 1, "amplitude": 0.5}]},
+        checks=[
+            {"name": "compactness"},
+            {"name": "absorbing"},
+            {"name": "point_convergence", "n_seq": 2},
+        ],
+    )
+    code, reports = _fused_and_separate(tmp_path, monkeypatch, payload)
+    assert code == 1
+    compact, absorbing, point = reports["checks"]
+    assert absorbing["status"] == "error" and absorbing["type"] == "ModelMismatch"
+    assert compact["status"] == "pass"
+    assert point["status"] != "error"
+
+
+def test_fused_blow_up_records_what_the_separate_path_records(tmp_path, monkeypatch):
+    # every check of the criterion-style config, through the forced fallback
+    payload = dict(
+        NSE2,
+        checks=[
+            {"name": "energy", "gap_tol": 5e-3},
+            {"name": "absorbing", "n_samples": 4},
+            {"name": "tracking"},
+            {"name": "quasi_invariance"},
+            {"name": "maximal_invariant"},
+            {"name": "compactness"},
+            {"name": "point_convergence", "n_seq": 2},
+        ],
+    )
+    _fused_and_separate(tmp_path, monkeypatch, payload)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_group_blowing_up_in_the_fused_pass(tmp_path, monkeypatch):
+    # the absorbing samples start far out and blow up, the run does not; the
+    # pass falls back to one group at a time and only the absorbing check errs
+    payload = dict(
+        NSE2,
+        model=dict(NSE2["model"], nu=0.05, forcing=[{"mode": [1, 0], "amplitude": 100.0}]),
+        horizon=1.0,
+        dt=0.1,
+        radius=0.01,
+        checks=[{"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
+    )
+    passes = _passes(monkeypatch)
+    code, reports = _fused_and_separate(tmp_path, monkeypatch, payload)
+    # the fused pass, which blew up, then the run and the absorbing group alone
+    assert passes[:3] == [[3, 4], [3], [4]]
+    compact, absorbing = reports["checks"]
+    assert compact["status"] == "pass"
+    assert (absorbing["status"], absorbing["type"]) == ("error", "NonFiniteState")
+    assert absorbing["message"] == "integration blew up at step 2"
+
+
+def test_verify_integrates_only_what_its_checks_read(tmp_path, monkeypatch):
+    passes = _passes(monkeypatch)
+    no_library = [
+        {"name": "energy"},
+        {"name": "compactness"},
+        {"name": "absorbing", "n_samples": 4},
+    ]
+    code, _ = _run(tmp_path, "verify", dict(NSE2, checks=no_library))
+    assert code in (0, 2)
+    assert passes == [[3, 4]]  # one pass: the run and the absorbing samples
+    passes.clear()
+    (tmp_path / "lib").mkdir()
+    _run(tmp_path / "lib", "verify", dict(NSE2, checks=no_library + [{"name": "tracking"}]))
+    assert passes == [[3, 2, 4]]  # the library joins the same pass
+
+
+def test_duplicated_checks_get_their_own_groups(tmp_path, monkeypatch):
+    passes = _passes(monkeypatch)
+    payload = dict(
+        NSE2,
+        checks=[
+            {"name": "absorbing", "n_samples": 4, "horizon": 1.0},
+            {"name": "point_convergence", "n_seq": 2},
+            {"name": "tracking"},
+            {"name": "absorbing", "n_samples": 4, "horizon": 3.0},
+            {"name": "point_convergence", "n_seq": 3, "t_star": 1.0},
+        ],
+    )
+    code, reports = _fused_and_separate(tmp_path, monkeypatch, payload)
+    assert passes[0] == [3, 2, 4, 2, 4, 3]
+    first, second = (r for r in reports["checks"] if r["name"] == "point_convergence")
+    assert first["status"] == second["status"]

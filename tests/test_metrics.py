@@ -192,6 +192,25 @@ def test_strong_nearest_edge_inputs():
     np.testing.assert_array_equal(pairwise_to_set(spec, stack, cloud, "strong"), want)
 
 
+def test_nearest_in_reuses_one_cloud_bitwise():
+    # one prepared cloud against many stacks, on both sides of _SCREEN_MIN,
+    # equals the row minimum of cross_dist stack by stack
+    rng = np.random.default_rng(11)
+    sides = set()
+    for dim, k in ((8, 10), (8, 300), (80, 40)):
+        spec = make_spec("toy_contraction", truncation=dim)
+        cloud = _near_duplicate_cloud(rng, dim, k, 1.0)
+        for m in ("strong", "weak"):
+            nearest = metrics._nearest_in(spec, cloud, m)
+            for n in (1, 3, 40, 300):
+                stack = cloud[rng.integers(0, k, n)] + rng.standard_normal((n, dim)) * 1e-3
+                want = cross_dist(spec, stack, cloud, m).min(axis=1)
+                np.testing.assert_array_equal(nearest(stack), want)
+                np.testing.assert_array_equal(pairwise_to_set(spec, stack, cloud, m), want)
+                sides.add(n * cloud.size > metrics._SCREEN_MIN)
+    assert sides == {False, True}
+
+
 def _group_norm_weak(spec, diff):
     # the weak metric through the Euclidean norm over each mode group
     weights, gs = weak_weights(spec)

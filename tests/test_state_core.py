@@ -9,19 +9,23 @@ from attractorlab.core import (
     forward_ensemble,
     integrate,
     integrate_batch,
+    integrate_groups,
+    make_group,
     r_map,
     rebase_to_zero,
     restrict,
+    surrogate_group,
     translate,
 )
 from attractorlab.errors import (
     EmptyEnsemble,
     EmptyWindow,
+    GridMismatch,
     NonFiniteState,
     OffGrid,
     StepMismatch,
 )
-from attractorlab.models import make_spec, rhs_array, sample_ball
+from attractorlab.models import default_radius, make_spec, nse_forcing, rhs_array, sample_ball
 from attractorlab.state import Ensemble, grid_index, span_steps
 
 TOY = make_spec("toy_contraction", truncation=4)
@@ -246,3 +250,48 @@ def test_deterministic_rerun_bitwise():
     a = integrate_batch(spec, initials, 0.0, 1.0, 0.02)
     b = integrate_batch(spec, sample_ball(spec, 3, radius=0.5, seed=77), 0.0, 1.0, 0.02)
     assert np.array_equal(a, b)
+
+
+_KICK = [{"mode": [1, 0], "amplitude": 0.1}]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_spec(
+            "galerkin_nse_2d",
+            nu=1.0,
+            truncation=4,
+            forcing=nse_forcing("galerkin_nse_2d", 2 * np.pi, 4, _KICK),
+        ),
+        make_spec("dyadic", nu=0.5, truncation=6, lam=2.0),
+    ],
+    ids=["nse2d", "dyadic"],
+)
+def test_fused_pass_matches_one_build_per_group_bitwise(spec):
+    # mixed step counts with a tie, a library group starting at -t_back, a
+    # one-member group and a norms group, all in one shrinking batch
+    dt = 0.02
+    ini = sample_ball(spec, 14, radius=default_radius(spec), seed=4)
+    spans = [(ini[0:3], 0.0, 1.0), (ini[3:5], 0.0, 0.4), (ini[5:6], 0.0, 1.0), (ini[6:9], 0.0, 0.1)]
+    groups = [make_group(spec, rows, t0, t1, dt) for rows, t0, t1 in spans]
+    groups.append(surrogate_group(spec, ini[9:12], t_back=0.6, horizon=0.6, dt=dt))
+    groups.append(make_group(spec, ini[12:14], 0.0, 0.7, dt, norms=True))
+    fused = integrate_groups(spec, groups)
+    for (rows, t0, t1), ens in zip(spans, fused):
+        alone = build_ensemble(spec, rows, t0, t1, dt)
+        assert ens.t0 == alone.t0 and ens.dt == alone.dt
+        assert np.array_equal(ens.samples, alone.samples)
+        assert not ens.samples.flags.writeable
+    lib = complete_surrogates(spec, ini[9:12], t_back=0.6, horizon=0.6, dt=dt)
+    assert fused[4].t0 == -0.6 and np.array_equal(fused[4].samples, lib.samples)
+    members = build_ensemble(spec, ini[12:14], 0.0, 0.7, dt).samples
+    norms = np.array([np.linalg.norm(member, axis=1) for member in members])
+    assert fused[5].shape == (2, 36) and np.array_equal(fused[5], norms)
+
+
+def test_fused_pass_needs_one_dt():
+    groups = [make_group(TOY, np.eye(4), 0.0, 1.0, 0.1), make_group(TOY, np.eye(4), 0.0, 1.0, 0.05)]
+    with pytest.raises(GridMismatch):
+        integrate_groups(TOY, groups)
+    assert integrate_groups(TOY, []) == []

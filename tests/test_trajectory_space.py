@@ -1,12 +1,14 @@
 """Translation semigroup, tail-metric set distances, and the trajectory view."""
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from oracles import attraction_report_oracle
 
+import attractorlab.verification as verification
 from attractorlab.errors import EmptyEnsemble, HorizonTooShort, ModelMismatch, OffGrid
-from attractorlab.metrics import TrajMetricParams
+from attractorlab.metrics import TrajMetricParams, strong_dist_arrays
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import (
@@ -189,3 +191,26 @@ def test_attraction_report_without_strong_mode(toy_bundle, toy_attractor):
     got = trajectory_attraction_report(k_space, jumped, PARAMS, eps=2e-3)
     assert not got.strong_mode and got.t_entry_strong is None
     _same_report(got, attraction_report_oracle(k_space, jumped, PARAMS, eps=2e-3))
+
+
+def test_attraction_report_squares_grid_steps_in_place(toy_bundle, toy_attractor, monkeypatch):
+    # the continuity witness squares its own step differences in place; with
+    # the copying square the report's traced peak is higher
+    k_space = toy_bundle["ensemble"]
+    # more attractor members make the (members, samples, dim) steps the peak
+    tiled = np.tile(toy_attractor.samples, (8, 1, 1))
+    attractor = Ensemble(tiled, 0.0, toy_attractor.dt, toy_attractor.model)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            report = trajectory_attraction_report(k_space, attractor, PARAMS, eps=2e-3)
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    shipped, report = peak()
+    monkeypatch.setattr(verification, "_strong_dist_owned", strong_dist_arrays)
+    copying, same = peak()
+    _same_report(report, same)
+    assert shipped < copying, (shipped, copying)

@@ -8,7 +8,7 @@ from oracles import tracking_ladder_oracle
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
-from attractorlab.metrics import strong_dist_arrays, window_dist
+from attractorlab.metrics import _strong_dist_owned, strong_dist_arrays, window_dist
 from attractorlab.models import check_a3, make_spec, sample_ball, smooth_profile
 from attractorlab.state import Ensemble
 from attractorlab.verification import (
@@ -86,6 +86,23 @@ def test_grid_continuity_of_ensembles_equals_one_member_views(nse4_free_bundle):
             grid_modulus(ens, a, b), [grid_modulus(v, a, b)[0] for v in ens.trajectories]
         )
     assert is_grid_continuous(ens).tolist() == [True, False] + [True] * (ens.n_members - 2)
+
+
+def test_grid_steps_square_in_place_with_the_same_bits(nse4_free_bundle):
+    ens = nse4_free_bundle["ensemble"]
+    diff = np.diff(ens.samples, axis=1)
+    old = np.sqrt(np.add.reduce(diff * diff, axis=-1))  # the copying expression
+    assert np.array_equal(strong_dist_arrays(diff), old)
+    owned = diff.copy()
+    assert np.array_equal(_strong_dist_owned(owned), old)
+    assert np.array_equal(owned, diff * diff)
+    for a, b in ((None, None), (0.5, 4.0), (0.9, 1.0)):
+        ia = 0 if a is None else ens.index_of(a)
+        ib = ens.n_samples - 1 if b is None else ens.index_of(b)
+        steps = strong_dist_arrays(np.diff(ens.samples[:, ia : ib + 1], axis=1))
+        assert np.array_equal(grid_modulus(ens, a, b), steps.max(axis=-1))
+        want = [_grid_continuous_oracle(r, ia, ib) for r in ens.samples]
+        assert is_grid_continuous(ens, a, b).tolist() == want
 
 
 def test_left_continuity_witness():
