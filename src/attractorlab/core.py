@@ -110,7 +110,7 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
         uc = e_full * u + dt * (e_half * n3)
         n4 = nonlinear_array(spec, uc)
         u = e_full * u + sixth * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise NonFiniteState(f"integration blew up at step {k + 1}")
         for start, stop, out in sinks:
             if stop <= live:

@@ -201,15 +201,16 @@ def _check_operand(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
         raise ModelMismatch(
             f"coords dim {u.shape[-1]} does not match model dim {spec_dim(spec)}"
         )
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NonFiniteState("operand contains non-finite entries")
     return u
 
 
 def advection_array(spec: ModelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """B(u, v) in coordinates; batches broadcast over leading axes."""
+    same = v is u
     u = _check_operand(spec, u)
-    v = _check_operand(spec, v)
+    v = u if same else _check_operand(spec, v)
     return advect(mode_table(spec), u, v)
 
 
@@ -471,10 +472,19 @@ def energy_ledger(spec: ModelSpec, ens: Ensemble) -> EnergyLedger:
     if ens.model.key != spec.key:
         raise ModelMismatch("trajectory does not belong to this model")
     u = ens.samples
+    stokes = stokes_eigenvalues(spec)
+    energy, enstr = np.empty(u.shape[:-1]), np.empty(u.shape[:-1])
+    # member by member, one square serves both sums (the operations of
+    # enstrophy()); a whole-ensemble square would set a verify run's peak memory
+    for m, um in enumerate(u):
+        sq = um * um
+        energy[m] = sq.sum(axis=-1)
+        sq *= stokes
+        enstr[m] = sq.sum(axis=-1)
     return EnergyLedger(
         times=ens.times,
-        energy=(u * u).sum(axis=-1),
-        enstrophy=enstrophy(spec, u),
+        energy=energy,
+        enstrophy=enstr,
         work=u @ forcing_array(spec),
     )
 

@@ -17,9 +17,11 @@ interaction reduces to
     C = (e(k1) . k2) (e(k2) . e(out)),
 
 so the geometry lives in one precomputed real coefficient per (pair, tangent
-combination) and evaluation is scalar complex multiply-adds over a table
+combination), stored once as the complex C + 0j that the complex multiply
+would cast it to, and evaluation is scalar complex multiply-adds over a table
 pre-sorted by output channel (fixed reduction order, identical for single and
-batched calls).
+batched calls). The self-advection B(u, u) of every time step converts its
+shared operand to scalars once and gathers it for both factors.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ class ModeTable:
     # scalar convolution entries, sorted by output channel
     ch_in1: np.ndarray       # (P,) int, full channel index of psi_{k1}
     ch_in2: np.ndarray       # (P,) int, full channel index of psi_{k2}
-    ch_coeff: np.ndarray     # (P,) float, geometric coefficient C
+    ch_coeff: np.ndarray     # (P,) complex, geometric coefficient C + 0j
     ch_offsets: np.ndarray   # (U,) segment starts in the sorted entries
     ch_unique: np.ndarray    # (U,) output channel of each segment
     conv_factor: complex     # i (2 pi / L) L^{-d/2}
@@ -168,7 +170,7 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
         stokes=(2.0 * np.pi / L) ** 2 * (half.astype(float) ** 2).sum(axis=1),
         ch_in1=ch1,
         ch_in2=ch2,
-        ch_coeff=cf,
+        ch_coeff=cf.astype(complex),
         ch_offsets=starts,
         ch_unique=cho[starts],
         conv_factor=1j * (2.0 * np.pi / L) * L ** (-d / 2.0),
@@ -208,25 +210,31 @@ def coords_to_modes(table: ModeTable, coords: np.ndarray) -> np.ndarray:
 _GATHER_ENTRIES = 1 << 14
 
 
+def _full_scalars(table: ModeTable, coords: np.ndarray) -> np.ndarray:
+    """Coords (B, dim) or (dim,) -> full-channel scalars [psi; conj psi], (2 n_channels, B)."""
+    psi = coords_to_scalars(table, np.atleast_2d(coords)).T
+    return np.concatenate([psi, np.conj(psi)], axis=0)
+
+
 def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.ndarray:
     """Leray-projected advection B(u, v) = P_sigma(u . grad v) in coordinates.
 
-    Accepts (B, dim) batches or single (dim,) vectors.
+    Accepts (B, dim) batches or single (dim,) vectors. When v_coords is
+    u_coords, the operand is converted once and gathered twice.
     """
     single = u_coords.ndim == 1
-    u2 = np.atleast_2d(u_coords)
-    v2 = np.atleast_2d(v_coords)
-    psi_u = coords_to_scalars(table, u2).T  # (n_channels, B)
-    psi_v = coords_to_scalars(table, v2).T
-    full_u = np.concatenate([psi_u, np.conj(psi_u)], axis=0)
-    full_v = np.concatenate([psi_v, np.conj(psi_v)], axis=0)
-    contrib = full_u[table.ch_in1]
+    full_u = _full_scalars(table, u_coords)
+    full_v = full_u if v_coords is u_coords else _full_scalars(table, v_coords)
+    contrib = np.take(full_u, table.ch_in1, axis=0)
     contrib *= table.ch_coeff[:, None]
     rows = max(1, _GATHER_ENTRIES // contrib.shape[1])
     for lo in range(0, contrib.shape[0], rows):
-        contrib[lo : lo + rows] *= full_v[table.ch_in2[lo : lo + rows]]
+        contrib[lo : lo + rows] *= np.take(full_v, table.ch_in2[lo : lo + rows], axis=0)
     seg = np.add.reduceat(contrib, table.ch_offsets, axis=0)  # (U, B)
-    omega = np.zeros((table.n_channels, contrib.shape[1]), dtype=complex)
-    omega[table.ch_unique] = seg
+    if len(table.ch_unique) == table.n_channels:
+        omega = seg  # sorted and complete: ch_unique is 0..n_channels-1
+    else:
+        omega = np.zeros((table.n_channels, seg.shape[1]), dtype=complex)
+        omega[table.ch_unique] = seg
     out = scalars_to_coords(table, (table.conv_factor * omega).T)
     return out[0] if single else out

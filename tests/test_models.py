@@ -4,10 +4,11 @@ import pytest
 
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.state import Ensemble
-from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch
+from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
 from attractorlab.models import (
     _cumulative_simpson,
     absorbing_radius,
+    advection_array,
     check_a3,
     check_energy_inequality,
     default_radius,
@@ -155,6 +156,30 @@ def test_energy_ledger_columns():
     other = make_spec("galerkin_nse_2d", nu=2.0, truncation=2)
     with pytest.raises(ModelMismatch):
         energy_ledger(other, tr)
+
+
+def test_energy_ledger_equals_direct_sums_bitwise():
+    g = nse_forcing("galerkin_nse_2d", TWO_PI, 2, [{"mode": [1, 0], "amplitude": 0.1}])
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2, forcing=g)
+    ens = build_ensemble(spec, sample_ball(spec, 3, radius=0.3, seed=1), 0.0, 1.0, 0.02)
+    led = energy_ledger(spec, ens)
+    u = ens.samples
+    assert np.array_equal(led.energy, (u * u).sum(-1))
+    assert np.array_equal(led.enstrophy, enstrophy(spec, u))
+
+
+def test_advection_array_checks_both_operands():
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
+    u = sample_ball(spec, 2, radius=0.3, seed=1)
+    bad = u.copy()
+    bad[1, 3] = np.nan
+    with pytest.raises(NonFiniteState, match="operand contains non-finite entries"):
+        advection_array(spec, u, bad)
+    with pytest.raises(NonFiniteState, match="operand contains non-finite entries"):
+        advection_array(spec, bad, bad)
+    with pytest.raises(ModelMismatch, match="does not match model dim"):
+        advection_array(spec, u, u[:, :-1])
+    assert np.array_equal(advection_array(spec, u, u), advection_array(spec, u, u.copy()))
 
 
 def test_unforced_galerkin_norm_decays_at_poincare_rate():

@@ -5,9 +5,12 @@ are evaluated on a fine periodic grid, (u . grad) v is formed pointwise, and
 mode/tangent coefficients are recovered by trapezoid quadrature (exact for
 trigonometric polynomials once the grid resolves degree 3N).
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
+from attractorlab import spectral
 from attractorlab.spectral import (
     advect,
     build_mode_table,
@@ -152,6 +155,62 @@ def test_advect_batch_matches_single_bitwise():
     batch = advect(table, u, v)
     for i in range(4):
         assert np.array_equal(batch[i], advect(table, u[i], v[i]))
+
+
+@pytest.mark.parametrize("d,trunc", [(2, 2), (2, 4), (2, 8), (3, 2)])
+@pytest.mark.parametrize("batch", [None, 1, 7, 64])
+def test_advect_shared_operand_matches_copy_bitwise(d, trunc, batch):
+    table = build_mode_table(d, 2.0 * np.pi, trunc)
+    shape = (table.dim,) if batch is None else (batch, table.dim)
+    u = np.random.default_rng(RNG_SEED).standard_normal(shape)
+    shared = advect(table, u, u)
+    assert shared.shape == shape
+    assert np.array_equal(shared, advect(table, u, u.copy()))
+
+
+def test_advect_converts_a_shared_operand_once(monkeypatch):
+    table = build_mode_table(2, 2.0 * np.pi, 4)
+    u = np.random.default_rng(RNG_SEED).standard_normal((3, table.dim))
+    calls = []
+
+    def counted(tab, coords):
+        calls.append(coords.shape)
+        return coords_to_scalars(tab, coords)
+
+    monkeypatch.setattr(spectral, "coords_to_scalars", counted)
+    advect(table, u, u)
+    assert len(calls) == 1
+    advect(table, u, u.copy())
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d,trunc", [(2, 2), (2, 4), (3, 2)])
+def test_ch_coeff_is_complex_with_zero_imaginary_part(d, trunc):
+    table = build_mode_table(d, 2.0 * np.pi, trunc)
+    assert table.ch_coeff.dtype == np.complex128
+    assert np.all(table.ch_coeff.imag == 0.0)
+    assert np.all(table.ch_coeff.real != 0.0)
+
+
+def test_advect_leaves_channels_without_entries_zero():
+    # every built table covers all output channels; drop the last segment to
+    # take the scatter path a table with an empty channel would take
+    table = build_mode_table(2, 2.0 * np.pi, 3)
+    cut = table.ch_offsets[-1]
+    partial = dataclasses.replace(
+        table,
+        ch_in1=table.ch_in1[:cut],
+        ch_in2=table.ch_in2[:cut],
+        ch_coeff=table.ch_coeff[:cut],
+        ch_offsets=table.ch_offsets[:-1],
+        ch_unique=table.ch_unique[:-1],
+    )
+    u = np.random.default_rng(RNG_SEED).standard_normal((5, table.dim))
+    full, part = advect(table, u, u), advect(partial, u, u)
+    lost = slice(2 * table.ch_unique[-1], 2 * table.ch_unique[-1] + 2)
+    assert np.all(part[:, lost] == 0.0) and np.any(full[:, lost] != 0.0)
+    part[:, lost] = full[:, lost]
+    assert np.array_equal(part, full)
 
 
 @pytest.mark.parametrize("d,trunc", [(2, 3), (3, 1)])
