@@ -245,7 +245,6 @@ def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
 def enstrophy(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     """Squared dissipation norm ||u||^2 = (A u, u)."""
     u = _check_operand(spec, u)
-    # one temporary the size of u: a whole ensemble's samples come through here
     sq = u * u
     sq *= stokes_eigenvalues(spec)
     return sq.sum(axis=-1)
@@ -472,15 +471,11 @@ def energy_ledger(spec: ModelSpec, ens: Ensemble) -> EnergyLedger:
     if ens.model.key != spec.key:
         raise ModelMismatch("trajectory does not belong to this model")
     u = ens.samples
-    stokes = stokes_eigenvalues(spec)
     energy, enstr = np.empty(u.shape[:-1]), np.empty(u.shape[:-1])
-    # member by member, one square serves both sums (the operations of
-    # enstrophy()); a whole-ensemble square would set a verify run's peak memory
+    # member by member: a whole-ensemble square would set a verify run's peak memory
     for m, um in enumerate(u):
-        sq = um * um
-        energy[m] = sq.sum(axis=-1)
-        sq *= stokes
-        enstr[m] = sq.sum(axis=-1)
+        energy[m] = (um * um).sum(axis=-1)
+        enstr[m] = enstrophy(spec, um)
     return EnergyLedger(
         times=ens.times,
         energy=energy,

@@ -48,8 +48,8 @@ class ModeTable:
     ch_in1: np.ndarray       # (P,) int, full channel index of psi_{k1}
     ch_in2: np.ndarray       # (P,) int, full channel index of psi_{k2}
     ch_coeff: np.ndarray     # (P,) complex, geometric coefficient C + 0j
-    ch_offsets: np.ndarray   # (U,) segment starts in the sorted entries
-    ch_unique: np.ndarray    # (U,) output channel of each segment
+    ch_offsets: np.ndarray   # (n_channels,) segment starts in the sorted entries
+    ch_unique: np.ndarray    # (n_channels,) output channel of each segment
     conv_factor: complex     # i (2 pi / L) L^{-d/2}
 
     @property
@@ -157,6 +157,8 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
     sort = np.argsort(cho, kind="stable")
     ch1, ch2, cho, cf = ch1[sort], ch2[sort], cho[sort], cf[sort]
     starts = np.flatnonzero(np.r_[True, cho[1:] != cho[:-1]])
+    if len(starts) != mh * n_tan:
+        raise ValueError(f"mode table d={d} N={n} leaves an output channel without entries")
 
     return ModeTable(
         d=d,
@@ -230,11 +232,7 @@ def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.n
     rows = max(1, _GATHER_ENTRIES // contrib.shape[1])
     for lo in range(0, contrib.shape[0], rows):
         contrib[lo : lo + rows] *= np.take(full_v, table.ch_in2[lo : lo + rows], axis=0)
-    seg = np.add.reduceat(contrib, table.ch_offsets, axis=0)  # (U, B)
-    if len(table.ch_unique) == table.n_channels:
-        omega = seg  # sorted and complete: ch_unique is 0..n_channels-1
-    else:
-        omega = np.zeros((table.n_channels, seg.shape[1]), dtype=complex)
-        omega[table.ch_unique] = seg
-    out = scalars_to_coords(table, (table.conv_factor * omega).T)
+    # one segment per output channel, in channel order (checked at build)
+    seg = np.add.reduceat(contrib, table.ch_offsets, axis=0)  # (n_channels, B)
+    out = scalars_to_coords(table, (table.conv_factor * seg).T)
     return out[0] if single else out

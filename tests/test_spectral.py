@@ -5,8 +5,6 @@ are evaluated on a fine periodic grid, (u . grad) v is formed pointwise, and
 mode/tangent coefficients are recovered by trapezoid quadrature (exact for
 trigonometric polynomials once the grid resolves degree 3N).
 """
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -89,6 +87,8 @@ def test_mode_table_structure(d, trunc):
         np.testing.assert_allclose(dots, 0.0, atol=1e-13)
     # convolution table sorted by output channel with valid segment starts
     assert np.all(np.diff(table.ch_unique) > 0)
+    # every output channel has a segment, so advect needs no scatter
+    assert np.array_equal(table.ch_unique, np.arange(table.n_channels))
     assert table.ch_offsets[0] == 0 and np.all(np.diff(table.ch_offsets) > 0)
 
 
@@ -190,27 +190,6 @@ def test_ch_coeff_is_complex_with_zero_imaginary_part(d, trunc):
     assert table.ch_coeff.dtype == np.complex128
     assert np.all(table.ch_coeff.imag == 0.0)
     assert np.all(table.ch_coeff.real != 0.0)
-
-
-def test_advect_leaves_channels_without_entries_zero():
-    # every built table covers all output channels; drop the last segment to
-    # take the scatter path a table with an empty channel would take
-    table = build_mode_table(2, 2.0 * np.pi, 3)
-    cut = table.ch_offsets[-1]
-    partial = dataclasses.replace(
-        table,
-        ch_in1=table.ch_in1[:cut],
-        ch_in2=table.ch_in2[:cut],
-        ch_coeff=table.ch_coeff[:cut],
-        ch_offsets=table.ch_offsets[:-1],
-        ch_unique=table.ch_unique[:-1],
-    )
-    u = np.random.default_rng(RNG_SEED).standard_normal((5, table.dim))
-    full, part = advect(table, u, u), advect(partial, u, u)
-    lost = slice(2 * table.ch_unique[-1], 2 * table.ch_unique[-1] + 2)
-    assert np.all(part[:, lost] == 0.0) and np.any(full[:, lost] != 0.0)
-    part[:, lost] = full[:, lost]
-    assert np.array_equal(part, full)
 
 
 @pytest.mark.parametrize("d,trunc", [(2, 3), (3, 1)])
