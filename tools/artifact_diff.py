@@ -7,8 +7,9 @@ Usage (from the repository root):
 Runs ``python -m attractorlab.cli`` once with PARENT_SRC and once with this
 checkout's ``src/`` on the import path, on the four perfbench workloads at
 workload seeds 0-4, on the built-in ``verify`` edge cases of EDGE_CASES
-(the error, blow-up and duplicate-check paths) and on each extra ``verify``
-config given. Every run writes into its own temporary directory. The exit
+(the error, blow-up, duplicate-check and clipped-window paths) and on each
+extra ``verify`` config given. Every run writes into its own temporary
+directory. The exit
 codes and the five artifacts must match: four files byte for byte, and
 manifest.json after mapping the run's ``output_dir`` to one placeholder.
 Prints each difference and exits 1 if there is one; exits 0 otherwise.
@@ -74,6 +75,17 @@ EDGE_CASES = {
             {"name": "tracking"},
             {"name": "absorbing", "n_samples": 4, "horizon": 3.0},
             {"name": "point_convergence", "n_seq": 3, "t_star": 1.0},
+        ],
+    ),
+    # windows clipped at both span ends, and a one-member sequence that
+    # fails the weak-convergence hypothesis
+    "edge point convergence at the span ends": dict(
+        _SMALL,
+        model=_NSE2,
+        checks=[
+            {"name": "point_convergence", "t_star": 0.0},
+            {"name": "point_convergence", "t_star": _SMALL["horizon"]},
+            {"name": "point_convergence", "n_seq": 1},
         ],
     ),
     # no check reads the library
