@@ -2,7 +2,7 @@
 
 Public surface re-exported from the submodules:
 
-* :mod:`.core` — ensembles (a trajectory is a one-member one), integration, reachability
+* :mod:`.core` — ensembles (a trajectory is a one-member one) and integration
 * :mod:`.metrics` — strong/weak metrics on point clouds and sample windows
 * :mod:`.models` — Galerkin Navier-Stokes, dyadic shell, toy contraction
 * :mod:`.limits` — omega-limit sets, global attractors, compactness defects
@@ -20,7 +20,6 @@ from .core import (
     complete_surrogates,
     forward_ensemble,
     integrate,
-    r_map,
     rebase_to_zero,
     restrict,
     translate,
@@ -34,7 +33,6 @@ from .models import (
     EnergyLedger,
     ModelSpec,
     absorbing_radius,
-    check_a3,
     check_energy_inequality,
     default_radius,
     dyadic_forcing,
@@ -61,7 +59,6 @@ from .verification import (
     check_quasi_invariance,
     check_strong_convergence_at_point,
     check_tracking,
-    check_uniform_strong_convergence,
     is_grid_continuous,
     tracking_ladder,
 )

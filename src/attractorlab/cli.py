@@ -199,8 +199,14 @@ def load_config(path: str | Path) -> dict:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigInvalid(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigInvalid(f"config file cannot be read: {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config file is not UTF-8 text: {path}: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigInvalid(f"config is nested too deeply to parse: {path}")
     cfg = _section(raw, _CONFIG, "config")
     model = cfg["model"]
     forcing = _FORCING["nse" if model["kind"] in NSE_KINDS else "dyadic"]
@@ -681,11 +687,14 @@ def _trajectory_attraction(ctx: _RunContext, sets: dict) -> dict:
 
 def run(subcommand: str, cfg: dict) -> int:
     # A model that the config describes but the model code rejects (a mode,
-    # component or shell it does not retain) raises ConfigInvalid here,
-    # before any artifact is written.
+    # component or shell it does not retain), or an output_dir that names a
+    # file, raises ConfigInvalid here, before any artifact is written.
     spec = _build_spec(cfg["model"])
     out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"output_dir {str(out)!r}: cannot create directory: {exc.strerror}")
     sets: dict = {}
     reports: list[dict] = []
     error_record = None

@@ -1,4 +1,4 @@
-"""Time integration and reachability operations.
+"""Time integration and operations on ensembles of trajectories.
 
 The stepper is a classical fourth-order Runge-Kutta scheme with an
 integrating-factor treatment of the diagonal dissipative term: the stiff
@@ -33,10 +33,8 @@ __all__ = [
     "surrogate_group",
     "integrate_groups",
     "integrate",
-    "integrate_batch",
     "build_ensemble",
     "complete_surrogates",
-    "r_map",
     "translate",
     "restrict",
 ]
@@ -150,17 +148,6 @@ def integrate_groups(model: ModelSpec, groups) -> list:
     ]
 
 
-def integrate_batch(
-    model: ModelSpec,
-    initials: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> np.ndarray:
-    """Read-only grid samples (B, n+1, dim) for a stack of initial coordinates."""
-    return build_ensemble(model, initials, t0, t1, dt).samples
-
-
 def integrate(
     model: ModelSpec,
     initial: np.ndarray,
@@ -216,19 +203,6 @@ def complete_surrogates(
     stand in for restrictions of complete trajectories.
     """
     return integrate_groups(model, [surrogate_group(model, initials, t_back, horizon, dt)])[0]
-
-
-def r_map(ensemble: Ensemble, t: float) -> np.ndarray:
-    """Reachability slice: member coordinates at grid time t >= 0.
-
-    The ensemble stands for the trajectory family out of its initial set; the
-    returned (n_members, dim) rows sample R(t) of that set.
-    """
-    if ensemble.t0 != 0.0:
-        raise ValueError("r_map expects an ensemble rebased to start at t = 0")
-    if t < 0:
-        raise ValueError(f"r_map needs t >= 0, got {t}")
-    return ensemble.samples_at(t)
 
 
 def translate(ens: Ensemble, s: float) -> Ensemble:

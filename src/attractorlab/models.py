@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
 from .spectral import ModeTable, advect, build_mode_table
-from .state import Ensemble, common_window
+from .state import Ensemble
 
 KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
 NSE_KINDS = ("galerkin_nse_2d", "galerkin_nse_3d")
@@ -459,13 +459,6 @@ class EnergyReport:
     eps: float
 
 
-@dataclass(frozen=True)
-class A3Report:
-    fraction_strong: float
-    l2_dists: tuple[float, ...]
-    decreasing: bool
-
-
 def energy_ledger(spec: ModelSpec, ens: Ensemble) -> EnergyLedger:
     """Ledger of every member: energy, enstrophy and work are (n_members, n_samples)."""
     if ens.model.key != spec.key:
@@ -565,34 +558,4 @@ def check_energy_inequality(
         worst_delta=worst,
         delta_used=float(delta),
         eps=float(eps),
-    )
-
-
-def check_a3(
-    seq: Ensemble,
-    limit: Ensemble,
-    T: float,
-    tol: float,
-) -> A3Report:
-    """Strong a.e.-convergence surrogate on [start, start + T].
-
-    seq is the sequence as an ensemble and limit a one-member ensemble.
-    Reports the fraction of grid times where the last member is strongly
-    within tol of the limit, and whether the L2-in-time distances decrease
-    along the sequence.
-    """
-    if seq.model.key != limit.model.key:
-        raise ModelMismatch("sequence and limit belong to different models")
-    if limit.n_members != 1:
-        raise ValueError("limit must be a one-member ensemble")
-    u, v = common_window(seq, limit, limit.t0, limit.t0 + T)
-    dists = np.linalg.norm(u - v, axis=-1)
-    # the trapezoid rule as numpy writes it (np.trapezoid needs numpy >= 2)
-    y = dists**2
-    l2 = np.sqrt((seq.dt * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)).tolist()
-    decreasing = all(l2[i + 1] <= l2[i] + 1e-12 for i in range(len(l2) - 1))
-    return A3Report(
-        fraction_strong=float(np.mean(dists[-1] < tol)),
-        l2_dists=tuple(l2),
-        decreasing=bool(decreasing),
     )

@@ -49,7 +49,6 @@ class ModeTable:
     ch_in2: np.ndarray       # (P,) int, full channel index of psi_{k2}
     ch_coeff: np.ndarray     # (P,) complex, geometric coefficient C + 0j
     ch_offsets: np.ndarray   # (n_channels,) segment starts in the sorted entries
-    ch_unique: np.ndarray    # (n_channels,) output channel of each segment
     conv_factor: complex     # i (2 pi / L) L^{-d/2}
 
     @property
@@ -174,7 +173,6 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
         ch_in2=ch2,
         ch_coeff=cf.astype(complex),
         ch_offsets=starts,
-        ch_unique=cho[starts],
         conv_factor=1j * (2.0 * np.pi / L) * L ** (-d / 2.0),
     )
 
@@ -192,18 +190,6 @@ def scalars_to_coords(table: ModeTable, psi: np.ndarray) -> np.ndarray:
     out[..., 0] = np.sqrt(2.0) * psi.real
     out[..., 1] = -np.sqrt(2.0) * psi.imag
     return out.reshape(psi.shape[:-1] + (table.dim,))
-
-
-def coords_to_modes(table: ModeTable, coords: np.ndarray) -> np.ndarray:
-    """Real coordinates -> complex vector coefficients on the full mode set.
-
-    Coefficients are rescaled by L^{d/2} so that the summed squared moduli
-    over the full set equal the squared L2 norm of the field.
-    """
-    psi = coords_to_scalars(table, coords)
-    shaped = psi.reshape(psi.shape[:-1] + (table.n_half, table.n_tan))
-    c_half = np.einsum("...mt,mtd->...md", shaped, table.tangents)
-    return np.concatenate([c_half, np.conj(c_half)], axis=-2)
 
 
 # The second operand is gathered in blocks of at most this many complex

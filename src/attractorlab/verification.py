@@ -10,8 +10,15 @@ Searches whose verdict is decided by the last violation scan backward: the
 tracking search takes sampled t* from the last one down and stops at the
 first t* with an unmatched member. Every check acts on whole ensembles: the
 continuity witnesses give one verdict per member, and the strong-convergence
-checks take the sequence as an Ensemble and its limit as a one-member
+check takes the sequence as an Ensemble and its limit as a one-member
 Ensemble, measured against all members in one array pass.
+
+There is one strong-convergence check. Weak convergence and strong
+continuity of the limit on a window around t* are its hypotheses, and it
+reads the strong distances in three ways: at t* (the verdict), as their sup
+over the window, and as their L2 norm in time over the window, which is
+condition A3 of Cheskidov & Foias for strong convergence to the trajectory
+attractor.
 """
 from __future__ import annotations
 
@@ -50,11 +57,6 @@ def _grid_steps(ens: Ensemble, a: float | None, b: float | None, what: str):
     if ib - ia < 1:
         raise ValueError(f"window too short for {what}")
     return ia, _strong_dist_owned(np.diff(ens.samples[:, ia : ib + 1], axis=1))
-
-
-def grid_modulus(ens: Ensemble, a: float | None = None, b: float | None = None) -> np.ndarray:
-    """Largest adjacent-step strong distance over a grid window, per member."""
-    return _grid_steps(ens, a, b, "a modulus")[1].max(axis=-1)
 
 
 def is_grid_continuous(
@@ -341,20 +343,17 @@ class PointConvergenceReport:
     dists: tuple[float, ...]
     weak_dists: tuple[float, ...]
     ladder: tuple[tuple[float, int | None], ...]
+    sup_dists: tuple[float, ...]
+    l2_dists: tuple[float, ...]
 
 
-def _weak_gate(seq: Ensemble, limit: Ensemble, a: float, b: float) -> list[float]:
+def _weak_gate(w: list[float]) -> None:
     """Verify the sequence converges to the limit in the weak window metric.
 
-    Accepts either a final distance below _WEAK_TOL or a decisive monotone
-    decrease (final below a quarter of the first); anything else fails the
-    hypothesis.
+    w holds the weak window distances along the sequence. Accepts either a
+    final distance below _WEAK_TOL or a decisive monotone decrease (final
+    below a quarter of the first); anything else fails the hypothesis.
     """
-    if seq.model.key != limit.model.key:
-        raise ModelMismatch("trajectories belong to different models")
-    if limit.n_members != 1:
-        raise ValueError("limit must be a one-member ensemble")
-    w = window_dist(seq.model, *common_window(seq, limit, a, b), "weak").tolist()
     nonincreasing = all(w[i + 1] <= w[i] * 1.1 + 1e-15 for i in range(len(w) - 1))
     decisive = len(w) >= 2 and nonincreasing and w[-1] <= 0.25 * w[0]
     if w[-1] > _WEAK_TOL and not decisive:
@@ -362,27 +361,36 @@ def _weak_gate(seq: Ensemble, limit: Ensemble, a: float, b: float) -> list[float
             f"weak convergence not established: final weak window distance {w[-1]:.3e} "
             f"> {_WEAK_TOL:.1e} and no decisive decrease"
         )
-    return w
 
 
 def check_strong_convergence_at_point(
     seq: Ensemble, limit: Ensemble, t_star: float
 ) -> PointConvergenceReport:
-    """Check pointwise strong convergence at a strong-continuity point.
+    """Check strong convergence of a sequence at t_star and over a window around it.
 
-    seq is the sequence as an ensemble, limit a one-member ensemble.
-    Hypotheses established first: the sequence must approach the limit in the
-    weak window metric over t_star +- 1 (rounded to whole grid steps, at
-    least one, and clipped to the span), and the limit must pass the grid
-    continuity witness there; failures raise HypothesisFail. The verdict then
-    asks for the strong distances at t_star to decrease to a fifth of the
-    first; the ladder gives the first member below each of 1e-1, 1e-2, 1e-3.
+    seq is the sequence as an ensemble, limit a one-member ensemble. The
+    window is t_star +- 1, rounded to whole grid steps (at least one) and
+    clipped to the span. Hypotheses established first: the sequence must
+    approach the limit in the weak window metric over the window, and the
+    limit must pass the grid continuity witness there; failures raise
+    HypothesisFail. The verdict asks for the strong distances at t_star to
+    decrease to a fifth of the first; the ladder gives the first member
+    below each of 1e-1, 1e-2, 1e-3. Two more readings of the same strong
+    distances, one per member, are reported without a verdict: sup_dists,
+    their sup over the window, and l2_dists, their L2 norm in time over the
+    window by the trapezoid rule (condition A3 of Cheskidov & Foias).
     """
     k = limit.index_of(t_star)
     h = max(1, round(1.0 / limit.dt))
     a = limit.t0 + max(0, k - h) * limit.dt
     b = limit.t0 + min(limit.n_samples - 1, k + h) * limit.dt
-    weak_vals = _weak_gate(seq, limit, a, b)
+    if seq.model.key != limit.model.key:
+        raise ModelMismatch("trajectories belong to different models")
+    if limit.n_members != 1:
+        raise ValueError("limit must be a one-member ensemble")
+    u, v = common_window(seq, limit, a, b)
+    weak_vals = window_dist(seq.model, u, v, "weak").tolist()
+    _weak_gate(weak_vals)
     if not is_grid_continuous(limit, a, b).all():
         raise HypothesisFail("limit trajectory fails the strong-continuity witness")
     x = limit.samples[0, k]
@@ -395,12 +403,18 @@ def check_strong_convergence_at_point(
     for eps in (1e-1, 1e-2, 1e-3):
         below = [i for i, v in enumerate(d) if v < eps]
         ladder.append((float(eps), below[0] if below else None))
+    strong = _strong_dist_owned(u - v)  # (members, samples in the window)
+    y = strong * strong
+    # the trapezoid rule as numpy writes it (np.trapezoid needs numpy >= 2)
+    l2 = np.sqrt((limit.dt * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=-1))
     return PointConvergenceReport(
         converged=bool(monotone and small),
         t_star=t_star,
         dists=tuple(d),
         weak_dists=tuple(weak_vals),
         ladder=tuple(ladder),
+        sup_dists=tuple(strong.max(axis=-1).tolist()),
+        l2_dists=tuple(l2.tolist()),
     )
 
 
@@ -424,31 +438,11 @@ def check_left_continuity_implies_continuity(
     return (d[:, 1] <= d[:, 0] + tol) & (d_norm[:, 1] <= d_norm[:, 0] + tol)
 
 
-def check_uniform_strong_convergence(
-    seq: Ensemble, limit: Ensemble, window: tuple[float, float], tol: float
-) -> bool:
-    """Check sup-norm strong convergence on a window inside (0, horizon).
-
-    seq is the sequence as an ensemble, limit a one-member ensemble. Weak
-    convergence over the full shared span and grid continuity of the limit
-    are established first (HypothesisFail otherwise); the verdict asks the
-    windowed strong sup distances to decrease below tol.
-    """
-    a, b = window
-    _weak_gate(seq, limit, limit.t0, limit.t_end)
-    if not is_grid_continuous(limit).all():
-        raise HypothesisFail("limit trajectory fails the strong-continuity witness")
-    d = window_dist(seq.model, *common_window(seq, limit, a, b), "strong").tolist()
-    monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 for i in range(len(d) - 1))
-    return bool(monotone and d[-1] <= tol)
-
-
 __all__ = [
     "QuasiInvarianceReport",
     "MaximalInvariantReport",
     "TrackingReport",
     "PointConvergenceReport",
-    "grid_modulus",
     "is_grid_continuous",
     "check_quasi_invariance",
     "check_maximal_invariant",
@@ -457,5 +451,4 @@ __all__ = [
     "tracking_error_profile",
     "check_strong_convergence_at_point",
     "check_left_continuity_implies_continuity",
-    "check_uniform_strong_convergence",
 ]

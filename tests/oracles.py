@@ -3,12 +3,15 @@
 Each oracle evaluates every sampled time, front to back, and then reads the
 verdict off the complete record: the definition of the report, with no
 early exit. The package scans backward and stops at the deciding violation;
-these scans stay slow on purpose and live only in the tests.
+these scans stay slow on purpose and live only in the tests. The module also
+holds coords_to_modes, from which the physical-space advection oracle of
+test_spectral builds its fields.
 """
 import numpy as np
 
 from attractorlab.errors import GridMismatch, HorizonTooShort, NoMatch
 from attractorlab.metrics import strong_dist_arrays, tail_steps, window_dist, window_semidist
+from attractorlab.spectral import ModeTable, coords_to_scalars
 from attractorlab.trajectory_space import TrajectoryAttractionReport
 from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
 
@@ -108,3 +111,15 @@ def tracking_ladder_oracle(ensemble, library, m, window_T, eps_ladder):
         except NoMatch:
             out.append((float(eps), None))
     return tuple(out)
+
+
+def coords_to_modes(table: ModeTable, coords: np.ndarray) -> np.ndarray:
+    """Real coordinates -> complex vector coefficients on the full mode set.
+
+    Coefficients are rescaled by L^{d/2} so that the summed squared moduli
+    over the full set equal the squared L2 norm of the field.
+    """
+    psi = coords_to_scalars(table, coords)
+    shaped = psi.reshape(psi.shape[:-1] + (table.n_half, table.n_tan))
+    c_half = np.einsum("...mt,mtd->...md", shaped, table.tangents)
+    return np.concatenate([c_half, np.conj(c_half)], axis=-2)

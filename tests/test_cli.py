@@ -185,6 +185,35 @@ def test_config_error_messages(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_unreadable_config_path_is_a_config_error(tmp_path, capsys):
+    # a directory, a file that is not UTF-8 text, and JSON nested past the
+    # parser's recursion limit
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    cases = ((tmp_path, "cannot be read"), (binary, "not UTF-8"), (deep, "nested too deeply"))
+    for path, reason in cases:
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+
+
+def test_output_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    path = _write_cfg(tmp_path, TOY)
+    for out in (taken, taken / "sub"):
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "output_dir" in err
+    cfg = _write_cfg(tmp_path, dict(TOY, output_dir=str(taken)), "file_out.json")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "output_dir" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file_out.json", "taken"]
+
+
 def test_config_type_errors_are_config_errors(tmp_path, capsys):
     # each must give a config error naming the field, not a raw Python exception
     nse = {"kind": "galerkin_nse_2d", "truncation": 2}

@@ -9,7 +9,6 @@ from attractorlab.models import (
     _cumulative_simpson,
     absorbing_radius,
     advection_array,
-    check_a3,
     check_energy_inequality,
     default_radius,
     dyadic_forcing,
@@ -279,40 +278,6 @@ def test_steady_state_rejects_failed_line_search(monkeypatch):
     monkeypatch.setattr(models, "rhs_jacobian", lambda s, u: jacobians.pop(0))
     with pytest.raises(AttractorLabError, match="line search"):
         steady_state(spec)
-
-
-def test_check_a3_constant_sequence():
-    spec = make_spec("toy_contraction", truncation=3)
-    x = np.array([0.5, 0.2, -0.1])
-    tr = integrate(spec, x, 0.0, 2.0, 0.1)
-    rep = check_a3(build_ensemble(spec, np.stack([x, x]), 0.0, 2.0, 0.1), tr, T=2.0, tol=1e-9)
-    assert rep.fraction_strong == 1.0 and rep.l2_dists == (0.0, 0.0)
-
-
-def _a3_family():
-    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
-    base = sample_ball(spec, 1, radius=0.5, seed=6)[0]
-    starts = np.tile(base, (8, 1))
-    starts[:, 0] += 2.0 ** -np.arange(1.0, 9.0)
-    seq = build_ensemble(spec, starts, 0.0, 3.0, 0.02)
-    return seq, integrate(spec, base, 0.0, 3.0, 0.02)
-
-
-def test_check_a3_perturbation_family():
-    seq, limit = _a3_family()
-    rep = check_a3(seq, limit, T=3.0, tol=1e-2)
-    assert rep.fraction_strong == 1.0
-    assert rep.decreasing
-    assert rep.l2_dists[-1] < rep.l2_dists[0] / 4
-
-
-def test_check_a3_runs_without_np_trapezoid(monkeypatch):
-    # numpy < 2 has no np.trapezoid; the L2 distances are its sum, to the bit
-    seq, limit = _a3_family()
-    diff = seq.samples - limit.samples
-    want = [float(np.sqrt(np.trapezoid(np.linalg.norm(d, axis=1) ** 2, dx=0.02))) for d in diff]
-    monkeypatch.delattr(np, "trapezoid")
-    assert check_a3(seq, limit, T=3.0, tol=1e-2).l2_dists == tuple(want)
 
 
 def _forced_ensemble():

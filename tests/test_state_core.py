@@ -8,10 +8,8 @@ from attractorlab.core import (
     complete_surrogates,
     forward_ensemble,
     integrate,
-    integrate_batch,
     integrate_groups,
     make_group,
-    r_map,
     rebase_to_zero,
     restrict,
     surrogate_group,
@@ -171,7 +169,7 @@ def test_stepper_is_fourth_order():
 def test_batch_matches_single_bitwise():
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
     initials = sample_ball(spec, 5, radius=0.5, seed=9)
-    batch = integrate_batch(spec, initials, 0.0, 1.0, 0.02)
+    batch = build_ensemble(spec, initials, 0.0, 1.0, 0.02).samples
     for i in range(5):
         single = integrate(spec, initials[i], 0.0, 1.0, 0.02)
         assert np.array_equal(batch[i], single.samples[0])
@@ -179,11 +177,11 @@ def test_batch_matches_single_bitwise():
 
 def test_integration_rejects_bad_input():
     with pytest.raises(NonFiniteState):
-        integrate_batch(TOY, np.full((1, 4), np.nan), 0.0, 1.0, 0.1)
+        build_ensemble(TOY, np.full((1, 4), np.nan), 0.0, 1.0, 0.1)
     with pytest.raises(StepMismatch):
-        integrate_batch(TOY, np.zeros((1, 4)), 0.0, -1.0, 0.1)
+        build_ensemble(TOY, np.zeros((1, 4)), 0.0, -1.0, 0.1)
     with pytest.raises(ValueError):
-        integrate_batch(TOY, np.zeros((1, 3)), 0.0, 1.0, 0.1)
+        build_ensemble(TOY, np.zeros((1, 3)), 0.0, 1.0, 0.1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -192,7 +190,7 @@ def test_blowup_raises():
     spec = make_spec("dyadic", nu=1e-12, truncation=10, lam=2.0)
     huge = np.full((1, 11), 1e150)
     with pytest.raises(NonFiniteState):
-        integrate_batch(spec, huge, 0.0, 1.0, 0.1)
+        build_ensemble(spec, huge, 0.0, 1.0, 0.1)
 
 
 def test_restart_composition_matches_continuation():
@@ -208,18 +206,6 @@ def test_restart_composition_matches_continuation():
         ens2 = build_ensemble(spec, mid, 0.0, 1.2, dt)
         k = ens.index_of(0.8)
         assert np.array_equal(ens.samples[:, k:], ens2.samples)
-
-
-def test_r_map_contract():
-    ens = build_ensemble(TOY, np.eye(4), 0.0, 1.0, 0.1)
-    states = r_map(ens, 0.5)
-    assert states.shape == (4, 4)
-    np.testing.assert_array_equal(states, ens.samples[:, 5])
-    shifted = translate(ens, 1.0)
-    with pytest.raises(ValueError):
-        r_map(shifted, 0.5)
-    with pytest.raises(ValueError):
-        r_map(ens, -0.1)
 
 
 def test_translate_restrict_rebase():
@@ -247,9 +233,9 @@ def test_complete_surrogates_contains_zero():
 def test_deterministic_rerun_bitwise():
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
     initials = sample_ball(spec, 3, radius=0.5, seed=77)
-    a = integrate_batch(spec, initials, 0.0, 1.0, 0.02)
-    b = integrate_batch(spec, sample_ball(spec, 3, radius=0.5, seed=77), 0.0, 1.0, 0.02)
-    assert np.array_equal(a, b)
+    a = build_ensemble(spec, initials, 0.0, 1.0, 0.02)
+    b = build_ensemble(spec, sample_ball(spec, 3, radius=0.5, seed=77), 0.0, 1.0, 0.02)
+    assert np.array_equal(a.samples, b.samples)
 
 
 _KICK = [{"mode": [1, 0], "amplitude": 0.1}]

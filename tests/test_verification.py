@@ -9,18 +9,17 @@ from attractorlab.core import build_ensemble, integrate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
 from attractorlab.metrics import _strong_dist_owned, strong_dist_arrays, window_dist
-from attractorlab.models import check_a3, make_spec, sample_ball, smooth_profile
+from attractorlab.models import make_spec, sample_ball
 from attractorlab.state import Ensemble
 from attractorlab.verification import (
     TrackingReport,
+    _grid_steps,
     _tracking_grid,
     check_left_continuity_implies_continuity,
     check_maximal_invariant,
     check_quasi_invariance,
     check_strong_convergence_at_point,
     check_tracking,
-    check_uniform_strong_convergence,
-    grid_modulus,
     is_grid_continuous,
     tracking_error_profile,
     tracking_ladder,
@@ -34,12 +33,17 @@ def _traj(*members, dt=0.1, t0=0.0):
     return Ensemble(arr, t0, dt, spec)
 
 
+def _modulus(ens, a=None, b=None):
+    """Largest adjacent-step strong distance over a grid window, per member."""
+    return _grid_steps(ens, a, b, "a modulus")[1].max(axis=-1)
+
+
 def test_grid_modulus_hand_value():
     tr = _traj([0.0, 1.0, 1.5, 1.5], [0.0, 0.5, 0.5, 2.5])
-    assert grid_modulus(tr).tolist() == [1.0, 2.0]
-    assert grid_modulus(tr, 0.1, 0.3).tolist() == [0.5, 2.0]
+    assert _modulus(tr).tolist() == [1.0, 2.0]
+    assert _modulus(tr, 0.1, 0.3).tolist() == [0.5, 2.0]
     with pytest.raises(ValueError):
-        grid_modulus(tr, 0.1, 0.1)
+        _modulus(tr, 0.1, 0.1)
 
 
 def test_grid_continuity_smooth_vs_jump():
@@ -82,9 +86,7 @@ def test_grid_continuity_of_ensembles_equals_one_member_views(nse4_free_bundle):
         want = [_grid_continuous_oracle(r, ia, ib) for r in ens.samples]
         assert got.tolist() == want
         assert got.tolist() == [bool(is_grid_continuous(v, a, b)[0]) for v in ens.trajectories]
-        assert np.array_equal(
-            grid_modulus(ens, a, b), [grid_modulus(v, a, b)[0] for v in ens.trajectories]
-        )
+        assert np.array_equal(_modulus(ens, a, b), [_modulus(v, a, b)[0] for v in ens.trajectories])
     assert is_grid_continuous(ens).tolist() == [True, False] + [True] * (ens.n_members - 2)
 
 
@@ -100,7 +102,7 @@ def test_grid_steps_square_in_place_with_the_same_bits(nse4_free_bundle):
         ia = 0 if a is None else ens.index_of(a)
         ib = ens.n_samples - 1 if b is None else ens.index_of(b)
         steps = strong_dist_arrays(np.diff(ens.samples[:, ia : ib + 1], axis=1))
-        assert np.array_equal(grid_modulus(ens, a, b), steps.max(axis=-1))
+        assert np.array_equal(_modulus(ens, a, b), steps.max(axis=-1))
         want = [_grid_continuous_oracle(r, ia, ib) for r in ens.samples]
         assert is_grid_continuous(ens, a, b).tolist() == want
 
@@ -271,11 +273,16 @@ def test_point_convergence_rejects_weak_only_gate():
         pass
 
 
+def _coarse_grid():
+    """Constant sequence 2^-n toward a zero limit on the grid dt = 0.3, [0, 6]."""
+    limit = _traj(np.zeros((21, 3)), dt=0.3)
+    return _traj(*(np.full((21, 3), 2.0 ** (-n)) for n in range(1, 7)), dt=0.3), limit
+
+
 def test_point_convergence_window_on_a_grid_that_misses_whole_times():
     # dt = 0.3 does not divide 1.0: the window t_star +- 1 rounds to three
     # grid steps on each side, [2.1, 3.9], instead of raising OffGrid at 2.0
-    limit = _traj(np.zeros((21, 3)), dt=0.3)
-    seq = _traj(*(np.full((21, 3), 2.0 ** (-n)) for n in range(1, 7)), dt=0.3)
+    seq, limit = _coarse_grid()
     spec, x = seq.model, limit.samples[0]
     rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
     assert rep.converged
@@ -286,14 +293,44 @@ def test_point_convergence_window_on_a_grid_that_misses_whole_times():
     assert early.weak_dists == tuple(window_dist(spec, u[:5], x[:5], "weak") for u in seq.samples)
 
 
+def test_window_readings_are_window_dist_and_trapezoid(nse4_free_bundle, monkeypatch):
+    # sup_dists is the strong window distance and l2_dists the trapezoid rule
+    # over the window, bitwise, also on clipped windows and a coarse grid
+    seq, limit = _perturbed(nse4_free_bundle, 0)
+    coarse, zero = _coarse_grid()
+    # (sequence, limit, t*, first and last grid index of its window)
+    cases = [
+        (seq, limit, 3.0, 100, 200),
+        (seq, limit, 0.0, 0, 50),
+        (seq, limit, 6.0, 250, 300),
+        (coarse, zero, 3.0, 7, 13),
+        (coarse, zero, 0.3, 0, 4),
+    ]
+    want = []
+    for s, lim, _, lo, hi in cases:
+        u, x = s.samples[:, lo : hi + 1], lim.samples[:, lo : hi + 1]
+        norms = np.linalg.norm(u - x, axis=-1)
+        l2 = [float(np.sqrt(np.trapezoid(n**2, dx=s.dt))) for n in norms]
+        want.append((tuple(window_dist(s.model, u, x, "strong").tolist()), tuple(l2)))
+    # numpy < 2 has no np.trapezoid: the check must not need it
+    monkeypatch.delattr(np, "trapezoid")
+    for (s, lim, t_star, _, _), (sup, l2) in zip(cases, want):
+        rep = check_strong_convergence_at_point(s, lim, t_star)
+        assert rep.sup_dists == sup and rep.l2_dists == l2, t_star
+        assert len(sup) == s.n_members and min(sup) > 0.0
+
+
 def test_uniform_convergence_window(nse4_free_bundle):
     seq, limit = _perturbed(nse4_free_bundle, 1)
-    assert check_uniform_strong_convergence(seq, limit, window=(1.0, 5.0), tol=0.05)
+    rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
+    sup = rep.sup_dists
+    assert rep.converged
+    assert all(sup[i + 1] <= sup[i] for i in range(len(sup) - 1)) and sup[-1] < 0.05
     # a limit the sequence does not even weakly approach is a hypothesis
     # failure, not a negative verdict
     wrong = integrate(seq.model, limit.samples[0, 0] * 0.2, 0.0, 6.0, 0.02)
     with pytest.raises(HypothesisFail):
-        check_uniform_strong_convergence(seq, wrong, window=(1.0, 5.0), tol=0.05)
+        check_strong_convergence_at_point(seq, wrong, t_star=3.0)
 
 
 def test_uniform_convergence_false_on_high_mode_offset():
@@ -304,7 +341,37 @@ def test_uniform_convergence_false_on_high_mode_offset():
     off = np.zeros((5, 61, 12))
     off[:, :, -1] = 0.5
     seq = Ensemble(off, 0.0, 0.1, spec)
-    assert not check_uniform_strong_convergence(seq, limit, window=(1.0, 5.0), tol=0.05)
+    rep = check_strong_convergence_at_point(seq, limit, t_star=3.0)
+    assert not rep.converged
+    assert rep.sup_dists == (0.5,) * 5
+
+
+def _a3_family():
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
+    base = sample_ball(spec, 1, radius=0.5, seed=6)[0]
+    starts = np.tile(base, (8, 1))
+    starts[:, 0] += 2.0 ** -np.arange(1.0, 9.0)
+    seq = build_ensemble(spec, starts, 0.0, 3.0, 0.02)
+    return seq, integrate(spec, base, 0.0, 3.0, 0.02)
+
+
+def test_a3_reading_on_a_perturbation_family():
+    seq, limit = _a3_family()
+    rep = check_strong_convergence_at_point(seq, limit, t_star=1.5)
+    l2 = rep.l2_dists
+    assert rep.converged
+    assert all(l2[i + 1] <= l2[i] for i in range(len(l2) - 1))
+    assert l2[-1] < l2[0] / 4
+
+
+def test_window_readings_of_a_constant_sequence():
+    spec = make_spec("toy_contraction", truncation=3)
+    x = np.array([0.5, 0.2, -0.1])
+    limit = integrate(spec, x, 0.0, 2.0, 0.1)
+    seq = build_ensemble(spec, np.stack([x, x]), 0.0, 2.0, 0.1)
+    rep = check_strong_convergence_at_point(seq, limit, t_star=1.0)
+    assert rep.converged
+    assert rep.sup_dists == (0.0, 0.0) and rep.l2_dists == (0.0, 0.0)
 
 
 def test_sequence_checks_reject_another_model_and_a_wide_limit():
@@ -312,13 +379,7 @@ def test_sequence_checks_reject_another_model_and_a_wide_limit():
     seq = Ensemble(np.zeros((3, 31, 3)), 0.0, 0.1, spec)
     other = Ensemble(np.zeros((1, 31, 4)), 0.0, 0.1, make_spec("toy_contraction", truncation=4))
     wide = Ensemble(np.zeros((2, 31, 3)), 0.0, 0.1, spec)
-    checks = (
-        lambda lim: check_strong_convergence_at_point(seq, lim, t_star=1.0),
-        lambda lim: check_uniform_strong_convergence(seq, lim, window=(1.0, 2.0), tol=0.1),
-        lambda lim: check_a3(seq, lim, T=2.0, tol=0.1),
-    )
-    for check in checks:
-        with pytest.raises(ModelMismatch):
-            check(other)
-        with pytest.raises(ValueError, match="one-member"):
-            check(wide)
+    with pytest.raises(ModelMismatch):
+        check_strong_convergence_at_point(seq, other, t_star=1.0)
+    with pytest.raises(ValueError, match="one-member"):
+        check_strong_convergence_at_point(seq, wide, t_star=1.0)
