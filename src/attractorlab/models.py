@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
-from .spectral import ModeTable, advect, build_mode_table
+from .spectral import ModeTable, advect, advect_self, build_mode_table
 from .state import Ensemble
 
 KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
@@ -229,7 +229,7 @@ def dyadic_cascade(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
 def nonlinear_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     """Everything except the diagonal linear decay: forcing plus transfer."""
     if spec.kind in NSE_KINDS:
-        return forcing_array(spec) - advection_array(spec, u, u)
+        return forcing_array(spec) - advect_self(mode_table(spec), _check_operand(spec, u))
     if spec.kind == "dyadic":
         return forcing_array(spec) + dyadic_cascade(spec, u)
     return np.zeros_like(_check_operand(spec, u))

@@ -20,12 +20,16 @@ so the geometry lives in one precomputed real coefficient per (pair, tangent
 combination), stored once as the complex C + 0j that the complex multiply
 would cast it to, and evaluation is scalar complex multiply-adds over a table
 pre-sorted by output channel (fixed reduction order, identical for single and
-batched calls). The self-advection B(u, u) of every time step converts its
-shared operand to scalars once and gathers it for both factors.
+batched calls). The self-advection B(u, u) of every time step runs over a
+symmetric table: entries (k1, k2) and (k2, k1) of one output channel multiply
+the same psi_{k1} psi_{k2}, so one entry with coefficient C12 + C21 does the
+work of both (Lorenz 1960; Kraichnan 1959). Its gathers and products go into
+one flat buffer pair per table, reused across calls and batch sizes; the
+buffers are not reentrant, which holds because the program is single-threaded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -49,7 +53,14 @@ class ModeTable:
     ch_in2: np.ndarray       # (P,) int, full channel index of psi_{k2}
     ch_coeff: np.ndarray     # (P,) complex, geometric coefficient C + 0j
     ch_offsets: np.ndarray   # (n_channels,) segment starts in the sorted entries
+    # symmetric self-advection entries, sorted by output channel
+    sym_in1: np.ndarray      # (P_sym,) int, full channel index, sym_in1 < sym_in2
+    sym_in2: np.ndarray      # (P_sym,) int
+    sym_coeff: np.ndarray    # (P_sym,) complex, C12 + C21 + 0j
+    sym_offsets: np.ndarray  # (n_channels,) segment starts in the symmetric entries
     conv_factor: complex     # i (2 pi / L) L^{-d/2}
+    # flat buffer pair of advect_self, grown to the largest P_sym * B seen
+    sym_work: list = field(default_factory=lambda: [np.empty(0, complex)] * 2, repr=False)
 
     @property
     def n_half(self) -> int:
@@ -99,6 +110,14 @@ def _tangent_basis(kappa: np.ndarray, d: int) -> np.ndarray:
     e2 = np.cross(k, e1)
     e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
     return np.stack([e1, e2], axis=1)
+
+
+def _channel_starts(out: np.ndarray, n_channels: int, d: int, n: int) -> np.ndarray:
+    """Segment starts of entries sorted by output channel, one per channel."""
+    starts = np.flatnonzero(np.r_[True, out[1:] != out[:-1]])
+    if len(starts) != n_channels:
+        raise ValueError(f"mode table d={d} N={n} leaves an output channel without entries")
+    return starts
 
 
 def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
@@ -155,9 +174,18 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
     ch1, ch2, cho, cf = ch1[keep], ch2[keep], cho[keep], cf[keep]
     sort = np.argsort(cho, kind="stable")
     ch1, ch2, cho, cf = ch1[sort], ch2[sort], cho[sort], cf[sort]
-    starts = np.flatnonzero(np.r_[True, cho[1:] != cho[:-1]])
-    if len(starts) != mh * n_tan:
-        raise ValueError(f"mode table d={d} N={n} leaves an output channel without entries")
+
+    # symmetric table: merge the entries keyed (out, min, max), sum their
+    # coefficients and drop the sums that cancel. A pair (k, k) has
+    # C = (e(k) . k)(...) = 0, so its rounding residue is dropped too.
+    lo, hi = np.minimum(ch1, ch2), np.maximum(ch1, ch2)
+    sort = np.lexsort((hi, lo, cho))
+    lo, hi, s_out = lo[sort], hi[sort], cho[sort]
+    new_key = (np.diff(s_out) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)
+    first = np.flatnonzero(np.r_[True, new_key])
+    s_cf = np.add.reduceat(cf[sort], first)
+    lo, hi, s_out = lo[first], hi[first], s_out[first]
+    keep = (s_cf != 0.0) & (lo < hi)
 
     return ModeTable(
         d=d,
@@ -172,7 +200,11 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
         ch_in1=ch1,
         ch_in2=ch2,
         ch_coeff=cf.astype(complex),
-        ch_offsets=starts,
+        ch_offsets=_channel_starts(cho, mh * n_tan, d, n),
+        sym_in1=lo[keep],
+        sym_in2=hi[keep],
+        sym_coeff=s_cf[keep].astype(complex),
+        sym_offsets=_channel_starts(s_out[keep], mh * n_tan, d, n),
         conv_factor=1j * (2.0 * np.pi / L) * L ** (-d / 2.0),
     )
 
@@ -222,3 +254,27 @@ def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.n
     seg = np.add.reduceat(contrib, table.ch_offsets, axis=0)  # (n_channels, B)
     out = scalars_to_coords(table, (table.conv_factor * seg).T)
     return out[0] if single else out
+
+
+def advect_self(table: ModeTable, u_coords: np.ndarray) -> np.ndarray:
+    """Self-advection B(u, u) over the symmetric table, shaped like advect(table, u, u).
+
+    The gathers and products fill the table's reused buffer pair, viewed as
+    (B, P_sym) so that the per-entry coefficient multiplies contiguous rows;
+    a call allocates nothing of that size, and the result does not alias it.
+    """
+    psi = coords_to_scalars(table, np.atleast_2d(u_coords))
+    full = np.concatenate([psi, np.conj(psi)], axis=1)  # (B, 2 n_channels)
+    batch, p = full.shape[0], table.sym_in1.size
+    work = table.sym_work
+    if work[0].size < batch * p:
+        work[:] = [np.empty(batch * p, complex), np.empty(batch * p, complex)]
+    a, b = (w[: batch * p].reshape(batch, p) for w in work)
+    # mode="clip" writes straight into out; "raise" would buffer a copy
+    np.take(full, table.sym_in1, axis=1, out=a, mode="clip")
+    np.take(full, table.sym_in2, axis=1, out=b, mode="clip")
+    np.multiply(a, b, out=a)
+    np.multiply(a, table.sym_coeff, out=a)
+    seg = np.add.reduceat(a, table.sym_offsets, axis=1)  # (B, n_channels)
+    out = scalars_to_coords(table, table.conv_factor * seg)
+    return out[0] if u_coords.ndim == 1 else out

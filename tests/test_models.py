@@ -181,6 +181,19 @@ def test_advection_array_checks_both_operands():
     assert np.array_equal(advection_array(spec, u, u), advection_array(spec, u, u.copy()))
 
 
+def test_nonlinear_array_checks_its_operand():
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
+    u = sample_ball(spec, 2, radius=0.3, seed=1)
+    bad = u.copy()
+    bad[1, 3] = np.inf
+    with pytest.raises(NonFiniteState, match="operand contains non-finite entries"):
+        nonlinear_array(spec, bad)
+    with pytest.raises(ModelMismatch, match="does not match model dim"):
+        nonlinear_array(spec, u[:, :-1])
+    b = forcing_array(spec) - nonlinear_array(spec, u)
+    assert np.abs(b - advection_array(spec, u, u)).max() <= 1e-15 * np.abs(b).max()
+
+
 def test_unforced_galerkin_norm_decays_at_poincare_rate():
     spec = make_spec("galerkin_nse_2d", nu=1.0, L=TWO_PI, truncation=3)
     u0 = sample_ball(spec, 1, radius=0.8, seed=13, profile=smooth_profile(spec))[0]

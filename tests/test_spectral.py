@@ -5,6 +5,8 @@ are evaluated on a fine periodic grid, (u . grad) v is formed pointwise, and
 mode/tangent coefficients are recovered by trapezoid quadrature (exact for
 trigonometric polynomials once the grid resolves degree 3N).
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import coords_to_modes
@@ -12,6 +14,7 @@ from oracles import coords_to_modes
 from attractorlab import spectral
 from attractorlab.spectral import (
     advect,
+    advect_self,
     build_mode_table,
     coords_to_scalars,
     scalars_to_coords,
@@ -189,6 +192,89 @@ def test_ch_coeff_is_complex_with_zero_imaginary_part(d, trunc):
     assert table.ch_coeff.dtype == np.complex128
     assert np.all(table.ch_coeff.imag == 0.0)
     assert np.all(table.ch_coeff.real != 0.0)
+
+
+def _entry_channels(offsets, n_entries):
+    """Output channel of each entry of a table sorted by output channel."""
+    return np.repeat(np.arange(offsets.size), np.diff(np.r_[offsets, n_entries]))
+
+
+# 2D N=8 has four (k, k) entries in the ordered table whose coefficient is the
+# rounding residue of e(k) . k = 0; the symmetric table drops them
+@pytest.mark.parametrize("d,trunc,entries", [(2, 4, 780), (2, 8, 11116), (3, 3, 88204)])
+def test_symmetric_table_entry_counts(d, trunc, entries):
+    table = build_mode_table(d, 2.0 * np.pi, trunc)
+    assert table.sym_in1.size == table.sym_in2.size == table.sym_coeff.size == entries
+
+
+@pytest.mark.parametrize("d,trunc", [(2, 2), (2, 4), (2, 8), (3, 2)])
+def test_symmetric_table_merges_the_ordered_table(d, trunc):
+    table = build_mode_table(d, 2.0 * np.pi, trunc)
+    p = table.sym_in1.size
+    # one segment per output channel, in channel order
+    assert table.sym_offsets.shape == (table.n_channels,)
+    assert table.sym_offsets[0] == 0 and np.all(np.diff(table.sym_offsets) > 0)
+    assert table.sym_offsets[-1] < p
+    assert table.sym_coeff.dtype == np.complex128
+    assert np.all(table.sym_coeff.imag == 0.0) and np.all(table.sym_coeff.real != 0.0)
+    assert np.all(table.sym_in1 < table.sym_in2)
+    out = _entry_channels(table.sym_offsets, p)
+    keys = list(zip(out.tolist(), table.sym_in1.tolist(), table.sym_in2.tolist()))
+    assert len(set(keys)) == p
+    ordered = dict(
+        zip(
+            zip(
+                _entry_channels(table.ch_offsets, table.ch_in1.size).tolist(),
+                table.ch_in1.tolist(),
+                table.ch_in2.tolist(),
+            ),
+            table.ch_coeff.real.tolist(),
+        )
+    )
+    # each entry is C(out, a, b) + C(out, b, a), and no nonzero sum is missing
+    for (o, a, b), c in zip(keys, table.sym_coeff.real.tolist()):
+        assert c == ordered.get((o, a, b), 0.0) + ordered.get((o, b, a), 0.0)
+    merged = {
+        (o, min(a, b), max(a, b)) for o, a, b in ordered
+        if a != b and ordered.get((o, a, b), 0.0) + ordered.get((o, b, a), 0.0) != 0.0
+    }
+    assert merged == set(keys)
+
+
+@pytest.mark.parametrize("d,trunc", [(2, 2), (2, 4), (2, 8), (3, 2)])
+@pytest.mark.parametrize("batch", [None, 1, 7, 64])
+def test_advect_self_matches_advect(d, trunc, batch):
+    table = build_mode_table(d, 2.0 * np.pi, trunc)
+    shape = (table.dim,) if batch is None else (batch, table.dim)
+    u = np.random.default_rng(RNG_SEED).standard_normal(shape)
+    ordered = advect(table, u, u)
+    sym = advect_self(table, u)
+    assert sym.shape == shape
+    assert np.abs(sym - ordered).max() <= 1e-15 * np.abs(ordered).max()
+    if batch is not None:
+        for i in range(batch):
+            assert np.array_equal(sym[i], advect_self(table, u[i]))
+
+
+def test_advect_self_workspace_reuse():
+    table = build_mode_table(2, 2.0 * np.pi, 4)
+    rng = np.random.default_rng(RNG_SEED)
+    batches = [rng.standard_normal((b, table.dim)) for b in (50, 6, 9, 10, 50)]
+    first = advect_self(table, batches[0])
+    kept = first.copy()
+    reused = [advect_self(table, u) for u in batches]
+    # a result does not alias the workspace that later calls overwrite
+    assert np.array_equal(first, kept)
+    for u, got in zip(batches, reused):
+        assert np.array_equal(got, advect_self(build_mode_table(2, 2.0 * np.pi, 4), u))
+    # a warm call allocates nothing of size P_sym x B
+    tracemalloc.start()
+    try:
+        advect_self(table, batches[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.sym_in1.size * 50 * 16
 
 
 @pytest.mark.parametrize("d,trunc", [(2, 3), (3, 1)])

@@ -12,12 +12,17 @@ extra ``verify`` config given. Every run writes into its own temporary
 directory. The exit
 codes and the five artifacts must match: four files byte for byte, and
 manifest.json after mapping the run's ``output_dir`` to one placeholder.
-Prints each difference and exits 1 if there is one; exits 0 otherwise.
+Prints each difference and exits 1 if there is one; exits 0 otherwise. For
+an artifact that differs, it also prints how many of its numeric values
+differ and the largest relative change |b - a| / max(|a|, |b|), or that its
+text differs outside the numbers; the last line totals these over all cases.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -138,6 +143,26 @@ def _run(src: Path, subcommand: str, config: dict, work: Path) -> tuple[int, dic
     return proc.returncode, files
 
 
+# a JSON or CSV number token, or a non-finite float as Python and JSON write it
+_NUMBER = re.compile(rb"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|NaN|nan|Infinity|inf)")
+
+
+def _numeric_diff(a: bytes, b: bytes) -> tuple[int, int, float] | None:
+    """(values differing, values compared, largest relative change) between two
+    artifacts with the same text around their numbers; None otherwise."""
+    if _NUMBER.split(a) != _NUMBER.split(b):
+        return None
+    pairs = list(zip(*([float(x) for x in _NUMBER.findall(text)] for text in (a, b))))
+    rels = [
+        abs(y - x) / max(abs(x), abs(y))
+        for x, y in pairs
+        if x != y and not (math.isnan(x) and math.isnan(y))
+    ]
+    # a NaN or infinite change counts as the largest
+    worst = max((math.inf if math.isnan(r) else r for r in rels), default=0.0)
+    return len(rels), len(pairs), worst
+
+
 def _cases(extra: list[str]):
     for name, (subcommand, _, _) in WORKLOADS.items():
         for seed in SEEDS:
@@ -153,7 +178,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     parent = Path(argv[0]).resolve()
-    diffs = 0
+    diffs, values, worst, text = 0, 0, 0.0, 0
     for label, subcommand, config in _cases(argv[1:]):
         with tempfile.TemporaryDirectory() as tmp:
             sides = []
@@ -166,7 +191,23 @@ def main(argv: list[str]) -> int:
         bad += [name for name in ARTIFACTS if files_a[name] != files_b[name]]
         print(f"{label}: exit {code_b}, " + ("DIFFERS: " + ", ".join(bad) if bad else "same"))
         diffs += bool(bad)
+        for name in ARTIFACTS:
+            if files_a[name] is None or files_b[name] is None or files_a[name] == files_b[name]:
+                continue
+            numeric = _numeric_diff(files_a[name], files_b[name])
+            if numeric is None:
+                text += 1
+                print(f"  {name}: text differs outside the numbers")
+            else:
+                n, count, rel = numeric
+                values, worst = values + n, max(worst, rel)
+                print(f"  {name}: {n} of {count} numeric values differ,"
+                      f" largest relative change {rel:.2e}")
     print(f"{diffs} case(s) differ")
+    print(
+        f"{values} numeric value(s) differ, largest relative change {worst:.2e};"
+        f" {text} artifact(s) differ outside the numbers"
+    )
     return 1 if diffs else 0
 
 
