@@ -12,18 +12,23 @@ states a run needs (each with its own start time and step count; the model
 is autonomous, so a start time only labels the grid), stacks them by
 descending step count and steps them in one pass over a batch that shrinks
 as groups reach their last step. build_ensemble is its one-group case.
-Fused, batched and single integration give bit-identical members. A single
+Two lanes, this process and a forked child, share the rows round-robin
+where fork and two CPUs are usable (no setting). In one lane or two, fused,
+batched and single integration give bit-identical members. A single
 trajectory is a one-member Ensemble; translation, restriction and rebasing
 act on all members at once and return views of the same array.
 """
 from __future__ import annotations
 
+import mmap
+import os
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyWindow, GridMismatch, NonFiniteState, StepMismatch
-from .models import ModelSpec, linear_rates, nonlinear_array, spec_dim
+from .models import ModelSpec, linear_rates, nonlinear_array, release_workspace, spec_dim
 from .state import Ensemble, frozen_view, span_steps
 
 __all__ = [
@@ -115,6 +120,60 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
                 _store(out, k + 1, u[start:stop])
 
 
+def _lane_count(rows: int) -> int:
+    """Processes for a pass over rows: at most 2, one per usable CPU, 1 without fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(2, cpus or 1, rows) if hasattr(os, "fork") else 1
+
+
+def _shared_empty(shape: tuple) -> np.ndarray:
+    """An uninitialised float array in an anonymous mapping that a forked child shares."""
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), float, count=size).reshape(shape)
+
+
+def _lane_path(spec: ModelSpec, u0, n_steps, dt: float, sinks, k: int) -> None:
+    """_ifrk4_path over rows k, k + 2, ... of a pass, each sink cut to its strided rows."""
+    cut = [((a - k + 1) // 2, (b - k + 1) // 2, out[(a + k) % 2 :: 2]) for a, b, out in sinks]
+    _ifrk4_path(spec, u0[k::2], n_steps[k::2], dt, cut)
+
+
+def _two_lanes(spec: ModelSpec, u0, n_steps, dt: float, sinks) -> bool:
+    """Run lane 1 in a forked child and lane 0 here; True if both lanes finished.
+
+    The child leaves only through os._exit, and any warning fails it. It is
+    always reaped, and killed first unless lane 0 finished.
+    """
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on fork when threads exist (OpenBLAS starts some). Safe
+        # here: the child runs no BLAS, so it needs none of their locks, then os._exit.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: one lane
+            return False
+    if pid == 0:
+        code = 1
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _lane_path(spec, u0, n_steps, dt, sinks, 1)
+            code = 0
+        finally:
+            os._exit(code)
+    done = False
+    try:
+        _lane_path(spec, u0, n_steps, dt, sinks, 0)
+        done = True
+    except Exception:  # the one-lane rerun raises it again
+        pass
+    finally:
+        if not done:
+            os.kill(pid, 9)  # SIGKILL; POSIX fixes its number, and importing signal costs 1 ms
+        status = os.waitpid(pid, 0)[1]
+    return done and status == 0
+
+
 def integrate_groups(model: ModelSpec, groups) -> list:
     """Integrate every group in one pass; each group's Ensemble, or its norms.
 
@@ -123,6 +182,7 @@ def integrate_groups(model: ModelSpec, groups) -> list:
     samples go into its own read-only array, which becomes its Ensemble as
     it is; a norms group gets its read-only (B, n_steps + 1) norms instead.
     Rows never mix, so every member has the same bits as in its own pass.
+    If either of two lanes fails, the pass reruns here as one lane.
     """
     if not groups:
         return []
@@ -130,7 +190,7 @@ def integrate_groups(model: ModelSpec, groups) -> list:
     if any(g.dt != dt for g in groups):
         raise GridMismatch("the groups of one pass need one dt")
     outs = [
-        np.empty((len(g.initials), g.n_steps + 1) + (() if g.norms else g.initials.shape[1:]))
+        _shared_empty((len(g.initials), g.n_steps + 1) + (() if g.norms else g.initials.shape[1:]))
         for g in groups
     ]
     order = sorted(range(len(groups)), key=lambda i: -groups[i].n_steps)
@@ -139,7 +199,11 @@ def integrate_groups(model: ModelSpec, groups) -> list:
     sinks = [(end - size, end, outs[i]) for i, size, end in zip(order, sizes, ends)]
     u0 = np.concatenate([groups[i].initials for i in order])
     n_steps = np.repeat([groups[i].n_steps for i in order], sizes)
-    _ifrk4_path(model, u0, n_steps, dt, sinks)
+    try:
+        if _lane_count(len(u0)) < 2 or not _two_lanes(model, u0, n_steps, dt, sinks):
+            _ifrk4_path(model, u0, n_steps, dt, sinks)
+    finally:
+        release_workspace(model)
     for out in outs:
         out.setflags(write=False)
     return [

@@ -16,7 +16,6 @@ norm is the energy norm):
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +31,7 @@ NSE_KINDS = ("galerkin_nse_2d", "galerkin_nse_3d")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Immutable model description; the key string identifies it everywhere."""
+    """Immutable model description; the key string, exact in every field, identifies it."""
 
     kind: str
     nu: float
@@ -85,14 +84,10 @@ def make_spec(
             if kind == "toy_contraction":
                 raise ValueError("toy_contraction supports zero forcing only")
             g_tuple = tuple(float(x) for x in g)
-    digest = (
-        hashlib.blake2s(np.asarray(g_tuple, dtype=float).tobytes()).hexdigest()[:12]
-        if g_tuple is not None
-        else "0"
-    )
+    g_hex = np.asarray(g_tuple, dtype=float).tobytes().hex() if g_tuple is not None else "0"
     key = (
         f"{kind}|nu={nu:.17g}|L={L:.17g}|N={int(truncation)}"
-        f"|lam={lam:.17g}|g={digest}"
+        f"|lam={lam:.17g}|g={g_hex}"
     )
     return ModelSpec(
         kind=kind,
@@ -128,6 +123,12 @@ def mode_table(spec: ModelSpec) -> ModeTable:
     if spec.kind not in NSE_KINDS:
         raise ModelMismatch(f"{spec.kind} has no Fourier mode table")
     return _cached_table(spec.kind, spec.L, spec.truncation)
+
+
+def release_workspace(spec: ModelSpec) -> None:
+    """Free the self-advection buffers of spec's mode table; the next call regrows them."""
+    if spec.kind in NSE_KINDS:
+        mode_table(spec).sym_work[:] = [np.empty(0, complex)] * 2
 
 
 def _cached(spec: ModelSpec, name: str, build) -> np.ndarray:

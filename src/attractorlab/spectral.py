@@ -23,9 +23,9 @@ pre-sorted by output channel (fixed reduction order, identical for single and
 batched calls). The self-advection B(u, u) of every time step runs over a
 symmetric table: entries (k1, k2) and (k2, k1) of one output channel multiply
 the same psi_{k1} psi_{k2}, so one entry with coefficient C12 + C21 does the
-work of both (Lorenz 1960; Kraichnan 1959). Its gathers and products go into
-one flat buffer pair per table, reused across calls and batch sizes; the
-buffers are not reentrant, which holds because the program is single-threaded.
+work of both (Lorenz 1960; Kraichnan 1959). It gathers from the complex view
+x + i y of the coordinates into one buffer pair per table and process, reused
+across calls and freed after each integration pass (not reentrant).
 """
 from __future__ import annotations
 
@@ -259,22 +259,26 @@ def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.n
 def advect_self(table: ModeTable, u_coords: np.ndarray) -> np.ndarray:
     """Self-advection B(u, u) over the symmetric table, shaped like advect(table, u, u).
 
-    The gathers and products fill the table's reused buffer pair, viewed as
-    (B, P_sym) so that the per-entry coefficient multiplies contiguous rows;
-    a call allocates nothing of that size, and the result does not alias it.
+    Gathers from z = x + i y = sqrt 2 conj(psi); with real coefficients and
+    an imaginary conv_factor, -conv_factor / sqrt 2 times the channel sums is
+    the complex view of the result. The gathers and products fill the
+    table's reused buffer pair, viewed as (B, P_sym) so that the per-entry
+    coefficient multiplies contiguous rows; a call allocates nothing of that
+    size, and the result does not alias it.
     """
-    psi = coords_to_scalars(table, np.atleast_2d(u_coords))
-    full = np.concatenate([psi, np.conj(psi)], axis=1)  # (B, 2 n_channels)
+    z = np.ascontiguousarray(np.atleast_2d(u_coords), dtype=float).view(complex)
+    full = np.concatenate([z, np.conj(z)], axis=1)  # (B, 2 n_channels)
     batch, p = full.shape[0], table.sym_in1.size
     work = table.sym_work
     if work[0].size < batch * p:
         work[:] = [np.empty(batch * p, complex), np.empty(batch * p, complex)]
     a, b = (w[: batch * p].reshape(batch, p) for w in work)
-    # mode="clip" writes straight into out; "raise" would buffer a copy
-    np.take(full, table.sym_in1, axis=1, out=a, mode="clip")
-    np.take(full, table.sym_in2, axis=1, out=b, mode="clip")
+    # mode="wrap" writes straight into out (indices are in range); "raise" would buffer a copy
+    np.take(full, table.sym_in1, axis=1, out=a, mode="wrap")
+    np.take(full, table.sym_in2, axis=1, out=b, mode="wrap")
     np.multiply(a, b, out=a)
     np.multiply(a, table.sym_coeff, out=a)
     seg = np.add.reduceat(a, table.sym_offsets, axis=1)  # (B, n_channels)
-    out = scalars_to_coords(table, table.conv_factor * seg)
+    seg *= -table.conv_factor / np.sqrt(2.0)
+    out = seg.view(float)
     return out[0] if u_coords.ndim == 1 else out

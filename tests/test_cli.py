@@ -507,6 +507,16 @@ def test_cli_run_imports_no_scipy(tmp_path):
     assert (tmp_path / "out" / "reports.json").exists()
 
 
+
+def test_cli_import_leaves_out_hashlib():
+    script = "import sys\nimport attractorlab.cli\nprint('_hashlib' in sys.modules)\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 NSE2 = {
     "model": {
         "kind": "galerkin_nse_2d",

@@ -355,3 +355,16 @@ def test_energy_checks_on_ensembles_equal_one_member_views_bitwise():
     short = type(one)(one.times[:1], one.energy[:, :1], one.enstrophy[:, :1], one.work[:, :1])
     rep = check_energy_inequality(ens, short, 1e-1, radius=1.0)
     assert rep.holds and rep.worst_delta == -np.inf
+
+
+def test_spec_key_is_exact_in_the_forcing():
+    # forcings one ulp apart share neither a key nor a cached forcing array
+    g = nse_forcing("galerkin_nse_2d", TWO_PI, 2, [{"mode": [1, 0], "amplitude": 0.1}])
+    h = g.copy()
+    i = np.flatnonzero(g)[0]
+    h[i] = np.nextafter(g[i], np.inf)
+    a, b = (make_spec("galerkin_nse_2d", truncation=2, forcing=f) for f in (g, h))
+    assert a.key != b.key
+    assert make_spec("galerkin_nse_2d", truncation=2, forcing=g.copy()).key == a.key
+    assert np.array_equal(forcing_array(a), g) and np.array_equal(forcing_array(b), h)
+    assert not np.array_equal(forcing_array(a), forcing_array(b))

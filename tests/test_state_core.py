@@ -1,8 +1,11 @@
 """Grid containers and the integrating-factor stepper."""
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from attractorlab import core
 from attractorlab.core import (
     build_ensemble,
     complete_surrogates,
@@ -23,7 +26,14 @@ from attractorlab.errors import (
     OffGrid,
     StepMismatch,
 )
-from attractorlab.models import default_radius, make_spec, nse_forcing, rhs_array, sample_ball
+from attractorlab.models import (
+    default_radius,
+    make_spec,
+    mode_table,
+    nse_forcing,
+    rhs_array,
+    sample_ball,
+)
 from attractorlab.state import Ensemble, grid_index, span_steps
 
 TOY = make_spec("toy_contraction", truncation=4)
@@ -281,3 +291,104 @@ def test_fused_pass_needs_one_dt():
     with pytest.raises(GridMismatch):
         integrate_groups(TOY, groups)
     assert integrate_groups(TOY, []) == []
+
+
+def _lanes(monkeypatch, lanes):
+    """Fix the lane count of every pass; record this process's forks and the
+    rows of each _ifrk4_path call it makes (a forked child records nothing here)."""
+    seen = {"forks": 0, "rows": []}
+    fork, path = os.fork, core._ifrk4_path
+
+    def counted_fork():
+        seen["forks"] += 1
+        return fork()
+
+    def counted_path(spec, u0, *rest):
+        seen["rows"].append(len(u0))
+        return path(spec, u0, *rest)
+
+    monkeypatch.setattr(core, "_lane_count", lambda rows: min(lanes, rows))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(core, "_ifrk4_path", counted_path)
+    return seen
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_spec(
+            "galerkin_nse_2d",
+            nu=1.0,
+            truncation=4,
+            forcing=nse_forcing("galerkin_nse_2d", 2 * np.pi, 4, _KICK),
+        ),
+        make_spec("dyadic", nu=0.5, truncation=6, lam=2.0),
+    ],
+    ids=["nse2d", "dyadic"],
+)
+def test_two_lanes_give_the_bits_of_one(spec, monkeypatch):
+    # the groups of test_fused_pass_matches_one_build_per_group_bitwise
+    dt = 0.02
+    ini = sample_ball(spec, 14, radius=default_radius(spec), seed=4)
+    spans = [(ini[0:3], 0.0, 1.0), (ini[3:5], 0.0, 0.4), (ini[5:6], 0.0, 1.0), (ini[6:9], 0.0, 0.1)]
+    groups = [make_group(spec, rows, t0, t1, dt) for rows, t0, t1 in spans]
+    groups.append(surrogate_group(spec, ini[9:12], t_back=0.6, horizon=0.6, dt=dt))
+    groups.append(make_group(spec, ini[12:14], 0.0, 0.7, dt, norms=True))
+    passes = {}
+    for lanes in (1, 2):
+        seen = _lanes(monkeypatch, lanes)
+        passes[lanes] = integrate_groups(spec, groups)
+        # with two lanes, this process steps 7 of the 14 rows and no rerun follows
+        assert seen == {"forks": lanes - 1, "rows": [14 // lanes]}
+        _no_child_left()
+        monkeypatch.undo()
+    for one, two in zip(passes[1], passes[2]):
+        one, two = (getattr(x, "samples", x) for x in (one, two))
+        assert np.array_equal(one, two)
+        assert not two.flags.writeable
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("huge_row", [0, 1], ids=["lane0", "lane1"])
+def test_a_failing_lane_reruns_the_pass_here(huge_row, monkeypatch):
+    # row 0 goes to this process, row 1 to the child; one of them overflows
+    spec = make_spec("dyadic", nu=1e-12, truncation=10, lam=2.0)
+    initials = np.full((2, 11), 0.1)
+    initials[huge_row] = 1e20
+    messages = []
+    for lanes in (1, 2):
+        seen = _lanes(monkeypatch, lanes)
+        with pytest.raises(NonFiniteState) as err:
+            build_ensemble(spec, initials, 0.0, 1.0, 0.1)
+        messages.append(str(err.value))
+        _no_child_left()
+        # with two lanes: lane 0 here, then the whole pass again
+        assert seen["rows"] == ([2] if lanes == 1 else [1, 2])
+        monkeypatch.undo()
+    assert messages[0] == messages[1] and messages[0].startswith("integration blew up at step")
+
+
+def test_a_one_row_pass_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-row pass forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
+    integrate(spec, sample_ball(spec, 1, radius=0.5, seed=2)[0], 0.0, 0.2, 0.02)
+    build_ensemble(TOY, np.ones((1, 4)), 0.0, 1.0, 0.1)
+
+
+def test_a_pass_frees_the_advection_workspace():
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=4)
+    initials = sample_ball(spec, 6, radius=0.5, seed=5)
+    first = build_ensemble(spec, initials, 0.0, 0.4, 0.02).samples
+    assert [w.size for w in mode_table(spec).sym_work] == [0, 0]
+    # the next pass regrows the buffers and gives the same bits
+    again = build_ensemble(spec, initials, 0.0, 0.4, 0.02).samples
+    assert [w.size for w in mode_table(spec).sym_work] == [0, 0]
+    assert np.array_equal(first, again)
