@@ -12,7 +12,8 @@ configs produce byte-identical files; the manifest carries the effective
 config and seed instead of a timestamp. Unknown config keys are rejected with the
 offending field named, and numeric failures abort with a structured error
 record in reports.json; in verify, a check that raises gets its own error
-record and the other checks still run.
+record and the other checks still run. Only this process writes artifacts,
+after the checks, though a forked child may format part of trajectories.csv.
 
 Exit codes: 0 all checks passed, 1 config or runtime error, 2 at least one
 check returned false, 3 at least one check could not establish its
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Group, integrate_groups, make_group, surrogate_group
+from .core import Group, fork_lane, integrate_groups, join_lane, make_group, surrogate_group
 from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteState, OffGrid
 from .limits import OmegaParams, asymptotic_compactness_defect, global_attractor, omega_limit
 from .metrics import METRIC_KINDS, TrajMetricParams
@@ -85,7 +87,7 @@ def _half_horizon(cfg: dict) -> float:
 _MODEL = {
     "kind": (KINDS, _REQUIRED, None),
     "nu": (float, 1.0, "> 0"),
-    "L": (float, 2.0 * np.pi, "> 0"),
+    "L": (float, 2.0 * np.pi, "> 1e-150"),  # below about 4.7e-154, (2 pi / L)^2 overflows
     "truncation": (int, _REQUIRED, ">= 1"),
     "lambda": (float, 2.0, None),
     "forcing": (list, [], None),
@@ -135,7 +137,7 @@ _CONFIG = {
 def _value(value, kind, bound, where: str, root: dict):
     """value checked against its kind and bound; ConfigInvalid otherwise.
 
-    A number must be finite and not a boolean, and an int must be integral.
+    A number must be finite and not a boolean, and an int integral and within 64 bits.
     """
     if isinstance(kind, dict):
         return _section(value, kind, where, root)
@@ -153,10 +155,12 @@ def _value(value, kind, bound, where: str, root: dict):
         return [_value(v, kind[0], bound, f"{where}[{j}]", root) for j, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{where} must be a number, got {value!r}")
-    if not np.isfinite(value):
+    if isinstance(value, float) and not np.isfinite(value):
         raise ConfigInvalid(f"{where} must be finite, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
+    if (kind is int or isinstance(value, int)) and not -(2**63) <= value < 2**63:
+        raise ConfigInvalid(f"{where} must fit in a signed 64-bit integer, got {value!r}")
     if bound is not None and bound.startswith("in"):
         last = round(root["horizon"] / root["dt"]) - bound.endswith(")")
         try:
@@ -240,14 +244,7 @@ def _build_spec(mc: dict) -> ModelSpec:
                 forcing = nse_forcing(kind, mc["L"], mc["truncation"], mc["forcing"])
             else:
                 forcing = dyadic_forcing(mc["truncation"], mc["forcing"])
-        return make_spec(
-            kind,
-            nu=mc["nu"],
-            L=mc["L"],
-            truncation=mc["truncation"],
-            lam=mc["lambda"],
-            forcing=forcing,
-        )
+        return make_spec(kind, mc["nu"], mc["L"], mc["truncation"], mc["lambda"], forcing)
     except (ValueError, NonFiniteState) as exc:
         raise ConfigInvalid(f"model: {exc}")
 
@@ -283,16 +280,62 @@ def _write_json(path: Path, payload) -> None:
 
 
 # The CSV writers stream one member at a time: the text of a whole ensemble
-# is never held in memory at once.
-def _write_trajectories(path: Path, ensemble: Ensemble, stride: int) -> None:
-    dim = ensemble.samples.shape[2]
+# is never held in memory at once. With two lanes, a child formats members
+# [h, n) into a memfd while the checks run, and this process writes [0, h),
+# then appends the child's bytes or, if the child failed, formats them itself.
+def _write_members(fh, ensemble: Ensemble, stride: int, members: range) -> None:
     ks = range(0, ensemble.n_samples, stride)
     times = [repr(float(ensemble.t0 + k * ensemble.dt)) for k in ks]
-    with path.open("w") as fh:
-        fh.write("time,member," + ",".join(f"c{j}" for j in range(dim)) + "\n")
-        for mi, member in enumerate(ensemble.samples[:, ::stride]):
-            rows = zip(times, member.tolist())
-            fh.writelines(f"{t},{mi}," + ",".join(map(repr, row)) + "\n" for t, row in rows)
+    for mi in members:
+        rows = zip(times, ensemble.samples[mi, ::stride].tolist())
+        fh.writelines(f"{t},{mi}," + ",".join(map(repr, row)) + "\n" for t, row in rows)
+
+
+def _fork_writer(ensemble: Ensemble, stride: int):
+    """(pid, memfd, h) of a child formatting members [h, n), h = n // 2; None for one lane."""
+    try:
+        fd = os.memfd_create("trajectories")
+    except (AttributeError, OSError):  # no memfd on this platform, or no descriptor to spare
+        return None
+    n, h = ensemble.n_members, ensemble.n_members // 2
+
+    def work():
+        with open(fd, "w", closefd=False) as fh:
+            _write_members(fh, ensemble, stride, range(h, n))
+
+    pid = fork_lane(work, n)
+    if pid is None:
+        os.close(fd)
+    return None if pid is None else (pid, fd, h)
+
+
+def _write_trajectories(path: Path, ensemble: Ensemble, stride: int, lane) -> None:
+    """Write trajectories.csv; given a writer child's lane, reap it and close its memfd."""
+    n = ensemble.n_members
+    pid, fd, h = lane or (None, -1, n)
+    try:
+        with path.open("w") as fh:
+            dim = ensemble.samples.shape[2]
+            fh.write("time,member," + ",".join(f"c{j}" for j in range(dim)) + "\n")
+            _write_members(fh, ensemble, stride, range(h))
+            if h == n:
+                return
+            fh.flush()
+            start = fh.tell()
+            ok, pid = join_lane(pid, True), None
+            try:
+                size = os.fstat(fd).st_size
+                ok = ok and os.sendfile(fh.fileno(), fd, 0, size) == size
+            except OSError:
+                ok = False
+            if not ok:  # format [h, n) here, over any part of it that was copied
+                fh.seek(start)
+                _write_members(fh, ensemble, stride, range(h, n))
+    finally:
+        if pid is not None:
+            join_lane(pid, False)
+        if fd >= 0:
+            os.close(fd)
 
 
 def _write_ledger(path: Path, spec: ModelSpec, ensemble: Ensemble, stride: int) -> None:
@@ -306,12 +349,7 @@ def _write_ledger(path: Path, spec: ModelSpec, ensemble: Ensemble, stride: int) 
 
 
 def _set_payload(est) -> dict:
-    payload = {
-        "metric": est.metric,
-        "tol": est.tol,
-        "horizon": est.horizon,
-        "points": est.points,
-    }
+    payload = {"metric": est.metric, "tol": est.tol, "horizon": est.horizon, "points": est.points}
     if est.attraction is not None:
         payload["attraction"] = asdict(est.attraction)
     return payload
@@ -321,22 +359,16 @@ def _set_payload(est) -> dict:
 # pipeline pieces
 
 
-def _initials(spec: ModelSpec, n: int, radius: float, seed: int) -> np.ndarray:
+def _initials(spec: ModelSpec, n: int, radius: float, seed: int, boundary=False) -> np.ndarray:
     profile = smooth_profile(spec) if spec.kind in NSE_KINDS else None
-    return sample_ball(spec, n, radius=radius, seed=seed, profile=profile)
+    return sample_ball(spec, n, radius=radius, seed=seed, boundary=boundary, profile=profile)
 
 
 def _library_group(ctx: _RunContext) -> Group:
     cfg = ctx.cfg
     lib_cfg = cfg["library"]
     initials = _initials(ctx.spec, lib_cfg["size"], ctx.radius, cfg["seed"] + 1)
-    return surrogate_group(
-        ctx.spec,
-        initials,
-        t_back=lib_cfg["t_back"],
-        horizon=lib_cfg["horizon"],
-        dt=cfg["dt"],
-    )
+    return surrogate_group(ctx.spec, initials, lib_cfg["t_back"], lib_cfg["horizon"], cfg["dt"])
 
 
 def _status_exit(reports: list[dict]) -> int:
@@ -459,14 +491,10 @@ def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
 
 
 def _absorbing_group(cfg: dict, chk: dict, ctx: _RunContext) -> Group:
-    spec = ctx.spec
-    r_abs = absorbing_radius(spec)
-    profile = smooth_profile(spec) if spec.kind in NSE_KINDS else None
-    boundary = sample_ball(
-        spec, chk["n_samples"], 2.0 * r_abs, cfg["seed"] + 2, boundary=True, profile=profile
-    )
+    r_abs = absorbing_radius(ctx.spec)
+    boundary = _initials(ctx.spec, chk["n_samples"], 2.0 * r_abs, cfg["seed"] + 2, boundary=True)
     # the check reads only the norms of the samples
-    return make_group(spec, boundary, 0.0, chk["horizon"], cfg["dt"], norms=True)
+    return make_group(ctx.spec, boundary, 0.0, chk["horizon"], cfg["dt"], norms=True)
 
 
 def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
@@ -699,42 +727,48 @@ def run(subcommand: str, cfg: dict) -> int:
     reports: list[dict] = []
     error_record = None
     exit_code = 0
-    ensemble = None
+    ensemble = lane = None  # lane: the trajectory writer child, (pid, memfd, h)
     stride = cfg["save_stride"]
     try:
-        ctx = _RunContext(cfg, spec)
-        ctx.integrate(_groups(subcommand, cfg))
-        ensemble = ctx.ensemble
-        if subcommand == "omega":
-            est = omega_limit(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
-            sets["omega"] = _set_payload(est)
-        elif subcommand == "attractor":
-            est = global_attractor(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
-            sets["attractor"] = _set_payload(est)
-            reports.append(
-                {
-                    "name": "attracting",
-                    "status": "pass" if est.attraction.t_entry is not None else "fail",
-                    "t_entry": est.attraction.t_entry,
-                    "eps": est.attraction.eps,
-                }
-            )
-        elif subcommand == "trajectory-attractor":
-            reports.append(_trajectory_attraction(ctx, sets))
-        elif subcommand == "verify":
-            reports = _run_checks(ctx)
-        exit_code = _status_exit(reports)
-    except (AttractorLabError, ValueError) as exc:
-        error_record = {"type": type(exc).__name__, "message": str(exc)}
-        exit_code = 1
-    ctx = None  # the writers need only the run's ensemble: free the rest first
-
-    if ensemble is not None:
-        _write_trajectories(out / "trajectories.csv", ensemble, stride)
-        _write_ledger(out / "ledger.csv", spec, ensemble, stride)
-    else:
-        (out / "trajectories.csv").write_text("time,member\n")
-        (out / "ledger.csv").write_text("member,time,energy,enstrophy,work\n")
+        try:
+            ctx = _RunContext(cfg, spec)
+            ctx.integrate(_groups(subcommand, cfg))
+            ensemble = ctx.ensemble
+            lane = _fork_writer(ensemble, stride)
+            if subcommand == "omega":
+                est = omega_limit(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
+                sets["omega"] = _set_payload(est)
+            elif subcommand == "attractor":
+                est = global_attractor(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
+                sets["attractor"] = _set_payload(est)
+                reports.append(
+                    {
+                        "name": "attracting",
+                        "status": "pass" if est.attraction.t_entry is not None else "fail",
+                        "t_entry": est.attraction.t_entry,
+                        "eps": est.attraction.eps,
+                    }
+                )
+            elif subcommand == "trajectory-attractor":
+                reports.append(_trajectory_attraction(ctx, sets))
+            elif subcommand == "verify":
+                reports = _run_checks(ctx)
+            exit_code = _status_exit(reports)
+        except (AttractorLabError, ValueError) as exc:
+            error_record = {"type": type(exc).__name__, "message": str(exc)}
+            exit_code = 1
+        ctx = None  # the writers need only the run's ensemble: free the rest first
+        if ensemble is not None:
+            child, lane = lane, None  # _write_trajectories reaps the child from here on
+            _write_trajectories(out / "trajectories.csv", ensemble, stride, child)
+            _write_ledger(out / "ledger.csv", spec, ensemble, stride)
+        else:
+            (out / "trajectories.csv").write_text("time,member\n")
+            (out / "ledger.csv").write_text("member,time,energy,enstrophy,work\n")
+    finally:
+        if lane is not None:  # something raised before the writer took the child
+            join_lane(lane[0], False)
+            os.close(lane[1])
     _write_json(out / "sets.json", sets)
     payload: dict = {"checks": reports}
     if error_record is not None:

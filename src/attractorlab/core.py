@@ -12,11 +12,12 @@ states a run needs (each with its own start time and step count; the model
 is autonomous, so a start time only labels the grid), stacks them by
 descending step count and steps them in one pass over a batch that shrinks
 as groups reach their last step. build_ensemble is its one-group case.
-Two lanes, this process and a forked child, share the rows round-robin
-where fork and two CPUs are usable (no setting). In one lane or two, fused,
-batched and single integration give bit-identical members. A single
-trajectory is a one-member Ensemble; translation, restriction and rebasing
-act on all members at once and return views of the same array.
+Two lanes, this process and a forked child (fork_lane and join_lane, which
+the CLI's trajectory writer also uses), share the rows round-robin where
+fork and two CPUs are usable (no setting). In one lane or two, fused, batched
+and single integration give bit-identical members. A single trajectory is a
+one-member Ensemble; translation, restriction and rebasing act on all
+members at once and return views of the same array.
 """
 from __future__ import annotations
 
@@ -138,12 +139,14 @@ def _lane_path(spec: ModelSpec, u0, n_steps, dt: float, sinks, k: int) -> None:
     _ifrk4_path(spec, u0[k::2], n_steps[k::2], dt, cut)
 
 
-def _two_lanes(spec: ModelSpec, u0, n_steps, dt: float, sinks) -> bool:
-    """Run lane 1 in a forked child and lane 0 here; True if both lanes finished.
+def fork_lane(work, rows: int) -> int | None:
+    """The pid of a forked child running work(), or None for one lane.
 
-    The child leaves only through os._exit, and any warning fails it. It is
-    always reaped, and killed first unless lane 0 finished.
+    _lane_count(rows) decides; a failed fork also means one lane. The child
+    leaves only through os._exit (0 if work returned), and any warning fails it.
     """
+    if _lane_count(rows) < 2:
+        return None
     with warnings.catch_warnings():
         # Python >= 3.12 warns on fork when threads exist (OpenBLAS starts some). Safe
         # here: the child runs no BLAS, so it needs none of their locks, then os._exit.
@@ -151,27 +154,24 @@ def _two_lanes(spec: ModelSpec, u0, n_steps, dt: float, sinks) -> bool:
         try:
             pid = os.fork()
         except OSError:  # no process to spare: one lane
-            return False
+            return None
     if pid == 0:
         code = 1
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _lane_path(spec, u0, n_steps, dt, sinks, 1)
+                work()
             code = 0
         finally:
             os._exit(code)
-    done = False
-    try:
-        _lane_path(spec, u0, n_steps, dt, sinks, 0)
-        done = True
-    except Exception:  # the one-lane rerun raises it again
-        pass
-    finally:
-        if not done:
-            os.kill(pid, 9)  # SIGKILL; POSIX fixes its number, and importing signal costs 1 ms
-        status = os.waitpid(pid, 0)[1]
-    return done and status == 0
+    return pid
+
+
+def join_lane(pid: int, finished: bool) -> bool:
+    """Reap the child pid, killed first unless finished; True if it exited with status 0."""
+    if not finished:
+        os.kill(pid, 9)  # SIGKILL; POSIX fixes its number, and importing signal costs 1 ms
+    return os.waitpid(pid, 0)[1] == 0
 
 
 def integrate_groups(model: ModelSpec, groups) -> list:
@@ -200,7 +200,18 @@ def integrate_groups(model: ModelSpec, groups) -> list:
     u0 = np.concatenate([groups[i].initials for i in order])
     n_steps = np.repeat([groups[i].n_steps for i in order], sizes)
     try:
-        if _lane_count(len(u0)) < 2 or not _two_lanes(model, u0, n_steps, dt, sinks):
+        # lane 1 in a forked child, lane 0 here; any failure reruns the pass as one lane
+        pid = fork_lane(lambda: _lane_path(model, u0, n_steps, dt, sinks, 1), len(u0))
+        done = False
+        if pid is not None:
+            try:
+                _lane_path(model, u0, n_steps, dt, sinks, 0)
+                done = True
+            except Exception:  # the one-lane rerun raises it again
+                pass
+            finally:
+                done = join_lane(pid, done) and done
+        if not done:
             _ifrk4_path(model, u0, n_steps, dt, sinks)
     finally:
         release_workspace(model)

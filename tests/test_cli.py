@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import attraction_report_oracle
 
 import attractorlab.cli as cli
+import attractorlab.core as core
 from attractorlab.cli import load_config, main
 from attractorlab.errors import ConfigInvalid, NonFiniteState
 
@@ -681,3 +682,247 @@ def test_duplicated_checks_get_their_own_groups(tmp_path, monkeypatch):
     assert passes[0] == [3, 2, 4, 2, 4, 3]
     first, second = (r for r in reports["checks"] if r["name"] == "point_convergence")
     assert first["status"] == second["status"]
+
+
+# Every integer field of the config tables, as (table, key) -> a config that
+# sets it to the placeholder BIG. The test below fails if a table gains an
+# integer field that this map leaves out.
+BIG = "BIG"
+_NSE_MODEL = {"kind": "galerkin_nse_2d", "truncation": 2}
+_INT_FIELDS = {
+    ("config", "seed"): {"seed": BIG},
+    ("config", "ensemble_size"): {"ensemble_size": BIG},
+    ("config", "save_stride"): {"save_stride": BIG},
+    ("omega", "sample_stride"): {"omega": dict(TOY["omega"], sample_stride=BIG)},
+    ("library", "size"): {"library": dict(TOY["library"], size=BIG)},
+    ("model", "truncation"): {"model": dict(TOY["model"], truncation=BIG)},
+    ("nse", "mode"): {"model": dict(_NSE_MODEL, forcing=[{"mode": [BIG, 0], "amplitude": 0.1}])},
+    ("nse", "component"): {
+        "model": dict(_NSE_MODEL, forcing=[{"mode": [1, 0], "amplitude": 0.1, "component": BIG}])
+    },
+    ("dyadic", "shell"): {
+        "model": {"kind": "dyadic", "truncation": 4, "forcing": [{"shell": BIG, "amplitude": 0.1}]}
+    },
+    ("absorbing", "n_samples"): {"checks": [{"name": "absorbing", "n_samples": BIG}]},
+    ("compactness", "k"): {"checks": [{"name": "compactness", "k": BIG}]},
+    ("compactness", "n_times"): {"checks": [{"name": "compactness", "n_times": BIG}]},
+    ("point_convergence", "n_seq"): {"checks": [{"name": "point_convergence", "n_seq": BIG}]},
+}
+
+
+def _int_fields() -> set:
+    tables = {"config": cli._CONFIG, "model": cli._MODEL, **cli._FORCING}
+    tables.update((name, fields) for name, (_, fields) in cli._CHECKS.items())
+    tables.update((name, cli._CONFIG[name][0]) for name in ("omega", "library"))
+    return {
+        (table, key)
+        for table, fields in tables.items()
+        for key, (kind, _, _) in fields.items()
+        if kind is int or kind == [int]
+    }
+
+
+def _with_big(change, value):
+    if change == BIG:
+        return value
+    if isinstance(change, dict):
+        return {k: _with_big(v, value) for k, v in change.items()}
+    if isinstance(change, list):
+        return [_with_big(v, value) for v in change]
+    return change
+
+
+def test_every_int_field_is_covered():
+    assert set(_INT_FIELDS) == _int_fields()
+
+
+@pytest.mark.parametrize("value", [2**80, -(2**80), 2**63, -(2**63) - 1], ids=str)
+@pytest.mark.parametrize("field", sorted(_INT_FIELDS), ids="-".join)
+def test_int_fields_past_64_bits_are_config_errors(field, value, tmp_path, capsys):
+    cfg = dict(TOY, output_dir=str(tmp_path / "out"), **_with_big(_INT_FIELDS[field], value))
+    assert main(["verify", "--config", _write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field[1] in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_64_bit_edges_of_int_fields(tmp_path, capsys):
+    # the largest seed passes; the command-line seed and a float field written
+    # as a huge integer are held to the same 64-bit range
+    assert load_config(_write_cfg(tmp_path, dict(TOY, seed=2**63 - 1)))["seed"] == 2**63 - 1
+    path = _write_cfg(tmp_path, dict(TOY, output_dir=str(tmp_path / "out")), "seed.json")
+    for argv in (["--seed", str(2**80)], ["--seed", str(-(2**80))]):
+        assert main(["verify", "--config", path, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--seed" in err
+    for field, value in (("horizon", 10**400), ("dt", 2**80), ("radius", -(2**80))):
+        cfg = dict(TOY, output_dir=str(tmp_path / "out"), **{field: value})
+        assert main(["verify", "--config", _write_cfg(tmp_path, cfg, "f.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["galerkin_nse_2d", "galerkin_nse_3d"])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_an_L_too_small_to_scale_is_a_config_error(kind, forced, tmp_path, capsys):
+    model = {"kind": kind, "truncation": 2, "L": 1e-300}
+    if forced:
+        mode = [1, 0, 0] if kind.endswith("3d") else [1, 0]
+        model["forcing"] = [{"mode": mode, "amplitude": 0.1}]
+    cfg = dict(TOY, model=model, output_dir=str(tmp_path / "out"))
+    assert main(["simulate", "--config", _write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "model.L" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
+# The trajectory writer: a forked child formats the second part of the
+# members while this process runs the checks.
+
+_WRITER = dict(NSE2, horizon=1.0, checks=[{"name": "energy"}, {"name": "compactness"}])
+
+
+def _open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _force_lanes(monkeypatch, lanes):
+    """Fix the lane count of every fork; record what each writer fork returned."""
+    writers = []
+    fork_writer = cli._fork_writer
+
+    def recorded(*args):
+        writers.append(fork_writer(*args))
+        return writers[-1]
+
+    monkeypatch.setattr(core, "_lane_count", lambda rows: min(lanes, rows))
+    monkeypatch.setattr(cli, "_fork_writer", recorded)
+    return writers
+
+
+def _writer_run(tmp_path, name, payload, sub="verify"):
+    (tmp_path / name).mkdir()
+    fds = _open_fds()
+    code, out = _run(tmp_path / name, sub, payload)
+    _no_child_left()
+    assert _open_fds() == fds
+    # the manifest differs only in output_dir
+    return code, {f: (out / f).read_bytes() for f in FIVE[:4]}
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("members", [4, 5])
+def test_trajectories_have_the_bytes_of_one_lane(members, stride, tmp_path, monkeypatch):
+    payload = dict(_WRITER, ensemble_size=members, save_stride=stride)
+    _force_lanes(monkeypatch, 1)
+    one = _writer_run(tmp_path, "one", payload)
+    monkeypatch.undo()
+    writers = _force_lanes(monkeypatch, 2)
+    two = _writer_run(tmp_path, "two", payload)
+    # the child formatted members [h, n)
+    assert len(writers) == 1 and writers[0][2] == members // 2
+    def no_descriptor(name):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(os, "memfd_create", no_descriptor)
+    memfd_fails = _writer_run(tmp_path, "memfd_fails", payload)
+    monkeypatch.delattr(os, "memfd_create")
+    no_memfd = _writer_run(tmp_path, "no_memfd", payload)
+    assert writers[1:] == [None, None]  # no memfd, no writer child
+    assert one == two == memfd_fails == no_memfd
+    lines = one[1]["trajectories.csv"].decode().splitlines()
+    assert len(lines) == 1 + members * len(range(0, 51, stride))
+
+
+def test_a_one_member_run_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a one-member run forked")
+
+    _force_lanes(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, files = _writer_run(tmp_path, "one", dict(_WRITER, ensemble_size=1), "simulate")
+    assert code == 0
+    assert len(files["trajectories.csv"].decode().splitlines()) == 1 + 51
+
+
+def test_a_failing_writer_child_leaves_the_same_bytes(tmp_path, monkeypatch):
+    payload = dict(_WRITER, ensemble_size=5, save_stride=3)
+    _force_lanes(monkeypatch, 2)
+    good = _writer_run(tmp_path, "good", payload)
+    parent, write_members = os.getpid(), cli._write_members
+
+    def failing_in_the_child(*args):
+        if os.getpid() != parent:
+            raise OSError("the child's formatter failed")
+        return write_members(*args)
+
+    joined, join_lane = [], cli.join_lane
+
+    def recorded_join(*args):
+        joined.append(join_lane(*args))
+        return joined[-1]
+
+    monkeypatch.setattr(cli, "join_lane", recorded_join)
+    monkeypatch.setattr(cli, "_write_members", failing_in_the_child)
+    assert _writer_run(tmp_path, "bad", payload) == good
+    assert joined == [False]
+    # a short or failed copy is written over and redone here
+    monkeypatch.setattr(cli, "_write_members", write_members)
+    sendfile = os.sendfile
+
+    def short_copy(out_fd, in_fd, offset, count):
+        return sendfile(out_fd, in_fd, offset, min(count, 100))
+
+    def failed_copy(*args):
+        raise OSError(28, "No space left on device")
+
+    for name, copy in (("short", short_copy), ("failed", failed_copy)):
+        monkeypatch.setattr(os, "sendfile", copy)
+        assert _writer_run(tmp_path, name, payload) == good
+    assert joined == [False, True, True]
+
+
+def test_a_check_that_raises_after_the_fork_writes_nothing(tmp_path, monkeypatch):
+    def raising(cfg, chk, ctx):
+        raise RuntimeError("check crashed")
+
+    writers = _force_lanes(monkeypatch, 2)
+    monkeypatch.setitem(cli._CHECKS, "energy", (raising, cli._CHECKS["energy"][1]))
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="check crashed"):
+        _run(tmp_path, "verify", _WRITER)
+    assert writers[0] is not None  # the writer child had been forked
+    _no_child_left()
+    assert _open_fds() == fds
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_the_writer_child_never_flushes_inherited_stdio(tmp_path):
+    # text buffered on both streams before the run is printed once, as in one lane
+    cfg = _write_cfg(tmp_path, dict(_WRITER, output_dir=str(tmp_path / "out")))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    printed = []
+    for lanes in (1, 2):
+        script = (
+            "import sys\n"
+            "import attractorlab.core as core\n"
+            "import attractorlab.cli as cli\n"
+            f"core._lane_count = lambda rows: min({lanes}, rows)\n"
+            "print('before', end=' ')\n"
+            "sys.stderr.write('before ')\n"
+            f"code = cli.main(['verify', '--config', {cfg!r}])\n"
+            "print('after', code)\n"
+            "sys.stderr.write('after')\n"
+        )
+        run = [sys.executable, "-c", script]
+        done = subprocess.run(run, capture_output=True, text=True, env=env)
+        printed.append((done.returncode, done.stdout, done.stderr))
+    assert printed[0] == printed[1] == (0, "before after 2\n", "before after")

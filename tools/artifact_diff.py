@@ -7,11 +7,11 @@ Usage (from the repository root):
 Runs ``python -m attractorlab.cli`` once with PARENT_SRC and once with this
 checkout's ``src/`` on the import path, on the four perfbench workloads at
 workload seeds 0-4, on the built-in ``verify`` edge cases of EDGE_CASES
-(the error, blow-up, duplicate-check and clipped-window paths) and on each
-extra ``verify`` config given. Every run writes into its own temporary
-directory. The exit
-codes and the five artifacts must match: four files byte for byte, and
-manifest.json after mapping the run's ``output_dir`` to one placeholder.
+(the error, blow-up, duplicate-check, clipped-window and odd-split writer
+paths) and on each extra ``verify`` config given. Every run writes into its
+own temporary directory. The exit codes and the five artifacts must match:
+four files byte for byte, and manifest.json after mapping the run's
+``output_dir`` to one placeholder.
 Prints each difference and exits 1 if there is one; exits 0 otherwise. For
 an artifact that differs, it also prints how many of its numeric values
 differ and the largest relative change |b - a| / max(|a|, |b|), or that its
@@ -97,6 +97,15 @@ EDGE_CASES = {
     "edge no library check": dict(
         _SMALL,
         model=_NSE2,
+        checks=[{"name": "energy"}, {"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
+    ),
+    # an odd member count with a save stride: the trajectory writer's split
+    # point falls off the middle and its lines skip samples
+    "edge odd ensemble with a save stride": dict(
+        _SMALL,
+        model=_NSE2,
+        ensemble_size=5,
+        save_stride=3,
         checks=[{"name": "energy"}, {"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
     ),
     # the absorbing samples blow up while the run does not
