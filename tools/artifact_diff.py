@@ -7,11 +7,11 @@ Usage (from the repository root):
 Runs ``python -m attractorlab.cli`` once with PARENT_SRC and once with this
 checkout's ``src/`` on the import path, on the four perfbench workloads at
 workload seeds 0-4, on the built-in ``verify`` edge cases of EDGE_CASES
-(the error, blow-up, duplicate-check, clipped-window and odd-split writer
-paths) and on each extra ``verify`` config given. Every run writes into its
-own temporary directory. The exit codes and the five artifacts must match:
-four files byte for byte, and manifest.json after mapping the run's
-``output_dir`` to one placeholder.
+(the error, blow-up, duplicate-check, clipped-window, odd-split and
+uneven-split paths) and on each extra ``verify`` config given. Every run
+writes into its own temporary directory. The exit codes and the five
+artifacts must match: four files byte for byte, and manifest.json after
+mapping the run's ``output_dir`` to one placeholder.
 Prints each difference and exits 1 if there is one; exits 0 otherwise. For
 an artifact that differs, it also prints how many of its numeric values
 differ and the largest relative change |b - a| / max(|a|, |b|), or that its
@@ -108,6 +108,17 @@ EDGE_CASES = {
         save_stride=3,
         checks=[{"name": "energy"}, {"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
     ),
+    # the run outweighs the library, so the integration child takes fewer
+    # than half of the run's members (7 of 16 stay in this process)
+    "edge run heavier than the library": dict(
+        _SMALL,
+        model=_NSE2,
+        ensemble_size=16,
+        library={"size": 2, "t_back": 1.0, "horizon": 4.0},
+        checks=[{"name": "tracking"}],
+    ),
+    # the run is the pass's only group and its member count is odd
+    "edge lone odd run": dict(_SMALL, model=_NSE2, ensemble_size=5, checks=[{"name": "energy"}]),
     # the absorbing samples blow up while the run does not
     "edge absorbing blows up": dict(
         _SMALL,
