@@ -12,8 +12,11 @@ configs produce byte-identical files; the manifest carries the effective
 config and seed instead of a timestamp. Unknown config keys are rejected with the
 offending field named, and numeric failures abort with a structured error
 record in reports.json; in verify, a check that raises gets its own error
-record and the other checks still run. Only this process writes artifacts,
-after the checks, though a forked child may format part of trajectories.csv.
+record and the other checks still run. The run's ensemble is the pass's
+first group, so the pass's forked child, if any, steps a block of the run's
+members and then formats their lines of trajectories.csv while this process
+steps the other rows and runs the checks. Only this process writes
+artifacts, after the checks.
 
 Exit codes: 0 all checks passed, 1 config or runtime error, 2 at least one
 check returned false, 3 at least one check could not establish its
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Group, fork_lane, integrate_groups, join_lane, make_group, surrogate_group
+from .core import Group, Tail, integrate_pass, make_group, surrogate_group
 from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteState, OffGrid
 from .limits import OmegaParams, asymptotic_compactness_defect, global_attractor, omega_limit
 from .metrics import METRIC_KINDS, TrajMetricParams
@@ -70,9 +73,9 @@ SUBCOMMANDS = ("simulate", "omega", "attractor", "trajectory-attractor", "verify
 # is int, float or str, a tuple of allowed strings, [int] or [float] for a
 # list of numbers, a nested table, or list for a list of entries that
 # load_config checks itself. A default is a value, _REQUIRED, or a function
-# of the top-level config walked so far. A bound ("> 0", ">= 1") applies to a
-# number or to each number of a list; "in [0, horizon]" and "in [0, horizon)"
-# bound a time on the run's dt grid.
+# of the top-level config walked so far. A bound ("> 0", ">= 1", or such
+# comparisons joined by ", ") applies to a number or to each number of a list;
+# "in [0, horizon]" and "in [0, horizon)" bound a time on the run's dt grid.
 _REQUIRED = object()
 
 
@@ -84,10 +87,15 @@ def _half_horizon(cfg: dict) -> float:
     return cfg["horizon"] / 2.0
 
 
+# L scales every wavenumber by 2 pi / L. Below 1e-76 the smooth sampling
+# profile of the |kappa| = 1 mode, about (L / 2 pi)^2, squares out of the
+# normal floats in each draw's norm. Above 1e76 the absorbing radius
+# 1.1 |g| L / (2 pi nu), the sampling radius, overflows when the advection
+# squares it once the forcing's |g| / nu passes about 1e78.
 _MODEL = {
     "kind": (KINDS, _REQUIRED, None),
     "nu": (float, 1.0, "> 0"),
-    "L": (float, 2.0 * np.pi, "> 1e-150"),  # below about 4.7e-154, (2 pi / L)^2 overflows
+    "L": (float, 2.0 * np.pi, "> 1e-76, < 1e76"),
     "truncation": (int, _REQUIRED, ">= 1"),
     "lambda": (float, 2.0, None),
     "forcing": (list, [], None),
@@ -170,9 +178,11 @@ def _value(value, kind, bound, where: str, root: dict):
         if not ok:
             raise ConfigInvalid(f"{where} must be a dt-grid time {bound}, got {value!r}")
     elif bound is not None:
-        op, least = bound.split()
-        if not (value > float(least) if op == ">" else value >= float(least)):
-            raise ConfigInvalid(f"{where} must be {bound}, got {value!r}")
+        for rule in bound.split(", "):
+            op, limit = rule.split()
+            ok = {">": value > float(limit), ">=": value >= float(limit), "<": value < float(limit)}
+            if not ok[op]:
+                raise ConfigInvalid(f"{where} must be {bound}, got {value!r}")
     return kind(value)
 
 
@@ -280,9 +290,10 @@ def _write_json(path: Path, payload) -> None:
 
 
 # The CSV writers stream one member at a time: the text of a whole ensemble
-# is never held in memory at once. With two lanes, a child formats members
-# [h, n) into a memfd while the checks run, and this process writes [0, h),
-# then appends the child's bytes or, if the child failed, formats them itself.
+# is never held in memory at once. The pass's child formats its own members
+# [h, n) of the run into a memfd while the checks run, and this process writes
+# [0, h), then appends the child's bytes or, if the child failed, formats them
+# itself.
 def _write_members(fh, ensemble: Ensemble, stride: int, members: range) -> None:
     ks = range(0, ensemble.n_samples, stride)
     times = [repr(float(ensemble.t0 + k * ensemble.dt)) for k in ks]
@@ -291,28 +302,25 @@ def _write_members(fh, ensemble: Ensemble, stride: int, members: range) -> None:
         fh.writelines(f"{t},{mi}," + ",".join(map(repr, row)) + "\n" for t, row in rows)
 
 
-def _fork_writer(ensemble: Ensemble, stride: int):
-    """(pid, memfd, h) of a child formatting members [h, n), h = n // 2; None for one lane."""
+def _child_writer(stride: int):
+    """(memfd, then): the pass's child calls then to format its run members into
+    the memfd; (-1, None) where no memfd is to be had."""
     try:
         fd = os.memfd_create("trajectories")
     except (AttributeError, OSError):  # no memfd on this platform, or no descriptor to spare
-        return None
-    n, h = ensemble.n_members, ensemble.n_members // 2
+        return -1, None
 
-    def work():
+    def then(ensemble: Ensemble, members: range) -> None:
         with open(fd, "w", closefd=False) as fh:
-            _write_members(fh, ensemble, stride, range(h, n))
+            _write_members(fh, ensemble, stride, members)
 
-    pid = fork_lane(work, n)
-    if pid is None:
-        os.close(fd)
-    return None if pid is None else (pid, fd, h)
+    return fd, then
 
 
-def _write_trajectories(path: Path, ensemble: Ensemble, stride: int, lane) -> None:
-    """Write trajectories.csv; given a writer child's lane, reap it and close its memfd."""
+def _write_trajectories(path: Path, ensemble: Ensemble, stride: int, tail, fd: int) -> None:
+    """Write trajectories.csv; reap tail, the Tail of a child that formatted its members into fd."""
     n = ensemble.n_members
-    pid, fd, h = lane or (None, -1, n)
+    h = n if tail is None else tail.members.start
     try:
         with path.open("w") as fh:
             dim = ensemble.samples.shape[2]
@@ -322,7 +330,7 @@ def _write_trajectories(path: Path, ensemble: Ensemble, stride: int, lane) -> No
                 return
             fh.flush()
             start = fh.tell()
-            ok, pid = join_lane(pid, True), None
+            ok, tail = tail.join(), None
             try:
                 size = os.fstat(fd).st_size
                 ok = ok and os.sendfile(fh.fileno(), fd, 0, size) == size
@@ -332,10 +340,8 @@ def _write_trajectories(path: Path, ensemble: Ensemble, stride: int, lane) -> No
                 fh.seek(start)
                 _write_members(fh, ensemble, stride, range(h, n))
     finally:
-        if pid is not None:
-            join_lane(pid, False)
-        if fd >= 0:
-            os.close(fd)
+        if tail is not None:
+            tail.join(False)
 
 
 def _write_ledger(path: Path, spec: ModelSpec, ensemble: Ensemble, stride: int) -> None:
@@ -420,14 +426,15 @@ class _RunContext:
             raise exc
         return value
 
-    def integrate(self, keys) -> None:
-        """Integrate the named groups in one pass and keep what it yields.
+    def integrate(self, keys, then=None) -> Tail | None:
+        """Integrate the run's group and the named groups in one pass; its tail.
 
-        The run's group must form: its error is the run's. Another group
-        that cannot be formed stays out of the pass and raises at its first
-        use. If the pass blows up, nothing of it is kept: each group is then
-        integrated alone, in the order of first use, and records its own
-        error.
+        The run's group comes first and must form: its error is the run's.
+        Another group that cannot be formed stays out of the pass and raises
+        at its first use. If the pass blows up, nothing of it is kept: each
+        group is then integrated alone, in the order of first use, and
+        records its own error. The tail is the pass's child still running
+        then on its members of the run (see core.integrate_pass), or None.
         """
         formed = {"run": self._group("run")}
         for key in keys:
@@ -436,14 +443,15 @@ class _RunContext:
             except Exception as exc:
                 self._built[key] = (None, exc)
         try:
-            paths = integrate_groups(self.spec, list(formed.values()))
+            paths, tail = integrate_pass(self.spec, list(formed.values()), then)
         except NonFiniteState:
-            return
+            return None
         self._built.update((key, (value, None)) for key, value in zip(formed, paths))
+        return tail
 
     def paths(self, key):
         """The integrated group key: from the shared pass, or integrated alone."""
-        return self._once(key, lambda: integrate_groups(self.spec, [self._group(key)])[0])
+        return self._once(key, lambda: integrate_pass(self.spec, [self._group(key)])[0][0])
 
     @property
     def ensemble(self) -> Ensemble:
@@ -727,14 +735,14 @@ def run(subcommand: str, cfg: dict) -> int:
     reports: list[dict] = []
     error_record = None
     exit_code = 0
-    ensemble = lane = None  # lane: the trajectory writer child, (pid, memfd, h)
+    ensemble = tail = None  # tail: the pass's child, formatting its run members
     stride = cfg["save_stride"]
+    fd, then = _child_writer(stride)
     try:
         try:
             ctx = _RunContext(cfg, spec)
-            ctx.integrate(_groups(subcommand, cfg))
+            tail = ctx.integrate(_groups(subcommand, cfg), then)
             ensemble = ctx.ensemble
-            lane = _fork_writer(ensemble, stride)
             if subcommand == "omega":
                 est = omega_limit(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
                 sets["omega"] = _set_payload(est)
@@ -759,16 +767,17 @@ def run(subcommand: str, cfg: dict) -> int:
             exit_code = 1
         ctx = None  # the writers need only the run's ensemble: free the rest first
         if ensemble is not None:
-            child, lane = lane, None  # _write_trajectories reaps the child from here on
-            _write_trajectories(out / "trajectories.csv", ensemble, stride, child)
+            child, tail = tail, None  # _write_trajectories reaps the child from here on
+            _write_trajectories(out / "trajectories.csv", ensemble, stride, child, fd)
             _write_ledger(out / "ledger.csv", spec, ensemble, stride)
         else:
             (out / "trajectories.csv").write_text("time,member\n")
             (out / "ledger.csv").write_text("member,time,energy,enstrophy,work\n")
     finally:
-        if lane is not None:  # something raised before the writer took the child
-            join_lane(lane[0], False)
-            os.close(lane[1])
+        if tail is not None:  # something raised before the writer took the child
+            tail.join(False)
+        if fd >= 0:
+            os.close(fd)
     _write_json(out / "sets.json", sets)
     payload: dict = {"checks": reports}
     if error_record is not None:

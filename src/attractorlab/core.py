@@ -7,15 +7,18 @@ linear decay is applied through exact exponentials, so pure-decay dynamics
 limit comes only from the nonlinear transfer. All evaluation is vectorized
 over ensemble members with a fixed reduction order and never mixes rows.
 
-There is one stepping loop. integrate_groups takes every group of initial
+There is one stepping loop. integrate_pass takes every group of initial
 states a run needs (each with its own start time and step count; the model
-is autonomous, so a start time only labels the grid), stacks them by
-descending step count and steps them in one pass over a batch that shrinks
-as groups reach their last step. build_ensemble is its one-group case.
-Two lanes, this process and a forked child (fork_lane and join_lane, which
-the CLI's trajectory writer also uses), share the rows round-robin where
-fork and two CPUs are usable (no setting). In one lane or two, fused, batched
-and single integration give bit-identical members. A single trajectory is a
+is autonomous, so a start time only labels the grid) and steps them in one
+pass over batches that shrink as groups reach their last step;
+integrate_groups and build_ensemble are its plain cases. Where fork and two
+CPUs are usable (no setting), the pass is split by ensemble, not by row: one
+forked child steps a contiguous block of the first group's members, sized
+to balance member-steps, and this process steps every other row. The child
+can go on to work on its own members (the CLI formats their part of
+trajectories.csv there) while this process carries on. Split or not, fused,
+batched and single integration give bit-identical members. A surrogate
+library keeps only its samples on [0, horizon]. A single trajectory is a
 one-member Ensemble; translation, restriction and rebasing act on all
 members at once and return views of the same array.
 """
@@ -37,6 +40,7 @@ __all__ = [
     "Group",
     "make_group",
     "surrogate_group",
+    "integrate_pass",
     "integrate_groups",
     "integrate",
     "build_ensemble",
@@ -47,10 +51,11 @@ __all__ = [
 
 
 class Group(NamedTuple):
-    """A stack of initial states (B, dim) to integrate from t0 over n_steps steps of dt.
+    """A stack of initial states (B, dim) to integrate over n_steps steps of dt.
 
-    With norms set, the pass keeps only the strong norm of each sample,
-    (B, n_steps + 1), instead of the samples themselves.
+    The pass keeps sample k for k >= skip, and the first kept sample sits at
+    t0. With norms set, it keeps only the strong norm of each such sample,
+    (B, n_steps - skip + 1), instead of the samples themselves.
     """
 
     initials: np.ndarray
@@ -58,6 +63,7 @@ class Group(NamedTuple):
     dt: float
     n_steps: int
     norms: bool = False
+    skip: int = 0
 
 
 def make_group(
@@ -91,15 +97,20 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
 
     Row i takes n_steps[i] steps. Each step advances only the prefix of rows
     that still step, so the batch shrinks as rows finish. sinks lists
-    (start, stop, out) for consecutive row ranges of one step count; out
-    receives sample k of its rows at out[:, k] (see _store).
+    (start, stop, skip, out) for consecutive row ranges of one step count;
+    out receives sample k >= skip of its rows at out[:, k - skip] (see _store).
     """
     rates = linear_rates(spec)
     e_half = np.exp(-rates * (dt / 2.0))
     e_full = e_half * e_half
     sixth = dt / 6.0
-    for start, stop, out in sinks:
-        _store(out, 0, u0[start:stop])
+
+    def store(k: int, u: np.ndarray) -> None:
+        for start, stop, skip, out in sinks:
+            if stop <= len(u) and k >= skip:
+                _store(out, k - skip, u[start:stop])
+
+    store(0, u0)
     u = u0
     live = u0.shape[0]
     for k in range(int(n_steps[0]) if live else 0):
@@ -116,15 +127,25 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
         u = e_full * u + sixth * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
         if not np.isfinite(u).all():
             raise NonFiniteState(f"integration blew up at step {k + 1}")
-        for start, stop, out in sinks:
-            if stop <= live:
-                _store(out, k + 1, u[start:stop])
+        store(k + 1, u)
 
 
-def _lane_count(rows: int) -> int:
-    """Processes for a pass over rows: at most 2, one per usable CPU, 1 without fork."""
+def _step(spec: ModelSpec, parts, dt: float) -> None:
+    """Step parts (initials, n_steps, skip, out) as one batch by descending n_steps."""
+    parts = sorted((p for p in parts if len(p[0])), key=lambda p: -p[1])
+    if not parts:
+        return
+    sizes = [len(p[0]) for p in parts]
+    ends = np.cumsum(sizes)
+    sinks = [(e - size, e, skip, out) for (_, _, skip, out), size, e in zip(parts, sizes, ends)]
+    u0 = np.concatenate([p[0] for p in parts])
+    _ifrk4_path(spec, u0, np.repeat([p[1] for p in parts], sizes), dt, sinks)
+
+
+def _can_fork() -> bool:
+    """A pass forks where os.fork exists and this process may use two CPUs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(2, cpus or 1, rows) if hasattr(os, "fork") else 1
+    return hasattr(os, "fork") and (cpus or 1) >= 2
 
 
 def _shared_empty(shape: tuple) -> np.ndarray:
@@ -133,19 +154,31 @@ def _shared_empty(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), float, count=size).reshape(shape)
 
 
-def _lane_path(spec: ModelSpec, u0, n_steps, dt: float, sinks, k: int) -> None:
-    """_ifrk4_path over rows k, k + 2, ... of a pass, each sink cut to its strided rows."""
-    cut = [((a - k + 1) // 2, (b - k + 1) // 2, out[(a + k) % 2 :: 2]) for a, b, out in sinks]
-    _ifrk4_path(spec, u0[k::2], n_steps[k::2], dt, cut)
+class Tail(NamedTuple):
+    """The forked child of a pass: its pid, the first group's members it steps,
+    and the read end of the pipe it writes one byte to once their rows are stored."""
+
+    pid: int
+    members: range
+    fd: int
+
+    def join(self, finished: bool = True) -> bool:
+        """Reap the child, killed first unless finished; True if it exited with status 0."""
+        if not finished:
+            os.kill(self.pid, 9)  # SIGKILL; POSIX fixes its number, and importing signal costs 1 ms
+        os.close(self.fd)
+        return os.waitpid(self.pid, 0)[1] == 0
 
 
-def fork_lane(work, rows: int) -> int | None:
-    """The pid of a forked child running work(), or None for one lane.
+def _fork_rows(model: ModelSpec, part, dt: float, members: range, then) -> Tail | None:
+    """The Tail of a forked child that steps part, writes its byte and calls then().
 
-    _lane_count(rows) decides; a failed fork also means one lane. The child
-    leaves only through os._exit (0 if work returned), and any warning fails it.
+    None if no pipe or process is to be had. The child leaves only through
+    os._exit (0 if then returned), and any warning fails it.
     """
-    if _lane_count(rows) < 2:
+    try:
+        r, w = os.pipe()
+    except OSError:
         return None
     with warnings.catch_warnings():
         # Python >= 3.12 warns on fork when threads exist (OpenBLAS starts some). Safe
@@ -153,74 +186,104 @@ def fork_lane(work, rows: int) -> int | None:
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: one lane
-            return None
+        except OSError:
+            pid = None
     if pid == 0:
         code = 1
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                work()
+                os.close(r)
+                _step(model, [part], dt)
+                os.write(w, b"\1")
+                os.close(w)
+                if then is not None:
+                    then()
             code = 0
         finally:
             os._exit(code)
-    return pid
+    os.close(w)
+    if pid is None:
+        os.close(r)
+        return None
+    return Tail(pid, members, r)
 
 
-def join_lane(pid: int, finished: bool) -> bool:
-    """Reap the child pid, killed first unless finished; True if it exited with status 0."""
-    if not finished:
-        os.kill(pid, 9)  # SIGKILL; POSIX fixes its number, and importing signal costs 1 ms
-    return os.waitpid(pid, 0)[1] == 0
+def _split(groups) -> int:
+    """h: a forked child steps members [h, n) of the first group, this process the rest.
+
+    With S the first group's step count and W the other groups' member-steps,
+    h = ceil((n S - W) / (2 S)) balances the two sides' member-steps, clipped
+    to [0, n // 2]. h = n means no fork, as when either side would be empty.
+    """
+    n, s = len(groups[0].initials), groups[0].n_steps
+    w = sum(len(g.initials) * g.n_steps for g in groups[1:])
+    h = min(n // 2, max(0, -((w - n * s) // (2 * s)))) if s else n
+    return h if h < n and h * s + w > 0 and _can_fork() else n
 
 
-def integrate_groups(model: ModelSpec, groups) -> list:
-    """Integrate every group in one pass; each group's Ensemble, or its norms.
+def _path(g: Group, out: np.ndarray, model: ModelSpec):
+    return out if g.norms else frozen_view(Ensemble, samples=out, t0=g.t0, dt=g.dt, model=model)
 
-    The groups' initials are stacked by descending step count and stepped as
-    one batch that shrinks as groups reach their last step. Each group's
-    samples go into its own read-only array, which becomes its Ensemble as
-    it is; a norms group gets its read-only (B, n_steps + 1) norms instead.
-    Rows never mix, so every member has the same bits as in its own pass.
-    If either of two lanes fails, the pass reruns here as one lane.
+
+def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | None]:
+    """Integrate every group in one pass: (each group's Ensemble or norms, tail).
+
+    The pass forks at most once (see _split): the child steps members [h, n)
+    of the first group and this process every other row, each side as one
+    batch by descending step count that shrinks as rows finish. Rows never
+    mix, so every member has the same bits as in its own pass. If the child
+    fails before its byte, this process steps its rows too; if this
+    process's rows fail, the child is killed and every row runs again here,
+    so errors read as in one process. Given then, the child goes on to call
+    then(the first group's path, range(h, n)), which may read only those
+    members, and tail is its Tail for the caller to join; else tail is None.
+    Each group's samples (or, for a norms group, norms) are one read-only
+    array.
     """
     if not groups:
-        return []
+        return [], None
     dt = groups[0].dt
     if any(g.dt != dt for g in groups):
         raise GridMismatch("the groups of one pass need one dt")
     outs = [
-        _shared_empty((len(g.initials), g.n_steps + 1) + (() if g.norms else g.initials.shape[1:]))
+        _shared_empty(
+            (len(g.initials), g.n_steps - g.skip + 1) + (() if g.norms else g.initials.shape[1:])
+        )
         for g in groups
     ]
-    order = sorted(range(len(groups)), key=lambda i: -groups[i].n_steps)
-    sizes = [len(groups[i].initials) for i in order]
-    ends = np.cumsum(sizes)
-    sinks = [(end - size, end, outs[i]) for i, size, end in zip(order, sizes, ends)]
-    u0 = np.concatenate([groups[i].initials for i in order])
-    n_steps = np.repeat([groups[i].n_steps for i in order], sizes)
+    parts = [(g.initials, g.n_steps, g.skip, out) for g, out in zip(groups, outs)]
+    first, n, h = groups[0], len(groups[0].initials), _split(groups)
+    ours = [(first.initials[:h], first.n_steps, first.skip, outs[0][:h])] + parts[1:]
+    theirs = (first.initials[h:], first.n_steps, first.skip, outs[0][h:])
+    after = None if then is None else lambda: then(_path(first, outs[0], model), range(h, n))
+    child = _fork_rows(model, theirs, dt, range(h, n), after) if h < n else None
+    tail, rows = None, parts  # rows: what this process steps last (all of them without a child)
     try:
-        # lane 1 in a forked child, lane 0 here; any failure reruns the pass as one lane
-        pid = fork_lane(lambda: _lane_path(model, u0, n_steps, dt, sinks, 1), len(u0))
-        done = False
-        if pid is not None:
+        if child is not None:
             try:
-                _lane_path(model, u0, n_steps, dt, sinks, 0)
-                done = True
-            except Exception:  # the one-lane rerun raises it again
+                _step(model, ours, dt)
+                rows = [] if os.read(child.fd, 1) == b"\1" else [theirs]  # EOF: it died first
+            except Exception:  # every row again here, so errors read as in one process
                 pass
-            finally:
-                done = join_lane(pid, done) and done
-        if not done:
-            _ifrk4_path(model, u0, n_steps, dt, sinks)
+            if not rows and then is not None:
+                tail = child
+            else:
+                child.join(rows is not parts)
+            child = None
+        _step(model, rows, dt)
     finally:
+        if child is not None:  # interrupted while the child ran
+            child.join(False)
         release_workspace(model)
     for out in outs:
         out.setflags(write=False)
-    return [
-        out if g.norms else frozen_view(Ensemble, samples=out, t0=g.t0, dt=dt, model=model)
-        for g, out in zip(groups, outs)
-    ]
+    return [_path(g, out, model) for g, out in zip(groups, outs)], tail
+
+
+def integrate_groups(model: ModelSpec, groups) -> list:
+    """Integrate every group in one pass; each group's Ensemble, or its norms."""
+    return integrate_pass(model, groups)[0]
 
 
 def integrate(
@@ -257,11 +320,18 @@ def surrogate_group(
     horizon: float,
     dt: float,
 ) -> Group:
-    """The Group of a far-past surrogate library (see complete_surrogates)."""
+    """The Group of a far-past surrogate library (see complete_surrogates).
+
+    It steps from t = -t_back to horizon and keeps only the samples on
+    [0, horizon], the first at t0 = 0.
+    """
     if t_back < 0:
         raise ValueError("t_back must be nonnegative")
-    span_steps(-t_back, 0.0, dt)  # library grid must contain t = 0
-    return make_group(model, initials, -t_back, horizon, dt)
+    skip = span_steps(-t_back, 0.0, dt)  # library grid must contain t = 0
+    group = make_group(model, initials, -t_back, horizon, dt)
+    if group.n_steps < skip:
+        raise StepMismatch(f"horizon={horizon} precedes t = 0")
+    return group._replace(t0=0.0, skip=skip)
 
 
 def complete_surrogates(
@@ -275,7 +345,8 @@ def complete_surrogates(
 
     Members start at t = -t_back so that by t = 0 the transient from the
     seeded initial data has decayed; their restrictions to [0, horizon]
-    stand in for restrictions of complete trajectories.
+    stand in for restrictions of complete trajectories. Only those are kept:
+    the library's t0 is 0, and the transient is stepped but never stored.
     """
     return integrate_groups(model, [surrogate_group(model, initials, t_back, horizon, dt)])[0]
 

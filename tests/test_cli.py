@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -536,13 +537,13 @@ LIBRARY_CHECKS = ("tracking", "quasi_invariance", "maximal_invariant")
 def _passes(monkeypatch):
     # record the member count of every group of every integration pass
     passes = []
-    original = cli.integrate_groups
+    original = cli.integrate_pass
 
-    def counting(spec, groups):
+    def counting(spec, groups, then=None):
         passes.append([g.initials.shape[0] for g in groups])
-        return original(spec, groups)
+        return original(spec, groups, then)
 
-    monkeypatch.setattr(cli, "integrate_groups", counting)
+    monkeypatch.setattr(cli, "integrate_pass", counting)
     return passes
 
 
@@ -555,14 +556,14 @@ def _fused_and_separate(tmp_path, monkeypatch, payload):
     written = {}
     for side in ("fused", "separate"):
         if side == "separate":
-            original = cli.integrate_groups
+            original = cli.integrate_pass
 
-            def refusing(spec, groups):
+            def refusing(spec, groups, then=None):
                 if len(groups) > 1:
                     raise NonFiniteState("forced blow-up of the fused pass")
-                return original(spec, groups)
+                return original(spec, groups, then)
 
-            monkeypatch.setattr(cli, "integrate_groups", refusing)
+            monkeypatch.setattr(cli, "integrate_pass", refusing)
         (tmp_path / side).mkdir()
         code, out = _run(tmp_path / side, "verify", payload)
         written[side] = (code, [(out / f).read_bytes() for f in FIVE[:4]])
@@ -778,8 +779,29 @@ def test_an_L_too_small_to_scale_is_a_config_error(kind, forced, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-# The trajectory writer: a forked child formats the second part of the
-# members while this process runs the checks.
+@pytest.mark.parametrize("L", [1e-120, 1e-77, 1e76, 1e300])
+def test_an_L_whose_sampling_or_radius_leaves_the_floats_is_a_config_error(L, tmp_path, capsys):
+    # each of these ran and exited 1 with a NonFiniteState record after numpy
+    # overflow or divide-by-zero warnings
+    model = {"kind": "galerkin_nse_2d", "truncation": 2, "L": L}
+    model["forcing"] = [{"mode": [1, 0], "amplitude": 0.1}]
+    cfg = dict(TOY, model=model, output_dir=str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", _write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "model.L" in captured.err
+    assert not (tmp_path / "out").exists()
+    # just inside the bounds the run is clean
+    for inside in (1e-75, 9.9e75):
+        model["L"] = inside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", _write_cfg(tmp_path, cfg)]) == 0
+
+
+# The split pass: a forked child steps a block of the run's members, then
+# formats their lines of trajectories.csv while this process runs the checks.
 
 _WRITER = dict(NSE2, horizon=1.0, checks=[{"name": "energy"}, {"name": "compactness"}])
 
@@ -793,18 +815,26 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _force_lanes(monkeypatch, lanes):
-    """Fix the lane count of every fork; record what each writer fork returned."""
-    writers = []
-    fork_writer = cli._fork_writer
+def _forking(monkeypatch, fork):
+    """Let every pass fork or not; record each run pass's tail and count this
+    process's forks."""
+    tails, forks = [], []
+    integrate, fork = cli.integrate_pass, os.fork
 
-    def recorded(*args):
-        writers.append(fork_writer(*args))
-        return writers[-1]
+    def recorded(spec, groups, then=None):
+        paths, tail = integrate(spec, groups, then)
+        if then is not None:
+            tails.append(tail)
+        return paths, tail
 
-    monkeypatch.setattr(core, "_lane_count", lambda rows: min(lanes, rows))
-    monkeypatch.setattr(cli, "_fork_writer", recorded)
-    return writers
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(core, "_can_fork", lambda: fork)
+    monkeypatch.setattr(cli, "integrate_pass", recorded)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return tails, forks
 
 
 def _writer_run(tmp_path, name, payload, sub="verify"):
@@ -817,17 +847,18 @@ def _writer_run(tmp_path, name, payload, sub="verify"):
     return code, {f: (out / f).read_bytes() for f in FIVE[:4]}
 
 
-@pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("members", [4, 5])
-def test_trajectories_have_the_bytes_of_one_lane(members, stride, tmp_path, monkeypatch):
-    payload = dict(_WRITER, ensemble_size=members, save_stride=stride)
-    _force_lanes(monkeypatch, 1)
+_RUN_HEAVY = dict(NSE2, ensemble_size=16, library={"size": 2, "t_back": 1.0, "horizon": 4.0})
+
+
+def _the_bytes_of_one_process(tmp_path, monkeypatch, payload, h):
+    _forking(monkeypatch, False)
     one = _writer_run(tmp_path, "one", payload)
     monkeypatch.undo()
-    writers = _force_lanes(monkeypatch, 2)
+    tails, forks = _forking(monkeypatch, True)
     two = _writer_run(tmp_path, "two", payload)
-    # the child formatted members [h, n)
-    assert len(writers) == 1 and writers[0][2] == members // 2
+    # one fork for the run; its child stepped and formatted members [h, n)
+    assert len(forks) == 1 and [t.members for t in tails] == [range(h, payload["ensemble_size"])]
+
     def no_descriptor(name):
         raise OSError(24, "Too many open files")
 
@@ -835,17 +866,41 @@ def test_trajectories_have_the_bytes_of_one_lane(members, stride, tmp_path, monk
     memfd_fails = _writer_run(tmp_path, "memfd_fails", payload)
     monkeypatch.delattr(os, "memfd_create")
     no_memfd = _writer_run(tmp_path, "no_memfd", payload)
-    assert writers[1:] == [None, None]  # no memfd, no writer child
+    # no memfd: the child only integrates, and this process formats every member
+    assert len(tails) == 1 and len(forks) == 3
     assert one == two == memfd_fails == no_memfd
     lines = one[1]["trajectories.csv"].decode().splitlines()
-    assert len(lines) == 1 + members * len(range(0, 51, stride))
+    samples = range(0, round(payload["horizon"] / payload["dt"]) + 1, payload.get("save_stride", 1))
+    assert len(lines) == 1 + payload["ensemble_size"] * len(samples)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("members", [4, 5])
+def test_trajectories_have_the_bytes_of_one_lane(members, stride, tmp_path, monkeypatch):
+    # the run alone: the child steps and formats members [n // 2, n)
+    payload = dict(_WRITER, ensemble_size=members, save_stride=stride)
+    _the_bytes_of_one_process(tmp_path, monkeypatch, payload, members // 2)
+
+
+@pytest.mark.parametrize(
+    "payload, h",
+    [
+        # the run, the library and a norms group: the child takes the whole run
+        (dict(_WRITER, checks=[{"name": "tracking"}, {"name": "absorbing", "n_samples": 4}]), 0),
+        # 16 x 200 run steps against 500 library steps: h = ceil(2700 / 400)
+        (dict(_RUN_HEAVY, checks=[{"name": "tracking"}]), 7),
+    ],
+    ids=["h0", "uneven"],
+)
+def test_a_run_with_other_groups_has_the_bytes_of_one_process(payload, h, tmp_path, monkeypatch):
+    _the_bytes_of_one_process(tmp_path, monkeypatch, payload, h)
 
 
 def test_a_one_member_run_never_forks(tmp_path, monkeypatch):
     def no_fork():
         raise AssertionError("a one-member run forked")
 
-    _force_lanes(monkeypatch, 2)
+    _forking(monkeypatch, True)
     monkeypatch.setattr(os, "fork", no_fork)
     code, files = _writer_run(tmp_path, "one", dict(_WRITER, ensemble_size=1), "simulate")
     assert code == 0
@@ -854,25 +909,36 @@ def test_a_one_member_run_never_forks(tmp_path, monkeypatch):
 
 def test_a_failing_writer_child_leaves_the_same_bytes(tmp_path, monkeypatch):
     payload = dict(_WRITER, ensemble_size=5, save_stride=3)
-    _force_lanes(monkeypatch, 2)
+    tails, _ = _forking(monkeypatch, True)
     good = _writer_run(tmp_path, "good", payload)
-    parent, write_members = os.getpid(), cli._write_members
+    parent, write_members, step = os.getpid(), cli._write_members, core._step
 
     def failing_in_the_child(*args):
         if os.getpid() != parent:
             raise OSError("the child's formatter failed")
         return write_members(*args)
 
-    joined, join_lane = [], cli.join_lane
+    def dying_in_the_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return step(*args)
 
-    def recorded_join(*args):
-        joined.append(join_lane(*args))
+    joined, join = [], core.Tail.join
+
+    def recorded_join(tail, finished=True):
+        joined.append(join(tail, finished))
         return joined[-1]
 
-    monkeypatch.setattr(cli, "join_lane", recorded_join)
+    monkeypatch.setattr(core.Tail, "join", recorded_join)
+    # the child dies before its byte: this process steps and formats its members
+    monkeypatch.setattr(core, "_step", dying_in_the_child)
+    assert _writer_run(tmp_path, "dead", payload) == good
+    assert tails[1:] == [None] and joined == [False]
+    monkeypatch.setattr(core, "_step", step)
+    # the child fails after its byte: this process formats its members
     monkeypatch.setattr(cli, "_write_members", failing_in_the_child)
     assert _writer_run(tmp_path, "bad", payload) == good
-    assert joined == [False]
+    assert tails[2] is not None and joined == [False, False]
     # a short or failed copy is written over and redone here
     monkeypatch.setattr(cli, "_write_members", write_members)
     sendfile = os.sendfile
@@ -886,36 +952,36 @@ def test_a_failing_writer_child_leaves_the_same_bytes(tmp_path, monkeypatch):
     for name, copy in (("short", short_copy), ("failed", failed_copy)):
         monkeypatch.setattr(os, "sendfile", copy)
         assert _writer_run(tmp_path, name, payload) == good
-    assert joined == [False, True, True]
+    assert joined == [False, False, True, True]
 
 
 def test_a_check_that_raises_after_the_fork_writes_nothing(tmp_path, monkeypatch):
     def raising(cfg, chk, ctx):
         raise RuntimeError("check crashed")
 
-    writers = _force_lanes(monkeypatch, 2)
+    tails, forks = _forking(monkeypatch, True)
     monkeypatch.setitem(cli._CHECKS, "energy", (raising, cli._CHECKS["energy"][1]))
     fds = _open_fds()
     with pytest.raises(RuntimeError, match="check crashed"):
         _run(tmp_path, "verify", _WRITER)
-    assert writers[0] is not None  # the writer child had been forked
+    assert tails[0] is not None and len(forks) == 1  # the child had been forked
     _no_child_left()
     assert _open_fds() == fds
     assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_the_writer_child_never_flushes_inherited_stdio(tmp_path):
-    # text buffered on both streams before the run is printed once, as in one lane
+    # text buffered on both streams before the run is printed once, as with no fork
     cfg = _write_cfg(tmp_path, dict(_WRITER, output_dir=str(tmp_path / "out")))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     printed = []
-    for lanes in (1, 2):
+    for fork in (False, True):
         script = (
             "import sys\n"
             "import attractorlab.core as core\n"
             "import attractorlab.cli as cli\n"
-            f"core._lane_count = lambda rows: min({lanes}, rows)\n"
+            f"core._can_fork = lambda: {fork}\n"
             "print('before', end=' ')\n"
             "sys.stderr.write('before ')\n"
             f"code = cli.main(['verify', '--config', {cfg!r}])\n"

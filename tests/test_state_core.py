@@ -37,6 +37,13 @@ from attractorlab.models import (
 from attractorlab.state import Ensemble, grid_index, span_steps
 
 TOY = make_spec("toy_contraction", truncation=4)
+_KICK = [{"mode": [1, 0], "amplitude": 0.1}]
+_NSE4 = make_spec(
+    "galerkin_nse_2d",
+    nu=1.0,
+    truncation=4,
+    forcing=nse_forcing("galerkin_nse_2d", 2 * np.pi, 4, _KICK),
+)
 
 
 def test_grid_index_snaps_and_rejects():
@@ -232,12 +239,23 @@ def test_translate_restrict_rebase():
 
 def test_complete_surrogates_contains_zero():
     lib = complete_surrogates(TOY, np.eye(4), t_back=2.0, horizon=1.0, dt=0.1)
-    assert lib.t0 == -2.0
-    assert lib.index_of(0.0) == 20
+    assert lib.t0 == 0.0 and lib.n_samples == 11
+    assert lib.index_of(0.0) == 0
     fwd = forward_ensemble(lib)
     assert fwd.t0 == 0.0 and fwd.t_end == 1.0
     with pytest.raises(StepMismatch):
         complete_surrogates(TOY, np.eye(4), t_back=0.25, horizon=1.0, dt=0.1)
+    with pytest.raises(StepMismatch):
+        surrogate_group(TOY, np.eye(4), t_back=2.0, horizon=-1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("t_back", [0.0, 0.3, 1.0])
+def test_complete_surrogates_are_the_forward_part_of_a_full_integration(t_back):
+    initials = sample_ball(_NSE4, 3, radius=default_radius(_NSE4), seed=8)
+    full = build_ensemble(_NSE4, initials, -t_back, 0.5, 0.02)
+    lib = complete_surrogates(_NSE4, initials, t_back, 0.5, 0.02)
+    assert np.array_equal(lib.samples, full.samples[:, full.index_of(0.0) :])
+    assert lib.t0 == 0.0 and lib.t_end == 0.5 and not lib.samples.flags.writeable
 
 
 def test_deterministic_rerun_bitwise():
@@ -246,9 +264,6 @@ def test_deterministic_rerun_bitwise():
     a = build_ensemble(spec, initials, 0.0, 1.0, 0.02)
     b = build_ensemble(spec, sample_ball(spec, 3, radius=0.5, seed=77), 0.0, 1.0, 0.02)
     assert np.array_equal(a.samples, b.samples)
-
-
-_KICK = [{"mode": [1, 0], "amplitude": 0.1}]
 
 
 @pytest.mark.parametrize(
@@ -280,7 +295,7 @@ def test_fused_pass_matches_one_build_per_group_bitwise(spec):
         assert np.array_equal(ens.samples, alone.samples)
         assert not ens.samples.flags.writeable
     lib = complete_surrogates(spec, ini[9:12], t_back=0.6, horizon=0.6, dt=dt)
-    assert fused[4].t0 == -0.6 and np.array_equal(fused[4].samples, lib.samples)
+    assert fused[4].t0 == 0.0 and np.array_equal(fused[4].samples, lib.samples)
     members = build_ensemble(spec, ini[12:14], 0.0, 0.7, dt).samples
     norms = np.array([np.linalg.norm(member, axis=1) for member in members])
     assert fused[5].shape == (2, 36) and np.array_equal(fused[5], norms)
@@ -293,21 +308,21 @@ def test_fused_pass_needs_one_dt():
     assert integrate_groups(TOY, []) == []
 
 
-def _lanes(monkeypatch, lanes):
-    """Fix the lane count of every pass; record this process's forks and the
-    rows of each _ifrk4_path call it makes (a forked child records nothing here)."""
+def _forking(monkeypatch, fork):
+    """Let every pass fork or not; record this process's forks and the rows of
+    each _ifrk4_path call it makes (a forked child records nothing here)."""
     seen = {"forks": 0, "rows": []}
-    fork, path = os.fork, core._ifrk4_path
+    os_fork, path = os.fork, core._ifrk4_path
 
     def counted_fork():
         seen["forks"] += 1
-        return fork()
+        return os_fork()
 
     def counted_path(spec, u0, *rest):
         seen["rows"].append(len(u0))
         return path(spec, u0, *rest)
 
-    monkeypatch.setattr(core, "_lane_count", lambda rows: min(lanes, rows))
+    monkeypatch.setattr(core, "_can_fork", lambda: fork)
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(core, "_ifrk4_path", counted_path)
     return seen
@@ -318,59 +333,124 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _split_groups(case: str) -> list:
+    """The groups of a pass whose child steps members [h, n) of the first."""
+    ini = sample_ball(_NSE4, 9, radius=default_radius(_NSE4), seed=4)
+    dt = 0.02
+    if case == "lone odd":  # h = n // 2 = 2
+        return [make_group(_NSE4, ini[:5], 0.0, 1.0, dt)]
+    # 8 x 50 run steps against 150 library steps: h = ceil(250 / 100) = 3
+    return [
+        make_group(_NSE4, ini[:8], 0.0, 1.0, dt),
+        surrogate_group(_NSE4, ini[8:9], t_back=2.0, horizon=1.0, dt=dt),
+    ]
+
+
+def _one_fork_and_the_bits_of_one_process(monkeypatch, spec, groups, h):
+    """Each pass forks once, its child steps members [h, n) of the first group,
+    and every path has the bits of the pass that does not fork."""
+    n, rows = len(groups[0].initials), sum(len(g.initials) for g in groups)
+    passes = {}
+    for fork in (False, True):
+        seen = _forking(monkeypatch, fork)
+        assert core._split(groups) == (h if fork else n)
+        passes[fork] = integrate_groups(spec, groups)
+        assert seen == {"forks": int(fork), "rows": [rows - (n - h) if fork else rows]}
+        _no_child_left()
+        monkeypatch.undo()
+    for one, two in zip(passes[False], passes[True]):
+        one, two = (getattr(x, "samples", x) for x in (one, two))
+        assert np.array_equal(one, two)
+        assert not two.flags.writeable
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [
-        make_spec(
-            "galerkin_nse_2d",
-            nu=1.0,
-            truncation=4,
-            forcing=nse_forcing("galerkin_nse_2d", 2 * np.pi, 4, _KICK),
-        ),
-        make_spec("dyadic", nu=0.5, truncation=6, lam=2.0),
-    ],
-    ids=["nse2d", "dyadic"],
+    "spec", [_NSE4, make_spec("dyadic", nu=0.5, truncation=6, lam=2.0)], ids=["nse2d", "dyadic"]
 )
 def test_two_lanes_give_the_bits_of_one(spec, monkeypatch):
-    # the groups of test_fused_pass_matches_one_build_per_group_bitwise
+    # the groups of test_fused_pass_matches_one_build_per_group_bitwise: the
+    # first's 3 x 50 member-steps against 355 others, so the child takes all 3
     dt = 0.02
     ini = sample_ball(spec, 14, radius=default_radius(spec), seed=4)
     spans = [(ini[0:3], 0.0, 1.0), (ini[3:5], 0.0, 0.4), (ini[5:6], 0.0, 1.0), (ini[6:9], 0.0, 0.1)]
     groups = [make_group(spec, rows, t0, t1, dt) for rows, t0, t1 in spans]
     groups.append(surrogate_group(spec, ini[9:12], t_back=0.6, horizon=0.6, dt=dt))
     groups.append(make_group(spec, ini[12:14], 0.0, 0.7, dt, norms=True))
-    passes = {}
-    for lanes in (1, 2):
-        seen = _lanes(monkeypatch, lanes)
-        passes[lanes] = integrate_groups(spec, groups)
-        # with two lanes, this process steps 7 of the 14 rows and no rerun follows
-        assert seen == {"forks": lanes - 1, "rows": [14 // lanes]}
-        _no_child_left()
-        monkeypatch.undo()
-    for one, two in zip(passes[1], passes[2]):
-        one, two = (getattr(x, "samples", x) for x in (one, two))
-        assert np.array_equal(one, two)
-        assert not two.flags.writeable
+    _one_fork_and_the_bits_of_one_process(monkeypatch, spec, groups, 0)
+
+
+@pytest.mark.parametrize("case, h", [("lone odd", 2), ("run heavier than the library", 3)])
+def test_the_split_gives_the_bits_of_one_process(case, h, monkeypatch):
+    _one_fork_and_the_bits_of_one_process(monkeypatch, _NSE4, _split_groups(case), h)
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_a_child_that_dies_around_its_byte_leaves_the_same_bits(when, monkeypatch):
+    groups = _split_groups("run heavier than the library")
+    seen = _forking(monkeypatch, False)
+    alone = integrate_groups(_NSE4, groups)
+    monkeypatch.undo()
+    seen = _forking(monkeypatch, True)
+    parent, step = os.getpid(), core._step
+
+    def dying_before_its_byte(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return step(*args)
+
+    def dying_after_its_byte(ensemble, members):
+        os._exit(3)
+
+    if when == "before":
+        monkeypatch.setattr(core, "_step", dying_before_its_byte)
+        paths, tail = core.integrate_pass(_NSE4, groups, dying_after_its_byte)
+        # this process stepped its own rows, then the child's 5
+        assert tail is None and seen["rows"] == [4, 5]
+    else:
+        paths, tail = core.integrate_pass(_NSE4, groups, dying_after_its_byte)
+        assert tail.members == range(3, 8) and seen["rows"] == [4]
+        assert tail.join() is False
+    _no_child_left()
+    for one, two in zip(alone, paths):
+        assert np.array_equal(one.samples, two.samples)
+
+
+def test_a_tail_runs_then_on_the_childs_members(tmp_path, monkeypatch):
+    groups = _split_groups("lone odd")
+    _forking(monkeypatch, True)
+    out = tmp_path / "members.txt"
+
+    def then(ensemble, members):
+        out.write_text(repr((list(members), ensemble.samples[members.start :].tobytes().hex())))
+
+    paths, tail = core.integrate_pass(_NSE4, groups, then)
+    assert tail.members == range(2, 5) and tail.join() is True
+    _no_child_left()
+    assert out.read_text() == repr(([2, 3, 4], paths[0].samples[2:].tobytes().hex()))
+    # without then the child leaves once its rows are stored
+    assert core.integrate_pass(_NSE4, groups)[1] is None
+    _no_child_left()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("huge_row", [0, 1], ids=["lane0", "lane1"])
 def test_a_failing_lane_reruns_the_pass_here(huge_row, monkeypatch):
-    # row 0 goes to this process, row 1 to the child; one of them overflows
-    spec = make_spec("dyadic", nu=1e-12, truncation=10, lam=2.0)
+    # a lone two-row group: row 0 stays here, row 1 goes to the child
+    spec = make_spec("dyadic", nu=1.0, truncation=10, lam=2.0)
     initials = np.full((2, 11), 0.1)
     initials[huge_row] = 1e20
     messages = []
-    for lanes in (1, 2):
-        seen = _lanes(monkeypatch, lanes)
+    for fork in (False, True):
+        seen = _forking(monkeypatch, fork)
         with pytest.raises(NonFiniteState) as err:
             build_ensemble(spec, initials, 0.0, 1.0, 0.1)
         messages.append(str(err.value))
         _no_child_left()
-        # with two lanes: lane 0 here, then the whole pass again
-        assert seen["rows"] == ([2] if lanes == 1 else [1, 2])
+        # here: row 0 fails, the child is killed and both rows run again;
+        # child: it fails before its byte and its row runs here
+        assert seen["rows"] == ([2] if not fork else [1, 2] if huge_row == 0 else [1, 1])
         monkeypatch.undo()
-    assert messages[0] == messages[1] and messages[0].startswith("integration blew up at step")
+    assert messages[0] == messages[1] == "integration blew up at step 1"
 
 
 def test_a_one_row_pass_never_forks(monkeypatch):

@@ -14,9 +14,9 @@ directory. Wall time is launch to exit; peak RSS is ``ru_maxrss`` from
 ``os.wait4``, which on Linux is the larger of the process's own peak and
 that of the children it reaped.
 
-Prints, per workload, the median wall time and peak RSS of each side, the
-median and quartiles over pairs of the ratio change / parent of wall time,
-the pairs the change won, and the exit codes seen. Exits 1 if the two runs
+Prints, per workload, the median wall time and peak RSS of each side, and
+for each of the two the median and quartiles over pairs of the ratio
+change / parent and the pairs the change won; then the exit codes seen. Exits 1 if the two runs
 of some pair exit differently; 0 otherwise.
 """
 from __future__ import annotations
@@ -75,23 +75,19 @@ def main(argv: list[str]) -> int:
             for side in order:
                 runs[side].append(_run(sides[side], name, seed))
             mismatched += runs["parent"][-1][2] != runs["change"][-1][2]
-        wall = {side: np.array([r[0] for r in runs[side]]) for side in sides}
-        rss = {side: np.array([r[1] for r in runs[side]]) for side in sides}
-        ratio = wall["change"] / wall["parent"]
-        q1, med, q3 = np.percentile(ratio, [25, 50, 75])
         print(f"{name}: {pairs} pairs")
-        print(
-            f"  wall_s median: parent {np.median(wall['parent']):.3f},"
-            f" change {np.median(wall['change']):.3f}"
-        )
-        print(
-            f"  change/parent per pair: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f},"
-            f" change faster in {int((ratio < 1.0).sum())}/{pairs}"
-        )
-        print(
-            f"  peak_rss_mb median: parent {np.median(rss['parent']):.2f},"
-            f" change {np.median(rss['change']):.2f}"
-        )
+        for col, metric, won in ((0, "wall_s", "faster"), (1, "peak_rss_mb", "lower")):
+            values = {side: np.array([r[col] for r in runs[side]]) for side in sides}
+            ratio = values["change"] / values["parent"]
+            q1, med, q3 = np.percentile(ratio, [25, 50, 75])
+            print(
+                f"  {metric} median: parent {np.median(values['parent']):.3f},"
+                f" change {np.median(values['change']):.3f}"
+            )
+            print(
+                f"  {metric} change/parent per pair: median {med:.3f},"
+                f" quartiles {q1:.3f}-{q3:.3f}, change {won} in {int((ratio < 1.0).sum())}/{pairs}"
+            )
         codes = {side: sorted({r[2] for r in runs[side]}) for side in sides}
         print(f"  exit codes: parent {codes['parent']}, change {codes['change']}")
     print(f"{mismatched} pair(s) with different exit codes")
