@@ -255,7 +255,7 @@ def _build_spec(mc: dict) -> ModelSpec:
             else:
                 forcing = dyadic_forcing(mc["truncation"], mc["forcing"])
         return make_spec(kind, mc["nu"], mc["L"], mc["truncation"], mc["lambda"], forcing)
-    except (ValueError, NonFiniteState) as exc:
+    except (ValueError, NonFiniteState, MemoryError) as exc:
         raise ConfigInvalid(f"model: {exc}")
 
 
@@ -762,8 +762,10 @@ def run(subcommand: str, cfg: dict) -> int:
             elif subcommand == "verify":
                 reports = _run_checks(ctx)
             exit_code = _status_exit(reports)
-        except (AttractorLabError, ValueError) as exc:
-            error_record = {"type": type(exc).__name__, "message": str(exc)}
+        except (AttractorLabError, ValueError, MemoryError) as exc:
+            # numpy raises a private subclass of MemoryError; record the public name
+            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            error_record = {"type": name, "message": str(exc)}
             exit_code = 1
         ctx = None  # the writers need only the run's ensemble: free the rest first
         if ensemble is not None:

@@ -149,9 +149,14 @@ def _can_fork() -> bool:
 
 
 def _shared_empty(shape: tuple) -> np.ndarray:
-    """An uninitialised float array in an anonymous mapping that a forked child shares."""
+    """An uninitialised float array in an anonymous mapping that a forked child shares;
+    MemoryError, naming the shape, if the mapping cannot be made."""
     size = int(np.prod(shape))
-    return np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), float, count=size).reshape(shape)
+    try:
+        buf = mmap.mmap(-1, max(8 * size, 1))
+    except OSError as exc:
+        raise MemoryError(f"cannot map a shared float array of shape {shape}: {exc.strerror}")
+    return np.frombuffer(buf, float, count=size).reshape(shape)
 
 
 class Tail(NamedTuple):

@@ -126,9 +126,10 @@ def mode_table(spec: ModelSpec) -> ModeTable:
 
 
 def release_workspace(spec: ModelSpec) -> None:
-    """Free the self-advection buffers of spec's mode table; the next call regrows them."""
+    """Free the advection buffer pair of spec's mode table, at most max(2^16, P)
+    entries each, for the writers that follow a pass; the next call regrows it."""
     if spec.kind in NSE_KINDS:
-        mode_table(spec).sym_work[:] = [np.empty(0, complex)] * 2
+        mode_table(spec).work[:] = [np.empty(0, complex)] * 2
 
 
 def _cached(spec: ModelSpec, name: str, build) -> np.ndarray:
@@ -355,16 +356,8 @@ def rhs_jacobian(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
         jac[rows, rows - 1] += 2.0 * lam_n[1:] * u[:-1]
         jac[rows - 1, rows] += -spec.lam * lam_n[:-1] * u[:-1]
         return jac
-    table = mode_table(spec)
-    jac = -np.diag(linear_rates(spec))
-    eye = np.eye(dim)
-    chunk = 64
-    for lo in range(0, dim, chunk):
-        cols = eye[lo : lo + chunk]
-        u_rep = np.broadcast_to(u, cols.shape)
-        block = advect(table, u_rep, cols) + advect(table, cols, u_rep)
-        jac[:, lo : lo + chunk] -= block.T
-    return jac
+    table, eye = mode_table(spec), np.eye(dim)
+    return -np.diag(linear_rates(spec)) - (advect(table, u, eye) + advect(table, eye, u)).T
 
 
 def steady_state(spec: ModelSpec) -> np.ndarray:

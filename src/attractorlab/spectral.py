@@ -20,12 +20,16 @@ so the geometry lives in one precomputed real coefficient per (pair, tangent
 combination), stored once as the complex C + 0j that the complex multiply
 would cast it to, and evaluation is scalar complex multiply-adds over a table
 pre-sorted by output channel (fixed reduction order, identical for single and
-batched calls). The self-advection B(u, u) of every time step runs over a
-symmetric table: entries (k1, k2) and (k2, k1) of one output channel multiply
-the same psi_{k1} psi_{k2}, so one entry with coefficient C12 + C21 does the
-work of both (Lorenz 1960; Kraichnan 1959). It gathers from the complex view
-x + i y of the coordinates into one buffer pair per table and process, reused
-across calls and freed after each integration pass (not reentrant).
+batched calls). B(u, v) runs over the ordered table; the self-advection
+B(u, u) of every time step over a symmetric one, since entries (k1, k2) and
+(k2, k1) of one output channel multiply the same psi_{k1} psi_{k2}, and one
+entry with coefficient C12 + C21 does the work of both (Lorenz 1960;
+Kraichnan 1959). One kernel, _contract, serves both tables. It gathers from
+the complex view x + i y of the coordinates and takes a batch in slices of
+whole rows, so that its one buffer pair per table and process holds at most
+max(_WORK_ENTRIES, P) entries each, whatever the batch (Lam, Rothberg & Wolf,
+ASPLOS 1991); the pair is reused across calls and freed after each
+integration pass (not reentrant).
 """
 from __future__ import annotations
 
@@ -59,8 +63,8 @@ class ModeTable:
     sym_coeff: np.ndarray    # (P_sym,) complex, C12 + C21 + 0j
     sym_offsets: np.ndarray  # (n_channels,) segment starts in the symmetric entries
     conv_factor: complex     # i (2 pi / L) L^{-d/2}
-    # flat buffer pair of advect_self, grown to the largest P_sym * B seen
-    sym_work: list = field(default_factory=lambda: [np.empty(0, complex)] * 2, repr=False)
+    # flat buffer pair of _contract, at most max(_WORK_ENTRIES, P) entries each
+    work: list = field(default_factory=lambda: [np.empty(0, complex)] * 2, repr=False)
 
     @property
     def n_half(self) -> int:
@@ -209,76 +213,66 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
     )
 
 
-def coords_to_scalars(table: ModeTable, coords: np.ndarray) -> np.ndarray:
-    """Real coords (..., dim) -> tangent scalars psi (..., n_channels)."""
-    shape = coords.shape[:-1]
-    z = coords.reshape(shape + (table.n_channels, 2))
-    return (z[..., 0] - 1j * z[..., 1]) / np.sqrt(2.0)
+def _full_view(table: ModeTable, coords: np.ndarray) -> np.ndarray:
+    """Coords (..., dim) -> [z, conj z], (rows, 2 n_channels) complex."""
+    z = np.ascontiguousarray(coords, dtype=float).reshape(-1, table.dim).view(complex)
+    return np.concatenate([z, np.conj(z)], axis=1)
 
 
-def scalars_to_coords(table: ModeTable, psi: np.ndarray) -> np.ndarray:
-    """Tangent scalars (..., n_channels) -> real coords (..., dim)."""
-    out = np.empty(psi.shape[:-1] + (table.n_channels, 2))
-    out[..., 0] = np.sqrt(2.0) * psi.real
-    out[..., 1] = -np.sqrt(2.0) * psi.imag
-    return out.reshape(psi.shape[:-1] + (table.dim,))
+# A batch is contracted in slices of whole rows that hold at most this many
+# table entries (one row at least): 1 MiB per complex buffer, so the pair fits a
+# 2 MiB L2 cache. Rows never mix, so a slice gives the bits of the whole batch.
+_WORK_ENTRIES = 1 << 16
 
 
-# The second operand is gathered in blocks of at most this many complex
-# entries. Two full (P, B) temporaries made glibc trim and re-fault them on
-# every large-batch call (about 350 minor page faults per call at B=32).
-_GATHER_ENTRIES = 1 << 14
+def _contract(table, in1, in2, coeff, offsets, u, v) -> np.ndarray:
+    """Channel sums of coeff * w_u[in1] * w_v[in2] over sorted entries, in coordinates.
 
-
-def _full_scalars(table: ModeTable, coords: np.ndarray) -> np.ndarray:
-    """Coords (B, dim) or (dim,) -> full-channel scalars [psi; conj psi], (2 n_channels, B)."""
-    psi = coords_to_scalars(table, np.atleast_2d(coords)).T
-    return np.concatenate([psi, np.conj(psi)], axis=0)
+    w = [z, conj z] is an operand's full-channel complex view, z = x + i y =
+    sqrt 2 conj(psi). With real coefficients and an imaginary conv_factor,
+    -conv_factor / sqrt 2 times the channel sums is the complex view of the
+    result. Operands (..., dim) broadcast over their leading axes; the result
+    has their shape and does not alias the table's buffers.
+    """
+    if v is not u:
+        u, v = np.broadcast_arrays(u, v)
+    full_u = _full_view(table, u)
+    full_v = full_u if v is u else _full_view(table, v)
+    n, p = full_u.shape[0], in1.size
+    rows = max(1, min(n, _WORK_ENTRIES // p))
+    work = table.work
+    if work[0].size < rows * p:
+        work[:] = [np.empty(rows * p, complex), np.empty(rows * p, complex)]
+    out = np.empty((n, table.n_channels), complex)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        a = work[0][: (hi - lo) * p].reshape(hi - lo, p)
+        b = work[1][: (hi - lo) * p].reshape(hi - lo, p)
+        # mode="wrap" writes straight into a and b (indices are in range);
+        # "raise" would buffer a copy
+        np.take(full_u[lo:hi], in1, axis=1, out=a, mode="wrap")
+        np.take(full_v[lo:hi], in2, axis=1, out=b, mode="wrap")
+        np.multiply(a, b, out=a)
+        np.multiply(a, coeff, out=a)
+        # one segment per output channel, in channel order (checked at build)
+        np.add.reduceat(a, offsets, axis=1, out=out[lo:hi])
+    out *= -table.conv_factor / np.sqrt(2.0)
+    return out.view(float).reshape(u.shape)
 
 
 def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.ndarray:
     """Leray-projected advection B(u, v) = P_sigma(u . grad v) in coordinates.
 
-    Accepts (B, dim) batches or single (dim,) vectors. When v_coords is
-    u_coords, the operand is converted once and gathered twice.
+    Runs over the ordered table. Operands (..., dim) broadcast over their
+    leading axes; when v_coords is u_coords, it is viewed once.
     """
-    single = u_coords.ndim == 1
-    full_u = _full_scalars(table, u_coords)
-    full_v = full_u if v_coords is u_coords else _full_scalars(table, v_coords)
-    contrib = np.take(full_u, table.ch_in1, axis=0)
-    contrib *= table.ch_coeff[:, None]
-    rows = max(1, _GATHER_ENTRIES // contrib.shape[1])
-    for lo in range(0, contrib.shape[0], rows):
-        contrib[lo : lo + rows] *= np.take(full_v, table.ch_in2[lo : lo + rows], axis=0)
-    # one segment per output channel, in channel order (checked at build)
-    seg = np.add.reduceat(contrib, table.ch_offsets, axis=0)  # (n_channels, B)
-    out = scalars_to_coords(table, (table.conv_factor * seg).T)
-    return out[0] if single else out
+    return _contract(
+        table, table.ch_in1, table.ch_in2, table.ch_coeff, table.ch_offsets, u_coords, v_coords
+    )
 
 
 def advect_self(table: ModeTable, u_coords: np.ndarray) -> np.ndarray:
-    """Self-advection B(u, u) over the symmetric table, shaped like advect(table, u, u).
-
-    Gathers from z = x + i y = sqrt 2 conj(psi); with real coefficients and
-    an imaginary conv_factor, -conv_factor / sqrt 2 times the channel sums is
-    the complex view of the result. The gathers and products fill the
-    table's reused buffer pair, viewed as (B, P_sym) so that the per-entry
-    coefficient multiplies contiguous rows; a call allocates nothing of that
-    size, and the result does not alias it.
-    """
-    z = np.ascontiguousarray(np.atleast_2d(u_coords), dtype=float).view(complex)
-    full = np.concatenate([z, np.conj(z)], axis=1)  # (B, 2 n_channels)
-    batch, p = full.shape[0], table.sym_in1.size
-    work = table.sym_work
-    if work[0].size < batch * p:
-        work[:] = [np.empty(batch * p, complex), np.empty(batch * p, complex)]
-    a, b = (w[: batch * p].reshape(batch, p) for w in work)
-    # mode="wrap" writes straight into out (indices are in range); "raise" would buffer a copy
-    np.take(full, table.sym_in1, axis=1, out=a, mode="wrap")
-    np.take(full, table.sym_in2, axis=1, out=b, mode="wrap")
-    np.multiply(a, b, out=a)
-    np.multiply(a, table.sym_coeff, out=a)
-    seg = np.add.reduceat(a, table.sym_offsets, axis=1)  # (B, n_channels)
-    seg *= -table.conv_factor / np.sqrt(2.0)
-    out = seg.view(float)
-    return out[0] if u_coords.ndim == 1 else out
+    """Self-advection B(u, u) over the symmetric table, shaped like advect(table, u, u)."""
+    return _contract(
+        table, table.sym_in1, table.sym_in2, table.sym_coeff, table.sym_offsets, u_coords, u_coords
+    )

@@ -4,14 +4,14 @@ Each oracle evaluates every sampled time, front to back, and then reads the
 verdict off the complete record: the definition of the report, with no
 early exit. The package scans backward and stops at the deciding violation;
 these scans stay slow on purpose and live only in the tests. The module also
-holds coords_to_modes, from which the physical-space advection oracle of
-test_spectral builds its fields.
+holds the tangent-scalar conversions and coords_to_modes, from which the
+physical-space advection oracle of test_spectral builds its fields.
 """
 import numpy as np
 
 from attractorlab.errors import GridMismatch, HorizonTooShort, NoMatch
 from attractorlab.metrics import strong_dist_arrays, tail_steps, window_dist, window_semidist
-from attractorlab.spectral import ModeTable, coords_to_scalars
+from attractorlab.spectral import ModeTable
 from attractorlab.trajectory_space import TrajectoryAttractionReport
 from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
 
@@ -111,6 +111,21 @@ def tracking_ladder_oracle(ensemble, library, m, window_T, eps_ladder):
         except NoMatch:
             out.append((float(eps), None))
     return tuple(out)
+
+
+def coords_to_scalars(table: ModeTable, coords: np.ndarray) -> np.ndarray:
+    """Real coords (..., dim) -> tangent scalars psi (..., n_channels)."""
+    shape = coords.shape[:-1]
+    z = coords.reshape(shape + (table.n_channels, 2))
+    return (z[..., 0] - 1j * z[..., 1]) / np.sqrt(2.0)
+
+
+def scalars_to_coords(table: ModeTable, psi: np.ndarray) -> np.ndarray:
+    """Tangent scalars (..., n_channels) -> real coords (..., dim)."""
+    out = np.empty(psi.shape[:-1] + (table.n_channels, 2))
+    out[..., 0] = np.sqrt(2.0) * psi.real
+    out[..., 1] = -np.sqrt(2.0) * psi.imag
+    return out.reshape(psi.shape[:-1] + (table.dim,))
 
 
 def coords_to_modes(table: ModeTable, coords: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from oracles import attraction_report_oracle
 
 import attractorlab.cli as cli
 import attractorlab.core as core
+import attractorlab.models as models
 from attractorlab.cli import load_config, main
 from attractorlab.errors import ConfigInvalid, NonFiniteState
 
@@ -146,6 +147,48 @@ def test_runtime_error_recorded_and_exit_one(tmp_path):
     assert code == 1
     reports = json.loads((out / "reports.json").read_text())
     assert reports["error"]["type"] == "HorizonTooShort"
+    for f in FIVE:
+        assert (out / f).exists(), f
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for the private subclass that numpy raises."""
+
+
+def _out_of_memory(*args, **kwargs):
+    raise _ArrayMemoryError("Unable to allocate 385. GiB for an array")
+
+
+def test_a_mode_table_out_of_memory_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # truncation 200 would ask build_mode_table for 385 GiB; the patch raises at once
+    monkeypatch.setattr(models, "build_mode_table", _out_of_memory)
+    model = {"kind": "galerkin_nse_2d", "truncation": 200,
+             "forcing": [{"mode": [1, 0], "amplitude": 0.1}]}
+    code, out = _run(tmp_path, "simulate", dict(TOY, model=model))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: model: Unable to allocate 385. GiB" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["sample_ball", "mmap"])
+def test_running_out_of_memory_is_an_error_record(tmp_path, monkeypatch, capsys, stage):
+    # ensemble_size 10^12 or horizon 10^12 would ask for TiBs; the patches raise at once
+    if stage == "sample_ball":
+        monkeypatch.setattr(cli, "sample_ball", _out_of_memory)
+        payload, message = dict(TOY, ensemble_size=10**12), "Unable to allocate"
+    else:
+        def no_mapping(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(core.mmap, "mmap", no_mapping)
+        payload = dict(TOY, horizon=1e12, dt=0.5)
+        message = "cannot map a shared float array of shape (3, 2000000000001, 4): Cannot allocate"
+    code, out = _run(tmp_path, "simulate", payload)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    error = json.loads((out / "reports.json").read_text())["error"]
+    assert error["type"] == "MemoryError" and message in error["message"]
     for f in FIVE:
         assert (out / f).exists(), f
 

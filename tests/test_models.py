@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from attractorlab.core import build_ensemble, integrate
+from attractorlab.spectral import advect, advect_self
 from attractorlab.state import Ensemble
 from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
 from attractorlab.models import (
@@ -17,6 +18,7 @@ from attractorlab.models import (
     enstrophy,
     forcing_array,
     make_spec,
+    mode_table,
     model_dim,
     nonlinear_array,
     nse_forcing,
@@ -179,6 +181,23 @@ def test_advection_array_checks_both_operands():
     with pytest.raises(ModelMismatch, match="does not match model dim"):
         advection_array(spec, u, u[:, :-1])
     assert np.array_equal(advection_array(spec, u, u), advection_array(spec, u, u.copy()))
+
+
+def test_batches_of_any_leading_shape_match_single_rows():
+    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=3)
+    table = mode_table(spec)
+    u, v = sample_ball(spec, 12, radius=0.3, seed=4).reshape(2, 2, 3, -1)
+    kernels = (
+        lambda a, b: advect(table, a, b),
+        lambda a, b: advect_self(table, a),
+        lambda a, b: advection_array(spec, a, b),
+        lambda a, b: nonlinear_array(spec, a),
+    )
+    for kernel in kernels:
+        batch = kernel(u, v)
+        assert batch.shape == u.shape
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(batch[i, j], kernel(u[i, j], v[i, j]))
 
 
 def test_nonlinear_array_checks_its_operand():

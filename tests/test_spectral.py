@@ -9,16 +9,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import coords_to_modes
+from oracles import coords_to_modes, coords_to_scalars, scalars_to_coords
 
 from attractorlab import spectral
-from attractorlab.spectral import (
-    advect,
-    advect_self,
-    build_mode_table,
-    coords_to_scalars,
-    scalars_to_coords,
-)
+from attractorlab.spectral import advect, advect_self, build_mode_table
 
 RNG_SEED = 42
 
@@ -170,20 +164,22 @@ def test_advect_shared_operand_matches_copy_bitwise(d, trunc, batch):
     assert np.array_equal(shared, advect(table, u, u.copy()))
 
 
-def test_advect_converts_a_shared_operand_once(monkeypatch):
+@pytest.mark.parametrize("entries", [256, None])
+def test_contract_slices_keep_bits_and_bound_buffers(monkeypatch, entries):
     table = build_mode_table(2, 2.0 * np.pi, 4)
-    u = np.random.default_rng(RNG_SEED).standard_normal((3, table.dim))
-    calls = []
-
-    def counted(tab, coords):
-        calls.append(coords.shape)
-        return coords_to_scalars(tab, coords)
-
-    monkeypatch.setattr(spectral, "coords_to_scalars", counted)
-    advect(table, u, u)
-    assert len(calls) == 1
-    advect(table, u, u.copy())
-    assert len(calls) == 3
+    u, v = np.random.default_rng(RNG_SEED).standard_normal((2, 50, table.dim))
+    whole = advect(table, u, v), advect_self(table, u)
+    # at 256 entries every slice is one row: P_sym = 780 and P = 1544
+    if entries is not None:
+        monkeypatch.setattr(spectral, "_WORK_ENTRIES", entries)
+    fresh = build_mode_table(2, 2.0 * np.pi, 4)
+    sliced = advect(fresh, u, v), advect_self(fresh, u)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+    bound = max(spectral._WORK_ENTRIES, fresh.ch_in1.size)
+    assert all(0 < w.size <= bound for w in fresh.work)
+    # a larger batch takes more slices, not a larger buffer pair
+    advect_self(fresh, np.tile(u, (4, 1)))
+    assert all(w.size <= bound for w in fresh.work)
 
 
 @pytest.mark.parametrize("d,trunc", [(2, 2), (2, 4), (3, 2)])

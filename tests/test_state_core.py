@@ -467,8 +467,8 @@ def test_a_pass_frees_the_advection_workspace():
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=4)
     initials = sample_ball(spec, 6, radius=0.5, seed=5)
     first = build_ensemble(spec, initials, 0.0, 0.4, 0.02).samples
-    assert [w.size for w in mode_table(spec).sym_work] == [0, 0]
+    assert [w.size for w in mode_table(spec).work] == [0, 0]
     # the next pass regrows the buffers and gives the same bits
     again = build_ensemble(spec, initials, 0.0, 0.4, 0.02).samples
-    assert [w.size for w in mode_table(spec).sym_work] == [0, 0]
+    assert [w.size for w in mode_table(spec).work] == [0, 0]
     assert np.array_equal(first, again)

@@ -1,4 +1,4 @@
-"""Time the self-advection kernels B(u, u) against a parent source tree.
+"""Time the advection kernels B(u, u) against a parent source tree.
 
 Usage (from the repository root):
 
@@ -6,15 +6,15 @@ Usage (from the repository root):
 
 Loads ``attractorlab/spectral.py`` from PARENT_SRC and from this checkout's
 ``src/`` side by side and, on the same seeded batch at each (d, N, batch) of
-CASES, times the parent's ``advect(table, u, u)``, this tree's
-``advect(table, u, u)`` and this tree's ``advect_self(table, u)`` (the
-symmetric-table kernel the integrator calls). Timings alternate between the
-kernels, one repeat at a time, and each repeat runs a kernel enough times to
-take about 20 ms; the figure is the minimum of 5 repeats, per call. Every
-case checks that both ``advect`` kernels return the same bits and reports
-the normwise relative difference ``|self - advect| / |advect|`` of
-``advect_self``. Prints one row per case and exits 1 if any ``advect`` case
-differs in its bits or any ``advect_self`` difference exceeds SELF_RTOL.
+CASES, times the parent's and this tree's ``advect_self(table, u)`` (the
+symmetric-table kernel the integrator calls) and ``advect(table, u, u)``
+(the ordered table). Timings alternate between the kernels, one repeat at a
+time, and each repeat runs a kernel enough times to take about 20 ms; the
+figure is the minimum of 5 repeats, per call. Every case checks that both
+``advect_self`` kernels return the same bits and reports the normwise
+relative difference ``|this - parent| / |parent|`` of ``advect``. Prints one
+row per case and exits 1 if any ``advect_self`` case differs in its bits or
+any ``advect`` difference exceeds ADVECT_RTOL.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ CASES = (
 )
 REPEATS = 5
 REPEAT_S = 0.02
-SELF_RTOL = 1e-15
+ADVECT_RTOL = 1e-15
 
 
 def _load_spectral(src: Path, name: str):
@@ -70,8 +70,8 @@ def main(argv: list[str]) -> int:
     parent = _load_spectral(Path(argv[0]).resolve(), "parent_spectral")
     this = _load_spectral(ROOT / "src", "this_spectral")
     print(
-        f"{'d':>2} {'N':>2} {'B':>3} {'parent_us':>10} {'this_us':>10} {'self_us':>10}"
-        f" {'self/parent':>11}  bits  {'self_rel':>8}"
+        f"{'d':>2} {'N':>2} {'B':>3} {'p_self_us':>10} {'self_us':>10} {'p_adv_us':>10}"
+        f" {'adv_us':>10}  self_bits  {'adv_rel':>8}"
     )
     bad = 0
     for d, trunc, batches in CASES:
@@ -80,18 +80,19 @@ def main(argv: list[str]) -> int:
         for batch in batches:
             u = np.random.default_rng(batch).standard_normal((batch, t_this.dim))
             calls = [
+                lambda: parent.advect_self(t_parent, u),
+                lambda: this.advect_self(t_this, u),
                 lambda: parent.advect(t_parent, u, u),
                 lambda: this.advect(t_this, u, u),
-                lambda: this.advect_self(t_this, u),
             ]
-            ref, ordered, sym = (call() for call in calls)
-            same = np.array_equal(ref, ordered)
-            rel = np.linalg.norm(sym - ordered) / np.linalg.norm(ordered)
-            bad += (not same) + (rel > SELF_RTOL)
+            ref_self, sym, ref, ordered = (call() for call in calls)
+            same = np.array_equal(ref_self, sym)
+            rel = np.linalg.norm(ordered - ref) / np.linalg.norm(ref)
+            bad += (not same) + (rel > ADVECT_RTOL)
             us = [t * 1e6 for t in _bench(calls)]
             print(
                 f"{d:>2} {trunc:>2} {batch:>3} {us[0]:>10.1f} {us[1]:>10.1f} {us[2]:>10.1f}"
-                f" {us[2] / us[0]:>11.2f}  {'same' if same else 'DIFF'}  {rel:>8.1e}"
+                f" {us[3]:>10.1f}  {'same' if same else 'DIFF':>9}  {rel:>8.1e}"
             )
     print(f"{bad} check(s) failed")
     return 1 if bad else 0
