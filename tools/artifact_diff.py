@@ -6,9 +6,10 @@ Usage (from the repository root):
 
 Runs ``python -m attractorlab.cli`` once with PARENT_SRC and once with this
 checkout's ``src/`` on the import path, on the four perfbench workloads at
-workload seeds 0-4, on the built-in ``verify`` edge cases of EDGE_CASES
-(the error, blow-up, duplicate-check, clipped-window, odd-split and
-uneven-split paths) and on each extra ``verify`` config given. Every run
+workload seeds 0-4, on the built-in edge cases of EDGE_CASES, each under its
+own subcommand (the error, blow-up, duplicate-check, clipped-window,
+odd-split and uneven-split paths of ``verify``, and the pass path of
+``trajectory-attractor``), and on each extra ``verify`` config given. Every run
 writes into its own temporary directory. The exit codes and the five
 artifacts must match: four files byte for byte, and manifest.json after
 mapping the run's ``output_dir`` to one placeholder.
@@ -45,11 +46,17 @@ _LIBRARY_CHECKS = [
     {"name": "maximal_invariant"},
 ]
 
-# label -> verify config; small runs that take the paths the workloads miss
+
+def _case(subcommand: str, **fields) -> tuple[str, dict]:
+    """(subcommand, config): the small run _SMALL with fields set."""
+    return subcommand, dict(_SMALL, **fields)
+
+
+# label -> (subcommand, config); small runs that take the paths the workloads miss
 EDGE_CASES = {
     # StepMismatch on the three library checks only
-    "edge library t_back off the grid": dict(
-        _SMALL,
+    "edge library t_back off the grid": _case(
+        "verify",
         model=_NSE2,
         library={"size": 2, "t_back": 1.01, "horizon": 4.0},
         checks=[
@@ -60,8 +67,8 @@ EDGE_CASES = {
         ],
     ),
     # ModelMismatch on the absorbing check alone
-    "edge absorbing on a dyadic model": dict(
-        _SMALL,
+    "edge absorbing on a dyadic model": _case(
+        "verify",
         model={"kind": "dyadic", "truncation": 6, "forcing": [{"shell": 1, "amplitude": 0.5}]},
         checks=[
             {"name": "compactness"},
@@ -70,8 +77,8 @@ EDGE_CASES = {
         ],
     ),
     # one group per entry: two absorbing horizons, two point-convergence sequences
-    "edge duplicated checks": dict(
-        _SMALL,
+    "edge duplicated checks": _case(
+        "verify",
         model=_NSE2,
         library={"size": 2, "t_back": 2.0, "horizon": 4.0},
         checks=[
@@ -84,8 +91,8 @@ EDGE_CASES = {
     ),
     # windows clipped at both span ends, and a one-member sequence that
     # fails the weak-convergence hypothesis
-    "edge point convergence at the span ends": dict(
-        _SMALL,
+    "edge point convergence at the span ends": _case(
+        "verify",
         model=_NSE2,
         checks=[
             {"name": "point_convergence", "t_star": 0.0},
@@ -94,15 +101,15 @@ EDGE_CASES = {
         ],
     ),
     # no check reads the library
-    "edge no library check": dict(
-        _SMALL,
+    "edge no library check": _case(
+        "verify",
         model=_NSE2,
         checks=[{"name": "energy"}, {"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
     ),
     # an odd member count with a save stride: the trajectory writer's split
     # point falls off the middle and its lines skip samples
-    "edge odd ensemble with a save stride": dict(
-        _SMALL,
+    "edge odd ensemble with a save stride": _case(
+        "verify",
         model=_NSE2,
         ensemble_size=5,
         save_stride=3,
@@ -110,18 +117,18 @@ EDGE_CASES = {
     ),
     # the run outweighs the library, so the integration child takes fewer
     # than half of the run's members (7 of 16 stay in this process)
-    "edge run heavier than the library": dict(
-        _SMALL,
+    "edge run heavier than the library": _case(
+        "verify",
         model=_NSE2,
         ensemble_size=16,
         library={"size": 2, "t_back": 1.0, "horizon": 4.0},
         checks=[{"name": "tracking"}],
     ),
     # the run is the pass's only group and its member count is odd
-    "edge lone odd run": dict(_SMALL, model=_NSE2, ensemble_size=5, checks=[{"name": "energy"}]),
+    "edge lone odd run": _case("verify", model=_NSE2, ensemble_size=5, checks=[{"name": "energy"}]),
     # the absorbing samples blow up while the run does not
-    "edge absorbing blows up": dict(
-        _SMALL,
+    "edge absorbing blows up": _case(
+        "verify",
         model=dict(_NSE2, nu=0.05, forcing=[{"mode": [1, 0], "amplitude": 100.0}]),
         horizon=1.0,
         dt=0.1,
@@ -129,13 +136,22 @@ EDGE_CASES = {
         checks=[{"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
     ),
     # the run itself blows up
-    "edge run blows up": dict(
-        _SMALL,
+    "edge run blows up": _case(
+        "verify",
         model=dict(_NSE2, nu=0.05, forcing=[{"mode": [1, 0], "amplitude": 1000.0}]),
         horizon=1.0,
         dt=0.1,
         radius=0.01,
         checks=[{"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
+    ),
+    # the report's pass path: a library settled after t_back 10, a run that
+    # enters the weak eps-tube of the attractor at t = 3.8, strong mode on
+    "edge trajectory attractor that passes": _case(
+        "trajectory-attractor",
+        model=_NSE2,
+        horizon=12.0,
+        dt=0.05,
+        library={"size": 2, "t_back": 10.0},
     ),
 }
 
@@ -187,8 +203,8 @@ def _cases(extra: list[str]):
     for name, (subcommand, _, _) in WORKLOADS.items():
         for seed in SEEDS:
             yield f"{name} seed {seed}", subcommand, make_config(name, seed)
-    for label, config in EDGE_CASES.items():
-        yield label, "verify", config
+    for label, (subcommand, config) in EDGE_CASES.items():
+        yield label, subcommand, config
     for path in extra:
         yield path, "verify", json.loads(Path(path).read_text())
 
