@@ -18,15 +18,12 @@ from .core import (
     Ensemble,
     build_ensemble,
     complete_surrogates,
-    forward_ensemble,
     integrate,
-    rebase_to_zero,
     restrict,
     translate,
 )
 from .metrics import (
     MetricKind,
-    TrajMetricParams,
     weak_weight_total,
 )
 from .models import (

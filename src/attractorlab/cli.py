@@ -37,7 +37,7 @@ from . import __version__
 from .core import Group, Tail, integrate_pass, make_group, surrogate_group
 from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteState, OffGrid
 from .limits import OmegaParams, asymptotic_compactness_defect, global_attractor, omega_limit
-from .metrics import METRIC_KINDS, TrajMetricParams
+from .metrics import METRIC_KINDS
 from .models import (
     ModelSpec,
     KINDS,
@@ -413,7 +413,7 @@ class _RunContext:
         if key == "library":
             return _library_group(self)
         chk = self._checks[key]
-        return _OWN_GROUP[chk["name"]](cfg, chk, self)
+        return _CHECKS[chk["name"]][2](cfg, chk, self)
 
     def _once(self, name, build):
         if name not in self._built:
@@ -474,8 +474,8 @@ class _RunContext:
         )
 
 
-# check runners; each takes (cfg, check config, run context) and returns a
-# report record
+# check runners; each takes (cfg, check config, run context) and returns its
+# report record, which _run_checks names
 
 
 def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
@@ -490,7 +490,6 @@ def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     holds = all(rec["holds"] for rec in rungs.values())
     ok = holds and worst_ratio <= chk["gap_tol"]
     return {
-        "name": "energy",
         "status": "pass" if ok else "fail",
         "gap_ratio": worst_ratio,
         "gap_tol": chk["gap_tol"],
@@ -518,7 +517,6 @@ def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
             break
         worst_entry = max(worst_entry, float(entered[0] * cfg["dt"]))
     return {
-        "name": "absorbing",
         "status": "pass" if ok else "fail",
         "radius": r_abs,
         "worst_entry_time": worst_entry,
@@ -539,7 +537,6 @@ def _check_tracking(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
         else:
             out[repr(eps)] = {"t_star": rep.t_star, "worst_error": rep.worst_error}
     return {
-        "name": "tracking",
         "status": "pass" if ok else "fail",
         "metric": chk["metric"],
         "ladder": out,
@@ -549,7 +546,6 @@ def _check_tracking(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
 def _check_quasi_invariance(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     rep = check_quasi_invariance(ctx.attractor, ctx.library, eps=chk["eps"], t_win=chk["t_win"])
     return {
-        "name": "quasi_invariance",
         "status": "pass" if rep.covered_fraction == 1.0 else "fail",
         "covered_fraction": rep.covered_fraction,
         "eps": chk["eps"],
@@ -560,7 +556,6 @@ def _check_maximal_invariant(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     rep = check_maximal_invariant(ctx.attractor, ctx.library, eps=chk["eps"])
     ok = rep.i_subset_a and rep.a_subset_i
     return {
-        "name": "maximal_invariant",
         "status": "pass" if ok else "fail",
         "d_i_to_a": rep.d_i_to_a,
         "d_a_to_i": rep.d_a_to_i,
@@ -579,7 +574,6 @@ def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     k = min(chk["k"], len(times))
     defect = asymptotic_compactness_defect(ensemble, times, k)
     return {
-        "name": "compactness",
         "status": "pass" if defect <= chk["threshold"] else "fail",
         "defect": defect,
         "k": k,
@@ -602,13 +596,8 @@ def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     try:
         rep = check_strong_convergence_at_point(ctx.own(chk), base, chk["t_star"])
     except HypothesisFail as exc:
-        return {
-            "name": "point_convergence",
-            "status": "hypothesis_fail",
-            "detail": str(exc),
-        }
+        return {"status": "hypothesis_fail", "detail": str(exc)}
     return {
-        "name": "point_convergence",
         "status": "pass" if rep.converged else "fail",
         "dists": list(rep.dists),
         "t_star": chk["t_star"],
@@ -617,12 +606,20 @@ def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
 
 _EPS_LADDER = ([float], [1e-1, 1e-2, 1e-3], "> 0")
 
-# check name -> (runner, config table of its fields besides "name")
+# check name -> (runner, config table of its fields besides "name", what the
+# check integrates besides the run's ensemble: None, "library" for the
+# surrogate library, or a builder (cfg, check config, run context) -> Group of
+# its own)
 _CHECKS = {
-    "energy": (_check_energy, {"eps_ladder": _EPS_LADDER, "gap_tol": (float, 1e-6, ">= 0")}),
+    "energy": (
+        _check_energy,
+        {"eps_ladder": _EPS_LADDER, "gap_tol": (float, 1e-6, ">= 0")},
+        None,
+    ),
     "absorbing": (
         _check_absorbing,
         {"n_samples": (int, 64, ">= 1"), "horizon": (float, _horizon, "> 0")},
+        _absorbing_group,
     ),
     "tracking": (
         _check_tracking,
@@ -631,12 +628,14 @@ _CHECKS = {
             "eps_ladder": _EPS_LADDER,
             "window_T": (float, 2.0, "> 0"),
         },
+        "library",
     ),
     "quasi_invariance": (
         _check_quasi_invariance,
         {"eps": (float, 1e-3, "> 0"), "t_win": (float, 2.0, "> 0")},
+        "library",
     ),
-    "maximal_invariant": (_check_maximal_invariant, {"eps": (float, 1e-3, "> 0")}),
+    "maximal_invariant": (_check_maximal_invariant, {"eps": (float, 1e-3, "> 0")}, "library"),
     "compactness": (
         _check_compactness,
         {
@@ -645,39 +644,33 @@ _CHECKS = {
             "t_from": (float, _half_horizon, "in [0, horizon)"),
             "threshold": (float, 1e-2, ">= 0"),
         },
+        None,
     ),
     "point_convergence": (
         _check_point_convergence,
         {"t_star": (float, _half_horizon, "in [0, horizon]"), "n_seq": (int, 6, ">= 1")},
+        _point_group,
     ),
 }
-# what checks integrate besides the run's ensemble: the surrogate library, or
-# a group of their own, (cfg, check config, run context) -> Group
-_READS_LIBRARY = ("tracking", "quasi_invariance", "maximal_invariant")
-_OWN_GROUP = {"absorbing": _absorbing_group, "point_convergence": _point_group}
 
 
 def _run_checks(ctx: _RunContext) -> list[dict]:
     """Run the configured checks, each on its own.
 
-    A check that raises leaves an error record naming it, and the next check
-    still runs. The attractor is built on first use, once.
+    Each record is named after its check. A check that raises leaves an
+    error record, and the next check still runs. The attractor is built on
+    first use, once.
     """
     reports = []
     for chk in ctx.cfg["checks"]:
         name = chk["name"]
         try:
-            reports.append(_CHECKS[name][0](ctx.cfg, chk, ctx))
+            record = _CHECKS[name][0](ctx.cfg, chk, ctx)
         except (AttractorLabError, ValueError) as exc:
-            reports.append(
-                {
-                    "name": name,
-                    "status": "error",
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "stage": name,
-                }
-            )
+            record = {
+                "status": "error", "type": type(exc).__name__, "message": str(exc), "stage": name
+            }
+        reports.append({"name": name, **record})
     return reports
 
 
@@ -688,18 +681,18 @@ def _groups(subcommand: str, cfg: dict) -> list:
     if subcommand != "verify":
         return []
     checks = cfg["checks"]
-    library = ["library"] if any(chk["name"] in _READS_LIBRARY for chk in checks) else []
-    return library + [id(chk) for chk in checks if chk["name"] in _OWN_GROUP]
+    reads = [_CHECKS[chk["name"]][2] for chk in checks]
+    library = ["library"] if "library" in reads else []
+    return library + [id(chk) for chk, what in zip(checks, reads) if callable(what)]
 
 
 def _trajectory_attraction(ctx: _RunContext, sets: dict) -> dict:
     """The trajectory-attractor record; its slice at t = 0 goes into sets."""
-    params = TrajMetricParams()
     cluster_tol = ctx.cfg["omega"]["cluster_tol"]
     ensemble = ctx.ensemble
-    att = trajectory_attractor(ensemble, ctx.library, params, cluster_tol=cluster_tol)
-    invariance = translation_invariance(att, params, tol=cluster_tol)
-    rep = trajectory_attraction_report(ensemble, att, params, eps=2.0 * cluster_tol)
+    att = trajectory_attractor(ensemble, ctx.library, cluster_tol)
+    invariance = translation_invariance(att, tol=cluster_tol)
+    rep = trajectory_attraction_report(ensemble, att, eps=2.0 * cluster_tol)
     sets["trajectory_attractor_slice0"] = {
         "metric": "weak",
         "tol": cluster_tol,

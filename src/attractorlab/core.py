@@ -18,9 +18,11 @@ to balance member-steps, and this process steps every other row. The child
 can go on to work on its own members (the CLI formats their part of
 trajectories.csv there) while this process carries on. Split or not, fused,
 batched and single integration give bit-identical members. A surrogate
-library keeps only its samples on [0, horizon]. A single trajectory is a
-one-member Ensemble; translation, restriction and rebasing act on all
-members at once and return views of the same array.
+library keeps only its samples on [0, horizon], so it starts at t = 0, and
+the checks that read a library reject one that starts elsewhere. A blow-up
+is reported by its NonFiniteState alone, with no numpy warning first. A
+single trajectory is a one-member Ensemble; translation and restriction act
+on all members at once and return views of the same array.
 """
 from __future__ import annotations
 
@@ -99,6 +101,8 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
     that still step, so the batch shrinks as rows finish. sinks lists
     (start, stop, skip, out) for consecutive row ranges of one step count;
     out receives sample k >= skip of its rows at out[:, k - skip] (see _store).
+    A batch that overflows raises NonFiniteState at that step, with no
+    numpy warning first.
     """
     rates = linear_rates(spec)
     e_half = np.exp(-rates * (dt / 2.0))
@@ -113,21 +117,22 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
     store(0, u0)
     u = u0
     live = u0.shape[0]
-    for k in range(int(n_steps[0]) if live else 0):
-        while n_steps[live - 1] <= k:
-            live -= 1
-        u = u[:live]
-        n1 = nonlinear_array(spec, u)
-        ua = e_half * (u + (dt / 2.0) * n1)
-        n2 = nonlinear_array(spec, ua)
-        ub = e_half * u + (dt / 2.0) * n2
-        n3 = nonlinear_array(spec, ub)
-        uc = e_full * u + dt * (e_half * n3)
-        n4 = nonlinear_array(spec, uc)
-        u = e_full * u + sixth * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
-        if not np.isfinite(u).all():
-            raise NonFiniteState(f"integration blew up at step {k + 1}")
-        store(k + 1, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(n_steps[0]) if live else 0):
+            while n_steps[live - 1] <= k:
+                live -= 1
+            u = u[:live]
+            n1 = nonlinear_array(spec, u)
+            ua = e_half * (u + (dt / 2.0) * n1)
+            n2 = nonlinear_array(spec, ua)
+            ub = e_half * u + (dt / 2.0) * n2
+            n3 = nonlinear_array(spec, ub)
+            uc = e_full * u + dt * (e_half * n3)
+            n4 = nonlinear_array(spec, uc)
+            u = e_full * u + sixth * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
+            if not np.isfinite(u).all():
+                raise NonFiniteState(f"integration blew up at step {k + 1}")
+            store(k + 1, u)
 
 
 def _step(spec: ModelSpec, parts, dt: float) -> None:
@@ -374,13 +379,3 @@ def restrict(ens: Ensemble, a: float, b: float) -> Ensemble:
         dt=ens.dt,
         model=ens.model,
     )
-
-
-def rebase_to_zero(ens: Ensemble) -> Ensemble:
-    """Translate so the first sample sits at t = 0."""
-    return translate(ens, -ens.t0)
-
-
-def forward_ensemble(library: Ensemble, horizon: float | None = None) -> Ensemble:
-    """Forward parts [0, horizon] of a surrogate library, rebased to t0 = 0."""
-    return rebase_to_zero(restrict(library, 0.0, library.t_end if horizon is None else horizon))

@@ -177,19 +177,17 @@ def is_attracting(candidate: SetEstimate, ensemble: Ensemble, eps: float) -> Att
     )
 
 
-def global_attractor(
-    ensemble_of_x: Ensemble, m: str, p: OmegaParams, eps: float | None = None
-) -> SetEstimate:
+def global_attractor(ensemble_of_x: Ensemble, m: str, p: OmegaParams) -> SetEstimate:
     """Attractor estimate: omega limit of a phase-space-sampling ensemble.
 
     The attractor, when it exists, equals the omega limit of the whole phase
     space, and it exists exactly when that omega limit attracts; the scan
-    verdict is attached to the returned estimate. Default attraction eps is
+    verdict is attached to the returned estimate. The attraction eps is
     twice the clustering tolerance (one cluster radius each for the estimate
     and the scanned slice).
     """
     est = omega_limit(ensemble_of_x, m, p)
-    report = is_attracting(est, ensemble_of_x, 2.0 * p.cluster_tol if eps is None else eps)
+    report = is_attracting(est, ensemble_of_x, 2.0 * p.cluster_tol)
     return replace(est, attraction=report)
 
 

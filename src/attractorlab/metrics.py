@@ -15,15 +15,14 @@ problem.
 
 Trajectory comparisons use the sup metric on a window [a, b] and the
 geometric tail series sum_T 2^(-T) s_T / (1 + s_T) with
-s_T = sup_{[a, a+T]} d(u, v), truncated at t_max_windows (the dropped tail is
-bounded by 2^-t_max_windows). Both reductions come from one kernel,
+s_T = sup_{[a, a+T]} d(u, v), truncated at T = TAIL_WINDOWS (the dropped tail
+is bounded by 2^-TAIL_WINDOWS). Both reductions come from one kernel,
 window_dist, which every window-matching search in the package calls; its
 leading axes broadcast, so the windows of all members of an ensemble
 against one reference window take one call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Literal
 
@@ -36,17 +35,8 @@ from .state import span_steps
 MetricKind = Literal["strong", "weak"]
 METRIC_KINDS = ("strong", "weak")
 _CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class TrajMetricParams:
-    """Tail-metric truncation: windows [a, a+T] for T = 1..t_max_windows."""
-
-    t_max_windows: int = 8
-
-    def __post_init__(self):
-        if self.t_max_windows < 1:
-            raise ValueError("t_max_windows must be >= 1")
+# the tail series' windows [a, a+T], T = 1..TAIL_WINDOWS
+TAIL_WINDOWS = 8
 
 
 def _check_metric(m: str) -> str:
@@ -217,9 +207,9 @@ def weak_weight_total(spec: ModelSpec) -> float:
 # trajectory metrics
 
 
-def tail_steps(p: TrajMetricParams, dt: float) -> np.ndarray:
-    """Grid offsets of the tail-window ends T = 1..t_max_windows at step dt."""
-    return np.array([span_steps(0.0, t, dt) for t in range(1, p.t_max_windows + 1)])
+def tail_steps(dt: float) -> np.ndarray:
+    """Grid offsets of the tail-window ends T = 1..TAIL_WINDOWS at step dt."""
+    return np.array([span_steps(0.0, t, dt) for t in range(1, TAIL_WINDOWS + 1)])
 
 
 def window_dist(spec: ModelSpec, u: np.ndarray, v: np.ndarray, m: str, steps=None):

@@ -288,13 +288,13 @@ def nse_forcing(
     kind: str,
     L: float,
     truncation: int,
-    entries: Sequence[tuple[Sequence[int], float]] | Sequence[dict],
+    entries: Sequence[dict],
 ) -> np.ndarray:
-    """Forcing coordinates from (mode, amplitude) entries.
+    """Forcing coordinates from the config's {"mode", "amplitude"} entries.
 
     Each entry places the amplitude on the cos coefficient of the first
-    tangent direction of its (lexicographically positive) mode; dict entries
-    may override ``component`` (tangent index) and ``part`` ("cos"/"sin").
+    tangent direction of its (lexicographically positive) mode; an entry may
+    override ``component`` (tangent index) and ``part`` ("cos"/"sin").
     """
     if kind not in NSE_KINDS:
         raise ValueError(f"nse_forcing applies to Galerkin NSE, not {kind}")
@@ -302,14 +302,10 @@ def nse_forcing(
     g = np.zeros(table.dim)
     lookup = {tuple(k): i for i, k in enumerate(table.kappa_half)}
     for entry in entries:
-        if isinstance(entry, dict):
-            mode = tuple(int(c) for c in entry["mode"])
-            amp = float(entry["amplitude"])
-            comp = int(entry.get("component", 0))
-            part = str(entry.get("part", "cos"))
-        else:
-            mode, amp = tuple(int(c) for c in entry[0]), float(entry[1])
-            comp, part = 0, "cos"
+        mode = tuple(int(c) for c in entry["mode"])
+        amp = float(entry["amplitude"])
+        comp = int(entry.get("component", 0))
+        part = str(entry.get("part", "cos"))
         if mode not in lookup:
             raise ValueError(
                 f"mode {mode} is not a retained lexicographically-positive mode"
@@ -323,13 +319,11 @@ def nse_forcing(
     return g
 
 
-def dyadic_forcing(truncation: int, entries: Sequence[tuple[int, float]] | Sequence[dict]) -> np.ndarray:
+def dyadic_forcing(truncation: int, entries: Sequence[dict]) -> np.ndarray:
+    """Shell forcing from the config's {"shell", "amplitude"} entries."""
     g = np.zeros(truncation + 1)
     for entry in entries:
-        if isinstance(entry, dict):
-            shell, amp = int(entry["shell"]), float(entry["amplitude"])
-        else:
-            shell, amp = int(entry[0]), float(entry[1])
+        shell, amp = int(entry["shell"]), float(entry["amplitude"])
         if shell < 0 or shell > truncation:
             raise ValueError(f"shell {shell} outside 0..{truncation}")
         g[shell] += amp
@@ -513,10 +507,7 @@ def energy_identity_gap(spec: ModelSpec, ledger: EnergyLedger) -> np.ndarray:
 
 
 def check_energy_inequality(
-    ens: Ensemble,
-    ledger: EnergyLedger,
-    eps: float,
-    radius: float | None = None,
+    ens: Ensemble, ledger: EnergyLedger, eps: float, radius: float
 ) -> EnergyReport:
     """Pointwise energy estimate |u(t)|^2 <= |u(t0)|^2 + eps for a recent t0.
 
@@ -531,7 +522,7 @@ def check_energy_inequality(
     spec = ens.model
     energy = ledger.energy
     g_norm = float(np.linalg.norm(forcing_array(spec)))
-    r = default_radius(spec) if radius is None else float(radius)
+    r = float(radius)
     if g_norm * r > 0:
         delta = eps / (2.0 * g_norm * r)
     else:

@@ -131,6 +131,14 @@ class Ensemble:
         return self.samples[:, self.index_of(t)]
 
 
+def _check_time_zero(*ensembles: Ensemble) -> None:
+    """ValueError unless every ensemble starts at t = 0, as surrogate libraries
+    and the families of trajectory space do."""
+    for ens in ensembles:
+        if ens.t0 != 0.0:
+            raise ValueError(f"libraries and trajectory families must start at t = 0, got {ens.t0}")
+
+
 def common_window(u: Ensemble, v: Ensemble, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Samples of u and of v over the grid window [a, b], (members, count, dim).
 

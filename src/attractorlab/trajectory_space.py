@@ -1,8 +1,8 @@
 """Trajectory-space view: translation semigroup and the trajectory attractor.
 
-Forward trajectories form a space of their own under the weak tail metric.
-A family of them is an Ensemble on a grid starting at t = 0; the tail-metric
-truncation is passed explicitly as TrajMetricParams. The translation
+Forward trajectories form a space of their own under the weak tail metric
+with TAIL_WINDOWS windows. A family of them is an Ensemble on a grid
+starting at t = 0, and so is a surrogate library. The translation
 semigroup acts by dropping an initial segment and rebasing to time zero,
 which on shared grids is an exact view of the ensemble's array. The
 trajectory attractor is assembled from the forward restrictions of settled
@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import forward_ensemble, rebase_to_zero, restrict
+from .core import restrict, translate
 from .errors import GridMismatch, HorizonTooShort, ModelMismatch
-from .metrics import TrajMetricParams, _check_metric, tail_steps, window_escapes, window_semidist
-from .state import Ensemble, span_steps
+from .metrics import TAIL_WINDOWS, tail_steps, window_escapes, window_semidist
+from .state import Ensemble, _check_time_zero, span_steps
 from .verification import is_grid_continuous
 
 
@@ -34,11 +34,8 @@ class TranslationInvarianceRecord:
 
 # the translation times at which translation_invariance measures its defects
 _SHIFT_TIMES = (1.0, 2.0)
-
-
-def _check_time_zero(*families: Ensemble) -> None:
-    if any(p.t0 != 0.0 for p in families):
-        raise ValueError("trajectory-space ensembles must start at t = 0")
+# the window [0, _WINDOW_T] of the attraction report's strong mode
+_WINDOW_T = 2.0
 
 
 def translate_semigroup(p: Ensemble, s: float) -> Ensemble:
@@ -48,66 +45,54 @@ def translate_semigroup(p: Ensemble, s: float) -> Ensemble:
         raise ValueError(f"translation time must be nonnegative, got {s}")
     if span_steps(0.0, s, p.dt) >= p.n_samples:
         raise HorizonTooShort(f"translation by {s} exhausts the grid of {p.n_samples} samples")
-    return rebase_to_zero(restrict(p, s, p.t_end))
+    forward = restrict(p, s, p.t_end)
+    return translate(forward, -forward.t0)
 
 
-def traj_set_semidist(a: Ensemble, b: Ensemble, m: str, params: TrajMetricParams) -> float:
-    """One-sided semidistance between trajectory families in the tail metric."""
-    _check_metric(m)
+def traj_set_semidist(a: Ensemble, b: Ensemble) -> float:
+    """One-sided semidistance between trajectory families in the weak tail metric."""
     _check_time_zero(a, b)
-    steps = tail_steps(params, a.dt)
+    steps = tail_steps(a.dt)
     w = int(steps[-1])
     if min(a.n_samples, b.n_samples) <= w:
         raise HorizonTooShort("tail metric window exceeds a member grid")
-    return window_semidist(a.model, a.samples[:, : w + 1], b.samples[:, : w + 1], m, steps)
+    return window_semidist(a.model, a.samples[:, : w + 1], b.samples[:, : w + 1], "weak", steps)
 
 
-def trajectory_attractor(
-    k_space: Ensemble,
-    library: Ensemble,
-    params: TrajMetricParams,
-    cluster_tol: float = 1e-3,
-    metric: str = "weak",
-) -> Ensemble:
+def trajectory_attractor(k_space: Ensemble, library: Ensemble, cluster_tol: float) -> Ensemble:
     """Trajectory-attractor estimate from forward parts of settled surrogates.
 
     The attractor coincides with the forward restrictions of complete
-    trajectories; the estimate clusters the surrogate forward parts in the
-    tail metric at cluster_tol, keeping them in library order. k_space fixes
-    the grid the estimate must live on; translation_invariance records how
-    well the result is invariant.
+    trajectories; the estimate clusters the library's members, the surrogate
+    forward parts, in the weak tail metric at cluster_tol, keeping them in
+    library order. k_space fixes the grid the estimate must live on;
+    translation_invariance records how well the result is invariant.
     """
-    _check_metric(metric)
-    _check_time_zero(k_space)
+    _check_time_zero(k_space, library)
     if library.model.key != k_space.model.key:
         raise ModelMismatch("library and trajectory space belong to different models")
     if library.dt != k_space.dt:
         raise GridMismatch("library and trajectory space grids differ")
     horizon = min(k_space.t_end, library.t_end)
-    if horizon < params.t_max_windows:
+    if horizon < TAIL_WINDOWS:
         raise HorizonTooShort(
-            f"attractor construction needs forward horizon {params.t_max_windows}, got {horizon}"
+            f"attractor construction needs forward horizon {TAIL_WINDOWS}, got {horizon}"
         )
-    forward = forward_ensemble(library, horizon)
-    steps = tail_steps(params, forward.dt)
+    forward = restrict(library, 0.0, horizon)
+    steps = tail_steps(forward.dt)
     window = forward.samples[:, : int(steps[-1]) + 1]
     accepted = [0]
     for i in range(1, forward.n_members):
-        d = window_semidist(forward.model, window[i : i + 1], window[accepted], metric, steps)
+        d = window_semidist(forward.model, window[i : i + 1], window[accepted], "weak", steps)
         if d > cluster_tol:
             accepted.append(i)
     return Ensemble(forward.samples[accepted], 0.0, forward.dt, forward.model)
 
 
-def translation_invariance(
-    attractor: Ensemble,
-    params: TrajMetricParams,
-    tol: float,
-    metric: str = "weak",
-) -> TranslationInvarianceRecord:
-    """Tail-metric defects max(d(T(t)A, A), d(A, T(t)A)) at t = 1 and t = 2."""
+def translation_invariance(attractor: Ensemble, tol: float) -> TranslationInvarianceRecord:
+    """Weak tail-metric defects max(d(T(t)A, A), d(A, T(t)A)) at t = 1 and t = 2."""
     _check_time_zero(attractor)
-    need = float(params.t_max_windows) + max(_SHIFT_TIMES)
+    need = float(TAIL_WINDOWS) + max(_SHIFT_TIMES)
     if attractor.t_end < need:
         raise HorizonTooShort(
             f"attractor construction needs forward horizon {need}, got {attractor.t_end}"
@@ -117,8 +102,8 @@ def translation_invariance(
         shifted = translate_semigroup(attractor, t)
         defects.append(
             max(
-                traj_set_semidist(shifted, attractor, metric, params),
-                traj_set_semidist(attractor, shifted, metric, params),
+                traj_set_semidist(shifted, attractor),
+                traj_set_semidist(attractor, shifted),
             )
         )
     return TranslationInvarianceRecord(
@@ -137,16 +122,11 @@ class TrajectoryAttractionReport:
     strong_mode: bool
     t_entry_strong: float | None
     eps: float
-    window_T: float
     n_times: int
 
 
 def trajectory_attraction_report(
-    k_space: Ensemble,
-    attractor: Ensemble,
-    params: TrajMetricParams,
-    eps: float,
-    window_T: float = 2.0,
+    k_space: Ensemble, attractor: Ensemble, eps: float
 ) -> TrajectoryAttractionReport:
     """Scan translations T(t) of the family for attraction to the attractor.
 
@@ -157,7 +137,7 @@ def trajectory_attraction_report(
     translation. Weak mode measures the tail metric of each translated member
     to its nearest attractor member; strong mode (enabled when every
     attractor member passes the grid continuity witness) measures the sup of
-    the strong metric over [0, window_T] after translation.
+    the strong metric over [0, _WINDOW_T] after translation.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
@@ -165,11 +145,9 @@ def trajectory_attraction_report(
     dt = k_space.dt
     if dt != attractor.dt:
         raise GridMismatch("trajectory space and attractor grids differ")
-    steps = tail_steps(params, dt)
+    steps = tail_steps(dt)
     w_tail = int(steps[-1])
-    w_strong = int(round(window_T / dt))
-    if w_strong < 1:
-        raise ValueError("window_T shorter than one grid step")
+    w_strong = int(round(_WINDOW_T / dt))
     n = k_space.n_samples
     w_need = max(w_tail, w_strong)
     if n <= w_need or attractor.n_samples <= w_need:
@@ -193,7 +171,6 @@ def trajectory_attraction_report(
         strong_mode=strong_mode,
         t_entry_strong=entry(w_strong, "strong") if strong_mode else None,
         eps=eps,
-        window_T=window_T,
         n_times=int(shifts.shape[0]),
     )
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from .metrics import (
-    TrajMetricParams,
     _check_metric,
     _nearest_in,
     _strong_dist_owned,
@@ -37,7 +36,7 @@ from .metrics import (
     tail_steps,
     window_dist,
 )
-from .state import Ensemble, common_window, grid_index
+from .state import Ensemble, _check_time_zero, common_window
 
 # A grid step larger than this many times both neighbouring steps is a jump.
 _JUMP_FACTOR = 10.0
@@ -83,9 +82,10 @@ def is_grid_continuous(
 # quasi-invariance and the maximal invariant set
 
 
-def _same_set_model(est, library: Ensemble) -> None:
+def _check_library(est, library: Ensemble) -> None:
     if est.model.key != library.model.key:
         raise ModelMismatch("set estimate and library belong to different models")
+    _check_time_zero(library)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +107,9 @@ def check_quasi_invariance(
     A point a is covered when some library member v and grid shift s satisfy
     |v(s) - a| < eps in the strong metric while v stays within eps of the
     estimate over [s - t_win, s + t_win]; shifts keep that window inside the
-    settled part of the surrogate (relative times >= 0).
+    library, which starts at t = 0 (ValueError otherwise).
     """
-    _same_set_model(est, library)
+    _check_library(est, library)
     spec = library.model
     cloud = est.points
     metric = est.metric
@@ -117,8 +117,7 @@ def check_quasi_invariance(
     w = int(round(t_win / dt))
     if w < 1:
         raise ValueError("t_win shorter than one grid step")
-    i_settle = grid_index(0.0, library.t0, dt)
-    lo, hi = i_settle + w, library.n_samples - 1 - w
+    lo, hi = w, library.n_samples - 1 - w
     if lo > hi:
         raise ValueError("library horizon too short for the requested window")
     nearest = _nearest_in(spec, cloud, metric)
@@ -158,10 +157,10 @@ def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> Max
 
     The initial points of complete trajectories form the maximal invariant
     set, which coincides with the weak attractor; both inclusions are checked
-    as eps-semidistances.
+    as eps-semidistances. The library starts at t = 0 (ValueError otherwise).
     """
-    _same_set_model(attractor_est, library)
-    i_side = library.samples_at(0.0)
+    _check_library(attractor_est, library)
+    i_side = library.samples[:, 0]
     cloud = attractor_est.points
     spec = library.model
     m = attractor_est.metric
@@ -197,18 +196,20 @@ def _tracking_grid(ensemble, library, m, window_T, t_star_stride=None):
     Returns the window length w in steps, the tail offsets (None in strong
     mode, which takes the sup over [t*, t* + window_T]), the sampled t*
     indices into the ensemble (about 24 unless t_star_stride is given), and
-    the settled library shift indices, one per 0.25 time units.
+    the library shift indices, one per 0.25 time units from its start at
+    t = 0 (ValueError for a library that starts elsewhere).
     """
     _check_metric(m)
     if ensemble.model.key != library.model.key:
         raise ModelMismatch("ensemble and library belong to different models")
+    _check_time_zero(library)
     if ensemble.dt != library.dt:
         raise GridMismatch("ensemble and library grids differ")
     dt = ensemble.dt
     if m == "strong":
         steps, w = None, int(round(window_T / dt))
     else:
-        steps = tail_steps(TrajMetricParams(), dt)
+        steps = tail_steps(dt)
         w = int(steps[-1])
     if w < 1:
         raise ValueError("comparison window shorter than one grid step")
@@ -216,14 +217,13 @@ def _tracking_grid(ensemble, library, m, window_T, t_star_stride=None):
     if t_star_stride is None:
         t_star_stride = max(1, (n_e - 1 - w) // 24)
     shift_stride = max(1, int(round(0.25 / dt)))
-    i_settle = grid_index(0.0, library.t0, dt)
     shift_last = library.n_samples - 1 - w
-    if shift_last < i_settle:
+    if shift_last < 0:
         raise ValueError("library horizon too short for the comparison window")
     t_star_idx = np.arange(0, n_e - w, t_star_stride)
     if t_star_idx.size == 0:
         raise ValueError("ensemble horizon too short for the comparison window")
-    return w, steps, t_star_idx, np.arange(i_settle, shift_last + 1, shift_stride)
+    return w, steps, t_star_idx, np.arange(0, shift_last + 1, shift_stride)
 
 
 def check_tracking(
@@ -262,7 +262,7 @@ def check_tracking(
                 return None
             li, s, err = found
             pairs.append((mi, li))
-            shifts.append(library.t0 + s * library.dt)
+            shifts.append(s * library.dt)
             worst = max(worst, err)
         return worst, tuple(pairs), tuple(shifts)
 

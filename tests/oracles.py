@@ -16,16 +16,17 @@ from attractorlab.trajectory_space import TrajectoryAttractionReport
 from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
 
 
-def attraction_report_oracle(k_space, attractor, params, eps, window_T=2.0):
-    """trajectory_attraction_report by a full forward scan of every shift."""
+def attraction_report_oracle(k_space, attractor, eps):
+    """trajectory_attraction_report by a full forward scan of every shift, with
+    strong windows [0, 2]."""
     if not (eps > 0):
         raise ValueError("eps must be positive")
     dt = k_space.dt
     if dt != attractor.dt:
         raise GridMismatch("trajectory space and attractor grids differ")
-    steps = tail_steps(params, dt)
+    steps = tail_steps(dt)
     w_tail = int(steps[-1])
-    w_strong = int(round(window_T / dt))
+    w_strong = int(round(2.0 / dt))
     n = k_space.n_samples
     w_need = max(w_tail, w_strong)
     if n <= w_need or attractor.n_samples <= w_need:
@@ -52,7 +53,6 @@ def attraction_report_oracle(k_space, attractor, params, eps, window_T=2.0):
         strong_mode=strong_mode,
         t_entry_strong=entry(w_strong, "strong") if strong_mode else None,
         eps=eps,
-        window_T=window_T,
         n_times=int(shifts.shape[0]),
     )
 

@@ -41,7 +41,6 @@ from attractorlab.models import (
 )
 from attractorlab.spectral import advect, build_mode_table
 from attractorlab.state import Ensemble
-from attractorlab.metrics import TrajMetricParams
 from attractorlab.trajectory_space import (
     trajectory_attraction_report,
     trajectory_attractor,
@@ -279,12 +278,11 @@ def test_criterion_10_trajectory_attractor(toy_bundle, dyadic_bundle, nse4_bundl
     rhs = translate_semigroup(p, 4.0)
     assert np.array_equal(lhs.samples, rhs.samples)
     # weak attraction with finite entry on every library-backed model
-    params = TrajMetricParams()
     for bundle in (toy_bundle, dyadic_bundle, nse4_bundle):
         k_space = bundle["ensemble"]
-        att = trajectory_attractor(k_space, bundle["library"], params, cluster_tol=1e-3)
-        assert translation_invariance(att, params, tol=1e-3).ok
-        rep = trajectory_attraction_report(k_space, att, params, eps=2e-3, window_T=2.0)
+        att = trajectory_attractor(k_space, bundle["library"], cluster_tol=1e-3)
+        assert translation_invariance(att, tol=1e-3).ok
+        rep = trajectory_attraction_report(k_space, att, eps=2e-3)
         assert rep.t_entry is not None
         if bundle is nse4_bundle:
             assert rep.strong_mode and rep.t_entry_strong is not None

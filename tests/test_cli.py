@@ -672,7 +672,6 @@ def test_fused_blow_up_records_what_the_separate_path_records(tmp_path, monkeypa
     _fused_and_separate(tmp_path, monkeypatch, payload)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_group_blowing_up_in_the_fused_pass(tmp_path, monkeypatch):
     # the absorbing samples start far out and blow up, the run does not; the
     # pass falls back to one group at a time and only the absorbing check errs
@@ -756,7 +755,7 @@ _INT_FIELDS = {
 
 def _int_fields() -> set:
     tables = {"config": cli._CONFIG, "model": cli._MODEL, **cli._FORCING}
-    tables.update((name, fields) for name, (_, fields) in cli._CHECKS.items())
+    tables.update((name, fields) for name, (_, fields, _) in cli._CHECKS.items())
     tables.update((name, cli._CONFIG[name][0]) for name in ("omega", "library"))
     return {
         (table, key)
@@ -1003,7 +1002,7 @@ def test_a_check_that_raises_after_the_fork_writes_nothing(tmp_path, monkeypatch
         raise RuntimeError("check crashed")
 
     tails, forks = _forking(monkeypatch, True)
-    monkeypatch.setitem(cli._CHECKS, "energy", (raising, cli._CHECKS["energy"][1]))
+    monkeypatch.setitem(cli._CHECKS, "energy", (raising, *cli._CHECKS["energy"][1:]))
     fds = _open_fds()
     with pytest.raises(RuntimeError, match="check crashed"):
         _run(tmp_path, "verify", _WRITER)

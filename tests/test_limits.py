@@ -135,10 +135,9 @@ def test_is_attracting_wrong_candidate(toy_bundle):
 
 
 def test_global_attractor_attaches_attraction(toy_bundle):
-    est = global_attractor(
-        toy_bundle["ensemble"], "strong", OmegaParams(12.0, 18.0, 10, 1e-3), eps=1e-2
-    )
-    assert est.attraction is not None
+    # the attraction eps is twice the clustering tolerance
+    est = global_attractor(toy_bundle["ensemble"], "strong", OmegaParams(12.0, 18.0, 10, 5e-3))
+    assert est.attraction is not None and est.attraction.eps == 1e-2
     assert est.attraction.t_entry is not None
     assert est.attraction.worst_after_entry <= 1e-2
 

@@ -7,7 +7,6 @@ from scipy.spatial.distance import cdist
 
 from attractorlab.errors import HorizonTooShort, ModelMismatch
 from attractorlab.metrics import (
-    TrajMetricParams,
     cross_dist,
     dist_arrays,
     pairwise_to_set,
@@ -262,49 +261,48 @@ def test_traj_window_sup():
     assert abs(window_dist(spec, u, v, "weak") - 1.0 * r / (1 + r)) < 1e-15
 
 
-def _tail_series(d, dt, t_max):
-    """Hand-written tail series: s_T is the max of d over [0, T]."""
+def _tail_series(d, dt):
+    """Hand-written tail series over T = 1..8: s_T is the max of d over [0, T]."""
     total = 0.0
-    for T in range(1, t_max + 1):
+    for T in range(1, 9):
         s = d[: int(round(T / dt)) + 1].max()
         total += 2.0 ** (-T) * s / (1.0 + s)
     return total
 
 
-def _tail_kernel(d, dt, t_max):
-    """window_dist tail value for windows whose pointwise strong distance is d."""
-    u = np.zeros((d.shape[0], 2))
-    u[:, 0] = d
-    steps = tail_steps(TrajMetricParams(t_max_windows=t_max), dt)
-    return float(window_dist(SPECS[2], u, np.zeros_like(u), "strong", steps))
+def _tail_kernel(gap, dt):
+    """window_dist weak tail value for toy windows apart by gap on their
+    first coordinate; its weight is 1, so the weak distance is gap / (1 + gap)."""
+    u = np.zeros((gap.shape[0], spec_dim(SPECS[2])))
+    u[:, 0] = gap
+    return float(window_dist(SPECS[2], u, np.zeros_like(u), "weak", tail_steps(dt)))
 
 
 def test_tail_hand_value_constant():
     c = 0.4
-    d = np.full(41, c)
-    got = _tail_kernel(d, 0.1, 4)
-    want = (1.0 - 2.0 ** (-4)) * c / (1.0 + c)
+    s = c / (1.0 + c)  # the weak distance, and s_T for every T
+    got = _tail_kernel(np.full(81, c), 0.1)
+    want = (1.0 - 2.0 ** (-8)) * s / (1.0 + s)
     assert abs(got - want) < 1e-15
 
 
 def test_tail_hand_value_growing():
-    # d(t) = t on [0, 3] with dt = 0.5: s_T = T
-    d = np.arange(7) * 0.5
-    got = _tail_kernel(d, 0.5, 3)
-    want = sum(2.0 ** (-T) * T / (1.0 + T) for T in (1, 2, 3))
+    # gap t on [0, 8] with dt = 0.5: s_T = T / (1 + T), so s_T / (1 + s_T) = T / (1 + 2 T)
+    got = _tail_kernel(np.arange(17) * 0.5, 0.5)
+    want = sum(2.0 ** (-T) * T / (1.0 + 2.0 * T) for T in range(1, 9))
     assert abs(got - want) < 1e-15
 
 
 def test_traj_tail_matches_pointwise_reduction():
     rng = np.random.default_rng(9)
     spec = make_spec("toy_contraction", truncation=3)
-    u = rng.standard_normal((41, 3))
-    v = rng.standard_normal((41, 3))
-    steps = tail_steps(TrajMetricParams(t_max_windows=4), 0.1)
+    u = rng.standard_normal((81, 3))
+    v = rng.standard_normal((81, 3))
+    steps = tail_steps(0.1)
     for m in ("strong", "weak"):
         got = float(window_dist(spec, u, v, m, steps))
         d = dist_arrays(spec, u, v, m)
-        assert abs(got - _tail_series(d, 0.1, 4)) < 1e-15
+        assert abs(got - _tail_series(d, 0.1)) < 1e-15
     assert window_dist(spec, u, u, "strong", steps) == 0.0
 
 
@@ -313,18 +311,18 @@ def test_window_dist_matches_norm_formulas_bitwise():
     # np.linalg.norm and the tail series summed in T order
     rng = np.random.default_rng(4)
     spec = SPECS[0]
-    u = rng.standard_normal((41, spec_dim(spec)))
-    v = rng.standard_normal((41, spec_dim(spec)))
+    u = rng.standard_normal((81, spec_dim(spec)))
+    v = rng.standard_normal((81, spec_dim(spec)))
     weights, gs = weak_weights(spec)
-    r = np.linalg.norm((u - v).reshape(41, weights.shape[0], gs), axis=-1)
+    r = np.linalg.norm((u - v).reshape(81, weights.shape[0], gs), axis=-1)
     pointwise = {
         "strong": np.linalg.norm(u - v, axis=-1),
         "weak": (weights * (r / (1.0 + r))).sum(axis=-1),
     }
-    steps = tail_steps(TrajMetricParams(t_max_windows=4), 0.1)
+    steps = tail_steps(0.1)
     for m, d in pointwise.items():
         assert window_dist(spec, u, v, m) == d.max()
-        assert window_dist(spec, u, v, m, steps) == _tail_series(d, 0.1, 4)
+        assert window_dist(spec, u, v, m, steps) == _tail_series(d, 0.1)
 
 
 def _const_windows(offsets, n=5, dim=4):
@@ -351,9 +349,9 @@ def test_window_escapes_equals_semidist_threshold(m, tail):
     rng = np.random.default_rng(31)
     spec = SPECS[0]
     dim = spec_dim(spec)
-    steps = tail_steps(TrajMetricParams(t_max_windows=3), 0.1) if tail else None
-    a = rng.standard_normal((4, 31, dim))
-    b = a[:3] + 0.05 * rng.standard_normal((3, 31, dim))
+    steps = tail_steps(0.1) if tail else None
+    a = rng.standard_normal((4, 81, dim))
+    b = a[:3] + 0.05 * rng.standard_normal((3, 81, dim))
     d = window_semidist(spec, a, b, m, steps)
     # ties at exactly the semidistance and at every pair value, and the
     # neighbouring floats on both sides
@@ -385,10 +383,13 @@ def test_window_escapes_stops_at_the_deciding_pair(monkeypatch):
 
 
 def test_traj_tail_horizon_guard():
-    # the tail metric up to T = 2 needs 21 samples at dt = 0.1
-    u = Ensemble(np.zeros((1, 11, 2)), 0.0, 0.1, make_spec("toy_contraction", truncation=2))
+    # the tail metric up to T = 8 needs 81 samples at dt = 0.1
+    spec = make_spec("toy_contraction", truncation=2)
+    u = Ensemble(np.zeros((1, 80, 2)), 0.0, 0.1, spec)
     with pytest.raises(HorizonTooShort):
-        traj_set_semidist(u, u, "strong", TrajMetricParams(t_max_windows=2))
+        traj_set_semidist(u, u)
+    whole = Ensemble(np.zeros((1, 81, 2)), 0.0, 0.1, spec)
+    assert traj_set_semidist(whole, whole) == 0.0
 
 
 def test_dist_arrays_guards():

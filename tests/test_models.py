@@ -92,7 +92,7 @@ def test_nse_forcing_placement_and_errors():
 
 
 def test_dyadic_forcing_placement():
-    g = dyadic_forcing(4, [{"shell": 1, "amplitude": 0.3}, (1, 0.2)])
+    g = dyadic_forcing(4, [{"shell": 1, "amplitude": 0.3}, {"shell": 1, "amplitude": 0.2}])
     np.testing.assert_allclose(g, [0.0, 0.5, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         dyadic_forcing(4, [{"shell": 5, "amplitude": 1.0}])
@@ -354,7 +354,7 @@ def test_energy_checks_on_ensembles_equal_one_member_views_bitwise():
     toy = make_spec("toy_contraction", truncation=3)
     noisy = Ensemble(np.random.default_rng(3).standard_normal((6, 40, 3)), 0.0, 0.1, toy)
     cases = [(ens, 1.0, eps) for eps in (1e-1, 1e-2, 3e-3)]
-    cases += [(noisy, None, eps) for eps in (0.5, 2.0, 4.0, 8.0)]
+    cases += [(noisy, 1.0, eps) for eps in (0.5, 2.0, 4.0, 8.0)]
     seen = set()
     for e, radius, eps in cases:
         led = energy_ledger(e.model, e)

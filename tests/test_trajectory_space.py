@@ -8,7 +8,7 @@ from oracles import attraction_report_oracle
 
 import attractorlab.verification as verification
 from attractorlab.errors import EmptyEnsemble, HorizonTooShort, ModelMismatch, OffGrid
-from attractorlab.metrics import TrajMetricParams, strong_dist_arrays
+from attractorlab.metrics import dist_arrays, strong_dist_arrays
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import (
@@ -19,8 +19,6 @@ from attractorlab.trajectory_space import (
     translate_semigroup,
     translation_invariance,
 )
-
-PARAMS = TrajMetricParams()
 
 
 def _set_from(arrs, dt=0.1):
@@ -42,7 +40,7 @@ def test_trajectory_set_validation():
     with pytest.raises(ValueError):
         translate_semigroup(shifted, 0.1)
     with pytest.raises(ValueError):
-        traj_set_semidist(shifted, shifted, "strong", TrajMetricParams(t_max_windows=1))
+        traj_set_semidist(shifted, shifted)
 
 
 def test_translation_semigroup_law(toy_bundle):
@@ -69,46 +67,43 @@ def test_slice_matches_states(toy_bundle):
 
 
 def test_traj_set_semidist_hand_values():
-    n = 41  # dt 0.1, horizon 4 covers t_max_windows=3
+    n = 81  # dt 0.1, horizon 8 covers the 8 tail windows
     zeros = np.zeros((n, 2))
     ones = np.zeros((n, 2))
     ones[:, 0] = 1.0
     a = _set_from([zeros])
     b = _set_from([zeros, ones])
-    p = TrajMetricParams(t_max_windows=3)
-    assert traj_set_semidist(a, b, "strong", p) == 0.0
-    # other direction: nearest member to `ones` is `zeros`, constant gap 1
-    want = sum(2.0 ** (-T) * 1.0 / 2.0 for T in (1, 2, 3))
-    assert abs(traj_set_semidist(b, a, "strong", p) - want) < 1e-15
+    assert traj_set_semidist(a, b) == 0.0
+    # other direction: nearest member to `ones` is `zeros`, a constant gap 1
+    # on the coordinate of weight 1, so s_T = 1 / 2 and s_T / (1 + s_T) = 1 / 3
+    want = sum(2.0 ** (-T) / 3.0 for T in range(1, 9))
+    assert abs(traj_set_semidist(b, a) - want) < 1e-15
     with pytest.raises(HorizonTooShort):
-        traj_set_semidist(a, b, "strong", TrajMetricParams(t_max_windows=10))
+        traj_set_semidist(_set_from([zeros[:80]]), b)
 
 
 def test_pair_tail_consistent_with_pointwise():
     rng = np.random.default_rng(21)
-    x = rng.standard_normal((51, 3))
-    y = rng.standard_normal((51, 3))
+    x = rng.standard_normal((81, 3))
+    y = rng.standard_normal((81, 3))
     a = _set_from([x])
     b = _set_from([y])
-    p = TrajMetricParams(t_max_windows=4)
-    d = np.linalg.norm(x - y, axis=1)
+    d = dist_arrays(a.model, x, y, "weak")
     # hand-written series: s_T is the sup of d over [0, T], 10 samples per unit
-    want = sum(2.0 ** (-T) * d[: 10 * T + 1].max() / (1.0 + d[: 10 * T + 1].max()) for T in range(1, 5))
-    assert abs(traj_set_semidist(a, b, "strong", p) - want) < 1e-15
+    sups = [d[: 10 * T + 1].max() for T in range(1, 9)]
+    want = sum(2.0 ** (-T) * s / (1.0 + s) for T, s in enumerate(sups, start=1))
+    assert abs(traj_set_semidist(a, b) - want) < 1e-15
 
 
 def test_trajectory_attractor_toy(toy_bundle):
     k_space = toy_bundle["ensemble"]
-    params = TrajMetricParams(t_max_windows=8)
-    att = trajectory_attractor(
-        k_space, toy_bundle["library"], params, cluster_tol=1e-3, metric="weak"
-    )
+    att = trajectory_attractor(k_space, toy_bundle["library"], cluster_tol=1e-3)
     # all settled surrogates collapse to the origin: one representative
     assert att.n_members == 1
     assert np.linalg.norm(att.samples[0]) < 1e-3
-    inv = translation_invariance(att, params, tol=1e-3, metric="weak")
+    inv = translation_invariance(att, tol=1e-3)
     assert inv.ok and inv.t_values == (1.0, 2.0)
-    rep = trajectory_attraction_report(k_space, att, params, eps=2e-3, window_T=2.0)
+    rep = trajectory_attraction_report(k_space, att, eps=2e-3)
     assert rep.t_entry is not None
     # weak tail entry happens once e^-t decay falls under eps
     assert rep.t_entry <= np.log(1.0 / 2e-3) + 1.0
@@ -119,22 +114,22 @@ def test_trajectory_attractor_guards(toy_bundle):
     k_space = toy_bundle["ensemble"]
     lib = toy_bundle["library"]
     other = make_spec("toy_contraction", truncation=5)
-    bad = Ensemble(np.zeros((1, 301, 5)), -2.0, 0.01, other)
+    bad = Ensemble(np.zeros((1, 301, 5)), 0.0, 0.01, other)
     with pytest.raises(ModelMismatch):
-        trajectory_attractor(k_space, bad, PARAMS)
+        trajectory_attractor(k_space, bad, 1e-3)
     with pytest.raises(HorizonTooShort):
-        trajectory_attractor(_first_samples(k_space, 51), lib, PARAMS)
+        trajectory_attractor(_first_samples(k_space, 51), lib, 1e-3)
     # horizon 9 carries the tail windows but not the invariance shifts by 2
-    att = trajectory_attractor(_first_samples(k_space, 901), lib, PARAMS)
+    att = trajectory_attractor(_first_samples(k_space, 901), lib, 1e-3)
     with pytest.raises(HorizonTooShort):
-        translation_invariance(att, PARAMS, tol=1e-3)
+        translation_invariance(att, tol=1e-3)
 
 
 def test_attraction_report_eps_guard(toy_bundle):
     k_space = toy_bundle["ensemble"]
-    att = trajectory_attractor(k_space, toy_bundle["library"], PARAMS)
+    att = trajectory_attractor(k_space, toy_bundle["library"], 1e-3)
     with pytest.raises(ValueError):
-        trajectory_attraction_report(k_space, att, PARAMS, eps=0.0)
+        trajectory_attraction_report(k_space, att, eps=0.0)
 
 
 def _same_report(got, want):
@@ -144,7 +139,7 @@ def _same_report(got, want):
 
 @pytest.fixture(scope="module")
 def toy_attractor(toy_bundle):
-    return trajectory_attractor(toy_bundle["ensemble"], toy_bundle["library"], PARAMS)
+    return trajectory_attractor(toy_bundle["ensemble"], toy_bundle["library"], 1e-3)
 
 
 def _moved(ens, offset, n_early=None):
@@ -165,8 +160,8 @@ def test_attraction_report_matches_full_scan(toy_bundle, toy_attractor):
         "none": (_moved(ens, 0.5), None),
     }
     for name, (k_space, want) in cases.items():
-        got = trajectory_attraction_report(k_space, toy_attractor, PARAMS, eps=2e-3)
-        _same_report(got, attraction_report_oracle(k_space, toy_attractor, PARAMS, eps=2e-3))
+        got = trajectory_attraction_report(k_space, toy_attractor, eps=2e-3)
+        _same_report(got, attraction_report_oracle(k_space, toy_attractor, eps=2e-3))
         assert got.strong_mode, name
         for t in (got.t_entry, got.t_entry_strong):
             if want == "interior":
@@ -178,8 +173,8 @@ def test_attraction_report_matches_full_scan(toy_bundle, toy_attractor):
 @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0])
 def test_attraction_report_matches_full_scan_over_eps(toy_bundle, toy_attractor, eps):
     k_space = toy_bundle["ensemble"]
-    got = trajectory_attraction_report(k_space, toy_attractor, PARAMS, eps=eps)
-    _same_report(got, attraction_report_oracle(k_space, toy_attractor, PARAMS, eps=eps))
+    got = trajectory_attraction_report(k_space, toy_attractor, eps=eps)
+    _same_report(got, attraction_report_oracle(k_space, toy_attractor, eps=eps))
 
 
 def test_attraction_report_without_strong_mode(toy_bundle, toy_attractor):
@@ -188,9 +183,9 @@ def test_attraction_report_without_strong_mode(toy_bundle, toy_attractor):
     samples[:, 500:, 0] += 0.5
     jumped = Ensemble(samples, 0.0, toy_attractor.dt, toy_attractor.model)
     k_space = toy_bundle["ensemble"]
-    got = trajectory_attraction_report(k_space, jumped, PARAMS, eps=2e-3)
+    got = trajectory_attraction_report(k_space, jumped, eps=2e-3)
     assert not got.strong_mode and got.t_entry_strong is None
-    _same_report(got, attraction_report_oracle(k_space, jumped, PARAMS, eps=2e-3))
+    _same_report(got, attraction_report_oracle(k_space, jumped, eps=2e-3))
 
 
 def test_attraction_report_squares_grid_steps_in_place(toy_bundle, toy_attractor, monkeypatch):
@@ -204,7 +199,7 @@ def test_attraction_report_squares_grid_steps_in_place(toy_bundle, toy_attractor
     def peak():
         tracemalloc.start()
         try:
-            report = trajectory_attraction_report(k_space, attractor, PARAMS, eps=2e-3)
+            report = trajectory_attraction_report(k_space, attractor, eps=2e-3)
             return tracemalloc.get_traced_memory()[1], report
         finally:
             tracemalloc.stop()

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from oracles import tracking_ladder_oracle
 
-from attractorlab.core import build_ensemble, integrate
+from attractorlab.core import build_ensemble, integrate, translate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
 from attractorlab.metrics import _strong_dist_owned, strong_dist_arrays, window_dist
 from attractorlab.models import make_spec, sample_ball
 from attractorlab.state import Ensemble
+from attractorlab.trajectory_space import trajectory_attractor
 from attractorlab.verification import (
     TrackingReport,
     _grid_steps,
@@ -153,13 +154,32 @@ def test_tracking_self_library_is_exact(nse4_bundle):
 def test_tracking_no_match_raises(toy_bundle):
     spec = toy_bundle["spec"]
     # library pinned far away: nothing tracks the decaying ensemble
-    lib = Ensemble(np.full((2, 2401, 6), 5.0), -5.0, 0.01, spec)
+    lib = Ensemble(np.full((2, 2401, 6), 5.0), 0.0, 0.01, spec)
     with pytest.raises(NoMatch):
         check_tracking(toy_bundle["ensemble"], lib, "strong", eps=1e-3, window_T=2.0)
     ladder = tracking_ladder(
         toy_bundle["ensemble"], lib, "strong", window_T=2.0, eps_ladder=(0.1, 1e-3)
     )
     assert ladder[0][1] is None and ladder[1][1] is None
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda ens, est, lib: check_quasi_invariance(est, lib, eps=1e-2),
+        lambda ens, est, lib: check_maximal_invariant(est, lib, eps=1e-2),
+        lambda ens, est, lib: check_tracking(ens, lib, "strong", eps=1e-2, window_T=2.0),
+        lambda ens, est, lib: trajectory_attractor(ens, lib, 1e-3),
+    ],
+    ids=["quasi_invariance", "maximal_invariant", "tracking", "trajectory_attractor"],
+)
+def test_a_library_that_does_not_start_at_zero_is_rejected(toy_bundle, reader):
+    # the settled library's own samples, labelled as starting at t = -1
+    ens = toy_bundle["ensemble"]
+    est = omega_limit(ens, "strong", toy_bundle["omega"])
+    early = translate(toy_bundle["library"], -1.0)
+    with pytest.raises(ValueError, match="must start at t = 0"):
+        reader(ens, est, early)
 
 
 def test_tracking_rejects_mismatched_library(toy_bundle):
