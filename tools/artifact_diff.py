@@ -8,8 +8,8 @@ Runs ``python -m attractorlab.cli`` once with PARENT_SRC and once with this
 checkout's ``src/`` on the import path, on the four perfbench workloads at
 workload seeds 0-4, on the built-in edge cases of EDGE_CASES, each under its
 own subcommand (the error, blow-up, duplicate-check, clipped-window,
-odd-split and uneven-split paths of ``verify``, and the pass path of
-``trajectory-attractor``), and on each extra ``verify`` config given. Every run
+odd-split, uneven-split and search-miss paths of ``verify``, and the pass
+path of ``trajectory-attractor``), and on each extra ``verify`` config given. Every run
 writes into its own temporary directory. The exit codes and the five
 artifacts must match: four files byte for byte, and manifest.json after
 mapping the run's ``output_dir`` to one placeholder.
@@ -143,6 +143,19 @@ EDGE_CASES = {
         dt=0.1,
         radius=0.01,
         checks=[{"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
+    ),
+    # the miss paths of the library searches: strong tracking with a NoMatch
+    # rung at eps 1e-9; at eps 1e-3 points anchored on the library but left
+    # uncovered by their windows, and at eps 1e-2 points with no anchor
+    "edge tracking and quasi-invariance misses": _case(
+        "verify",
+        model=_NSE2,
+        library={"size": 2, "t_back": 2.0, "horizon": 4.0},
+        checks=[
+            {"name": "tracking", "metric": "strong", "eps_ladder": [0.1, 1e-9]},
+            {"name": "quasi_invariance", "eps": 1e-3, "t_win": 1.0},
+            {"name": "quasi_invariance", "eps": 1e-2, "t_win": 1.0},
+        ],
     ),
     # the report's pass path: a library settled after t_back 10, a run that
     # enters the weak eps-tube of the attractor at t = 3.8, strong mode on
