@@ -22,10 +22,7 @@ from .core import (
     restrict,
     translate,
 )
-from .metrics import (
-    MetricKind,
-    weak_weight_total,
-)
+from .metrics import weak_weight_total
 from .models import (
     EnergyLedger,
     ModelSpec,

@@ -654,6 +654,16 @@ _CHECKS = {
 }
 
 
+# what a run, or one check of verify, records as its error instead of raising
+_RECORDED = (AttractorLabError, ValueError, MemoryError)
+
+
+def _error_record(exc: BaseException) -> dict:
+    # numpy raises a private subclass of MemoryError; record the public name
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    return {"type": name, "message": str(exc)}
+
+
 def _run_checks(ctx: _RunContext) -> list[dict]:
     """Run the configured checks, each on its own.
 
@@ -666,10 +676,8 @@ def _run_checks(ctx: _RunContext) -> list[dict]:
         name = chk["name"]
         try:
             record = _CHECKS[name][0](ctx.cfg, chk, ctx)
-        except (AttractorLabError, ValueError) as exc:
-            record = {
-                "status": "error", "type": type(exc).__name__, "message": str(exc), "stage": name
-            }
+        except _RECORDED as exc:
+            record = {"status": "error", **_error_record(exc), "stage": name}
         reports.append({"name": name, **record})
     return reports
 
@@ -740,7 +748,7 @@ def run(subcommand: str, cfg: dict) -> int:
                 est = omega_limit(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
                 sets["omega"] = _set_payload(est)
             elif subcommand == "attractor":
-                est = global_attractor(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
+                est = ctx.attractor
                 sets["attractor"] = _set_payload(est)
                 reports.append(
                     {
@@ -755,10 +763,8 @@ def run(subcommand: str, cfg: dict) -> int:
             elif subcommand == "verify":
                 reports = _run_checks(ctx)
             exit_code = _status_exit(reports)
-        except (AttractorLabError, ValueError, MemoryError) as exc:
-            # numpy raises a private subclass of MemoryError; record the public name
-            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-            error_record = {"type": name, "message": str(exc)}
+        except _RECORDED as exc:
+            error_record = _error_record(exc)
             exit_code = 1
         ctx = None  # the writers need only the run's ensemble: free the rest first
         if ensemble is not None:

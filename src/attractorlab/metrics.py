@@ -17,14 +17,15 @@ Trajectory comparisons use the sup metric on a window [a, b] and the
 geometric tail series sum_T 2^(-T) s_T / (1 + s_T) with
 s_T = sup_{[a, a+T]} d(u, v), truncated at T = TAIL_WINDOWS (the dropped tail
 is bounded by 2^-TAIL_WINDOWS). Both reductions come from one kernel,
-window_dist, which every window-matching search in the package calls; its
-leading axes broadcast, so the windows of all members of an ensemble
-against one reference window take one call.
+window_dist; its leading axes broadcast, so the windows of all members of
+an ensemble against one reference window take one call. Every search over
+windows goes through one scan, window_nearest: the distance from one window
+to the nearest of a stack, in stored order, stopping at the first one under
+eps. The semidistance between window stacks is the max of it.
 """
 from __future__ import annotations
 
 from functools import cache
-from typing import Literal
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .errors import ModelMismatch
 from .models import ModelSpec, spec_dim, weak_weights
 from .state import span_steps
 
-MetricKind = Literal["strong", "weak"]
 METRIC_KINDS = ("strong", "weak")
 _CHUNK = 1 << 14
 # the tail series' windows [a, a+T], T = 1..TAIL_WINDOWS
@@ -232,26 +232,26 @@ def window_dist(spec: ModelSpec, u: np.ndarray, v: np.ndarray, m: str, steps=Non
     return total
 
 
-def window_semidist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps=None) -> float:
-    """sup over windows u in a of min over windows v in b of window_dist(u, v).
+def window_nearest(spec: ModelSpec, u: np.ndarray, b: np.ndarray, m: str, steps=None, eps=0.0):
+    """min over windows v in b of window_dist(u, v), scanning b in stored order.
 
-    a and b stack equal-length windows, (members, n, dim); one window pair
-    is compared at a time, so temporaries stay one (n, dim) block.
+    u is one window (n, dim) and b stacks equal-length windows, (members, n,
+    dim); one window pair is compared at a time, so temporaries stay one
+    (n, dim) block. The scan stops at the first value under eps and returns
+    it, so the result is < eps exactly when the min is. inf for an empty b.
     """
+    nearest = np.inf
+    for v in b:
+        d = float(window_dist(spec, u, v, m, steps))
+        if d < eps:
+            return d
+        nearest = min(nearest, d)
+    return nearest
+
+
+def window_semidist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps=None) -> float:
+    """sup over windows u in a of window_nearest(u, b): max of the nearest distances."""
     worst = 0.0
     for u in a:
-        worst = max(worst, min(float(window_dist(spec, u, v, m, steps)) for v in b))
+        worst = max(worst, window_nearest(spec, u, b, m, steps))
     return worst
-
-
-def window_escapes(
-    spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, eps: float, steps=None
-) -> bool:
-    """Whether some window of a is >= eps from every window of b.
-
-    The same answer as window_semidist(spec, a, b, m, steps) >= eps for
-    eps > 0, from the same window_dist values, but it stops at the first
-    window of a that escapes, and for each window of a at the first window
-    of b closer than eps.
-    """
-    return any(all(float(window_dist(spec, u, v, m, steps)) >= eps for v in b) for u in a)

@@ -72,6 +72,18 @@ def make_spec(
         raise ValueError(f"truncation must be an integer >= 1, got {truncation}")
     if kind == "dyadic" and not (lam > 1 and np.isfinite(lam)):
         raise ValueError(f"dyadic lam must exceed 1, got {lam}")
+    # the largest decay rate must be a finite float
+    top, rate = 1.0, ""
+    with np.errstate(over="ignore"):
+        if kind == "dyadic":
+            top = nu * np.float64(lam) ** (2.0 * truncation)
+            rate = f"nu lam^(2N) at nu={nu}, lam={lam}, N={truncation}"
+        elif kind in NSE_KINDS:
+            d = 3 if kind == "galerkin_nse_3d" else 2
+            top = nu * (2.0 * np.pi * truncation / np.float64(L)) ** 2 * d
+            rate = f"nu (2 pi N / L)^2 d at nu={nu}, L={L}, N={truncation}, d={d}"
+    if not np.isfinite(top):
+        raise ValueError(f"the largest linear rate {rate} is not a finite float")
     dim = model_dim(kind, int(truncation))
     g_tuple: tuple[float, ...] | None = None
     if forcing is not None:

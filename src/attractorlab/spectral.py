@@ -46,7 +46,6 @@ class ModeTable:
     d: int
     n_tan: int
     L: float
-    trunc: int
     kappa_half: np.ndarray   # (Mh, d) int, lexicographically positive reps
     kappa_full: np.ndarray   # (2 Mh, d) int, [half; -half]
     tangents: np.ndarray     # (Mh, n_tan, d) float, unit, orthogonal to kappa
@@ -195,7 +194,6 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
         d=d,
         n_tan=n_tan,
         L=float(L),
-        trunc=n,
         kappa_half=half,
         kappa_full=full,
         tangents=tangents,

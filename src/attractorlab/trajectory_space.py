@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import restrict, translate
 from .errors import GridMismatch, HorizonTooShort, ModelMismatch
-from .metrics import TAIL_WINDOWS, tail_steps, window_escapes, window_semidist
+from .metrics import TAIL_WINDOWS, tail_steps, window_nearest, window_semidist
 from .state import Ensemble, _check_time_zero, span_steps
 from .verification import is_grid_continuous
 
@@ -83,8 +83,7 @@ def trajectory_attractor(k_space: Ensemble, library: Ensemble, cluster_tol: floa
     window = forward.samples[:, : int(steps[-1]) + 1]
     accepted = [0]
     for i in range(1, forward.n_members):
-        d = window_semidist(forward.model, window[i : i + 1], window[accepted], "weak", steps)
-        if d > cluster_tol:
+        if window_nearest(forward.model, window[i], window[accepted], "weak", steps) > cluster_tol:
             accepted.append(i)
     return Ensemble(forward.samples[accepted], 0.0, forward.dt, forward.model)
 
@@ -162,7 +161,8 @@ def trajectory_attraction_report(
         ref = attractor.samples[:, : w + 1]
         for j in reversed(range(shifts.shape[0])):
             k = shifts[j]
-            if window_escapes(k_space.model, k_space.samples[:, k : k + w + 1], ref, m, eps, tail):
+            windows = k_space.samples[:, k : k + w + 1]
+            if any(window_nearest(k_space.model, u, ref, m, tail, eps) >= eps for u in windows):
                 return float(shifts[j + 1] * dt) if j + 1 < shifts.shape[0] else None
         return float(shifts[0] * dt)
 

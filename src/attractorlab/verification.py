@@ -6,6 +6,9 @@ raises HypothesisFail so that a theorem is never blamed for an input that
 did not satisfy its assumptions. Quantifiers over all trajectories, shifts,
 and epsilons become finite searches with deterministic order: library
 members in stored order, grid shifts ascending, first match under eps wins.
+Every search over the library goes through one scan, _anchored, which
+yields each member with the strong distances from a point to its samples at
+the searched shifts; the searches differ only in which shifts they keep.
 Searches whose verdict is decided by the last violation scan backward: the
 tracking search takes sampled t* from the last one down and stops at the
 first t* with an unmatched member. Every check acts on whole ensembles: the
@@ -88,12 +91,18 @@ def _check_library(est, library: Ensemble) -> None:
     _check_time_zero(library)
 
 
+def _anchored(library: Ensemble, shifts: np.ndarray, x: np.ndarray):
+    """(index, samples, strong distances from x to samples[shifts]) of each
+    library member, in stored order; a search stops it at its first match."""
+    for li, vs in enumerate(library.samples):
+        yield li, vs, strong_dist_arrays(vs[shifts] - x)
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiInvarianceReport:
     covered_fraction: float
     uncovered: tuple[int, ...]
     eps: float
-    t_win: float
 
 
 def check_quasi_invariance(
@@ -110,37 +119,25 @@ def check_quasi_invariance(
     library, which starts at t = 0 (ValueError otherwise).
     """
     _check_library(est, library)
-    spec = library.model
     cloud = est.points
-    metric = est.metric
-    dt = library.dt
-    w = int(round(t_win / dt))
+    w = int(round(t_win / library.dt))
     if w < 1:
         raise ValueError("t_win shorter than one grid step")
-    lo, hi = w, library.n_samples - 1 - w
-    if lo > hi:
+    shifts = np.arange(w, library.n_samples - w)
+    if shifts.size == 0:
         raise ValueError("library horizon too short for the requested window")
-    nearest = _nearest_in(spec, cloud, metric)
+    nearest = _nearest_in(library.model, cloud, est.metric)
     uncovered = []
-    for a_idx in range(cloud.shape[0]):
-        a = cloud[a_idx]
-        hit = False
-        for vs in library.samples:
-            anchor = strong_dist_arrays(vs[lo : hi + 1] - a)
-            for j in np.flatnonzero(anchor < eps):
-                s = lo + int(j)
-                window = vs[s - w : s + w + 1]
-                if nearest(window).max() < eps:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
+    for a_idx, a in enumerate(cloud):
+        covered = any(
+            nearest(vs[s - w : s + w + 1]).max() < eps
+            for _, vs, d in _anchored(library, shifts, a)
+            for s in shifts[d < eps]
+        )
+        if not covered:
             uncovered.append(a_idx)
     frac = 1.0 - len(uncovered) / cloud.shape[0]
-    return QuasiInvarianceReport(
-        covered_fraction=frac, uncovered=tuple(uncovered), eps=eps, t_win=t_win
-    )
+    return QuasiInvarianceReport(covered_fraction=frac, uncovered=tuple(uncovered), eps=eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +179,6 @@ def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> Max
 @dataclass(frozen=True, eq=False)
 class TrackingReport:
     t_star: float
-    window_T: float
     metric: str
     eps: float
     worst_error: float
@@ -243,13 +239,11 @@ def check_tracking(
 
     def member_match(u_seg: np.ndarray):
         # first (lib index, shift index, error) under eps, anchored at u_seg[0]
-        for li, vs in enumerate(library.samples):
-            a_d = strong_dist_arrays(vs[shift_idx] - u_seg[0])
-            for j in np.flatnonzero(a_d < eps):
-                s = int(shift_idx[j])
+        for li, vs, d in _anchored(library, shift_idx, u_seg[0]):
+            for s in shift_idx[d < eps]:
                 err = float(window_dist(spec, u_seg, vs[s : s + w + 1], m, steps))
                 if err < eps:
-                    return li, s, err
+                    return li, int(s), err
         return None
 
     def matched_at(k: int):
@@ -276,7 +270,6 @@ def check_tracking(
     worst, pairs, shifts = record
     return TrackingReport(
         t_star=ensemble.t0 + int(t_star_idx[first_ok]) * ensemble.dt,
-        window_T=window_T,
         metric=m,
         eps=eps,
         worst_error=worst,
@@ -324,8 +317,8 @@ def tracking_error_profile(
         for us in ensemble.samples:
             seg = us[k : k + w + 1]
             best = np.inf
-            for vs in library.samples:
-                s = int(shift_idx[int(np.argmin(strong_dist_arrays(vs[shift_idx] - seg[0])))])
+            for _, vs, d in _anchored(library, shift_idx, seg[0]):
+                s = shift_idx[np.argmin(d)]
                 best = min(best, float(window_dist(spec, seg, vs[s : s + w + 1], m, steps)))
             worst = max(worst, best)
         errors[out_i] = worst
@@ -342,7 +335,6 @@ class PointConvergenceReport:
     t_star: float
     dists: tuple[float, ...]
     weak_dists: tuple[float, ...]
-    ladder: tuple[tuple[float, int | None], ...]
     sup_dists: tuple[float, ...]
     l2_dists: tuple[float, ...]
 
@@ -374,8 +366,7 @@ def check_strong_convergence_at_point(
     approach the limit in the weak window metric over the window, and the
     limit must pass the grid continuity witness there; failures raise
     HypothesisFail. The verdict asks for the strong distances at t_star to
-    decrease to a fifth of the first; the ladder gives the first member
-    below each of 1e-1, 1e-2, 1e-3. Two more readings of the same strong
+    decrease to a fifth of the first. Two more readings of the same strong
     distances, one per member, are reported without a verdict: sup_dists,
     their sup over the window, and l2_dists, their L2 norm in time over the
     window by the trapezoid rule (condition A3 of Cheskidov & Foias).
@@ -399,10 +390,6 @@ def check_strong_convergence_at_point(
     scale = 1.0 + float(np.linalg.norm(x))
     monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 * scale for i in range(len(d) - 1))
     small = d[-1] <= max(0.2 * d[0], 1e-12 * scale)
-    ladder = []
-    for eps in (1e-1, 1e-2, 1e-3):
-        below = [i for i, v in enumerate(d) if v < eps]
-        ladder.append((float(eps), below[0] if below else None))
     strong = _strong_dist_owned(u - v)  # (members, samples in the window)
     y = strong * strong
     # the trapezoid rule as numpy writes it (np.trapezoid needs numpy >= 2)
@@ -412,7 +399,6 @@ def check_strong_convergence_at_point(
         t_star=t_star,
         dists=tuple(d),
         weak_dists=tuple(weak_vals),
-        ladder=tuple(ladder),
         sup_dists=tuple(strong.max(axis=-1).tolist()),
         l2_dists=tuple(l2.tolist()),
     )

@@ -3,14 +3,22 @@
 Each oracle evaluates every sampled time, front to back, and then reads the
 verdict off the complete record: the definition of the report, with no
 early exit. The package scans backward and stops at the deciding violation;
-these scans stay slow on purpose and live only in the tests. The module also
-holds the tangent-scalar conversions and coords_to_modes, from which the
+these scans stay slow on purpose and live only in the tests. Two more
+oracles search the surrogate library with explicit loops over its members
+and shifts, for check_quasi_invariance and tracking_error_profile. The
+module also holds the tangent-scalar conversions and coords_to_modes, from which the
 physical-space advection oracle of test_spectral builds its fields.
 """
 import numpy as np
 
 from attractorlab.errors import GridMismatch, HorizonTooShort, NoMatch
-from attractorlab.metrics import strong_dist_arrays, tail_steps, window_dist, window_semidist
+from attractorlab.metrics import (
+    pairwise_to_set,
+    strong_dist_arrays,
+    tail_steps,
+    window_dist,
+    window_semidist,
+)
 from attractorlab.spectral import ModeTable
 from attractorlab.trajectory_space import TrajectoryAttractionReport
 from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
@@ -94,7 +102,6 @@ def tracking_oracle(ensemble, library, m, eps, window_T):
     ok, worst, pairs, shifts = per_t[first_ok]
     return TrackingReport(
         t_star=ensemble.t0 + int(t_star_idx[first_ok]) * ensemble.dt,
-        window_T=window_T,
         metric=m,
         eps=eps,
         worst_error=worst,
@@ -111,6 +118,51 @@ def tracking_ladder_oracle(ensemble, library, m, window_T, eps_ladder):
         except NoMatch:
             out.append((float(eps), None))
     return tuple(out)
+
+
+def quasi_invariance_oracle(est, library, eps, t_win):
+    """The uncovered points of check_quasi_invariance: for each point, library
+    members in stored order, anchored shifts ascending, first covering window
+    wins."""
+    cloud = est.points
+    w = int(round(t_win / library.dt))
+    lo, hi = w, library.n_samples - 1 - w
+    uncovered = []
+    for a_idx in range(cloud.shape[0]):
+        a = cloud[a_idx]
+        hit = False
+        for vs in library.samples:
+            anchor = strong_dist_arrays(vs[lo : hi + 1] - a)
+            for j in np.flatnonzero(anchor < eps):
+                s = lo + int(j)
+                window = vs[s - w : s + w + 1]
+                if pairwise_to_set(library.model, window, cloud, est.metric).max() < eps:
+                    hit = True
+                    break
+            if hit:
+                break
+        if not hit:
+            uncovered.append(a_idx)
+    return tuple(uncovered)
+
+
+def error_profile_oracle(ensemble, library, m, window_T):
+    """tracking_error_profile: each member's window error against every library
+    member at that member's strong-anchor-nearest shift."""
+    w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T)
+    errors = []
+    for k in t_star_idx:
+        worst = 0.0
+        for us in ensemble.samples:
+            seg = us[k : k + w + 1]
+            best = np.inf
+            for vs in library.samples:
+                s = int(shift_idx[int(np.argmin(strong_dist_arrays(vs[shift_idx] - seg[0])))])
+                err = float(window_dist(ensemble.model, seg, vs[s : s + w + 1], m, steps))
+                best = min(best, err)
+            worst = max(worst, best)
+        errors.append(worst)
+    return ensemble.t0 + t_star_idx * ensemble.dt, np.array(errors)
 
 
 def coords_to_scalars(table: ModeTable, coords: np.ndarray) -> np.ndarray:

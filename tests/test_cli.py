@@ -193,6 +193,62 @@ def test_running_out_of_memory_is_an_error_record(tmp_path, monkeypatch, capsys,
         assert (out / f).exists(), f
 
 
+def test_a_check_out_of_memory_keeps_the_other_records(tmp_path, monkeypatch, capsys):
+    # n_samples 10^12 would ask sample_ball for TiBs; the patch raises at once
+    sample_ball = cli.sample_ball
+
+    def absorbing_out_of_memory(spec, n, **kwargs):
+        if n == 10**12:
+            _out_of_memory()
+        return sample_ball(spec, n, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_ball", absorbing_out_of_memory)
+    checks = [
+        {"name": "energy"},
+        {"name": "absorbing", "n_samples": 10**12},
+        {"name": "compactness"},
+    ]
+    code, out = _run(tmp_path, "verify", dict(NSE2, checks=checks))
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    reports = json.loads((out / "reports.json").read_text())
+    assert "error" not in reports
+    energy, absorbing, compactness = reports["checks"]
+    assert energy["name"] == "energy" and energy["status"] in ("pass", "fail")
+    assert compactness["name"] == "compactness" and compactness["status"] in ("pass", "fail")
+    assert absorbing == {
+        "name": "absorbing",
+        "status": "error",
+        "type": "MemoryError",
+        "message": "Unable to allocate 385. GiB for an array",
+        "stage": "absorbing",
+    }
+    for f in FIVE:
+        assert (out / f).exists(), f
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "dyadic", "truncation": 1100, "forcing": [{"shell": 1, "amplitude": 0.5}]},
+        {"kind": "dyadic", "truncation": 3, "lambda": 1e100},
+        {"kind": "galerkin_nse_2d", "truncation": 2, "nu": 1e308},
+    ],
+    ids=["dyadic-truncation", "dyadic-lambda", "nse-nu"],
+)
+def test_an_overflowing_linear_rate_is_a_config_error(model, tmp_path, capsys):
+    # each of these ran after a numpy overflow warning, and the first two
+    # exited 1 with a NonFiniteState record
+    cfg = dict(TOY, model=model, horizon=0.1, dt=0.1, output_dir=str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", _write_cfg(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: model: the largest linear rate")
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_absorbing_check_on_forced_model(tmp_path):
     payload = {
         "model": {

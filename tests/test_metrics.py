@@ -15,7 +15,7 @@ from attractorlab.metrics import (
     weak_dist_arrays,
     weak_weight_total,
     window_dist,
-    window_escapes,
+    window_nearest,
     window_semidist,
 )
 from attractorlab.models import make_spec, spec_dim, weak_weights
@@ -332,15 +332,29 @@ def _const_windows(offsets, n=5, dim=4):
     return out
 
 
+def _escapes(spec, a, b, m, eps, steps=None):
+    # whether some window of a is >= eps from every window of b, as the
+    # trajectory attraction report decides it
+    return any(window_nearest(spec, u, b, m, steps, eps) >= eps for u in a)
+
+
 def test_window_escapes_hand_values_and_ties():
     spec = SPECS[2]
     a = _const_windows([0.0, 0.5, 2.0])
     b = _const_windows([0.0, 1.0])
     # nearest distances 0, 0.5 and 1: the semidistance is 1.0
+    assert [window_nearest(spec, u, b, "strong") for u in a] == [0.0, 0.5, 1.0]
     assert window_semidist(spec, a, b, "strong") == 1.0
     for eps, want in [(0.25, True), (0.5, True), (1.0, True), (np.nextafter(1.0, 2.0), False)]:
-        assert window_escapes(spec, a, b, "strong", eps) is want
+        assert _escapes(spec, a, b, "strong", eps) is want
         assert (window_semidist(spec, a, b, "strong") >= eps) == want
+    # the first value under eps is returned; a value at exactly eps is not under it
+    u, b = _const_windows([0.0])[0], _const_windows([0.3, 0.1])
+    assert window_nearest(spec, u, b, "strong", eps=0.5) == 0.3
+    assert window_nearest(spec, u, b, "strong", eps=0.3) == 0.1
+    assert window_nearest(spec, u, b, "strong", eps=np.nextafter(0.3, 1.0)) == 0.3
+    assert window_nearest(spec, u, b, "strong", eps=np.nextafter(0.1, 0.0)) == 0.1
+    assert window_nearest(spec, u, b[:0], "strong") == np.inf
 
 
 @pytest.mark.parametrize("m", ["strong", "weak"])
@@ -353,13 +367,17 @@ def test_window_escapes_equals_semidist_threshold(m, tail):
     a = rng.standard_normal((4, 81, dim))
     b = a[:3] + 0.05 * rng.standard_normal((3, 81, dim))
     d = window_semidist(spec, a, b, m, steps)
+    nearest = [window_nearest(spec, u, b, m, steps) for u in a]
+    pair = [[float(window_dist(spec, u, v, m, steps)) for v in b] for u in a]
+    assert nearest == [min(row) for row in pair] and d == max(nearest)
     # ties at exactly the semidistance and at every pair value, and the
     # neighbouring floats on both sides
-    pair = [float(window_dist(spec, u, v, m, steps)) for u in a for v in b]
-    for x in [d] + pair:
+    for x in [d] + [v for row in pair for v in row]:
         for eps in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
             if eps > 0:
-                assert window_escapes(spec, a, b, m, eps, steps) == (d >= eps)
+                assert _escapes(spec, a, b, m, eps, steps) == (d >= eps)
+                for u, near in zip(a, nearest):
+                    assert (window_nearest(spec, u, b, m, steps, eps) < eps) == (near < eps)
 
 
 def test_window_escapes_stops_at_the_deciding_pair(monkeypatch):
@@ -374,11 +392,15 @@ def test_window_escapes_stops_at_the_deciding_pair(monkeypatch):
     monkeypatch.setattr(metrics, "window_dist", counted)
     b = _const_windows([0.0, 1.0, 2.0])
     # the first window of a escapes: one pass over b settles the answer
-    assert window_escapes(spec, _const_windows([9.0, 0.0]), b, "strong", 0.5)
+    assert _escapes(spec, _const_windows([9.0, 0.0]), b, "strong", 0.5)
     assert len(calls) == 3
     # every window of a has a near window first in b: one call each
     calls.clear()
-    assert not window_escapes(spec, _const_windows([0.0, 0.1]), b, "strong", 0.5)
+    assert not _escapes(spec, _const_windows([0.0, 0.1]), b, "strong", 0.5)
+    assert len(calls) == 2
+    # the scan stops at the second window of b, the first under eps
+    calls.clear()
+    assert window_nearest(spec, _const_windows([1.25])[0], b, "strong", eps=0.5) == 0.25
     assert len(calls) == 2
 
 

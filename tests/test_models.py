@@ -1,4 +1,6 @@
 """Model builders, energy bookkeeping, and steady states."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from attractorlab.models import (
     energy_ledger,
     enstrophy,
     forcing_array,
+    linear_rates,
     make_spec,
     mode_table,
     model_dim,
@@ -44,6 +47,28 @@ def test_make_spec_validation():
         make_spec("galerkin_nse_2d", L=0.0, truncation=2)
     with pytest.raises(ValueError):
         make_spec("dyadic", truncation=4, lam=1.0)
+
+
+def test_make_spec_bounds_the_largest_linear_rate():
+    # dyadic nu lam^(2N) and NSE nu (2 pi N / L)^2 d: a largest rate just
+    # inside the floats passes, and one past them is a ValueError rather than
+    # an overflow (2^1022 is the last finite dyadic rate at lam 2)
+    for spec in (
+        make_spec("dyadic", truncation=511, lam=2.0),
+        make_spec("galerkin_nse_2d", nu=2e307, L=TWO_PI, truncation=2),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(linear_rates(spec)).all()
+    assert linear_rates(make_spec("galerkin_nse_2d", nu=2e307, truncation=2)).max() == 2e307 * 8
+    for kwargs in (
+        {"kind": "dyadic", "truncation": 512, "lam": 2.0},
+        {"kind": "dyadic", "truncation": 3, "lam": 1e100},
+        {"kind": "galerkin_nse_2d", "nu": 3e307, "truncation": 2},
+        {"kind": "galerkin_nse_3d", "nu": 1e308, "truncation": 1},
+    ):
+        with pytest.raises(ValueError, match="largest linear rate"):
+            make_spec(**kwargs)
 
 
 def test_dimensions():

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import tracking_ladder_oracle
+from oracles import error_profile_oracle, quasi_invariance_oracle, tracking_ladder_oracle
 
 from attractorlab.core import build_ensemble, integrate, translate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
@@ -241,6 +241,29 @@ def test_tracking_matches_forward_scan(request, bundle, m):
     assert t_stars[0] == ens.t0
     assert len([t for t in t_stars if t > second]) >= 2
     assert rungs[-1][1] is None
+
+
+@pytest.mark.parametrize("bundle", ["toy_bundle", "nse4_bundle"])
+def test_library_searches_match_explicit_loops(request, bundle):
+    # the library scans of the quasi-invariance check and the error profile
+    # give the bits of explicit loops over members and shifts. The
+    # quasi-invariance library is the ensemble, whose transients leave its
+    # windows off a cloud of every 25th sample of its first member, so
+    # that anchors, windows, or neither decide the verdict
+    b = request.getfixturevalue(bundle)
+    ens, lib = b["ensemble"], b["library"]
+    cloud = ens.samples[0, ::25]
+    est = SetEstimate(cloud, ens.model, metric="strong", tol=1e-3, horizon=ens.t_end)
+    counts = set()
+    for eps in (1e-2, 1e-3, 1e-4):
+        rep = check_quasi_invariance(est, ens, eps=eps, t_win=0.5)
+        assert rep.uncovered == quasi_invariance_oracle(est, ens, eps, 0.5), eps
+        counts.add(len(rep.uncovered))
+    assert any(0 < c < cloud.shape[0] for c in counts)
+    for m in ("strong", "weak"):
+        t_stars, errs = tracking_error_profile(ens, lib, m, window_T=2.0)
+        want_t, want_errs = error_profile_oracle(ens, lib, m, 2.0)
+        assert t_stars.tolist() == want_t.tolist() and errs.tolist() == want_errs.tolist()
 
 
 def test_tracking_error_profile_monotone(nse4_bundle):
