@@ -16,7 +16,7 @@ record and the other checks still run. The run's ensemble is the pass's
 first group, so the pass's forked child, if any, steps a block of the run's
 members and then formats their lines of trajectories.csv while this process
 steps the other rows and runs the checks. Only this process writes
-artifacts, after the checks.
+artifacts, after the checks, trajectories.csv last but for manifest.json.
 
 Exit codes: 0 all checks passed, 1 config or runtime error, 2 at least one
 check returned false, 3 at least one check could not establish its
@@ -64,6 +64,7 @@ from .verification import (
     check_maximal_invariant,
     check_quasi_invariance,
     check_strong_convergence_at_point,
+    _point_window,
     tracking_ladder,
 )
 
@@ -582,12 +583,16 @@ def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
 
 
 def _point_group(cfg: dict, chk: dict, ctx: _RunContext) -> Group:
-    # starts x0 + 2^-n e_0 around the run's first initial state x0
+    # starts x0 + 2^-n e_0 around the run's first initial state x0, kept over
+    # the check's window around t_star and stepped no further
     bump = np.zeros(spec_dim(ctx.spec))
     bump[0] = 1.0
     x0 = ctx.initials[0]
     starts = [x0 + 2.0 ** (-n) * bump for n in range(1, chk["n_seq"] + 1)]
-    return make_group(ctx.spec, np.array(starts), 0.0, cfg["horizon"], cfg["dt"])
+    dt = cfg["dt"]
+    group = make_group(ctx.spec, np.array(starts), 0.0, cfg["horizon"], dt)
+    lo, hi = _point_window(grid_index(chk["t_star"], 0.0, dt), dt, group.n_steps + 1)
+    return group._replace(t0=lo * dt, n_steps=hi, skip=lo)
 
 
 def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
@@ -767,23 +772,24 @@ def run(subcommand: str, cfg: dict) -> int:
             error_record = _error_record(exc)
             exit_code = 1
         ctx = None  # the writers need only the run's ensemble: free the rest first
+        if ensemble is None:
+            (out / "trajectories.csv").write_text("time,member\n")
+            (out / "ledger.csv").write_text("member,time,energy,enstrophy,work\n")
+        else:  # the small artifacts before trajectories.csv, while the child formats
+            _write_ledger(out / "ledger.csv", spec, ensemble, stride)
+        _write_json(out / "sets.json", sets)
+        payload: dict = {"checks": reports}
+        if error_record is not None:
+            payload["error"] = error_record
+        _write_json(out / "reports.json", payload)
         if ensemble is not None:
             child, tail = tail, None  # _write_trajectories reaps the child from here on
             _write_trajectories(out / "trajectories.csv", ensemble, stride, child, fd)
-            _write_ledger(out / "ledger.csv", spec, ensemble, stride)
-        else:
-            (out / "trajectories.csv").write_text("time,member\n")
-            (out / "ledger.csv").write_text("member,time,energy,enstrophy,work\n")
     finally:
         if tail is not None:  # something raised before the writer took the child
             tail.join(False)
         if fd >= 0:
             os.close(fd)
-    _write_json(out / "sets.json", sets)
-    payload: dict = {"checks": reports}
-    if error_record is not None:
-        payload["error"] = error_record
-    _write_json(out / "reports.json", payload)
     manifest = {
         "artifact": "attractorlab",
         "version": __version__,

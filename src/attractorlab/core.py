@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyWindow, GridMismatch, NonFiniteState, StepMismatch
-from .models import ModelSpec, linear_rates, nonlinear_array, release_workspace, spec_dim
+from .models import ModelSpec, linear_rates, nonlinear_pass, spec_dim
 from .state import Ensemble, frozen_view, span_steps
 
 __all__ = [
@@ -102,7 +102,7 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
     (start, stop, skip, out) for consecutive row ranges of one step count;
     out receives sample k >= skip of its rows at out[:, k - skip] (see _store).
     A batch that overflows raises NonFiniteState at that step, with no
-    numpy warning first.
+    numpy warning first. Every stage calls one evaluator bound for this path.
     """
     rates = linear_rates(spec)
     e_half = np.exp(-rates * (dt / 2.0))
@@ -114,22 +114,23 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
             if stop <= len(u) and k >= skip:
                 _store(out, k - skip, u[start:stop])
 
-    store(0, u0)
-    u = u0
-    live = u0.shape[0]
+    u, nonlinear = nonlinear_pass(spec, u0)
+    store(0, u)
+    live = u.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(int(n_steps[0]) if live else 0):
             while n_steps[live - 1] <= k:
                 live -= 1
             u = u[:live]
-            n1 = nonlinear_array(spec, u)
+            n1 = nonlinear(u)
             ua = e_half * (u + (dt / 2.0) * n1)
-            n2 = nonlinear_array(spec, ua)
+            n2 = nonlinear(ua)
             ub = e_half * u + (dt / 2.0) * n2
-            n3 = nonlinear_array(spec, ub)
-            uc = e_full * u + dt * (e_half * n3)
-            n4 = nonlinear_array(spec, uc)
-            u = e_full * u + sixth * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
+            n3 = nonlinear(ub)
+            eu = e_full * u
+            uc = eu + dt * (e_half * n3)
+            n4 = nonlinear(uc)
+            u = eu + sixth * (e_full * n1 + 2.0 * (e_half * (n2 + n3)) + n4)
             if not np.isfinite(u).all():
                 raise NonFiniteState(f"integration blew up at step {k + 1}")
             store(k + 1, u)
@@ -285,7 +286,6 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
     finally:
         if child is not None:  # interrupted while the child ran
             child.join(False)
-        release_workspace(model)
     for out in outs:
         out.setflags(write=False)
     return [_path(g, out, model) for g, out in zip(groups, outs)], tail

@@ -21,7 +21,8 @@ window_dist; its leading axes broadcast, so the windows of all members of
 an ensemble against one reference window take one call. Every search over
 windows goes through one scan, window_nearest: the distance from one window
 to the nearest of a stack, in stored order, stopping at the first one under
-eps. The semidistance between window stacks is the max of it.
+eps. The semidistances between two window stacks, both ways, are read off
+one table of window pairs as that scan would read it (window_semidists).
 """
 from __future__ import annotations
 
@@ -250,8 +251,18 @@ def window_nearest(spec: ModelSpec, u: np.ndarray, b: np.ndarray, m: str, steps=
 
 
 def window_semidist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps=None) -> float:
-    """sup over windows u in a of window_nearest(u, b): max of the nearest distances."""
-    worst = 0.0
-    for u in a:
-        worst = max(worst, window_nearest(spec, u, b, m, steps))
-    return worst
+    """sup over windows u in a of the nearest window_dist(u, v), v in b."""
+    return window_semidists(spec, a, b, m, steps)[0]
+
+
+def window_semidists(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps=None):
+    """(window_semidist(a, b), window_semidist(b, a)) from one table of window pairs.
+
+    window_dist(u, v) and window_dist(v, u) are the same bits, since u - v and
+    v - u square alike, so each pair is measured once. A direction scans as
+    window_nearest does with eps 0, in stored order: Python min from inf over
+    a row, then Python max from 0.0 over the rows, so NaN and ties fall alike.
+    """
+    table = [[float(window_dist(spec, u, v, m, steps)) for v in b] for u in a]
+    columns = [[row[j] for row in table] for j in range(len(b))]
+    return tuple(max([0.0] + [min([np.inf, *row]) for row in rows]) for rows in (table, columns))

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
-from .spectral import ModeTable, advect, advect_self, build_mode_table
+from .spectral import ModeTable, advect, advect_self, build_mode_table, self_advection
 from .state import Ensemble
 
 KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
@@ -137,13 +137,6 @@ def mode_table(spec: ModelSpec) -> ModeTable:
     return _cached_table(spec.kind, spec.L, spec.truncation)
 
 
-def release_workspace(spec: ModelSpec) -> None:
-    """Free the advection buffer pair of spec's mode table, at most max(2^16, P)
-    entries each, for the writers that follow a pass; the next call regrows it."""
-    if spec.kind in NSE_KINDS:
-        mode_table(spec).work[:] = [np.empty(0, complex)] * 2
-
-
 def _cached(spec: ModelSpec, name: str, build) -> np.ndarray:
     def frozen() -> np.ndarray:
         arr = build()
@@ -247,6 +240,24 @@ def nonlinear_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     if spec.kind == "dyadic":
         return forcing_array(spec) + dyadic_cascade(spec, u)
     return np.zeros_like(_check_operand(spec, u))
+
+
+def nonlinear_pass(spec: ModelSpec, u0: np.ndarray):
+    """(u0 checked once, as a C-contiguous float array; f) for one integration pass:
+    f(u) is nonlinear_array(spec, u), bit for bit and with its NonFiniteState, for
+    C-contiguous float (n, dim) u, n <= len(u0). Forcing, table and buffers are bound here."""
+    u0 = np.ascontiguousarray(_check_operand(spec, u0))
+    if spec.kind not in NSE_KINDS:
+        return u0, lambda u: nonlinear_array(spec, u)
+    g, b = forcing_array(spec), self_advection(mode_table(spec), u0.shape[0])
+
+    def f(u: np.ndarray) -> np.ndarray:
+        if not np.isfinite(u).all():
+            raise NonFiniteState("operand contains non-finite entries")
+        r = b(u)
+        return np.subtract(g, r, out=r)
+
+    return u0, f
 
 
 def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:

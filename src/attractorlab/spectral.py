@@ -26,14 +26,14 @@ B(u, u) of every time step over a symmetric one, since entries (k1, k2) and
 entry with coefficient C12 + C21 does the work of both (Lorenz 1960;
 Kraichnan 1959). One kernel, _contract, serves both tables. It gathers from
 the complex view x + i y of the coordinates and takes a batch in slices of
-whole rows, so that its one buffer pair per table and process holds at most
+whole rows, so that the gather buffer pair its caller owns holds at most
 max(_WORK_ENTRIES, P) entries each, whatever the batch (Lam, Rothberg & Wolf,
-ASPLOS 1991); the pair is reused across calls and freed after each
-integration pass (not reentrant).
+ASPLOS 1991). advect and advect_self own theirs for one call, and an
+integration pass for the pass (self_advection).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -62,8 +62,6 @@ class ModeTable:
     sym_coeff: np.ndarray    # (P_sym,) complex, C12 + C21 + 0j
     sym_offsets: np.ndarray  # (n_channels,) segment starts in the symmetric entries
     conv_factor: complex     # i (2 pi / L) L^{-d/2}
-    # flat buffer pair of _contract, at most max(_WORK_ENTRIES, P) entries each
-    work: list = field(default_factory=lambda: [np.empty(0, complex)] * 2, repr=False)
 
     @property
     def n_half(self) -> int:
@@ -161,13 +159,9 @@ def build_mode_table(d: int, L: float, trunc: int) -> ModeTable:
     dot2 = np.einsum("pbd,pgd->pbg", tangents_full[i2], tangents[out])  # (P0, n_tan, n_tan)
     coeff = dot1[:, :, None, None] * dot2[:, None, :, :]            # (P0, a, b, g)
 
-    p0 = i1.shape[0]
     alpha, beta, gamma = np.meshgrid(
         np.arange(n_tan), np.arange(n_tan), np.arange(n_tan), indexing="ij"
     )
-    alpha = np.broadcast_to(alpha, (p0, n_tan, n_tan, n_tan))
-    beta = np.broadcast_to(beta, (p0, n_tan, n_tan, n_tan))
-    gamma = np.broadcast_to(gamma, (p0, n_tan, n_tan, n_tan))
     ch1 = (i1[:, None, None, None] * n_tan + alpha).ravel()
     ch2 = (i2[:, None, None, None] * n_tan + beta).ravel()
     cho = (out[:, None, None, None] * n_tan + gamma).ravel()
@@ -223,39 +217,36 @@ def _full_view(table: ModeTable, coords: np.ndarray) -> np.ndarray:
 _WORK_ENTRIES = 1 << 16
 
 
-def _contract(table, in1, in2, coeff, offsets, u, v) -> np.ndarray:
-    """Channel sums of coeff * w_u[in1] * w_v[in2] over sorted entries, in coordinates.
+def _work(p: int, rows: int) -> np.ndarray:
+    """The gather buffer pair of a p-entry table for batches of at most rows rows."""
+    return np.empty((2, max(1, min(rows, _WORK_ENTRIES // p)) * p), complex)
+
+
+def _contract(in1, in2, coeff, offsets, full_u, full_v, work, scale) -> np.ndarray:
+    """scale times the channel sums of coeff * w_u[in1] * w_v[in2] over sorted entries.
 
     w = [z, conj z] is an operand's full-channel complex view, z = x + i y =
-    sqrt 2 conj(psi). With real coefficients and an imaginary conv_factor,
-    -conv_factor / sqrt 2 times the channel sums is the complex view of the
-    result. Operands (..., dim) broadcast over their leading axes; the result
-    has their shape and does not alias the table's buffers.
+    sqrt 2 conj(psi); work is a pair from _work. With real coefficients and an
+    imaginary conv_factor, scale = -conv_factor / sqrt 2 makes the result the
+    complex view of B, returned as fresh (rows, dim) coordinates.
     """
-    if v is not u:
-        u, v = np.broadcast_arrays(u, v)
-    full_u = _full_view(table, u)
-    full_v = full_u if v is u else _full_view(table, v)
     n, p = full_u.shape[0], in1.size
-    rows = max(1, min(n, _WORK_ENTRIES // p))
-    work = table.work
-    if work[0].size < rows * p:
-        work[:] = [np.empty(rows * p, complex), np.empty(rows * p, complex)]
-    out = np.empty((n, table.n_channels), complex)
+    rows = work.shape[1] // p
+    out = np.empty((n, offsets.size), complex)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        a = work[0][: (hi - lo) * p].reshape(hi - lo, p)
-        b = work[1][: (hi - lo) * p].reshape(hi - lo, p)
+        a = work[0, : (hi - lo) * p].reshape(hi - lo, p)
+        b = work[1, : (hi - lo) * p].reshape(hi - lo, p)
         # mode="wrap" writes straight into a and b (indices are in range);
         # "raise" would buffer a copy
-        np.take(full_u[lo:hi], in1, axis=1, out=a, mode="wrap")
-        np.take(full_v[lo:hi], in2, axis=1, out=b, mode="wrap")
+        full_u[lo:hi].take(in1, axis=1, out=a, mode="wrap")
+        full_v[lo:hi].take(in2, axis=1, out=b, mode="wrap")
         np.multiply(a, b, out=a)
         np.multiply(a, coeff, out=a)
         # one segment per output channel, in channel order (checked at build)
         np.add.reduceat(a, offsets, axis=1, out=out[lo:hi])
-    out *= -table.conv_factor / np.sqrt(2.0)
-    return out.view(float).reshape(u.shape)
+    out *= scale
+    return out.view(float)
 
 
 def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.ndarray:
@@ -264,13 +255,32 @@ def advect(table: ModeTable, u_coords: np.ndarray, v_coords: np.ndarray) -> np.n
     Runs over the ordered table. Operands (..., dim) broadcast over their
     leading axes; when v_coords is u_coords, it is viewed once.
     """
-    return _contract(
-        table, table.ch_in1, table.ch_in2, table.ch_coeff, table.ch_offsets, u_coords, v_coords
-    )
+    if v_coords is not u_coords:
+        u_coords, v_coords = np.broadcast_arrays(u_coords, v_coords)
+    full_u = _full_view(table, u_coords)
+    full_v = full_u if v_coords is u_coords else _full_view(table, v_coords)
+    work, scale = _work(table.ch_in1.size, full_u.shape[0]), -table.conv_factor / np.sqrt(2.0)
+    entries = table.ch_in1, table.ch_in2, table.ch_coeff, table.ch_offsets
+    return _contract(*entries, full_u, full_v, work, scale).reshape(u_coords.shape)
+
+
+def self_advection(table: ModeTable, rows: int):
+    """B(u, u), the bits of advect_self, for C-contiguous float (n, dim) u, n <= rows:
+    the scale and the full-view and gather buffers live as long as this function."""
+    entries = table.sym_in1, table.sym_in2, table.sym_coeff, table.sym_offsets
+    full, work = np.empty((rows, 2 * table.n_channels), complex), _work(entries[0].size, rows)
+    scale = -table.conv_factor / np.sqrt(2.0)
+
+    def b(u: np.ndarray) -> np.ndarray:
+        z, f = u.view(complex), full[: u.shape[0]]
+        f[:, : z.shape[1]] = z
+        np.conjugate(z, out=f[:, z.shape[1] :])
+        return _contract(*entries, f, f, work, scale)
+
+    return b
 
 
 def advect_self(table: ModeTable, u_coords: np.ndarray) -> np.ndarray:
     """Self-advection B(u, u) over the symmetric table, shaped like advect(table, u, u)."""
-    return _contract(
-        table, table.sym_in1, table.sym_in2, table.sym_coeff, table.sym_offsets, u_coords, u_coords
-    )
+    u = np.ascontiguousarray(u_coords, dtype=float)
+    return self_advection(table, u.size // table.dim)(u.reshape(-1, table.dim)).reshape(u.shape)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import restrict, translate
 from .errors import GridMismatch, HorizonTooShort, ModelMismatch
-from .metrics import TAIL_WINDOWS, tail_steps, window_nearest, window_semidist
+from .metrics import TAIL_WINDOWS, tail_steps, window_nearest, window_semidist, window_semidists
 from .state import Ensemble, _check_time_zero, span_steps
 from .verification import is_grid_continuous
 
@@ -89,22 +89,21 @@ def trajectory_attractor(k_space: Ensemble, library: Ensemble, cluster_tol: floa
 
 
 def translation_invariance(attractor: Ensemble, tol: float) -> TranslationInvarianceRecord:
-    """Weak tail-metric defects max(d(T(t)A, A), d(A, T(t)A)) at t = 1 and t = 2."""
+    """Weak tail-metric defects max(d(T(t)A, A), d(A, T(t)A)) at t = 1 and t = 2,
+    both directions of a shift from one table of member pairs (window_semidists)."""
     _check_time_zero(attractor)
     need = float(TAIL_WINDOWS) + max(_SHIFT_TIMES)
     if attractor.t_end < need:
         raise HorizonTooShort(
             f"attractor construction needs forward horizon {need}, got {attractor.t_end}"
         )
+    steps = tail_steps(attractor.dt)
+    w = int(steps[-1]) + 1
     defects = []
     for t in _SHIFT_TIMES:
-        shifted = translate_semigroup(attractor, t)
-        defects.append(
-            max(
-                traj_set_semidist(shifted, attractor),
-                traj_set_semidist(attractor, shifted),
-            )
-        )
+        shifted = translate_semigroup(attractor, t).samples[:, :w]
+        pair = window_semidists(attractor.model, shifted, attractor.samples[:, :w], "weak", steps)
+        defects.append(max(pair))
     return TranslationInvarianceRecord(
         t_values=_SHIFT_TIMES,
         defects=tuple(defects),

@@ -355,6 +355,12 @@ def _weak_gate(w: list[float]) -> None:
         )
 
 
+def _point_window(k: int, dt: float, n: int) -> tuple[int, int]:
+    """The window k +- max(1, round(1 / dt)) of a point check, clipped to [0, n - 1]."""
+    h = max(1, round(1.0 / dt))
+    return max(0, k - h), min(n - 1, k + h)
+
+
 def check_strong_convergence_at_point(
     seq: Ensemble, limit: Ensemble, t_star: float
 ) -> PointConvergenceReport:
@@ -372,9 +378,9 @@ def check_strong_convergence_at_point(
     window by the trapezoid rule (condition A3 of Cheskidov & Foias).
     """
     k = limit.index_of(t_star)
-    h = max(1, round(1.0 / limit.dt))
-    a = limit.t0 + max(0, k - h) * limit.dt
-    b = limit.t0 + min(limit.n_samples - 1, k + h) * limit.dt
+    lo, hi = _point_window(k, limit.dt, limit.n_samples)
+    a = limit.t0 + lo * limit.dt
+    b = limit.t0 + hi * limit.dt
     if seq.model.key != limit.model.key:
         raise ModelMismatch("trajectories belong to different models")
     if limit.n_members != 1:

@@ -20,7 +20,12 @@ from attractorlab.metrics import (
     window_semidist,
 )
 from attractorlab.spectral import ModeTable
-from attractorlab.trajectory_space import TrajectoryAttractionReport
+from attractorlab.trajectory_space import (
+    TranslationInvarianceRecord,
+    TrajectoryAttractionReport,
+    traj_set_semidist,
+    translate_semigroup,
+)
 from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
 
 
@@ -62,6 +67,19 @@ def attraction_report_oracle(k_space, attractor, eps):
         t_entry_strong=entry(w_strong, "strong") if strong_mode else None,
         eps=eps,
         n_times=int(shifts.shape[0]),
+    )
+
+
+def translation_invariance_oracle(attractor, tol):
+    """translation_invariance by two traj_set_semidist scans per shift, t = 1 and 2."""
+    defects = []
+    for t in (1.0, 2.0):
+        shifted = translate_semigroup(attractor, t)
+        defects.append(
+            max(traj_set_semidist(shifted, attractor), traj_set_semidist(attractor, shifted))
+        )
+    return TranslationInvarianceRecord(
+        t_values=(1.0, 2.0), defects=tuple(defects), tol=tol, ok=all(d <= tol for d in defects)
     )
 
 

@@ -18,7 +18,10 @@ import attractorlab.cli as cli
 import attractorlab.core as core
 import attractorlab.models as models
 from attractorlab.cli import load_config, main
+from attractorlab.core import integrate_groups, make_group
 from attractorlab.errors import ConfigInvalid, NonFiniteState
+from attractorlab.state import Ensemble
+from attractorlab.verification import check_strong_convergence_at_point
 
 TOY = {
     "model": {"kind": "toy_contraction", "truncation": 4},
@@ -149,6 +152,31 @@ def test_runtime_error_recorded_and_exit_one(tmp_path):
     assert reports["error"]["type"] == "HorizonTooShort"
     for f in FIVE:
         assert (out / f).exists(), f
+
+
+@pytest.mark.parametrize(
+    "t_star,dt,horizon,window",
+    [(0.0, 0.02, 10.0, (0, 50)), (10.0, 0.02, 10.0, (450, 500)), (3.0, 0.3, 6.0, (7, 13))],
+    ids=["t0", "horizon", "dt0.3"],
+)
+def test_the_point_group_steps_only_to_its_window(tmp_path, t_star, dt, horizon, window):
+    checks = [{"name": "point_convergence", "t_star": t_star}]
+    payload = dict(TOY, dt=dt, horizon=horizon, checks=checks, output_dir=str(tmp_path))
+    cfg = load_config(_write_cfg(tmp_path, payload))
+    spec = cli._build_spec(cfg["model"])
+    ctx = cli._RunContext(cfg, spec)
+    group = cli._point_group(cfg, cfg["checks"][0], ctx)
+    assert (group.skip, group.n_steps) == window
+    full = make_group(spec, group.initials, 0.0, horizon, dt)
+    limit = Ensemble(ctx.ensemble.samples[:1], 0.0, dt, spec)
+
+    windowed, whole = (integrate_groups(spec, [g])[0] for g in (group, full))
+    assert windowed.n_samples == window[1] - window[0] + 1
+    # repr writes every float of the report exactly
+    got, want = (
+        repr(check_strong_convergence_at_point(seq, limit, t_star)) for seq in (windowed, whole)
+    )
+    assert got == want and "converged=True" in want
 
 
 class _ArrayMemoryError(MemoryError):
@@ -1051,6 +1079,30 @@ def test_a_failing_writer_child_leaves_the_same_bytes(tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sendfile", copy)
         assert _writer_run(tmp_path, name, payload) == good
     assert joined == [False, False, True, True]
+
+
+def test_the_small_artifacts_are_written_before_the_writer_child_is_reaped(
+    tmp_path, monkeypatch
+):
+    # an error-record run: the omega window lies past the horizon
+    payload = dict(_WRITER, ensemble_size=4, omega=dict(TOY["omega"], t_max=100.0))
+    _forking(monkeypatch, False)
+    one = _writer_run(tmp_path, "one", payload, "omega")
+    monkeypatch.undo()
+    tails, _ = _forking(monkeypatch, True)
+    on_join, join = [], core.Tail.join
+
+    def recorded_join(tail, finished=True):
+        on_join.append(sorted(f.name for f in (tmp_path / "two" / "out").iterdir()))
+        return join(tail, finished)
+
+    monkeypatch.setattr(core.Tail, "join", recorded_join)
+    two = _writer_run(tmp_path, "two", payload, "omega")
+    assert one == two and two[0] == 1 and tails[0] is not None
+    assert json.loads(two[1]["reports.json"])["error"]["type"] == "HorizonTooShort"
+    # the child is reaped once the other small files are written, before the manifest
+    assert on_join == [["ledger.csv", "reports.json", "sets.json", "trajectories.csv"]]
+    assert sorted(f.name for f in (tmp_path / "two" / "out").iterdir()) == sorted(FIVE)
 
 
 def test_a_check_that_raises_after_the_fork_writes_nothing(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from attractorlab.metrics import (
     window_dist,
     window_nearest,
     window_semidist,
+    window_semidists,
 )
 from attractorlab.models import make_spec, spec_dim, weak_weights
 from attractorlab.state import Ensemble
@@ -420,3 +421,36 @@ def test_dist_arrays_guards():
         dist_arrays(spec, np.zeros(3), np.zeros(3), "strong")
     with pytest.raises(ValueError):
         dist_arrays(spec, np.zeros(spec_dim(spec)), np.zeros(spec_dim(spec)), "w")
+
+
+@pytest.mark.parametrize("m", ["strong", "weak"])
+@pytest.mark.parametrize("tail", [False, True])
+def test_window_semidists_equal_both_scans_bitwise(m, tail):
+    rng = np.random.default_rng(37)
+    spec = SPECS[0]
+    dim = spec_dim(spec)
+    steps = tail_steps(0.1) if tail else None
+    a = rng.standard_normal((5, 81, dim))
+    b = a[:3] + 0.05 * rng.standard_normal((3, 81, dim))
+    cases = [(a, b), (b, a), (a, a), (a[:1], b), (a, b[:0])]
+    # NaN and inf windows: a NaN distance neither wins a min nor a max
+    nan_a, nan_b = a.copy(), b.copy()
+    nan_a[1, 7, 0] = np.nan
+    nan_b[2, 3, 1] = np.inf
+    nan_b[0] = np.inf
+    cases += [(nan_a, b), (a, nan_b), (nan_a, nan_b)]
+
+    def scan(x, y):
+        # the semidistance as a max over window_nearest scans, in stored order
+        worst = 0.0
+        for u in x:
+            worst = max(worst, window_nearest(spec, u, y, m, steps))
+        return worst
+
+    for x, y in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = window_semidists(spec, x, y, m, steps)
+            want = (scan(x, y), scan(y, x))
+            assert window_semidist(spec, x, y, m, steps) == got[0]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+

@@ -24,6 +24,7 @@ from attractorlab.models import (
     mode_table,
     model_dim,
     nonlinear_array,
+    nonlinear_pass,
     nse_forcing,
     rhs_array,
     sample_ball,
@@ -236,6 +237,50 @@ def test_nonlinear_array_checks_its_operand():
         nonlinear_array(spec, u[:, :-1])
     b = forcing_array(spec) - nonlinear_array(spec, u)
     assert np.abs(b - advection_array(spec, u, u)).max() <= 1e-15 * np.abs(b).max()
+
+
+def _kicked(kind, truncation, **kw):
+    forcing = None
+    if kind in ("galerkin_nse_2d", "galerkin_nse_3d"):
+        mode = [1, 0] if kind == "galerkin_nse_2d" else [1, 0, 0]
+        entries = [{"mode": mode, "amplitude": 0.1}]
+        forcing = nse_forcing(kind, TWO_PI, truncation, entries)
+    elif kind == "dyadic":
+        forcing = dyadic_forcing(truncation, [{"shell": 0, "amplitude": 1.0}])
+    return make_spec(kind, nu=1.0, truncation=truncation, forcing=forcing, **kw)
+
+
+# 3D N=3 has 88,204 symmetric entries, above 2^16: one row per slice, so a
+# batch of 5 spans five row blocks
+@pytest.mark.parametrize(
+    "kind,truncation,rows",
+    [
+        ("galerkin_nse_2d", 4, 8),
+        ("galerkin_nse_2d", 8, 16),
+        ("galerkin_nse_3d", 3, 5),
+        ("dyadic", 6, 7),
+        ("toy_contraction", 4, 3),
+    ],
+)
+@pytest.mark.parametrize("dtype", [float, np.float32, int])
+def test_nonlinear_pass_matches_nonlinear_array_bitwise(kind, truncation, rows, dtype):
+    spec = _kicked(kind, truncation)
+    u0 = (sample_ball(spec, rows, radius=3.0, seed=rows) * 4.0).astype(dtype)
+    u, f = nonlinear_pass(spec, u0)
+    assert u.dtype == float and u.flags.c_contiguous
+    assert np.array_equal(u, u0.astype(float))
+    # one evaluator, batches that shrink by prefix as a pass's do
+    for n in range(rows, 0, -1):
+        assert np.array_equal(f(u[:n]), nonlinear_array(spec, u0[:n]))
+    # a stage operand: a fresh float array
+    stage = 0.5 * u
+    assert np.array_equal(f(stage), nonlinear_array(spec, stage))
+    stage[-1, 0] = np.nan
+    for fn in (f, lambda v: nonlinear_array(spec, v)):
+        with pytest.raises(NonFiniteState, match="^operand contains non-finite entries$"):
+            fn(stage)
+    with pytest.raises(ModelMismatch, match="does not match model dim"):
+        nonlinear_pass(spec, u0[:, :-1])
 
 
 def test_unforced_galerkin_norm_decays_at_poincare_rate():

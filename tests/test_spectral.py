@@ -164,6 +164,19 @@ def test_advect_shared_operand_matches_copy_bitwise(d, trunc, batch):
     assert np.array_equal(shared, advect(table, u, u.copy()))
 
 
+def _recorded_work(monkeypatch):
+    """Sizes of every gather buffer spectral._work hands out from now on."""
+    sizes, work = [], spectral._work
+
+    def recorded(p, rows):
+        pair = work(p, rows)
+        sizes.extend(w.size for w in pair)
+        return pair
+
+    monkeypatch.setattr(spectral, "_work", recorded)
+    return sizes
+
+
 @pytest.mark.parametrize("entries", [256, None])
 def test_contract_slices_keep_bits_and_bound_buffers(monkeypatch, entries):
     table = build_mode_table(2, 2.0 * np.pi, 4)
@@ -172,14 +185,14 @@ def test_contract_slices_keep_bits_and_bound_buffers(monkeypatch, entries):
     # at 256 entries every slice is one row: P_sym = 780 and P = 1544
     if entries is not None:
         monkeypatch.setattr(spectral, "_WORK_ENTRIES", entries)
-    fresh = build_mode_table(2, 2.0 * np.pi, 4)
-    sliced = advect(fresh, u, v), advect_self(fresh, u)
-    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
-    bound = max(spectral._WORK_ENTRIES, fresh.ch_in1.size)
-    assert all(0 < w.size <= bound for w in fresh.work)
+    sizes = _recorded_work(monkeypatch)
+    sliced = advect(table, u, v), advect_self(table, u), spectral.self_advection(table, 50)(u)
+    assert all(np.array_equal(a, b) for a, b in zip(whole + whole[1:], sliced))
+    bound = max(spectral._WORK_ENTRIES, table.ch_in1.size)
+    assert len(sizes) == 6 and all(0 < size <= bound for size in sizes)
     # a larger batch takes more slices, not a larger buffer pair
-    advect_self(fresh, np.tile(u, (4, 1)))
-    assert all(w.size <= bound for w in fresh.work)
+    advect_self(table, np.tile(u, (4, 1)))
+    assert all(size <= bound for size in sizes)
 
 
 @pytest.mark.parametrize("d,trunc", [(2, 2), (2, 4), (3, 2)])
@@ -256,17 +269,19 @@ def test_advect_self_workspace_reuse():
     table = build_mode_table(2, 2.0 * np.pi, 4)
     rng = np.random.default_rng(RNG_SEED)
     batches = [rng.standard_normal((b, table.dim)) for b in (50, 6, 9, 10, 50)]
-    first = advect_self(table, batches[0])
+    # one bound evaluator reuses its buffers across calls, as a pass does
+    bound = spectral.self_advection(table, 50)
+    first = bound(batches[0])
     kept = first.copy()
-    reused = [advect_self(table, u) for u in batches]
-    # a result does not alias the workspace that later calls overwrite
+    reused = [bound(u) for u in batches]
+    # a result does not alias the buffers that later calls overwrite
     assert np.array_equal(first, kept)
     for u, got in zip(batches, reused):
-        assert np.array_equal(got, advect_self(build_mode_table(2, 2.0 * np.pi, 4), u))
+        assert np.array_equal(got, advect_self(table, u))
     # a warm call allocates nothing of size P_sym x B
     tracemalloc.start()
     try:
-        advect_self(table, batches[-1])
+        bound(batches[-1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

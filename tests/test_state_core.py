@@ -1,11 +1,13 @@
 """Grid containers and the integrating-factor stepper."""
+import dataclasses
 import os
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from attractorlab import core
+from attractorlab import core, spectral
 from attractorlab.core import (
     build_ensemble,
     complete_surrogates,
@@ -458,12 +460,27 @@ def test_a_one_row_pass_never_forks(monkeypatch):
     build_ensemble(TOY, np.ones((1, 4)), 0.0, 1.0, 0.1)
 
 
-def test_a_pass_frees_the_advection_workspace():
+def test_a_pass_frees_the_advection_workspace(monkeypatch):
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=4)
+    table = mode_table(spec)
     initials = sample_ball(spec, 6, radius=0.5, seed=5)
+    buffers, work = [], spectral._work
+
+    def recorded(p, rows):
+        pair = work(p, rows)
+        buffers.append(([w.size for w in pair], weakref.ref(pair)))
+        return pair
+
+    monkeypatch.setattr(spectral, "_work", recorded)
     first = build_ensemble(spec, initials, 0.0, 0.4, 0.02).samples
-    assert [w.size for w in mode_table(spec).work] == [0, 0]
-    # the next pass regrows the buffers and gives the same bits
+    # this process's pass bound one buffer pair, within max(2^16, P) entries each,
+    # and nothing holds it once the pass is over, the table least of all
+    bound = max(spectral._WORK_ENTRIES, table.sym_in1.size)
+    [(sizes, ref)] = buffers
+    assert len(sizes) == 2 and all(0 < size <= bound for size in sizes)
+    assert ref() is None
+    assert set(vars(table)) == {f.name for f in dataclasses.fields(table)}
+    # the next pass binds its own buffers and gives the same bits
     again = build_ensemble(spec, initials, 0.0, 0.4, 0.02).samples
-    assert [w.size for w in mode_table(spec).work] == [0, 0]
+    assert len(buffers) == 2 and all(ref() is None for _, ref in buffers)
     assert np.array_equal(first, again)

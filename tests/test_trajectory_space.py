@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import attraction_report_oracle
+from oracles import attraction_report_oracle, translation_invariance_oracle
 
 import attractorlab.verification as verification
 from attractorlab.errors import EmptyEnsemble, HorizonTooShort, ModelMismatch, OffGrid
@@ -209,3 +209,19 @@ def test_attraction_report_squares_grid_steps_in_place(toy_bundle, toy_attractor
     copying, same = peak()
     _same_report(report, same)
     assert shipped < copying, (shipped, copying)
+
+
+# the settled library is invariant; the ensembles from t = 0 carry their transient
+@pytest.mark.parametrize(
+    "bundle,part,invariant",
+    [("nse4_bundle", "library", True), ("nse4_bundle", "ensemble", False),
+     ("toy_bundle", "ensemble", False)],
+)
+def test_translation_invariance_matches_two_semidistances_bitwise(request, bundle, part, invariant):
+    family = request.getfixturevalue(bundle)[part]
+    got = translation_invariance(family, tol=1e-3)
+    want = translation_invariance_oracle(family, tol=1e-3)
+    assert got.ok == want.ok == invariant
+    assert got.t_values == want.t_values and got.tol == want.tol
+    assert np.array(got.defects).tobytes() == np.array(want.defects).tobytes()
+
