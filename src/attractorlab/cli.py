@@ -371,13 +371,6 @@ def _initials(spec: ModelSpec, n: int, radius: float, seed: int, boundary=False)
     return sample_ball(spec, n, radius=radius, seed=seed, boundary=boundary, profile=profile)
 
 
-def _library_group(ctx: _RunContext) -> Group:
-    cfg = ctx.cfg
-    lib_cfg = cfg["library"]
-    initials = _initials(ctx.spec, lib_cfg["size"], ctx.radius, cfg["seed"] + 1)
-    return surrogate_group(ctx.spec, initials, lib_cfg["t_back"], lib_cfg["horizon"], cfg["dt"])
-
-
 def _status_exit(reports: list[dict]) -> int:
     statuses = {r["status"] for r in reports}
     if "error" in statuses:
@@ -412,7 +405,9 @@ class _RunContext:
         if key == "run":
             return make_group(self.spec, self.initials, 0.0, cfg["horizon"], cfg["dt"])
         if key == "library":
-            return _library_group(self)
+            lib = cfg["library"]
+            initials = _initials(self.spec, lib["size"], self.radius, cfg["seed"] + 1)
+            return surrogate_group(self.spec, initials, lib["t_back"], lib["horizon"], cfg["dt"])
         chk = self._checks[key]
         return _CHECKS[chk["name"]][2](cfg, chk, self)
 
@@ -520,7 +515,7 @@ def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     return {
         "status": "pass" if ok else "fail",
         "radius": r_abs,
-        "worst_entry_time": worst_entry,
+        "worst_entry_time": worst_entry if ok else None,
         "n_samples": chk["n_samples"],
     }
 

@@ -11,18 +11,18 @@ There is one stepping loop. integrate_pass takes every group of initial
 states a run needs (each with its own start time and step count; the model
 is autonomous, so a start time only labels the grid) and steps them in one
 pass over batches that shrink as groups reach their last step;
-integrate_groups and build_ensemble are its plain cases. Where fork and two
-CPUs are usable (no setting), the pass is split by ensemble, not by row: one
-forked child steps a contiguous block of the first group's members, sized
-to balance member-steps, and this process steps every other row. The child
-can go on to work on its own members (the CLI formats their part of
-trajectories.csv there) while this process carries on. Split or not, fused,
-batched and single integration give bit-identical members. A surrogate
-library keeps only its samples on [0, horizon], so it starts at t = 0, and
-the checks that read a library reject one that starts elsewhere. A blow-up
-is reported by its NonFiniteState alone, with no numpy warning first. A
-single trajectory is a one-member Ensemble; translation and restriction act
-on all members at once and return views of the same array.
+build_ensemble and complete_surrogates are its one-group cases. Where fork
+and two CPUs are usable (no setting), the pass is split by ensemble, not by
+row: one forked child steps a contiguous block of the first group's
+members, sized to balance member-steps, and this process steps every other
+row. The child can go on to work on its own members (the CLI formats their
+part of trajectories.csv there) while this process carries on. Split or
+not, fused, batched and single integration give bit-identical members. A
+surrogate library keeps only its samples on [0, horizon], so it starts at
+t = 0, and the checks that read a library reject one that starts elsewhere.
+A blow-up is reported by its NonFiniteState alone, with no numpy warning
+first. A single trajectory is a one-member Ensemble; translation and
+restriction act on all members at once and return views of the same array.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ __all__ = [
     "make_group",
     "surrogate_group",
     "integrate_pass",
-    "integrate_groups",
     "integrate",
     "build_ensemble",
     "complete_surrogates",
@@ -291,11 +290,6 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
     return [_path(g, out, model) for g, out in zip(groups, outs)], tail
 
 
-def integrate_groups(model: ModelSpec, groups) -> list:
-    """Integrate every group in one pass; each group's Ensemble, or its norms."""
-    return integrate_pass(model, groups)[0]
-
-
 def integrate(
     model: ModelSpec,
     initial: np.ndarray,
@@ -316,11 +310,11 @@ def build_ensemble(
 ) -> Ensemble:
     """Integrate a stack of initial coordinates into one shared-grid ensemble.
 
-    The one-group case of integrate_groups: the integrator's (B, n+1, dim)
+    The one-group case of integrate_pass: the integrator's (B, n+1, dim)
     output becomes the ensemble's array as it is, frozen in place rather
     than copied.
     """
-    return integrate_groups(model, [make_group(model, initials, t0, t1, dt)])[0]
+    return integrate_pass(model, [make_group(model, initials, t0, t1, dt)])[0][0]
 
 
 def surrogate_group(
@@ -358,7 +352,7 @@ def complete_surrogates(
     stand in for restrictions of complete trajectories. Only those are kept:
     the library's t0 is 0, and the transient is stepped but never stored.
     """
-    return integrate_groups(model, [surrogate_group(model, initials, t_back, horizon, dt)])[0]
+    return integrate_pass(model, [surrogate_group(model, initials, t_back, horizon, dt)])[0][0]
 
 
 def translate(ens: Ensemble, s: float) -> Ensemble:

@@ -97,8 +97,6 @@ def greedy_cluster(spec: ModelSpec, blocks, m: str, tol: float) -> list[np.ndarr
     buf = None  # accepted rows in buf[:n_acc]; doubles when full
     n_acc = 0
     for block in blocks:
-        if block.size == 0:
-            continue
         if buf is None:
             buf = np.empty((16, block.shape[1]))
         if n_acc:

@@ -250,18 +250,15 @@ def window_nearest(spec: ModelSpec, u: np.ndarray, b: np.ndarray, m: str, steps=
     return nearest
 
 
-def window_semidist(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps=None) -> float:
-    """sup over windows u in a of the nearest window_dist(u, v), v in b."""
-    return window_semidists(spec, a, b, m, steps)[0]
-
-
 def window_semidists(spec: ModelSpec, a: np.ndarray, b: np.ndarray, m: str, steps=None):
-    """(window_semidist(a, b), window_semidist(b, a)) from one table of window pairs.
+    """The semidistances (a to b, b to a) from one table of window pairs.
 
-    window_dist(u, v) and window_dist(v, u) are the same bits, since u - v and
-    v - u square alike, so each pair is measured once. A direction scans as
-    window_nearest does with eps 0, in stored order: Python min from inf over
-    a row, then Python max from 0.0 over the rows, so NaN and ties fall alike.
+    The semidistance from a to b is the sup over windows u in a of the nearest
+    window_dist(u, v), v in b. window_dist(u, v) and window_dist(v, u) are the
+    same bits, since u - v and v - u square alike, so each pair is measured
+    once. A direction scans as window_nearest does with eps 0, in stored
+    order: Python min from inf over a row, then Python max from 0.0 over the
+    rows, so NaN and ties fall alike.
     """
     table = [[float(window_dist(spec, u, v, m, steps)) for v in b] for u in a]
     columns = [[row[j] for row in table] for j in range(len(b))]

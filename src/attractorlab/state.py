@@ -9,19 +9,11 @@ estimators and views of them need no copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    EmptyEnsemble,
-    EmptyWindow,
-    GridMismatch,
-    NonFiniteState,
-    OffGrid,
-    StepMismatch,
-)
+from .errors import EmptyEnsemble, NonFiniteState, OffGrid, StepMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ModelSpec
@@ -112,14 +104,6 @@ class Ensemble:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_samples)
 
-    @cached_property
-    def trajectories(self) -> tuple["Ensemble", ...]:
-        """One-member views, one per member."""
-        return tuple(
-            frozen_view(Ensemble, samples=row[None], t0=self.t0, dt=self.dt, model=self.model)
-            for row in self.samples
-        )
-
     def index_of(self, t: float) -> int:
         k = grid_index(t, self.t0, self.dt)
         if k < 0 or k >= self.n_samples:
@@ -137,21 +121,3 @@ def _check_time_zero(*ensembles: Ensemble) -> None:
     for ens in ensembles:
         if ens.t0 != 0.0:
             raise ValueError(f"libraries and trajectory families must start at t = 0, got {ens.t0}")
-
-
-def common_window(u: Ensemble, v: Ensemble, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of u and of v over the grid window [a, b], (members, count, dim).
-
-    Requires identical steps; each ensemble must carry the window on its own
-    grid (phase alignment follows from both containing a).
-    """
-    if u.dt != v.dt:
-        raise GridMismatch(f"trajectory steps differ: {u.dt} vs {v.dt}")
-    if b < a:
-        raise EmptyWindow(f"window [{a}, {b}] is empty")
-    iu = u.index_of(a)
-    iv = v.index_of(a)
-    count = span_steps(a, b, u.dt) + 1
-    if iu + count > u.n_samples or iv + count > v.n_samples:
-        raise OffGrid(f"window [{a}, {b}] exceeds a trajectory span")
-    return u.samples[:, iu : iu + count], v.samples[:, iv : iv + count]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import restrict, translate
 from .errors import GridMismatch, HorizonTooShort, ModelMismatch
-from .metrics import TAIL_WINDOWS, tail_steps, window_nearest, window_semidist, window_semidists
+from .metrics import TAIL_WINDOWS, tail_steps, window_nearest, window_semidists
 from .state import Ensemble, _check_time_zero, span_steps
 from .verification import is_grid_continuous
 
@@ -56,7 +56,8 @@ def traj_set_semidist(a: Ensemble, b: Ensemble) -> float:
     w = int(steps[-1])
     if min(a.n_samples, b.n_samples) <= w:
         raise HorizonTooShort("tail metric window exceeds a member grid")
-    return window_semidist(a.model, a.samples[:, : w + 1], b.samples[:, : w + 1], "weak", steps)
+    pair = window_semidists(a.model, a.samples[:, : w + 1], b.samples[:, : w + 1], "weak", steps)
+    return pair[0]
 
 
 def trajectory_attractor(k_space: Ensemble, library: Ensemble, cluster_tol: float) -> Ensemble:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import restrict
 from .errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from .metrics import (
     _check_metric,
@@ -39,7 +40,7 @@ from .metrics import (
     tail_steps,
     window_dist,
 )
-from .state import Ensemble, _check_time_zero, common_window
+from .state import Ensemble, _check_time_zero
 
 # A grid step larger than this many times both neighbouring steps is a jump.
 _JUMP_FACTOR = 10.0
@@ -385,7 +386,10 @@ def check_strong_convergence_at_point(
         raise ModelMismatch("trajectories belong to different models")
     if limit.n_members != 1:
         raise ValueError("limit must be a one-member ensemble")
-    u, v = common_window(seq, limit, a, b)
+    if seq.dt != limit.dt:
+        raise GridMismatch(f"trajectory steps differ: {seq.dt} vs {limit.dt}")
+    u = restrict(seq, a, b).samples
+    v = limit.samples[:, lo : hi + 1]
     weak_vals = window_dist(seq.model, u, v, "weak").tolist()
     _weak_gate(weak_vals)
     if not is_grid_continuous(limit, a, b).all():

@@ -7,7 +7,8 @@ these scans stay slow on purpose and live only in the tests. Two more
 oracles search the surrogate library with explicit loops over its members
 and shifts, for check_quasi_invariance and tracking_error_profile. The
 module also holds the tangent-scalar conversions and coords_to_modes, from which the
-physical-space advection oracle of test_spectral builds its fields.
+physical-space advection oracle of test_spectral builds its fields, and
+member_views, the one-member views that per-member checks compare against.
 """
 import numpy as np
 
@@ -17,9 +18,10 @@ from attractorlab.metrics import (
     strong_dist_arrays,
     tail_steps,
     window_dist,
-    window_semidist,
+    window_semidists,
 )
 from attractorlab.spectral import ModeTable
+from attractorlab.state import Ensemble, frozen_view
 from attractorlab.trajectory_space import (
     TranslationInvarianceRecord,
     TrajectoryAttractionReport,
@@ -27,6 +29,14 @@ from attractorlab.trajectory_space import (
     translate_semigroup,
 )
 from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
+
+
+def member_views(ens):
+    """One-member views of an ensemble's own array, one per member, in order."""
+    return [
+        frozen_view(Ensemble, samples=row[None], t0=ens.t0, dt=ens.dt, model=ens.model)
+        for row in ens.samples
+    ]
 
 
 def attraction_report_oracle(k_space, attractor, eps):
@@ -46,12 +56,12 @@ def attraction_report_oracle(k_space, attractor, eps):
         raise HorizonTooShort("trajectory-space horizon too short for the windows")
     stride = max(1, (n - 1 - w_need) // 32)
     shifts = np.arange(0, n - w_need, stride)
-    strong_mode = all(is_grid_continuous(v) for v in attractor.trajectories)
+    strong_mode = all(is_grid_continuous(v) for v in member_views(attractor))
 
     def entry(w, m, tail=None):
         ref = attractor.samples[:, : w + 1]
         worst = [
-            window_semidist(k_space.model, k_space.samples[:, k : k + w + 1], ref, m, tail)
+            window_semidists(k_space.model, k_space.samples[:, k : k + w + 1], ref, m, tail)[0]
             for k in shifts
         ]
         viol = np.flatnonzero(np.array(worst) >= eps)

@@ -18,7 +18,7 @@ import attractorlab.cli as cli
 import attractorlab.core as core
 import attractorlab.models as models
 from attractorlab.cli import load_config, main
-from attractorlab.core import integrate_groups, make_group
+from attractorlab.core import integrate_pass, make_group
 from attractorlab.errors import ConfigInvalid, NonFiniteState
 from attractorlab.state import Ensemble
 from attractorlab.verification import check_strong_convergence_at_point
@@ -170,7 +170,7 @@ def test_the_point_group_steps_only_to_its_window(tmp_path, t_star, dt, horizon,
     full = make_group(spec, group.initials, 0.0, horizon, dt)
     limit = Ensemble(ctx.ensemble.samples[:1], 0.0, dt, spec)
 
-    windowed, whole = (integrate_groups(spec, [g])[0] for g in (group, full))
+    windowed, whole = (integrate_pass(spec, [g])[0][0] for g in (group, full))
     assert windowed.n_samples == window[1] - window[0] + 1
     # repr writes every float of the report exactly
     got, want = (
@@ -295,6 +295,13 @@ def test_absorbing_check_on_forced_model(tmp_path):
     rep = json.loads((out / "reports.json").read_text())["checks"][0]
     assert rep["status"] == "pass"
     assert 0.0 < rep["worst_entry_time"] < 4.0
+    # samples still outside the ball at the check's horizon: no entry time
+    payload["model"]["forcing"] = [{"mode": [1, 0], "amplitude": 0.5}]
+    payload["checks"] = [{"name": "absorbing", "n_samples": 4, "horizon": 0.04}]
+    code, out = _run(tmp_path, "verify", payload)
+    assert code == 2
+    rep = json.loads((out / "reports.json").read_text())["checks"][0]
+    assert rep["status"] == "fail" and rep["worst_entry_time"] is None
 
 
 def test_config_error_messages(tmp_path, capsys):
@@ -315,13 +322,20 @@ def test_config_error_messages(tmp_path, capsys):
 
 
 def test_unreadable_config_path_is_a_config_error(tmp_path, capsys):
-    # a directory, a file that is not UTF-8 text, and JSON nested past the
-    # parser's recursion limit
+    # a directory, a file that is not UTF-8 text, text that is not JSON, and
+    # JSON nested past the parser's recursion limit
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"seed": 5,')
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    cases = ((tmp_path, "cannot be read"), (binary, "not UTF-8"), (deep, "nested too deeply"))
+    cases = (
+        (tmp_path, "cannot be read"),
+        (binary, "not UTF-8"),
+        (broken, "not valid JSON"),
+        (deep, "nested too deeply"),
+    )
     for path, reason in cases:
         assert main(["simulate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
@@ -347,6 +361,9 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
     # each must give a config error naming the field, not a raw Python exception
     nse = {"kind": "galerkin_nse_2d", "truncation": 2}
     cases = [
+        ("config.omega must be an object", {"omega": 3}),
+        ("config.output_dir must be a str", {"output_dir": 5}),
+        ("config.checks must be a list", {"checks": {}}),
         ("truncation", {"model": dict(TOY["model"], truncation="abc")}),
         ("truncation", {"model": dict(TOY["model"], truncation=None)}),
         ("amplitude", {"model": dict(nse, forcing=[{"mode": [1, 0]}])}),
@@ -361,6 +378,8 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
                                                      "component": 1}])}),
         ("shell", {"model": {"kind": "dyadic", "truncation": 4,
                              "forcing": [{"shell": 5, "amplitude": 0.1}]}}),
+        ("model.forcing must be empty",
+         {"model": dict(TOY["model"], forcing=[{"shell": 1, "amplitude": 0.1}])}),
         # well-typed, but out of the field's range
         ("radius", {"radius": -1}),
         ("dt", {"dt": 0}),
@@ -390,7 +409,7 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
         ("t_from", {"checks": [{"name": "compactness", "t_from": 5.005}]}),
     ]
     for i, (field, change) in enumerate(cases):
-        cfg = dict(TOY, output_dir=str(tmp_path / "out"), **change)
+        cfg = {**TOY, "output_dir": str(tmp_path / "out"), **change}
         path = _write_cfg(tmp_path, cfg, f"t{i}.json")
         assert main(["verify", "--config", path]) == 1
         err = capsys.readouterr().err

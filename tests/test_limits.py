@@ -78,15 +78,18 @@ def test_greedy_cluster_matches_row_by_row_reference(m):
         for _ in range(12)
     ]
     tol = 1e-3 if m == "strong" else 1e-4
-    kept_ref: list[np.ndarray] = []
-    for block in blocks:
-        for row in block:
-            if kept_ref and cross_dist(spec, row[None, :], np.stack(kept_ref), m).min() <= tol:
-                continue
-            kept_ref.append(row)
-    kept = greedy_cluster(spec, blocks, m, tol)
-    assert len(kept_ref) > 16  # the accepted buffer grows at least once
-    np.testing.assert_array_equal(np.stack(kept), np.stack(kept_ref))
+    empty = centers[:0]
+    # the blocks as they are, after an empty first block, around an empty middle block
+    for case in (blocks, [empty] + blocks, blocks[:6] + [empty] + blocks[6:]):
+        kept_ref: list[np.ndarray] = []
+        for block in case:
+            for row in block:
+                if kept_ref and cross_dist(spec, row[None, :], np.stack(kept_ref), m).min() <= tol:
+                    continue
+                kept_ref.append(row)
+        kept = greedy_cluster(spec, case, m, tol)
+        assert len(kept_ref) > 16  # the accepted buffer grows at least once
+        np.testing.assert_array_equal(np.stack(kept), np.stack(kept_ref))
 
 
 def test_omega_limit_toy_is_origin(toy_bundle):
@@ -122,6 +125,10 @@ def test_is_attracting_entry_time_toy(toy_bundle):
     assert rep.t_entry >= t_pred - 1e-9
     assert rep.t_entry <= t_pred + 2 * ens.dt + 1e-4  # omega point is off origin by <= tol
     assert rep.worst_after_entry <= eps
+    # no slice violates an eps above the unit sphere: the entry is the first sample
+    wide = is_attracting(omega, ens, 2.0)
+    assert wide.t_entry == ens.t0 == 0.0
+    assert wide.worst_after_entry == wide.worst_overall < 2.0
 
 
 def test_is_attracting_wrong_candidate(toy_bundle):

@@ -16,7 +16,6 @@ from attractorlab.metrics import (
     weak_weight_total,
     window_dist,
     window_nearest,
-    window_semidist,
     window_semidists,
 )
 from attractorlab.models import make_spec, spec_dim, weak_weights
@@ -345,10 +344,10 @@ def test_window_escapes_hand_values_and_ties():
     b = _const_windows([0.0, 1.0])
     # nearest distances 0, 0.5 and 1: the semidistance is 1.0
     assert [window_nearest(spec, u, b, "strong") for u in a] == [0.0, 0.5, 1.0]
-    assert window_semidist(spec, a, b, "strong") == 1.0
+    assert window_semidists(spec, a, b, "strong")[0] == 1.0
     for eps, want in [(0.25, True), (0.5, True), (1.0, True), (np.nextafter(1.0, 2.0), False)]:
         assert _escapes(spec, a, b, "strong", eps) is want
-        assert (window_semidist(spec, a, b, "strong") >= eps) == want
+        assert (window_semidists(spec, a, b, "strong")[0] >= eps) == want
     # the first value under eps is returned; a value at exactly eps is not under it
     u, b = _const_windows([0.0])[0], _const_windows([0.3, 0.1])
     assert window_nearest(spec, u, b, "strong", eps=0.5) == 0.3
@@ -367,7 +366,7 @@ def test_window_escapes_equals_semidist_threshold(m, tail):
     steps = tail_steps(0.1) if tail else None
     a = rng.standard_normal((4, 81, dim))
     b = a[:3] + 0.05 * rng.standard_normal((3, 81, dim))
-    d = window_semidist(spec, a, b, m, steps)
+    d = window_semidists(spec, a, b, m, steps)[0]
     nearest = [window_nearest(spec, u, b, m, steps) for u in a]
     pair = [[float(window_dist(spec, u, v, m, steps)) for v in b] for u in a]
     assert nearest == [min(row) for row in pair] and d == max(nearest)
@@ -451,6 +450,6 @@ def test_window_semidists_equal_both_scans_bitwise(m, tail):
         with np.errstate(invalid="ignore", over="ignore"):
             got = window_semidists(spec, x, y, m, steps)
             want = (scan(x, y), scan(y, x))
-            assert window_semidist(spec, x, y, m, steps) == got[0]
+            assert window_semidists(spec, x, y, m, steps)[0] == got[0]
         assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 

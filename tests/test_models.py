@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import member_views
 
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.spectral import advect, advect_self
@@ -404,7 +405,7 @@ def test_energy_checks_on_ensembles_equal_one_member_views_bitwise():
     led = energy_ledger(spec, ens)
     gaps = energy_identity_gap(spec, led)
     assert led.energy.shape == (5, 151) and gaps.shape == (5,)
-    for i, view in enumerate(ens.trajectories):
+    for i, view in enumerate(member_views(ens)):
         one = energy_ledger(spec, view)
         for name in ("energy", "enstrophy", "work"):
             assert np.array_equal(getattr(led, name)[i], getattr(one, name)[0])
@@ -433,14 +434,14 @@ def test_energy_checks_on_ensembles_equal_one_member_views_bitwise():
         per_member = [_inequality_oracle(row, lookback, eps) for row in led.energy]
         views = [
             check_energy_inequality(v, energy_ledger(e.model, v), eps, radius=radius)
-            for v in e.trajectories
+            for v in member_views(e)
         ]
         assert rep.worst_delta == max(per_member) == max(r.worst_delta for r in views)
         assert rep.holds == all(w <= 0.0 for w in per_member) == all(r.holds for r in views)
         seen.add(tuple(r.holds for r in views))
     assert any(all(h) for h in seen) and any(len(set(h)) == 2 for h in seen)
     # a one-sample ledger has no past: nothing to violate
-    one = energy_ledger(spec, ens.trajectories[0])
+    one = energy_ledger(spec, member_views(ens)[0])
     short = type(one)(one.times[:1], one.energy[:, :1], one.enstrophy[:, :1], one.work[:, :1])
     rep = check_energy_inequality(ens, short, 1e-1, radius=1.0)
     assert rep.holds and rep.worst_delta == -np.inf

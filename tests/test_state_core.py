@@ -12,7 +12,7 @@ from attractorlab.core import (
     build_ensemble,
     complete_surrogates,
     integrate,
-    integrate_groups,
+    integrate_pass,
     make_group,
     restrict,
     surrogate_group,
@@ -126,11 +126,7 @@ def test_ensemble_is_one_array_with_views():
     initials = np.eye(4)
     ens = build_ensemble(TOY, initials, 0.0, 1.0, 0.1)
     assert ens.samples.shape == (4, 11, 4) and not ens.samples.flags.writeable
-    assert np.shares_memory(ens.samples, ens.trajectories[0].samples)
     assert np.shares_memory(ens.samples, restrict(ens, 0.5, 1.0).samples)
-    third = ens.trajectories[2]
-    assert third.samples.shape == (1, 11, 4) and third.t0 == 0.0
-    assert np.array_equal(third.samples[0], ens.samples[2])
     # external input is copied and finite-checked
     raw = np.zeros((2, 3, 4))
     own = Ensemble(raw, 0.0, 0.1, TOY)
@@ -286,7 +282,7 @@ def test_fused_pass_matches_one_build_per_group_bitwise(spec):
     groups = [make_group(spec, rows, t0, t1, dt) for rows, t0, t1 in spans]
     groups.append(surrogate_group(spec, ini[9:12], t_back=0.6, horizon=0.6, dt=dt))
     groups.append(make_group(spec, ini[12:14], 0.0, 0.7, dt, norms=True))
-    fused = integrate_groups(spec, groups)
+    fused = integrate_pass(spec, groups)[0]
     for (rows, t0, t1), ens in zip(spans, fused):
         alone = build_ensemble(spec, rows, t0, t1, dt)
         assert ens.t0 == alone.t0 and ens.dt == alone.dt
@@ -302,8 +298,8 @@ def test_fused_pass_matches_one_build_per_group_bitwise(spec):
 def test_fused_pass_needs_one_dt():
     groups = [make_group(TOY, np.eye(4), 0.0, 1.0, 0.1), make_group(TOY, np.eye(4), 0.0, 1.0, 0.05)]
     with pytest.raises(GridMismatch):
-        integrate_groups(TOY, groups)
-    assert integrate_groups(TOY, []) == []
+        integrate_pass(TOY, groups)
+    assert integrate_pass(TOY, []) == ([], None)
 
 
 def _forking(monkeypatch, fork):
@@ -352,7 +348,7 @@ def _one_fork_and_the_bits_of_one_process(monkeypatch, spec, groups, h):
     for fork in (False, True):
         seen = _forking(monkeypatch, fork)
         assert core._split(groups) == (h if fork else n)
-        passes[fork] = integrate_groups(spec, groups)
+        passes[fork] = integrate_pass(spec, groups)[0]
         assert seen == {"forks": int(fork), "rows": [rows - (n - h) if fork else rows]}
         _no_child_left()
         monkeypatch.undo()
@@ -386,7 +382,7 @@ def test_the_split_gives_the_bits_of_one_process(case, h, monkeypatch):
 def test_a_child_that_dies_around_its_byte_leaves_the_same_bits(when, monkeypatch):
     groups = _split_groups("run heavier than the library")
     seen = _forking(monkeypatch, False)
-    alone = integrate_groups(_NSE4, groups)
+    alone = integrate_pass(_NSE4, groups)[0]
     monkeypatch.undo()
     seen = _forking(monkeypatch, True)
     parent, step = os.getpid(), core._step

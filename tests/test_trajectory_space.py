@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import attraction_report_oracle, translation_invariance_oracle
+from oracles import attraction_report_oracle, member_views, translation_invariance_oracle
 
 import attractorlab.verification as verification
 from attractorlab.errors import EmptyEnsemble, HorizonTooShort, ModelMismatch, OffGrid
@@ -60,7 +60,7 @@ def test_translation_semigroup_law(toy_bundle):
 def test_slice_matches_states(toy_bundle):
     p = toy_bundle["ensemble"]
     got = p.samples_at(2.0)
-    for row, tr in zip(got, p.trajectories):
+    for row, tr in zip(got, member_views(p)):
         assert np.array_equal(row, tr.samples_at(2.0)[0])
     with pytest.raises(OffGrid):
         p.samples_at(-0.5)
@@ -108,6 +108,20 @@ def test_trajectory_attractor_toy(toy_bundle):
     # weak tail entry happens once e^-t decay falls under eps
     assert rep.t_entry <= np.log(1.0 / 2e-3) + 1.0
     assert rep.strong_mode and rep.t_entry_strong is not None
+
+
+def test_trajectory_attractor_keeps_distinct_members_in_library_order():
+    # a hand-built t = 0 library of members p, p, q: the repeat of p is dropped
+    n = 121  # dt 0.1: horizon 12 carries the tail windows and the shifts by 2
+    p, q = np.tile([1.0, 0.0], (n, 1)), np.tile([0.0, 1.0], (n, 1))
+    library = _set_from([p, p, q])
+    att = trajectory_attractor(library, library, cluster_tol=1e-3)
+    assert np.array_equal(att.samples, library.samples[[0, 2]])
+    inv = translation_invariance(att, tol=1e-3)
+    assert inv.ok and inv.defects == (0.0, 0.0)
+    rep = trajectory_attraction_report(library, att, eps=1e-3)
+    _same_report(rep, attraction_report_oracle(library, att, eps=1e-3))
+    assert rep.strong_mode and rep.t_entry == rep.t_entry_strong == 0.0
 
 
 def test_trajectory_attractor_guards(toy_bundle):

@@ -3,7 +3,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import error_profile_oracle, quasi_invariance_oracle, tracking_ladder_oracle
+from oracles import (
+    error_profile_oracle,
+    member_views,
+    quasi_invariance_oracle,
+    tracking_ladder_oracle,
+)
 
 from attractorlab.core import build_ensemble, integrate, translate
 from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
@@ -86,8 +91,9 @@ def test_grid_continuity_of_ensembles_equals_one_member_views(nse4_free_bundle):
         ib = ens.n_samples - 1 if b is None else ens.index_of(b)
         want = [_grid_continuous_oracle(r, ia, ib) for r in ens.samples]
         assert got.tolist() == want
-        assert got.tolist() == [bool(is_grid_continuous(v, a, b)[0]) for v in ens.trajectories]
-        assert np.array_equal(_modulus(ens, a, b), [_modulus(v, a, b)[0] for v in ens.trajectories])
+        views = member_views(ens)
+        assert got.tolist() == [bool(is_grid_continuous(v, a, b)[0]) for v in views]
+        assert np.array_equal(_modulus(ens, a, b), [_modulus(v, a, b)[0] for v in views])
     assert is_grid_continuous(ens).tolist() == [True, False] + [True] * (ens.n_members - 2)
 
 
@@ -293,7 +299,7 @@ def test_point_convergence_positive(nse4_free_bundle):
     # weak gate over [2, 4] (grid 100..200) and the distances at t* = 3
     # (grid 150), member by member from one-member views
     x = limit.samples[0]
-    views = [v.samples[0] for v in seq.trajectories]
+    views = [v.samples[0] for v in member_views(seq)]
     weak = [window_dist(seq.model, u[100:201], x[100:201], "weak") for u in views]
     assert rep.weak_dists == tuple(weak)
     assert rep.dists == tuple(float(np.linalg.norm(u[150] - x[150])) for u in views)
@@ -374,6 +380,14 @@ def test_uniform_convergence_window(nse4_free_bundle):
     wrong = integrate(seq.model, limit.samples[0, 0] * 0.2, 0.0, 6.0, 0.02)
     with pytest.raises(HypothesisFail):
         check_strong_convergence_at_point(seq, wrong, t_star=3.0)
+    # one jump at t = 3 in the sequence and in its limit keeps the weak gate
+    # passing, and the limit fails the continuity witness
+    jumped = [np.array(e.samples) for e in (seq, limit)]
+    for rows in jumped:
+        rows[:, 150:] += 0.3
+    seq_j, limit_j = (Ensemble(rows, 0.0, seq.dt, seq.model) for rows in jumped)
+    with pytest.raises(HypothesisFail, match="strong-continuity"):
+        check_strong_convergence_at_point(seq_j, limit_j, t_star=3.0)
 
 
 def test_uniform_convergence_false_on_high_mode_offset():
