@@ -54,7 +54,7 @@ from .models import (
     smooth_profile,
     spec_dim,
 )
-from .state import Ensemble, grid_index
+from .state import Ensemble, frozen_view, grid_index
 from .trajectory_space import (
     trajectory_attraction_report,
     trajectory_attractor,
@@ -592,7 +592,7 @@ def _point_group(cfg: dict, chk: dict, ctx: _RunContext) -> Group:
 
 def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     ens = ctx.ensemble
-    base = Ensemble(ens.samples[:1], ens.t0, ens.dt, ens.model)
+    base = frozen_view(Ensemble, samples=ens.samples[:1], t0=ens.t0, dt=ens.dt, model=ens.model)
     try:
         rep = check_strong_convergence_at_point(ctx.own(chk), base, chk["t_star"])
     except HypothesisFail as exc:

@@ -20,8 +20,8 @@ is bounded by 2^-TAIL_WINDOWS). Both reductions come from one kernel,
 window_dist; its leading axes broadcast, so the windows of all members of
 an ensemble against one reference window take one call. Every search over
 windows goes through one scan, window_nearest: the distance from one window
-to the nearest of a stack, in stored order, stopping at the first one under
-eps. The semidistances between two window stacks, both ways, are read off
+to the nearest of any iterable of windows, in stored order, stopping at the
+first one under eps. The semidistances between two window stacks, both ways, are read off
 one table of window pairs as that scan would read it (window_semidists).
 """
 from __future__ import annotations
@@ -236,10 +236,11 @@ def window_dist(spec: ModelSpec, u: np.ndarray, v: np.ndarray, m: str, steps=Non
 def window_nearest(spec: ModelSpec, u: np.ndarray, b: np.ndarray, m: str, steps=None, eps=0.0):
     """min over windows v in b of window_dist(u, v), scanning b in stored order.
 
-    u is one window (n, dim) and b stacks equal-length windows, (members, n,
-    dim); one window pair is compared at a time, so temporaries stay one
-    (n, dim) block. The scan stops at the first value under eps and returns
-    it, so the result is < eps exactly when the min is. inf for an empty b.
+    u is one window (n, dim) and b is any iterable of equal-length windows,
+    such as a (members, n, dim) stack or a generator of views; one window
+    pair is compared at a time, so temporaries stay one (n, dim) block. The
+    scan stops at the first value under eps and returns it, so the result
+    is < eps exactly when the min is. inf for an empty b.
     """
     nearest = np.inf
     for v in b:

@@ -18,7 +18,7 @@ import numpy as np
 from .core import restrict, translate
 from .errors import GridMismatch, HorizonTooShort, ModelMismatch
 from .metrics import TAIL_WINDOWS, tail_steps, window_nearest, window_semidists
-from .state import Ensemble, _check_time_zero, span_steps
+from .state import Ensemble, _check_time_zero, frozen_view, span_steps
 from .verification import is_grid_continuous
 
 
@@ -84,9 +84,15 @@ def trajectory_attractor(k_space: Ensemble, library: Ensemble, cluster_tol: floa
     window = forward.samples[:, : int(steps[-1]) + 1]
     accepted = [0]
     for i in range(1, forward.n_members):
-        if window_nearest(forward.model, window[i], window[accepted], "weak", steps) > cluster_tol:
+        kept = (window[j] for j in accepted)
+        if window_nearest(forward.model, window[i], kept, "weak", steps) > cluster_tol:
             accepted.append(i)
-    return Ensemble(forward.samples[accepted], 0.0, forward.dt, forward.model)
+    # a view of the library when every member is kept, else one read-only copy
+    samples = forward.samples
+    if len(accepted) < forward.n_members:
+        samples = samples[accepted]
+        samples.setflags(write=False)
+    return frozen_view(Ensemble, samples=samples, t0=0.0, dt=forward.dt, model=forward.model)
 
 
 def translation_invariance(attractor: Ensemble, tol: float) -> TranslationInvarianceRecord:

@@ -54,12 +54,22 @@ _SLACK = 0.1
 
 
 def _grid_steps(ens: Ensemble, a: float | None, b: float | None, what: str):
-    """Window start index and adjacent-step strong distances, (n_members, steps)."""
+    """Window start index and each member's adjacent-step strong distances,
+    one member at a time."""
     ia = 0 if a is None else ens.index_of(a)
     ib = ens.n_samples - 1 if b is None else ens.index_of(b)
     if ib - ia < 1:
         raise ValueError(f"window too short for {what}")
-    return ia, _strong_dist_owned(np.diff(ens.samples[:, ia : ib + 1], axis=1))
+    return ia, (_strong_dist_owned(np.diff(m[ia : ib + 1], axis=0)) for m in ens.samples)
+
+
+def _no_jump(steps: np.ndarray, floor: float) -> bool:
+    # is_grid_continuous's verdict on one member's steps
+    if steps.shape[0] == 1:
+        return bool(steps[0] <= floor)
+    prev = np.concatenate([steps[1:2], steps[:-1]])
+    nxt = np.concatenate([steps[1:], steps[-2:-1]])
+    return bool(np.all(steps <= np.maximum(_JUMP_FACTOR * np.maximum(prev, nxt), floor)))
 
 
 def is_grid_continuous(
@@ -70,16 +80,12 @@ def is_grid_continuous(
     A data-level jump shows up as one adjacent step that dwarfs its
     neighboring steps; smooth flows (including exponentially decaying ones)
     keep neighboring steps comparable. Steps below the floor
-    1e-8 (1 + |x(a)|) are treated as settled and never flagged.
+    1e-8 (1 + |x(a)|) are treated as settled and never flagged. Members are
+    checked one at a time, so temporaries stay one member's steps.
     """
     ia, steps = _grid_steps(ens, a, b, "a continuity check")
     floor = 1e-8 * (1.0 + np.linalg.norm(ens.samples[:, ia], axis=-1))
-    if steps.shape[1] == 1:
-        return steps[:, 0] <= floor
-    prev = np.concatenate([steps[:, 1:2], steps[:, :-1]], axis=1)
-    nxt = np.concatenate([steps[:, 1:], steps[:, -2:-1]], axis=1)
-    neighbor = np.maximum(prev, nxt)
-    return np.all(steps <= np.maximum(_JUMP_FACTOR * neighbor, floor[:, None]), axis=1)
+    return np.array([_no_jump(s, f) for s, f in zip(steps, floor)], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -572,6 +572,42 @@ def test_trajectory_attractor_artifacts_match_full_scan(tmp_path, monkeypatch):
     assert check["t_entry"] > 0.0 and check["t_entry_strong"] > 0.0
 
 
+# every check but absorbing, which reads only norms and applies to NSE models
+_TOY_CHECKS = (
+    "energy", "tracking", "quasi_invariance", "maximal_invariant", "compactness",
+    "point_convergence",
+)
+
+
+@pytest.mark.parametrize("sub", ["verify", "trajectory-attractor"])
+def test_no_run_copies_the_pass_arrays_through_the_public_constructor(sub, tmp_path, monkeypatch):
+    # every ensemble a run builds from its pass's arrays is a view or a
+    # frozen copy; a run whose public Ensemble constructor raises writes the
+    # same artifacts
+    payload = dict(
+        TOY,
+        horizon=16.0,
+        library={"size": 3, "t_back": 10.0, "horizon": 16.0},
+        omega={"cluster_tol": 1e-3},
+        checks=[{"name": name} for name in _TOY_CHECKS],
+    )
+    written = {}
+    for side in ("constructor", "no constructor"):
+        if side == "no constructor":
+
+            def refuse(self):
+                raise RuntimeError("the public Ensemble constructor ran")
+
+            monkeypatch.setattr(Ensemble, "__post_init__", refuse)
+        (tmp_path / side).mkdir()
+        code, out = _run(tmp_path / side, sub, payload)
+        written[side] = (code, [(out / f).read_bytes() for f in FIVE[:4]])
+    assert written["constructor"] == written["no constructor"]
+    reports = json.loads(written["constructor"][1][3])
+    assert "error" not in reports
+    assert all(r["status"] != "error" for r in reports["checks"])
+
+
 def test_failed_attractor_is_built_once(tmp_path, monkeypatch):
     # both checks need the attractor; its failed build is not repeated, and
     # each check records the same error

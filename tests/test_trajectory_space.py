@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from oracles import attraction_report_oracle, member_views, translation_invariance_oracle
 
-import attractorlab.verification as verification
 from attractorlab.errors import EmptyEnsemble, HorizonTooShort, ModelMismatch, OffGrid
-from attractorlab.metrics import dist_arrays, strong_dist_arrays
+from attractorlab.metrics import dist_arrays
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import (
@@ -117,11 +116,26 @@ def test_trajectory_attractor_keeps_distinct_members_in_library_order():
     library = _set_from([p, p, q])
     att = trajectory_attractor(library, library, cluster_tol=1e-3)
     assert np.array_equal(att.samples, library.samples[[0, 2]])
+    # the kept members are one read-only copy
+    assert not np.shares_memory(att.samples, library.samples)
+    assert not att.samples.flags.writeable
     inv = translation_invariance(att, tol=1e-3)
     assert inv.ok and inv.defects == (0.0, 0.0)
     rep = trajectory_attraction_report(library, att, eps=1e-3)
     _same_report(rep, attraction_report_oracle(library, att, eps=1e-3))
     assert rep.strong_mode and rep.t_entry == rep.t_entry_strong == 0.0
+
+
+def test_trajectory_attractor_keeping_every_member_is_a_view_of_the_library():
+    n = 121
+    p, q = np.tile([1.0, 0.0], (n, 1)), np.tile([0.0, 1.0], (n, 1))
+    library = _set_from([p, q])
+    for k_space in (library, _first_samples(library, 101)):
+        att = trajectory_attractor(k_space, library, cluster_tol=1e-3)
+        assert (att.t0, att.dt, att.model) == (0.0, library.dt, library.model)
+        assert np.shares_memory(att.samples, library.samples)
+        assert np.array_equal(att.samples, library.samples[:, : k_space.n_samples])
+        assert not att.samples.flags.writeable
 
 
 def test_trajectory_attractor_guards(toy_bundle):
@@ -202,27 +216,23 @@ def test_attraction_report_without_strong_mode(toy_bundle, toy_attractor):
     _same_report(got, attraction_report_oracle(k_space, jumped, eps=2e-3))
 
 
-def test_attraction_report_squares_grid_steps_in_place(toy_bundle, toy_attractor, monkeypatch):
-    # the continuity witness squares its own step differences in place; with
-    # the copying square the report's traced peak is higher
+@pytest.mark.parametrize("copies", [8, 32])
+def test_attraction_report_peak_is_a_few_member_windows(toy_bundle, toy_attractor, copies):
+    # the continuity witness takes its grid steps member by member, so the
+    # report's traced peak stays under three member windows of samples
+    # whatever the attractor's member count; steps of the whole attractor
+    # at once would take `copies` windows
     k_space = toy_bundle["ensemble"]
-    # more attractor members make the (members, samples, dim) steps the peak
-    tiled = np.tile(toy_attractor.samples, (8, 1, 1))
+    tiled = np.tile(toy_attractor.samples, (copies, 1, 1))
     attractor = Ensemble(tiled, 0.0, toy_attractor.dt, toy_attractor.model)
-
-    def peak():
-        tracemalloc.start()
-        try:
-            report = trajectory_attraction_report(k_space, attractor, eps=2e-3)
-            return tracemalloc.get_traced_memory()[1], report
-        finally:
-            tracemalloc.stop()
-
-    shipped, report = peak()
-    monkeypatch.setattr(verification, "_strong_dist_owned", strong_dist_arrays)
-    copying, same = peak()
-    _same_report(report, same)
-    assert shipped < copying, (shipped, copying)
+    tracemalloc.start()
+    try:
+        report = trajectory_attraction_report(k_space, attractor, eps=2e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _same_report(report, trajectory_attraction_report(k_space, toy_attractor, eps=2e-3))
+    assert peak < 3 * attractor.samples[0].nbytes, (peak, attractor.samples[0].nbytes)
 
 
 # the settled library is invariant; the ensembles from t = 0 carry their transient

@@ -41,7 +41,7 @@ def _traj(*members, dt=0.1, t0=0.0):
 
 def _modulus(ens, a=None, b=None):
     """Largest adjacent-step strong distance over a grid window, per member."""
-    return _grid_steps(ens, a, b, "a modulus")[1].max(axis=-1)
+    return np.array([s.max() for s in _grid_steps(ens, a, b, "a modulus")[1]])
 
 
 def test_grid_modulus_hand_value():

@@ -8,19 +8,25 @@ For the verify-nse2d and trajattr-kolmogorov workloads of
 perfbench/workloads.py (imported read-only, as tools/artifact_diff.py
 does), runs ``python -m attractorlab.cli`` once untimed per side, then
 PAIRS times (default 10) with PARENT_SRC and with this checkout's ``src/``
-on the import path. The two runs of a pair use workload seed pair mod 5 and
-alternate which goes first. Every run writes into its own temporary
+on the import path. Both trees are byte-compiled with ``compileall`` first:
+under PYTHONDONTWRITEBYTECODE=1 a tree whose ``__pycache__`` is stale (a
+copied tree, say) is never rewritten, and that side would pay for
+compiling its modules on every run. The two runs of a pair use workload
+seed pair mod 5 and alternate which goes first. Every run writes into its own temporary
 directory. Wall time is launch to exit; peak RSS is ``ru_maxrss`` from
 ``os.wait4``, which on Linux is the larger of the process's own peak and
 that of the children it reaped.
 
-Prints, per workload, the median wall time and peak RSS of each side, and
-for each of the two the median and quartiles over pairs of the ratio
-change / parent and the pairs the change won; then the exit codes seen. Exits 1 if the two runs
-of some pair exit differently; 0 otherwise.
+Prints, per workload, the median and quartiles of wall time and peak RSS
+of each side; for each of the two the median and quartiles over pairs of
+the ratio change / parent and the pairs the change won; whether the change
+won at least nine tenths of the pairs and its median is lower than the
+parent's by more than the parent's quartile spread; then the exit codes
+seen. Exits 1 if the two runs of some pair exit differently; 0 otherwise.
 """
 from __future__ import annotations
 
+import compileall
 import json
 import os
 import subprocess
@@ -64,6 +70,10 @@ def main(argv: list[str]) -> int:
         return 2
     sides = {"parent": Path(argv[0]).resolve(), "change": ROOT / "src"}
     pairs = int(argv[1]) if len(argv) == 2 else 10
+    for src in sides.values():
+        if not compileall.compile_dir(src, quiet=1):
+            print(f"{src}: byte-compiling failed", file=sys.stderr)
+            return 2
     mismatched = 0
     for name in NAMES:
         for src in sides.values():
@@ -78,16 +88,20 @@ def main(argv: list[str]) -> int:
         print(f"{name}: {pairs} pairs")
         for col, metric, won in ((0, "wall_s", "faster"), (1, "peak_rss_mb", "lower")):
             values = {side: np.array([r[col] for r in runs[side]]) for side in sides}
+            quart = {side: np.percentile(values[side], [25, 50, 75]) for side in sides}
+            for side in sides:
+                q1, med, q3 = quart[side]
+                print(f"  {metric} {side}: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}")
             ratio = values["change"] / values["parent"]
+            wins = int((ratio < 1.0).sum())
             q1, med, q3 = np.percentile(ratio, [25, 50, 75])
             print(
-                f"  {metric} median: parent {np.median(values['parent']):.3f},"
-                f" change {np.median(values['change']):.3f}"
-            )
-            print(
                 f"  {metric} change/parent per pair: median {med:.3f},"
-                f" quartiles {q1:.3f}-{q3:.3f}, change {won} in {int((ratio < 1.0).sum())}/{pairs}"
+                f" quartiles {q1:.3f}-{q3:.3f}, change {won} in {wins}/{pairs}"
             )
+            p1, p_med, p3 = quart["parent"]
+            gain = 10 * wins >= 9 * pairs and p_med - quart["change"][1] > p3 - p1
+            print(f"  {metric} gain (>= 9/10 pairs, by more than the parent's spread): {gain}")
         codes = {side: sorted({r[2] for r in runs[side]}) for side in sides}
         print(f"  exit codes: parent {codes['parent']}, change {codes['change']}")
     print(f"{mismatched} pair(s) with different exit codes")
