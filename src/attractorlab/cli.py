@@ -39,6 +39,7 @@ from .errors import AttractorLabError, ConfigInvalid, HypothesisFail, NonFiniteS
 from .limits import OmegaParams, asymptotic_compactness_defect, global_attractor, omega_limit
 from .metrics import METRIC_KINDS
 from .models import (
+    EnergyLedger,
     ModelSpec,
     KINDS,
     NSE_KINDS,
@@ -49,6 +50,7 @@ from .models import (
     energy_identity_gap,
     energy_ledger,
     make_spec,
+    mode_table,
     nse_forcing,
     sample_ball,
     smooth_profile,
@@ -72,7 +74,7 @@ SUBCOMMANDS = ("simulate", "omega", "attractor", "trajectory-attractor", "verify
 
 # Config tables: each section maps its keys to (kind, default, bound). A kind
 # is int, float or str, a tuple of allowed strings, [int] or [float] for a
-# list of numbers, a nested table, or list for a list of entries that
+# non-empty list of numbers, a nested table, or list for a list of entries that
 # load_config checks itself. A default is a value, _REQUIRED, or a function
 # of the top-level config walked so far. A bound ("> 0", ">= 1", or such
 # comparisons joined by ", ") applies to a number or to each number of a list;
@@ -159,8 +161,8 @@ def _value(value, kind, bound, where: str, root: dict):
             raise ConfigInvalid(f"{where} must be a {kind.__name__}, got {value!r}")
         return value
     if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigInvalid(f"{where} must be a list of numbers, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigInvalid(f"{where} must be a non-empty list of numbers, got {value!r}")
         return [_value(v, kind[0], bound, f"{where}[{j}]", root) for j, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{where} must be a number, got {value!r}")
@@ -255,7 +257,10 @@ def _build_spec(mc: dict) -> ModelSpec:
                 forcing = nse_forcing(kind, mc["L"], mc["truncation"], mc["forcing"])
             else:
                 forcing = dyadic_forcing(mc["truncation"], mc["forcing"])
-        return make_spec(kind, mc["nu"], mc["L"], mc["truncation"], mc["lambda"], forcing)
+        spec = make_spec(kind, mc["nu"], mc["L"], mc["truncation"], mc["lambda"], forcing)
+        if kind in NSE_KINDS:
+            mode_table(spec)
+        return spec
     except (ValueError, NonFiniteState, MemoryError) as exc:
         raise ConfigInvalid(f"model: {exc}")
 
@@ -345,8 +350,7 @@ def _write_trajectories(path: Path, ensemble: Ensemble, stride: int, tail, fd: i
             tail.join(False)
 
 
-def _write_ledger(path: Path, spec: ModelSpec, ensemble: Ensemble, stride: int) -> None:
-    led = energy_ledger(spec, ensemble)
+def _write_ledger(path: Path, led: EnergyLedger, stride: int) -> None:
     times = np.broadcast_to(led.times, led.energy.shape)
     table = np.stack([times, led.energy, led.enstrophy, led.work], axis=-1)
     with path.open("w") as fh:
@@ -462,6 +466,14 @@ class _RunContext:
         return self.paths(id(chk))
 
     @property
+    def ledger(self) -> EnergyLedger:
+        return self._once("ledger", lambda: energy_ledger(self.spec, self.ensemble))
+
+    def release(self) -> None:
+        """Free every part but the run's ensemble and ledger, which the writers read."""
+        self._built = {key: self._built[key] for key in ("run", "ledger") if key in self._built}
+
+    @property
     def attractor(self):
         cfg = self.cfg
         return self._once(
@@ -475,7 +487,7 @@ class _RunContext:
 
 
 def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    led = energy_ledger(ctx.spec, ctx.ensemble)
+    led = ctx.ledger
     e0 = led.energy[:, 0]
     gaps = energy_identity_gap(ctx.spec, led)
     worst_ratio = max(0.0, float(np.divide(gaps, e0, out=gaps, where=e0 > 0).max()))
@@ -493,15 +505,23 @@ def _check_energy(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     }
 
 
+def _absorbing_ball(spec: ModelSpec) -> float:
+    """The absorbing radius; HypothesisFail when zero forcing shrinks the ball to the rest state."""
+    r_abs = absorbing_radius(spec)
+    if r_abs <= 0.0:
+        raise HypothesisFail("zero forcing: the absorbing ball is the rest state, radius 0")
+    return r_abs
+
+
 def _absorbing_group(cfg: dict, chk: dict, ctx: _RunContext) -> Group:
-    r_abs = absorbing_radius(ctx.spec)
+    r_abs = _absorbing_ball(ctx.spec)
     boundary = _initials(ctx.spec, chk["n_samples"], 2.0 * r_abs, cfg["seed"] + 2, boundary=True)
     # the check reads only the norms of the samples
     return make_group(ctx.spec, boundary, 0.0, chk["horizon"], cfg["dt"], norms=True)
 
 
 def _check_absorbing(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
-    r_abs = absorbing_radius(ctx.spec)
+    r_abs = _absorbing_ball(ctx.spec)
     ok = True
     worst_entry = 0.0
     slack = 1e-9 * r_abs
@@ -567,7 +587,9 @@ def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     stride = max(1, (n - k_from - 1) // max(1, n_times - 1))
     idx = [k_from + j * stride for j in range(n_times) if k_from + j * stride < n]
     times = [ensemble.t0 + i * ensemble.dt for i in idx]
-    k = min(chk["k"], len(times))
+    k = chk["k"]
+    if k >= len(times):
+        raise HypothesisFail(f"k={k} centers cover all {len(times)} sampled times: defect 0")
     defect = asymptotic_compactness_defect(ensemble, times, k)
     return {
         "status": "pass" if defect <= chk["threshold"] else "fail",
@@ -593,10 +615,7 @@ def _point_group(cfg: dict, chk: dict, ctx: _RunContext) -> Group:
 def _check_point_convergence(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     ens = ctx.ensemble
     base = frozen_view(Ensemble, samples=ens.samples[:1], t0=ens.t0, dt=ens.dt, model=ens.model)
-    try:
-        rep = check_strong_convergence_at_point(ctx.own(chk), base, chk["t_star"])
-    except HypothesisFail as exc:
-        return {"status": "hypothesis_fail", "detail": str(exc)}
+    rep = check_strong_convergence_at_point(ctx.own(chk), base, chk["t_star"])
     return {
         "status": "pass" if rep.converged else "fail",
         "dists": list(rep.dists),
@@ -667,15 +686,18 @@ def _error_record(exc: BaseException) -> dict:
 def _run_checks(ctx: _RunContext) -> list[dict]:
     """Run the configured checks, each on its own.
 
-    Each record is named after its check. A check that raises leaves an
-    error record, and the next check still runs. The attractor is built on
-    first use, once.
+    Each record is named after its check. A check that raises HypothesisFail
+    leaves a hypothesis_fail record with its detail; one that raises another
+    error leaves an error record, and the next check still runs. The
+    attractor is built on first use, once.
     """
     reports = []
     for chk in ctx.cfg["checks"]:
         name = chk["name"]
         try:
             record = _CHECKS[name][0](ctx.cfg, chk, ctx)
+        except HypothesisFail as exc:
+            record = {"status": "hypothesis_fail", "detail": str(exc)}
         except _RECORDED as exc:
             record = {"status": "error", **_error_record(exc), "stage": name}
         reports.append({"name": name, **record})
@@ -766,12 +788,12 @@ def run(subcommand: str, cfg: dict) -> int:
         except _RECORDED as exc:
             error_record = _error_record(exc)
             exit_code = 1
-        ctx = None  # the writers need only the run's ensemble: free the rest first
         if ensemble is None:
             (out / "trajectories.csv").write_text("time,member\n")
             (out / "ledger.csv").write_text("member,time,energy,enstrophy,work\n")
         else:  # the small artifacts before trajectories.csv, while the child formats
-            _write_ledger(out / "ledger.csv", spec, ensemble, stride)
+            ctx.release()
+            _write_ledger(out / "ledger.csv", ctx.ledger, stride)
         _write_json(out / "sets.json", sets)
         payload: dict = {"checks": reports}
         if error_record is not None:

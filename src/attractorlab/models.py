@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
-from .spectral import ModeTable, advect, advect_self, build_mode_table, self_advection
+from .spectral import ModeTable, advect, build_mode_table, self_advection
 from .state import Ensemble
 
 KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
@@ -221,49 +221,49 @@ def advection_array(spec: ModelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray
     return advect(mode_table(spec), u, v)
 
 
-def dyadic_cascade(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
-    """Quadratic shell transfer lam^n a_{n-1}^2 - lam^{n+1} a_n a_{n+1}."""
-    a = _check_operand(spec, a)
-    n = np.arange(spec.truncation + 1, dtype=float)
-    lam_n = spec.lam ** n
-    prev = np.zeros_like(a)
-    prev[..., 1:] = a[..., :-1]
-    nxt = np.zeros_like(a)
-    nxt[..., :-1] = a[..., 1:]
-    return lam_n * prev**2 - spec.lam * lam_n * a * nxt
-
-
 def nonlinear_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
-    """Everything except the diagonal linear decay: forcing plus transfer."""
-    if spec.kind in NSE_KINDS:
-        return forcing_array(spec) - advect_self(mode_table(spec), _check_operand(spec, u))
-    if spec.kind == "dyadic":
-        return forcing_array(spec) + dyadic_cascade(spec, u)
-    return np.zeros_like(_check_operand(spec, u))
+    """Everything except the diagonal linear decay: forcing plus transfer, by one
+    call of nonlinear_pass's evaluator on u viewed as (rows, dim)."""
+    u = _check_operand(spec, u)
+    rows, f = nonlinear_pass(spec, u.reshape(-1, u.shape[-1]))
+    return f(rows).reshape(u.shape)
 
 
 def nonlinear_pass(spec: ModelSpec, u0: np.ndarray):
     """(u0 checked once, as a C-contiguous float array; f) for one integration pass:
-    f(u) is nonlinear_array(spec, u), bit for bit and with its NonFiniteState, for
-    C-contiguous float (n, dim) u, n <= len(u0). Forcing, table and buffers are bound here."""
+    f(u) is forcing plus transfer, or NonFiniteState for a non-finite u, for C-contiguous
+    float (n, dim) u, n <= len(u0). Forcing, table, shell rates and buffers are bound here."""
     u0 = np.ascontiguousarray(_check_operand(spec, u0))
-    if spec.kind not in NSE_KINDS:
-        return u0, lambda u: nonlinear_array(spec, u)
-    g, b = forcing_array(spec), self_advection(mode_table(spec), u0.shape[0])
+    g = forcing_array(spec)
+    if spec.kind in NSE_KINDS:
+        b = self_advection(mode_table(spec), u0.shape[0])
+
+        def transfer(u: np.ndarray) -> np.ndarray:
+            r = b(u)
+            return np.subtract(g, r, out=r)  # g - B(u, u)
+
+    elif spec.kind == "dyadic":
+        lam_n = spec.lam ** np.arange(spec.truncation + 1, dtype=float)
+        lam_n1, zero = spec.lam * lam_n, np.zeros((len(u0), 1))  # a_{-1} = a_{N+1} = 0
+
+        def transfer(a: np.ndarray) -> np.ndarray:
+            prev = np.concatenate((zero[: len(a)], a[:, :-1]), axis=1)
+            nxt = np.concatenate((a[:, 1:], zero[: len(a)]), axis=1)
+            return g + (lam_n * prev**2 - lam_n1 * a * nxt)
+
+    else:
+        transfer = np.zeros_like  # the toy's nonlinear part is zero
 
     def f(u: np.ndarray) -> np.ndarray:
         if not np.isfinite(u).all():
             raise NonFiniteState("operand contains non-finite entries")
-        r = b(u)
-        return np.subtract(g, r, out=r)
+        return transfer(u)
 
     return u0, f
 
 
 def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     u = _check_operand(spec, u)
-    if spec.kind == "toy_contraction":
-        return -u
     return nonlinear_array(spec, u) - linear_rates(spec) * u
 
 

@@ -7,8 +7,9 @@ these scans stay slow on purpose and live only in the tests. Two more
 oracles search the surrogate library with explicit loops over its members
 and shifts, for check_quasi_invariance and tracking_error_profile. The
 module also holds the tangent-scalar conversions and coords_to_modes, from which the
-physical-space advection oracle of test_spectral builds its fields, and
-member_views, the one-member views that per-member checks compare against.
+physical-space advection oracle of test_spectral builds its fields,
+member_views, the one-member views that per-member checks compare against, and
+nonlinear_oracle, each model kind's forcing plus transfer by its own formula.
 """
 import numpy as np
 
@@ -20,7 +21,8 @@ from attractorlab.metrics import (
     window_dist,
     window_semidists,
 )
-from attractorlab.spectral import ModeTable
+from attractorlab.models import NSE_KINDS, forcing_array, mode_table
+from attractorlab.spectral import ModeTable, advect_self
 from attractorlab.state import Ensemble, frozen_view
 from attractorlab.trajectory_space import (
     TranslationInvarianceRecord,
@@ -37,6 +39,21 @@ def member_views(ens):
         frozen_view(Ensemble, samples=row[None], t0=ens.t0, dt=ens.dt, model=ens.model)
         for row in ens.samples
     ]
+
+
+def nonlinear_oracle(spec, u):
+    """Forcing plus transfer of operands (..., dim) by each kind's own formula: the
+    reference that models.nonlinear_array and the pass's evaluator equal bit for bit."""
+    u = np.asarray(u, dtype=float)
+    g = forcing_array(spec)
+    if spec.kind in NSE_KINDS:
+        return g - advect_self(mode_table(spec), u)
+    if spec.kind == "dyadic":
+        lam_n = spec.lam ** np.arange(spec.truncation + 1, dtype=float)
+        prev, nxt = np.zeros_like(u), np.zeros_like(u)
+        prev[..., 1:], nxt[..., :-1] = u[..., :-1], u[..., 1:]
+        return g + (lam_n * prev**2 - spec.lam * lam_n * u * nxt)
+    return np.zeros_like(u)
 
 
 def attraction_report_oracle(k_space, attractor, eps):

@@ -199,6 +199,20 @@ def test_a_mode_table_out_of_memory_is_a_config_error(tmp_path, monkeypatch, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["galerkin_nse_2d", "galerkin_nse_3d"])
+def test_an_unforced_mode_table_out_of_memory_is_a_config_error(
+    kind, tmp_path, monkeypatch, capsys
+):
+    # the table is built at load for every NSE model, not only through its forcing
+    monkeypatch.setattr(models, "build_mode_table", _out_of_memory)
+    code, out = _run(tmp_path, "simulate", dict(TOY, model={"kind": kind, "truncation": 200}))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: model: Unable to allocate 385. GiB" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["sample_ball", "mmap"])
 def test_running_out_of_memory_is_an_error_record(tmp_path, monkeypatch, capsys, stage):
     # ensemble_size 10^12 or horizon 10^12 would ask for TiBs; the patches raise at once
@@ -302,6 +316,51 @@ def test_absorbing_check_on_forced_model(tmp_path):
     assert code == 2
     rep = json.loads((out / "reports.json").read_text())["checks"][0]
     assert rep["status"] == "fail" and rep["worst_entry_time"] is None
+
+
+def test_absorbing_on_an_unforced_model_is_a_hypothesis_failure(tmp_path, monkeypatch):
+    # zero forcing gives radius 0: the boundary samples would all be the rest state
+    passes = _passes(monkeypatch)
+    payload = dict(NSE2, model={"kind": "galerkin_nse_2d", "truncation": 2},
+                   checks=[{"name": "absorbing", "n_samples": 4}])
+    code, out = _run(tmp_path, "verify", payload)
+    assert code == 3
+    assert json.loads((out / "reports.json").read_text())["checks"] == [{
+        "name": "absorbing",
+        "status": "hypothesis_fail",
+        "detail": "zero forcing: the absorbing ball is the rest state, radius 0",
+    }]
+    assert passes == [[3]]  # the run alone: no absorbing group is integrated
+
+
+@pytest.mark.parametrize(
+    "fields,n",
+    [({"k": 16, "n_times": 16}, 16), ({"n_times": 30, "t_from": 9.94}, 4)],
+    ids=["k-equals-times", "times-fewer-than-k"],
+)
+def test_compactness_with_a_center_per_sampled_time_is_a_hypothesis_failure(
+    fields, n, tmp_path
+):
+    # every sample a center gives defect 0, which would pass even at threshold 0
+    chk = {"name": "compactness", "threshold": 0.0, **fields}
+    code, out = _run(tmp_path, "verify", dict(TOY, checks=[chk]))
+    assert code == 3
+    (rep,) = json.loads((out / "reports.json").read_text())["checks"]
+    k = fields.get("k", 8)
+    assert rep == {
+        "name": "compactness",
+        "status": "hypothesis_fail",
+        "detail": f"k={k} centers cover all {n} sampled times: defect 0",
+    }
+
+
+def test_compactness_with_fewer_centers_than_times_keeps_its_record(tmp_path):
+    chk = {"name": "compactness", "k": 15, "n_times": 16, "threshold": 0.0}
+    code, out = _run(tmp_path, "verify", dict(TOY, checks=[chk]))
+    (rep,) = json.loads((out / "reports.json").read_text())["checks"]
+    assert sorted(rep) == ["defect", "k", "name", "status", "threshold"]
+    assert rep["k"] == 15 and rep["defect"] > 0.0
+    assert (code, rep["status"]) == (2, "fail")
 
 
 def test_config_error_messages(tmp_path, capsys):
@@ -427,6 +486,17 @@ def test_config_type_errors_are_config_errors(tmp_path, capsys):
     assert [chk.get("t_star", chk.get("t_from")) for chk in cfg["checks"]] == [10.0, 0.0]
 
 
+@pytest.mark.parametrize("name", ["energy", "tracking"])
+def test_an_empty_eps_ladder_is_a_config_error(name, tmp_path, capsys):
+    # an empty ladder has no rung to fail, so the check would pass on nothing
+    code, out = _run(tmp_path, "verify", dict(TOY, checks=[{"name": name, "eps_ladder": []}]))
+    assert code == 1
+    err = capsys.readouterr().err
+    field = "config.checks[0].eps_ladder"
+    assert err == f"config error: {field} must be a non-empty list of numbers, got []\n"
+    assert not out.exists()
+
+
 _NOT_A_NUMBER = st.one_of(
     st.none(),
     st.booleans(),
@@ -549,6 +619,28 @@ def test_verify_computes_the_attractor_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     names = [c["name"] for c in json.loads((out / "reports.json").read_text())["checks"]]
     assert names == ["quasi_invariance", "maximal_invariant"]
+
+
+def test_a_run_builds_one_energy_ledger(tmp_path, monkeypatch):
+    calls = []
+    original = cli.energy_ledger
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "energy_ledger", counting)
+    written = {}
+    for sub, checks in (("simulate", []), ("verify", [{"name": "energy"}, {"name": "energy"}])):
+        calls.clear()
+        (tmp_path / sub).mkdir()
+        code, out = _run(tmp_path / sub, sub, dict(NSE2, checks=checks))
+        assert code in (0, 2)
+        assert len(calls) == 1  # the checks and ledger.csv read the one ledger
+        written[sub] = (out / "ledger.csv").read_bytes()
+    first, second = json.loads((out / "reports.json").read_text())["checks"]
+    assert first == second and first["name"] == "energy"
+    assert written["verify"] == written["simulate"]
 
 
 def test_trajectory_attractor_artifacts_match_full_scan(tmp_path, monkeypatch):
@@ -827,7 +919,8 @@ def test_one_group_blowing_up_in_the_fused_pass(tmp_path, monkeypatch):
     # the fused pass, which blew up, then the run and the absorbing group alone
     assert passes[:3] == [[3, 4], [3], [4]]
     compact, absorbing = reports["checks"]
-    assert compact["status"] == "pass"
+    # six sampled times from t_from = 0.5 at dt = 0.1: the default k = 8 covers them all
+    assert compact["status"] == "hypothesis_fail"
     assert (absorbing["status"], absorbing["type"]) == ("error", "NonFiniteState")
     assert absorbing["message"] == "integration blew up at step 2"
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import member_views
+from oracles import member_views, nonlinear_oracle
 
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.spectral import advect, advect_self
@@ -240,15 +240,18 @@ def test_nonlinear_array_checks_its_operand():
     assert np.abs(b - advection_array(spec, u, u)).max() <= 1e-15 * np.abs(b).max()
 
 
-def _kicked(kind, truncation, **kw):
+def _kicked(kind, truncation):
+    # dyadic: a lam that is no power of two and forcing past shell 0, so that a
+    # regrouped product or sum shows in the bits
     forcing = None
     if kind in ("galerkin_nse_2d", "galerkin_nse_3d"):
         mode = [1, 0] if kind == "galerkin_nse_2d" else [1, 0, 0]
         entries = [{"mode": mode, "amplitude": 0.1}]
         forcing = nse_forcing(kind, TWO_PI, truncation, entries)
     elif kind == "dyadic":
-        forcing = dyadic_forcing(truncation, [{"shell": 0, "amplitude": 1.0}])
-    return make_spec(kind, nu=1.0, truncation=truncation, forcing=forcing, **kw)
+        entries = [{"shell": 0, "amplitude": 1.0}, {"shell": 3, "amplitude": 0.7}]
+        forcing = dyadic_forcing(truncation, entries)
+    return make_spec(kind, nu=1.0, truncation=truncation, lam=1.7, forcing=forcing)
 
 
 # 3D N=3 has 88,204 symmetric entries, above 2^16: one row per slice, so a
@@ -270,12 +273,20 @@ def test_nonlinear_pass_matches_nonlinear_array_bitwise(kind, truncation, rows, 
     u, f = nonlinear_pass(spec, u0)
     assert u.dtype == float and u.flags.c_contiguous
     assert np.array_equal(u, u0.astype(float))
+
+    def same_bits(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     # one evaluator, batches that shrink by prefix as a pass's do
     for n in range(rows, 0, -1):
-        assert np.array_equal(f(u[:n]), nonlinear_array(spec, u0[:n]))
+        same_bits(f(u[:n]), nonlinear_oracle(spec, u0[:n]))
+    # nonlinear_array on 1-D, 2-D (C and Fortran order) and 3-D operands
+    for operand in (u0[0], u0, np.asfortranarray(u0), u0[None]):
+        same_bits(nonlinear_array(spec, operand), nonlinear_oracle(spec, operand))
     # a stage operand: a fresh float array
     stage = 0.5 * u
-    assert np.array_equal(f(stage), nonlinear_array(spec, stage))
+    same_bits(f(stage), nonlinear_oracle(spec, stage))
     stage[-1, 0] = np.nan
     for fn in (f, lambda v: nonlinear_array(spec, v)):
         with pytest.raises(NonFiniteState, match="^operand contains non-finite entries$"):
