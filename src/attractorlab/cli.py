@@ -14,8 +14,9 @@ offending field named, and numeric failures abort with a structured error
 record in reports.json; in verify, a check that raises gets its own error
 record and the other checks still run. The run's ensemble is the pass's
 first group, so the pass's forked child, if any, steps a block of the run's
-members and then formats their lines of trajectories.csv while this process
-steps the other rows and runs the checks. Only this process writes
+members, computes their energy ledger rows and then formats their lines of
+trajectories.csv while this process steps the other rows, computes the
+ledger rows of its members and runs the checks. Only this process writes
 artifacts, after the checks, trajectories.csv last but for manifest.json.
 
 Exit codes: 0 all checks passed, 1 config or runtime error, 2 at least one
@@ -48,7 +49,6 @@ from .models import (
     default_radius,
     dyadic_forcing,
     energy_identity_gap,
-    energy_ledger,
     make_spec,
     mode_table,
     nse_forcing,
@@ -407,7 +407,8 @@ class _RunContext:
     def _group(self, key) -> Group:
         cfg = self.cfg
         if key == "run":
-            return make_group(self.spec, self.initials, 0.0, cfg["horizon"], cfg["dt"])
+            group = make_group(self.spec, self.initials, 0.0, cfg["horizon"], cfg["dt"])
+            return group._replace(ledger=True)
         if key == "library":
             lib = cfg["library"]
             initials = _initials(self.spec, lib["size"], self.radius, cfg["seed"] + 1)
@@ -455,7 +456,7 @@ class _RunContext:
 
     @property
     def ensemble(self) -> Ensemble:
-        return self.paths("run")
+        return self.paths("run")[0]
 
     @property
     def library(self) -> Ensemble:
@@ -467,11 +468,12 @@ class _RunContext:
 
     @property
     def ledger(self) -> EnergyLedger:
-        return self._once("ledger", lambda: energy_ledger(self.spec, self.ensemble))
+        return self.paths("run")[1]
 
     def release(self) -> None:
-        """Free every part but the run's ensemble and ledger, which the writers read."""
-        self._built = {key: self._built[key] for key in ("run", "ledger") if key in self._built}
+        """Free every part but the run's ensemble and ledger, which the writers read;
+        the pass filled the ledger, so nothing maps the child's members' samples here."""
+        self._built = {key: part for key, part in self._built.items() if key == "run"}
 
     @property
     def attractor(self):
@@ -680,7 +682,8 @@ _RECORDED = (AttractorLabError, ValueError, MemoryError)
 def _error_record(exc: BaseException) -> dict:
     # numpy raises a private subclass of MemoryError; record the public name
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-    return {"type": name, "message": str(exc)}
+    stage = getattr(exc, "stage", None)  # set by the pass for its ledger rows
+    return {"type": name, "message": str(exc), **({"stage": stage} if stage else {})}
 
 
 def _run_checks(ctx: _RunContext) -> list[dict]:

@@ -15,8 +15,9 @@ build_ensemble and complete_surrogates are its one-group cases. Where fork
 and two CPUs are usable (no setting), the pass is split by ensemble, not by
 row: one forked child steps a contiguous block of the first group's
 members, sized to balance member-steps, and this process steps every other
-row. The child can go on to work on its own members (the CLI formats their
-part of trajectories.csv there) while this process carries on. Split or
+row; each side computes the energy ledger rows a group keeps for the members
+it stepped. The child can go on to work on its own members (the CLI formats
+their part of trajectories.csv there) while this process carries on. Split or
 not, fused, batched and single integration give bit-identical members. A
 surrogate library keeps only its samples on [0, horizon], so it starts at
 t = 0, and the checks that read a library reject one that starts elsewhere.
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyWindow, GridMismatch, NonFiniteState, StepMismatch
-from .models import ModelSpec, linear_rates, nonlinear_pass, spec_dim
+from .models import EnergyLedger, ModelSpec, ledger_rows, linear_rates, nonlinear_pass, spec_dim
 from .state import Ensemble, frozen_view, span_steps
 
 __all__ = [
@@ -56,7 +57,8 @@ class Group(NamedTuple):
 
     The pass keeps sample k for k >= skip, and the first kept sample sits at
     t0. With norms set, it keeps only the strong norm of each such sample,
-    (B, n_steps - skip + 1), instead of the samples themselves.
+    (B, n_steps - skip + 1), instead of the samples themselves. With ledger
+    set (not with norms), it also keeps their ledger rows (see integrate_pass).
     """
 
     initials: np.ndarray
@@ -65,6 +67,7 @@ class Group(NamedTuple):
     n_steps: int
     norms: bool = False
     skip: int = 0
+    ledger: bool = False
 
 
 def make_group(
@@ -136,15 +139,23 @@ def _ifrk4_path(spec: ModelSpec, u0: np.ndarray, n_steps: np.ndarray, dt: float,
 
 
 def _step(spec: ModelSpec, parts, dt: float) -> None:
-    """Step parts (initials, n_steps, skip, out) as one batch by descending n_steps."""
+    """Step parts (initials, n_steps, skip, out, ledger) as one batch by descending n_steps,
+    then fill each given (3, B, samples) ledger; an error there carries stage "ledger"."""
     parts = sorted((p for p in parts if len(p[0])), key=lambda p: -p[1])
     if not parts:
         return
     sizes = [len(p[0]) for p in parts]
     ends = np.cumsum(sizes)
-    sinks = [(e - size, e, skip, out) for (_, _, skip, out), size, e in zip(parts, sizes, ends)]
+    sinks = [(e - size, e, skip, out) for (_, _, skip, out, _), size, e in zip(parts, sizes, ends)]
     u0 = np.concatenate([p[0] for p in parts])
     _ifrk4_path(spec, u0, np.repeat([p[1] for p in parts], sizes), dt, sinks)
+    for *_, out, led in parts:
+        if led is not None:
+            try:
+                ledger_rows(spec, out, led)
+            except Exception as exc:
+                exc.stage = "ledger"
+                raise
 
 
 def _can_fork() -> bool:
@@ -232,8 +243,14 @@ def _split(groups) -> int:
     return h if h < n and h * s + w > 0 and _can_fork() else n
 
 
-def _path(g: Group, out: np.ndarray, model: ModelSpec):
-    return out if g.norms else frozen_view(Ensemble, samples=out, t0=g.t0, dt=g.dt, model=model)
+def _block(initials, n_steps, skip, out, led, rows: slice):
+    """The members rows of the part (initials, n_steps, skip, out, led)."""
+    return initials[rows], n_steps, skip, out[rows], None if led is None else led[:, rows]
+
+
+def _path(g: Group, out: np.ndarray, model: ModelSpec, led=None):
+    ens = out if g.norms else frozen_view(Ensemble, samples=out, t0=g.t0, dt=g.dt, model=model)
+    return ens if led is None else (ens, EnergyLedger(ens.times, *led))
 
 
 def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | None]:
@@ -245,11 +262,13 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
     mix, so every member has the same bits as in its own pass. If the child
     fails before its byte, this process steps its rows too; if this
     process's rows fail, the child is killed and every row runs again here,
-    so errors read as in one process. Given then, the child goes on to call
-    then(the first group's path, range(h, n)), which may read only those
+    so errors read as in one process. Each side fills the ledger rows of the
+    members it stepped, the child before its byte, so neither process reads
+    the other's samples for them. Given then, the child goes on to call
+    then(the first group's ensemble, range(h, n)), which may read only those
     members, and tail is its Tail for the caller to join; else tail is None.
     Each group's samples (or, for a norms group, norms) are one read-only
-    array.
+    array; a ledger group's path is (its Ensemble, its EnergyLedger).
     """
     if not groups:
         return [], None
@@ -262,10 +281,10 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
         )
         for g in groups
     ]
-    parts = [(g.initials, g.n_steps, g.skip, out) for g, out in zip(groups, outs)]
+    leds = [_shared_empty((3,) + o.shape[:2]) if g.ledger else None for g, o in zip(groups, outs)]
+    parts = [(g.initials, g.n_steps, g.skip, out, led) for g, out, led in zip(groups, outs, leds)]
     first, n, h = groups[0], len(groups[0].initials), _split(groups)
-    ours = [(first.initials[:h], first.n_steps, first.skip, outs[0][:h])] + parts[1:]
-    theirs = (first.initials[h:], first.n_steps, first.skip, outs[0][h:])
+    ours, theirs = [_block(*parts[0], slice(h))] + parts[1:], _block(*parts[0], slice(h, n))
     after = None if then is None else lambda: then(_path(first, outs[0], model), range(h, n))
     child = _fork_rows(model, theirs, dt, range(h, n), after) if h < n else None
     tail, rows = None, parts  # rows: what this process steps last (all of them without a child)
@@ -285,9 +304,9 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
     finally:
         if child is not None:  # interrupted while the child ran
             child.join(False)
-    for out in outs:
+    for out in outs + [led for led in leds if led is not None]:
         out.setflags(write=False)
-    return [_path(g, out, model) for g, out in zip(groups, outs)], tail
+    return [_path(g, out, model, led) for g, out, led in zip(groups, outs, leds)], tail
 
 
 def integrate(

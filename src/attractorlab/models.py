@@ -213,14 +213,6 @@ def _check_operand(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def advection_array(spec: ModelSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """B(u, v) in coordinates; batches broadcast over leading axes."""
-    same = v is u
-    u = _check_operand(spec, u)
-    v = u if same else _check_operand(spec, v)
-    return advect(mode_table(spec), u, v)
-
-
 def nonlinear_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     """Everything except the diagonal linear decay: forcing plus transfer, by one
     call of nonlinear_pass's evaluator on u viewed as (rows, dim)."""
@@ -470,22 +462,23 @@ class EnergyReport:
     eps: float
 
 
+def ledger_rows(spec: ModelSpec, u: np.ndarray, out: np.ndarray) -> None:
+    """Energy, enstrophy and work of members u (b, n_samples, dim) into out (3, b, n_samples);
+    any contiguous block of an ensemble's members gets the bits of the whole."""
+    # member by member: a whole-ensemble square would set a verify run's peak memory
+    for m, um in enumerate(u):
+        out[0, m] = (um * um).sum(axis=-1)
+        out[1, m] = enstrophy(spec, um)
+    out[2] = u @ forcing_array(spec)
+
+
 def energy_ledger(spec: ModelSpec, ens: Ensemble) -> EnergyLedger:
     """Ledger of every member: energy, enstrophy and work are (n_members, n_samples)."""
     if ens.model.key != spec.key:
         raise ModelMismatch("trajectory does not belong to this model")
-    u = ens.samples
-    energy, enstr = np.empty(u.shape[:-1]), np.empty(u.shape[:-1])
-    # member by member: a whole-ensemble square would set a verify run's peak memory
-    for m, um in enumerate(u):
-        energy[m] = (um * um).sum(axis=-1)
-        enstr[m] = enstrophy(spec, um)
-    return EnergyLedger(
-        times=ens.times,
-        energy=energy,
-        enstrophy=enstr,
-        work=u @ forcing_array(spec),
-    )
+    rows = np.empty((3,) + ens.samples.shape[:-1])
+    ledger_rows(spec, ens.samples, rows)
+    return EnergyLedger(ens.times, *rows)
 
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:

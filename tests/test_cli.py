@@ -235,6 +235,30 @@ def test_running_out_of_memory_is_an_error_record(tmp_path, monkeypatch, capsys,
         assert (out / f).exists(), f
 
 
+@pytest.mark.parametrize(
+    "sub, payload",
+    [("simulate", dict(TOY, ensemble_size=2)), ("trajectory-attractor", TOY)],
+    ids=["this process first", "child first"],
+)
+def test_a_ledger_out_of_memory_is_an_error_record(tmp_path, monkeypatch, capsys, sub, payload):
+    # the pass computes the ledger rows. simulate: this process fills [0, 1) and
+    # the child [1, 2); trajectory-attractor: the child fills all three run members
+    # (h = 0) and fails before its byte, so this process steps them and fails too
+    monkeypatch.setattr(core, "ledger_rows", _out_of_memory)
+    for fork in (False, True):
+        monkeypatch.setattr(core, "_can_fork", lambda: fork)
+        (tmp_path / str(fork)).mkdir()
+        code, out = _run(tmp_path / str(fork), sub, payload)
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        _no_child_left()
+        error = {"type": "MemoryError", "message": "Unable to allocate 385. GiB for an array"}
+        reports = json.loads((out / "reports.json").read_text())
+        assert reports == {"checks": [], "error": {**error, "stage": "ledger"}}
+        for f in FIVE:
+            assert (out / f).exists(), f
+
+
 def test_a_check_out_of_memory_keeps_the_other_records(tmp_path, monkeypatch, capsys):
     # n_samples 10^12 would ask sample_ball for TiBs; the patch raises at once
     sample_ball = cli.sample_ball
@@ -622,25 +646,36 @@ def test_verify_computes_the_attractor_once(tmp_path, monkeypatch):
 
 
 def test_a_run_builds_one_energy_ledger(tmp_path, monkeypatch):
-    calls = []
-    original = cli.energy_ledger
+    # every member's ledger row is computed once, by the process that stepped
+    # it: this process fills [0, h) only, and the child [h, n) before its byte
+    log = tmp_path / "rows.log"
+    original = core.ledger_rows
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def logged(spec, u, out):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(u)}\n")
+        original(spec, u, out)
 
-    monkeypatch.setattr(cli, "energy_ledger", counting)
+    monkeypatch.setattr(core, "ledger_rows", logged)
     written = {}
-    for sub, checks in (("simulate", []), ("verify", [{"name": "energy"}, {"name": "energy"}])):
-        calls.clear()
-        (tmp_path / sub).mkdir()
-        code, out = _run(tmp_path / sub, sub, dict(NSE2, checks=checks))
-        assert code in (0, 2)
-        assert len(calls) == 1  # the checks and ledger.csv read the one ledger
-        written[sub] = (out / "ledger.csv").read_bytes()
-    first, second = json.loads((out / "reports.json").read_text())["checks"]
-    assert first == second and first["name"] == "energy"
-    assert written["verify"] == written["simulate"]
+    for fork in (False, True):
+        monkeypatch.setattr(core, "_can_fork", lambda: fork)
+        for sub, checks in (("simulate", []), ("verify", [{"name": "energy"}] * 2)):
+            log.write_text("")
+            (tmp_path / f"{sub}{fork}").mkdir()
+            code, out = _run(tmp_path / f"{sub}{fork}", sub, dict(NSE2, checks=checks))
+            assert code in (0, 2)
+            _no_child_left()
+            rows = {}
+            for line in log.read_text().splitlines():
+                pid, count = map(int, line.split())
+                rows[pid == os.getpid()] = rows.get(pid == os.getpid(), 0) + count
+            # n = 3 run members and no other group: h = n // 2 = 1
+            assert rows == ({True: 1, False: 2} if fork else {True: 3})
+            written[sub, fork] = (out / "ledger.csv").read_bytes()
+        first, second = json.loads((out / "reports.json").read_text())["checks"]
+        assert first == second and first["name"] == "energy"
+    assert len(set(written.values())) == 1
 
 
 def test_trajectory_attractor_artifacts_match_full_scan(tmp_path, monkeypatch):

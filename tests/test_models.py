@@ -12,7 +12,6 @@ from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch,
 from attractorlab.models import (
     _cumulative_simpson,
     absorbing_radius,
-    advection_array,
     check_energy_inequality,
     default_radius,
     dyadic_forcing,
@@ -196,20 +195,6 @@ def test_energy_ledger_equals_direct_sums_bitwise():
     assert np.array_equal(led.enstrophy, enstrophy(spec, u))
 
 
-def test_advection_array_checks_both_operands():
-    spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
-    u = sample_ball(spec, 2, radius=0.3, seed=1)
-    bad = u.copy()
-    bad[1, 3] = np.nan
-    with pytest.raises(NonFiniteState, match="operand contains non-finite entries"):
-        advection_array(spec, u, bad)
-    with pytest.raises(NonFiniteState, match="operand contains non-finite entries"):
-        advection_array(spec, bad, bad)
-    with pytest.raises(ModelMismatch, match="does not match model dim"):
-        advection_array(spec, u, u[:, :-1])
-    assert np.array_equal(advection_array(spec, u, u), advection_array(spec, u, u.copy()))
-
-
 def test_batches_of_any_leading_shape_match_single_rows():
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=3)
     table = mode_table(spec)
@@ -217,7 +202,6 @@ def test_batches_of_any_leading_shape_match_single_rows():
     kernels = (
         lambda a, b: advect(table, a, b),
         lambda a, b: advect_self(table, a),
-        lambda a, b: advection_array(spec, a, b),
         lambda a, b: nonlinear_array(spec, a),
     )
     for kernel in kernels:
@@ -237,7 +221,7 @@ def test_nonlinear_array_checks_its_operand():
     with pytest.raises(ModelMismatch, match="does not match model dim"):
         nonlinear_array(spec, u[:, :-1])
     b = forcing_array(spec) - nonlinear_array(spec, u)
-    assert np.abs(b - advection_array(spec, u, u)).max() <= 1e-15 * np.abs(b).max()
+    assert np.abs(b - advect(mode_table(spec), u, u)).max() <= 1e-15 * np.abs(b).max()
 
 
 def _kicked(kind, truncation):

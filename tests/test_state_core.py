@@ -28,6 +28,7 @@ from attractorlab.errors import (
 )
 from attractorlab.models import (
     default_radius,
+    energy_ledger,
     make_spec,
     mode_table,
     nse_forcing,
@@ -328,34 +329,52 @@ def _no_child_left():
 
 
 def _split_groups(case: str) -> list:
-    """The groups of a pass whose child steps members [h, n) of the first."""
+    """The groups of a pass whose child steps members [h, n) of the first, which
+    keeps its ledger rows."""
     ini = sample_ball(_NSE4, 9, radius=default_radius(_NSE4), seed=4)
     dt = 0.02
-    if case == "lone odd":  # h = n // 2 = 2
-        return [make_group(_NSE4, ini[:5], 0.0, 1.0, dt)]
-    # 8 x 50 run steps against 150 library steps: h = ceil(250 / 100) = 3
-    return [
-        make_group(_NSE4, ini[:8], 0.0, 1.0, dt),
-        surrogate_group(_NSE4, ini[8:9], t_back=2.0, horizon=1.0, dt=dt),
-    ]
+    # the run's member count, and the library members of 150 steps each
+    n, lib = {
+        "lone member": (1, 0),  # one row: no fork, h = n = 1
+        "lone odd": (5, 0),  # h = n // 2 = 2
+        "run lighter than the library": (2, 1),  # 100 against 150: h = 0
+        "one run member over": (7, 2),  # h = ceil((350 - 300) / 100) = 1
+        "run heavier than the library": (8, 1),  # h = ceil((400 - 150) / 100) = 3
+    }[case]
+    groups = [make_group(_NSE4, ini[:n], 0.0, 1.0, dt)._replace(ledger=True)]
+    if lib:
+        groups.append(surrogate_group(_NSE4, ini[9 - lib :], t_back=2.0, horizon=1.0, dt=dt))
+    return groups
+
+
+def _arrays(path) -> list:
+    """The arrays of a path: norms, samples, or samples and ledger rows; the
+    ledger rows must have the bits of energy_ledger over the whole ensemble."""
+    if not isinstance(path, tuple):
+        return [getattr(path, "samples", path)]
+    ens, led = path
+    whole = energy_ledger(ens.model, ens)
+    for field in ("times", "energy", "enstrophy", "work"):
+        assert getattr(led, field).tobytes() == getattr(whole, field).tobytes(), field
+    return [ens.samples, led.energy, led.enstrophy, led.work]
 
 
 def _one_fork_and_the_bits_of_one_process(monkeypatch, spec, groups, h):
-    """Each pass forks once, its child steps members [h, n) of the first group,
-    and every path has the bits of the pass that does not fork."""
+    """Each pass forks once unless h = n, its child steps members [h, n) of the
+    first group, and every path has the bits of the pass that does not fork."""
     n, rows = len(groups[0].initials), sum(len(g.initials) for g in groups)
     passes = {}
     for fork in (False, True):
         seen = _forking(monkeypatch, fork)
         assert core._split(groups) == (h if fork else n)
         passes[fork] = integrate_pass(spec, groups)[0]
-        assert seen == {"forks": int(fork), "rows": [rows - (n - h) if fork else rows]}
+        assert seen == {"forks": int(fork and h < n), "rows": [rows - (n - h) if fork else rows]}
         _no_child_left()
         monkeypatch.undo()
     for one, two in zip(passes[False], passes[True]):
-        one, two = (getattr(x, "samples", x) for x in (one, two))
-        assert np.array_equal(one, two)
-        assert not two.flags.writeable
+        for a, b in zip(_arrays(one), _arrays(two), strict=True):
+            assert np.array_equal(a, b)
+            assert not b.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -373,32 +392,49 @@ def test_two_lanes_give_the_bits_of_one(spec, monkeypatch):
     _one_fork_and_the_bits_of_one_process(monkeypatch, spec, groups, 0)
 
 
-@pytest.mark.parametrize("case, h", [("lone odd", 2), ("run heavier than the library", 3)])
+@pytest.mark.parametrize(
+    "case, h",
+    [
+        ("lone odd", 2),
+        ("run heavier than the library", 3),
+        ("run lighter than the library", 0),
+        ("one run member over", 1),
+        ("lone member", 1),
+    ],
+)
 def test_the_split_gives_the_bits_of_one_process(case, h, monkeypatch):
     _one_fork_and_the_bits_of_one_process(monkeypatch, _NSE4, _split_groups(case), h)
 
 
-@pytest.mark.parametrize("when", ["before", "after"])
+@pytest.mark.parametrize("when", ["before", "in its ledger rows", "after"])
 def test_a_child_that_dies_around_its_byte_leaves_the_same_bits(when, monkeypatch):
     groups = _split_groups("run heavier than the library")
     seen = _forking(monkeypatch, False)
     alone = integrate_pass(_NSE4, groups)[0]
     monkeypatch.undo()
     seen = _forking(monkeypatch, True)
-    parent, step = os.getpid(), core._step
+    parent, step, ledger_rows = os.getpid(), core._step, core.ledger_rows
 
     def dying_before_its_byte(*args):
         if os.getpid() != parent:
             os._exit(3)
         return step(*args)
 
+    def dying_in_its_ledger_rows(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return ledger_rows(*args)
+
     def dying_after_its_byte(ensemble, members):
         os._exit(3)
 
-    if when == "before":
-        monkeypatch.setattr(core, "_step", dying_before_its_byte)
+    if when != "after":
+        if when == "before":
+            monkeypatch.setattr(core, "_step", dying_before_its_byte)
+        else:  # the child stepped its members but dies filling their ledger rows
+            monkeypatch.setattr(core, "ledger_rows", dying_in_its_ledger_rows)
         paths, tail = core.integrate_pass(_NSE4, groups, dying_after_its_byte)
-        # this process stepped its own rows, then the child's 5
+        # this process stepped its own rows, then the child's 5, and filled their ledger rows
         assert tail is None and seen["rows"] == [4, 5]
     else:
         paths, tail = core.integrate_pass(_NSE4, groups, dying_after_its_byte)
@@ -406,7 +442,8 @@ def test_a_child_that_dies_around_its_byte_leaves_the_same_bits(when, monkeypatc
         assert tail.join() is False
     _no_child_left()
     for one, two in zip(alone, paths):
-        assert np.array_equal(one.samples, two.samples)
+        for a, b in zip(_arrays(one), _arrays(two), strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_a_tail_runs_then_on_the_childs_members(tmp_path, monkeypatch):
@@ -420,7 +457,8 @@ def test_a_tail_runs_then_on_the_childs_members(tmp_path, monkeypatch):
     paths, tail = core.integrate_pass(_NSE4, groups, then)
     assert tail.members == range(2, 5) and tail.join() is True
     _no_child_left()
-    assert out.read_text() == repr(([2, 3, 4], paths[0].samples[2:].tobytes().hex()))
+    # then reads the ensemble of the first group, whose path also holds its ledger
+    assert out.read_text() == repr(([2, 3, 4], paths[0][0].samples[2:].tobytes().hex()))
     # without then the child leaves once its rows are stored
     assert core.integrate_pass(_NSE4, groups)[1] is None
     _no_child_left()

@@ -8,11 +8,11 @@ Runs ``python -m attractorlab.cli`` once with PARENT_SRC and once with this
 checkout's ``src/`` on the import path, on the four perfbench workloads at
 workload seeds 0-4, on the built-in edge cases of EDGE_CASES, each under its
 own subcommand (the error, blow-up, duplicate-check, clipped-window,
-odd-split, uneven-split and search-miss paths of ``verify``, and the pass
-path of ``trajectory-attractor``), and on each extra ``verify`` config given. Every run
-writes into its own temporary directory. The exit codes and the five
-artifacts must match: four files byte for byte, and manifest.json after
-mapping the run's ``output_dir`` to one placeholder.
+odd-split, uneven-split, split-ledger and search-miss paths of ``verify``,
+and the pass path of ``trajectory-attractor``), and on each extra ``verify``
+config given. Every run writes into its own temporary directory. The exit
+codes and the five artifacts must match: four files byte for byte, and
+manifest.json after mapping the run's ``output_dir`` to one placeholder.
 Prints each difference and exits 1 if there is one; exits 0 otherwise. For
 an artifact that differs, it also prints how many of its numeric values
 differ and the largest relative change |b - a| / max(|a|, |b|), or that its
@@ -123,6 +123,17 @@ EDGE_CASES = {
         ensemble_size=16,
         library={"size": 2, "t_back": 1.0, "horizon": 4.0},
         checks=[{"name": "tracking"}],
+    ),
+    # the energy check and ledger.csv read ledger rows from both sides of the
+    # uneven split (7 of 16 members filled here, 9 in the child), written with
+    # a save stride
+    "edge ledger rows from both sides of the split": _case(
+        "verify",
+        model=_NSE2,
+        ensemble_size=16,
+        save_stride=3,
+        library={"size": 2, "t_back": 1.0, "horizon": 4.0},
+        checks=[{"name": "energy"}, {"name": "tracking"}],
     ),
     # the run is the pass's only group and its member count is odd
     "edge lone odd run": _case("verify", model=_NSE2, ensemble_size=5, checks=[{"name": "energy"}]),
