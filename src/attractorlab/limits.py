@@ -3,8 +3,9 @@
 The limit-set definitions quantify over t -> infinity; the estimators here
 replace that with a discard-transient-then-cluster pass over a finite
 ensemble horizon. Late samples are clustered first, so the representatives
-come from the most converged part of the run. The horizon-doubling
-self-consistency check lives in the test suite, not here.
+come from the most converged part of the run. Every distance from points
+to a set is metrics.pairwise_to_set. The horizon-doubling self-consistency
+check lives in the test suite, not here.
 """
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptySet, HorizonTooShort, InsufficientSamples, ModelMismatch
-from .metrics import _check_metric, _nearest_in, pairwise_to_set
+from .metrics import _check_metric, pairwise_to_set
 from .models import ModelSpec, spec_dim
-from .state import Ensemble, _frozen_array, grid_index
+from .state import Ensemble, _check_pair, _frozen_array, grid_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,32 +147,26 @@ def is_attracting(candidate: SetEstimate, ensemble: Ensemble, eps: float) -> Att
 
     Checks the semidistance sup_{x in R(t)} inf_{a in candidate} d(x, a) < eps
     at every grid time; reports the earliest entry time after which no
-    violation occurs.
+    violation occurs. The inner inf is one pairwise_to_set call per member
+    over all of its samples (a view, never a copy); the sup is the max over
+    members at each time.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
-    if candidate.model.key != ensemble.model.key:
-        raise ModelMismatch("candidate set and ensemble belong to different models")
-    nearest = _nearest_in(ensemble.model, candidate.points, candidate.metric)
-    idx = np.arange(ensemble.n_samples)
-    times = ensemble.t0 + ensemble.dt * idx
-    semi = np.empty(idx.shape[0])
-    for j, k in enumerate(idx):
-        semi[j] = nearest(ensemble.samples[:, k, :]).max()
+    _check_pair(candidate, ensemble)
+    spec, cloud, m = ensemble.model, candidate.points, candidate.metric
+    semi = np.max([pairwise_to_set(spec, s, cloud, m) for s in ensemble.samples], axis=0)
     viol = np.flatnonzero(semi >= eps)
-    if viol.size == 0:
-        entry_j = 0
-    elif viol[-1] + 1 >= idx.shape[0]:
-        entry_j = None
-    else:
-        entry_j = int(viol[-1] + 1)
+    # the slice after the last violation; past the end when the final one violates
+    entry_j = int(viol[-1]) + 1 if viol.size else 0
+    entered = entry_j < semi.shape[0]
     return AttractionReport(
-        t_entry=None if entry_j is None else float(times[entry_j]),
+        t_entry=float(ensemble.times[entry_j]) if entered else None,
         eps=eps,
-        metric=candidate.metric,
+        metric=m,
         worst_overall=float(semi.max()),
-        worst_after_entry=float("inf") if entry_j is None else float(semi[entry_j:].max()),
-        n_times=int(idx.shape[0]),
+        worst_after_entry=float(semi[entry_j:].max()) if entered else float("inf"),
+        n_times=semi.shape[0],
     )
 
 

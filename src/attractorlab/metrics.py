@@ -11,7 +11,8 @@ evaluated over the finite retained mode set; shell models reuse the same
 formula with the shell index in place of |kappa|_1. On a fixed truncation the
 two metrics are equivalent, which is exactly what the estimator cross-checks
 exploit; the weak one stands in for the weak topology of the untruncated
-problem.
+problem. The distance from each row of a stack to the nearest point of a
+cloud has one search, pairwise_to_set; its max is the set semidistance.
 
 Trajectory comparisons use the sup metric on a window [a, b] and the
 geometric tail series sum_T 2^(-T) s_T / (1 + s_T) with
@@ -25,8 +26,6 @@ first one under eps. The semidistances between two window stacks, both ways, are
 one table of window pairs as that scan would read it (window_semidists).
 """
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -53,16 +52,6 @@ def _check_metric(m: str) -> str:
 def strong_dist_arrays(diff: np.ndarray) -> np.ndarray:
     # np.linalg.norm(diff, axis=-1) evaluates this same expression
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
-
-
-def _strong_dist_owned(diff: np.ndarray) -> np.ndarray:
-    """strong_dist_arrays(diff), bitwise, squaring diff in place.
-
-    For a difference the caller owns and no longer needs: it saves a
-    temporary the size of diff.
-    """
-    np.multiply(diff, diff, out=diff)
-    return np.sqrt(np.add.reduce(diff, axis=-1))
 
 
 def weak_dist_arrays(spec: ModelSpec, diff: np.ndarray) -> np.ndarray:
@@ -113,35 +102,23 @@ def pairwise_to_set(
 ) -> np.ndarray:
     """Distance from each row of ``stack`` to the nearest point of ``cloud``.
 
-    Bitwise the row minimum of cross_dist. Strong inputs of more than
-    _SCREEN_MIN pair-coordinates screen the pairs through the Gram expansion
-    first (see _strong_nearest).
+    The one nearest-point search. Bitwise the row minimum of cross_dist,
+    taken over blocks of rows whose (rows, cloud) matrix holds at most
+    _CHUNK entries, so the full matrix is never built. Strong inputs of more
+    than _SCREEN_MIN pair-coordinates screen the pairs through the Gram
+    expansion first (see _strong_nearest).
     """
-    return _nearest_in(spec, cloud, m)(stack)
-
-
-def _nearest_in(spec: ModelSpec, cloud: np.ndarray, m: str):
-    """pairwise_to_set(spec, ., cloud, m) for one cloud and many stacks.
-
-    The strong screen's squared norms of the cloud, and their max, are
-    computed once, when the first stack needs them.
-    """
+    a = np.atleast_2d(np.asarray(stack, float))
     b = np.atleast_2d(np.asarray(cloud, float))
-
-    @cache
-    def cloud_norms():
-        nb = np.einsum("ij,ij->i", b, b)
-        return nb, nb.max()
-
-    def nearest(stack: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(stack, float))
-        if m == "strong" and a.shape[0] * b.size > _SCREEN_MIN:
-            near = _strong_nearest(a, b, *cloud_norms())
-            if near is not None:
-                return near
-        return cross_dist(spec, a, b, m).min(axis=1)
-
-    return nearest
+    if m == "strong" and a.shape[0] * b.size > _SCREEN_MIN:
+        near = _strong_nearest(a, b)
+        if near is not None:
+            return near
+    out = np.empty(a.shape[0])
+    per = max(1, _CHUNK // b.shape[0])
+    for i in range(0, a.shape[0], per):
+        out[i : i + per] = cross_dist(spec, a[i : i + per], b, m).min(axis=1)
+    return out
 
 
 # Rounding bound of the Gram screen per unit of |a|^2 + |b|^2 and per
@@ -158,9 +135,7 @@ _TINY = np.finfo(float).tiny
 _SCREEN_MIN = 1 << 14
 
 
-def _strong_nearest(
-    a: np.ndarray, b: np.ndarray, nb: np.ndarray, nb_max: float
-) -> np.ndarray | None:
+def _strong_nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Row minima of the strong metric from a to b, bitwise as brute force.
 
     |x - y|^2 = |x|^2 + |y|^2 - 2 x.y; within one row |x|^2 is common to all
@@ -172,10 +147,11 @@ def _strong_nearest(
     cross_dist, and sqrt is monotone, so the minimum is the same bits.
     Returns None unless 4 (max |x|^2 + max |y|^2) is finite: past that, e,
     its row bound or the margin could overflow and bound nothing (NaN and
-    inf inputs land here too), and brute force takes the input. nb holds the
-    squared norms |y|^2 of the rows of b, and nb_max their max.
+    inf inputs land here too), and brute force takes the input.
     """
     na = np.einsum("ij,ij->i", a, a)
+    nb = np.einsum("ij,ij->i", b, b)
+    nb_max = nb.max()
     with np.errstate(over="ignore"):
         if not np.isfinite(4.0 * (na.max() + nb_max)):
             return None

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
+from .errors import AttractorLabError, GridMismatch, GridTooCoarse, ModelMismatch, NonFiniteState
 from .spectral import ModeTable, advect, build_mode_table, self_advection
 from .state import Ensemble
 
@@ -533,10 +533,13 @@ def check_energy_inequality(
     fails for R < 1/2 with the same delta). Zero forcing admits the whole
     past. Requires at least one interior grid point per window
     (GridTooCoarse otherwise). The report holds when every member holds;
-    worst_delta is the worst over members.
+    worst_delta is the worst over members. The ledger must be the
+    ensemble's: its rows and times (GridMismatch otherwise).
     """
     spec = ens.model
     energy = ledger.energy
+    if energy.shape != ens.samples.shape[:-1] or not np.array_equal(ledger.times, ens.times):
+        raise GridMismatch("the energy ledger's rows or times are not the ensemble's")
     g_norm = float(np.linalg.norm(forcing_array(spec)))
     r = float(radius)
     if g_norm * r > 0:

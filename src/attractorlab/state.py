@@ -4,7 +4,8 @@ A phase-space point is a finite coordinate row of its model's dimension. An
 ensemble holds uniform-grid samplings of solution curves that share a grid
 in one array; a single trajectory is a one-member ensemble. Ensembles are
 frozen and hold read-only arrays, so they can be shared freely between
-estimators and views of them need no copy.
+estimators and views of them need no copy. Estimators that compare two
+operands check them with one guard, _check_pair: one model, one step.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyEnsemble, NonFiniteState, OffGrid, StepMismatch
+from .errors import EmptyEnsemble, GridMismatch, ModelMismatch, NonFiniteState, OffGrid
+from .errors import StepMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ModelSpec
@@ -113,6 +115,16 @@ class Ensemble:
     def samples_at(self, t: float) -> np.ndarray:
         """Member coordinates at grid time t, (n_members, dim)."""
         return self.samples[:, self.index_of(t)]
+
+
+def _check_pair(a, b) -> None:
+    """The guard of every estimator that compares two operands (ensembles or
+    set estimates): ModelMismatch unless both belong to one model,
+    GridMismatch unless two ensembles share their step."""
+    if a.model.key != b.model.key:
+        raise ModelMismatch("operands belong to different models")
+    if isinstance(a, Ensemble) and isinstance(b, Ensemble) and a.dt != b.dt:
+        raise GridMismatch(f"operand grid steps differ: {a.dt} vs {b.dt}")
 
 
 def _check_time_zero(*ensembles: Ensemble) -> None:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import restrict, translate
-from .errors import GridMismatch, HorizonTooShort, ModelMismatch
+from .errors import HorizonTooShort
 from .metrics import TAIL_WINDOWS, tail_steps, window_nearest, window_semidists
-from .state import Ensemble, _check_time_zero, frozen_view, span_steps
+from .state import Ensemble, _check_pair, _check_time_zero, frozen_view, span_steps
 from .verification import is_grid_continuous
 
 
@@ -51,6 +51,7 @@ def translate_semigroup(p: Ensemble, s: float) -> Ensemble:
 
 def traj_set_semidist(a: Ensemble, b: Ensemble) -> float:
     """One-sided semidistance between trajectory families in the weak tail metric."""
+    _check_pair(a, b)
     _check_time_zero(a, b)
     steps = tail_steps(a.dt)
     w = int(steps[-1])
@@ -69,11 +70,8 @@ def trajectory_attractor(k_space: Ensemble, library: Ensemble, cluster_tol: floa
     library order. k_space fixes the grid the estimate must live on;
     translation_invariance records how well the result is invariant.
     """
+    _check_pair(k_space, library)
     _check_time_zero(k_space, library)
-    if library.model.key != k_space.model.key:
-        raise ModelMismatch("library and trajectory space belong to different models")
-    if library.dt != k_space.dt:
-        raise GridMismatch("library and trajectory space grids differ")
     horizon = min(k_space.t_end, library.t_end)
     if horizon < TAIL_WINDOWS:
         raise HorizonTooShort(
@@ -146,10 +144,9 @@ def trajectory_attraction_report(
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
+    _check_pair(k_space, attractor)
     _check_time_zero(k_space, attractor)
     dt = k_space.dt
-    if dt != attractor.dt:
-        raise GridMismatch("trajectory space and attractor grids differ")
     steps = tail_steps(dt)
     w_tail = int(steps[-1])
     w_strong = int(round(_WINDOW_T / dt))

@@ -30,17 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import restrict
-from .errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
-from .metrics import (
-    _check_metric,
-    _nearest_in,
-    _strong_dist_owned,
-    pairwise_to_set,
-    strong_dist_arrays,
-    tail_steps,
-    window_dist,
-)
-from .state import Ensemble, _check_time_zero
+from .errors import BoundaryPoint, HypothesisFail, NoMatch
+from .metrics import _check_metric, pairwise_to_set, strong_dist_arrays, tail_steps, window_dist
+from .state import Ensemble, _check_pair, _check_time_zero
 
 # A grid step larger than this many times both neighbouring steps is a jump.
 _JUMP_FACTOR = 10.0
@@ -60,7 +52,7 @@ def _grid_steps(ens: Ensemble, a: float | None, b: float | None, what: str):
     ib = ens.n_samples - 1 if b is None else ens.index_of(b)
     if ib - ia < 1:
         raise ValueError(f"window too short for {what}")
-    return ia, (_strong_dist_owned(np.diff(m[ia : ib + 1], axis=0)) for m in ens.samples)
+    return ia, (strong_dist_arrays(np.diff(m[ia : ib + 1], axis=0)) for m in ens.samples)
 
 
 def _no_jump(steps: np.ndarray, floor: float) -> bool:
@@ -93,8 +85,7 @@ def is_grid_continuous(
 
 
 def _check_library(est, library: Ensemble) -> None:
-    if est.model.key != library.model.key:
-        raise ModelMismatch("set estimate and library belong to different models")
+    _check_pair(est, library)
     _check_time_zero(library)
 
 
@@ -133,11 +124,10 @@ def check_quasi_invariance(
     shifts = np.arange(w, library.n_samples - w)
     if shifts.size == 0:
         raise ValueError("library horizon too short for the requested window")
-    nearest = _nearest_in(library.model, cloud, est.metric)
     uncovered = []
     for a_idx, a in enumerate(cloud):
         covered = any(
-            nearest(vs[s - w : s + w + 1]).max() < eps
+            pairwise_to_set(library.model, vs[s - w : s + w + 1], cloud, est.metric).max() < eps
             for _, vs, d in _anchored(library, shifts, a)
             for s in shifts[d < eps]
         )
@@ -203,11 +193,8 @@ def _tracking_grid(ensemble, library, m, window_T, t_star_stride=None):
     t = 0 (ValueError for a library that starts elsewhere).
     """
     _check_metric(m)
-    if ensemble.model.key != library.model.key:
-        raise ModelMismatch("ensemble and library belong to different models")
+    _check_pair(ensemble, library)
     _check_time_zero(library)
-    if ensemble.dt != library.dt:
-        raise GridMismatch("ensemble and library grids differ")
     dt = ensemble.dt
     if m == "strong":
         steps, w = None, int(round(window_T / dt))
@@ -388,12 +375,9 @@ def check_strong_convergence_at_point(
     lo, hi = _point_window(k, limit.dt, limit.n_samples)
     a = limit.t0 + lo * limit.dt
     b = limit.t0 + hi * limit.dt
-    if seq.model.key != limit.model.key:
-        raise ModelMismatch("trajectories belong to different models")
+    _check_pair(seq, limit)
     if limit.n_members != 1:
         raise ValueError("limit must be a one-member ensemble")
-    if seq.dt != limit.dt:
-        raise GridMismatch(f"trajectory steps differ: {seq.dt} vs {limit.dt}")
     u = restrict(seq, a, b).samples
     v = limit.samples[:, lo : hi + 1]
     weak_vals = window_dist(seq.model, u, v, "weak").tolist()
@@ -406,7 +390,7 @@ def check_strong_convergence_at_point(
     scale = 1.0 + float(np.linalg.norm(x))
     monotone = all(d[i + 1] <= d[i] * (1.0 + _SLACK) + 1e-15 * scale for i in range(len(d) - 1))
     small = d[-1] <= max(0.2 * d[0], 1e-12 * scale)
-    strong = _strong_dist_owned(u - v)  # (members, samples in the window)
+    strong = strong_dist_arrays(u - v)  # (members, samples in the window)
     y = strong * strong
     # the trapezoid rule as numpy writes it (np.trapezoid needs numpy >= 2)
     l2 = np.sqrt((limit.dt * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=-1))

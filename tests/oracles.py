@@ -3,8 +3,10 @@
 Each oracle evaluates every sampled time, front to back, and then reads the
 verdict off the complete record: the definition of the report, with no
 early exit. The package scans backward and stops at the deciding violation;
-these scans stay slow on purpose and live only in the tests. Two more
-oracles search the surrogate library with explicit loops over its members
+these scans stay slow on purpose and live only in the tests.
+attraction_scan_oracle measures is_attracting's semidistance one time slice
+at a time, where the package searches once per member over all its samples.
+Two more oracles search the surrogate library with explicit loops over its members
 and shifts, for check_quasi_invariance and tracking_error_profile. The
 module also holds the tangent-scalar conversions and coords_to_modes, from which the
 physical-space advection oracle of test_spectral builds its fields,
@@ -13,7 +15,8 @@ nonlinear_oracle, each model kind's forcing plus transfer by its own formula.
 """
 import numpy as np
 
-from attractorlab.errors import GridMismatch, HorizonTooShort, NoMatch
+from attractorlab.errors import GridMismatch, HorizonTooShort, ModelMismatch, NoMatch
+from attractorlab.limits import AttractionReport
 from attractorlab.metrics import (
     pairwise_to_set,
     strong_dist_arrays,
@@ -54,6 +57,34 @@ def nonlinear_oracle(spec, u):
         prev[..., 1:], nxt[..., :-1] = u[..., :-1], u[..., 1:]
         return g + (lam_n * prev**2 - spec.lam * lam_n * u * nxt)
     return np.zeros_like(u)
+
+
+def attraction_scan_oracle(candidate, ensemble, eps):
+    """is_attracting by one nearest-point search per time slice over all members."""
+    if candidate.model.key != ensemble.model.key:
+        raise ModelMismatch("candidate set and ensemble belong to different models")
+    idx = np.arange(ensemble.n_samples)
+    times = ensemble.t0 + ensemble.dt * idx
+    semi = np.empty(idx.shape[0])
+    for j, k in enumerate(idx):
+        semi[j] = pairwise_to_set(
+            ensemble.model, ensemble.samples[:, k, :], candidate.points, candidate.metric
+        ).max()
+    viol = np.flatnonzero(semi >= eps)
+    if viol.size == 0:
+        entry_j = 0
+    elif viol[-1] + 1 >= idx.shape[0]:
+        entry_j = None
+    else:
+        entry_j = int(viol[-1] + 1)
+    return AttractionReport(
+        t_entry=None if entry_j is None else float(times[entry_j]),
+        eps=eps,
+        metric=candidate.metric,
+        worst_overall=float(semi.max()),
+        worst_after_entry=float("inf") if entry_j is None else float(semi[entry_j:].max()),
+        n_times=int(idx.shape[0]),
+    )
 
 
 def attraction_report_oracle(k_space, attractor, eps):

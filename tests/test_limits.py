@@ -1,8 +1,11 @@
 """Limit-set estimation, uniform attraction, and compactness probes."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from oracles import attraction_scan_oracle
 
-from attractorlab.core import build_ensemble
+from attractorlab.core import build_ensemble, restrict
 from attractorlab.errors import (
     EmptySet,
     HorizonTooShort,
@@ -19,7 +22,7 @@ from attractorlab.limits import (
     is_attracting,
     omega_limit,
 )
-from attractorlab.metrics import cross_dist
+from attractorlab.metrics import _SCREEN_MIN, cross_dist
 from attractorlab.models import make_spec, sample_ball, spec_dim, steady_state
 from attractorlab.state import Ensemble
 
@@ -139,6 +142,43 @@ def test_is_attracting_wrong_candidate(toy_bundle):
     rep = is_attracting(far, toy_bundle["ensemble"], eps=1e-3)
     assert rep.t_entry is None
     assert rep.worst_overall > 1.0
+
+
+def _report_bits(rep):
+    return [repr(getattr(rep, f.name)) for f in fields(rep)]
+
+
+@pytest.mark.parametrize("m", ["strong", "weak"])
+def test_is_attracting_equals_the_per_slice_scan_bitwise(m, toy_bundle, nse4_bundle):
+    toy, nse = toy_bundle["ensemble"], nse4_bundle["ensemble"]
+    # a few points: each toy member's samples cross the strong screen's
+    # threshold against them, one 8-member slice does not
+    few = omega_limit(toy, m, OmegaParams(0.0, 18.0, 50, 0.2))
+    assert toy.n_members * few.points.size <= _SCREEN_MIN < toy.n_samples * few.points.size
+    # many points: one 16-member slice crosses it too
+    many = omega_limit(nse, m, OmegaParams(0.0, 4.0, 5, 1e-2))
+    assert nse.n_members * many.points.size > _SCREEN_MIN
+    cases = [
+        (few, toy),
+        (few, restrict(toy, 2.0, 9.5)),  # a view whose members are not contiguous
+        (few, Ensemble(toy.samples[:, :1], 0.0, toy.dt, toy.model)),  # one sample
+        (few, Ensemble(toy.samples[:1], 0.0, toy.dt, toy.model)),  # one member
+        (many, Ensemble(nse.samples[:, :101], 0.0, nse.dt, nse.model)),
+        (many, restrict(nse, 1.0, 3.0)),
+    ]
+    for candidate, ens in cases:
+        semi = attraction_scan_oracle(candidate, ens, np.inf).worst_overall
+        for eps in (e for e in (1e-3, 1e-2, 0.1, 0.5, 2.0 * semi, semi) if e > 0):
+            want = attraction_scan_oracle(candidate, ens, eps)
+            assert _report_bits(is_attracting(candidate, ens, eps)) == _report_bits(want)
+
+
+def test_is_attracting_guards(toy_bundle, nse4_bundle):
+    est = omega_limit(toy_bundle["ensemble"], "strong", toy_bundle["omega"])
+    with pytest.raises(ModelMismatch):
+        is_attracting(est, nse4_bundle["ensemble"], 1e-3)
+    with pytest.raises(ValueError):
+        is_attracting(est, toy_bundle["ensemble"], 0.0)
 
 
 def test_global_attractor_attaches_attraction(toy_bundle):

@@ -191,23 +191,39 @@ def test_strong_nearest_edge_inputs():
     np.testing.assert_array_equal(pairwise_to_set(spec, stack, cloud, "strong"), want)
 
 
-def test_nearest_in_reuses_one_cloud_bitwise():
-    # one prepared cloud against many stacks, on both sides of _SCREEN_MIN,
-    # equals the row minimum of cross_dist stack by stack
+def test_pairwise_to_set_is_the_row_minimum_of_cross_dist_bitwise():
+    # on both sides of _SCREEN_MIN, and with stacks of many blocks of rows,
+    # equals the row minimum of the whole cross_dist matrix
     rng = np.random.default_rng(11)
     sides = set()
     for dim, k in ((8, 10), (8, 300), (80, 40)):
         spec = make_spec("toy_contraction", truncation=dim)
         cloud = _near_duplicate_cloud(rng, dim, k, 1.0)
         for m in ("strong", "weak"):
-            nearest = metrics._nearest_in(spec, cloud, m)
-            for n in (1, 3, 40, 300):
+            for n in (1, 3, 40, 300, 2000):
                 stack = cloud[rng.integers(0, k, n)] + rng.standard_normal((n, dim)) * 1e-3
                 want = cross_dist(spec, stack, cloud, m).min(axis=1)
-                np.testing.assert_array_equal(nearest(stack), want)
                 np.testing.assert_array_equal(pairwise_to_set(spec, stack, cloud, m), want)
                 sides.add(n * cloud.size > metrics._SCREEN_MIN)
     assert sides == {False, True}
+
+
+def test_pairwise_to_set_takes_blocks_of_at_most_chunk_entries(monkeypatch):
+    # brute force hands cross_dist blocks of rows, never the full matrix
+    seen = []
+    real = metrics.cross_dist
+
+    def spy(spec, a, b, m):
+        seen.append(a.shape[0] * b.shape[0])
+        return real(spec, a, b, m)
+
+    monkeypatch.setattr(metrics, "cross_dist", spy)
+    spec = make_spec("toy_contraction", truncation=8)
+    rng = np.random.default_rng(4)
+    stack, cloud = rng.standard_normal((3000, 8)), rng.standard_normal((50, 8))
+    want = np.stack([weak_dist_arrays(spec, row - cloud) for row in stack]).min(axis=1)
+    np.testing.assert_array_equal(pairwise_to_set(spec, stack, cloud, "weak"), want)
+    assert len(seen) > 1 and max(seen) <= metrics._CHUNK and sum(seen) == 3000 * 50
 
 
 def _group_norm_weak(spec, diff):

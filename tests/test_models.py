@@ -8,7 +8,13 @@ from oracles import member_views, nonlinear_oracle
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.spectral import advect, advect_self
 from attractorlab.state import Ensemble
-from attractorlab.errors import AttractorLabError, GridTooCoarse, ModelMismatch, NonFiniteState
+from attractorlab.errors import (
+    AttractorLabError,
+    GridMismatch,
+    GridTooCoarse,
+    ModelMismatch,
+    NonFiniteState,
+)
 from attractorlab.models import (
     _cumulative_simpson,
     absorbing_radius,
@@ -332,6 +338,21 @@ def test_energy_inequality_toy_holds_for_every_eps():
         assert rep.holds and rep.worst_delta <= 0.0
 
 
+def test_energy_inequality_needs_the_ensembles_own_ledger():
+    spec = make_spec("toy_contraction", truncation=4)
+    ini = sample_ball(spec, 3, radius=1.0, seed=4)
+    ens = build_ensemble(spec, ini, 0.0, 4.0, 0.02)
+    # other rows and times (201 samples each), then the same rows at other times
+    for other in (
+        build_ensemble(spec, ini[:2], 0.0, 2.0, 0.01),
+        build_ensemble(spec, ini, 0.0, 2.0, 0.01),
+    ):
+        assert other.n_samples == ens.n_samples
+        with pytest.raises(GridMismatch):
+            check_energy_inequality(other, energy_ledger(spec, ens), 1e-3, radius=1.0)
+    assert check_energy_inequality(ens, energy_ledger(spec, ens), 1e-3, radius=1.0).holds
+
+
 def test_energy_inequality_grid_too_coarse():
     # strong forcing shrinks delta = eps/(2|g|R) below one step
     g = nse_forcing("galerkin_nse_2d", TWO_PI, 2, [{"mode": [1, 0], "amplitude": 1.0}])
@@ -436,9 +457,8 @@ def test_energy_checks_on_ensembles_equal_one_member_views_bitwise():
         seen.add(tuple(r.holds for r in views))
     assert any(all(h) for h in seen) and any(len(set(h)) == 2 for h in seen)
     # a one-sample ledger has no past: nothing to violate
-    one = energy_ledger(spec, member_views(ens)[0])
-    short = type(one)(one.times[:1], one.energy[:, :1], one.enstrophy[:, :1], one.work[:, :1])
-    rep = check_energy_inequality(ens, short, 1e-1, radius=1.0)
+    short = Ensemble(ens.samples[:, :1], ens.t0, ens.dt, spec)
+    rep = check_energy_inequality(short, energy_ledger(spec, short), 1e-1, radius=1.0)
     assert rep.holds and rep.worst_delta == -np.inf
 
 

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from oracles import attraction_report_oracle, member_views, translation_invariance_oracle
 
-from attractorlab.errors import EmptyEnsemble, HorizonTooShort, ModelMismatch, OffGrid
+from attractorlab.errors import (
+    EmptyEnsemble,
+    GridMismatch,
+    HorizonTooShort,
+    ModelMismatch,
+    OffGrid,
+)
 from attractorlab.metrics import dist_arrays
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble
@@ -151,6 +157,36 @@ def test_trajectory_attractor_guards(toy_bundle):
     att = trajectory_attractor(_first_samples(k_space, 901), lib, 1e-3)
     with pytest.raises(HorizonTooShort):
         translation_invariance(att, tol=1e-3)
+
+
+def test_trajectory_space_operands_share_a_model_and_a_step():
+    # another step, another nu at the same dimension, another dimension: each
+    # raises, where a pair of unguarded families gave a number or numpy's
+    # broadcast ValueError
+    rng = np.random.default_rng(8)
+
+    def family(spec, dt):
+        n = int(round(12.0 / dt)) + 1
+        return Ensemble(rng.standard_normal((2, n, spec.truncation)), 0.0, dt, spec)
+
+    toy = make_spec("toy_contraction", truncation=3)
+    a = family(toy, 0.02)
+    others = [
+        (family(toy, 0.01), GridMismatch),
+        (family(make_spec("toy_contraction", nu=2.0, truncation=3), 0.02), ModelMismatch),
+        (family(make_spec("toy_contraction", truncation=4), 0.02), ModelMismatch),
+    ]
+    for b, err in others:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(err):
+                traj_set_semidist(x, y)
+            with pytest.raises(err):
+                trajectory_attractor(x, y, 1e-3)
+            with pytest.raises(err):
+                trajectory_attraction_report(x, y, 0.1)
+    twin = family(toy, 0.02)
+    assert traj_set_semidist(a, twin) > 0.0
+    assert trajectory_attraction_report(a, twin, 0.1).n_times > 0
 
 
 def test_attraction_report_eps_guard(toy_bundle):

@@ -9,8 +9,10 @@ checkout's ``src/`` on the import path, on the four perfbench workloads at
 workload seeds 0-4, on the built-in edge cases of EDGE_CASES, each under its
 own subcommand (the error, blow-up, duplicate-check, clipped-window,
 odd-split, uneven-split, split-ledger and search-miss paths of ``verify``,
-and the pass path of ``trajectory-attractor``), and on each extra ``verify``
-config given. Every run writes into its own temporary directory. The exit
+the strong-metric set searches of ``attractor`` and ``verify`` on a
+time-dependent regime, and the pass path of ``trajectory-attractor``), and
+on each extra ``verify`` config given. Every run writes into its own
+temporary directory. The exit
 codes and the five artifacts must match: four files byte for byte, and
 manifest.json after mapping the run's ``output_dir`` to one placeholder.
 Prints each difference and exits 1 if there is one; exits 0 otherwise. For
@@ -32,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import SEEDS, WORKLOADS, make_config  # noqa: E402
+from workloads import SEEDS, WORKLOADS, _KOLMOGOROV, make_config  # noqa: E402
 
 _NSE2 = {
     "kind": "galerkin_nse_2d",
@@ -40,6 +42,14 @@ _NSE2 = {
     "forcing": [{"mode": [1, 0], "amplitude": 0.1}],
 }
 _SMALL = {"ensemble_size": 3, "horizon": 4.0, "dt": 0.02, "seed": 3}
+# the Kolmogorov flow is time dependent: in the strong metric its omega
+# estimate has many points, so the strong screen runs inside the scans
+_STRONG_KOLMOGOROV = {
+    "model": _KOLMOGOROV,
+    "metric": "strong",
+    "horizon": 16.0,
+    "omega": {"t_transient": 12.0, "t_max": 16.0, "sample_stride": 5, "cluster_tol": 5e-3},
+}
 _LIBRARY_CHECKS = [
     {"name": "tracking"},
     {"name": "quasi_invariance"},
@@ -166,6 +176,21 @@ EDGE_CASES = {
             {"name": "tracking", "metric": "strong", "eps_ladder": [0.1, 1e-9]},
             {"name": "quasi_invariance", "eps": 1e-3, "t_win": 1.0},
             {"name": "quasi_invariance", "eps": 1e-2, "t_win": 1.0},
+        ],
+    ),
+    # the strong attraction scan over a multi-point set
+    "edge strong attractor on the Kolmogorov flow": _case("attractor", **_STRONG_KOLMOGOROV),
+    # the strong set searches of the library checks on the same regime; no
+    # library sample comes within 0.05 of the set, and at eps 4 some windows
+    # are anchored, so the window search runs and covers some points
+    "edge strong library checks on the Kolmogorov flow": _case(
+        "verify",
+        **_STRONG_KOLMOGOROV,
+        library={"size": 3, "t_back": 4.0},
+        checks=[
+            {"name": "quasi_invariance", "eps": 0.05},
+            {"name": "quasi_invariance", "eps": 4.0},
+            {"name": "maximal_invariant", "eps": 0.05},
         ],
     ),
     # the report's pass path: a library settled after t_back 10, a run that
