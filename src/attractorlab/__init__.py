@@ -36,7 +36,6 @@ from .models import (
     nse_forcing,
     sample_ball,
     smooth_profile,
-    steady_state,
 )
 from .limits import (
     AttractionReport,
@@ -48,7 +47,6 @@ from .limits import (
     omega_limit,
 )
 from .verification import (
-    check_left_continuity_implies_continuity,
     check_maximal_invariant,
     check_quasi_invariance,
     check_strong_convergence_at_point,
@@ -57,7 +55,6 @@ from .verification import (
     tracking_ladder,
 )
 from .trajectory_space import (
-    traj_set_semidist,
     trajectory_attraction_report,
     trajectory_attractor,
     translate_semigroup,

@@ -203,7 +203,9 @@ def _fork_rows(model: ModelSpec, part, dt: float, members: range, then) -> Tail 
         return None
     with warnings.catch_warnings():
         # Python >= 3.12 warns on fork when threads exist (OpenBLAS starts some). Safe
-        # here: the child runs no BLAS, so it needs none of their locks, then os._exit.
+        # here: the child's one BLAS call is models.ledger_rows's u @ g, and numpy's
+        # OpenBLAS (pthreads, not OpenMP) stops its pool in a pthread_atfork handler
+        # before each fork, so the child inherits no pool lock; it leaves by os._exit.
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
         try:
             pid = os.fork()

@@ -65,9 +65,5 @@ class HypothesisFail(AttractorLabError):
     """
 
 
-class BoundaryPoint(AttractorLabError):
-    """A sample sits on the boundary where a strict-interior point is needed."""
-
-
 class ConfigInvalid(AttractorLabError):
     """An experiment config failed fail-closed validation."""

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AttractorLabError, GridMismatch, GridTooCoarse, ModelMismatch, NonFiniteState
-from .spectral import ModeTable, advect, build_mode_table, self_advection
+from .errors import GridMismatch, GridTooCoarse, ModelMismatch, NonFiniteState
+from .spectral import ModeTable, build_mode_table, self_advection
 from .state import Ensemble
 
 KINDS = ("galerkin_nse_2d", "galerkin_nse_3d", "dyadic", "toy_contraction")
@@ -254,11 +254,6 @@ def nonlinear_pass(spec: ModelSpec, u0: np.ndarray):
     return u0, f
 
 
-def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
-    u = _check_operand(spec, u)
-    return nonlinear_array(spec, u) - linear_rates(spec) * u
-
-
 def enstrophy(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
     """Squared dissipation norm ||u||^2 = (A u, u)."""
     u = _check_operand(spec, u)
@@ -343,64 +338,6 @@ def dyadic_forcing(truncation: int, entries: Sequence[dict]) -> np.ndarray:
             raise ValueError(f"shell {shell} outside 0..{truncation}")
         g[shell] += amp
     return g
-
-
-# ---------------------------------------------------------------------------
-# steady states (damped Newton, exact Jacobians)
-
-
-def rhs_jacobian(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of rhs_array at u."""
-    u = _check_operand(spec, u)
-    dim = spec_dim(spec)
-    if spec.kind == "toy_contraction":
-        return -np.eye(dim)
-    if spec.kind == "dyadic":
-        n = np.arange(dim, dtype=float)
-        lam_n = spec.lam ** n
-        jac = np.zeros((dim, dim))
-        diag = -spec.lam * lam_n * np.concatenate([u[1:], [0.0]])
-        jac[np.arange(dim), np.arange(dim)] = diag - linear_rates(spec)
-        rows = np.arange(1, dim)
-        jac[rows, rows - 1] += 2.0 * lam_n[1:] * u[:-1]
-        jac[rows - 1, rows] += -spec.lam * lam_n[:-1] * u[:-1]
-        return jac
-    table, eye = mode_table(spec), np.eye(dim)
-    return -np.diag(linear_rates(spec)) - (advect(table, u, eye) + advect(table, eye, u)).T
-
-
-def steady_state(spec: ModelSpec) -> np.ndarray:
-    """Zero of the right-hand side via damped Newton from rest.
-
-    At most 80 Newton steps, to a residual norm of at most 1e-12.
-    """
-    tol = 1e-12
-    u = np.zeros(spec_dim(spec))
-    res = rhs_array(spec, u)
-    res_norm = float(np.linalg.norm(res))
-    for _ in range(80):
-        if res_norm <= tol:
-            return u
-        step = np.linalg.solve(rhs_jacobian(spec, u), -res)
-        alpha = 1.0
-        while alpha >= 1e-4:
-            cand = u + alpha * step
-            cand_res = rhs_array(spec, cand)
-            cand_norm = float(np.linalg.norm(cand_res))
-            if cand_norm <= (1.0 - 1e-4 * alpha) * res_norm:
-                break
-            alpha *= 0.5
-        else:
-            raise AttractorLabError(
-                f"Newton line search found no decrease below step 1e-4 "
-                f"at residual {res_norm:.3e} (target {tol:.1e})"
-            )
-        u, res, res_norm = cand, cand_res, cand_norm
-    if res_norm <= tol:
-        return u
-    raise AttractorLabError(
-        f"Newton stalled at residual {res_norm:.3e} (target {tol:.1e})"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,6 @@ def translate_semigroup(p: Ensemble, s: float) -> Ensemble:
     return translate(forward, -forward.t0)
 
 
-def traj_set_semidist(a: Ensemble, b: Ensemble) -> float:
-    """One-sided semidistance between trajectory families in the weak tail metric."""
-    _check_pair(a, b)
-    _check_time_zero(a, b)
-    steps = tail_steps(a.dt)
-    w = int(steps[-1])
-    if min(a.n_samples, b.n_samples) <= w:
-        raise HorizonTooShort("tail metric window exceeds a member grid")
-    pair = window_semidists(a.model, a.samples[:, : w + 1], b.samples[:, : w + 1], "weak", steps)
-    return pair[0]
-
-
 def trajectory_attractor(k_space: Ensemble, library: Ensemble, cluster_tol: float) -> Ensemble:
     """Trajectory-attractor estimate from forward parts of settled surrogates.
 
@@ -182,7 +170,6 @@ __all__ = [
     "TranslationInvarianceRecord",
     "TrajectoryAttractionReport",
     "translate_semigroup",
-    "traj_set_semidist",
     "trajectory_attractor",
     "translation_invariance",
     "trajectory_attraction_report",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import restrict
-from .errors import BoundaryPoint, HypothesisFail, NoMatch
+from .errors import HypothesisFail, NoMatch
 from .metrics import _check_metric, pairwise_to_set, strong_dist_arrays, tail_steps, window_dist
 from .state import Ensemble, _check_pair, _check_time_zero
 
@@ -404,26 +404,6 @@ def check_strong_convergence_at_point(
     )
 
 
-def check_left_continuity_implies_continuity(
-    ens: Ensemble, t_star: float, tol: float
-) -> np.ndarray:
-    """Compare one-sided grid continuity defects of the state and its norm.
-
-    For flows satisfying the energy inequality, a left-continuous strong norm
-    forces two-sided continuity; on sampled data the witness is that the
-    right defect does not exceed the left defect by more than tol. One
-    verdict per member, (n_members,) bools.
-    """
-    k = ens.index_of(t_star)
-    if k == 0 or k == ens.n_samples - 1:
-        raise BoundaryPoint(f"t={t_star} is an endpoint of the trajectory grid")
-    u = ens.samples[:, k - 1 : k + 2]
-    # left and right defects, columns 0 and 1
-    d = strong_dist_arrays(np.diff(u, axis=1))
-    d_norm = abs(np.diff(np.linalg.norm(u, axis=-1), axis=1))
-    return (d[:, 1] <= d[:, 0] + tol) & (d_norm[:, 1] <= d_norm[:, 0] + tol)
-
-
 __all__ = [
     "QuasiInvarianceReport",
     "MaximalInvariantReport",
@@ -436,5 +416,4 @@ __all__ = [
     "tracking_ladder",
     "tracking_error_profile",
     "check_strong_convergence_at_point",
-    "check_left_continuity_implies_continuity",
 ]

@@ -8,6 +8,7 @@ tolerances the acceptance suite asserts.
 """
 import numpy as np
 import pytest
+from oracles import steady_state
 
 from attractorlab.core import build_ensemble, complete_surrogates
 from attractorlab.limits import OmegaParams
@@ -19,7 +20,6 @@ from attractorlab.models import (
     nse_forcing,
     sample_ball,
     smooth_profile,
-    steady_state,
 )
 
 TWO_PI = 2.0 * np.pi

@@ -12,10 +12,20 @@ module also holds the tangent-scalar conversions and coords_to_modes, from which
 physical-space advection oracle of test_spectral builds its fields,
 member_views, the one-member views that per-member checks compare against, and
 nonlinear_oracle, each model kind's forcing plus transfer by its own formula.
+steady_state is the damped-Newton reference of the steady regimes, built on
+rhs_array and its exact Jacobian rhs_jacobian, and traj_set_semidist is the
+one-sided weak tail-metric semidistance that translation_invariance_oracle
+takes both ways.
 """
 import numpy as np
 
-from attractorlab.errors import GridMismatch, HorizonTooShort, ModelMismatch, NoMatch
+from attractorlab.errors import (
+    AttractorLabError,
+    GridMismatch,
+    HorizonTooShort,
+    ModelMismatch,
+    NoMatch,
+)
 from attractorlab.limits import AttractionReport
 from attractorlab.metrics import (
     pairwise_to_set,
@@ -24,13 +34,21 @@ from attractorlab.metrics import (
     window_dist,
     window_semidists,
 )
-from attractorlab.models import NSE_KINDS, forcing_array, mode_table
-from attractorlab.spectral import ModeTable, advect_self
-from attractorlab.state import Ensemble, frozen_view
+from attractorlab.models import (
+    NSE_KINDS,
+    ModelSpec,
+    _check_operand,
+    forcing_array,
+    linear_rates,
+    mode_table,
+    nonlinear_array,
+    spec_dim,
+)
+from attractorlab.spectral import ModeTable, advect, advect_self
+from attractorlab.state import Ensemble, _check_pair, _check_time_zero, frozen_view
 from attractorlab.trajectory_space import (
     TranslationInvarianceRecord,
     TrajectoryAttractionReport,
-    traj_set_semidist,
     translate_semigroup,
 )
 from attractorlab.verification import TrackingReport, _tracking_grid, is_grid_continuous
@@ -57,6 +75,65 @@ def nonlinear_oracle(spec, u):
         prev[..., 1:], nxt[..., :-1] = u[..., :-1], u[..., 1:]
         return g + (lam_n * prev**2 - spec.lam * lam_n * u * nxt)
     return np.zeros_like(u)
+
+
+def rhs_array(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
+    u = _check_operand(spec, u)
+    return nonlinear_array(spec, u) - linear_rates(spec) * u
+
+
+def rhs_jacobian(spec: ModelSpec, u: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of rhs_array at u."""
+    u = _check_operand(spec, u)
+    dim = spec_dim(spec)
+    if spec.kind == "toy_contraction":
+        return -np.eye(dim)
+    if spec.kind == "dyadic":
+        n = np.arange(dim, dtype=float)
+        lam_n = spec.lam ** n
+        jac = np.zeros((dim, dim))
+        diag = -spec.lam * lam_n * np.concatenate([u[1:], [0.0]])
+        jac[np.arange(dim), np.arange(dim)] = diag - linear_rates(spec)
+        rows = np.arange(1, dim)
+        jac[rows, rows - 1] += 2.0 * lam_n[1:] * u[:-1]
+        jac[rows - 1, rows] += -spec.lam * lam_n[:-1] * u[:-1]
+        return jac
+    table, eye = mode_table(spec), np.eye(dim)
+    return -np.diag(linear_rates(spec)) - (advect(table, u, eye) + advect(table, eye, u)).T
+
+
+def steady_state(spec: ModelSpec) -> np.ndarray:
+    """Zero of the right-hand side via damped Newton from rest.
+
+    At most 80 Newton steps, to a residual norm of at most 1e-12.
+    """
+    tol = 1e-12
+    u = np.zeros(spec_dim(spec))
+    res = rhs_array(spec, u)
+    res_norm = float(np.linalg.norm(res))
+    for _ in range(80):
+        if res_norm <= tol:
+            return u
+        step = np.linalg.solve(rhs_jacobian(spec, u), -res)
+        alpha = 1.0
+        while alpha >= 1e-4:
+            cand = u + alpha * step
+            cand_res = rhs_array(spec, cand)
+            cand_norm = float(np.linalg.norm(cand_res))
+            if cand_norm <= (1.0 - 1e-4 * alpha) * res_norm:
+                break
+            alpha *= 0.5
+        else:
+            raise AttractorLabError(
+                f"Newton line search found no decrease below step 1e-4 "
+                f"at residual {res_norm:.3e} (target {tol:.1e})"
+            )
+        u, res, res_norm = cand, cand_res, cand_norm
+    if res_norm <= tol:
+        return u
+    raise AttractorLabError(
+        f"Newton stalled at residual {res_norm:.3e} (target {tol:.1e})"
+    )
 
 
 def attraction_scan_oracle(candidate, ensemble, eps):
@@ -126,6 +203,18 @@ def attraction_report_oracle(k_space, attractor, eps):
         eps=eps,
         n_times=int(shifts.shape[0]),
     )
+
+
+def traj_set_semidist(a: Ensemble, b: Ensemble) -> float:
+    """One-sided semidistance between trajectory families in the weak tail metric."""
+    _check_pair(a, b)
+    _check_time_zero(a, b)
+    steps = tail_steps(a.dt)
+    w = int(steps[-1])
+    if min(a.n_samples, b.n_samples) <= w:
+        raise HorizonTooShort("tail metric window exceeds a member grid")
+    pair = window_semidists(a.model, a.samples[:, : w + 1], b.samples[:, : w + 1], "weak", steps)
+    return pair[0]
 
 
 def translation_invariance_oracle(attractor, tol):

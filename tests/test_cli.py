@@ -387,6 +387,22 @@ def test_compactness_with_fewer_centers_than_times_keeps_its_record(tmp_path):
     assert (code, rep["status"]) == (2, "fail")
 
 
+@pytest.mark.parametrize(
+    "name,bound,reading",
+    [("energy", "gap_tol", "gap_ratio"), ("compactness", "threshold", "defect")],
+)
+def test_a_verify_reading_equal_to_its_bound_passes(name, bound, reading, tmp_path):
+    # the first run's reading, written back as the bound (JSON round-trips floats exactly)
+    code, out = _run(tmp_path, "verify", dict(NSE2, checks=[{"name": name, bound: 0.0}]))
+    (first,) = json.loads((out / "reports.json").read_text())["checks"]
+    assert (code, first["status"]) == (2, "fail") and first[reading] > 0.0
+    value = first[reading]
+    code, out = _run(tmp_path, "verify", dict(NSE2, checks=[{"name": name, bound: value}]))
+    (rep,) = json.loads((out / "reports.json").read_text())["checks"]
+    assert rep[reading] == rep[bound] == value
+    assert (code, rep["status"]) == (0, "pass")
+
+
 def test_config_error_messages(tmp_path, capsys):
     bad = dict(TOY)
     bad["modle"] = 1

@@ -23,7 +23,7 @@ from attractorlab.limits import (
     omega_limit,
 )
 from attractorlab.metrics import _SCREEN_MIN, cross_dist
-from attractorlab.models import make_spec, sample_ball, spec_dim, steady_state
+from attractorlab.models import make_spec, sample_ball, spec_dim
 from attractorlab.state import Ensemble
 
 

@@ -1,6 +1,7 @@
 """Metric axioms, hand values, and the strong/weak comparison."""
 import numpy as np
 import pytest
+from oracles import traj_set_semidist
 
 import attractorlab.metrics as metrics
 from scipy.spatial.distance import cdist
@@ -20,7 +21,6 @@ from attractorlab.metrics import (
 )
 from attractorlab.models import make_spec, spec_dim, weak_weights
 from attractorlab.state import Ensemble
-from attractorlab.trajectory_space import traj_set_semidist
 
 SPECS = [
     make_spec("galerkin_nse_2d", truncation=2),

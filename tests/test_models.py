@@ -1,9 +1,10 @@
-"""Model builders, energy bookkeeping, and steady states."""
+"""Model builders, energy bookkeeping, and the Newton steady-state reference."""
 import warnings
 
 import numpy as np
 import pytest
-from oracles import member_views, nonlinear_oracle
+import oracles
+from oracles import member_views, nonlinear_oracle, rhs_array, steady_state
 
 from attractorlab.core import build_ensemble, integrate
 from attractorlab.spectral import advect, advect_self
@@ -16,6 +17,7 @@ from attractorlab.errors import (
     NonFiniteState,
 )
 from attractorlab.models import (
+    EnergyLedger,
     _cumulative_simpson,
     absorbing_radius,
     check_energy_inequality,
@@ -32,11 +34,9 @@ from attractorlab.models import (
     nonlinear_array,
     nonlinear_pass,
     nse_forcing,
-    rhs_array,
     sample_ball,
     smooth_profile,
     spec_dim,
-    steady_state,
     stokes_eigenvalues,
 )
 
@@ -338,6 +338,16 @@ def test_energy_inequality_toy_holds_for_every_eps():
         assert rep.holds and rep.worst_delta <= 0.0
 
 
+def test_energy_inequality_holds_at_a_zero_excess():
+    # energies 1.0 then 1.5 at eps 0.5: the worst excess 1.5 - 1.0 - 0.5 is exactly 0.0
+    spec = make_spec("toy_contraction", truncation=1)
+    ens = Ensemble(np.zeros((1, 2, 1)), 0.0, 0.1, spec)
+    zero = np.zeros((1, 2))
+    led = EnergyLedger(ens.times, np.array([[1.0, 1.5]]), zero, zero)
+    rep = check_energy_inequality(ens, led, 0.5, radius=1.0)
+    assert rep.worst_delta == 0.0 and rep.holds
+
+
 def test_energy_inequality_needs_the_ensembles_own_ledger():
     spec = make_spec("toy_contraction", truncation=4)
     ini = sample_ball(spec, 3, radius=1.0, seed=4)
@@ -388,13 +398,11 @@ def test_steady_state_newton():
 def test_steady_state_rejects_failed_line_search(monkeypatch):
     # The first Newton direction only increases the residual u - c; the
     # second is exact. A failed line search must raise, not step on.
-    import attractorlab.models as models
-
     spec = make_spec("toy_contraction", truncation=3)
     c = np.array([1.0, -2.0, 0.5])
     jacobians = [-np.eye(3), np.eye(3)]
-    monkeypatch.setattr(models, "rhs_array", lambda s, u: u - c)
-    monkeypatch.setattr(models, "rhs_jacobian", lambda s, u: jacobians.pop(0))
+    monkeypatch.setattr(oracles, "rhs_array", lambda s, u: u - c)
+    monkeypatch.setattr(oracles, "rhs_jacobian", lambda s, u: jacobians.pop(0))
     with pytest.raises(AttractorLabError, match="line search"):
         steady_state(spec)
 

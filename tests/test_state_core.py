@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import rhs_array
 from scipy.integrate import solve_ivp
 
 from attractorlab import core, spectral
@@ -32,7 +33,6 @@ from attractorlab.models import (
     make_spec,
     mode_table,
     nse_forcing,
-    rhs_array,
     sample_ball,
 )
 from attractorlab.state import Ensemble, grid_index, span_steps

@@ -4,7 +4,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import attraction_report_oracle, member_views, translation_invariance_oracle
+from oracles import (
+    attraction_report_oracle,
+    member_views,
+    traj_set_semidist,
+    translation_invariance_oracle,
+)
 
 from attractorlab.errors import (
     EmptyEnsemble,
@@ -18,7 +23,6 @@ from attractorlab.models import make_spec
 from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import (
     TrajectoryAttractionReport,
-    traj_set_semidist,
     trajectory_attraction_report,
     trajectory_attractor,
     translate_semigroup,

@@ -11,7 +11,7 @@ from oracles import (
 )
 
 from attractorlab.core import build_ensemble, integrate, translate
-from attractorlab.errors import BoundaryPoint, GridMismatch, HypothesisFail, ModelMismatch, NoMatch
+from attractorlab.errors import GridMismatch, HypothesisFail, ModelMismatch, NoMatch
 from attractorlab.limits import SetEstimate, omega_limit
 from attractorlab.metrics import strong_dist_arrays, window_dist
 from attractorlab.models import make_spec, sample_ball
@@ -21,7 +21,6 @@ from attractorlab.verification import (
     TrackingReport,
     _grid_steps,
     _tracking_grid,
-    check_left_continuity_implies_continuity,
     check_maximal_invariant,
     check_quasi_invariance,
     check_strong_convergence_at_point,
@@ -112,18 +111,6 @@ def test_grid_steps_member_by_member_have_the_bits_of_the_whole(nse4_free_bundle
         assert is_grid_continuous(ens, a, b).tolist() == want
 
 
-def test_left_continuity_witness():
-    t = np.arange(201) * 0.01
-    smooth = _traj(np.sin(t), dt=0.01)
-    assert check_left_continuity_implies_continuity(smooth, 1.0, tol=1e-3).tolist() == [True]
-    jumped = np.sin(t).copy()
-    jumped[101:] += 0.3  # left limit still matches the value at t=1.0
-    both = _traj(np.sin(t), jumped, dt=0.01)
-    assert check_left_continuity_implies_continuity(both, 1.0, tol=1e-3).tolist() == [True, False]
-    with pytest.raises(BoundaryPoint):
-        check_left_continuity_implies_continuity(smooth, 0.0, tol=1e-3)
-
-
 def test_quasi_invariance_toy(toy_bundle):
     est = omega_limit(toy_bundle["ensemble"], "strong", toy_bundle["omega"])
     rep = check_quasi_invariance(est, toy_bundle["library"], eps=1e-2, t_win=2.0)
@@ -144,6 +131,16 @@ def test_maximal_invariant_toy(toy_bundle):
     rep = check_maximal_invariant(est, toy_bundle["library"], eps=1e-2)
     assert rep.i_subset_a and rep.a_subset_i
     assert rep.d_i_to_a <= 1e-2 and rep.d_a_to_i <= 1e-2
+
+
+def test_maximal_invariant_inclusions_hold_at_eps_equal_to_their_semidistance(toy_bundle):
+    est = omega_limit(toy_bundle["ensemble"], "strong", toy_bundle["omega"])
+    lib = toy_bundle["library"]
+    rep = check_maximal_invariant(est, lib, eps=1.0)
+    for d, side in ((rep.d_i_to_a, "i_subset_a"), (rep.d_a_to_i, "a_subset_i")):
+        assert d > 0.0
+        assert getattr(check_maximal_invariant(est, lib, eps=d), side)
+        assert not getattr(check_maximal_invariant(est, lib, eps=np.nextafter(d, 0.0)), side)
 
 
 def test_tracking_self_library_is_exact(nse4_bundle):

@@ -13,9 +13,15 @@ under PYTHONDONTWRITEBYTECODE=1 a tree whose ``__pycache__`` is stale (a
 copied tree, say) is never rewritten, and that side would pay for
 compiling its modules on every run. The two runs of a pair use workload
 seed pair mod 5 and alternate which goes first. Every run writes into its own temporary
-directory. Wall time is launch to exit; peak RSS is ``ru_maxrss`` from
-``os.wait4``, which on Linux is the larger of the process's own peak and
-that of the children it reaped.
+directory. Each run is started by a small ``python3 -S`` launcher
+process (LAUNCHER), which forks, execs the CLI and reports on it: wall time
+is the CLI's launch to exit, and peak RSS is its ``ru_maxrss`` from
+``os.wait4``, on Linux the larger of the process's own peak and that of the
+children it reaped. Linux carries the spawning process's resident memory
+over ``execve`` into that figure, so a run spawned by this process would
+read at least this process's RSS. Through the launcher the floor is the
+launcher's RSS at its fork (``/bin/true`` reads 5.0 MB on CPython 3.11),
+below any CLI run's.
 
 Prints, per workload, the median and quartiles of wall time and peak RSS
 of each side; for each of the two the median and quartiles over pairs of
@@ -32,7 +38,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +50,33 @@ from workloads import SEEDS, WORKLOADS, make_config  # noqa: E402
 NAMES = ("verify-nse2d", "trajattr-kolmogorov")
 
 
+# Forks the command in argv[1:] with stdout and stderr on /dev/null, and prints its
+# wall seconds, ru_maxrss in KiB and exit code; -S keeps its own RSS small.
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        os.execv(sys.argv[1], sys.argv[1:])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def measure(argv: list[str], cwd: Path, env: dict) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS in MB and exit code of argv run to exit through LAUNCHER."""
+    launch = [sys.executable, "-S", "-c", LAUNCHER, *argv]
+    out = subprocess.run(launch, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    wall, rss_kib, code = out.stdout.split()
+    return float(wall), int(rss_kib) / 1024.0, int(code)
+
+
 def _run(src: Path, name: str, seed: int) -> tuple[float, float, int]:
     """Wall seconds, peak RSS in MB and exit code of one CLI run with src on the path."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -53,15 +85,7 @@ def _run(src: Path, name: str, seed: int) -> tuple[float, float, int]:
         cfg_path.write_text(json.dumps(make_config(name, seed), indent=1))
         argv = [sys.executable, "-m", "attractorlab.cli", WORKLOADS[name][0]]
         argv += ["--config", str(cfg_path), "--out", str(work / "out")]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            argv, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    return wall, usage.ru_maxrss / 1024.0, proc.returncode
+        return measure(argv, work, dict(os.environ, PYTHONPATH=str(src)))
 
 
 def main(argv: list[str]) -> int:
