@@ -6,9 +6,9 @@ raises HypothesisFail so that a theorem is never blamed for an input that
 did not satisfy its assumptions. Quantifiers over all trajectories, shifts,
 and epsilons become finite searches with deterministic order: library
 members in stored order, grid shifts ascending, first match under eps wins.
-Every search over the library goes through one scan, _anchored, which
-yields each member with the strong distances from a point to its samples at
-the searched shifts; the searches differ only in which shifts they keep.
+The tracking searches scan the library through _anchored, which yields each
+member with the strong distances from a point to its samples at the shifts;
+quasi-invariance takes three nearest-point searches per member instead.
 Searches whose verdict is decided by the last violation scan backward: the
 tracking search takes sampled t* from the last one down and stops at the
 first t* with an unmatched member. Every check acts on whole ensembles: the
@@ -84,11 +84,6 @@ def is_grid_continuous(
 # quasi-invariance and the maximal invariant set
 
 
-def _check_library(est, library: Ensemble) -> None:
-    _check_pair(est, library)
-    _check_time_zero(library)
-
-
 def _anchored(library: Ensemble, shifts: np.ndarray, x: np.ndarray):
     """(index, samples, strong distances from x to samples[shifts]) of each
     library member, in stored order; a search stops it at its first match."""
@@ -116,23 +111,26 @@ def check_quasi_invariance(
     estimate over [s - t_win, s + t_win]; shifts keep that window inside the
     library, which starts at t = 0 (ValueError otherwise).
     """
-    _check_library(est, library)
+    _check_pair(est, library)
+    _check_time_zero(library)
     cloud = est.points
     w = int(round(t_win / library.dt))
     if w < 1:
         raise ValueError("t_win shorter than one grid step")
-    shifts = np.arange(w, library.n_samples - w)
-    if shifts.size == 0:
+    if library.n_samples <= 2 * w:
         raise ValueError("library horizon too short for the requested window")
-    uncovered = []
-    for a_idx, a in enumerate(cloud):
-        covered = any(
-            pairwise_to_set(library.model, vs[s - w : s + w + 1], cloud, est.metric).max() < eps
-            for _, vs, d in _anchored(library, shifts, a)
-            for s in shifts[d < eps]
-        )
-        if not covered:
-            uncovered.append(a_idx)
+    covered = np.zeros(cloud.shape[0], dtype=bool)
+    for vs in library.samples:
+        anchored = pairwise_to_set(library.model, vs[w:-w], cloud, "strong") < eps
+        if anchored.any():
+            near = pairwise_to_set(library.model, vs, cloud, est.metric)
+            windows = np.lib.stride_tricks.sliding_window_view(near, 2 * w + 1)
+            settled = vs[w:-w][anchored & (windows.max(axis=-1) < eps)]
+            if settled.shape[0]:
+                covered |= pairwise_to_set(library.model, cloud, settled, "strong") < eps
+                if covered.all():
+                    break
+    uncovered = np.flatnonzero(~covered).tolist()
     frac = 1.0 - len(uncovered) / cloud.shape[0]
     return QuasiInvarianceReport(covered_fraction=frac, uncovered=tuple(uncovered), eps=eps)
 
@@ -153,7 +151,8 @@ def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> Max
     set, which coincides with the weak attractor; both inclusions are checked
     as eps-semidistances. The library starts at t = 0 (ValueError otherwise).
     """
-    _check_library(attractor_est, library)
+    _check_pair(attractor_est, library)
+    _check_time_zero(library)
     i_side = library.samples[:, 0]
     cloud = attractor_est.points
     spec = library.model

@@ -67,6 +67,23 @@ def test_grid_continuity_settled_floor():
     assert is_grid_continuous(_traj(np.ones(50), dt=0.1)).all()
 
 
+def test_grid_continuity_one_step_at_the_floor_is_settled():
+    # x(a) = 0, so the floor is 1e-8 (1 + 0), and the one step is exactly 1e-8
+    tr = _traj([0.0, 1e-8])
+    assert _modulus(tr).tolist() == [1e-8]
+    assert is_grid_continuous(tr).tolist() == [True]
+    assert is_grid_continuous(_traj([0.0, np.nextafter(1e-8, 1.0)])).tolist() == [False]
+
+
+def test_grid_continuity_step_of_exactly_ten_neighbours_is_no_jump():
+    # steps 0.25, 2.5, 0.25: the middle one is exactly _JUMP_FACTOR = 10 times
+    # its larger neighbour, which the witness allows
+    tr = _traj([0.0, 0.25, 2.75, 3.0])
+    assert strong_dist_arrays(np.diff(tr.samples[0], axis=0)).tolist() == [0.25, 2.5, 0.25]
+    assert is_grid_continuous(tr).tolist() == [True]
+    assert is_grid_continuous(_traj([0.0, 0.25, np.nextafter(2.75, 3.0), 3.0])).tolist() == [False]
+
+
 def _grid_continuous_oracle(samples: np.ndarray, ia: int, ib: int) -> bool:
     # the one-trajectory form of the witness, (n, dim) samples
     steps = strong_dist_arrays(np.diff(samples[ia : ib + 1], axis=0))
@@ -124,6 +141,43 @@ def test_quasi_invariance_rejects_far_point(toy_bundle):
     rep = check_quasi_invariance(est, toy_bundle["library"], eps=1e-2, t_win=2.0)
     assert rep.covered_fraction == 0.0
     assert rep.uncovered == (0,)
+
+
+def _one_shift(library_rows, points, t_win=0.5, eps=0.5):
+    """check_quasi_invariance on dim-4 toy data with exact dyadic distances:
+    the library is one member of three samples at dt 0.5, whose one shift is
+    its middle sample when t_win is one step."""
+    spec = make_spec("toy_contraction", truncation=4)
+    lib = Ensemble(np.array([library_rows], float), 0.0, 0.5, spec)
+    est = SetEstimate(np.array(points, float), spec, metric="strong", tol=1e-3, horizon=1.0)
+    return check_quasi_invariance(est, lib, eps=eps, t_win=t_win)
+
+
+def test_quasi_invariance_point_exactly_eps_from_a_settled_sample_is_uncovered():
+    # the window (0.25, 0, 0, 0), 0, (0, 0.25, 0, 0) lies within 0.25 of the
+    # point at 0, so the middle sample is settled; the second point is
+    # exactly eps = 0.5 from it
+    lib = [[0.25, 0, 0, 0], [0, 0, 0, 0], [0, 0.25, 0, 0]]
+    rep = _one_shift(lib, [[0, 0, 0, 0], [0, 0, 0.5, 0]])
+    assert rep.uncovered == (1,) and rep.covered_fraction == 0.5
+
+
+def test_quasi_invariance_window_exactly_eps_from_the_estimate_is_unsettled():
+    # the point is 0.25 from the middle sample, but the first sample of the
+    # window is exactly eps = 0.5 from it
+    lib = [[0, 0, 0.75, 0], [0, 0, 0, 0], [0, 0, 0.25, 0.25]]
+    assert _one_shift(lib, [[0, 0, 0.25, 0]]).uncovered == (0,)
+    nearer = [[0, 0, 0.5, 0], [0, 0, 0, 0], [0, 0, 0.25, 0.25]]
+    assert _one_shift(nearer, [[0, 0, 0.25, 0]]).uncovered == ()
+
+
+def test_quasi_invariance_accepts_a_window_of_one_step():
+    # t_win = dt gives w = 1, the shortest window; 0.4 steps round to w = 0
+    lib = [[0, 0, 0, 0]] * 3
+    rep = _one_shift(lib, [[0, 0, 0, 0]], t_win=0.5)
+    assert rep.uncovered == () and rep.covered_fraction == 1.0
+    with pytest.raises(ValueError, match="t_win shorter than one grid step"):
+        _one_shift(lib, [[0, 0, 0, 0]], t_win=0.2)
 
 
 def test_maximal_invariant_toy(toy_bundle):
@@ -254,13 +308,34 @@ def test_library_searches_match_explicit_loops(request, bundle):
     b = request.getfixturevalue(bundle)
     ens, lib = b["ensemble"], b["library"]
     cloud = ens.samples[0, ::25]
+
+    def same_as_oracle(points, library, metric, eps):
+        est = SetEstimate(points, ens.model, metric=metric, tol=1e-3, horizon=ens.t_end)
+        rep = check_quasi_invariance(est, library, eps=eps, t_win=0.5)
+        assert rep.uncovered == quasi_invariance_oracle(est, library, eps, 0.5), (metric, eps)
+        return rep.uncovered
+
+    # a weak estimate too: weak windows, strong anchors
+    for metric in ("strong", "weak"):
+        counts = {len(same_as_oracle(cloud, ens, metric, eps)) for eps in (1e-2, 1e-3, 1e-4)}
+        assert any(0 < c < cloud.shape[0] for c in counts), metric
+    # every 10th sample of two members: the second member covers points of
+    # its own that the first leaves uncovered
+    two = ens.samples[:2, ::10].reshape(-1, ens.samples.shape[2])
+    first = member_views(ens)[0]
+    for eps in (1e-2, 1e-3):
+        by_all = same_as_oracle(two, ens, "strong", eps)
+        assert set(by_all) < set(same_as_oracle(two, first, "strong", eps)), eps
+    # the shortest library, n_samples = 2w + 1, has one shift; one sample
+    # shorter has none
+    w = int(round(0.5 / ens.dt))
+    last = Ensemble(ens.samples[:, -(2 * w + 1) :], 0.0, ens.dt, ens.model)
+    for metric in ("strong", "weak"):
+        assert 0 < len(same_as_oracle(cloud, last, metric, 1e-2)) < cloud.shape[0]
+    short = Ensemble(ens.samples[:, : 2 * w], 0.0, ens.dt, ens.model)
     est = SetEstimate(cloud, ens.model, metric="strong", tol=1e-3, horizon=ens.t_end)
-    counts = set()
-    for eps in (1e-2, 1e-3, 1e-4):
-        rep = check_quasi_invariance(est, ens, eps=eps, t_win=0.5)
-        assert rep.uncovered == quasi_invariance_oracle(est, ens, eps, 0.5), eps
-        counts.add(len(rep.uncovered))
-    assert any(0 < c < cloud.shape[0] for c in counts)
+    with pytest.raises(ValueError, match="library horizon too short for the requested window"):
+        check_quasi_invariance(est, short, eps=1e-2, t_win=0.5)
     for m in ("strong", "weak"):
         t_stars, errs = tracking_error_profile(ens, lib, m, window_T=2.0)
         want_t, want_errs = error_profile_oracle(ens, lib, m, 2.0)

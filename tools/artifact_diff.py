@@ -181,8 +181,8 @@ EDGE_CASES = {
     # the strong attraction scan over a multi-point set
     "edge strong attractor on the Kolmogorov flow": _case("attractor", **_STRONG_KOLMOGOROV),
     # the strong set searches of the library checks on the same regime; no
-    # library sample comes within 0.05 of the set, and at eps 4 some windows
-    # are anchored, so the window search runs and covers some points
+    # library sample comes within 0.05 of the set, and at eps 4 the windows
+    # around the library samples near the set are tested and cover some points
     "edge strong library checks on the Kolmogorov flow": _case(
         "verify",
         **_STRONG_KOLMOGOROV,
