@@ -587,7 +587,7 @@ def _check_compactness(cfg: dict, chk: dict, ctx: _RunContext) -> dict:
     k_from = ensemble.index_of(chk["t_from"])
     n = ensemble.n_samples
     stride = max(1, (n - k_from - 1) // max(1, n_times - 1))
-    idx = [k_from + j * stride for j in range(n_times) if k_from + j * stride < n]
+    idx = range(k_from, n, stride)[:n_times]
     times = [ensemble.t0 + i * ensemble.dt for i in idx]
     k = chk["k"]
     if k >= len(times):

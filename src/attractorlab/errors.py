@@ -53,10 +53,6 @@ class InsufficientSamples(AttractorLabError):
     """Fewer samples available than the operation requires."""
 
 
-class NoMatch(AttractorLabError):
-    """No library surrogate matches within the requested tolerance."""
-
-
 class HypothesisFail(AttractorLabError):
     """A theorem check could not establish its hypotheses numerically.
 

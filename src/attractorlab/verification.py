@@ -6,15 +6,16 @@ raises HypothesisFail so that a theorem is never blamed for an input that
 did not satisfy its assumptions. Quantifiers over all trajectories, shifts,
 and epsilons become finite searches with deterministic order: library
 members in stored order, grid shifts ascending, first match under eps wins.
-The tracking searches scan the library through _anchored, which yields each
-member with the strong distances from a point to its samples at the shifts;
-quasi-invariance takes three nearest-point searches per member instead.
-Searches whose verdict is decided by the last violation scan backward: the
-tracking search takes sampled t* from the last one down and stops at the
-first t* with an unmatched member. Every check acts on whole ensembles: the
-continuity witnesses give one verdict per member, and the strong-convergence
-check takes the sequence as an Ensemble and its limit as a one-member
-Ensemble, measured against all members in one array pass.
+The tracking searches anchor each window by the strong distances from its
+start to the library samples at the shifts; quasi-invariance takes three
+nearest-point searches per member instead. A tracking miss is a verdict, not an error:
+check_tracking returns None for it. Searches whose verdict is decided by
+the last violation scan backward: the tracking search takes sampled t* from
+the last one down and stops at the first t* with an unmatched member. Every
+check acts on whole ensembles: the continuity witnesses give one verdict
+per member, and the strong-convergence check takes the sequence as an
+Ensemble and its limit as a one-member Ensemble, measured against all
+members in one array pass.
 
 There is one strong-convergence check. Weak convergence and strong
 continuity of the limit on a window around t* are its hypotheses, and it
@@ -30,8 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import restrict
-from .errors import HypothesisFail, NoMatch
-from .metrics import _check_metric, pairwise_to_set, strong_dist_arrays, tail_steps, window_dist
+from .errors import HypothesisFail
+from .metrics import (
+    _check_metric, pairwise_to_set, strong_dist_arrays, tail_steps, window_dist, window_nearest
+)
 from .state import Ensemble, _check_pair, _check_time_zero
 
 # A grid step larger than this many times both neighbouring steps is a jump.
@@ -82,13 +85,6 @@ def is_grid_continuous(
 
 # ---------------------------------------------------------------------------
 # quasi-invariance and the maximal invariant set
-
-
-def _anchored(library: Ensemble, shifts: np.ndarray, x: np.ndarray):
-    """(index, samples, strong distances from x to samples[shifts]) of each
-    library member, in stored order; a search stops it at its first match."""
-    for li, vs in enumerate(library.samples):
-        yield li, vs, strong_dist_arrays(vs[shifts] - x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,31 +213,32 @@ def _tracking_grid(ensemble, library, m, window_T, t_star_stride=None):
 
 def check_tracking(
     ensemble: Ensemble, library: Ensemble, m: str, eps: float, window_T: float
-) -> TrackingReport:
+) -> TrackingReport | None:
     """Find when every member is eps-shadowed by some shifted library member.
 
     Weak mode compares truncated tail metrics from each t*; strong mode
-    compares the sup of the strong metric over [t*, t* + window_T]. Reports
-    the earliest sampled t* from which all later sampled t* also match. The
-    scan starts at the final t* and raises NoMatch when some member is
-    unmatched there; otherwise it goes backward and stops at the first t*
-    with an unmatched member, reporting the t* after it.
+    compares the sup of the strong metric over [t*, t* + window_T]. A shift
+    matches when its sample is strictly within eps of the window start in
+    the strong metric and the window error is strictly under eps. Reports
+    the earliest sampled t* from which all later sampled t* also match, or
+    None when some member is unmatched even at the final t*: the scan goes
+    backward from there and stops at the first t* with an unmatched member.
     """
     w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T)
     spec = ensemble.model
 
     def member_match(u_seg: np.ndarray):
         # first (lib index, shift index, error) under eps, anchored at u_seg[0]
-        for li, vs, d in _anchored(library, shift_idx, u_seg[0]):
-            for s in shift_idx[d < eps]:
+        for li, vs in enumerate(library.samples):
+            for s in shift_idx[strong_dist_arrays(vs[shift_idx] - u_seg[0]) < eps]:
                 err = float(window_dist(spec, u_seg, vs[s : s + w + 1], m, steps))
                 if err < eps:
                     return li, int(s), err
         return None
 
-    def matched_at(k: int):
-        # (worst error, pairs, shifts) when every member matches at t* index
-        # k, else None as soon as one member does not
+    def matched_at(k: int) -> TrackingReport | None:
+        # the report at t* index k if every member matches there, else None
+        # as soon as one member does not
         pairs, shifts, worst = [], [], 0.0
         for mi, us in enumerate(ensemble.samples):
             found = member_match(us[k : k + w + 1])
@@ -251,24 +248,19 @@ def check_tracking(
             pairs.append((mi, li))
             shifts.append(s * library.dt)
             worst = max(worst, err)
-        return worst, tuple(pairs), tuple(shifts)
-
-    first_ok, record = t_star_idx.shape[0], None
-    while first_ok > 0 and (earlier := matched_at(t_star_idx[first_ok - 1])) is not None:
-        first_ok, record = first_ok - 1, earlier
-    if record is None:
-        raise NoMatch(
-            f"some member exceeds eps={eps} against the library even at the final t*"
+        return TrackingReport(
+            t_star=ensemble.t0 + int(k) * ensemble.dt,
+            metric=m,
+            eps=eps,
+            worst_error=worst,
+            matched_pairs=tuple(pairs),
+            shifts=tuple(shifts),
         )
-    worst, pairs, shifts = record
-    return TrackingReport(
-        t_star=ensemble.t0 + int(t_star_idx[first_ok]) * ensemble.dt,
-        metric=m,
-        eps=eps,
-        worst_error=worst,
-        matched_pairs=pairs,
-        shifts=shifts,
-    )
+
+    report, i = None, t_star_idx.shape[0]
+    while i > 0 and (earlier := matched_at(t_star_idx[i - 1])) is not None:
+        report, i = earlier, i - 1
+    return report
 
 
 def tracking_ladder(
@@ -278,14 +270,10 @@ def tracking_ladder(
     window_T: float,
     eps_ladder=(1e-1, 1e-2, 1e-3),
 ) -> tuple[tuple[float, TrackingReport | None], ...]:
-    """Run check_tracking over an eps ladder; None marks a NoMatch rung."""
-    out = []
-    for eps in eps_ladder:
-        try:
-            out.append((float(eps), check_tracking(ensemble, library, m, eps, window_T)))
-        except NoMatch:
-            out.append((float(eps), None))
-    return tuple(out)
+    """Run check_tracking over an eps ladder; None marks a missed rung."""
+    return tuple(
+        (float(eps), check_tracking(ensemble, library, m, eps, window_T)) for eps in eps_ladder
+    )
 
 
 def tracking_error_profile(
@@ -298,22 +286,21 @@ def tracking_error_profile(
     """Best-match tracking error as a function of the window start t*.
 
     For each sampled t* the error is the max over members of the window
-    error against each library member at its strong-anchor-nearest shift,
-    minimized over library members. No eps gate: this is the raw profile a
-    tracking claim has to drive down.
+    error against each library member at its strong-anchor-nearest shift
+    (the first one on a tie), minimized over library members. No eps gate:
+    this is the raw profile a tracking claim has to drive down.
     """
     w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T, t_star_stride)
     spec = ensemble.model
+    anchors = library.samples[:, shift_idx]
     errors = np.empty(t_star_idx.shape[0])
     for out_i, k in enumerate(t_star_idx):
         worst = 0.0
         for us in ensemble.samples:
             seg = us[k : k + w + 1]
-            best = np.inf
-            for _, vs, d in _anchored(library, shift_idx, seg[0]):
-                s = shift_idx[np.argmin(d)]
-                best = min(best, float(window_dist(spec, seg, vs[s : s + w + 1], m, steps)))
-            worst = max(worst, best)
+            nearest = shift_idx[np.argmin(strong_dist_arrays(anchors - seg[0]), axis=-1)]
+            windows = (vs[s : s + w + 1] for vs, s in zip(library.samples, nearest))
+            worst = max(worst, window_nearest(spec, seg, windows, m, steps))
         errors[out_i] = worst
     return ensemble.t0 + t_star_idx * ensemble.dt, errors
 

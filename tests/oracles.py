@@ -24,7 +24,6 @@ from attractorlab.errors import (
     GridMismatch,
     HorizonTooShort,
     ModelMismatch,
-    NoMatch,
 )
 from attractorlab.limits import AttractionReport
 from attractorlab.metrics import (
@@ -260,7 +259,7 @@ def tracking_oracle(ensemble, library, m, eps, window_T):
             worst = max(worst, err)
         per_t.append((ok, worst, tuple(pairs), tuple(shifts)))
     if not per_t[-1][0]:
-        raise NoMatch(f"some member exceeds eps={eps} against the library even at the final t*")
+        return None
     first_ok = len(per_t) - 1
     while first_ok > 0 and per_t[first_ok - 1][0]:
         first_ok -= 1
@@ -276,13 +275,9 @@ def tracking_oracle(ensemble, library, m, eps, window_T):
 
 
 def tracking_ladder_oracle(ensemble, library, m, window_T, eps_ladder):
-    out = []
-    for eps in eps_ladder:
-        try:
-            out.append((float(eps), tracking_oracle(ensemble, library, m, eps, window_T)))
-        except NoMatch:
-            out.append((float(eps), None))
-    return tuple(out)
+    return tuple(
+        (float(eps), tracking_oracle(ensemble, library, m, eps, window_T)) for eps in eps_ladder
+    )
 
 
 def quasi_invariance_oracle(est, library, eps, t_win):

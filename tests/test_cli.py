@@ -114,12 +114,19 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_verify_failure_exit_code(tmp_path):
+    # a mixed ladder: the matched rung keeps its record, the missed one is null
     payload = dict(TOY)
-    payload["checks"] = [{"name": "tracking", "eps_ladder": [1e-15]}]
+    payload["checks"] = [{"name": "tracking", "eps_ladder": [0.5, 1e-15]}]
     code, out = _run(tmp_path, "verify", payload)
     assert code == 2
     reports = json.loads((out / "reports.json").read_text())
-    assert reports["checks"][0]["status"] == "fail"
+    (rep,) = reports["checks"]
+    assert rep["status"] == "fail"
+    assert list(rep["ladder"]) == ["0.5", "1e-15"]
+    matched = rep["ladder"]["0.5"]
+    assert sorted(matched) == ["t_star", "worst_error"]
+    assert 0.0 <= matched["t_star"] <= TOY["horizon"] and 0.0 <= matched["worst_error"] < 0.5
+    assert rep["ladder"]["1e-15"] is None
 
 
 def test_verify_hypothesis_fail_exit_code(tmp_path):
@@ -385,6 +392,26 @@ def test_compactness_with_fewer_centers_than_times_keeps_its_record(tmp_path):
     assert sorted(rep) == ["defect", "k", "name", "status", "threshold"]
     assert rep["k"] == 15 and rep["defect"] > 0.0
     assert (code, rep["status"]) == (2, "fail")
+
+
+def test_compactness_asking_for_more_times_than_the_grid_holds_takes_them_all(tmp_path):
+    # horizon 1 at dt 0.02 holds 26 samples from t_from 0.5; asking for 2^62
+    # times must pick those 26 without walking the 2^62 requests
+    short = dict(TOY, horizon=1.0, omega=dict(TOY["omega"], t_transient=0.5, t_max=1.0))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    records = []
+    for n_times in (2**62, 26):
+        out = tmp_path / str(n_times)
+        cfg = dict(short, output_dir=str(out), checks=[{"name": "compactness", "n_times": n_times}])
+        cfg_path = _write_cfg(tmp_path, cfg, f"{n_times}.json")
+        run = [sys.executable, "-m", "attractorlab.cli", "verify", "--config", cfg_path]
+        done = subprocess.run(run, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode in (0, 2), done.stderr
+        (rep,) = json.loads((out / "reports.json").read_text())["checks"]
+        records.append(rep)
+    assert records[0] == records[1]
+    assert sorted(records[0]) == ["defect", "k", "name", "status", "threshold"]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from oracles import (
 )
 
 from attractorlab.core import build_ensemble, integrate, translate
-from attractorlab.errors import GridMismatch, HypothesisFail, ModelMismatch, NoMatch
+from attractorlab.errors import GridMismatch, HypothesisFail, ModelMismatch
 from attractorlab.limits import SetEstimate, omega_limit
 from attractorlab.metrics import strong_dist_arrays, window_dist
 from attractorlab.models import make_spec, sample_ball
@@ -206,16 +206,43 @@ def test_tracking_self_library_is_exact(nse4_bundle):
     assert {pair[0] for pair in rep.matched_pairs} <= set(range(lib.n_members))
 
 
-def test_tracking_no_match_raises(toy_bundle):
+def test_tracking_no_match_is_none(toy_bundle):
     spec = toy_bundle["spec"]
     # library pinned far away: nothing tracks the decaying ensemble
     lib = Ensemble(np.full((2, 2401, 6), 5.0), 0.0, 0.01, spec)
-    with pytest.raises(NoMatch):
-        check_tracking(toy_bundle["ensemble"], lib, "strong", eps=1e-3, window_T=2.0)
+    assert check_tracking(toy_bundle["ensemble"], lib, "strong", eps=1e-3, window_T=2.0) is None
     ladder = tracking_ladder(
         toy_bundle["ensemble"], lib, "strong", window_T=2.0, eps_ladder=(0.1, 1e-3)
     )
     assert ladder[0][1] is None and ladder[1][1] is None
+
+
+def _one_window(library_row, later_row, m, dt):
+    """check_tracking at eps 0.5 of a one-member dim-4 toy ensemble at 0
+    against a one-member library of one window: its first sample
+    library_row, every later one later_row. Both span exactly one window,
+    so there is one t* and one shift."""
+    spec = make_spec("toy_contraction", truncation=4)
+    n = (8 if m == "weak" else 1) * int(round(1 / dt)) + 1
+    rows = np.array([library_row] + [later_row] * (n - 1), float)
+    ens = Ensemble(np.zeros((1, n, 4)), 0.0, dt, spec)
+    lib = Ensemble(rows[None], 0.0, dt, spec)
+    return [check_tracking(ens, lib, m, eps, window_T=1.0) for eps in (0.5, np.nextafter(0.5, 1))]
+
+
+def test_tracking_library_sample_exactly_eps_from_the_window_start_does_not_match():
+    # the weak window error of the constant (0.5, 0, 0, 0) is under 1/3,
+    # but its strong anchor is exactly eps = 0.5
+    at_eps, above = _one_window([0.5, 0, 0, 0], [0.5, 0, 0, 0], "weak", dt=0.25)
+    assert at_eps is None
+    assert above is not None and above.worst_error < 1 / 3
+
+
+def test_tracking_window_exactly_eps_from_the_member_does_not_match():
+    # anchored 0.25 from the window start, the window's sup error is exactly eps = 0.5
+    at_eps, above = _one_window([0.25, 0, 0, 0], [0, 0, 0.5, 0], "strong", dt=0.25)
+    assert at_eps is None
+    assert above is not None and above.worst_error == 0.5
 
 
 @pytest.mark.parametrize(
@@ -292,7 +319,7 @@ def test_tracking_matches_forward_scan(request, bundle, m):
     _, _, t_star_idx, _ = _tracking_grid(ens, lib, m, 2.0)
     second = ens.t0 + int(t_star_idx[1]) * ens.dt
     t_stars = [rep.t_star for _, rep in rungs if rep is not None]
-    # a rung settled at the first t*, rungs deep inside the scan, a NoMatch rung
+    # a rung settled at the first t*, rungs deep inside the scan, a missed rung
     assert t_stars[0] == ens.t0
     assert len([t for t in t_stars if t > second]) >= 2
     assert rungs[-1][1] is None

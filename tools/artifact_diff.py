@@ -8,17 +8,17 @@ Runs ``python -m attractorlab.cli`` once with PARENT_SRC and once with this
 checkout's ``src/`` on the import path, on the four perfbench workloads at
 workload seeds 0-4, on the built-in edge cases of EDGE_CASES, each under its
 own subcommand (the error, blow-up, duplicate-check, clipped-window,
-odd-split, uneven-split, split-ledger and search-miss paths of ``verify``,
-the strong-metric set searches of ``attractor`` and ``verify`` on a
-time-dependent regime, and the pass path of ``trajectory-attractor``), and
-on each extra ``verify`` config given. Every run writes into its own
-temporary directory. The exit
-codes and the five artifacts must match: four files byte for byte, and
-manifest.json after mapping the run's ``output_dir`` to one placeholder.
-Prints each difference and exits 1 if there is one; exits 0 otherwise. For
-an artifact that differs, it also prints how many of its numeric values
-differ and the largest relative change |b - a| / max(|a|, |b|), or that its
-text differs outside the numbers; the last line totals these over all cases.
+odd-split, uneven-split, split-ledger, search-miss and oversized-compactness
+paths of ``verify``, the strong-metric set searches of ``attractor`` and
+``verify`` on a time-dependent regime, and the pass path of
+``trajectory-attractor``), and on each extra ``verify`` config given. Every
+run writes into its own temporary directory. The exit codes and the five
+artifacts must match: four files byte for byte, and manifest.json after
+mapping the run's ``output_dir`` to one placeholder. Prints each
+difference and exits 1 if there is one; exits 0 otherwise. For an artifact
+that differs, it also prints how many of its numeric values differ and the
+largest relative change |b - a| / max(|a|, |b|), or that its text differs
+outside the numbers; the last line totals these over all cases.
 """
 from __future__ import annotations
 
@@ -116,6 +116,10 @@ EDGE_CASES = {
         model=_NSE2,
         checks=[{"name": "energy"}, {"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
     ),
+    # a compactness check asking for more times than the grid holds
+    "edge compactness beyond the grid": _case(
+        "verify", model=_NSE2, checks=[{"name": "compactness", "n_times": 10**6}]
+    ),
     # an odd member count with a save stride: the trajectory writer's split
     # point falls off the middle and its lines skip samples
     "edge odd ensemble with a save stride": _case(
@@ -165,8 +169,8 @@ EDGE_CASES = {
         radius=0.01,
         checks=[{"name": "compactness"}, {"name": "absorbing", "n_samples": 4}],
     ),
-    # the miss paths of the library searches: strong tracking with a NoMatch
-    # rung at eps 1e-9; at eps 1e-3 points anchored on the library but left
+    # the miss paths of the library searches: strong tracking with a missed
+    # (null) rung at eps 1e-9; at eps 1e-3 points anchored on the library but left
     # uncovered by their windows, and at eps 1e-2 points with no anchor
     "edge tracking and quasi-invariance misses": _case(
         "verify",
