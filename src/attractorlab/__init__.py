@@ -18,7 +18,6 @@ from .core import (
     Ensemble,
     build_ensemble,
     complete_surrogates,
-    integrate,
     restrict,
     translate,
 )

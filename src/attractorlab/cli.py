@@ -87,6 +87,10 @@ def _horizon(cfg: dict) -> float:
 
 
 def _half_horizon(cfg: dict) -> float:
+    """horizon / 2, or on an odd step count n the grid time (n // 2) dt below it."""
+    n = cfg["horizon"] / cfg["dt"]
+    if np.isfinite(n) and round(n) % 2:
+        return round(n) // 2 * cfg["dt"]
     return cfg["horizon"] / 2.0
 
 
@@ -173,9 +177,10 @@ def _value(value, kind, bound, where: str, root: dict):
     if (kind is int or isinstance(value, int)) and not -(2**63) <= value < 2**63:
         raise ConfigInvalid(f"{where} must fit in a signed 64-bit integer, got {value!r}")
     if bound is not None and bound.startswith("in"):
-        last = round(root["horizon"] / root["dt"]) - bound.endswith(")")
+        n = root["horizon"] / root["dt"]
         try:
-            ok = 0 <= grid_index(value, 0.0, root["dt"]) <= last
+            k = grid_index(value, 0.0, root["dt"])
+            ok = np.isfinite(n) and 0 <= k <= round(n) - bound.endswith(")")
         except OffGrid:
             ok = False
         if not ok:

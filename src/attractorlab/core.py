@@ -27,6 +27,7 @@ restriction act on all members at once and return views of the same array.
 """
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import warnings
@@ -37,19 +38,6 @@ import numpy as np
 from .errors import EmptyWindow, GridMismatch, NonFiniteState, StepMismatch
 from .models import EnergyLedger, ModelSpec, ledger_rows, linear_rates, nonlinear_pass, spec_dim
 from .state import Ensemble, frozen_view, span_steps
-
-__all__ = [
-    "Ensemble",
-    "Group",
-    "make_group",
-    "surrogate_group",
-    "integrate_pass",
-    "integrate",
-    "build_ensemble",
-    "complete_surrogates",
-    "translate",
-    "restrict",
-]
 
 
 class Group(NamedTuple):
@@ -167,11 +155,13 @@ def _can_fork() -> bool:
 def _shared_empty(shape: tuple) -> np.ndarray:
     """An uninitialised float array in an anonymous mapping that a forked child shares;
     MemoryError, naming the shape, if the mapping cannot be made."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     try:
         buf = mmap.mmap(-1, max(8 * size, 1))
     except OSError as exc:
         raise MemoryError(f"cannot map a shared float array of shape {shape}: {exc.strerror}")
+    except OverflowError:  # a size past what mmap can take
+        raise MemoryError(f"cannot map a shared float array of shape {shape}: too large")
     return np.frombuffer(buf, float, count=size).reshape(shape)
 
 
@@ -309,17 +299,6 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
     for out in outs + [led for led in leds if led is not None]:
         out.setflags(write=False)
     return [_path(g, out, model, led) for g, out, led in zip(groups, outs, leds)], tail
-
-
-def integrate(
-    model: ModelSpec,
-    initial: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> Ensemble:
-    """Integrate one initial coordinate row over [t0, t1]: a one-member ensemble."""
-    return build_ensemble(model, np.asarray(initial, float)[None, :], t0, t1, dt)
 
 
 def build_ensemble(

@@ -213,15 +213,3 @@ def asymptotic_compactness_defect(
         d_new = np.linalg.norm(samples - samples[nxt], axis=1)
         d_near = np.minimum(d_near, d_new)
     return float(d_near.max())
-
-
-__all__ = [
-    "AttractionReport",
-    "SetEstimate",
-    "OmegaParams",
-    "greedy_cluster",
-    "omega_limit",
-    "is_attracting",
-    "global_attractor",
-    "asymptotic_compactness_defect",
-]

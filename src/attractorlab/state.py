@@ -50,8 +50,8 @@ def frozen_view(cls, **fields):
 def grid_index(t: float, t0: float, dt: float) -> int:
     """Snap t to an index on the grid {t0 + k dt}; OffGrid if it misses."""
     x = (t - t0) / dt
-    k = int(round(x))
-    if abs(x - k) > GRID_TOL:
+    k = int(round(x)) if np.isfinite(x) else None  # a non-finite index is off the grid
+    if k is None or abs(x - k) > GRID_TOL:
         raise OffGrid(f"t={t} is not on the grid t0={t0}, dt={dt}")
     return k
 
@@ -61,7 +61,7 @@ def span_steps(t0: float, t1: float, dt: float) -> int:
     if dt <= 0 or not np.isfinite(dt):
         raise StepMismatch(f"dt must be positive and finite, got {dt}")
     x = (t1 - t0) / dt
-    n = int(round(x))
+    n = int(round(x)) if np.isfinite(x) else -1  # a non-finite step count is off the grid
     if n < 0 or abs(x - n) > GRID_TOL:
         raise StepMismatch(f"[{t0}, {t1}] is not an integer number of steps of {dt}")
     return n

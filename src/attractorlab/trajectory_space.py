@@ -164,13 +164,3 @@ def trajectory_attraction_report(
         eps=eps,
         n_times=int(shifts.shape[0]),
     )
-
-
-__all__ = [
-    "TranslationInvarianceRecord",
-    "TrajectoryAttractionReport",
-    "translate_semigroup",
-    "trajectory_attractor",
-    "translation_invariance",
-    "trajectory_attraction_report",
-]

@@ -388,18 +388,3 @@ def check_strong_convergence_at_point(
         sup_dists=tuple(strong.max(axis=-1).tolist()),
         l2_dists=tuple(l2.tolist()),
     )
-
-
-__all__ = [
-    "QuasiInvarianceReport",
-    "MaximalInvariantReport",
-    "TrackingReport",
-    "PointConvergenceReport",
-    "is_grid_continuous",
-    "check_quasi_invariance",
-    "check_maximal_invariant",
-    "check_tracking",
-    "tracking_ladder",
-    "tracking_error_profile",
-    "check_strong_convergence_at_point",
-]

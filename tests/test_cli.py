@@ -243,6 +243,52 @@ def test_running_out_of_memory_is_an_error_record(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize(
+    "horizon, dt, error",
+    [
+        (1e300, 1e-300, "StepMismatch: [0.0, 1e+300] is not an integer number of steps of 1e-300"),
+        (
+            1e20,
+            1e-3,
+            "MemoryError: cannot map a shared float array of shape"
+            " (3, 99999999999999991611393, 4): too large",
+        ),
+        (
+            1e15,
+            1e-3,
+            "MemoryError: cannot map a shared float array of shape"
+            " (3, 1000000000000000001, 4): too large",
+        ),
+    ],
+    ids=["inf steps", "past mmap", "past int64"],
+)
+def test_a_step_count_past_what_fits_is_an_error_record(horizon, dt, error, tmp_path, capsys):
+    # horizon / dt overflows to inf, or its steps overflow the mapping's size; at
+    # 1e18 steps the element count 1.2e19 is past int64, where np.prod would wrap
+    code, out = _run(tmp_path, "simulate", dict(TOY, horizon=horizon, dt=dt))
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    record = json.loads((out / "reports.json").read_text())["error"]
+    assert f"{record['type']}: {record['message']}" == error
+    for f in FIVE:
+        assert (out / f).exists(), f
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(TOY, horizon=1e300, dt=1e-300, checks=[{"name": "compactness"}]),
+        dict(TOY, horizon=1.0, dt=1e-10, checks=[{"name": "point_convergence", "t_star": 1e308}]),
+    ],
+    ids=["inf steps", "t_star past the steps"],
+)
+def test_a_grid_time_past_the_floats_is_a_config_error(payload, tmp_path, capsys):
+    code, out = _run(tmp_path, "verify", payload)
+    assert code == 1
+    assert "must be a dt-grid time in [0, horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "sub, payload",
     [("simulate", dict(TOY, ensemble_size=2)), ("trajectory-attractor", TOY)],
     ids=["this process first", "child first"],
@@ -1040,6 +1086,35 @@ def test_duplicated_checks_get_their_own_groups(tmp_path, monkeypatch):
 # Every integer field of the config tables, as (table, key) -> a config that
 # sets it to the placeholder BIG. The test below fails if a table gains an
 # integer field that this map leaves out.
+# 21 steps of 0.1: horizon / 2 = 1.05 is off the grid, and the half-horizon default is 1.0
+_ODD = dict(NSE2, horizon=2.1, dt=0.1)
+
+
+@pytest.mark.parametrize("sub", ["omega", "attractor"])
+def test_the_default_transient_of_an_odd_step_count_is_on_the_grid(sub, tmp_path):
+    code, out = _run(tmp_path, sub, _ODD)
+    assert code != 1
+    assert "error" not in json.loads((out / "reports.json").read_text())
+    assert json.loads((out / "manifest.json").read_text())["config"]["omega"]["t_transient"] == 1.0
+
+
+@pytest.mark.parametrize("name, field", [("compactness", "t_from"), ("point_convergence", "t_star")])
+def test_a_bare_check_of_an_odd_step_count_runs(name, field, tmp_path, capsys):
+    code, out = _run(tmp_path, "verify", dict(_ODD, checks=[{"name": name}]))
+    assert "config error" not in capsys.readouterr().err
+    (rep,) = json.loads((out / "reports.json").read_text())["checks"]
+    assert code != 1 and rep["status"] != "error"
+    assert json.loads((out / "manifest.json").read_text())["config"]["checks"][0][field] == 1.0
+
+
+def test_the_default_half_horizon_of_an_even_step_count_is_horizon_over_two(tmp_path):
+    # 6 steps of 0.1: 0.6 / 2 is 0.3, where (6 // 2) * 0.1 would be 0.30000000000000004
+    checks = [{"name": "compactness"}, {"name": "point_convergence"}]
+    cfg = load_config(_write_cfg(tmp_path, dict(NSE2, horizon=0.6, dt=0.1, checks=checks)))
+    halves = [cfg["omega"]["t_transient"], cfg["checks"][0]["t_from"], cfg["checks"][1]["t_star"]]
+    assert [repr(t) for t in halves] == ["0.3"] * 3
+
+
 BIG = "BIG"
 _NSE_MODEL = {"kind": "galerkin_nse_2d", "truncation": 2}
 _INT_FIELDS = {

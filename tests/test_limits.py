@@ -70,6 +70,15 @@ def test_greedy_cluster_dedupes_constant_blocks():
     np.testing.assert_array_equal(np.stack(kept), [[0, 0], [1, 0], [0.5, 0]])
 
 
+def test_greedy_cluster_merges_a_row_exactly_tol_from_a_kept_one():
+    # |(3, 4)| = 5: within one block and across blocks, a row at tol is merged
+    spec = make_spec("toy_contraction", truncation=2)
+    a, b = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])
+    for blocks in ([np.concatenate([a, b])], [a, b]):
+        assert len(greedy_cluster(spec, blocks, "strong", tol=5.0)) == 1
+        assert len(greedy_cluster(spec, blocks, "strong", tol=np.nextafter(5.0, 0.0))) == 2
+
+
 @pytest.mark.parametrize("m", ["strong", "weak"])
 def test_greedy_cluster_matches_row_by_row_reference(m):
     # reference: every row checked against the stack of all rows kept so far
@@ -201,6 +210,16 @@ def test_compactness_defect_settled_small(dyadic_bundle):
     times = [20.0, 24.0, 28.0]
     defect = asymptotic_compactness_defect(ens, times, k=3)
     assert defect < 1e-2
+
+
+def test_compactness_defect_at_its_argument_bounds():
+    # two times, and as many centers as times; two equal times are not increasing
+    spec = make_spec("toy_contraction", truncation=2)
+    ens = Ensemble(np.array([[[0.0, 0.0], [3.0, 4.0]]]), 0.0, 1.0, spec)
+    assert asymptotic_compactness_defect(ens, [0.0, 1.0], k=1) == 5.0
+    assert asymptotic_compactness_defect(ens, [0.0, 1.0], k=2) == 0.0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        asymptotic_compactness_defect(ens, [1.0, 1.0], k=1)
 
 
 def test_compactness_defect_insufficient_samples(toy_bundle):

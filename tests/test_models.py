@@ -6,7 +6,7 @@ import pytest
 import oracles
 from oracles import member_views, nonlinear_oracle, rhs_array, steady_state
 
-from attractorlab.core import build_ensemble, integrate
+from attractorlab.core import build_ensemble
 from attractorlab.spectral import advect, advect_self
 from attractorlab.state import Ensemble
 from attractorlab.errors import (
@@ -178,7 +178,7 @@ def test_smooth_profile_damps_high_modes():
 def test_energy_ledger_columns():
     g = nse_forcing("galerkin_nse_2d", TWO_PI, 2, [{"mode": [1, 0], "amplitude": 0.1}])
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2, forcing=g)
-    tr = integrate(spec, sample_ball(spec, 1, radius=0.3, seed=1)[0], 0.0, 1.0, 0.02)
+    tr = build_ensemble(spec, sample_ball(spec, 1, radius=0.3, seed=1), 0.0, 1.0, 0.02)
     led = energy_ledger(spec, tr)
     k = 17
     u = tr.samples[0, k]
@@ -288,7 +288,7 @@ def test_nonlinear_pass_matches_nonlinear_array_bitwise(kind, truncation, rows, 
 def test_unforced_galerkin_norm_decays_at_poincare_rate():
     spec = make_spec("galerkin_nse_2d", nu=1.0, L=TWO_PI, truncation=3)
     u0 = sample_ball(spec, 1, radius=0.8, seed=13, profile=smooth_profile(spec))[0]
-    tr = integrate(spec, u0, 0.0, 12.0, 0.02)
+    tr = build_ensemble(spec, u0[None], 0.0, 12.0, 0.02)
     norms = np.linalg.norm(tr.samples[0], axis=1)
     assert np.all(np.diff(norms) <= 1e-14)
     # late-time decay is governed by the lowest eigenvalue, here exactly 1
@@ -331,7 +331,7 @@ def test_energy_identity_gap_settled_is_tiny():
 
 def test_energy_inequality_toy_holds_for_every_eps():
     spec = make_spec("toy_contraction", truncation=4)
-    tr = integrate(spec, np.array([0.7, -0.1, 0.3, 0.2]), 0.0, 6.0, 0.05)
+    tr = build_ensemble(spec, np.array([[0.7, -0.1, 0.3, 0.2]]), 0.0, 6.0, 0.05)
     led = energy_ledger(spec, tr)
     for eps in (1e-1, 1e-3, 1e-6):
         rep = check_energy_inequality(tr, led, eps, radius=1.0)
@@ -367,7 +367,7 @@ def test_energy_inequality_grid_too_coarse():
     # strong forcing shrinks delta = eps/(2|g|R) below one step
     g = nse_forcing("galerkin_nse_2d", TWO_PI, 2, [{"mode": [1, 0], "amplitude": 1.0}])
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2, forcing=g)
-    tr = integrate(spec, sample_ball(spec, 1, radius=1.0, seed=2)[0], 0.0, 1.0, 0.02)
+    tr = build_ensemble(spec, sample_ball(spec, 1, radius=1.0, seed=2), 0.0, 1.0, 0.02)
     led = energy_ledger(spec, tr)
     with pytest.raises(GridTooCoarse):
         check_energy_inequality(tr, led, 1e-3, radius=absorbing_radius(spec))
@@ -391,7 +391,7 @@ def test_steady_state_newton():
     a = steady_state(dspec)
     assert np.linalg.norm(rhs_array(dspec, a)) <= 1e-10
     # independent confirmation: the flow converges to the Newton root
-    end = integrate(dspec, sample_ball(dspec, 1, radius=default_radius(dspec), seed=4)[0], 0.0, 30.0, 0.005).samples[0, -1]
+    end = build_ensemble(dspec, sample_ball(dspec, 1, radius=default_radius(dspec), seed=4), 0.0, 30.0, 0.005).samples[0, -1]
     assert np.linalg.norm(end - a) <= 1e-9
 
 

@@ -12,7 +12,6 @@ from attractorlab import core, spectral
 from attractorlab.core import (
     build_ensemble,
     complete_surrogates,
-    integrate,
     integrate_pass,
     make_group,
     restrict,
@@ -80,10 +79,10 @@ def test_span_steps():
 def test_state_validation():
     # A state is a finite coordinate row; containers hold read-only copies.
     row = np.ones(4)
-    tr = integrate(TOY, row, 0.0, 0.1, 0.1)
+    tr = build_ensemble(TOY, row[None], 0.0, 0.1, 0.1)
     assert tr.samples.shape == (1, 2, 4) and np.linalg.norm(tr.samples[0, 0]) == 2.0
     with pytest.raises(NonFiniteState):
-        integrate(TOY, [1.0, np.nan, 0.0, 0.0], 0.0, 0.1, 0.1)
+        build_ensemble(TOY, [[1.0, np.nan, 0.0, 0.0]], 0.0, 0.1, 0.1)
     with pytest.raises(NonFiniteState):
         Ensemble([[[1.0, np.nan, 0.0, 0.0]]], 0.0, 0.1, TOY)
     own = Ensemble(row[None, None, :], 0.0, 0.1, TOY)
@@ -153,7 +152,7 @@ def test_toy_decay_is_exact():
     # dx/dt = -x is pure linear decay; the integrating factor makes the
     # stepper exact on it regardless of dt
     x0 = np.array([1.0, -2.0, 0.5, 3.0])
-    tr = integrate(TOY, x0, 0.0, 5.0, 0.25)
+    tr = build_ensemble(TOY, x0[None], 0.0, 5.0, 0.25)
     expected = x0[None, :] * np.exp(-tr.times)[:, None]
     np.testing.assert_allclose(tr.samples[0], expected, rtol=0, atol=1e-14)
 
@@ -173,7 +172,7 @@ def test_stepper_is_fourth_order():
     ).y[:, -1]
     errs = []
     for dt in (0.05, 0.025, 0.0125):
-        end = integrate(spec, u0, 0.0, 1.0, dt).samples[0, -1]
+        end = build_ensemble(spec, u0[None], 0.0, 1.0, dt).samples[0, -1]
         errs.append(np.linalg.norm(end - ref))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
@@ -185,7 +184,7 @@ def test_batch_matches_single_bitwise():
     initials = sample_ball(spec, 5, radius=0.5, seed=9)
     batch = build_ensemble(spec, initials, 0.0, 1.0, 0.02).samples
     for i in range(5):
-        single = integrate(spec, initials[i], 0.0, 1.0, 0.02)
+        single = build_ensemble(spec, initials[i][None], 0.0, 1.0, 0.02)
         assert np.array_equal(batch[i], single.samples[0])
 
 
@@ -222,7 +221,7 @@ def test_restart_composition_matches_continuation():
 
 
 def test_translate_restrict_rebase():
-    one = integrate(TOY, np.ones(4), 0.0, 2.0, 0.1)
+    one = build_ensemble(TOY, np.ones((1, 4)), 0.0, 2.0, 0.1)
     for tr in (one, build_ensemble(TOY, np.eye(4), 0.0, 2.0, 0.1)):
         t5 = translate(tr, 5.0)
         assert t5.t0 == 5.0 and np.array_equal(t5.samples, tr.samples)
@@ -490,7 +489,7 @@ def test_a_one_row_pass_never_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     spec = make_spec("galerkin_nse_2d", nu=1.0, truncation=2)
-    integrate(spec, sample_ball(spec, 1, radius=0.5, seed=2)[0], 0.0, 0.2, 0.02)
+    build_ensemble(spec, sample_ball(spec, 1, radius=0.5, seed=2), 0.0, 0.2, 0.02)
     build_ensemble(TOY, np.ones((1, 4)), 0.0, 1.0, 0.1)
 
 

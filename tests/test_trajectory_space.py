@@ -18,7 +18,7 @@ from attractorlab.errors import (
     ModelMismatch,
     OffGrid,
 )
-from attractorlab.metrics import dist_arrays
+from attractorlab.metrics import TAIL_WINDOWS, dist_arrays, tail_steps, window_nearest
 from attractorlab.models import make_spec
 from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import (
@@ -161,6 +161,42 @@ def test_trajectory_attractor_guards(toy_bundle):
     att = trajectory_attractor(_first_samples(k_space, 901), lib, 1e-3)
     with pytest.raises(HorizonTooShort):
         translation_invariance(att, tol=1e-3)
+
+
+def test_a_member_exactly_cluster_tol_from_a_kept_one_is_merged():
+    n = 121
+    p, q = np.tile([1.0, 0.0], (n, 1)), np.tile([0.0, 1.0], (n, 1))
+    library = _set_from([p, q])
+    steps = tail_steps(library.dt)
+    window = library.samples[:, : int(steps[-1]) + 1]
+    d = window_nearest(library.model, window[1], window[:1], "weak", steps)
+    assert d > 0.0
+    assert trajectory_attractor(library, library, cluster_tol=d).n_members == 1
+    assert trajectory_attractor(library, library, cluster_tol=np.nextafter(d, 0.0)).n_members == 2
+
+
+def test_horizons_exactly_at_the_guards_are_long_enough():
+    # dt 0.25 makes t_end exact: TAIL_WINDOWS for the attractor, TAIL_WINDOWS + 2
+    # for the invariance shifts by 2
+    fall = np.linspace(1.0, 0.0, 4 * (TAIL_WINDOWS + 2) + 1)[:, None] * [1.0, 0.0]
+    family = _set_from([fall], dt=0.25)
+    assert family.t_end == TAIL_WINDOWS + 2
+    assert translation_invariance(family, tol=1.0).ok
+    with pytest.raises(HorizonTooShort):
+        translation_invariance(_first_samples(family, family.n_samples - 1), tol=1.0)
+    short = _first_samples(family, 4 * TAIL_WINDOWS + 1)
+    assert short.t_end == TAIL_WINDOWS
+    assert trajectory_attractor(short, short, cluster_tol=1e-3).n_members == 1
+    with pytest.raises(HorizonTooShort):
+        trajectory_attractor(_first_samples(short, short.n_samples - 1), short, 1e-3)
+
+
+def test_an_invariance_defect_equal_to_tol_is_invariant(toy_bundle):
+    family = toy_bundle["ensemble"]
+    worst = max(translation_invariance(family, tol=1e-3).defects)
+    assert worst > 0.0
+    assert translation_invariance(family, tol=worst).ok
+    assert not translation_invariance(family, tol=np.nextafter(worst, 0.0)).ok
 
 
 def test_trajectory_space_operands_share_a_model_and_a_step():

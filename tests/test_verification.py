@@ -10,7 +10,7 @@ from oracles import (
     tracking_ladder_oracle,
 )
 
-from attractorlab.core import build_ensemble, integrate, translate
+from attractorlab.core import build_ensemble, translate
 from attractorlab.errors import GridMismatch, HypothesisFail, ModelMismatch
 from attractorlab.limits import SetEstimate, omega_limit
 from attractorlab.metrics import strong_dist_arrays, window_dist
@@ -385,7 +385,7 @@ def _perturbed(bundle, coord):
     u0 = bundle["ensemble"].samples[0, 0]
     starts = np.tile(u0, (6, 1))
     starts[:, coord] += 2.0 ** -np.arange(1.0, 7.0)
-    return build_ensemble(spec, starts, 0.0, 6.0, 0.02), integrate(spec, u0, 0.0, 6.0, 0.02)
+    return build_ensemble(spec, starts, 0.0, 6.0, 0.02), build_ensemble(spec, u0[None], 0.0, 6.0, 0.02)
 
 
 def test_point_convergence_positive(nse4_free_bundle):
@@ -474,7 +474,7 @@ def test_uniform_convergence_window(nse4_free_bundle):
     assert all(sup[i + 1] <= sup[i] for i in range(len(sup) - 1)) and sup[-1] < 0.05
     # a limit the sequence does not even weakly approach is a hypothesis
     # failure, not a negative verdict
-    wrong = integrate(seq.model, limit.samples[0, 0] * 0.2, 0.0, 6.0, 0.02)
+    wrong = build_ensemble(seq.model, limit.samples[0, :1] * 0.2, 0.0, 6.0, 0.02)
     with pytest.raises(HypothesisFail):
         check_strong_convergence_at_point(seq, wrong, t_star=3.0)
     # one jump at t = 3 in the sequence and in its limit keeps the weak gate
@@ -506,7 +506,7 @@ def _a3_family():
     starts = np.tile(base, (8, 1))
     starts[:, 0] += 2.0 ** -np.arange(1.0, 9.0)
     seq = build_ensemble(spec, starts, 0.0, 3.0, 0.02)
-    return seq, integrate(spec, base, 0.0, 3.0, 0.02)
+    return seq, build_ensemble(spec, base[None], 0.0, 3.0, 0.02)
 
 
 def test_a3_reading_on_a_perturbation_family():
@@ -521,7 +521,7 @@ def test_a3_reading_on_a_perturbation_family():
 def test_window_readings_of_a_constant_sequence():
     spec = make_spec("toy_contraction", truncation=3)
     x = np.array([0.5, 0.2, -0.1])
-    limit = integrate(spec, x, 0.0, 2.0, 0.1)
+    limit = build_ensemble(spec, x[None], 0.0, 2.0, 0.1)
     seq = build_ensemble(spec, np.stack([x, x]), 0.0, 2.0, 0.1)
     rep = check_strong_convergence_at_point(seq, limit, t_star=1.0)
     assert rep.converged

@@ -10,8 +10,9 @@ workload seeds 0-4, on the built-in edge cases of EDGE_CASES, each under its
 own subcommand (the error, blow-up, duplicate-check, clipped-window,
 odd-split, uneven-split, split-ledger, search-miss and oversized-compactness
 paths of ``verify``, the strong-metric set searches of ``attractor`` and
-``verify`` on a time-dependent regime, and the pass path of
-``trajectory-attractor``), and on each extra ``verify`` config given. Every
+``verify`` on a time-dependent regime, the half-horizon defaults of both on
+an even step count, and the pass path of ``trajectory-attractor``), and on
+each extra ``verify`` config given. Every
 run writes into its own temporary directory. The exit codes and the five
 artifacts must match: four files byte for byte, and manifest.json after
 mapping the run's ``output_dir`` to one placeholder. Prints each
@@ -196,6 +197,16 @@ EDGE_CASES = {
             {"name": "quasi_invariance", "eps": 4.0},
             {"name": "maximal_invariant", "eps": 0.05},
         ],
+    ),
+    # an even step count (6 steps of 0.1) where (n // 2) dt is not horizon / 2:
+    # the half-horizon defaults of omega, compactness and point_convergence
+    "edge half-horizon defaults of attractor": _case("attractor", model=_NSE2, horizon=0.6, dt=0.1),
+    "edge half-horizon defaults of verify": _case(
+        "verify",
+        model=_NSE2,
+        horizon=0.6,
+        dt=0.1,
+        checks=[{"name": "compactness"}, {"name": "point_convergence"}],
     ),
     # the report's pass path: a library settled after t_back 10, a run that
     # enters the weak eps-tube of the attractor at t = 3.8, strong mode on
