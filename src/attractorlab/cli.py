@@ -399,7 +399,8 @@ class _RunContext:
     the check's config entry. integrate() steps the groups a run needs in
     one pass; a group it did not produce is integrated alone on first use.
     Each costly part is built once, on first use; if building it raises,
-    later uses raise the same exception without building it again.
+    later uses raise the same exception without building it again. The
+    attractor is the bare omega-limit estimate, with no attraction scan.
     """
 
     def __init__(self, cfg: dict, spec: ModelSpec):
@@ -485,7 +486,7 @@ class _RunContext:
         cfg = self.cfg
         return self._once(
             "attractor",
-            lambda: global_attractor(self.ensemble, cfg["metric"], OmegaParams(**cfg["omega"])),
+            lambda: omega_limit(self.ensemble, cfg["metric"], OmegaParams(**cfg["omega"])),
         )
 
 
@@ -697,7 +698,7 @@ def _run_checks(ctx: _RunContext) -> list[dict]:
     Each record is named after its check. A check that raises HypothesisFail
     leaves a hypothesis_fail record with its detail; one that raises another
     error leaves an error record, and the next check still runs. The
-    attractor is built on first use, once.
+    omega-limit estimate is built on first use, once, with no attraction scan.
     """
     reports = []
     for chk in ctx.cfg["checks"]:
@@ -775,10 +776,9 @@ def run(subcommand: str, cfg: dict) -> int:
             tail = ctx.integrate(_groups(subcommand, cfg), then)
             ensemble = ctx.ensemble
             if subcommand == "omega":
-                est = omega_limit(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
-                sets["omega"] = _set_payload(est)
+                sets["omega"] = _set_payload(ctx.attractor)
             elif subcommand == "attractor":
-                est = ctx.attractor
+                est = global_attractor(ensemble, cfg["metric"], OmegaParams(**cfg["omega"]))
                 sets["attractor"] = _set_payload(est)
                 reports.append(
                     {

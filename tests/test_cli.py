@@ -8,7 +8,9 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,10 @@ from oracles import attraction_report_oracle
 
 import attractorlab.cli as cli
 import attractorlab.core as core
+import attractorlab.limits as limits
 import attractorlab.models as models
 from attractorlab.cli import load_config, main
-from attractorlab.core import integrate_pass, make_group
+from attractorlab.core import build_ensemble, integrate_pass, make_group
 from attractorlab.errors import ConfigInvalid, NonFiniteState
 from attractorlab.state import Ensemble
 from attractorlab.verification import check_strong_convergence_at_point
@@ -460,6 +463,39 @@ def test_compactness_asking_for_more_times_than_the_grid_holds_takes_them_all(tm
     assert sorted(records[0]) == ["defect", "k", "name", "status", "threshold"]
 
 
+def test_a_norm_exactly_at_the_absorbing_bound_is_inside(tmp_path):
+    # the member enters at the second step and ends exactly on the check's
+    # bound r_abs + slack, which still counts as inside the ball
+    cfg = load_config(_write_cfg(tmp_path, NSE2))
+    spec = cli._build_spec(cfg["model"])
+    r_abs = models.absorbing_radius(spec)
+    norms = np.array([[2.0 * r_abs, 0.5 * r_abs, r_abs + 1e-9 * r_abs]])
+    ctx = SimpleNamespace(spec=spec, own=lambda chk: norms)
+    rep = cli._check_absorbing(cfg, {"n_samples": 1}, ctx)
+    assert rep == {
+        "status": "pass", "radius": r_abs, "worst_entry_time": cfg["dt"], "n_samples": 1,
+    }
+
+
+def test_a_member_of_zero_energy_leaves_the_gap_ratio_to_the_others():
+    # a member that starts at rest has initial energy 0: its gap is left out
+    # of the ratio, not divided by 0, so the ratio is the moving member's
+    spec = models.make_spec("toy_contraction", truncation=4)
+    moving = np.array([[0.5, -0.25, 0.125, 1.0]])
+    chk = {"eps_ladder": [0.1], "gap_tol": 1.0}
+    reps = []
+    for initials in (moving, np.concatenate([np.zeros_like(moving), moving])):
+        ens = build_ensemble(spec, initials, 0.0, 2.0, 0.02)
+        ctx = SimpleNamespace(
+            spec=spec, ensemble=ens, ledger=models.energy_ledger(spec, ens), radius=1.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reps.append(cli._check_energy({}, chk, ctx))
+    assert reps[0]["gap_ratio"] > 0.0
+    assert reps[1]["gap_ratio"] == reps[0]["gap_ratio"]
+
+
 @pytest.mark.parametrize(
     "name,bound,reading",
     [("energy", "gap_tol", "gap_ratio"), ("compactness", "threshold", "defect")],
@@ -717,21 +753,62 @@ def test_non_finite_values_written_as_null(tmp_path):
         json.loads((out / name).read_text(), parse_constant=_reject_constant)
 
 
-def test_verify_computes_the_attractor_once(tmp_path, monkeypatch):
+def _counting(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from here on."""
     calls = []
-    original = cli.global_attractor
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "global_attractor", counting)
-    payload = dict(TOY, checks=[{"name": "quasi_invariance"}, {"name": "maximal_invariant"}])
-    code, out = _run(tmp_path, "verify", payload)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+_LIBRARY_SET_CHECKS = [{"name": "quasi_invariance"}, {"name": "maximal_invariant"}]
+
+
+def test_verify_computes_the_attractor_once(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, cli, "omega_limit")
+    code, out = _run(tmp_path, "verify", dict(TOY, checks=_LIBRARY_SET_CHECKS))
     assert code == 0
     assert len(calls) == 1
     names = [c["name"] for c in json.loads((out / "reports.json").read_text())["checks"]]
     assert names == ["quasi_invariance", "maximal_invariant"]
+
+
+def test_omega_builds_its_estimate_once(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, cli, "omega_limit")
+    code, out = _run(tmp_path, "omega", TOY)
+    assert code == 0
+    assert len(calls) == 1
+    assert len(json.loads((out / "sets.json").read_text())["omega"]["points"]) == 1
+
+
+def test_only_attractor_scans_for_attraction(tmp_path, monkeypatch):
+    # verify's library checks and omega judge or write the omega-limit
+    # estimate alone: with the scan patched to raise they write the bytes of
+    # an unpatched run, and attractor scans its estimate exactly once
+    payload = dict(TOY, checks=_LIBRARY_SET_CHECKS)
+    unpatched = {}
+    for sub in ("verify", "omega"):
+        code, out = _run(tmp_path, sub, payload)
+        unpatched[sub] = (code, [(out / f).read_bytes() for f in FIVE])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an attraction scan ran")
+
+    monkeypatch.setattr(limits, "is_attracting", refuse)
+    for sub in ("verify", "omega"):
+        code, out = _run(tmp_path, sub, payload)
+        assert (code, [(out / f).read_bytes() for f in FIVE]) == unpatched[sub], sub
+    monkeypatch.undo()
+    calls = _counting(monkeypatch, limits, "is_attracting")
+    code, out = _run(tmp_path, "attractor", payload)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads((out / "reports.json").read_text())["checks"][0]["name"] == "attracting"
 
 
 def test_a_run_builds_one_energy_ledger(tmp_path, monkeypatch):
@@ -833,9 +910,8 @@ def test_failed_attractor_is_built_once(tmp_path, monkeypatch):
         calls.append(args)
         raise ValueError("no attractor")
 
-    monkeypatch.setattr(cli, "global_attractor", failing)
-    payload = dict(TOY, checks=[{"name": "quasi_invariance"}, {"name": "maximal_invariant"}])
-    code, out = _run(tmp_path, "verify", payload)
+    monkeypatch.setattr(cli, "omega_limit", failing)
+    code, out = _run(tmp_path, "verify", dict(TOY, checks=_LIBRARY_SET_CHECKS))
     assert code == 1
     assert len(calls) == 1
     reports = json.loads((out / "reports.json").read_text())["checks"]

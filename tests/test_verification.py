@@ -18,9 +18,11 @@ from attractorlab.models import make_spec, sample_ball
 from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import trajectory_attractor
 from attractorlab.verification import (
+    _WEAK_TOL,
     TrackingReport,
     _grid_steps,
     _tracking_grid,
+    _weak_gate,
     check_maximal_invariant,
     check_quasi_invariance,
     check_strong_convergence_at_point,
@@ -417,6 +419,25 @@ def test_point_convergence_rejects_weak_only_gate():
         assert not rep.converged
     except HypothesisFail:
         pass
+
+
+_RISE = 1.0 * 1.1 + 1e-15  # the largest rise the gate allows after a distance of 1
+
+
+@pytest.mark.parametrize(
+    "w,over",
+    [
+        ([1.0, _RISE, 0.2], [1.0, np.nextafter(_RISE, 2.0), 0.2]),
+        ([1.0, 0.25], [1.0, np.nextafter(0.25, 1.0)]),
+        ([_WEAK_TOL], [np.nextafter(_WEAK_TOL, 1.0)]),
+    ],
+    ids=["rise of exactly 1.1", "final exactly a quarter", "final exactly the tolerance"],
+)
+def test_weak_gate_passes_a_sequence_exactly_at_its_bounds(w, over):
+    # each bound holds with equality; one ulp past it the gate fails
+    _weak_gate(w)
+    with pytest.raises(HypothesisFail):
+        _weak_gate(over)
 
 
 def _coarse_grid():

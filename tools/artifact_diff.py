@@ -10,16 +10,18 @@ workload seeds 0-4, on the built-in edge cases of EDGE_CASES, each under its
 own subcommand (the error, blow-up, duplicate-check, clipped-window,
 odd-split, uneven-split, split-ledger, search-miss and oversized-compactness
 paths of ``verify``, the strong-metric set searches of ``attractor`` and
-``verify`` on a time-dependent regime, the half-horizon defaults of both on
-an even step count, and the pass path of ``trajectory-attractor``), and on
-each extra ``verify`` config given. Every
-run writes into its own temporary directory. The exit codes and the five
-artifacts must match: four files byte for byte, and manifest.json after
-mapping the run's ``output_dir`` to one placeholder. Prints each
-difference and exits 1 if there is one; exits 0 otherwise. For an artifact
-that differs, it also prints how many of its numeric values differ and the
-largest relative change |b - a| / max(|a|, |b|), or that its text differs
-outside the numbers; the last line totals these over all cases.
+``verify`` on a time-dependent regime, the weak-metric estimate that
+``verify``'s library checks judge and ``omega`` writes on the same regime,
+the half-horizon defaults of ``attractor`` and ``verify`` on an even step
+count, and the pass path of ``trajectory-attractor``), and on each extra
+``verify`` config given. Every run writes into its own temporary
+directory. The exit codes and the five artifacts must match: four files
+byte for byte, and manifest.json after mapping the run's ``output_dir`` to
+one placeholder. Prints each difference and exits 1 if there is one;
+exits 0 otherwise. For an artifact that differs, it also prints how many of
+its numeric values differ and the largest relative change
+|b - a| / max(|a|, |b|), or that its text differs outside the numbers; the
+last line totals these over all cases.
 """
 from __future__ import annotations
 
@@ -50,6 +52,16 @@ _STRONG_KOLMOGOROV = {
     "metric": "strong",
     "horizon": 16.0,
     "omega": {"t_transient": 12.0, "t_max": 16.0, "sample_stride": 5, "cluster_tol": 5e-3},
+}
+# attractor-kolmogorov's weak estimate (horizon and omega): hundreds of
+# points, so an attraction scan of the run against it would be expensive
+_ATTRACTOR_KOLMOGOROV = WORKLOADS["attractor-kolmogorov"][1]()
+_WEAK_KOLMOGOROV = {
+    "model": _KOLMOGOROV,
+    "metric": "weak",
+    "horizon": _ATTRACTOR_KOLMOGOROV["horizon"],
+    "omega": _ATTRACTOR_KOLMOGOROV["omega"],
+    "library": {"size": 8, "t_back": 10.0},
 }
 _LIBRARY_CHECKS = [
     {"name": "tracking"},
@@ -198,6 +210,13 @@ EDGE_CASES = {
             {"name": "maximal_invariant", "eps": 0.05},
         ],
     ),
+    # the weak library checks and omega read the estimate, never scanned for attraction
+    "edge weak library checks on the Kolmogorov flow": _case(
+        "verify",
+        **_WEAK_KOLMOGOROV,
+        checks=[{"name": "quasi_invariance"}, {"name": "maximal_invariant"}],
+    ),
+    "edge weak omega on the Kolmogorov flow": _case("omega", **_WEAK_KOLMOGOROV),
     # an even step count (6 steps of 0.1) where (n // 2) dt is not horizon / 2:
     # the half-horizon defaults of omega, compactness and point_convergence
     "edge half-horizon defaults of attractor": _case("attractor", model=_NSE2, horizon=0.6, dt=0.1),

@@ -2,12 +2,13 @@
 
 Usage (from the repository root):
 
-    python3 tools/cli_ab.py PARENT_SRC [PAIRS]
+    python3 tools/cli_ab.py PARENT_SRC [PAIRS [WORKLOAD ...]]
 
-For the verify-nse2d and trajattr-kolmogorov workloads of
-perfbench/workloads.py (imported read-only, as tools/artifact_diff.py
-does), runs ``python -m attractorlab.cli`` once untimed per side, then
-PAIRS times (default 10) with PARENT_SRC and with this checkout's ``src/``
+For each named workload of perfbench/workloads.py (imported read-only, as
+tools/artifact_diff.py does; by default verify-nse2d and
+trajattr-kolmogorov, the two of BENCHMARK.json), runs ``python -m
+attractorlab.cli`` once untimed per side, then PAIRS times (default 10,
+at least 1) with PARENT_SRC and with this checkout's ``src/``
 on the import path. Both trees are byte-compiled with ``compileall`` first:
 under PYTHONDONTWRITEBYTECODE=1 a tree whose ``__pycache__`` is stale (a
 copied tree, say) is never rewritten, and that side would pay for
@@ -28,7 +29,9 @@ of each side; for each of the two the median and quartiles over pairs of
 the ratio change / parent and the pairs the change won; whether the change
 won at least nine tenths of the pairs and its median is lower than the
 parent's by more than the parent's quartile spread; then the exit codes
-seen. Exits 1 if the two runs of some pair exit differently; 0 otherwise.
+seen. Exits 1 if the two runs of some pair exit differently, 2 (with this
+usage) for a PAIRS that is not a positive integer or an unknown workload,
+and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -88,18 +91,30 @@ def _run(src: Path, name: str, seed: int) -> tuple[float, float, int]:
         return measure(argv, work, dict(os.environ, PYTHONPATH=str(src)))
 
 
+def parse(argv: list[str]) -> tuple[Path, int, tuple[str, ...]] | None:
+    """(PARENT_SRC, PAIRS, workload names) of the command line; None if it is malformed."""
+    if not argv or (len(argv) > 1 and not argv[1].isdecimal()):
+        return None
+    pairs = int(argv[1]) if len(argv) > 1 else 10
+    names = tuple(argv[2:]) or NAMES
+    if pairs < 1 or any(name not in WORKLOADS for name in names):
+        return None
+    return Path(argv[0]).resolve(), pairs, names
+
+
 def main(argv: list[str]) -> int:
-    if not 1 <= len(argv) <= 2:
+    args = parse(argv)
+    if args is None:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    sides = {"parent": Path(argv[0]).resolve(), "change": ROOT / "src"}
-    pairs = int(argv[1]) if len(argv) == 2 else 10
+    parent, pairs, names = args
+    sides = {"parent": parent, "change": ROOT / "src"}
     for src in sides.values():
         if not compileall.compile_dir(src, quiet=1):
             print(f"{src}: byte-compiling failed", file=sys.stderr)
             return 2
     mismatched = 0
-    for name in NAMES:
+    for name in names:
         for src in sides.values():
             _run(src, name, SEEDS[0])
         runs = {side: [] for side in sides}
