@@ -14,10 +14,10 @@ offending field named, and numeric failures abort with a structured error
 record in reports.json; in verify, a check that raises gets its own error
 record and the other checks still run. The run's ensemble is the pass's
 first group, so the pass's forked child, if any, steps a block of the run's
-members, computes their energy ledger rows and then formats their lines of
-trajectories.csv while this process steps the other rows, computes the
-ledger rows of its members and runs the checks. Only this process writes
-artifacts, after the checks, trajectories.csv last but for manifest.json.
+members, computes their energy ledger rows and then writes trajectories.csv
+while this process steps the other rows, computes the ledger rows of its
+members and runs the checks. This process writes the other artifacts after
+the checks, and trajectories.csv, whole, only where no child exited 0.
 
 Exit codes: 0 all checks passed, 1 config or runtime error, 2 at least one
 check returned false, 3 at least one check could not establish its
@@ -301,58 +301,17 @@ def _write_json(path: Path, payload) -> None:
 
 
 # The CSV writers stream one member at a time: the text of a whole ensemble
-# is never held in memory at once. The pass's child formats its own members
-# [h, n) of the run into a memfd while the checks run, and this process writes
-# [0, h), then appends the child's bytes or, if the child failed, formats them
-# itself.
-def _write_members(fh, ensemble: Ensemble, stride: int, members: range) -> None:
+# is never held in memory at once. The pass's child writes trajectories.csv
+# while the checks run; this process writes it only where no child exited 0.
+def _write_trajectories(path: Path, ensemble: Ensemble, stride: int) -> None:
     ks = range(0, ensemble.n_samples, stride)
     times = [repr(float(ensemble.t0 + k * ensemble.dt)) for k in ks]
-    for mi in members:
-        rows = zip(times, ensemble.samples[mi, ::stride].tolist())
-        fh.writelines(f"{t},{mi}," + ",".join(map(repr, row)) + "\n" for t, row in rows)
-
-
-def _child_writer(stride: int):
-    """(memfd, then): the pass's child calls then to format its run members into
-    the memfd; (-1, None) where no memfd is to be had."""
-    try:
-        fd = os.memfd_create("trajectories")
-    except (AttributeError, OSError):  # no memfd on this platform, or no descriptor to spare
-        return -1, None
-
-    def then(ensemble: Ensemble, members: range) -> None:
-        with open(fd, "w", closefd=False) as fh:
-            _write_members(fh, ensemble, stride, members)
-
-    return fd, then
-
-
-def _write_trajectories(path: Path, ensemble: Ensemble, stride: int, tail, fd: int) -> None:
-    """Write trajectories.csv; reap tail, the Tail of a child that formatted its members into fd."""
-    n = ensemble.n_members
-    h = n if tail is None else tail.members.start
-    try:
-        with path.open("w") as fh:
-            dim = ensemble.samples.shape[2]
-            fh.write("time,member," + ",".join(f"c{j}" for j in range(dim)) + "\n")
-            _write_members(fh, ensemble, stride, range(h))
-            if h == n:
-                return
-            fh.flush()
-            start = fh.tell()
-            ok, tail = tail.join(), None
-            try:
-                size = os.fstat(fd).st_size
-                ok = ok and os.sendfile(fh.fileno(), fd, 0, size) == size
-            except OSError:
-                ok = False
-            if not ok:  # format [h, n) here, over any part of it that was copied
-                fh.seek(start)
-                _write_members(fh, ensemble, stride, range(h, n))
-    finally:
-        if tail is not None:
-            tail.join(False)
+    with path.open("w") as fh:
+        dim = ensemble.samples.shape[2]
+        fh.write("time,member," + ",".join(f"c{j}" for j in range(dim)) + "\n")
+        for mi in range(ensemble.n_members):
+            rows = zip(times, ensemble.samples[mi, ::stride].tolist())
+            fh.writelines(f"{t},{mi}," + ",".join(map(repr, row)) + "\n" for t, row in rows)
 
 
 def _write_ledger(path: Path, led: EnergyLedger, stride: int) -> None:
@@ -441,7 +400,7 @@ class _RunContext:
         at its first use. If the pass blows up, nothing of it is kept: each
         group is then integrated alone, in the order of first use, and
         records its own error. The tail is the pass's child still running
-        then on its members of the run (see core.integrate_pass), or None.
+        then on the run's ensemble (see core.integrate_pass), or None.
         """
         formed = {"run": self._group("run")}
         for key in keys:
@@ -767,13 +726,14 @@ def run(subcommand: str, cfg: dict) -> int:
     reports: list[dict] = []
     error_record = None
     exit_code = 0
-    ensemble = tail = None  # tail: the pass's child, formatting its run members
-    stride = cfg["save_stride"]
-    fd, then = _child_writer(stride)
+    ensemble = tail = None  # tail: the pass's child, writing trajectories.csv
+    stride, path = cfg["save_stride"], out / "trajectories.csv"
     try:
         try:
             ctx = _RunContext(cfg, spec)
-            tail = ctx.integrate(_groups(subcommand, cfg), then)
+            tail = ctx.integrate(
+                _groups(subcommand, cfg), lambda ens: _write_trajectories(path, ens, stride)
+            )
             ensemble = ctx.ensemble
             if subcommand == "omega":
                 sets["omega"] = _set_payload(ctx.attractor)
@@ -797,9 +757,9 @@ def run(subcommand: str, cfg: dict) -> int:
             error_record = _error_record(exc)
             exit_code = 1
         if ensemble is None:
-            (out / "trajectories.csv").write_text("time,member\n")
+            path.write_text("time,member\n")
             (out / "ledger.csv").write_text("member,time,energy,enstrophy,work\n")
-        else:  # the small artifacts before trajectories.csv, while the child formats
+        else:  # the small artifacts while the child writes trajectories.csv
             ctx.release()
             _write_ledger(out / "ledger.csv", ctx.ledger, stride)
         _write_json(out / "sets.json", sets)
@@ -808,13 +768,13 @@ def run(subcommand: str, cfg: dict) -> int:
             payload["error"] = error_record
         _write_json(out / "reports.json", payload)
         if ensemble is not None:
-            child, tail = tail, None  # _write_trajectories reaps the child from here on
-            _write_trajectories(out / "trajectories.csv", ensemble, stride, child, fd)
+            written, tail = tail is not None and tail.join(), None
+            if not written:  # no child, or it failed: the whole file here, over any part of it
+                _write_trajectories(path, ensemble, stride)
     finally:
-        if tail is not None:  # something raised before the writer took the child
+        if tail is not None:  # something raised before the child was reaped: no part of its file
             tail.join(False)
-        if fd >= 0:
-            os.close(fd)
+            path.unlink(missing_ok=True)
     manifest = {
         "artifact": "attractorlab",
         "version": __version__,

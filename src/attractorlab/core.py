@@ -16,8 +16,8 @@ and two CPUs are usable (no setting), the pass is split by ensemble, not by
 row: one forked child steps a contiguous block of the first group's
 members, sized to balance member-steps, and this process steps every other
 row; each side computes the energy ledger rows a group keeps for the members
-it stepped. The child can go on to work on its own members (the CLI formats
-their part of trajectories.csv there) while this process carries on. Split or
+it stepped. The child can go on to work on the whole first group (the CLI
+writes trajectories.csv there) while this process carries on. Split or
 not, fused, batched and single integration give bit-identical members. A
 surrogate library keeps only its samples on [0, horizon], so it starts at
 t = 0, and the checks that read a library reject one that starts elsewhere.
@@ -166,60 +166,65 @@ def _shared_empty(shape: tuple) -> np.ndarray:
 
 
 class Tail(NamedTuple):
-    """The forked child of a pass: its pid, the first group's members it steps,
-    and the read end of the pipe it writes one byte to once their rows are stored."""
+    """The forked child of a pass: its pid, the read end of the pipe it writes its
+    byte to, and the write end of the pipe it may wait on (see integrate_pass)."""
 
     pid: int
-    members: range
     fd: int
+    go: int
 
     def join(self, finished: bool = True) -> bool:
         """Reap the child, killed first unless finished; True if it exited with status 0."""
         if not finished:
             os.kill(self.pid, 9)  # SIGKILL; POSIX fixes its number, and importing signal costs 1 ms
         os.close(self.fd)
+        os.close(self.go)
         return os.waitpid(self.pid, 0)[1] == 0
 
 
-def _fork_rows(model: ModelSpec, part, dt: float, members: range, then) -> Tail | None:
+def _fork_rows(model: ModelSpec, part, dt: float, then, wait: bool) -> Tail | None:
     """The Tail of a forked child that steps part, writes its byte and calls then().
 
-    None if no pipe or process is to be had. The child leaves only through
-    os._exit (0 if then returned), and any warning fails it.
+    With wait, it reads a byte from this process first, and calls no then at
+    end of file. None if no pipes or process are to be had. The child leaves
+    only through os._exit (0 unless it raised), and any warning fails it.
     """
+    fds: list[int] = []  # the pipes made so far, closed if a pipe or the fork fails
     try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns on fork when threads exist (OpenBLAS starts some). Safe
-        # here: the child's one BLAS call is models.ledger_rows's u @ g, and numpy's
-        # OpenBLAS (pthreads, not OpenMP) stops its pool in a pthread_atfork handler
-        # before each fork, so the child inherits no pool lock; it leaves by os._exit.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-        try:
+        fds += os.pipe()
+        fds += os.pipe()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork when threads exist (OpenBLAS starts some). Safe
+            # here: the child's one BLAS call is models.ledger_rows's u @ g, and numpy's
+            # OpenBLAS (pthreads, not OpenMP) stops its pool in a pthread_atfork handler
+            # before each fork, so the child inherits no pool lock; it leaves by os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
             pid = os.fork()
-        except OSError:
-            pid = None
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    r, w, wait_r, go = fds
     if pid == 0:
         code = 1
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 os.close(r)
+                os.close(go)
                 _step(model, [part], dt)
                 os.write(w, b"\1")
                 os.close(w)
-                if then is not None:
+                if then is not None and (not wait or os.read(wait_r, 1)):
                     then()
             code = 0
         finally:
             os._exit(code)
     os.close(w)
-    if pid is None:
-        os.close(r)
-        return None
-    return Tail(pid, members, r)
+    os.close(wait_r)
+    return Tail(pid, r, go)
 
 
 def _split(groups) -> int:
@@ -257,10 +262,11 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
     so errors read as in one process. Each side fills the ledger rows of the
     members it stepped, the child before its byte, so neither process reads
     the other's samples for them. Given then, the child goes on to call
-    then(the first group's ensemble, range(h, n)), which may read only those
-    members, and tail is its Tail for the caller to join; else tail is None.
-    Each group's samples (or, for a norms group, norms) are one read-only
-    array; a ledger group's path is (its Ensemble, its EnergyLedger).
+    then(the first group's ensemble), and tail is its Tail for the caller to
+    join; else tail is None. With h > 0 the child first waits for the byte
+    this process writes once it has stepped its rows and read the child's,
+    so then may read every member. Each group's samples (or norms) are one
+    read-only array; a ledger group's path is (its Ensemble, its EnergyLedger).
     """
     if not groups:
         return [], None
@@ -277,14 +283,17 @@ def integrate_pass(model: ModelSpec, groups, then=None) -> tuple[list, Tail | No
     parts = [(g.initials, g.n_steps, g.skip, out, led) for g, out, led in zip(groups, outs, leds)]
     first, n, h = groups[0], len(groups[0].initials), _split(groups)
     ours, theirs = [_block(*parts[0], slice(h))] + parts[1:], _block(*parts[0], slice(h, n))
-    after = None if then is None else lambda: then(_path(first, outs[0], model), range(h, n))
-    child = _fork_rows(model, theirs, dt, range(h, n), after) if h < n else None
+    after = None if then is None else lambda: then(_path(first, outs[0], model))
+    wait = h > 0 and then is not None
+    child = _fork_rows(model, theirs, dt, after, wait) if h < n else None
     tail, rows = None, parts  # rows: what this process steps last (all of them without a child)
     try:
         if child is not None:
             try:
                 _step(model, ours, dt)
                 rows = [] if os.read(child.fd, 1) == b"\1" else [theirs]  # EOF: it died first
+                if wait and not rows:
+                    os.write(child.go, b"\1")
             except Exception:  # every row again here, so errors read as in one process
                 pass
             if not rows and then is not None:

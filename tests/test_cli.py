@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -1304,7 +1305,7 @@ def test_an_L_whose_sampling_or_radius_leaves_the_floats_is_a_config_error(L, tm
 
 
 # The split pass: a forked child steps a block of the run's members, then
-# formats their lines of trajectories.csv while this process runs the checks.
+# writes trajectories.csv while this process runs the checks.
 
 _WRITER = dict(NSE2, horizon=1.0, checks=[{"name": "energy"}, {"name": "compactness"}])
 
@@ -1322,7 +1323,7 @@ def _forking(monkeypatch, fork):
     """Let every pass fork or not; record each run pass's tail and count this
     process's forks."""
     tails, forks = [], []
-    integrate, fork = cli.integrate_pass, os.fork
+    integrate, os_fork = cli.integrate_pass, os.fork
 
     def recorded(spec, groups, then=None):
         paths, tail = integrate(spec, groups, then)
@@ -1332,7 +1333,7 @@ def _forking(monkeypatch, fork):
 
     def counted_fork():
         forks.append(1)
-        return fork()
+        return os_fork()
 
     monkeypatch.setattr(core, "_can_fork", lambda: fork)
     monkeypatch.setattr(cli, "integrate_pass", recorded)
@@ -1353,25 +1354,39 @@ def _writer_run(tmp_path, name, payload, sub="verify"):
 _RUN_HEAVY = dict(NSE2, ensemble_size=16, library={"size": 2, "t_back": 1.0, "horizon": 4.0})
 
 
+def _writes_here(monkeypatch):
+    """Record the _write_trajectories calls that this process makes, and the
+    split of each pass."""
+    parent, write, split = os.getpid(), cli._write_trajectories, core._split
+    seen = {"writes": 0, "splits": []}
+
+    def recorded_write(*args):
+        seen["writes"] += os.getpid() == parent
+        return write(*args)
+
+    def recorded_split(groups):
+        seen["splits"].append(split(groups))
+        return seen["splits"][-1]
+
+    monkeypatch.setattr(cli, "_write_trajectories", recorded_write)
+    monkeypatch.setattr(core, "_split", recorded_split)
+    return seen
+
+
 def _the_bytes_of_one_process(tmp_path, monkeypatch, payload, h):
     _forking(monkeypatch, False)
+    here = _writes_here(monkeypatch)
     one = _writer_run(tmp_path, "one", payload)
+    assert here == {"writes": 1, "splits": [payload["ensemble_size"]]}
     monkeypatch.undo()
     tails, forks = _forking(monkeypatch, True)
+    here = _writes_here(monkeypatch)
     two = _writer_run(tmp_path, "two", payload)
-    # one fork for the run; its child stepped and formatted members [h, n)
-    assert len(forks) == 1 and [t.members for t in tails] == [range(h, payload["ensemble_size"])]
-
-    def no_descriptor(name):
-        raise OSError(24, "Too many open files")
-
-    monkeypatch.setattr(os, "memfd_create", no_descriptor)
-    memfd_fails = _writer_run(tmp_path, "memfd_fails", payload)
-    monkeypatch.delattr(os, "memfd_create")
-    no_memfd = _writer_run(tmp_path, "no_memfd", payload)
-    # no memfd: the child only integrates, and this process formats every member
-    assert len(tails) == 1 and len(forks) == 3
-    assert one == two == memfd_fails == no_memfd
+    # one fork for the run; its child stepped members [h, n) and wrote the whole
+    # file, so this process wrote none of it
+    assert len(forks) == 1 and len(tails) == 1 and tails[0] is not None
+    assert here == {"writes": 0, "splits": [h]}
+    assert one == two
     lines = one[1]["trajectories.csv"].decode().splitlines()
     samples = range(0, round(payload["horizon"] / payload["dt"]) + 1, payload.get("save_stride", 1))
     assert len(lines) == 1 + payload["ensemble_size"] * len(samples)
@@ -1414,12 +1429,22 @@ def test_a_failing_writer_child_leaves_the_same_bytes(tmp_path, monkeypatch):
     payload = dict(_WRITER, ensemble_size=5, save_stride=3)
     tails, _ = _forking(monkeypatch, True)
     good = _writer_run(tmp_path, "good", payload)
-    parent, write_members, step = os.getpid(), cli._write_members, core._step
+    parent, write, step = os.getpid(), cli._write_trajectories, core._step
+    writes = []
 
-    def failing_in_the_child(*args):
+    def exiting_in_the_child(path, *args):
         if os.getpid() != parent:
-            raise OSError("the child's formatter failed")
-        return write_members(*args)
+            path.write_text("partial")
+            os._exit(3)
+        writes.append(path)
+        return write(path, *args)
+
+    def raising_in_the_child(path, *args):
+        if os.getpid() != parent:
+            path.write_text("partial")
+            raise OSError("the child's writer failed")
+        writes.append(path)
+        return write(path, *args)
 
     def dying_in_the_child(*args):
         if os.getpid() != parent:
@@ -1433,29 +1458,20 @@ def test_a_failing_writer_child_leaves_the_same_bytes(tmp_path, monkeypatch):
         return joined[-1]
 
     monkeypatch.setattr(core.Tail, "join", recorded_join)
-    # the child dies before its byte: this process steps and formats its members
+    # the child dies before its byte: this process steps its members and writes the file
     monkeypatch.setattr(core, "_step", dying_in_the_child)
+    monkeypatch.setattr(cli, "_write_trajectories", exiting_in_the_child)
     assert _writer_run(tmp_path, "dead", payload) == good
-    assert tails[1:] == [None] and joined == [False]
+    assert tails[1:] == [None] and joined == [False] and len(writes) == 1
     monkeypatch.setattr(core, "_step", step)
-    # the child fails after its byte: this process formats its members
-    monkeypatch.setattr(cli, "_write_members", failing_in_the_child)
-    assert _writer_run(tmp_path, "bad", payload) == good
-    assert tails[2] is not None and joined == [False, False]
-    # a short or failed copy is written over and redone here
-    monkeypatch.setattr(cli, "_write_members", write_members)
-    sendfile = os.sendfile
-
-    def short_copy(out_fd, in_fd, offset, count):
-        return sendfile(out_fd, in_fd, offset, min(count, 100))
-
-    def failed_copy(*args):
-        raise OSError(28, "No space left on device")
-
-    for name, copy in (("short", short_copy), ("failed", failed_copy)):
-        monkeypatch.setattr(os, "sendfile", copy)
+    # the child writes part of the file, then exits 3 or raises: this process
+    # writes the whole file once, over the part
+    for name, failing in (("exits", exiting_in_the_child), ("raises", raising_in_the_child)):
+        writes.clear()
+        monkeypatch.setattr(cli, "_write_trajectories", failing)
         assert _writer_run(tmp_path, name, payload) == good
-    assert joined == [False, False, True, True]
+        assert writes == [tmp_path / name / "out" / "trajectories.csv"]
+    assert None not in tails[2:] and len(tails) == 4 and joined == [False, False, False]
 
 
 def test_the_small_artifacts_are_written_before_the_writer_child_is_reaped(
@@ -1470,7 +1486,9 @@ def test_the_small_artifacts_are_written_before_the_writer_child_is_reaped(
     on_join, join = [], core.Tail.join
 
     def recorded_join(tail, finished=True):
-        on_join.append(sorted(f.name for f in (tmp_path / "two" / "out").iterdir()))
+        # the child writes trajectories.csv, so whether it is there yet is timing
+        out = (tmp_path / "two" / "out").iterdir()
+        on_join.append(sorted(f.name for f in out if f.name != "trajectories.csv"))
         return join(tail, finished)
 
     monkeypatch.setattr(core.Tail, "join", recorded_join)
@@ -1478,7 +1496,7 @@ def test_the_small_artifacts_are_written_before_the_writer_child_is_reaped(
     assert one == two and two[0] == 1 and tails[0] is not None
     assert json.loads(two[1]["reports.json"])["error"]["type"] == "HorizonTooShort"
     # the child is reaped once the other small files are written, before the manifest
-    assert on_join == [["ledger.csv", "reports.json", "sets.json", "trajectories.csv"]]
+    assert on_join == [["ledger.csv", "reports.json", "sets.json"]]
     assert sorted(f.name for f in (tmp_path / "two" / "out").iterdir()) == sorted(FIVE)
 
 
@@ -1494,6 +1512,31 @@ def test_a_check_that_raises_after_the_fork_writes_nothing(tmp_path, monkeypatch
     assert tails[0] is not None and len(forks) == 1  # the child had been forked
     _no_child_left()
     assert _open_fds() == fds
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_check_that_raises_once_the_child_has_written_leaves_no_trajectories(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "out" / "trajectories.csv"
+
+    def raising_once_written(cfg, chk, ctx):
+        for _ in range(500):  # the child has started its file within 5 s
+            if path.exists():
+                break
+            time.sleep(0.01)
+        assert path.exists()
+        raise RuntimeError("check crashed")
+
+    tails, _ = _forking(monkeypatch, True)
+    monkeypatch.setitem(cli._CHECKS, "energy", (raising_once_written, *cli._CHECKS["energy"][1:]))
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="check crashed"):
+        _run(tmp_path, "verify", _WRITER)
+    assert tails[0] is not None
+    _no_child_left()
+    assert _open_fds() == fds
+    # the killed child's file, whole or in part, is removed with it
     assert list((tmp_path / "out").iterdir()) == []
 
 

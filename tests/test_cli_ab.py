@@ -1,4 +1,5 @@
-"""tools/cli_ab.py reads a run's peak memory without its own, and takes workload names."""
+"""tools/cli_ab.py reads a run's peak memory without its own and its children's CPU
+time, and takes workload names."""
 import importlib.util
 import os
 import sys
@@ -22,9 +23,25 @@ def test_peak_rss_leaves_out_the_harness_memory(tmp_path):
     # that np.ones writes here
     ballast = np.ones(60 * 2**20 // 8)  # noqa: F841
     argv = [sys.executable, "-c", "pass"]
-    wall, rss_mb, code = _cli_ab().measure(argv, tmp_path, dict(os.environ))
-    assert code == 0 and wall > 0.0
+    wall, cpu, rss_mb, code = _cli_ab().measure(argv, tmp_path, dict(os.environ))
+    assert code == 0 and wall > 0.0 and cpu > 0.0
     assert rss_mb < 40.0
+
+
+def test_cpu_time_counts_the_children_the_command_reaps(tmp_path):
+    # the command forks a child that burns 0.2 s of CPU, and waits for it
+    burn = (
+        "import os, time\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    start = time.process_time()\n"
+        "    while time.process_time() - start < 0.2:\n"
+        "        pass\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+    )
+    wall, cpu, rss_mb, code = _cli_ab().measure([sys.executable, "-c", burn], tmp_path, {})
+    assert code == 0 and cpu >= 0.15
 
 
 def test_workload_names_follow_pairs():

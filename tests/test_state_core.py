@@ -1,7 +1,11 @@
 """Grid containers and the integrating-factor stepper."""
 import dataclasses
 import os
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,7 +428,7 @@ def test_a_child_that_dies_around_its_byte_leaves_the_same_bits(when, monkeypatc
             os._exit(3)
         return ledger_rows(*args)
 
-    def dying_after_its_byte(ensemble, members):
+    def dying_after_its_byte(ensemble):
         os._exit(3)
 
     if when != "after":
@@ -437,30 +441,127 @@ def test_a_child_that_dies_around_its_byte_leaves_the_same_bits(when, monkeypatc
         assert tail is None and seen["rows"] == [4, 5]
     else:
         paths, tail = core.integrate_pass(_NSE4, groups, dying_after_its_byte)
-        assert tail.members == range(3, 8) and seen["rows"] == [4]
-        assert tail.join() is False
+        # this process stepped only its own 3 run rows and the library's 1
+        assert seen["rows"] == [4] and tail.join() is False
     _no_child_left()
     for one, two in zip(alone, paths):
         for a, b in zip(_arrays(one), _arrays(two), strict=True):
             assert np.array_equal(a, b)
 
 
-def test_a_tail_runs_then_on_the_childs_members(tmp_path, monkeypatch):
-    groups = _split_groups("lone odd")
+def _slow_here(monkeypatch, raising=False):
+    """Make this process's first _step sleep 0.2 s, then raise if raising; a
+    forked child and later calls step as they are."""
+    parent, step, calls = os.getpid(), core._step, []
+
+    def slow(*args):
+        if os.getpid() == parent and not calls:
+            calls.append(1)
+            time.sleep(0.2)
+            if raising:
+                raise RuntimeError("this process's rows failed")
+        return step(*args)
+
+    monkeypatch.setattr(core, "_step", slow)
+
+
+def test_a_tail_runs_then_on_every_member(tmp_path, monkeypatch):
+    groups = _split_groups("lone odd")  # h = 2: this process steps members 0 and 1
     _forking(monkeypatch, True)
+    _slow_here(monkeypatch)
     out = tmp_path / "members.txt"
 
-    def then(ensemble, members):
-        out.write_text(repr((list(members), ensemble.samples[members.start :].tobytes().hex())))
+    def then(ensemble):
+        out.write_text(ensemble.samples.tobytes().hex())
 
     paths, tail = core.integrate_pass(_NSE4, groups, then)
-    assert tail.members == range(2, 5) and tail.join() is True
+    assert tail.join() is True
     _no_child_left()
-    # then reads the ensemble of the first group, whose path also holds its ledger
-    assert out.read_text() == repr(([2, 3, 4], paths[0][0].samples[2:].tobytes().hex()))
+    # then waited for this process's rows [0, 2), which it stepped 0.2 s late,
+    # and read the ensemble of the first group, whose path also holds its ledger
+    assert out.read_text() == paths[0][0].samples.tobytes().hex()
     # without then the child leaves once its rows are stored
     assert core.integrate_pass(_NSE4, groups)[1] is None
     _no_child_left()
+
+
+def test_a_waiting_child_calls_no_then_when_this_processs_rows_fail(tmp_path, monkeypatch):
+    groups = _split_groups("lone odd")
+    alone = integrate_pass(_NSE4, groups)[0]
+    seen = _forking(monkeypatch, True)
+    _slow_here(monkeypatch, raising=True)
+    marker = tmp_path / "then.txt"
+
+    def then(*args):
+        marker.write_text("called")
+
+    paths, tail = core.integrate_pass(_NSE4, groups, then)
+    # the child, waiting for this process's byte, was killed, and every row ran
+    # here (this process's first _step raised before it stepped a row)
+    assert tail is None and seen["forks"] == 1 and seen["rows"] == [5]
+    assert not marker.exists()
+    _no_child_left()
+    for one, two in zip(alone, paths):
+        for a, b in zip(_arrays(one), _arrays(two), strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_a_child_calls_no_then_once_this_process_is_gone(tmp_path):
+    # this process dies before its byte; the child reads end of file and leaves
+    marker = tmp_path / "then.txt"
+    script = (
+        "import os, time\n"
+        "from attractorlab import core\n"
+        "from attractorlab.models import make_spec, sample_ball\n"
+        "core._can_fork = lambda: True\n"
+        "spec = make_spec('galerkin_nse_2d', nu=1.0, truncation=2)\n"
+        "ini = sample_ball(spec, 5, radius=0.5, seed=4)\n"
+        "parent, step = os.getpid(), core._step\n"
+        "def dying_here(*args):\n"
+        "    if os.getpid() == parent:\n"
+        "        time.sleep(0.2)\n"
+        "        os._exit(7)\n"
+        "    return step(*args)\n"
+        "core._step = dying_here\n"
+        f"then = lambda *args: open({str(marker)!r}, 'w').write('called')\n"
+        "core.integrate_pass(spec, [core.make_group(spec, ini, 0.0, 0.2, 0.02)], then)\n"
+    )
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # the child holds the captured pipes, so run returns once it has left as well
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 7 and done.stderr == b""
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("failing", ["first pipe", "second pipe", "fork"])
+def test_a_failing_pipe_or_fork_leaves_one_process_and_no_descriptor(failing, monkeypatch):
+    groups = _split_groups("lone odd")
+    alone = integrate_pass(_NSE4, groups)[0]
+    seen = _forking(monkeypatch, True)
+    pipes, pipe = [], os.pipe
+
+    def counted_pipe():
+        pipes.append(1)
+        if failing == ("first pipe", "second pipe")[len(pipes) - 1]:
+            raise OSError(24, "Too many open files")
+        return pipe()
+
+    def failing_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", counted_pipe)
+    if failing == "fork":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    paths, tail = core.integrate_pass(_NSE4, groups, lambda *args: None)
+    # every pipe made so far is closed again, and this process stepped all 5 rows
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert len(pipes) == {"first pipe": 1, "second pipe": 2, "fork": 2}[failing]
+    assert tail is None and seen == {"forks": 0, "rows": [5]}
+    for one, two in zip(alone, paths):
+        for a, b in zip(_arrays(one), _arrays(two), strict=True):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("huge_row", [0, 1], ids=["lane0", "lane1"])

@@ -236,6 +236,37 @@ def test_attraction_report_eps_guard(toy_bundle):
         trajectory_attraction_report(k_space, att, eps=0.0)
 
 
+def _constant(value, n, dt=0.1):
+    """A one-member toy family at (value, 0) on n samples of dt from t = 0."""
+    samples = np.zeros((1, n, 2))
+    samples[:, :, 0] = value
+    return Ensemble(samples, 0.0, dt, make_spec("toy_contraction", truncation=2))
+
+
+def test_attraction_report_needs_one_sample_past_its_windows():
+    # at dt 0.1 the tail window spans 80 steps and the strong window 20, so a
+    # family of 80 samples is one short on either side, and 81 are enough
+    w = int(tail_steps(0.1)[-1])
+    assert w == 80
+    short, enough = _constant(0.0, w), _constant(0.0, w + 1)
+    for k_space, attractor in ((short, enough), (enough, short)):
+        with pytest.raises(HorizonTooShort):
+            trajectory_attraction_report(k_space, attractor, 0.1)
+    assert trajectory_attraction_report(enough, enough, 0.1).n_times == 1
+
+
+def test_a_member_exactly_eps_away_is_not_attracted():
+    # a constant offset is the same weak tail distance d at every shift; at
+    # eps = d every shift is eps-far, and one ulp above it none is
+    k_space, attractor = _constant(0.5, 121), _constant(0.0, 121)
+    steps = tail_steps(0.1)
+    w = int(steps[-1]) + 1
+    u, ref = k_space.samples[0, :w], attractor.samples[:, :w]
+    d = window_nearest(k_space.model, u, ref, "weak", steps)
+    assert trajectory_attraction_report(k_space, attractor, d).t_entry is None
+    assert trajectory_attraction_report(k_space, attractor, np.nextafter(d, 1.0)).t_entry == 0.0
+
+
 def _same_report(got, want):
     for f in fields(TrajectoryAttractionReport):
         assert getattr(got, f.name) == getattr(want, f.name), f.name

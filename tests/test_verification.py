@@ -18,6 +18,7 @@ from attractorlab.models import make_spec, sample_ball
 from attractorlab.state import Ensemble
 from attractorlab.trajectory_space import trajectory_attractor
 from attractorlab.verification import (
+    _SLACK,
     _WEAK_TOL,
     TrackingReport,
     _grid_steps,
@@ -438,6 +439,37 @@ def test_weak_gate_passes_a_sequence_exactly_at_its_bounds(w, over):
     _weak_gate(w)
     with pytest.raises(HypothesisFail):
         _weak_gate(over)
+
+
+def _on_a_high_mode(dists):
+    """A constant sequence at strong distances dists from a zero limit, on the
+    last of 12 toy coordinates, where the weak metric weighs it by 2^-12 and
+    so passes the weak gate; (sequence, limit), t* = 1.0 inside [0, 2]."""
+    spec = make_spec("toy_contraction", truncation=12)
+    rows = np.zeros((len(dists), 21, 12))
+    rows[:, :, -1] = np.array(dists)[:, None]
+    return Ensemble(rows, 0.0, 0.1, spec), Ensemble(np.zeros((1, 21, 12)), 0.0, 0.1, spec)
+
+
+_POINT_RISE = 1.0 * (1.0 + _SLACK) + 1e-15  # the largest rise after a distance of 1 (scale 1)
+
+
+@pytest.mark.parametrize(
+    "d,over",
+    [
+        ([1.0, _POINT_RISE, 0.1], [1.0, np.nextafter(_POINT_RISE, 2.0), 0.1]),
+        ([1.0, 0.2], [1.0, np.nextafter(0.2, 1.0)]),
+        ([1e-12, 1e-12], [1e-12, np.nextafter(1e-12, 1.0)]),
+    ],
+    ids=["rise of exactly the slack", "final exactly a fifth", "final exactly the floor"],
+)
+def test_point_convergence_holds_exactly_at_its_bounds(d, over):
+    # each bound holds with equality (the limit is 0, so the scale is 1 and a
+    # distance is the offset itself); one ulp past it the verdict is False
+    rep = check_strong_convergence_at_point(*_on_a_high_mode(d), t_star=1.0)
+    assert rep.converged and rep.dists == tuple(d)
+    rep = check_strong_convergence_at_point(*_on_a_high_mode(over), t_star=1.0)
+    assert not rep.converged and rep.dists == tuple(over)
 
 
 def _coarse_grid():

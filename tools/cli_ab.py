@@ -1,4 +1,4 @@
-"""Wall time and peak memory of CLI runs built from two source trees, A/B.
+"""Wall time, CPU time and peak memory of CLI runs built from two source trees, A/B.
 
 Usage (from the repository root):
 
@@ -16,16 +16,18 @@ compiling its modules on every run. The two runs of a pair use workload
 seed pair mod 5 and alternate which goes first. Every run writes into its own temporary
 directory. Each run is started by a small ``python3 -S`` launcher
 process (LAUNCHER), which forks, execs the CLI and reports on it: wall time
-is the CLI's launch to exit, and peak RSS is its ``ru_maxrss`` from
-``os.wait4``, on Linux the larger of the process's own peak and that of the
+is the CLI's launch to exit, CPU time is ``ru_utime + ru_stime`` from
+``os.wait4`` (on Linux that includes the children the CLI reaped, such as
+the integration pass's child), and peak RSS is its ``ru_maxrss`` from the
+same call, on Linux the larger of the process's own peak and that of the
 children it reaped. Linux carries the spawning process's resident memory
 over ``execve`` into that figure, so a run spawned by this process would
 read at least this process's RSS. Through the launcher the floor is the
 launcher's RSS at its fork (``/bin/true`` reads 5.0 MB on CPython 3.11),
 below any CLI run's.
 
-Prints, per workload, the median and quartiles of wall time and peak RSS
-of each side; for each of the two the median and quartiles over pairs of
+Prints, per workload, the median and quartiles of wall time, CPU time and
+peak RSS of each side; for each of the three the median and quartiles over pairs of
 the ratio change / parent and the pairs the change won; whether the change
 won at least nine tenths of the pairs and its median is lower than the
 parent's by more than the parent's quartile spread; then the exit codes
@@ -54,7 +56,7 @@ NAMES = ("verify-nse2d", "trajattr-kolmogorov")
 
 
 # Forks the command in argv[1:] with stdout and stderr on /dev/null, and prints its
-# wall seconds, ru_maxrss in KiB and exit code; -S keeps its own RSS small.
+# wall seconds, CPU seconds, ru_maxrss in KiB and exit code; -S keeps its own RSS small.
 LAUNCHER = """
 import os, sys, time
 start = time.perf_counter()
@@ -68,20 +70,23 @@ if pid == 0:
     finally:
         os._exit(127)
 _, status, usage = os.wait4(pid, 0)
-print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+wall, cpu = time.perf_counter() - start, usage.ru_utime + usage.ru_stime
+print(wall, cpu, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
 """
 
 
-def measure(argv: list[str], cwd: Path, env: dict) -> tuple[float, float, int]:
-    """Wall seconds, peak RSS in MB and exit code of argv run to exit through LAUNCHER."""
+def measure(argv: list[str], cwd: Path, env: dict) -> tuple[float, float, float, int]:
+    """Wall seconds, CPU seconds, peak RSS in MB and exit code of argv run to exit
+    through LAUNCHER."""
     launch = [sys.executable, "-S", "-c", LAUNCHER, *argv]
     out = subprocess.run(launch, cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    wall, rss_kib, code = out.stdout.split()
-    return float(wall), int(rss_kib) / 1024.0, int(code)
+    wall, cpu, rss_kib, code = out.stdout.split()
+    return float(wall), float(cpu), int(rss_kib) / 1024.0, int(code)
 
 
-def _run(src: Path, name: str, seed: int) -> tuple[float, float, int]:
-    """Wall seconds, peak RSS in MB and exit code of one CLI run with src on the path."""
+def _run(src: Path, name: str, seed: int) -> tuple[float, float, float, int]:
+    """Wall seconds, CPU seconds, peak RSS in MB and exit code of one CLI run with src
+    on the path."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         cfg_path = work / "config.json"
@@ -123,9 +128,10 @@ def main(argv: list[str]) -> int:
             order = list(sides) if pair % 2 == 0 else list(reversed(sides))
             for side in order:
                 runs[side].append(_run(sides[side], name, seed))
-            mismatched += runs["parent"][-1][2] != runs["change"][-1][2]
+            mismatched += runs["parent"][-1][3] != runs["change"][-1][3]
         print(f"{name}: {pairs} pairs")
-        for col, metric, won in ((0, "wall_s", "faster"), (1, "peak_rss_mb", "lower")):
+        metrics = ((0, "wall_s", "faster"), (1, "cpu_s", "lower"), (2, "peak_rss_mb", "lower"))
+        for col, metric, won in metrics:
             values = {side: np.array([r[col] for r in runs[side]]) for side in sides}
             quart = {side: np.percentile(values[side], [25, 50, 75]) for side in sides}
             for side in sides:
@@ -141,7 +147,7 @@ def main(argv: list[str]) -> int:
             p1, p_med, p3 = quart["parent"]
             gain = 10 * wins >= 9 * pairs and p_med - quart["change"][1] > p3 - p1
             print(f"  {metric} gain (>= 9/10 pairs, by more than the parent's spread): {gain}")
-        codes = {side: sorted({r[2] for r in runs[side]}) for side in sides}
+        codes = {side: sorted({r[3] for r in runs[side]}) for side in sides}
         print(f"  exit codes: parent {codes['parent']}, change {codes['change']}")
     print(f"{mismatched} pair(s) with different exit codes")
     return 1 if mismatched else 0
