@@ -6,9 +6,10 @@ raises HypothesisFail so that a theorem is never blamed for an input that
 did not satisfy its assumptions. Quantifiers over all trajectories, shifts,
 and epsilons become finite searches with deterministic order: library
 members in stored order, grid shifts ascending, first match under eps wins.
-The tracking searches anchor each window by the strong distances from its
-start to the library samples at the shifts; quasi-invariance takes three
-nearest-point searches per member instead. A tracking miss is a verdict, not an error:
+The tracking searches anchor each window at library samples by their strong
+distances from its start and scan the anchored windows with one
+window_nearest call per member; quasi-invariance takes three nearest-point
+searches per member instead. A tracking miss is a verdict, not an error:
 check_tracking returns None for it. Searches whose verdict is decided by
 the last violation scan backward: the tracking search takes sampled t* from
 the last one down and stops at the first t* with an unmatched member. Every
@@ -170,12 +171,11 @@ def check_maximal_invariant(attractor_est, library: Ensemble, eps: float) -> Max
 
 @dataclass(frozen=True, eq=False)
 class TrackingReport:
+    """The earliest sampled t* of a tracking match, and the worst member error there."""
     t_star: float
     metric: str
     eps: float
     worst_error: float
-    matched_pairs: tuple[tuple[int, int], ...]
-    shifts: tuple[float, ...]
 
 
 def _tracking_grid(ensemble, library, m, window_T, t_star_stride=None):
@@ -217,45 +217,35 @@ def check_tracking(
     """Find when every member is eps-shadowed by some shifted library member.
 
     Weak mode compares truncated tail metrics from each t*; strong mode
-    compares the sup of the strong metric over [t*, t* + window_T]. A shift
-    matches when its sample is strictly within eps of the window start in
-    the strong metric and the window error is strictly under eps. Reports
-    the earliest sampled t* from which all later sampled t* also match, or
-    None when some member is unmatched even at the final t*: the scan goes
-    backward from there and stops at the first t* with an unmatched member.
+    compares the sup of the strong metric over [t*, t* + window_T]. A window is
+    anchored when its first library sample is strictly within eps of the window
+    start in the strong metric. One window_nearest scan over a member's anchored
+    windows, library members in stored order and shifts ascending, gives the
+    error of its first window strictly under eps. Reports the earliest sampled
+    t* from which all later sampled t* also match, or None when some member is
+    unmatched even at the final t*: the scan goes backward from there and stops
+    at the first t* with an unmatched member.
     """
     w, steps, t_star_idx, shift_idx = _tracking_grid(ensemble, library, m, window_T)
     spec = ensemble.model
 
-    def member_match(u_seg: np.ndarray):
-        # first (lib index, shift index, error) under eps, anchored at u_seg[0]
-        for li, vs in enumerate(library.samples):
-            for s in shift_idx[strong_dist_arrays(vs[shift_idx] - u_seg[0]) < eps]:
-                err = float(window_dist(spec, u_seg, vs[s : s + w + 1], m, steps))
-                if err < eps:
-                    return li, int(s), err
-        return None
+    def anchored(u: np.ndarray):
+        # the anchored windows of the member window u, in scan order
+        for vs in library.samples:
+            for s in shift_idx[strong_dist_arrays(vs[shift_idx] - u[0]) < eps]:
+                yield vs[s : s + w + 1]
 
     def matched_at(k: int) -> TrackingReport | None:
         # the report at t* index k if every member matches there, else None
-        # as soon as one member does not
-        pairs, shifts, worst = [], [], 0.0
-        for mi, us in enumerate(ensemble.samples):
-            found = member_match(us[k : k + w + 1])
-            if found is None:
+        worst = 0.0
+        for us in ensemble.samples:
+            u = us[k : k + w + 1]
+            err = window_nearest(spec, u, anchored(u), m, steps, eps)
+            if not err < eps:
                 return None
-            li, s, err = found
-            pairs.append((mi, li))
-            shifts.append(s * library.dt)
             worst = max(worst, err)
-        return TrackingReport(
-            t_star=ensemble.t0 + int(k) * ensemble.dt,
-            metric=m,
-            eps=eps,
-            worst_error=worst,
-            matched_pairs=tuple(pairs),
-            shifts=tuple(shifts),
-        )
+        t_star = ensemble.t0 + int(k) * ensemble.dt
+        return TrackingReport(t_star=t_star, metric=m, eps=eps, worst_error=worst)
 
     report, i = None, t_star_idx.shape[0]
     while i > 0 and (earlier := matched_at(t_star_idx[i - 1])) is not None:

@@ -235,42 +235,36 @@ def tracking_oracle(ensemble, library, m, eps, window_T):
     spec = ensemble.model
 
     def member_match(u_seg):
-        for li, vs in enumerate(library.samples):
+        for vs in library.samples:
             a_d = strong_dist_arrays(vs[shift_idx] - u_seg[0])
             for j in np.flatnonzero(a_d < eps):
                 s = int(shift_idx[j])
                 err = float(window_dist(spec, u_seg, vs[s : s + w + 1], m, steps))
                 if err < eps:
-                    return li, s, err
+                    return err
         return None
 
     per_t = []
     for k in t_star_idx:
-        pairs, shifts, worst = [], [], 0.0
+        worst = 0.0
         ok = True
-        for mi, us in enumerate(ensemble.samples):
-            found = member_match(us[k : k + w + 1])
-            if found is None:
+        for us in ensemble.samples:
+            err = member_match(us[k : k + w + 1])
+            if err is None:
                 ok = False
                 break
-            li, s, err = found
-            pairs.append((mi, li))
-            shifts.append(library.t0 + s * library.dt)
             worst = max(worst, err)
-        per_t.append((ok, worst, tuple(pairs), tuple(shifts)))
+        per_t.append((ok, worst))
     if not per_t[-1][0]:
         return None
     first_ok = len(per_t) - 1
     while first_ok > 0 and per_t[first_ok - 1][0]:
         first_ok -= 1
-    ok, worst, pairs, shifts = per_t[first_ok]
     return TrackingReport(
         t_star=ensemble.t0 + int(t_star_idx[first_ok]) * ensemble.dt,
         metric=m,
         eps=eps,
-        worst_error=worst,
-        matched_pairs=pairs,
-        shifts=shifts,
+        worst_error=per_t[first_ok][1],
     )
 
 

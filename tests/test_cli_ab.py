@@ -1,7 +1,8 @@
 """tools/cli_ab.py reads a run's peak memory without its own and its children's CPU
-time, and takes workload names."""
+time, takes workload names, and times compiled copies of the trees it is given."""
 import importlib.util
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -68,3 +69,22 @@ def test_a_malformed_command_line_prints_the_usage_and_runs_nothing(argv, monkey
     monkeypatch.setattr(cli_ab, "_run", refuse)
     assert cli_ab.main(argv) == 2
     assert capsys.readouterr().err.strip() == cli_ab.__doc__.strip()
+
+
+def test_runs_import_compiled_copies_and_leave_the_given_tree_as_it_was(tmp_path, monkeypatch):
+    cli_ab = _cli_ab()
+    tree = tmp_path / "src"
+    shutil.copytree(ROOT / "src", tree, ignore=shutil.ignore_patterns("__pycache__"))
+    seen = []
+
+    def stub(src, name, seed):
+        cached = {p.stem.split(".")[0] for p in (src / "attractorlab" / "__pycache__").glob("*.pyc")}
+        seen.append((src, cached == {p.stem for p in (src / "attractorlab").glob("*.py")}))
+        return 1.0, 1.0, 1.0, 0
+
+    monkeypatch.setattr(cli_ab, "_run", stub)
+    assert cli_ab.main([str(tree), "1", "verify-nse2d"]) == 0
+    assert not list(tree.rglob("__pycache__"))
+    # one untimed run and one timed run per side, each from a compiled copy
+    assert len(seen) == 4
+    assert all(compiled and src not in (tree, ROOT / "src") for src, compiled in seen)

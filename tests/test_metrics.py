@@ -1,4 +1,7 @@
 """Metric axioms, hand values, and the strong/weak comparison."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import traj_set_semidist
@@ -469,3 +472,21 @@ def test_window_semidists_equal_both_scans_bitwise(m, tail):
             assert window_semidists(spec, x, y, m, steps)[0] == got[0]
         assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 
+
+
+def test_window_searches_go_through_window_nearest():
+    # outside metrics, the one caller of the window kernel is the
+    # strong-convergence check, which reads its distances over one window;
+    # every search over windows scans through window_nearest
+    callers = set()
+    for path in Path(metrics.__file__).parent.glob("*.py"):
+        if path.name == "metrics.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "window_dist":
+                        callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("verification", "check_strong_convergence_at_point")}

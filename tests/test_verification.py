@@ -10,6 +10,8 @@ from oracles import (
     tracking_ladder_oracle,
 )
 
+import attractorlab.metrics as metrics
+import attractorlab.verification as verification
 from attractorlab.core import build_ensemble, translate
 from attractorlab.errors import GridMismatch, HypothesisFail, ModelMismatch
 from attractorlab.limits import SetEstimate, omega_limit
@@ -206,7 +208,6 @@ def test_tracking_self_library_is_exact(nse4_bundle):
     lib = nse4_bundle["library"]
     rep = check_tracking(lib, lib, "strong", eps=1e-12, window_T=2.0)
     assert rep.worst_error <= 1e-12
-    assert {pair[0] for pair in rep.matched_pairs} <= set(range(lib.n_members))
 
 
 def test_tracking_no_match_is_none(toy_bundle):
@@ -246,6 +247,31 @@ def test_tracking_window_exactly_eps_from_the_member_does_not_match():
     at_eps, above = _one_window([0.25, 0, 0, 0], [0, 0, 0.5, 0], "strong", dt=0.25)
     assert at_eps is None
     assert above is not None and above.worst_error == 0.5
+
+
+def test_tracking_scans_library_members_in_order_and_stops_at_the_first_match(monkeypatch):
+    # one t* (a window of 4 steps) and, at every step, a shift; eps 0.5. The
+    # first library member anchors three windows (0.125 from the start) that
+    # each reach 0.75; the second anchors three that match, the first with
+    # error 0.25, the later two with 0.125
+    spec = make_spec("toy_contraction", truncation=4)
+    first = [0.125, 0.75, 0.125, 0.125, 0.75, 0.75, 0.75, 0.75]
+    second = [0.75, 0.25, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]
+    rows = np.zeros((2, 8, 4))
+    rows[:, :, 0] = [first, second]
+    ens = Ensemble(np.zeros((2, 5, 4)), 0.0, 0.25, spec)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return window_dist(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "window_dist", counted)
+    monkeypatch.setattr(verification, "window_dist", counted)
+    rep = check_tracking(ens, Ensemble(rows, 0.0, 0.25, spec), "strong", 0.5, window_T=1.0)
+    assert rep.t_star == 0.0 and rep.worst_error == 0.25
+    # per ensemble member: the first member's three anchored windows, then one
+    assert len(calls) == 2 * (3 + 1)
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,12 @@ For each named workload of perfbench/workloads.py (imported read-only, as
 tools/artifact_diff.py does; by default verify-nse2d and
 trajattr-kolmogorov, the two of BENCHMARK.json), runs ``python -m
 attractorlab.cli`` once untimed per side, then PAIRS times (default 10,
-at least 1) with PARENT_SRC and with this checkout's ``src/``
-on the import path. Both trees are byte-compiled with ``compileall`` first:
-under PYTHONDONTWRITEBYTECODE=1 a tree whose ``__pycache__`` is stale (a
-copied tree, say) is never rewritten, and that side would pay for
-compiling its modules on every run. The two runs of a pair use workload
+at least 1) with a copy of PARENT_SRC and one of this checkout's ``src/``
+on the import path. The copies sit in a temporary directory, keep their
+trees' mtimes but no ``__pycache__``, and are byte-compiled with
+``compileall``: no side compiles its modules on every run (under
+PYTHONDONTWRITEBYTECODE=1 a missing or stale ``__pycache__`` is never
+written), and the given trees are left as they were. The two runs of a pair use workload
 seed pair mod 5 and alternate which goes first. Every run writes into its own temporary
 directory. Each run is started by a small ``python3 -S`` launcher
 process (LAUNCHER), which forks, execs the CLI and reports on it: wall time
@@ -40,6 +41,7 @@ from __future__ import annotations
 import compileall
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -113,11 +115,21 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     parent, pairs, names = args
-    sides = {"parent": parent, "change": ROOT / "src"}
-    for src in sides.values():
-        if not compileall.compile_dir(src, quiet=1):
-            print(f"{src}: byte-compiling failed", file=sys.stderr)
-            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {}
+        for side, src in (("parent", parent), ("change", ROOT / "src")):
+            copy = Path(tmp) / side
+            shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            if not compileall.compile_dir(copy, quiet=1):
+                print(f"{src}: byte-compiling failed", file=sys.stderr)
+                return 2
+            sides[side] = copy
+        return compare(sides, pairs, names)
+
+
+def compare(sides: dict, pairs: int, names: tuple[str, ...]) -> int:
+    """Print the A/B report of PAIRS pairs of runs per workload; 1 if the two runs of
+    some pair exit differently, else 0."""
     mismatched = 0
     for name in names:
         for src in sides.values():
